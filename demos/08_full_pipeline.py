@@ -4,8 +4,8 @@
 from pathlib import Path
 
 from protoadapt.pipeline import (
-    desk_config, emit_report, run_baselines, run_phase1, run_phase2,
-    run_riskbound, run_support_sweep,
+    desk_config, emit_report, run_baselines, run_penalty_sweep, run_phase1,
+    run_phase2, run_riskbound, run_support_sweep,
 )
 
 cfg = desk_config(seed=42, outdir="runs/demo_pipeline")
@@ -22,6 +22,10 @@ result = run_phase2(cfg, artifacts, outdir=outdir)
 rec = result.metrics["test"]
 print(f"phase 2 ({len(result.history)} epochs): test AUC {rec.auc:.4f}, "
       f"F1 {rec.f1:.4f}, ECE {rec.ece:.4f}")
+surface = run_penalty_sweep(cfg, artifacts, result, outdir=outdir)
+best = max(surface, key=lambda r: r["auc"])
+print(f"penalty sweep: best validation AUC {best['auc']:.4f} at "
+      f"lam {best['lam']:g}, eta {best['eta']:g}")
 
 baselines = run_baselines(cfg, artifacts, outdir=outdir,
                           support_size=cfg.support_size_train)

@@ -18,6 +18,7 @@ from .pipeline import (
     run_ablations,
     run_baselines,
     run_motifs,
+    run_penalty_sweep,
     run_phase1,
     run_phase2,
     run_riskbound,
@@ -71,6 +72,7 @@ def cmd_phase2(args):
     result = run_phase2(cfg, artifacts, outdir=Path(cfg.outdir))
     rec = result.metrics["test"]
     print(f"test AUC {rec.auc:.4f}, F1 {rec.f1:.4f}, ECE {rec.ece:.4f}")
+    run_penalty_sweep(cfg, artifacts, result, outdir=Path(cfg.outdir))
     run_support_sweep(cfg, artifacts, result, outdir=Path(cfg.outdir))
     run_seed_stability(cfg, artifacts, outdir=Path(cfg.outdir))
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import rankdata
 
 from .util import ValidationError, check_finite, require
 
@@ -47,17 +48,16 @@ def rank_auc(scores, labels) -> float:
     n_pos, n_neg = int(pos.sum()), int((~pos).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("AUC undefined for a single-class label vector")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks = rankdata(scores, method="average")
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def rank_auc_or_nan(scores, labels) -> float:
+    """``rank_auc``, but NaN instead of an error for a single-class label vector."""
+    pos = np.asarray(labels, dtype=int).ravel() == 1
+    if pos.all() or not pos.any():
+        return float("nan")
+    return rank_auc(scores, labels)
 
 
 def expected_calibration_error(probs, labels, n_bins: int = 10) -> float:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import t as t_dist
 
+from .metrics import rank_auc_or_nan
 from .resampling import bootstrap_indices, percentile_interval
 from .util import ValidationError, check_finite, child_rng, require
 
@@ -349,26 +350,6 @@ def t_statistic_from_summary(tau_bar: float, se: float,
     return (tau_bar - grid_center) / (se / np.sqrt(3.0))
 
 
-def _binary_auc(scores, labels):
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    pos = labels == 1
-    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
-    if n_pos == 0 or n_neg == 0:
-        return float("nan")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
-
-
 def _threshold_score(activations, tau):
     # fraction of screened channels firing above tau, per repertoire
     return (activations > tau).mean(axis=0)
@@ -421,8 +402,8 @@ def calibrate_tau(activations, labels, cohort: str = "cohort",
             train_local = calib_idx[fold_assign != fold]
             best_tau, best_auc = None, -np.inf
             for tau in grid:
-                auc = _binary_auc(_threshold_score(activations[:, train_local], tau),
-                                  labels[train_local])
+                auc = rank_auc_or_nan(_threshold_score(activations[:, train_local], tau),
+                                      labels[train_local])
                 if np.isnan(auc):
                     continue
                 # ties prefer the threshold closest to the grid centre
@@ -436,10 +417,10 @@ def calibrate_tau(activations, labels, cohort: str = "cohort",
         se = float(np.sqrt(np.sum((optima - tau_bar) ** 2) / 6.0))
 
         tau_star = tau_bar
-        calib_auc = _binary_auc(_threshold_score(activations[:, calib_idx], tau_star),
-                                labels[calib_idx])
-        test_auc = _binary_auc(_threshold_score(activations[:, test_idx], tau_star),
-                               labels[test_idx])
+        calib_auc = rank_auc_or_nan(_threshold_score(activations[:, calib_idx], tau_star),
+                                    labels[calib_idx])
+        test_auc = rank_auc_or_nan(_threshold_score(activations[:, test_idx], tau_star),
+                                   labels[test_idx])
         delta_auc = abs(calib_auc - test_auc)
 
         if se == 0.0:

@@ -4,8 +4,12 @@ motif statistics, bound checks, and the report bundle.
 Phase 1 estimates seed adapters, selects the rank, freezes the projection,
 clusters prototypes, and certifies coverage. Phase 2 trains the retrieval
 network on the outer objective with periodic diagnostics and early stopping.
+The lambda-eta penalty sweep and the support-size sweep are steps of their
+own (``run_penalty_sweep``, ``run_support_sweep``) that reuse the trained
+network. ``run_*`` functions compute; ``persist_*`` functions only write.
 All tabular outputs are deterministic functions of the run configuration;
-wall-clock measurements go to runtime.txt and run.log only, never into CSVs.
+wall-clock measurements go to runtime.txt and run.log only, never into CSVs,
+and every stage appends its lines to both files.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapters import Canonicalizer, assemble_theta, fit_canonicalizer, ridge_adapter
-from .descriptors import ProbeHead, Standardizer, build_descriptor
+from .descriptors import ProbeHead, Standardizer, build_descriptor, descriptors_to_csv
 from .metrics import MetricsRecord, calibration_bins, compute_metrics
 from .motifs import (
     DESK_PERMUTATION_FLOOR,
@@ -39,9 +43,8 @@ from .retrieval import (
     Adam,
     ProximalConfig,
     TrainConfig,
-    compose_adapter,
+    _pcfg_lookup,
     predict_task,
-    retrieve,
     sweep_lambda_eta,
     train_retrieval,
 )
@@ -62,8 +65,6 @@ from .util import ValidationError, child_rng, config_hash, require, sigmoid, wri
 # Search-grid defaults from the experiment protocol; desk profiles override.
 DEFAULT_K_GRID = (50, 100, 200)
 DEFAULT_LAMBDA_GRID = (1e-6, 1e-5, 1e-4, 1e-3)
-DEFAULT_GAMMA_GRID = (0.0, 1e-2, 1e-1, 1.0)
-DEFAULT_R_GRID = (10, 20, 50)
 DEFAULT_SEEDS = (42, 2023, 777)
 DEFAULT_SUPPORT_SIZES = (5, 10, 20, 50)
 
@@ -137,9 +138,7 @@ class RunConfig:
     # prior weight decays as support evidence grows: the effective proximity
     # coefficient is gamma * gamma_ref_size / n_support (disabled when None)
     gamma_ref_size: int | None = 5
-    gamma_grid: tuple = DEFAULT_GAMMA_GRID
     eta: float = 0.01
-    r_grid: tuple = DEFAULT_R_GRID
     r_keep: int | None = None           # None: use the selected rank
     t_prox: int = 10
     solver_tol: float = 1e-9
@@ -166,7 +165,6 @@ class RunConfig:
         self.generator.validate()
         require(all(k >= 1 for k in self.k_grid), "K grid must be positive")
         require(all(l >= 0 for l in self.lam_grid), "lambda grid must be nonnegative")
-        require(all(g >= 0 for g in self.gamma_grid), "gamma grid must be nonnegative")
         require(len(self.seeds) >= 1, "need at least one seed")
 
     def to_dict(self) -> dict:
@@ -191,7 +189,7 @@ class RunConfig:
                 mot["cohorts"] = tuple(mot["cohorts"])
             data["motifs"] = MotifRunConfig(**mot)
         for key in ("seeds", "ret_fracs", "rho_list", "k_grid", "lam_grid",
-                    "gamma_grid", "r_grid", "support_sizes_eval"):
+                    "train_sizes", "support_sizes_eval"):
             if key in data and data[key] is not None:
                 data[key] = tuple(data[key])
         return cls(**data)
@@ -510,6 +508,10 @@ class Phase2Result:
     descriptors: dict
     latency_ms: float
     support_size: int | None
+    stopped_epoch: int
+    test_probs: np.ndarray
+    test_labels: np.ndarray
+    solver_trace: list      # objective per iteration of one worked test solve
 
 
 def _ret_tasks_at_size(artifacts: Phase1Artifacts, tag: str, size: int | None,
@@ -557,12 +559,22 @@ def _proximal_config(cfg: RunConfig):
     return factory
 
 
+def _r_keep(cfg: RunConfig, artifacts: Phase1Artifacts) -> int:
+    """Activations kept by the hard top-r rule: the configured or the selected rank."""
+    return cfg.r_keep if cfg.r_keep is not None else min(artifacts.rank_selected,
+                                                         artifacts.memory.K)
+
+
+def _append(path: Path, lines) -> None:
+    with open(path, "a") as fh:
+        fh.write("".join(f"{line}\n" for line in lines))
+
+
 def _split_metrics(tasks, artifacts, net, transform, descriptors, theta_hats,
-                   pcfg, r_keep, time_solves: bool = False):
+                   pcfg, r_keep):
     fmap = artifacts.corpus.feature_map()
     probs_all, labels_all = [], []
     elapsed = 0.0
-    n_solved = 0
     for task in tasks:
         t0 = time.perf_counter()
         probs, _ = predict_task(task, artifacts.memory, net, descriptors[task.task_id],
@@ -570,12 +582,11 @@ def _split_metrics(tasks, artifacts, net, transform, descriptors, theta_hats,
                                 transform=transform,
                                 hard_threshold=artifacts.cfg.hard_threshold)
         elapsed += time.perf_counter() - t0
-        n_solved += 1
         probs_all.append(probs)
         labels_all.append(task.query_y)
-    record = compute_metrics(np.concatenate(probs_all), np.concatenate(labels_all))
-    latency_ms = 1000.0 * elapsed / max(n_solved, 1)
-    return record, latency_ms, np.concatenate(probs_all), np.concatenate(labels_all)
+    probs, labels = np.concatenate(probs_all), np.concatenate(labels_all)
+    latency_ms = 1000.0 * elapsed / max(len(tasks), 1)
+    return compute_metrics(probs, labels), latency_ms, probs, labels
 
 
 def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
@@ -602,8 +613,7 @@ def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
     transform = make_transform(cfg.ode.kind, d_z, cfg.ode, seed=seed)
 
     pcfg = _proximal_config(cfg)
-    r_keep = cfg.r_keep if cfg.r_keep is not None else min(artifacts.rank_selected,
-                                                           artifacts.memory.K)
+    r_keep = _r_keep(cfg, artifacts)
     tcfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
                        weight_decay=cfg.weight_decay, patience=cfg.patience,
                        jaccard_min=cfg.jaccard_min, seed=seed, r_keep=r_keep,
@@ -612,28 +622,32 @@ def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
                              artifacts.corpus.feature_map(), pcfg, tcfg,
                              val_tasks=val_tasks, transform=transform)
 
-    metrics = {}
-    latency_ms = 0.0
-    probs_labels = {}
-    for tag, tasks in (("train", train_tasks), ("val", val_tasks), ("test", test_tasks)):
-        record, lat, probs, labels = _split_metrics(tasks, artifacts, result.net,
-                                                    transform, descriptors, theta_hats,
-                                                    pcfg, r_keep, time_solves=True)
-        metrics[tag] = record
-        probs_labels[tag] = (probs, labels)
-        if tag == "test":
-            latency_ms = lat
+    splits = {tag: _split_metrics(tasks, artifacts, result.net, transform, descriptors,
+                                  theta_hats, pcfg, r_keep)
+              for tag, tasks in (("train", train_tasks), ("val", val_tasks),
+                                 ("test", test_tasks))}
+    _, latency_ms, test_probs, test_labels = splits["test"]
+
+    # one worked solver trace for audit
+    sample = test_tasks[0]
+    _, worked = predict_task(sample, artifacts.memory, result.net,
+                             descriptors[sample.task_id], theta_hats[sample.task_id],
+                             pcfg, r_keep, artifacts.corpus.feature_map(),
+                             transform=transform)
 
     out = Phase2Result(net=result.net, transform=transform, history=result.history,
-                       metrics=metrics, theta_hats=theta_hats, descriptors=descriptors,
-                       latency_ms=latency_ms, support_size=size)
+                       metrics={tag: split[0] for tag, split in splits.items()},
+                       theta_hats=theta_hats, descriptors=descriptors,
+                       latency_ms=latency_ms, support_size=size,
+                       stopped_epoch=result.stopped_epoch, test_probs=test_probs,
+                       test_labels=test_labels, solver_trace=worked.objective_trace)
     if outdir is not None:
-        persist_phase2(cfg, artifacts, out, probs_labels, Path(outdir))
+        persist_phase2(cfg, artifacts, out, Path(outdir))
     return out
 
 
 def persist_phase2(cfg: RunConfig, artifacts: Phase1Artifacts, result: Phase2Result,
-                   probs_labels: dict, outdir: Path) -> None:
+                   outdir: Path) -> None:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_csv(outdir / "training_curve.csv",
@@ -643,11 +657,10 @@ def persist_phase2(cfg: RunConfig, artifacts: Phase1Artifacts, result: Phase2Res
     write_csv(outdir / "metrics.csv",
               ["split"] + MetricsRecord.header(),
               [[tag] + rec.row() for tag, rec in result.metrics.items()])
-    probs, labels = probs_labels["test"]
     write_csv(outdir / "calibration_bins.csv",
               ["bin", "lo", "hi", "count", "confidence", "frequency"],
               [[r["bin"], r["lo"], r["hi"], r["count"], r["confidence"], r["frequency"]]
-               for r in calibration_bins(probs, labels)])
+               for r in calibration_bins(result.test_probs, result.test_labels)])
     # periodic diagnostics: memory health plus validation state every period
     rows = []
     for row in result.history:
@@ -659,42 +672,15 @@ def persist_phase2(cfg: RunConfig, artifacts: Phase1Artifacts, result: Phase2Res
               ["epoch", "kappa", "mu", "eps_hat", "eps_upper", "val_auc", "jaccard"],
               rows)
 
-    from .descriptors import descriptors_to_csv
     descriptors_to_csv(result.descriptors, outdir / "descriptors.csv")
 
     # trained retrieval parameters into the run manifest
     write_json(outdir / "retrieval_net.json",
                {name: arr.tolist() for name, arr in result.net.params.items()})
-
-    # one worked solver trace for audit, plus the penalty-surface sweep
-    fmap = artifacts.corpus.feature_map()
-    test_tasks = _ret_tasks_at_size(artifacts, "Ret-Test", result.support_size)
-    pcfg_base = _proximal_config(cfg)
-    pcfg_of = pcfg_base if callable(pcfg_base) else (lambda task: pcfg_base)
-    sample = test_tasks[0]
-    z = result.descriptors[sample.task_id].values
-    if result.transform is not None:
-        z = result.transform.forward(z)
-    from .retrieval import solve_proximal
-    trace_sol = solve_proximal(result.theta_hats[sample.task_id], artifacts.memory,
-                               result.net.forward(z), pcfg_of(sample))
     write_csv(outdir / "solver_trace.csv", ["iteration", "objective"],
-              list(enumerate(trace_sol.objective_trace)))
+              list(enumerate(result.solver_trace)))
 
-    val_tasks = _ret_tasks_at_size(artifacts, "Ret-Val", result.support_size)
-    d_val, t_val = _prepare_inputs(artifacts, val_tasks)
-    r_keep = cfg.r_keep if cfg.r_keep is not None else min(artifacts.rank_selected,
-                                                           artifacts.memory.K)
-    surface = sweep_lambda_eta(cfg.lam_grid, (0.0, cfg.eta), val_tasks,
-                               artifacts.memory, result.net, d_val, t_val,
-                               pcfg_of(val_tasks[0]), r_keep, fmap,
-                               transform=result.transform)
-    write_csv(outdir / "sweep_lambda_eta.csv",
-              ["lam", "eta", "auc", "mean_l0_pre", "mean_l0_post", "mean_objective"],
-              [[r["lam"], r["eta"], r["auc"], r["mean_l0_pre"], r["mean_l0_post"],
-                r["mean_objective"]] for r in surface])
-
-    log_lines = [f"phase2 stopped at epoch {result.stopped_epoch if hasattr(result, 'stopped_epoch') else len(result.history) - 1}"]
+    log_lines = [f"phase2 stopped at epoch {result.stopped_epoch}"]
     if isinstance(result.transform, OdeTransform) and result.transform.solver_log:
         steps = [e["steps"] for e in result.transform.solver_log]
         rej = [e["rejected"] for e in result.transform.solver_log]
@@ -703,11 +689,28 @@ def persist_phase2(cfg: RunConfig, artifacts: Phase1Artifacts, result: Phase2Res
             f"descriptor flow solver: {len(steps)} solves, mean steps {np.mean(steps):.1f}, "
             f"mean rejected {np.mean(rej):.2f}, stiff flags {stiff}, "
             f"settings {result.transform.solve_cfg.as_log_dict()}")
-    with open(outdir / "run.log", "a") as fh:
-        fh.write("\n".join(log_lines) + "\n")
-    (outdir / "runtime.txt").write_text(
-        "split latency accounting (solve plus compose path only)\n"
-        f"per_task_ms test {result.latency_ms:.3f}\n")
+    _append(outdir / "run.log", log_lines)
+    _append(outdir / "runtime.txt",
+            ["split latency accounting (solve plus compose path only)",
+             f"per_task_ms test {result.latency_ms:.3f}"])
+
+
+def run_penalty_sweep(cfg: RunConfig, artifacts: Phase1Artifacts, phase2: Phase2Result,
+                      outdir: Path | None = None):
+    """Validation surface over the (lam, eta) penalty grid with the trained net."""
+    val_tasks = _ret_tasks_at_size(artifacts, "Ret-Val", phase2.support_size)
+    surface = sweep_lambda_eta(cfg.lam_grid, (0.0, cfg.eta), val_tasks,
+                               artifacts.memory, phase2.net, phase2.descriptors,
+                               phase2.theta_hats,
+                               _pcfg_lookup(_proximal_config(cfg))(val_tasks[0]),
+                               _r_keep(cfg, artifacts), artifacts.corpus.feature_map(),
+                               transform=phase2.transform)
+    if outdir is not None:
+        write_csv(Path(outdir) / "sweep_lambda_eta.csv",
+                  ["lam", "eta", "auc", "mean_l0_pre", "mean_l0_post", "mean_objective"],
+                  [[r["lam"], r["eta"], r["auc"], r["mean_l0_pre"], r["mean_l0_post"],
+                    r["mean_objective"]] for r in surface])
+    return surface
 
 
 # ---------------------------------------------------------------------------
@@ -719,15 +722,9 @@ def _ridge_predictions(tasks, fmap, alpha, fit_on_query=False):
     elapsed = 0.0
     for task in tasks:
         t0 = time.perf_counter()
-        if fit_on_query:
-            donor = type(task)(task_id=task.task_id, support_x=task.query_x,
-                               support_y=task.query_y, query_x=task.query_x,
-                               query_y=task.query_y, theta_true=task.theta_true,
-                               partition=task.partition, cluster_id=task.cluster_id,
-                               index=task.index)
-            theta = ridge_adapter(donor, fmap, alpha)
-        else:
-            theta = ridge_adapter(task, fmap, alpha)
+        donor = (replace(task, support_x=task.query_x, support_y=task.query_y)
+                 if fit_on_query else task)
+        theta = ridge_adapter(donor, fmap, alpha)
         probs = sigmoid(fmap(task.query_x) @ theta)
         elapsed += time.perf_counter() - t0
         probs_all.append(probs)
@@ -785,7 +782,7 @@ def run_baselines(cfg: RunConfig, artifacts: Phase1Artifacts,
         for name, (_, lat) in results.items():
             lines.append(f"per_task_ms {name} {lat:.3f}")
         lines.append(f"peak_memory_bytes approx {peak}")
-        (outdir / "runtime.txt").write_text("\n".join(lines) + "\n")
+        _append(outdir / "runtime.txt", lines)
     return results
 
 
@@ -798,8 +795,7 @@ def run_support_sweep(cfg: RunConfig, artifacts: Phase1Artifacts, phase2: Phase2
     """Test metrics across support sizes with the trained retrieval net."""
     sizes = tuple(sizes if sizes is not None else cfg.support_sizes_eval)
     pcfg = _proximal_config(cfg)
-    r_keep = cfg.r_keep if cfg.r_keep is not None else min(artifacts.rank_selected,
-                                                           artifacts.memory.K)
+    r_keep = _r_keep(cfg, artifacts)
     rows = []
     for size in sizes:
         tasks = _ret_tasks_at_size(artifacts, "Ret-Test", size)
@@ -814,9 +810,8 @@ def run_support_sweep(cfg: RunConfig, artifacts: Phase1Artifacts, phase2: Phase2
         write_csv(outdir / "support_curve.csv",
                   ["support_size", "auc", "f1", "ece"],
                   [[r["support_size"], r["auc"], r["f1"], r["ece"]] for r in rows])
-        with open(outdir / "runtime.txt", "a") as fh:
-            for r in rows:
-                fh.write(f"per_task_ms support{r['support_size']} {r['latency_ms']:.3f}\n")
+        _append(outdir / "runtime.txt",
+                [f"per_task_ms support{r['support_size']} {r['latency_ms']:.3f}" for r in rows])
     return rows
 
 
@@ -954,8 +949,8 @@ def run_riskbound(cfg: RunConfig, artifacts: Phase1Artifacts,
                     r.emp_gap, r.adapter_gap, r.deterministic_bound, r.certified_bound,
                     r.triangle_holds, r.per_task_bound_holds, r.certified_bound_holds]
                    for r in summary.reports])
-        with open(outdir / "run.log", "a") as fh:
-            fh.write(summary.as_text() + f" | global lipschitz {lip.lipschitz:.4f}\n")
+        _append(outdir / "run.log",
+                [summary.as_text() + f" | global lipschitz {lip.lipschitz:.4f}"])
     return summary
 
 
@@ -979,12 +974,9 @@ def ablation_config(cfg: RunConfig, variant: str) -> RunConfig:
     require(variant in ABLATION_VARIANTS, f"unknown ablation variant {variant!r}")
     overrides = dict(ABLATION_VARIANTS[variant])
     ode_kind = overrides.pop("ode_kind", None)
-    new_cfg = replace(cfg, **overrides) if overrides else replace(cfg)
     if ode_kind is not None:
-        new_cfg = replace(new_cfg, ode=OdeBlockConfig(
-            kind=ode_kind, hidden=cfg.ode.hidden, t1=cfg.ode.t1, rtol=cfg.ode.rtol,
-            atol=cfg.ode.atol, lr=cfg.ode.lr, init_scale=cfg.ode.init_scale))
-    return new_cfg
+        overrides["ode"] = replace(cfg.ode, kind=ode_kind)
+    return replace(cfg, **overrides)
 
 
 def run_ablations(cfg: RunConfig, variants, outdir: Path | None = None):
@@ -1003,9 +995,8 @@ def run_ablations(cfg: RunConfig, variants, outdir: Path | None = None):
                   ["variant", "auc", "f1", "ece", "rank", "k"],
                   [[r["variant"], r["auc"], r["f1"], r["ece"], r["rank"], r["k"]]
                    for r in rows])
-        with open(outdir / "runtime.txt", "a") as fh:
-            for r in rows:
-                fh.write(f"per_task_ms ablation_{r['variant']} {r['latency_ms']:.3f}\n")
+        _append(outdir / "runtime.txt",
+                [f"per_task_ms ablation_{r['variant']} {r['latency_ms']:.3f}" for r in rows])
     return rows
 
 

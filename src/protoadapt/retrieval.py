@@ -9,10 +9,11 @@ tape and treats the hard top-r mask straight-through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .metrics import rank_auc_or_nan
 from .util import ValidationError, check_finite, child_rng, require, sigmoid
 
 MAX_UNROLL = 20  # training-time unroll cap
@@ -34,16 +35,13 @@ class ProximalConfig:
     lam: float = 1e-4
     gamma: float = 0.1
     t_prox: int = 10
-    step_size: float | None = None   # None: 1 / (smax(M^T)^2 + 2 gamma)
     tol: float = 1e-9
-    proximity: str = "quadratic"     # or "kl"
 
     def validate(self) -> None:
         require(self.lam >= 0.0, "lam must be nonnegative")
         require(self.gamma >= 0.0, "gamma must be nonnegative")
         require(1 <= self.t_prox <= MAX_UNROLL, f"t_prox must lie in [1, {MAX_UNROLL}]")
         require(self.tol > 0.0, "tol must be positive")
-        require(self.proximity in ("quadratic", "kl"), "unknown proximity kind")
 
 
 @dataclass
@@ -70,31 +68,23 @@ class _SolveTape:
     gamma: float = 0.0
 
 
-def _objective(w, memory, theta_hat, p, lam, gamma, proximity):
+def _objective(w, memory, theta_hat, p, lam, gamma):
     recon = w @ memory.M - theta_hat
     val = 0.5 * float(recon @ recon) + lam * float(np.sum(w))
     if gamma > 0:
-        if proximity == "quadratic":
-            val += gamma * float(np.sum((w - p) ** 2))
-        else:
-            safe_w = np.clip(w, 1e-300, None)
-            val += gamma * float(np.sum(w * np.log(safe_w / p) - w + p))
+        val += gamma * float(np.sum((w - p) ** 2))
     return val
 
 
-def _smooth_grad(w, memory, theta_hat, p, gamma, proximity):
+def _smooth_grad(w, memory, theta_hat, p, gamma):
     grad = memory.M @ (w @ memory.M - theta_hat)
     if gamma > 0:
-        if proximity == "quadratic":
-            grad = grad + 2.0 * gamma * (w - p)
-        else:
-            grad = grad + gamma * np.log(np.clip(w, 1e-12, None) / p)
+        grad = grad + 2.0 * gamma * (w - p)
     return grad
 
 
 def solve_proximal(theta_hat, memory, v, cfg: ProximalConfig,
-                   budget: int | None = None, w0: np.ndarray | None = None,
-                   record_tape: bool = False):
+                   budget: int | None = None, record_tape: bool = False):
     """Accelerated proximal gradient for the nonnegative sparse retrieval fit.
 
     Minimizes 0.5 ||M^T w - theta_hat||^2 + lam ||w||_1
@@ -116,33 +106,33 @@ def solve_proximal(theta_hat, memory, v, cfg: ProximalConfig,
 
     smax = memory.operator_norm()
     lipschitz = smax**2 + 2.0 * cfg.gamma
-    tau = cfg.step_size if cfg.step_size is not None else (1.0 / lipschitz if lipschitz > 0 else 1.0)
+    tau = 1.0 / lipschitz if lipschitz > 0 else 1.0
     steps = budget if budget is not None else cfg.t_prox
 
-    w = p.copy() if w0 is None else np.clip(check_finite(w0, "w0"), 0.0, None)
+    w = p.copy()
     y = w.copy()
     w_prev = w.copy()
     t_mom = 1.0
-    trace = [_objective(w, memory, theta_hat, p, cfg.lam, cfg.gamma, cfg.proximity)]
+    trace = [_objective(w, memory, theta_hat, p, cfg.lam, cfg.gamma)]
     tape = _SolveTape(p=p, tau=tau, gamma=cfg.gamma)
     restarts = 0
     kkt = np.inf
     converged = False
 
     for it in range(steps):
-        grad_y = _smooth_grad(y, memory, theta_hat, p, cfg.gamma, cfg.proximity)
+        grad_y = _smooth_grad(y, memory, theta_hat, p, cfg.gamma)
         z = y - tau * grad_y
         w_new = np.clip(z - tau * cfg.lam, 0.0, None)
-        f_new = _objective(w_new, memory, theta_hat, p, cfg.lam, cfg.gamma, cfg.proximity)
+        f_new = _objective(w_new, memory, theta_hat, p, cfg.lam, cfg.gamma)
         restarted = False
         if f_new > trace[-1] + 1e-15:
             # monotone restart: plain descent step from the last accepted point
             restarted = True
             restarts += 1
-            grad_w = _smooth_grad(w, memory, theta_hat, p, cfg.gamma, cfg.proximity)
+            grad_w = _smooth_grad(w, memory, theta_hat, p, cfg.gamma)
             z = w - tau * grad_w
             w_new = np.clip(z - tau * cfg.lam, 0.0, None)
-            f_new = _objective(w_new, memory, theta_hat, p, cfg.lam, cfg.gamma, cfg.proximity)
+            f_new = _objective(w_new, memory, theta_hat, p, cfg.lam, cfg.gamma)
             t_mom = 1.0
         if not np.isfinite(f_new):
             raise ValidationError(f"solver objective diverged at iteration {it}; trace={trace}")
@@ -368,7 +358,6 @@ class TrainConfig:
     seed: int = 0
     r_keep: int = 2
     eta: float = 0.01
-    val_period: int = 1
 
 
 @dataclass
@@ -391,26 +380,6 @@ def _jaccard(a: set, b: set) -> float:
     if not a and not b:
         return 1.0
     return len(a & b) / len(a | b)
-
-
-def _rank_auc(scores, labels):
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    pos = labels == 1
-    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
-    if n_pos == 0 or n_neg == 0:
-        return float("nan")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores), dtype=float)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 def predict_task(task, memory, net, descriptor, theta_hat, pcfg, r_keep,
@@ -438,7 +407,7 @@ def _pooled_val_auc(tasks, memory, net, descriptors, theta_hats, pcfg, r_keep,
         scores.append(probs)
         labels.append(task.query_y)
         actives.append(set(solution.active_set))
-    auc = _rank_auc(np.concatenate(scores), np.concatenate(labels))
+    auc = rank_auc_or_nan(np.concatenate(scores), np.concatenate(labels))
     return auc, actives
 
 
@@ -507,7 +476,7 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
                 transform.apply_batch(transform_batch)
 
         val_auc, jac = np.nan, 1.0
-        if val_tasks and epoch % tcfg.val_period == 0:
+        if val_tasks:
             val_auc, actives = _pooled_val_auc(val_tasks, memory, net, descriptors,
                                                theta_hats, pcfg, tcfg.r_keep,
                                                feature_map, transform)
@@ -541,9 +510,7 @@ def sweep_lambda_eta(lam_grid, eta_grid, tasks, memory, net, descriptors,
     rows = []
     for lam in lam_grid:
         for eta in eta_grid:
-            pcfg = ProximalConfig(lam=lam, gamma=pcfg_base.gamma,
-                                  t_prox=pcfg_base.t_prox, step_size=pcfg_base.step_size,
-                                  tol=pcfg_base.tol, proximity=pcfg_base.proximity)
+            pcfg = replace(pcfg_base, lam=lam)
             scores, labels = [], []
             l0_pre, l0_post, objective = [], [], []
             for task in tasks:
@@ -560,7 +527,7 @@ def sweep_lambda_eta(lam_grid, eta_grid, tasks, memory, net, descriptors,
                 objective.append(total)
             rows.append({
                 "lam": lam, "eta": eta,
-                "auc": _rank_auc(np.concatenate(scores), np.concatenate(labels)),
+                "auc": rank_auc_or_nan(np.concatenate(scores), np.concatenate(labels)),
                 "mean_l0_pre": float(np.mean(l0_pre)),
                 "mean_l0_post": float(np.mean(l0_post)),
                 "mean_objective": float(np.mean(objective)),

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+from scipy.stats import rankdata
 
 from .util import ValidationError, check_finite, child_rng, require, sigmoid, write_json
 
@@ -336,20 +337,6 @@ def partition_tasks(
     )
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=float)
-    i = 0
-    sorted_vals = values[order]
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
 def spearman(a, b) -> float:
     """Spearman rank correlation with average-rank tie handling."""
     a = check_finite(a, "a").ravel()
@@ -358,7 +345,7 @@ def spearman(a, b) -> float:
     require(a.size >= 3, "need at least three observations")
     if np.all(a == a[0]) or np.all(b == b[0]):
         raise ValidationError("correlation undefined for constant input")
-    ra, rb = _average_ranks(a), _average_ranks(b)
+    ra, rb = rankdata(a, method="average"), rankdata(b, method="average")
     ra = ra - ra.mean()
     rb = rb - rb.mean()
     return float(ra @ rb / np.sqrt((ra @ ra) * (rb @ rb)))

@@ -28,6 +28,7 @@ from protoadapt.pipeline import (
     fewshot_benchmark_config,
     run_baselines,
     run_motifs,
+    run_penalty_sweep,
     run_phase1,
     run_phase2,
     run_riskbound,
@@ -362,6 +363,7 @@ def test_determinism_byte_identical(tmp_path):
         outdir = Path(cfg.outdir)
         artifacts = run_phase1(cfg, outdir=outdir)
         result = run_phase2(cfg, artifacts, outdir=outdir)
+        run_penalty_sweep(cfg, artifacts, result, outdir=outdir)
         run_support_sweep(cfg, artifacts, result, outdir=outdir, sizes=(5, 10))
         run_baselines(cfg, artifacts, outdir=outdir, support_size=5)
         run_riskbound(cfg, artifacts, outdir=outdir)
@@ -369,6 +371,7 @@ def test_determinism_byte_identical(tmp_path):
     names_a = [p.name for p in outputs[0]]
     names_b = [p.name for p in outputs[1]]
     assert names_a == names_b and len(names_a) >= 8
+    assert "sweep_lambda_eta.csv" in names_a
     for pa, pb in zip(outputs[0], outputs[1]):
         assert pa.read_bytes() == pb.read_bytes(), pa.name
     _announce("determinism", started,

@@ -8,8 +8,43 @@ from protoadapt.metrics import (
     expected_calibration_error,
     health_scores,
     rank_auc,
+    rank_auc_or_nan,
 )
+from protoadapt.synthdata import spearman
 from protoadapt.util import ValidationError
+
+
+def _loop_average_ranks(values):
+    # the hand-written tie loop the library used before scipy's rankdata;
+    # kept as the oracle for the average-rank convention
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def _loop_auc(scores, labels):
+    pos = labels == 1
+    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+    ranks = _loop_average_ranks(scores)
+    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def _tied_cases(n_cases=300, seed=11):
+    # heavy ties: scores rounded to one or two decimals, sizes 2 to 400
+    rng = np.random.default_rng(seed)
+    for _ in range(n_cases):
+        n = int(rng.integers(2, 401))
+        scores = np.round(rng.random(n), int(rng.integers(1, 3)))
+        labels = rng.integers(0, 2, size=n)
+        yield scores, labels
 
 
 class TestAuc:
@@ -37,6 +72,36 @@ class TestAuc:
     def test_single_class_rejected(self):
         with pytest.raises(ValidationError):
             rank_auc(np.array([0.2, 0.4]), np.array([1, 1]))
+
+    def test_single_class_is_nan_under_nan_policy(self):
+        for labels in (np.array([1, 1, 1]), np.array([0, 0, 0]), np.array([], dtype=int)):
+            assert np.isnan(rank_auc_or_nan(np.linspace(0, 1, labels.size), labels))
+
+    def test_matches_tie_loop_oracle_exactly(self):
+        checked = 0
+        for scores, labels in _tied_cases():
+            if labels.min() == labels.max():
+                assert np.isnan(rank_auc_or_nan(scores, labels))
+                continue
+            oracle = _loop_auc(scores, labels)
+            assert rank_auc(scores, labels) == oracle
+            assert rank_auc_or_nan(scores, labels) == oracle
+            checked += 1
+        assert checked >= 250
+
+    def test_spearman_matches_tie_loop_oracle_exactly(self):
+        rng = np.random.default_rng(12)
+        for scores, _ in _tied_cases(seed=13):
+            if scores.size < 3:
+                continue
+            other = np.round(rng.random(scores.size), 1)
+            if np.all(scores == scores[0]) or np.all(other == other[0]):
+                continue
+            ra = _loop_average_ranks(scores)
+            rb = _loop_average_ranks(other)
+            ra, rb = ra - ra.mean(), rb - rb.mean()
+            oracle = float(ra @ rb / np.sqrt((ra @ ra) * (rb @ rb)))
+            assert spearman(scores, other) == oracle
 
 
 class TestTieRuleAndEce:

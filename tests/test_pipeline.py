@@ -5,13 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from protoadapt import pipeline, retrieval
 from protoadapt.metrics import compute_metrics
 from protoadapt.pipeline import (
     ABLATION_VARIANTS,
-    DEFAULT_GAMMA_GRID,
     DEFAULT_K_GRID,
     DEFAULT_LAMBDA_GRID,
-    DEFAULT_R_GRID,
     DEFAULT_SEEDS,
     MlpTransform,
     OdeTransform,
@@ -20,9 +19,12 @@ from protoadapt.pipeline import (
     ablation_config,
     desk_config,
     emit_report,
+    fewshot_benchmark_config,
     make_transform,
+    persist_phase2,
     run_baselines,
     run_motifs,
+    run_penalty_sweep,
     run_phase1,
     run_phase2,
     run_riskbound,
@@ -50,8 +52,6 @@ class TestDefaults:
         cfg = RunConfig()
         assert cfg.k_grid == DEFAULT_K_GRID == (50, 100, 200)
         assert cfg.lam_grid == DEFAULT_LAMBDA_GRID == (1e-6, 1e-5, 1e-4, 1e-3)
-        assert cfg.gamma_grid == DEFAULT_GAMMA_GRID == (0.0, 1e-2, 1e-1, 1.0)
-        assert cfg.r_grid == DEFAULT_R_GRID == (10, 20, 50)
         assert cfg.seeds == DEFAULT_SEEDS == (42, 2023, 777)
         assert cfg.patience == 40
         assert cfg.epochs <= 1000
@@ -63,6 +63,11 @@ class TestDefaults:
         again = RunConfig.from_dict(json.loads(json.dumps(blob)))
         assert again.to_dict() == blob
         assert again.hash() == cfg.hash()
+
+    @pytest.mark.parametrize("profile", [desk_config, fewshot_benchmark_config])
+    def test_profile_survives_json_roundtrip(self, profile):
+        cfg = profile()
+        assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_support_sizes_protocol(self):
         assert RunConfig().support_sizes_eval == (5, 10, 20, 50)
@@ -112,6 +117,40 @@ class TestPhase2:
         assert (tmp_path / "diagnostics.csv").exists()
         # latency numbers stay out of the CSVs
         assert "ms" in (tmp_path / "runtime.txt").read_text()
+
+    def test_persist_only_writes_and_sweep_is_separate(self, tiny_artifacts, tmp_path,
+                                                       monkeypatch):
+        cfg, art = tiny_artifacts
+        result = run_phase2(cfg, art)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("persist_phase2 must not compute")
+
+        monkeypatch.setattr(retrieval, "solve_proximal", forbidden)
+        for name in ("predict_task", "sweep_lambda_eta", "build_descriptor",
+                     "ridge_adapter", "resample_support", "integrate"):
+            monkeypatch.setattr(pipeline, name, forbidden)
+        persist_phase2(cfg, art, result, tmp_path)
+        for name in ("training_curve.csv", "metrics.csv", "calibration_bins.csv",
+                     "diagnostics.csv", "descriptors.csv", "solver_trace.csv",
+                     "retrieval_net.json", "run.log", "runtime.txt"):
+            assert (tmp_path / name).exists(), name
+        # the penalty sweep is a step of its own
+        assert not (tmp_path / "sweep_lambda_eta.csv").exists()
+        monkeypatch.undo()
+        rows = run_penalty_sweep(cfg, art, result, outdir=tmp_path)
+        assert len(rows) == 2 * len(cfg.lam_grid)
+        assert (tmp_path / "sweep_lambda_eta.csv").exists()
+
+    def test_every_stage_appends_to_runtime(self, tiny_artifacts, tmp_path):
+        cfg, art = tiny_artifacts
+        result = run_phase2(cfg, art, outdir=tmp_path)
+        run_support_sweep(cfg, art, result, outdir=tmp_path, sizes=(5, 10))
+        run_baselines(cfg, art, outdir=tmp_path, support_size=5)
+        runtime = (tmp_path / "runtime.txt").read_text()
+        for line in ("per_task_ms test", "per_task_ms support5", "per_task_ms support10",
+                     "per_task_ms ridge_support", "peak_memory_bytes"):
+            assert line in runtime, line
 
     def test_determinism_across_runs(self, tmp_path):
         cfg = tiny_config()

@@ -133,15 +133,6 @@ class TestSolver:
         with pytest.raises(ValidationError):
             ProximalConfig(t_prox=0).validate()
 
-    def test_kl_proximity_flag_descends(self):
-        rng = np.random.default_rng(5)
-        memory = make_memory(rng.normal(size=(4, 3)))
-        cfg = ProximalConfig(lam=0.01, gamma=0.3, t_prox=20, proximity="kl")
-        sol = solve_proximal(rng.normal(size=3), memory, rng.normal(size=4), cfg, budget=100)
-        trace = np.asarray(sol.objective_trace)
-        assert trace[-1] <= trace[0]
-        assert np.all(sol.w >= 0)
-
     def test_per_iteration_cost_linear_in_problem_size(self):
         # wall time across a 4x ladder stays within 2x of the linear fit
         rng = np.random.default_rng(6)
