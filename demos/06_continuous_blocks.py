@@ -20,7 +20,7 @@ print(f"fixed-step integrator: error {np.max(np.abs(res4.z1 - oracle)):.2e} "
       f"({res4.n_steps} steps)")
 
 # learnable field with adjoint gradients against finite differences
-field = VectorField.create(m=3, hidden=5, seed=0, scale=0.7)
+field = VectorField(m=3, hidden=5, seed=0, scale=0.7)
 z_init = np.array([0.4, -0.2, 0.1])
 target = np.array([0.0, 0.5, -0.5])
 tight = SolveConfig(rtol=1e-10, atol=1e-12)

@@ -14,75 +14,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import ValidationError, check_finite, child_rng, require
+from .tanhmap import TanhMap, flatten
+from .util import ValidationError, check_finite, require
 
 
 class StepUnderflowError(RuntimeError):
     """Adaptive step size collapsed below the machine-relative floor."""
 
 
-@dataclass
-class VectorField:
+class VectorField(TanhMap):
     """f(z, t) = W2 tanh(W1 [z; t] + b1) + b2, bounded weights by construction."""
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    @classmethod
-    def create(cls, m: int, hidden: int = 16, seed: int = 0, scale: float = 1.0) -> "VectorField":
-        rng = child_rng(seed, "vector-field")
-        return cls(
-            w1=scale * rng.normal(size=(hidden, m + 1)) / np.sqrt(m + 1),
-            b1=np.zeros(hidden),
-            w2=scale * rng.normal(size=(m, hidden)) / np.sqrt(hidden),
-            b2=np.zeros(m),
-        )
+    def __init__(self, m: int, hidden: int = 16, seed: int = 0, scale: float = 1.0):
+        super().__init__(m + 1, hidden, m, seed, "vector-field", scale)
 
     @property
     def m(self) -> int:
-        return self.w2.shape[0]
-
-    @property
-    def n_params(self) -> int:
-        return self.w1.size + self.b1.size + self.w2.size + self.b2.size
-
-    def params_vector(self) -> np.ndarray:
-        return np.concatenate([self.w1.ravel(), self.b1, self.w2.ravel(), self.b2])
-
-    def with_params(self, vec: np.ndarray) -> "VectorField":
-        vec = np.asarray(vec, dtype=float)
-        require(vec.size == self.n_params, "parameter vector has the wrong length")
-        i = 0
-        w1 = vec[i:i + self.w1.size].reshape(self.w1.shape); i += self.w1.size
-        b1 = vec[i:i + self.b1.size]; i += self.b1.size
-        w2 = vec[i:i + self.w2.size].reshape(self.w2.shape); i += self.w2.size
-        b2 = vec[i:i + self.b2.size]
-        return VectorField(w1=w1, b1=b1, w2=w2, b2=b2)
-
-    def _hidden(self, z, t):
-        zt = np.concatenate([z, [t]])
-        return np.tanh(self.w1 @ zt + self.b1), zt
+        return self.params["w2"].shape[0]
 
     def __call__(self, z: np.ndarray, t: float) -> np.ndarray:
-        h, _ = self._hidden(z, t)
-        return self.w2 @ h + self.b2
+        return self.forward(np.concatenate([z, [t]]))[0]
 
     def jac_state(self, z: np.ndarray, t: float) -> np.ndarray:
-        h, _ = self._hidden(z, t)
-        gain = (1.0 - h**2)[:, None] * self.w1[:, : self.m]
-        return self.w2 @ gain
+        h = self.hidden(np.concatenate([z, [t]]))
+        gain = (1.0 - h**2)[:, None] * self.params["w1"][:, : self.m]
+        return self.params["w2"] @ gain
 
     def param_vjp(self, z: np.ndarray, t: float, a: np.ndarray) -> np.ndarray:
         """(df/dparams)^T a, flattened in params_vector order."""
-        h, zt = self._hidden(z, t)
-        gb2 = a
-        gw2 = np.outer(a, h)
-        u = (self.w2.T @ a) * (1.0 - h**2)
-        gw1 = np.outer(u, zt)
-        gb1 = u
-        return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
+        zt = np.concatenate([z, [t]])
+        return flatten(self.vjp(zt, self.hidden(zt), a)[0])
 
 
 @dataclass

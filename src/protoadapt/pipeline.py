@@ -44,7 +44,7 @@ from .retrieval import (
     ProximalConfig,
     TrainConfig,
     _pcfg_lookup,
-    predict_task,
+    predict_tasks,
     sweep_lambda_eta,
     train_retrieval,
 )
@@ -60,6 +60,7 @@ from .spectral import (
     sequential_r_selection,
 )
 from .synthdata import GeneratorConfig, generate_corpus, partition_tasks, resample_support, save_corpus
+from .tanhmap import TanhMap, flatten
 from .util import ValidationError, child_rng, config_hash, require, sigmoid, write_csv, write_json
 
 # Search-grid defaults from the experiment protocol; desk profiles override.
@@ -149,7 +150,6 @@ class RunConfig:
     weight_decay: float = 0.0
     patience: int = 40
     jaccard_min: float = 0.9
-    hidden: int = 32
     support_size_train: int | None = None
     train_sizes: tuple | None = None    # union-of-sizes episodic training
     support_sizes_eval: tuple = DEFAULT_SUPPORT_SIZES
@@ -213,7 +213,6 @@ def desk_config(seed: int = 42, outdir: str = "runs/desk") -> RunConfig:
         gamma=0.1,
         eta=0.01,
         lam=1e-4,
-        hidden=16,
         weight_decay=2e-3,
     )
 
@@ -233,7 +232,6 @@ def fewshot_benchmark_config(seed: int = 42, outdir: str = "runs/fewshot") -> Ru
         gamma=0.1,
         eta=0.01,
         lam=1e-4,
-        hidden=16,
         weight_decay=2e-3,
     )
 
@@ -242,71 +240,68 @@ def fewshot_benchmark_config(seed: int = 42, outdir: str = "runs/fewshot") -> Ru
 # Descriptor transforms (continuous-time block and the ablation MLP)
 # ---------------------------------------------------------------------------
 
-class OdeTransform:
-    """Descriptor warp driven by a trainable vector field, adjoint gradients."""
+class _MapWarp:
+    """Descriptor warp built on a TanhMap, trained by Adam on the flat parameter vector.
+
+    The map's parameters are views into the vector Adam steps in place.
+    Subclasses say how the map warps z and how one (z, dL/dwarp(z)) pair
+    turns into a parameter gradient.
+    """
+
+    def __init__(self, net: TanhMap, lr: float):
+        self._params = {"phi": net.params_vector()}
+        self.map = net.with_params(self._params["phi"])
+        self.opt = Adam(self._params, lr=lr)
+
+    def apply_batch(self, pairs) -> None:
+        """One Adam step on the sum of the per-pair parameter gradients."""
+        grad = np.zeros_like(self._params["phi"])
+        for z, grad_out in pairs:
+            grad += self._param_grad(z, grad_out)
+        self.opt.step({"phi": grad})
+
+
+class OdeTransform(_MapWarp):
+    """Flow of a trainable vector field over [0, t1], adjoint gradients."""
 
     def __init__(self, d_z: int, cfg: OdeBlockConfig, seed: int = 0):
-        self.field = VectorField.create(m=d_z, hidden=cfg.hidden, seed=seed,
-                                        scale=cfg.init_scale)
+        super().__init__(VectorField(m=d_z, hidden=cfg.hidden, seed=seed,
+                                     scale=cfg.init_scale), cfg.lr)
         self.solve_cfg = SolveConfig(rtol=cfg.rtol, atol=cfg.atol, t0=0.0, t1=cfg.t1)
-        self._params = {"phi": self.field.params_vector()}
-        self.opt = Adam(self._params, lr=cfg.lr)
-        self.solver_log: list[dict] = []
+        # running totals over every forward solve, for run.log
+        self.solves = self.steps = self.rejected = self.stiff = 0
 
     def forward(self, z: np.ndarray) -> np.ndarray:
-        result = integrate(self.field, z, self.solve_cfg)
-        if len(self.solver_log) < 1000:
-            self.solver_log.append({"steps": result.n_steps,
-                                    "rejected": result.n_rejected,
-                                    "stiff": result.stiff})
+        result = integrate(self.map, z, self.solve_cfg)
+        self.solves += 1
+        self.steps += result.n_steps
+        self.rejected += result.n_rejected
+        self.stiff += result.stiff
         return result.z1
 
-    def apply_batch(self, pairs) -> None:
-        grad = np.zeros_like(self._params["phi"])
-        for z_raw, gz_out in pairs:
-            res = adjoint_gradient(self.field, z_raw, self.solve_cfg, gz_out)
-            grad += res.grad_params
-        self.opt.step({"phi": grad})
-        self.field = self.field.with_params(self._params["phi"])
+    def _param_grad(self, z, grad_out):
+        return adjoint_gradient(self.map, z, self.solve_cfg, grad_out).grad_params
 
 
-class MlpTransform:
-    """Residual two-layer map used by the continuous-time ablation."""
+class MlpTransform(_MapWarp):
+    """Residual map z + map(z) used by the continuous-time ablation."""
 
-    def __init__(self, d_z: int, hidden: int = 8, seed: int = 0, lr: float = 1e-3,
-                 init_scale: float = 0.1):
-        rng = child_rng(seed, "mlp-transform")
-        self.params = {
-            "w1": init_scale * rng.normal(size=(hidden, d_z)) / np.sqrt(d_z),
-            "b1": np.zeros(hidden),
-            "w2": init_scale * rng.normal(size=(d_z, hidden)) / np.sqrt(hidden),
-            "b2": np.zeros(d_z),
-        }
-        self.opt = Adam(self.params, lr=lr)
+    def __init__(self, d_z: int, cfg: OdeBlockConfig, seed: int = 0):
+        super().__init__(TanhMap(d_z, cfg.hidden, d_z, seed, "mlp-transform",
+                                 cfg.init_scale), cfg.lr)
 
     def forward(self, z: np.ndarray) -> np.ndarray:
-        h = np.tanh(self.params["w1"] @ z + self.params["b1"])
-        return z + self.params["w2"] @ h + self.params["b2"]
+        return z + self.map.forward(z)[0]
 
-    def apply_batch(self, pairs) -> None:
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        for z, gz_out in pairs:
-            h = np.tanh(self.params["w1"] @ z + self.params["b1"])
-            grads["w2"] += np.outer(gz_out, h)
-            grads["b2"] += gz_out
-            gh = self.params["w2"].T @ gz_out
-            gpre = gh * (1.0 - h**2)
-            grads["w1"] += np.outer(gpre, z)
-            grads["b1"] += gpre
-        self.opt.step(grads)
+    def _param_grad(self, z, grad_out):
+        return flatten(self.map.vjp(z, self.map.hidden(z), grad_out)[0])
 
 
 def make_transform(kind: str, d_z: int, cfg: OdeBlockConfig, seed: int):
     if kind == "ode":
         return OdeTransform(d_z, cfg, seed=seed)
     if kind == "mlp":
-        return MlpTransform(d_z, hidden=cfg.hidden, seed=seed, lr=cfg.lr,
-                            init_scale=cfg.init_scale)
+        return MlpTransform(d_z, cfg, seed=seed)
     if kind == "none":
         return None
     raise ValidationError(f"unknown descriptor transform kind {kind!r}")
@@ -327,6 +322,7 @@ class Phase1Artifacts:
     dim_report: object
     dim_report_tasks: object
     sequential: object
+    rank_curve: list
     jl_report: object
     memory: object
     certificate: object
@@ -374,6 +370,7 @@ def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
                                                 n_boot=cfg.dim_n_boot, seed=cfg.seed)
     sequential = sequential_r_selection(theta_seed, r_center=r_selected,
                                         n_boot=cfg.dim_n_boot, seed=cfg.seed)
+    curve = rank_curve(theta_seed, cfg.rho_list, seed=cfg.seed)
     if dim_report.selected_r is None:
         notes.append("eigenvalue-resampling energy test did not reject at any "
                      "candidate (expected on spiked spectra); task-resampling "
@@ -441,7 +438,7 @@ def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
     artifacts = Phase1Artifacts(
         cfg=cfg, corpus=corpus, partition=partition, theta_seed=theta_seed,
         theta_pre=theta_pre, rank_selected=r_selected, dim_report=dim_report,
-        dim_report_tasks=dim_report_tasks, sequential=sequential,
+        dim_report_tasks=dim_report_tasks, sequential=sequential, rank_curve=curve,
         jl_report=jl_report, memory=memory, certificate=certificate,
         probe=probe, standardizer=standardizer, merge_log=merge_log,
         k_chosen=k_chosen, notes=notes,
@@ -464,9 +461,8 @@ def persist_phase1(artifacts: Phase1Artifacts, outdir: Path) -> None:
               ["r", "mean_improvement", "p_value", "significant"],
               [[rec.r, rec.mean_improvement, rec.p_value, rec.significant]
                for rec in artifacts.sequential.records])
-    curve = rank_curve(artifacts.theta_seed, cfg.rho_list, seed=cfg.seed)
     write_csv(outdir / "rank_curve.csv", ["n_tasks", "rho", "r"],
-              [[row["n_tasks"], row["rho"], row["r"]] for row in curve])
+              [[row["n_tasks"], row["rho"], row["r"]] for row in artifacts.rank_curve])
     if artifacts.jl_report is not None:
         jl = artifacts.jl_report
         write_csv(outdir / "projection_energy.csv",
@@ -572,21 +568,14 @@ def _append(path: Path, lines) -> None:
 
 def _split_metrics(tasks, artifacts, net, transform, descriptors, theta_hats,
                    pcfg, r_keep):
-    fmap = artifacts.corpus.feature_map()
-    probs_all, labels_all = [], []
-    elapsed = 0.0
-    for task in tasks:
-        t0 = time.perf_counter()
-        probs, _ = predict_task(task, artifacts.memory, net, descriptors[task.task_id],
-                                theta_hats[task.task_id], pcfg, r_keep, fmap,
-                                transform=transform,
-                                hard_threshold=artifacts.cfg.hard_threshold)
-        elapsed += time.perf_counter() - t0
-        probs_all.append(probs)
-        labels_all.append(task.query_y)
-    probs, labels = np.concatenate(probs_all), np.concatenate(labels_all)
-    latency_ms = 1000.0 * elapsed / max(len(tasks), 1)
-    return compute_metrics(probs, labels), latency_ms, probs, labels
+    """Pooled metrics, mean per-task latency, probabilities, labels and solutions."""
+    t0 = time.perf_counter()
+    probs, labels, solutions = predict_tasks(
+        tasks, artifacts.memory, net, descriptors, theta_hats, pcfg, r_keep,
+        artifacts.corpus.feature_map(), transform=transform,
+        hard_threshold=artifacts.cfg.hard_threshold)
+    latency_ms = 1000.0 * (time.perf_counter() - t0) / max(len(tasks), 1)
+    return compute_metrics(probs, labels), latency_ms, probs, labels, solutions
 
 
 def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
@@ -626,21 +615,15 @@ def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
                                   theta_hats, pcfg, r_keep)
               for tag, tasks in (("train", train_tasks), ("val", val_tasks),
                                  ("test", test_tasks))}
-    _, latency_ms, test_probs, test_labels = splits["test"]
-
-    # one worked solver trace for audit
-    sample = test_tasks[0]
-    _, worked = predict_task(sample, artifacts.memory, result.net,
-                             descriptors[sample.task_id], theta_hats[sample.task_id],
-                             pcfg, r_keep, artifacts.corpus.feature_map(),
-                             transform=transform)
+    _, latency_ms, test_probs, test_labels, test_solutions = splits["test"]
 
     out = Phase2Result(net=result.net, transform=transform, history=result.history,
                        metrics={tag: split[0] for tag, split in splits.items()},
                        theta_hats=theta_hats, descriptors=descriptors,
                        latency_ms=latency_ms, support_size=size,
                        stopped_epoch=result.stopped_epoch, test_probs=test_probs,
-                       test_labels=test_labels, solver_trace=worked.objective_trace)
+                       test_labels=test_labels,
+                       solver_trace=test_solutions[0].objective_trace)
     if outdir is not None:
         persist_phase2(cfg, artifacts, out, Path(outdir))
     return out
@@ -681,14 +664,13 @@ def persist_phase2(cfg: RunConfig, artifacts: Phase1Artifacts, result: Phase2Res
               list(enumerate(result.solver_trace)))
 
     log_lines = [f"phase2 stopped at epoch {result.stopped_epoch}"]
-    if isinstance(result.transform, OdeTransform) and result.transform.solver_log:
-        steps = [e["steps"] for e in result.transform.solver_log]
-        rej = [e["rejected"] for e in result.transform.solver_log]
-        stiff = sum(e["stiff"] for e in result.transform.solver_log)
+    flow = result.transform
+    if isinstance(flow, OdeTransform) and flow.solves:
         log_lines.append(
-            f"descriptor flow solver: {len(steps)} solves, mean steps {np.mean(steps):.1f}, "
-            f"mean rejected {np.mean(rej):.2f}, stiff flags {stiff}, "
-            f"settings {result.transform.solve_cfg.as_log_dict()}")
+            f"descriptor flow solver: {flow.solves} solves, "
+            f"mean steps {flow.steps / flow.solves:.1f}, "
+            f"mean rejected {flow.rejected / flow.solves:.2f}, stiff flags {flow.stiff}, "
+            f"settings {flow.solve_cfg.as_log_dict()}")
     _append(outdir / "run.log", log_lines)
     _append(outdir / "runtime.txt",
             ["split latency accounting (solve plus compose path only)",
@@ -800,9 +782,8 @@ def run_support_sweep(cfg: RunConfig, artifacts: Phase1Artifacts, phase2: Phase2
     for size in sizes:
         tasks = _ret_tasks_at_size(artifacts, "Ret-Test", size)
         descriptors, theta_hats = _prepare_inputs(artifacts, tasks)
-        record, lat, _, _ = _split_metrics(tasks, artifacts, phase2.net,
-                                           phase2.transform, descriptors, theta_hats,
-                                           pcfg, r_keep)
+        record, lat, *_ = _split_metrics(tasks, artifacts, phase2.net, phase2.transform,
+                                         descriptors, theta_hats, pcfg, r_keep)
         rows.append({"support_size": size, "auc": record.auc, "f1": record.f1,
                      "ece": record.ece, "latency_ms": lat})
     if outdir is not None:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .metrics import rank_auc_or_nan
+from .tanhmap import TanhMap
 from .util import ValidationError, check_finite, child_rng, require, sigmoid
 
 MAX_UNROLL = 20  # training-time unroll cap
@@ -280,38 +281,11 @@ def _outer_gradient_w(query_x, query_y, memory, w_tilde, lam, eta, feature_map):
 # Retrieval network and optimizer
 # ---------------------------------------------------------------------------
 
-class RetrievalNet:
-    """Two-layer tanh map from descriptor space to K prototype logits."""
+class RetrievalNet(TanhMap):
+    """Two-layer tanh map from descriptor space to K prototype logits, 32 wide."""
 
-    def __init__(self, d_z: int, k: int, hidden: int = 32, seed: int = 0):
-        rng = child_rng(seed, "retrieval-net")
-        self.params = {
-            "w1": rng.normal(size=(hidden, d_z)) / np.sqrt(d_z),
-            "b1": np.zeros(hidden),
-            "w2": rng.normal(size=(k, hidden)) / np.sqrt(hidden),
-            "b2": np.zeros(k),
-        }
-
-    @property
-    def k(self) -> int:
-        return self.params["w2"].shape[0]
-
-    def forward(self, z: np.ndarray, cache: bool = False):
-        hidden = np.tanh(self.params["w1"] @ z + self.params["b1"])
-        logits = self.params["w2"] @ hidden + self.params["b2"]
-        return (logits, hidden) if cache else logits
-
-    def backward(self, z, hidden, grad_logits):
-        grads = {
-            "w2": np.outer(grad_logits, hidden),
-            "b2": grad_logits.copy(),
-        }
-        ghidden = self.params["w2"].T @ grad_logits
-        gpre = ghidden * (1.0 - hidden**2)
-        grads["w1"] = np.outer(gpre, z)
-        grads["b1"] = gpre
-        grad_z = self.params["w1"].T @ gpre
-        return grads, grad_z
+    def __init__(self, d_z: int, k: int, seed: int = 0):
+        super().__init__(d_z, 32, k, seed, "retrieval-net")
 
     def snapshot(self) -> dict:
         return {k: v.copy() for k, v in self.params.items()}
@@ -388,7 +362,7 @@ def predict_task(task, memory, net, descriptor, theta_hat, pcfg, r_keep,
     z = descriptor.values
     if transform is not None:
         z = transform.forward(z)
-    v = net.forward(z)
+    v, _ = net.forward(z)
     task_pcfg = _pcfg_lookup(pcfg)(task)
     solution = retrieve(theta_hat, memory, v, task_pcfg, r_keep, budget=budget,
                         hard_threshold=hard_threshold)
@@ -397,18 +371,18 @@ def predict_task(task, memory, net, descriptor, theta_hat, pcfg, r_keep,
     return probs, solution
 
 
-def _pooled_val_auc(tasks, memory, net, descriptors, theta_hats, pcfg, r_keep,
-                    feature_map, transform):
-    scores, labels, actives = [], [], []
+def predict_tasks(tasks, memory, net, descriptors, theta_hats, pcfg, r_keep,
+                  feature_map, transform=None, budget=None, hard_threshold=True):
+    """Pooled query probabilities and labels over tasks, plus each task's solution."""
+    probs, solutions = [], []
     for task in tasks:
-        probs, solution = predict_task(
+        task_probs, solution = predict_task(
             task, memory, net, descriptors[task.task_id], theta_hats[task.task_id],
-            pcfg, r_keep, feature_map, transform=transform)
-        scores.append(probs)
-        labels.append(task.query_y)
-        actives.append(set(solution.active_set))
-    auc = rank_auc_or_nan(np.concatenate(scores), np.concatenate(labels))
-    return auc, actives
+            pcfg, r_keep, feature_map, transform=transform, budget=budget,
+            hard_threshold=hard_threshold)
+        probs.append(task_probs)
+        solutions.append(solution)
+    return np.concatenate(probs), np.concatenate([t.query_y for t in tasks]), solutions
 
 
 def _pcfg_lookup(pcfg):
@@ -453,7 +427,7 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
                 task_pcfg = pcfg_of(task)
                 z_raw = descriptors[task.task_id].values
                 z = transform.forward(z_raw) if transform is not None else z_raw
-                logits, hidden = net.forward(z, cache=True)
+                logits, hidden = net.forward(z)
                 theta_hat = theta_hats[task.task_id]
                 solution, tape = solve_proximal(theta_hat, memory, logits, task_pcfg,
                                                 record_tape=True)
@@ -466,7 +440,7 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
                                                  w_tilde, task_pcfg.lam, tcfg.eta, feature_map)
                 # straight-through: the top-r mask passes the gradient unchanged
                 grad_v = backward_through_solve(tape, memory, grad_w_tilde)
-                task_grads, grad_z = net.backward(z, hidden, grad_v)
+                task_grads, grad_z = net.vjp(z, hidden, grad_v)
                 for key in grads:
                     grads[key] += task_grads[key] / len(batch)
                 if transform is not None:
@@ -477,9 +451,11 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
 
         val_auc, jac = np.nan, 1.0
         if val_tasks:
-            val_auc, actives = _pooled_val_auc(val_tasks, memory, net, descriptors,
-                                               theta_hats, pcfg, tcfg.r_keep,
-                                               feature_map, transform)
+            probs, labels, solutions = predict_tasks(val_tasks, memory, net, descriptors,
+                                                     theta_hats, pcfg, tcfg.r_keep,
+                                                     feature_map, transform=transform)
+            val_auc = rank_auc_or_nan(probs, labels)
+            actives = [set(solution.active_set) for solution in solutions]
             if prev_actives is not None:
                 jac = float(np.mean([_jaccard(a, b) for a, b in zip(actives, prev_actives)]))
             prev_actives = actives
@@ -511,25 +487,21 @@ def sweep_lambda_eta(lam_grid, eta_grid, tasks, memory, net, descriptors,
     for lam in lam_grid:
         for eta in eta_grid:
             pcfg = replace(pcfg_base, lam=lam)
-            scores, labels = [], []
-            l0_pre, l0_post, objective = [], [], []
-            for task in tasks:
-                probs, solution = predict_task(task, memory, net, descriptors[task.task_id],
-                                               theta_hats[task.task_id], pcfg, r_keep,
-                                               feature_map, transform=transform, budget=budget)
-                scores.append(probs)
-                labels.append(task.query_y)
-                l0_pre.append(int(np.sum(solution.w > 1e-10)))
-                l0_post.append(int(np.sum(solution.w_tilde > 1e-10)))
+            probs, labels, solutions = predict_tasks(tasks, memory, net, descriptors,
+                                                     theta_hats, pcfg, r_keep, feature_map,
+                                                     transform=transform, budget=budget)
+            objective = []
+            for task, solution in zip(tasks, solutions):
                 adapter = compose_adapter(memory, solution.w_tilde)
                 total, _ = outer_objective(task.query_x, task.query_y, adapter,
                                            solution.w_tilde, lam, eta, feature_map)
                 objective.append(total)
             rows.append({
                 "lam": lam, "eta": eta,
-                "auc": rank_auc_or_nan(np.concatenate(scores), np.concatenate(labels)),
-                "mean_l0_pre": float(np.mean(l0_pre)),
-                "mean_l0_post": float(np.mean(l0_post)),
+                "auc": rank_auc_or_nan(probs, labels),
+                "mean_l0_pre": float(np.mean([np.sum(s.w > 1e-10) for s in solutions])),
+                "mean_l0_post": float(np.mean([np.sum(s.w_tilde > 1e-10)
+                                               for s in solutions])),
                 "mean_objective": float(np.mean(objective)),
             })
     return rows

@@ -1,0 +1,71 @@
+"""The two-layer tanh map y = w2 tanh(w1 x + b1) + b2.
+
+It is the retrieval network (descriptor to prototype logits), the vector field
+of the continuous-time descriptor warp (input ``[z; t]``) and the residual MLP
+warp of the ablation (``z + map(z)``). Parameters live in a dict so Adam can
+step them by name; ``params_vector`` and ``with_params`` give the flat
+``w1, b1, w2, b2`` vector that the adjoint works on.
+"""
+
+from __future__ import annotations
+
+import copy
+
+import numpy as np
+
+from .util import child_rng, require
+
+KEYS = ("w1", "b1", "w2", "b2")
+
+
+def flatten(arrays: dict) -> np.ndarray:
+    """Concatenate per-parameter arrays (values or gradients) in KEYS order."""
+    return np.concatenate([arrays[key].ravel() for key in KEYS])
+
+
+class TanhMap:
+    """Two-layer tanh map with scaled Gaussian weights and zero biases."""
+
+    def __init__(self, d_in: int, hidden: int, d_out: int, seed: int, tag: str,
+                 scale: float = 1.0):
+        rng = child_rng(seed, tag)
+        self.params = {
+            "w1": scale * rng.normal(size=(hidden, d_in)) / np.sqrt(d_in),
+            "b1": np.zeros(hidden),
+            "w2": scale * rng.normal(size=(d_out, hidden)) / np.sqrt(hidden),
+            "b2": np.zeros(d_out),
+        }
+
+    def hidden(self, x: np.ndarray) -> np.ndarray:
+        return np.tanh(self.params["w1"] @ x + self.params["b1"])
+
+    def forward(self, x: np.ndarray):
+        """Output and hidden layer at x."""
+        h = self.hidden(x)
+        return self.params["w2"] @ h + self.params["b2"], h
+
+    def vjp(self, x: np.ndarray, h: np.ndarray, grad_y: np.ndarray):
+        """Parameter gradients (a dict) and input gradient of grad_y . y at x."""
+        g_pre = (self.params["w2"].T @ grad_y) * (1.0 - h**2)
+        grads = {"w1": np.outer(g_pre, x), "b1": g_pre,
+                 "w2": np.outer(grad_y, h), "b2": grad_y}
+        return grads, self.params["w1"].T @ g_pre
+
+    @property
+    def n_params(self) -> int:
+        return sum(arr.size for arr in self.params.values())
+
+    def params_vector(self) -> np.ndarray:
+        return flatten(self.params)
+
+    def with_params(self, vec: np.ndarray) -> "TanhMap":
+        """A copy whose parameters are views into the flat vector vec."""
+        vec = np.asarray(vec, dtype=float)
+        require(vec.size == self.n_params, "parameter vector has the wrong length")
+        clone = copy.copy(self)
+        clone.params, start = {}, 0
+        for key in KEYS:
+            arr = self.params[key]
+            clone.params[key] = vec[start:start + arr.size].reshape(arr.shape)
+            start += arr.size
+        return clone

@@ -201,7 +201,7 @@ def test_adjoint_gradients():
     worst = 0.0
     for trial in range(20):
         m = int(rng.integers(2, 6))
-        field = VectorField.create(m=m, hidden=4, seed=trial, scale=0.8)
+        field = VectorField(m=m, hidden=4, seed=trial, scale=0.8)
         assert field.n_params <= 60
         z0 = 0.5 * rng.normal(size=m)
         target = rng.normal(size=m)

@@ -54,7 +54,7 @@ class TestIntegration:
             assert better <= worse * (1.0 + 1e-9) + 1e-13
 
     def test_time_reversal_sanity(self):
-        field = VectorField.create(m=3, hidden=8, seed=0)
+        field = VectorField(m=3, hidden=8, seed=0)
         z0 = np.array([0.3, -0.2, 0.5])
         tol = 1e-8
         cfg = SolveConfig(rtol=tol, atol=tol * 1e-2)
@@ -89,7 +89,7 @@ class TestIntegration:
 
 class TestAdjoint:
     def test_zero_terminal_gradient(self):
-        field = VectorField.create(m=3, hidden=6, seed=1)
+        field = VectorField(m=3, hidden=6, seed=1)
         res = adjoint_gradient(field, np.array([0.1, 0.2, -0.1]),
                                SolveConfig(rtol=1e-8, atol=1e-10), np.zeros(3))
         assert np.allclose(res.grad_z0, 0.0)
@@ -111,8 +111,7 @@ class TestAdjoint:
             def param_vjp(self, z, t, a):
                 return np.zeros(self.n_params)
 
-        base = VectorField.create(m=3, hidden=4, seed=2)
-        field = LinearField(w1=base.w1, b1=base.b1, w2=base.w2, b2=base.b2)
+        field = LinearField(m=3, hidden=4, seed=2)
         z0 = np.array([0.5, -0.3, 0.2])
         cfg = SolveConfig(rtol=1e-11, atol=1e-13)
         fwd = integrate(field, z0, cfg)
@@ -125,7 +124,7 @@ class TestAdjoint:
     def test_gradients_match_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 5))
-        field = VectorField.create(m=m, hidden=4, seed=seed, scale=0.8)
+        field = VectorField(m=m, hidden=4, seed=seed, scale=0.8)
         z0 = rng.normal(size=m) * 0.5
         target = rng.normal(size=m)
         cfg = SolveConfig(rtol=1e-10, atol=1e-12)
@@ -158,9 +157,9 @@ class TestAdjoint:
                 / max(np.linalg.norm(fd_p), 1e-12)) < 1e-4
 
     def test_params_roundtrip(self):
-        field = VectorField.create(m=4, hidden=5, seed=6)
+        field = VectorField(m=4, hidden=5, seed=6)
         vec = field.params_vector()
         clone = field.with_params(vec)
-        assert np.array_equal(clone.w1, field.w1)
-        assert np.array_equal(clone.b2, field.b2)
+        assert np.array_equal(clone.params["w1"], field.params["w1"])
+        assert np.array_equal(clone.params["b2"], field.params["b2"])
         assert vec.size == field.n_params

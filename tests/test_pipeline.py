@@ -7,6 +7,7 @@ import pytest
 
 from protoadapt import pipeline, retrieval
 from protoadapt.metrics import compute_metrics
+from protoadapt.node import integrate
 from protoadapt.pipeline import (
     ABLATION_VARIANTS,
     DEFAULT_K_GRID,
@@ -21,6 +22,7 @@ from protoadapt.pipeline import (
     emit_report,
     fewshot_benchmark_config,
     make_transform,
+    persist_phase1,
     persist_phase2,
     run_baselines,
     run_motifs,
@@ -72,6 +74,12 @@ class TestDefaults:
     def test_support_sizes_protocol(self):
         assert RunConfig().support_sizes_eval == (5, 10, 20, 50)
 
+    def test_removed_hidden_key_is_rejected(self):
+        blob = desk_config().to_dict()
+        blob["hidden"] = 16
+        with pytest.raises(TypeError, match="hidden"):
+            RunConfig.from_dict(blob)
+
 
 class TestPhase1(object):
     def test_artifacts_complete(self, tiny_artifacts):
@@ -98,6 +106,23 @@ class TestPhase1(object):
                      "memory.json", "phase1_summary.json"):
             assert (tmp_path / name).exists(), name
 
+    def test_persist_only_writes(self, tiny_artifacts, tmp_path, monkeypatch):
+        cfg, art = tiny_artifacts
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("persist_phase1 must not compute")
+
+        for name in ("rank_curve", "generate_corpus", "cluster_prototypes"):
+            monkeypatch.setattr(pipeline, name, forbidden)
+        persist_phase1(art, tmp_path)
+        for name in ("config.json", "corpus.csv", "adapters_seed.csv",
+                     "rank_test_eigenvalues.csv", "rank_test_tasks.csv",
+                     "rank_sequential.csv", "rank_curve.csv", "memory.csv",
+                     "memory.json", "phase1_summary.json"):
+            assert (tmp_path / name).exists(), name
+        rows = (tmp_path / "rank_curve.csv").read_text().splitlines()
+        assert len(rows) == 1 + len(art.rank_curve)
+
     def test_fixed_r_ablation(self):
         cfg = tiny_config(fixed_r=3)
         art = run_phase1(cfg)
@@ -115,6 +140,8 @@ class TestPhase2:
         assert (tmp_path / "metrics.csv").exists()
         assert (tmp_path / "calibration_bins.csv").exists()
         assert (tmp_path / "diagnostics.csv").exists()
+        net = json.loads((tmp_path / "retrieval_net.json").read_text())
+        assert len(net["w1"]) == 32
         # latency numbers stay out of the CSVs
         assert "ms" in (tmp_path / "runtime.txt").read_text()
 
@@ -126,8 +153,9 @@ class TestPhase2:
         def forbidden(*args, **kwargs):
             raise AssertionError("persist_phase2 must not compute")
 
-        monkeypatch.setattr(retrieval, "solve_proximal", forbidden)
-        for name in ("predict_task", "sweep_lambda_eta", "build_descriptor",
+        for name in ("solve_proximal", "predict_task"):
+            monkeypatch.setattr(retrieval, name, forbidden)
+        for name in ("predict_tasks", "sweep_lambda_eta", "build_descriptor",
                      "ridge_adapter", "resample_support", "integrate"):
             monkeypatch.setattr(pipeline, name, forbidden)
         persist_phase2(cfg, art, result, tmp_path)
@@ -172,8 +200,19 @@ class TestPhase2:
         # near-identity initialization keeps the warp gentle
         assert np.linalg.norm(ode.forward(z) - z) < 1.0
 
+    def test_flow_solver_totals_count_every_solve(self):
+        ode = make_transform("ode", 6, OdeBlockConfig(hidden=4, init_scale=1.0), seed=0)
+        inputs = np.random.default_rng(0).normal(size=(1001, 6))
+        for z in inputs:
+            ode.forward(z)
+        direct = [integrate(ode.map, z, ode.solve_cfg) for z in inputs]
+        assert ode.solves == len(inputs)
+        assert ode.steps == sum(r.n_steps for r in direct)
+        assert ode.rejected == sum(r.n_rejected for r in direct) > 0
+        assert ode.stiff == sum(r.stiff for r in direct)
+
     def test_mlp_transform_learns(self):
-        mlp = MlpTransform(4, hidden=4, seed=1, lr=0.05)
+        mlp = MlpTransform(4, OdeBlockConfig(hidden=4, lr=0.05), seed=1)
         z = np.ones(4)
         before = mlp.forward(z).copy()
         for _ in range(30):

@@ -340,7 +340,7 @@ class TestTraining:
         tcfg = TrainConfig(epochs=200, lr=5e-3, r_keep=1, seed=1)
         result = train_retrieval([_T()], memory, {"only": _D()},
                                  {"only": np.zeros(2)}, identity_map, pcfg, tcfg)
-        logits = result.net.forward(np.array([0.5, -0.5]))
+        logits, _ = result.net.forward(np.array([0.5, -0.5]))
         assert int(np.argmax(logits)) == 1
         losses = [row.train_loss for row in result.history]
         assert losses[-1] < losses[0]
