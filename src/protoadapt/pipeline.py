@@ -51,6 +51,7 @@ from .retrieval import (
 from .riskbound import check_bounds_over_tasks, feature_radius_of, lipschitz_constant
 from .spectral import (
     TaskGradientSummary,
+    corpus_fisher_matrix,
     corpus_fisher_spectrum,
     fisher_energy_test,
     fisher_energy_test_tasks,
@@ -166,6 +167,9 @@ class RunConfig:
         require(all(k >= 1 for k in self.k_grid), "K grid must be positive")
         require(all(l >= 0 for l in self.lam_grid), "lambda grid must be nonnegative")
         require(len(self.seeds) >= 1, "need at least one seed")
+        require(self.dim_n_boot >= 1, f"dim_n_boot must be at least 1, got {self.dim_n_boot}")
+        require(self.coverage_n_boot >= 1,
+                f"coverage_n_boot must be at least 1, got {self.coverage_n_boot}")
 
     def to_dict(self) -> dict:
         def plain(obj):
@@ -386,7 +390,7 @@ def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
     s_dim = min(d_theta - 1, max(r_selected + 1, (r_selected + d_theta) // 2))
     if len(rest_tasks) >= 3 and r_selected < s_dim < d_theta:
         holdout = assemble_theta([adapters[t.task_id] for t in rest_tasks])
-        fisher_mat = sum(np.outer(s.mean, s.mean) for s in summaries) / len(summaries)
+        fisher_mat = corpus_fisher_matrix(summaries, bias_correct=False)
         jl_report = jl_outside_energy(holdout, fisher_mat, r=r_selected, s=s_dim,
                                       n_maps=16, seed=cfg.seed)
     else:

@@ -225,26 +225,23 @@ def _lloyd(points, centroids, max_iter=300):
 def silhouette_score(points: np.ndarray, labels: np.ndarray) -> float:
     """Mean silhouette over points; singleton clusters contribute zero."""
     points = np.asarray(points, dtype=float)
-    labels = np.asarray(labels)
-    uniq = np.unique(labels)
+    uniq, inverse = np.unique(np.asarray(labels), return_inverse=True)
     if uniq.size < 2:
         return 0.0
+    n = points.shape[0]
     dists = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
-    scores = np.zeros(points.shape[0])
-    for i in range(points.shape[0]):
-        own = labels == labels[i]
-        n_own = own.sum()
-        if n_own <= 1:
-            continue
-        a = dists[i, own].sum() / (n_own - 1)
-        b = np.inf
-        for other in uniq:
-            if other == labels[i]:
-                continue
-            mask = labels == other
-            b = min(b, dists[i, mask].mean())
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    onehot = (inverse[:, None] == np.arange(uniq.size)).astype(float)
+    sums = dists @ onehot           # summed distance from each point to each cluster
+    sizes = onehot.sum(axis=0)
+    own = (np.arange(n), inverse)
+    own_size = sizes[inverse]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = sums[own] / (own_size - 1)
+        means = sums / sizes
+        means[own] = np.inf
+        b = means.min(axis=1)
+        denom = np.maximum(a, b)
+        scores = np.where((own_size > 1) & (denom != 0), (b - a) / denom, 0.0)
     return float(scores.mean())
 
 
@@ -252,11 +249,10 @@ def adjusted_rand_index(a, b) -> float:
     a = np.asarray(a)
     b = np.asarray(b)
     n = a.shape[0]
-    labels_a, labels_b = np.unique(a), np.unique(b)
+    labels_a, index_a = np.unique(a, return_inverse=True)
+    labels_b, index_b = np.unique(b, return_inverse=True)
     table = np.zeros((labels_a.size, labels_b.size))
-    for i, la in enumerate(labels_a):
-        for j, lb in enumerate(labels_b):
-            table[i, j] = np.sum((a == la) & (b == lb))
+    np.add.at(table, (index_a, index_b), 1.0)
 
     def comb2(x):
         return x * (x - 1) / 2.0

@@ -86,9 +86,23 @@ class FisherSpectrum:
         return self.eigenvalues.shape[0]
 
 
-def _default_reg(trace: float, d: int) -> float:
-    # trace-relative floor keeps the energy ratio stable without drowning it
-    return 1e-6 * trace / d if trace > 0 else 0.0
+def _default_reg(trace, d: int):
+    # trace-relative floor keeps the energy ratio stable without drowning it;
+    # zero for a nonpositive trace; elementwise for an array of traces
+    return 1e-6 * np.maximum(trace, 0.0) / d
+
+
+def _regularized_spectra(fisher: np.ndarray, reg: float | None) -> np.ndarray:
+    """Descending eigenvalues of ``fisher + reg I``, clipped at zero.
+
+    ``fisher`` is one (d, d) matrix or a (..., d, d) stack; with ``reg``
+    None each matrix gets its own trace-relative default.
+    """
+    d = fisher.shape[-1]
+    if reg is None:
+        reg = _default_reg(np.trace(fisher, axis1=-2, axis2=-1), d)
+    eig = np.linalg.eigvalsh(fisher + np.asarray(reg)[..., None, None] * np.eye(d))
+    return np.clip(eig[..., ::-1], 0.0, None)
 
 
 def task_gradients(task, feature_map, at=None) -> np.ndarray:
@@ -144,7 +158,12 @@ class TaskGradientSummary:
         return cls(mean=mean, within_cov=cov, n_support=n)
 
 
-def _corpus_fisher_matrix(summaries, bias_correct: bool) -> np.ndarray:
+def corpus_fisher_matrix(summaries, bias_correct: bool) -> np.ndarray:
+    """Across-task Fisher matrix: the mean of the per-task outer products.
+
+    With ``bias_correct`` each task with more than one support sample also
+    subtracts its within-task covariance divided by its support size.
+    """
     d = summaries[0].mean.shape[0]
     fisher = np.zeros((d, d))
     for s in summaries:
@@ -166,7 +185,7 @@ def corpus_fisher_spectrum(tasks, feature_map, reg: float | None = None, at=None
     """
     require(len(tasks) >= 2, "need at least two tasks")
     summaries = [TaskGradientSummary.from_task(t, feature_map, at=at) for t in tasks]
-    fisher = _corpus_fisher_matrix(summaries, bias_correct)
+    fisher = corpus_fisher_matrix(summaries, bias_correct)
     d = fisher.shape[0]
     if reg is None:
         reg = _default_reg(float(np.trace(fisher)), d)
@@ -313,36 +332,46 @@ def fisher_energy_test_tasks(summaries, r_center: int, n_boot: int = 1000,
                              bias_correct: bool = True) -> DimTestReport:
     """Energy ratio test with task-level resampling.
 
-    Resamples tasks with replacement, rebuilds the corpus Fisher matrix per
-    replicate, and recomputes the ratio. Decision arithmetic is identical to
-    the eigenvalue variant. Informative on spiked spectra, where the
+    Resamples tasks with replacement and recomputes the ratio on each
+    replicate's corpus Fisher matrix. Decision arithmetic is identical to the
+    eigenvalue variant. Informative on spiked spectra, where the
     eigenvalue-resampling procedure cannot reject.
+
+    A replicate's Fisher matrix is the count-weighted sum of the per-task
+    matrices ``m m^T - C / n`` (``m m^T`` alone without ``bias_correct`` or
+    for a single support sample), so every replicate of a candidate comes
+    from one (n_boot, n_tasks) count matrix product and one batched
+    eigendecomposition. The draws are one ``(n_boot, n_tasks)`` block from
+    the candidate's ``child_rng(seed, "fisher-test-tasks", r_cand)`` stream,
+    the same stream as drawing the replicates one row at a time.
     """
     require(len(summaries) >= 2, "need at least two task summaries")
     require(n_boot >= 1, "n_boot must be positive")
     d = summaries[0].mean.shape[0]
 
-    def spectrum_of(subset):
-        fisher = _corpus_fisher_matrix(subset, bias_correct)
-        reg_use = _default_reg(float(np.trace(fisher)), d) if reg is None else reg
-        return np.clip(np.linalg.eigvalsh(fisher + reg_use * np.eye(d))[::-1], 0.0, None)
-
-    eig_full = spectrum_of(summaries)
+    eig_full = _regularized_spectra(corpus_fisher_matrix(summaries, bias_correct), reg)
     if eig_full.sum() <= 0:
         raise ValidationError("degenerate corpus spectrum")
-    records = []
     n_tasks = len(summaries)
+    task_terms = np.stack([
+        np.outer(s.mean, s.mean)
+        - (s.within_cov / s.n_support if bias_correct and s.n_support > 1 else 0.0)
+        for s in summaries
+    ]).reshape(n_tasks, d * d)
+    row_offsets = np.arange(n_boot)[:, None] * n_tasks
+    records = []
     for r_cand in _candidate_set(r_center, d):
         zeta_emp = energy_ratio(eig_full, r_cand)
         rng = child_rng(seed, "fisher-test-tasks", r_cand)
-        count = 0
-        for _ in range(n_boot):
-            pick = rng.integers(0, n_tasks, size=n_tasks)
-            eig_b = spectrum_of([summaries[i] for i in pick])
-            total = eig_b.sum()
-            zeta_b = 1.0 if total <= 0 else eig_b[:r_cand].sum() / total
-            if zeta_b <= h0_level:
-                count += 1
+        picks = rng.integers(0, n_tasks, size=(n_boot, n_tasks))
+        counts = np.bincount((picks + row_offsets).ravel(),
+                             minlength=n_boot * n_tasks).reshape(n_boot, n_tasks)
+        fishers = (counts @ task_terms).reshape(n_boot, d, d) / n_tasks
+        eig_b = _regularized_spectra(0.5 * (fishers + fishers.transpose(0, 2, 1)), reg)
+        totals = eig_b.sum(axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            zeta_b = np.where(totals <= 0, 1.0, eig_b[:, :r_cand].sum(axis=1) / totals)
+        count = int(np.sum(zeta_b <= h0_level))
         p_raw = (1 + count) / (n_boot + 1)
         p_adj = adjusted_pvalue(p_raw)
         reject = p_adj <= alpha

@@ -33,6 +33,7 @@ from protoadapt.pipeline import (
     run_support_sweep,
 )
 from protoadapt.synthdata import GeneratorConfig
+from protoadapt.util import ValidationError
 
 
 def tiny_config(seed=42, **overrides):
@@ -79,6 +80,12 @@ class TestDefaults:
         blob["hidden"] = 16
         with pytest.raises(TypeError, match="hidden"):
             RunConfig.from_dict(blob)
+
+    @pytest.mark.parametrize("name", ["dim_n_boot", "coverage_n_boot"])
+    def test_resample_count_below_one_is_rejected(self, name):
+        cfg = replace(tiny_config(), **{name: 0})
+        with pytest.raises(ValidationError, match=name):
+            cfg.validate()
 
 
 class TestPhase1(object):

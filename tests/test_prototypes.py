@@ -17,8 +17,58 @@ from protoadapt.prototypes import (
     diagnostics_of,
     l0_fit,
     merge_prototypes,
+    silhouette_score,
 )
 from protoadapt.util import ValidationError
+
+
+def _loop_adjusted_rand_index(a, b):
+    """The contingency-table loop the vectorized ARI replaced, kept as its oracle."""
+    a, b = np.asarray(a), np.asarray(b)
+    labels_a, labels_b = np.unique(a), np.unique(b)
+    table = np.zeros((labels_a.size, labels_b.size))
+    for i, la in enumerate(labels_a):
+        for j, lb in enumerate(labels_b):
+            table[i, j] = np.sum((a == la) & (b == lb))
+
+    def comb2(x):
+        return x * (x - 1) / 2.0
+
+    sum_cells = comb2(table).sum()
+    sum_rows = comb2(table.sum(axis=1)).sum()
+    sum_cols = comb2(table.sum(axis=0)).sum()
+    total = comb2(a.shape[0])
+    expected = sum_rows * sum_cols / total if total > 0 else 0.0
+    max_index = 0.5 * (sum_rows + sum_cols)
+    if max_index == expected:
+        return 1.0
+    return float((sum_cells - expected) / (max_index - expected))
+
+
+def _loop_silhouette_score(points, labels):
+    """The per-point loop the vectorized silhouette replaced, kept as its oracle."""
+    points = np.asarray(points, dtype=float)
+    labels = np.asarray(labels)
+    uniq = np.unique(labels)
+    if uniq.size < 2:
+        return 0.0
+    dists = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+    scores = np.zeros(points.shape[0])
+    for i in range(points.shape[0]):
+        own = labels == labels[i]
+        n_own = own.sum()
+        if n_own <= 1:
+            continue
+        a = dists[i, own].sum() / (n_own - 1)
+        b = np.inf
+        for other in uniq:
+            if other == labels[i]:
+                continue
+            mask = labels == other
+            b = min(b, dists[i, mask].mean())
+        denom = max(a, b)
+        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    return float(scores.mean())
 
 
 class _Rows:
@@ -96,6 +146,38 @@ class TestClustering:
         assert adjusted_rand_index(a, np.array([1, 1, 0, 0])) == pytest.approx(1.0)
         scrambled = adjusted_rand_index(np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]))
         assert scrambled < 0.5
+
+    def test_ari_matches_loop_oracle(self):
+        rng = np.random.default_rng(15)
+        for trial in range(300):
+            n = int(rng.integers(1, 40))
+            a = rng.integers(0, rng.integers(1, 6), size=n)
+            b = rng.choice([-3, 2, 7, 11], size=n)
+            assert adjusted_rand_index(a, b) == _loop_adjusted_rand_index(a, b)
+
+    def test_silhouette_matches_loop_oracle(self):
+        rng = np.random.default_rng(16)
+        cases = [
+            # two clusters, each point's own cluster closer
+            (np.array([[0.0], [0.1], [5.0], [5.2]]), np.array([0, 0, 1, 1])),
+            # singleton clusters score zero
+            (np.array([[0.0], [1.0], [1.5], [9.0]]), np.array([3, 1, 1, 7])),
+            # every cluster a singleton
+            (np.array([[0.0], [1.0], [2.0]]), np.array([0, 1, 2])),
+            # ties: duplicated points, a zero denominator across clusters
+            (np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]), np.array([0, 0, 1, 1])),
+            (np.array([[0.0], [0.0], [2.0], [2.0], [4.0]]), np.array([0, 1, 0, 1, 1])),
+        ]
+        for _ in range(60):
+            n = int(rng.integers(2, 30))
+            points = np.round(rng.normal(size=(n, 3)), 1)
+            cases.append((points, rng.integers(0, rng.integers(2, 6), size=n)))
+        for points, labels in cases:
+            got = silhouette_score(points, labels)
+            assert abs(got - _loop_silhouette_score(points, labels)) <= 1e-12
+
+    def test_silhouette_single_cluster_is_zero(self):
+        assert silhouette_score(np.eye(3), np.zeros(3, dtype=int)) == 0.0
 
 
 class TestL0Fit:

@@ -6,10 +6,12 @@ import scipy.linalg
 
 from protoadapt.adapters import assemble_theta, ridge_adapter
 from protoadapt.spectral import (
+    DEFAULT_H0_LEVEL,
     DimTestReport,
     FisherSpectrum,
     TaskGradientSummary,
     adjusted_pvalue,
+    corpus_fisher_matrix,
     corpus_fisher_spectrum,
     decision_report_from_pvalues,
     energy_ratio,
@@ -187,6 +189,89 @@ class TestEnergyTest:
         # resample count must be at least 1000 for the floor 5/(B+1) to fit
         report = fisher_energy_test_tasks(summaries, r_center=2, n_boot=1000, seed=0)
         assert report.selected_r == 2
+
+
+def _loop_fisher_energy_test_tasks(summaries, r_center, n_boot, alpha, h0_level,
+                                   seed, reg, bias_correct):
+    """The per-replicate loop the batched test replaced, kept as its oracle."""
+    d = summaries[0].mean.shape[0]
+
+    def spectrum_of(subset):
+        fisher = corpus_fisher_matrix(subset, bias_correct)
+        trace = float(np.trace(fisher))
+        reg_use = (1e-6 * trace / d if trace > 0 else 0.0) if reg is None else reg
+        return np.clip(np.linalg.eigvalsh(fisher + reg_use * np.eye(d))[::-1], 0.0, None)
+
+    eig_full = spectrum_of(summaries)
+    n_tasks = len(summaries)
+    rows = []
+    for r_cand in range(max(1, r_center - 2), min(d, r_center + 2) + 1):
+        rng = child_rng(seed, "fisher-test-tasks", r_cand)
+        count = 0
+        for _ in range(n_boot):
+            pick = rng.integers(0, n_tasks, size=n_tasks)
+            eig_b = spectrum_of([summaries[i] for i in pick])
+            total = eig_b.sum()
+            zeta_b = 1.0 if total <= 0 else eig_b[:r_cand].sum() / total
+            count += int(zeta_b <= h0_level)
+        rows.append((r_cand, energy_ratio(eig_full, r_cand), (1 + count) / (n_boot + 1)))
+    return decision_report_from_pvalues(rows, alpha=alpha, n_boot=n_boot)
+
+
+def _planted_summaries(seed):
+    cfg = GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=40, n_support=60,
+                          noise_sigma=0.0, seed=seed)
+    corpus = generate_corpus(cfg)
+    fmap = corpus.feature_map()
+    return [TaskGradientSummary.from_task(t, fmap) for t in corpus.tasks]
+
+
+def _mixed_support_summaries():
+    # rank-two means plus noise; covariances large enough that bias correction
+    # leaves negative eigenvalues to clip; about half of the tasks have one
+    # support sample, whose covariance the bias correction must ignore
+    rng = np.random.default_rng(0)
+    basis = rng.normal(size=(6, 2))
+    summaries = []
+    for n_support in rng.choice([1, 1, 2, 5], size=30):
+        mean = basis @ rng.normal(size=2) + 0.1 * rng.normal(size=6)
+        a = 0.3 * rng.normal(size=(6, 6))
+        cov = a @ a.T
+        summaries.append(TaskGradientSummary(mean=mean, within_cov=cov, n_support=int(n_support)))
+    assert any(s.n_support == 1 for s in summaries)
+    return summaries
+
+
+class TestTaskResamplingOracle:
+    # (summaries, h0_level, reg, bias_correct, alpha, some replicate count
+    # strictly between 0 and n_boot)
+    CASES = [
+        (("planted", 42), DEFAULT_H0_LEVEL, None, True, 0.01, False),
+        (("planted", 2023), 0.99, None, True, 0.05, True),
+        (("planted", 777), 0.999, None, True, 0.05, True),
+        (("planted", 42), DEFAULT_H0_LEVEL, 1e-3, True, 0.01, True),
+        (("planted", 2023), 0.9, None, False, 0.05, True),
+        (("mixed", 3), 0.8, None, True, 0.05, True),
+        (("mixed", 5), 0.9, 0.2, False, 0.05, True),
+    ]
+
+    @pytest.mark.parametrize("source,h0_level,reg,bias_correct,alpha,mixed_counts", CASES)
+    def test_matches_loop_oracle(self, source, h0_level, reg, bias_correct, alpha, mixed_counts):
+        kind, seed = source
+        summaries = _planted_summaries(seed) if kind == "planted" else _mixed_support_summaries()
+        kwargs = dict(r_center=2, n_boot=200, alpha=alpha, h0_level=h0_level,
+                      seed=seed, reg=reg, bias_correct=bias_correct)
+        report = fisher_energy_test_tasks(summaries, **kwargs)
+        oracle = _loop_fisher_energy_test_tasks(summaries, **kwargs)
+        assert report.selected_r == oracle.selected_r
+        assert [vars(rec) for rec in report.records] == [vars(rec) for rec in oracle.records]
+        floor = 1.0 / (kwargs["n_boot"] + 1)
+        assert any(floor < rec.p_raw < 1.0 for rec in report.records) == mixed_counts
+
+    def test_all_zero_summaries_rejected(self):
+        zero = TaskGradientSummary(mean=np.zeros(4), within_cov=np.zeros((4, 4)), n_support=3)
+        with pytest.raises(ValidationError):
+            fisher_energy_test_tasks([zero, zero, zero], r_center=2, n_boot=10)
 
 
 class TestCorpusFisher:
