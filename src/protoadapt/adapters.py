@@ -37,6 +37,11 @@ class AdapterMatrix:
         write_csv(path, header, rows)
 
 
+def adapter_rows(theta) -> np.ndarray:
+    """The row matrix of an AdapterMatrix (any object with ``rows``), else theta as floats."""
+    return theta.rows if hasattr(theta, "rows") else np.asarray(theta, dtype=float)
+
+
 def ridge_adapter(task, feature_map, alpha: float = 1e-2) -> np.ndarray:
     """Closed-form ridge fit of a linear head on the task support set.
 
@@ -145,8 +150,7 @@ def fit_canonicalizer(theta) -> Canonicalizer:
     principal frame is numerically arbitrary) the basis is pinned to the
     identity so canonicalization is idempotent on its own output.
     """
-    rows = theta.rows if isinstance(theta, AdapterMatrix) else np.asarray(theta, dtype=float)
-    rows = check_finite(rows, "adapter rows")
+    rows = check_finite(adapter_rows(theta), "adapter rows")
     require(rows.ndim == 2 and rows.shape[0] >= 2, "need at least two adapter rows")
     n, d = rows.shape
 

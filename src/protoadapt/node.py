@@ -35,16 +35,6 @@ class VectorField(TanhMap):
     def __call__(self, z: np.ndarray, t: float) -> np.ndarray:
         return self.forward(np.concatenate([z, [t]]))[0]
 
-    def jac_state(self, z: np.ndarray, t: float) -> np.ndarray:
-        h = self.hidden(np.concatenate([z, [t]]))
-        gain = (1.0 - h**2)[:, None] * self.params["w1"][:, : self.m]
-        return self.params["w2"] @ gain
-
-    def param_vjp(self, z: np.ndarray, t: float, a: np.ndarray) -> np.ndarray:
-        """(df/dparams)^T a, flattened in params_vector order."""
-        zt = np.concatenate([z, [t]])
-        return flatten(self.vjp(zt, self.hidden(zt), a)[0])
-
 
 @dataclass
 class SolveConfig:
@@ -167,11 +157,10 @@ def integrate(field, z0, cfg: SolveConfig) -> IntegrationResult:
     """
     cfg.validate()
     z0 = check_finite(z0, "initial state")
-    f = field if callable(field) and not isinstance(field, VectorField) else field.__call__
     if cfg.method == "rk4":
-        z1, n_steps, n_rej, stiff = _integrate_rk4(f, z0, cfg)
+        z1, n_steps, n_rej, stiff = _integrate_rk4(field, z0, cfg)
     else:
-        z1, n_steps, n_rej, stiff = _integrate_rk45(f, z0, cfg)
+        z1, n_steps, n_rej, stiff = _integrate_rk45(field, z0, cfg)
     if not np.all(np.isfinite(z1)):
         raise ValidationError("integration produced non-finite state")
     return IntegrationResult(z1=z1, n_steps=n_steps, n_rejected=n_rej,
@@ -192,7 +181,9 @@ def adjoint_gradient(field: VectorField, z0, cfg: SolveConfig,
 
     Co-integrates (z, a, g) backward in time: the state retraces the flow,
     the co-state follows da/dt = -(df/dz)^T a from a(t1) = dL/dz(t1), and g
-    accumulates the parameter coupling. Returns dL/dz0 = a(t0) and dL/dparams.
+    accumulates the parameter coupling. Each stage takes f, (df/dz)^T a and
+    (df/dparams)^T a from one forward pass and one VJP of the field's map.
+    Returns dL/dz0 = a(t0) and dL/dparams.
     """
     grad_z1 = check_finite(grad_z1, "terminal loss gradient")
     fwd = forward_result if forward_result is not None else integrate(field, z0, cfg)
@@ -200,13 +191,10 @@ def adjoint_gradient(field: VectorField, z0, cfg: SolveConfig,
     span = cfg.t1 - cfg.t0
 
     def backward_dynamics(aug, tau):
-        z = aug[:m]
-        a = aug[m:2 * m]
-        t = cfg.t1 - tau
-        dz = -field(z, t)
-        da = field.jac_state(z, t).T @ a
-        dg = field.param_vjp(z, t, a)
-        return np.concatenate([dz, da, dg])
+        zt = np.concatenate([aug[:m], [cfg.t1 - tau]])
+        y, h = field.forward(zt)
+        grads, g_in = field.vjp(zt, h, aug[m:2 * m])
+        return np.concatenate([-y, g_in[:m], flatten(grads)])
 
     aug0 = np.concatenate([fwd.z1, grad_z1, np.zeros(n_p)])
     bcfg = SolveConfig(method=cfg.method, rtol=cfg.rtol, atol=cfg.atol,

@@ -40,6 +40,7 @@ from .prototypes import (
     merge_prototypes,
 )
 from .retrieval import (
+    MAX_UNROLL,
     Adam,
     ProximalConfig,
     TrainConfig,
@@ -94,7 +95,6 @@ class MotifRunConfig:
     seqs_per_repertoire: int = 20
     n_pos: int = 20
     n_neg: int = 20
-    plant_rate: float = 0.6
     top_frac: float = 0.2
     b_min: int = DESK_PERMUTATION_FLOOR
     b_max: int = 20_000
@@ -170,6 +170,17 @@ class RunConfig:
         require(self.dim_n_boot >= 1, f"dim_n_boot must be at least 1, got {self.dim_n_boot}")
         require(self.coverage_n_boot >= 1,
                 f"coverage_n_boot must be at least 1, got {self.coverage_n_boot}")
+        require(self.epochs >= 1, f"epochs must be at least 1, got {self.epochs}")
+        require(self.batch_size >= 1, f"batch_size must be at least 1, got {self.batch_size}")
+        require(1 <= self.t_prox <= MAX_UNROLL,
+                f"t_prox must lie in [1, {MAX_UNROLL}], got {self.t_prox}")
+        require(self.ode.kind in ("ode", "mlp", "none"),
+                f"ode.kind must be 'ode', 'mlp' or 'none', got {self.ode.kind!r}")
+        require(self.support_size_train is None or self.support_size_train >= 2,
+                f"support_size_train must be at least 2, got {self.support_size_train}")
+        for name in ("train_sizes", "support_sizes_eval"):
+            sizes = getattr(self, name) or ()
+            require(all(n >= 2 for n in sizes), f"{name} must all be at least 2, got {sizes}")
 
     def to_dict(self) -> dict:
         def plain(obj):
@@ -196,7 +207,9 @@ class RunConfig:
                     "train_sizes", "support_sizes_eval"):
             if key in data and data[key] is not None:
                 data[key] = tuple(data[key])
-        return cls(**data)
+        cfg = cls(**data)
+        cfg.validate()
+        return cfg
 
     def hash(self) -> str:
         return config_hash(self.to_dict())
@@ -826,12 +839,16 @@ def run_seed_stability(cfg: RunConfig, artifacts: Phase1Artifacts,
 # Motif pipeline over synthetic cohorts
 # ---------------------------------------------------------------------------
 
+# chance that a sequence of a positive repertoire carries a planted motif
+PLANT_RATE = 0.9
+
+
 def _synthetic_repertoire(background, channels, n_seqs, plant, rng):
     seqs = background.sample(n_seqs, rng)
     if plant:
         k = channels.shape[1]
         for seq in seqs:
-            if seq.size >= k and rng.random() < 0.9:
+            if seq.size >= k and rng.random() < PLANT_RATE:
                 motif = channels[rng.integers(0, channels.shape[0])]
                 pos = rng.integers(0, seq.size - k + 1)
                 seq[pos:pos + k] = motif

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .adapters import Canonicalizer
+from .adapters import Canonicalizer, adapter_rows
 from .resampling import (
     bca_interval,
     bootstrap_indices,
@@ -275,7 +275,7 @@ def cluster_prototypes(theta, chain: ProjectionChain, k: int, n_restarts: int = 
     Centroids are lifted back to raw parameter space; restart stability is
     the mean pairwise adjusted Rand agreement of the restart assignments.
     """
-    rows = theta.rows if hasattr(theta, "rows") else np.asarray(theta, dtype=float)
+    rows = adapter_rows(theta)
     n = rows.shape[0]
     require(n >= 1, "empty seed set")
     require(1 <= k <= n, f"need K <= N (K={k}, N={n})")
@@ -374,7 +374,7 @@ def l0_fit(u, atoms, r_sparse: int, exact: bool = False):
 
 def coverage_residuals(memory: PrototypeMemory, theta_pre, r_sparse: int):
     """Per-task sparse-fit residuals in canonical coordinates and raw units."""
-    rows = theta_pre.rows if hasattr(theta_pre, "rows") else np.asarray(theta_pre, dtype=float)
+    rows = adapter_rows(theta_pre)
     require(rows.shape[0] >= 1, "no pretraining adapters")
     coords = memory.chain.project(rows)
     canon = np.empty(rows.shape[0])
@@ -403,30 +403,23 @@ def coverage_certificate(memory: PrototypeMemory, theta_pre, r_sparse: int | Non
         r_sparse = min(memory.r, memory.K)
     canon, raw = coverage_residuals(memory, theta_pre, r_sparse)
     n = canon.shape[0]
+    # one index matrix resamples both the canonical and the raw residuals
+    idx = (exhaustive_index_tuples(n) if exhaustive
+           else bootstrap_indices(n, n_boot, child_rng(seed, "coverage")))
 
-    def run_boot(values):
-        if exhaustive:
-            meds = np.array([np.median(values[list(idx)])
-                             for idx in exhaustive_index_tuples(n)])
-        else:
-            rng = child_rng(seed, "coverage")
-            idx = bootstrap_indices(n, n_boot, rng)
-            meds = np.median(values[idx], axis=1)
-        return meds
-
-    meds = run_boot(canon)
+    meds = np.median(canon[idx], axis=1)
     eps_hat = float(np.median(canon))
     pct = percentile_interval(meds, 0.90)
     jack = jackknife_statistics(canon, np.median)
     bca = bca_interval(meds, eps_hat, jack, 0.90)
 
-    meds_raw = run_boot(raw)
+    meds_raw = np.median(raw[idx], axis=1)
     raw_eps_hat = float(np.median(raw))
     raw_pct = percentile_interval(meds_raw, 0.90)
 
     cert = CoverageCertificate(
         eps_hat=eps_hat, pct90=pct, bca90=bca,
-        n_boot=len(meds) if exhaustive else n_boot, r_sparse=r_sparse,
+        n_boot=idx.shape[0], r_sparse=r_sparse,
         per_task_residuals=canon,
         raw_eps_hat=raw_eps_hat, raw_pct90=raw_pct,
         raw_per_task_residuals=raw,

@@ -1,28 +1,28 @@
 """Bootstrap primitives shared by the spectral, prototype, and motif modules.
 
-Everything here is index based so the exhaustive mode can enumerate every
-possible resample of a small dataset and agree exactly with Monte-Carlo
-percentiles computed on the same atoms.
+Everything here is index based. A bootstrap is a statistic evaluated on the
+rows of an index matrix: ``bootstrap_indices`` draws a Monte-Carlo one and
+``exhaustive_index_tuples`` lists every possible resample of a small dataset.
+The exhaustive mode feeds the second to the same code as the first, so its
+exact percentiles check the code that Monte-Carlo runs use.
 """
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 from scipy.stats import norm
 
-from .util import ValidationError, require
+from .util import require
 
 # n**n resample tuples; 5**5 = 3125 is the intended ceiling for exact checks.
 EXHAUSTIVE_LIMIT = 50_000
 
 
-def exhaustive_index_tuples(n: int):
-    """All n**n with-replacement index tuples, in lexicographic order."""
+def exhaustive_index_tuples(n: int) -> np.ndarray:
+    """(n**n, n) matrix of every with-replacement index tuple, in lexicographic order."""
     require(n >= 1, "need at least one element to resample")
     require(n**n <= EXHAUSTIVE_LIMIT, f"exhaustive enumeration of {n}**{n} resamples is too large")
-    return product(range(n), repeat=n)
+    return np.stack(np.unravel_index(np.arange(n**n), (n,) * n), axis=1)
 
 
 def bootstrap_indices(n: int, n_boot: int, rng: np.random.Generator) -> np.ndarray:
@@ -41,9 +41,7 @@ def bootstrap_statistics(values, statistic, n_boot, rng, exhaustive=False) -> np
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
-    if exhaustive:
-        return np.array([statistic(values[list(idx)]) for idx in exhaustive_index_tuples(n)])
-    idx = bootstrap_indices(n, n_boot, rng)
+    idx = exhaustive_index_tuples(n) if exhaustive else bootstrap_indices(n, n_boot, rng)
     return np.array([statistic(values[row]) for row in idx])
 
 

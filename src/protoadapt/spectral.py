@@ -1,10 +1,13 @@
 """Spectral rank diagnostics: PCA energy rule, Fisher spectra, bootstrap tests.
 
 Two bootstrap selectors live here. The percentile test on the Fisher energy
-ratio resamples the eigenvalue vector itself and Bonferroni-corrects five
-neighbouring candidate dimensions; a task-resampling variant of the same test
-is provided because eigenvalue resampling is uninformative on strongly spiked
-spectra (see fisher_energy_test notes). The sequential selector compares
+ratio Bonferroni-corrects five neighbouring candidate dimensions and comes in
+two variants that differ only in how the replicate spectra are made: by
+resampling the eigenvalue vector itself, or by resampling tasks and taking
+the spectrum of each replicate's corpus Fisher matrix. The second exists
+because eigenvalue resampling is uninformative on strongly spiked spectra
+(see fisher_energy_test notes). Both feed their replicate spectra to one
+ratio test and one decision rule. The sequential selector compares
 reconstruction errors of adjacent PCA dimensions with paired bootstrap tests.
 """
 
@@ -14,12 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .resampling import (
-    bootstrap_indices,
-    exhaustive_index_tuples,
-    percentile_interval,
-    shift_bootstrap_pvalue,
-)
+from .adapters import adapter_rows
+from .resampling import bootstrap_indices, exhaustive_index_tuples, shift_bootstrap_pvalue
 from .util import ValidationError, check_finite, child_rng, require, sigmoid, write_csv
 
 BONFERRONI_FAMILY = 5      # the candidate family {r-2, ..., r+2}
@@ -31,8 +30,7 @@ DEFAULT_H0_LEVEL = 0.95    # null energy level of the ratio test
 # ---------------------------------------------------------------------------
 
 def singular_spectrum(theta) -> np.ndarray:
-    rows = theta.rows if hasattr(theta, "rows") else np.asarray(theta, dtype=float)
-    return np.linalg.svd(rows, compute_uv=False)
+    return np.linalg.svd(adapter_rows(theta), compute_uv=False)
 
 
 def pca_rank(theta, rho: float) -> int:
@@ -49,7 +47,7 @@ def pca_rank(theta, rho: float) -> int:
 
 def rank_curve(theta, rho_list, n_grid=None, seed: int = 0):
     """r as a function of the number of tasks N, for several rho values."""
-    rows = theta.rows if hasattr(theta, "rows") else np.asarray(theta, dtype=float)
+    rows = adapter_rows(theta)
     n = rows.shape[0]
     if n_grid is None:
         n_grid = sorted({max(2, n // 4), max(2, n // 2), max(2, (3 * n) // 4), n})
@@ -92,17 +90,19 @@ def _default_reg(trace, d: int):
     return 1e-6 * np.maximum(trace, 0.0) / d
 
 
-def _regularized_spectra(fisher: np.ndarray, reg: float | None) -> np.ndarray:
-    """Descending eigenvalues of ``fisher + reg I``, clipped at zero.
+def _regularized_spectra(fisher: np.ndarray, reg: float | None):
+    """Descending eigenvalues of ``fisher + reg I``, clipped at zero, and the ridge.
 
     ``fisher`` is one (d, d) matrix or a (..., d, d) stack; with ``reg``
-    None each matrix gets its own trace-relative default.
+    None each matrix gets its own trace-relative default. Returns the
+    spectra and the ridge applied (one value per matrix for a default ridge).
     """
     d = fisher.shape[-1]
     if reg is None:
         reg = _default_reg(np.trace(fisher, axis1=-2, axis2=-1), d)
+    require(np.all(np.asarray(reg) >= 0.0), "reg must be nonnegative")
     eig = np.linalg.eigvalsh(fisher + np.asarray(reg)[..., None, None] * np.eye(d))
-    return np.clip(eig[..., ::-1], 0.0, None)
+    return np.clip(eig[..., ::-1], 0.0, None), reg
 
 
 def task_gradients(task, feature_map, at=None) -> np.ndarray:
@@ -121,14 +121,9 @@ def task_gradients(task, feature_map, at=None) -> np.ndarray:
 
 def fisher_spectrum_from_gradients(grads: np.ndarray, reg: float | None = None) -> FisherSpectrum:
     grads = check_finite(grads, "gradients")
-    n, d = grads.shape
-    fisher = grads.T @ grads / n
-    if reg is None:
-        reg = _default_reg(float(np.trace(fisher)), d)
-    require(reg >= 0.0, "reg must be nonnegative")
-    fisher = fisher + reg * np.eye(d)
-    eig = np.linalg.eigvalsh(fisher)[::-1]
-    return FisherSpectrum(eigenvalues=np.clip(eig, 0.0, None), ridge_reg=reg, n_support=n)
+    n = grads.shape[0]
+    eig, reg = _regularized_spectra(grads.T @ grads / n, reg)
+    return FisherSpectrum(eigenvalues=eig, ridge_reg=reg, n_support=n)
 
 
 def fisher_spectrum(task, feature_map, reg: float | None = None, at=None) -> FisherSpectrum:
@@ -185,13 +180,9 @@ def corpus_fisher_spectrum(tasks, feature_map, reg: float | None = None, at=None
     """
     require(len(tasks) >= 2, "need at least two tasks")
     summaries = [TaskGradientSummary.from_task(t, feature_map, at=at) for t in tasks]
-    fisher = corpus_fisher_matrix(summaries, bias_correct)
-    d = fisher.shape[0]
-    if reg is None:
-        reg = _default_reg(float(np.trace(fisher)), d)
-    eig = np.linalg.eigvalsh(fisher + reg * np.eye(d))[::-1]
+    eig, reg = _regularized_spectra(corpus_fisher_matrix(summaries, bias_correct), reg)
     n_med = int(np.median([s.n_support for s in summaries]))
-    return FisherSpectrum(eigenvalues=np.clip(eig, 0.0, None), ridge_reg=reg, n_support=n_med)
+    return FisherSpectrum(eigenvalues=eig, ridge_reg=reg, n_support=n_med)
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +234,12 @@ def adjusted_pvalue(p_raw: float) -> float:
     return min(1.0, BONFERRONI_FAMILY * p_raw)
 
 
-def decision_report_from_pvalues(rows, alpha: float = 0.01, n_boot: int = 1000) -> DimTestReport:
-    """Pure arithmetic on (r_cand, zeta_emp, p_raw) triples.
+def _decision_report(rows, alpha: float, n_boot: int, mode: str) -> DimTestReport:
+    """Bonferroni, alpha and borderline rule on (r_cand, zeta_emp, p_raw) triples.
 
-    Applies the five-way Bonferroni correction and the familywise alpha rule;
-    rows that miss alpha but would pass 0.05 are flagged as borderline so
-    threshold disagreements are visible in the output.
+    Rows that miss alpha but would pass 0.05 are flagged as borderline so
+    threshold disagreements are visible in the output; the selected dimension
+    is the smallest rejecting candidate.
     """
     records = []
     for r_cand, zeta_emp, p_raw in rows:
@@ -263,7 +254,16 @@ def decision_report_from_pvalues(rows, alpha: float = 0.01, n_boot: int = 1000) 
     notes = [f"r={rec.r_cand} fails the alpha={alpha} rule but lies below 0.05"
              for rec in records if rec.borderline]
     return DimTestReport(records=records, selected_r=selected, alpha=alpha,
-                         n_boot=n_boot, mode="summary", notes=notes)
+                         n_boot=n_boot, mode=mode, notes=notes)
+
+
+def decision_report_from_pvalues(rows, alpha: float = 0.01, n_boot: int = 1000) -> DimTestReport:
+    """Pure arithmetic on (r_cand, zeta_emp, p_raw) triples.
+
+    Applies the five-way Bonferroni correction and the familywise alpha rule;
+    rows that miss alpha but would pass 0.05 are flagged as borderline.
+    """
+    return _decision_report(rows, alpha, n_boot, mode="summary")
 
 
 def _candidate_set(r_center: int, d: int) -> list:
@@ -271,6 +271,27 @@ def _candidate_set(r_center: int, d: int) -> list:
     if not cands:
         raise ValidationError("no valid candidate dimensions")
     return cands
+
+
+def _ratio_test(eig_full, r_center: int, replicate_spectra, alpha: float, h0_level: float,
+                n_boot: int, mode: str) -> DimTestReport:
+    """Energy ratio test of every candidate on its (B, d) replicate spectra.
+
+    ``replicate_spectra(r_cand)`` gives one spectrum per row. A replicate's
+    ratio is its top-r_cand sum after a descending sort over its row total,
+    summed in the order given (1.0 for a total at or below zero); the
+    one-sided p-value counts replicates at or below ``h0_level``.
+    """
+    rows = []
+    for r_cand in _candidate_set(r_center, eig_full.shape[0]):
+        spectra = replicate_spectra(r_cand)
+        totals = spectra.sum(axis=1)
+        top = -np.sort(-spectra, axis=1)[:, :r_cand].sum(axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            zeta_b = np.where(totals <= 0, 1.0, top / totals)
+        p_raw = (1 + int(np.sum(zeta_b <= h0_level))) / (spectra.shape[0] + 1)
+        rows.append((r_cand, energy_ratio(eig_full, r_cand), p_raw))
+    return _decision_report(rows, alpha, n_boot, mode)
 
 
 def fisher_energy_test(spectrum: FisherSpectrum, r_center: int, n_boot: int = 1000,
@@ -282,7 +303,9 @@ def fisher_energy_test(spectrum: FisherSpectrum, r_center: int, n_boot: int = 10
     the ratio is recomputed on the sorted resample, and the one-sided p-value
     counts replicates at or below ``h0_level``. Five-way Bonferroni correction
     and the familywise alpha rule give the decision; the selected dimension is
-    the smallest rejecting candidate.
+    the smallest rejecting candidate. With ``exhaustive=True`` every candidate
+    sees all d**d resamples instead of ``n_boot`` draws from its own
+    ``child_rng(seed, "fisher-test", r_cand)`` stream.
 
     Note: on strongly spiked spectra (a few eigenvalues carrying nearly all
     mass) the resampled ratio is bimodal and this procedure loses power; the
@@ -293,37 +316,14 @@ def fisher_energy_test(spectrum: FisherSpectrum, r_center: int, n_boot: int = 10
         raise ValidationError("degenerate spectrum: total energy is zero")
     require(n_boot >= 1, "n_boot must be positive")
     d = spectrum.dim
-    records = []
-    for r_cand in _candidate_set(r_center, d):
-        zeta_emp = energy_ratio(eig, r_cand)
-        if exhaustive:
-            replicates = []
-            for idx in exhaustive_index_tuples(d):
-                sample = eig[list(idx)]
-                total = sample.sum()
-                replicates.append(1.0 if total <= 0 else
-                                  np.sort(sample)[::-1][:r_cand].sum() / total)
-            replicates = np.asarray(replicates)
-            used = replicates.shape[0]
-        else:
-            rng = child_rng(seed, "fisher-test", r_cand)
-            idx = bootstrap_indices(d, n_boot, rng)
-            samples = eig[idx]
-            sums = samples.sum(axis=1)
-            part = -np.sort(-samples, axis=1)[:, :r_cand].sum(axis=1)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                replicates = np.where(sums > 0, part / np.maximum(sums, 1e-300), 1.0)
-            used = n_boot
-        p_raw = (1 + int(np.sum(replicates <= h0_level))) / (used + 1)
-        p_adj = adjusted_pvalue(p_raw)
-        reject = p_adj <= alpha
-        records.append(DimTestRecord(
-            r_cand=r_cand, zeta_emp=zeta_emp, p_raw=p_raw, p_adj=p_adj,
-            reject=reject, borderline=(not reject) and p_adj <= 0.05,
-        ))
-    rejecting = [rec.r_cand for rec in records if rec.reject]
-    return DimTestReport(records=records, selected_r=min(rejecting) if rejecting else None,
-                         alpha=alpha, n_boot=n_boot, mode="eigenvalues")
+
+    def replicate_spectra(r_cand):
+        idx = (exhaustive_index_tuples(d) if exhaustive
+               else bootstrap_indices(d, n_boot, child_rng(seed, "fisher-test", r_cand)))
+        return eig[idx]
+
+    return _ratio_test(eig, r_center, replicate_spectra, alpha, h0_level, n_boot,
+                       mode="eigenvalues")
 
 
 def fisher_energy_test_tasks(summaries, r_center: int, n_boot: int = 1000,
@@ -332,9 +332,10 @@ def fisher_energy_test_tasks(summaries, r_center: int, n_boot: int = 1000,
                              bias_correct: bool = True) -> DimTestReport:
     """Energy ratio test with task-level resampling.
 
-    Resamples tasks with replacement and recomputes the ratio on each
-    replicate's corpus Fisher matrix. Decision arithmetic is identical to the
-    eigenvalue variant. Informative on spiked spectra, where the
+    Resamples tasks with replacement and takes each replicate's spectrum from
+    its corpus Fisher matrix; the ratio test and the decision rule are the
+    ones the eigenvalue variant uses, so the two tests differ only in how the
+    replicate spectra are made. Informative on spiked spectra, where the
     eigenvalue-resampling procedure cannot reject.
 
     A replicate's Fisher matrix is the count-weighted sum of the per-task
@@ -349,7 +350,7 @@ def fisher_energy_test_tasks(summaries, r_center: int, n_boot: int = 1000,
     require(n_boot >= 1, "n_boot must be positive")
     d = summaries[0].mean.shape[0]
 
-    eig_full = _regularized_spectra(corpus_fisher_matrix(summaries, bias_correct), reg)
+    eig_full, _ = _regularized_spectra(corpus_fisher_matrix(summaries, bias_correct), reg)
     if eig_full.sum() <= 0:
         raise ValidationError("degenerate corpus spectrum")
     n_tasks = len(summaries)
@@ -359,29 +360,17 @@ def fisher_energy_test_tasks(summaries, r_center: int, n_boot: int = 1000,
         for s in summaries
     ]).reshape(n_tasks, d * d)
     row_offsets = np.arange(n_boot)[:, None] * n_tasks
-    records = []
-    for r_cand in _candidate_set(r_center, d):
-        zeta_emp = energy_ratio(eig_full, r_cand)
+
+    def replicate_spectra(r_cand):
         rng = child_rng(seed, "fisher-test-tasks", r_cand)
         picks = rng.integers(0, n_tasks, size=(n_boot, n_tasks))
         counts = np.bincount((picks + row_offsets).ravel(),
                              minlength=n_boot * n_tasks).reshape(n_boot, n_tasks)
         fishers = (counts @ task_terms).reshape(n_boot, d, d) / n_tasks
-        eig_b = _regularized_spectra(0.5 * (fishers + fishers.transpose(0, 2, 1)), reg)
-        totals = eig_b.sum(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            zeta_b = np.where(totals <= 0, 1.0, eig_b[:, :r_cand].sum(axis=1) / totals)
-        count = int(np.sum(zeta_b <= h0_level))
-        p_raw = (1 + count) / (n_boot + 1)
-        p_adj = adjusted_pvalue(p_raw)
-        reject = p_adj <= alpha
-        records.append(DimTestRecord(
-            r_cand=r_cand, zeta_emp=zeta_emp, p_raw=p_raw, p_adj=p_adj,
-            reject=reject, borderline=(not reject) and p_adj <= 0.05,
-        ))
-    rejecting = [rec.r_cand for rec in records if rec.reject]
-    return DimTestReport(records=records, selected_r=min(rejecting) if rejecting else None,
-                         alpha=alpha, n_boot=n_boot, mode="tasks")
+        return _regularized_spectra(0.5 * (fishers + fishers.transpose(0, 2, 1)), reg)[0]
+
+    return _ratio_test(eig_full, r_center, replicate_spectra, alpha, h0_level, n_boot,
+                       mode="tasks")
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +393,11 @@ def fisher_ci_vs_support(task, feature_map, support_sizes, n_boot: int = 500,
         require(2 <= n_s <= n, f"support size {n_s} exceeds available samples ({n})")
         if exhaustive:
             require(n_s == n, "exhaustive mode enumerates full-size resamples only")
-            draws = [list(idx) for idx in exhaustive_index_tuples(n)]
+            draws = exhaustive_index_tuples(n)
         else:
-            rng = child_rng(seed, "fisher-ci", n_s)
-            draws = rng.integers(0, n, size=(n_boot, n_s))
+            draws = child_rng(seed, "fisher-ci", n_s).integers(0, n, size=(n_boot, n_s))
         top = np.array([
-            fisher_spectrum_from_gradients(grads[list(idx)], reg=reg).eigenvalues[:top_k]
+            fisher_spectrum_from_gradients(grads[idx], reg=reg).eigenvalues[:top_k]
             for idx in draws
         ])
         for k in range(min(top_k, top.shape[1])):
@@ -445,7 +433,7 @@ def jl_outside_energy(theta_holdout, fisher_matrix, r: int, s: int,
     recorded, and the bootstrap 95 percent upper bound of the mean fraction
     is compared against the acceptance threshold.
     """
-    rows = theta_holdout.rows if hasattr(theta_holdout, "rows") else np.asarray(theta_holdout, dtype=float)
+    rows = adapter_rows(theta_holdout)
     fisher = check_finite(fisher_matrix, "fisher matrix")
     d = rows.shape[1]
     require(s < d, "projection dimension must be below d_theta")
@@ -511,7 +499,7 @@ def sequential_r_selection(theta, r_center: int, n_boot: int = 1000,
     first whose improvement test fails to reject no-improvement (adding a
     dimension beyond it buys nothing statistically).
     """
-    rows = theta.rows if hasattr(theta, "rows") else np.asarray(theta, dtype=float)
+    rows = adapter_rows(theta)
     require(rows.shape[0] >= 3, "need at least three tasks")
     d = rows.shape[1]
     _, _, vt = np.linalg.svd(rows, full_matrices=False)

@@ -102,14 +102,12 @@ class TestAdjoint:
         a_mat = np.array([[0.0, 0.8, 0.0], [-0.8, 0.0, 0.0], [0.1, 0.0, -0.2]])
 
         class LinearField(VectorField):
-            def __call__(self, z, t):
-                return a_mat @ z
+            def forward(self, x):
+                return a_mat @ x[:3], None
 
-            def jac_state(self, z, t):
-                return a_mat
-
-            def param_vjp(self, z, t, a):
-                return np.zeros(self.n_params)
+            def vjp(self, x, h, grad_y):
+                grads = {key: np.zeros_like(arr) for key, arr in self.params.items()}
+                return grads, np.append(a_mat.T @ grad_y, 0.0)
 
         field = LinearField(m=3, hidden=4, seed=2)
         z0 = np.array([0.5, -0.3, 0.2])

@@ -87,6 +87,33 @@ class TestDefaults:
         with pytest.raises(ValidationError, match=name):
             cfg.validate()
 
+    def test_removed_plant_rate_key_is_rejected(self):
+        blob = desk_config().to_dict()
+        blob["motifs"]["plant_rate"] = 0.6
+        with pytest.raises(TypeError, match="plant_rate"):
+            RunConfig.from_dict(blob)
+
+    @pytest.mark.parametrize("name,value", [
+        ("epochs", 0),
+        ("batch_size", 0),
+        ("t_prox", 0),
+        ("t_prox", retrieval.MAX_UNROLL + 1),
+        ("ode.kind", "spline"),
+        ("support_size_train", 1),
+        ("train_sizes", (5, 1)),
+        ("support_sizes_eval", (1, 5)),
+    ])
+    def test_bad_field_is_rejected_naming_it(self, name, value):
+        cfg = tiny_config()
+        if name == "ode.kind":
+            cfg = replace(cfg, ode=replace(cfg.ode, kind=value))
+        else:
+            cfg = replace(cfg, **{name: value})
+        with pytest.raises(ValidationError, match=name):
+            cfg.validate()
+        with pytest.raises(ValidationError, match=name):
+            RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+
 
 class TestPhase1(object):
     def test_artifacts_complete(self, tiny_artifacts):

@@ -19,7 +19,13 @@ from protoadapt.prototypes import (
     merge_prototypes,
     silhouette_score,
 )
-from protoadapt.util import ValidationError
+from protoadapt.resampling import (
+    bca_interval,
+    bootstrap_indices,
+    jackknife_statistics,
+    percentile_interval,
+)
+from protoadapt.util import ValidationError, child_rng
 
 
 def _loop_adjusted_rand_index(a, b):
@@ -69,6 +75,30 @@ def _loop_silhouette_score(points, labels):
         denom = max(a, b)
         scores[i] = 0.0 if denom == 0 else (b - a) / denom
     return float(scores.mean())
+
+
+def _loop_coverage_intervals(memory, theta_pre, r_sparse, n_boot, seed, exhaustive):
+    """The two bootstrap runs the shared index matrix replaced, kept as their oracle:
+    the canonical and the raw residuals each from a fresh "coverage" stream."""
+    canon, raw = coverage_residuals(memory, theta_pre, r_sparse)
+    n = canon.shape[0]
+
+    def run_boot(values):
+        if exhaustive:
+            meds = np.array([np.median(values[list(idx)])
+                             for idx in product(range(n), repeat=n)])
+        else:
+            rng = child_rng(seed, "coverage")
+            idx = bootstrap_indices(n, n_boot, rng)
+            meds = np.median(values[idx], axis=1)
+        return meds
+
+    meds = run_boot(canon)
+    pct = percentile_interval(meds, 0.90)
+    bca = bca_interval(meds, float(np.median(canon)),
+                       jackknife_statistics(canon, np.median), 0.90)
+    raw_pct = percentile_interval(run_boot(raw), 0.90)
+    return pct, bca, raw_pct
 
 
 class _Rows:
@@ -257,6 +287,22 @@ class TestCoverage:
         lo, hi = np.percentile(meds, [5, 95])
         assert cert.pct90[0] == pytest.approx(float(lo))
         assert cert.pct90[1] == pytest.approx(float(hi))
+
+    @pytest.mark.parametrize("n_tasks,n_boot,exhaustive", [
+        (5, 10, True), (4, 10, True), (9, 300, False), (12, 1000, False), (1, 64, False),
+    ])
+    def test_matches_two_stream_oracle(self, n_tasks, n_boot, exhaustive):
+        rng = np.random.default_rng(n_tasks)
+        atoms = rng.normal(size=(4, 3))
+        rows = _Rows(rng.normal(size=(n_tasks, 3)))
+        memory = make_memory(atoms, r=3).freeze()
+        cert = coverage_certificate(memory, rows, r_sparse=2, n_boot=n_boot, seed=5,
+                                    exhaustive=exhaustive)
+        pct, bca, raw_pct = _loop_coverage_intervals(memory, rows, 2, n_boot, 5, exhaustive)
+        assert cert.pct90 == pct
+        assert cert.bca90 == bca
+        assert cert.raw_pct90 == raw_pct
+        assert cert.n_boot == (n_tasks**n_tasks if exhaustive else n_boot)
 
     def test_requires_frozen_memory(self):
         memory = make_memory(np.eye(2))

@@ -7,6 +7,7 @@ import scipy.linalg
 from protoadapt.adapters import assemble_theta, ridge_adapter
 from protoadapt.spectral import (
     DEFAULT_H0_LEVEL,
+    DimTestRecord,
     DimTestReport,
     FisherSpectrum,
     TaskGradientSummary,
@@ -191,6 +192,99 @@ class TestEnergyTest:
         assert report.selected_r == 2
 
 
+def _loop_fisher_energy_test(spectrum, r_center, n_boot=1000, alpha=0.01,
+                             h0_level=DEFAULT_H0_LEVEL, seed=0, exhaustive=False):
+    """The per-tuple loop and Monte-Carlo block the shared ratio test replaced,
+    kept as its oracle."""
+    eig = spectrum.eigenvalues
+    d = spectrum.dim
+    records = []
+    for r_cand in [r for r in range(r_center - 2, r_center + 3) if 1 <= r <= d]:
+        zeta_emp = energy_ratio(eig, r_cand)
+        if exhaustive:
+            replicates = []
+            for idx in product(range(d), repeat=d):
+                sample = eig[list(idx)]
+                total = sample.sum()
+                replicates.append(1.0 if total <= 0 else
+                                  np.sort(sample)[::-1][:r_cand].sum() / total)
+            replicates = np.asarray(replicates)
+            used = replicates.shape[0]
+        else:
+            rng = child_rng(seed, "fisher-test", r_cand)
+            samples = eig[rng.integers(0, d, size=(n_boot, d))]
+            sums = samples.sum(axis=1)
+            part = -np.sort(-samples, axis=1)[:, :r_cand].sum(axis=1)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                replicates = np.where(sums > 0, part / np.maximum(sums, 1e-300), 1.0)
+            used = n_boot
+        p_raw = (1 + int(np.sum(replicates <= h0_level))) / (used + 1)
+        p_adj = adjusted_pvalue(p_raw)
+        reject = p_adj <= alpha
+        records.append(DimTestRecord(
+            r_cand=r_cand, zeta_emp=zeta_emp, p_raw=p_raw, p_adj=p_adj,
+            reject=reject, borderline=(not reject) and p_adj <= 0.05,
+        ))
+    rejecting = [rec.r_cand for rec in records if rec.reject]
+    return DimTestReport(records=records, selected_r=min(rejecting) if rejecting else None,
+                         alpha=alpha, n_boot=n_boot, mode="eigenvalues")
+
+
+def _assert_matches_oracle(spectrum, **kwargs):
+    report = fisher_energy_test(spectrum, **kwargs)
+    oracle = _loop_fisher_energy_test(spectrum, **kwargs)
+    assert report.selected_r == oracle.selected_r
+    assert [vars(rec) for rec in report.records] == [vars(rec) for rec in oracle.records]
+    return report
+
+
+def _spiked_spectrum(rng):
+    d = int(rng.integers(3, 13))
+    n_spikes = int(rng.integers(1, d))
+    spikes = rng.uniform(2.0, 50.0, size=n_spikes)
+    tail = rng.uniform(0.0, 1.0, size=d - n_spikes) * rng.choice([0.01, 0.1, 1.0, 5.0])
+    eig = np.sort(np.concatenate([spikes, tail]))[::-1]
+    return FisherSpectrum(eigenvalues=eig, ridge_reg=0.0, n_support=10)
+
+
+class TestEigenvalueResamplingOracle:
+    @pytest.mark.parametrize("seed", [42, 2023, 777])
+    def test_planted_spectra(self, seed):
+        cfg = GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=120,
+                              n_support=200, noise_sigma=0.0, seed=seed)
+        corpus = generate_corpus(cfg)
+        spectrum = corpus_fisher_spectrum(corpus.tasks, corpus.feature_map())
+        _assert_matches_oracle(spectrum, r_center=2, n_boot=1000, seed=seed)
+
+    def test_random_spiked_spectra(self):
+        rng = np.random.default_rng(20)
+        n_boot = 200
+        mixed = 0
+        for case in range(200):
+            spectrum = _spiked_spectrum(rng)
+            report = _assert_matches_oracle(
+                spectrum, r_center=int(rng.integers(1, spectrum.dim + 1)), n_boot=n_boot,
+                alpha=float(rng.choice([0.01, 0.05])),
+                h0_level=float(rng.choice([0.5, 0.8, 0.9, DEFAULT_H0_LEVEL, 0.99])), seed=case)
+            mixed += sum(1.0 / (n_boot + 1) < rec.p_raw < 1.0 for rec in report.records)
+        assert mixed > 0
+
+    @pytest.mark.parametrize("eig", [
+        [5.0, 2.5, 1.0, 0.5],
+        [3.0, 2.0, 1.0, 0.0, 0.0],
+        [4.0, 1.0, 0.0],
+        [1.0, 1.0, 1.0, 1.0, 1.0],
+        [9.0, 0.3],
+        [7.5, 2.25, 0.75, 0.5, 0.125],
+    ])
+    def test_exhaustive_spectra(self, eig):
+        spectrum = FisherSpectrum(eigenvalues=np.array(eig), ridge_reg=0.0, n_support=4)
+        for h0_level in (0.6, 0.8, DEFAULT_H0_LEVEL):
+            report = _assert_matches_oracle(spectrum, r_center=2, n_boot=7, seed=0,
+                                            h0_level=h0_level, exhaustive=True)
+            assert report.n_boot == 7
+
+
 def _loop_fisher_energy_test_tasks(summaries, r_center, n_boot, alpha, h0_level,
                                    seed, reg, bias_correct):
     """The per-replicate loop the batched test replaced, kept as its oracle."""
@@ -275,6 +369,19 @@ class TestTaskResamplingOracle:
 
 
 class TestCorpusFisher:
+    def test_negative_ridge_rejected_by_every_entry_point(self):
+        cfg = GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=20, n_support=30,
+                              noise_sigma=0.0, seed=3)
+        corpus = generate_corpus(cfg)
+        fmap = corpus.feature_map()
+        summaries = [TaskGradientSummary.from_task(t, fmap) for t in corpus.tasks]
+        with pytest.raises(ValidationError, match="reg"):
+            fisher_spectrum_from_gradients(np.eye(3), reg=-1e-3)
+        with pytest.raises(ValidationError, match="reg"):
+            corpus_fisher_spectrum(corpus.tasks, fmap, reg=-1e-3)
+        with pytest.raises(ValidationError, match="reg"):
+            fisher_energy_test_tasks(summaries, r_center=2, n_boot=10, reg=-1e-3)
+
     def test_bias_correction_concentrates_planted_energy(self):
         cfg = GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=120,
                               n_support=100, noise_sigma=0.0, seed=13)
