@@ -56,6 +56,18 @@ def pooled_moments(embeddings):
     return mu, sigma
 
 
+def _probe_fit(probe: ProbeHead, task, feature_map):
+    """Support labels, probe probabilities and the averaged parameter gradient."""
+    x = check_finite(feature_map(task.support_x), "support features")
+    y = np.asarray(task.support_y, dtype=float)
+    require(np.all((y == 0.0) | (y == 1.0)), "labels must be binary")
+    p = sigmoid(x @ probe.weights + probe.bias)
+    err = p - y
+    grad_w = (err[:, None] * x).mean(axis=0)
+    grad_b = float(err.mean())
+    return y, p, np.concatenate([grad_w, [grad_b]])
+
+
 def probe_gradient(probe: ProbeHead, task, feature_map):
     """Mean cross-entropy loss and averaged parameter gradient of the probe.
 
@@ -63,16 +75,10 @@ def probe_gradient(probe: ProbeHead, task, feature_map):
     bias partial. The analytic gradient is checked against finite
     differences in the test suite.
     """
-    x = check_finite(feature_map(task.support_x), "support features")
-    y = np.asarray(task.support_y, dtype=float)
-    require(set(np.unique(y)) <= {0.0, 1.0}, "labels must be binary")
-    p = sigmoid(x @ probe.weights + probe.bias)
+    y, p, grad = _probe_fit(probe, task, feature_map)
     p_safe = np.clip(p, 1e-12, 1.0 - 1e-12)
     loss = float(-np.mean(y * np.log(p_safe) + (1.0 - y) * np.log(1.0 - p_safe)))
-    err = p - y
-    grad_w = (err[:, None] * x).mean(axis=0)
-    grad_b = float(err.mean())
-    return loss, np.concatenate([grad_w, [grad_b]])
+    return loss, grad
 
 
 class Standardizer:
@@ -147,7 +153,7 @@ def build_descriptor(task, probe: ProbeHead, chain, standardizer: Standardizer,
 
     order_block = np.percentile(task.support_x.ravel(), list(percentiles))
 
-    _, grad = probe_gradient(probe, task, feature_map)
+    _, _, grad = _probe_fit(probe, task, feature_map)
     g_proj = chain.project(grad[:-1])
     g_block = np.concatenate([g_proj, grad[-1:]])
 

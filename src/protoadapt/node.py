@@ -2,14 +2,17 @@
 
 The vector field is a compact two-layer tanh map with time appended as an
 extra input coordinate. Integration offers fixed-step RK4 and an embedded
-Dormand-Prince 5(4) pair with per-step error control; step counts, rejected
-steps, tolerances, and stiffness flags are reported for the run log.
+Dormand-Prince 5(4) pair with per-step error control; the pair is "first
+same as last" (FSAL), so the field value at an accepted state starts the next
+step and every step after the first costs six field evaluations. Step counts,
+rejected steps, tolerances, and stiffness flags are reported for the run log.
 Gradients come from backward co-integration of the state, the co-state, and
 the accumulated parameter gradient.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,20 +69,23 @@ class IntegrationResult:
     config: SolveConfig
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# Dormand-Prince 5(4) tableau. Row 6 of A is the fifth-order solution B5, so
+# the seventh stage point is the accepted state and its field value is the
+# next step's first stage ("first same as last").
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_E = _DP_A[6] - _DP_B4   # B5 - B4: weights of the embedded error estimate
+_EPS = float(np.finfo(float).eps)
 
 
 def _rk4_step(f, z, t, h):
@@ -110,29 +116,27 @@ def _integrate_rk45(f, z0, cfg):
     n_steps = n_rejected = 0
     stiff = False
     reject_streak = 0
+    ks = np.empty((7, z.shape[0]))
+    ks[0] = f(z, t)
     while t < cfg.t1 - 1e-14 * max(1.0, abs(cfg.t1)):
         if n_steps + n_rejected > cfg.max_steps:
             raise StepUnderflowError("step budget exhausted; system looks stiff")
-        floor = 16.0 * np.finfo(float).eps * max(abs(t), 1.0)
+        floor = 16.0 * _EPS * max(abs(t), 1.0)
         if h < floor:
             raise StepUnderflowError(
                 f"step size {h:.3e} collapsed below the machine floor at t={t:.6f}; "
                 "stiffness diagnosis: persistent error-control rejections")
         h = min(h, cfg.t1 - t, max_step)
-        ks = []
-        for i in range(7):
-            zi = z.copy()
-            for j, a in enumerate(_DP_A[i]):
-                zi += h * a * ks[j]
-            ks.append(f(zi, t + _DP_C[i] * h))
-        ks = np.asarray(ks)
-        z5 = z + h * (_DP_B5 @ ks)
-        z4 = z + h * (_DP_B4 @ ks)
+        for i in range(1, 7):
+            z5 = z + h * (_DP_A[i, :i] @ ks[:i])   # after stage 6: the fifth-order step
+            ks[i] = f(z5, t + _DP_C[i] * h)
         scale = cfg.atol + cfg.rtol * np.maximum(np.abs(z), np.abs(z5))
-        err = float(np.sqrt(np.mean(((z5 - z4) / scale) ** 2)))
+        scaled_err = h * (_DP_E @ ks) / scale
+        err = math.sqrt(scaled_err @ scaled_err / scaled_err.shape[0])
         if err <= 1.0:
             t += h
             z = z5
+            ks[0] = ks[6]
             n_steps += 1
             reject_streak = 0
         else:

@@ -181,6 +181,12 @@ class RunConfig:
         for name in ("train_sizes", "support_sizes_eval"):
             sizes = getattr(self, name) or ()
             require(all(n >= 2 for n in sizes), f"{name} must all be at least 2, got {sizes}")
+        require(self.r_keep is None or self.r_keep >= 1,
+                f"r_keep must be None or at least 1, got {self.r_keep}")
+        fracs = self.ret_fracs
+        require(len(fracs) == 3 and all(f > 0 for f in fracs)
+                and abs(sum(fracs) - 1.0) < 1e-9,
+                f"ret_fracs must be three positive fractions summing to 1, got {fracs}")
 
     def to_dict(self) -> dict:
         def plain(obj):
@@ -261,8 +267,9 @@ class _MapWarp:
     """Descriptor warp built on a TanhMap, trained by Adam on the flat parameter vector.
 
     The map's parameters are views into the vector Adam steps in place.
-    Subclasses say how the map warps z and how one (z, dL/dwarp(z)) pair
-    turns into a parameter gradient.
+    Subclasses say how the map warps z, returning the warped point and the
+    forward state the gradient needs, and how one (z, state, dL/dwarp(z))
+    triple turns into a parameter gradient.
     """
 
     def __init__(self, net: TanhMap, lr: float):
@@ -270,11 +277,14 @@ class _MapWarp:
         self.map = net.with_params(self._params["phi"])
         self.opt = Adam(self._params, lr=lr)
 
-    def apply_batch(self, pairs) -> None:
-        """One Adam step on the sum of the per-pair parameter gradients."""
+    def apply_batch(self, triples) -> None:
+        """One Adam step on the sum of the per-triple parameter gradients.
+
+        Each state must come from ``forward`` under the current parameters.
+        """
         grad = np.zeros_like(self._params["phi"])
-        for z, grad_out in pairs:
-            grad += self._param_grad(z, grad_out)
+        for z, state, grad_out in triples:
+            grad += self._param_grad(z, state, grad_out)
         self.opt.step({"phi": grad})
 
 
@@ -288,16 +298,18 @@ class OdeTransform(_MapWarp):
         # running totals over every forward solve, for run.log
         self.solves = self.steps = self.rejected = self.stiff = 0
 
-    def forward(self, z: np.ndarray) -> np.ndarray:
+    def forward(self, z: np.ndarray):
+        """The flow's end point and its IntegrationResult."""
         result = integrate(self.map, z, self.solve_cfg)
         self.solves += 1
         self.steps += result.n_steps
         self.rejected += result.n_rejected
         self.stiff += result.stiff
-        return result.z1
+        return result.z1, result
 
-    def _param_grad(self, z, grad_out):
-        return adjoint_gradient(self.map, z, self.solve_cfg, grad_out).grad_params
+    def _param_grad(self, z, state, grad_out):
+        return adjoint_gradient(self.map, z, self.solve_cfg, grad_out,
+                                forward_result=state).grad_params
 
 
 class MlpTransform(_MapWarp):
@@ -307,11 +319,13 @@ class MlpTransform(_MapWarp):
         super().__init__(TanhMap(d_z, cfg.hidden, d_z, seed, "mlp-transform",
                                  cfg.init_scale), cfg.lr)
 
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        return z + self.map.forward(z)[0]
+    def forward(self, z: np.ndarray):
+        """The warped point and the map's hidden layer."""
+        y, h = self.map.forward(z)
+        return z + y, h
 
-    def _param_grad(self, z, grad_out):
-        return flatten(self.map.vjp(z, self.map.hidden(z), grad_out)[0])
+    def _param_grad(self, z, state, grad_out):
+        return flatten(self.map.vjp(z, state, grad_out)[0])
 
 
 def make_transform(kind: str, d_z: int, cfg: OdeBlockConfig, seed: int):

@@ -9,6 +9,7 @@ tape and treats the hard top-r mask straight-through.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -69,21 +70,6 @@ class _SolveTape:
     gamma: float = 0.0
 
 
-def _objective(w, memory, theta_hat, p, lam, gamma):
-    recon = w @ memory.M - theta_hat
-    val = 0.5 * float(recon @ recon) + lam * float(np.sum(w))
-    if gamma > 0:
-        val += gamma * float(np.sum((w - p) ** 2))
-    return val
-
-
-def _smooth_grad(w, memory, theta_hat, p, gamma):
-    grad = memory.M @ (w @ memory.M - theta_hat)
-    if gamma > 0:
-        grad = grad + 2.0 * gamma * (w - p)
-    return grad
-
-
 def solve_proximal(theta_hat, memory, v, cfg: ProximalConfig,
                    budget: int | None = None, record_tape: bool = False):
     """Accelerated proximal gradient for the nonnegative sparse retrieval fit.
@@ -105,51 +91,63 @@ def solve_proximal(theta_hat, memory, v, cfg: ProximalConfig,
     require(v.shape[0] == memory.K, "logit length must equal K")
     p = softmax(v)
 
+    m_rows, lam, gamma = memory.M, cfg.lam, cfg.gamma
+    two_gamma = 2.0 * gamma
     smax = memory.operator_norm()
-    lipschitz = smax**2 + 2.0 * cfg.gamma
+    lipschitz = smax**2 + two_gamma
     tau = 1.0 / lipschitz if lipschitz > 0 else 1.0
+    tau_lam, kkt_scale = tau * lam, max(tau, 1e-300)
     steps = budget if budget is not None else cfg.t_prox
 
+    def objective(x):
+        recon = x @ m_rows - theta_hat
+        val = 0.5 * float(recon @ recon) + lam * float(x.sum())
+        if gamma > 0:
+            val += gamma * float(((x - p) ** 2).sum())
+        return val
+
+    def prox_step(x):
+        """Prox-gradient step from x and the objective at its result."""
+        grad = m_rows @ (x @ m_rows - theta_hat)
+        if gamma > 0:
+            grad = grad + two_gamma * (x - p)
+        w_next = np.maximum(x - tau * grad - tau_lam, 0.0)
+        return w_next, objective(w_next)
+
     w = p.copy()
-    y = w.copy()
-    w_prev = w.copy()
+    y = w
     t_mom = 1.0
-    trace = [_objective(w, memory, theta_hat, p, cfg.lam, cfg.gamma)]
-    tape = _SolveTape(p=p, tau=tau, gamma=cfg.gamma)
+    f_last = objective(w)
+    trace = [f_last]
+    tape = _SolveTape(p=p, tau=tau, gamma=gamma)
     restarts = 0
     kkt = np.inf
     converged = False
 
     for it in range(steps):
-        grad_y = _smooth_grad(y, memory, theta_hat, p, cfg.gamma)
-        z = y - tau * grad_y
-        w_new = np.clip(z - tau * cfg.lam, 0.0, None)
-        f_new = _objective(w_new, memory, theta_hat, p, cfg.lam, cfg.gamma)
-        restarted = False
-        if f_new > trace[-1] + 1e-15:
+        w_new, f_new = prox_step(y)
+        restarted = f_new > f_last + 1e-15
+        if restarted:
             # monotone restart: plain descent step from the last accepted point
-            restarted = True
             restarts += 1
-            grad_w = _smooth_grad(w, memory, theta_hat, p, cfg.gamma)
-            z = w - tau * grad_w
-            w_new = np.clip(z - tau * cfg.lam, 0.0, None)
-            f_new = _objective(w_new, memory, theta_hat, p, cfg.lam, cfg.gamma)
+            w_new, f_new = prox_step(w)
             t_mom = 1.0
-        if not np.isfinite(f_new):
+        if not math.isfinite(f_new):
             raise ValidationError(f"solver objective diverged at iteration {it}; trace={trace}")
 
-        mask = w_new > 0.0
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom**2))
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom**2))
         beta = (t_mom - 1.0) / t_next
         if record_tape:
-            tape.masks.append(mask)
+            tape.masks.append(w_new > 0.0)
             tape.restarts.append(restarted)
             tape.betas.append(beta)
 
-        kkt = float(np.linalg.norm(w_new - w) / max(tau, 1e-300))
-        w_prev, w = w, w_new
-        y = w + beta * (w - w_prev)
+        step = w_new - w
+        kkt = math.sqrt(step @ step) / kkt_scale
+        w = w_new
+        y = w + beta * step
         t_mom = t_next
+        f_last = f_new
         trace.append(f_new)
         if kkt <= cfg.tol:
             converged = True
@@ -361,7 +359,7 @@ def predict_task(task, memory, net, descriptor, theta_hat, pcfg, r_keep,
     """Query probabilities from the full retrieval path for one task."""
     z = descriptor.values
     if transform is not None:
-        z = transform.forward(z)
+        z, _ = transform.forward(z)
     v, _ = net.forward(z)
     task_pcfg = _pcfg_lookup(pcfg)(task)
     solution = retrieve(theta_hat, memory, v, task_pcfg, r_keep, budget=budget,
@@ -426,7 +424,8 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
                 task = train_tasks[i]
                 task_pcfg = pcfg_of(task)
                 z_raw = descriptors[task.task_id].values
-                z = transform.forward(z_raw) if transform is not None else z_raw
+                z, warp_state = (transform.forward(z_raw) if transform is not None
+                                 else (z_raw, None))
                 logits, hidden = net.forward(z)
                 theta_hat = theta_hats[task.task_id]
                 solution, tape = solve_proximal(theta_hat, memory, logits, task_pcfg,
@@ -444,7 +443,7 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
                 for key in grads:
                     grads[key] += task_grads[key] / len(batch)
                 if transform is not None:
-                    transform_batch.append((z_raw, grad_z / len(batch)))
+                    transform_batch.append((z_raw, warp_state, grad_z / len(batch)))
             opt.step(grads)
             if transform is not None and transform_batch:
                 transform.apply_batch(transform_batch)

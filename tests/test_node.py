@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from protoadapt import node
 from protoadapt.node import (
     AdjointResult,
     IntegrationResult,
@@ -12,6 +15,129 @@ from protoadapt.node import (
     integrate,
 )
 from protoadapt.util import ValidationError
+
+
+_LOOP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_LOOP_A = [
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+]
+_LOOP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_LOOP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+                     -92097 / 339200, 187 / 2100, 1 / 40])
+
+
+def _loop_integrate_rk45(f, z0, cfg):
+    """The seven-evaluation stepper as it stood before FSAL: the oracle."""
+    span = cfg.t1 - cfg.t0
+    max_step = cfg.max_step if cfg.max_step is not None else span
+    t, z = cfg.t0, z0.copy()
+    h = min(max_step, span / 10.0)
+    n_steps = n_rejected = 0
+    stiff = False
+    reject_streak = 0
+    while t < cfg.t1 - 1e-14 * max(1.0, abs(cfg.t1)):
+        if n_steps + n_rejected > cfg.max_steps:
+            raise StepUnderflowError("step budget exhausted; system looks stiff")
+        floor = 16.0 * np.finfo(float).eps * max(abs(t), 1.0)
+        if h < floor:
+            raise StepUnderflowError(f"step size {h:.3e} collapsed at t={t:.6f}")
+        h = min(h, cfg.t1 - t, max_step)
+        ks = []
+        for i in range(7):
+            zi = z.copy()
+            for j, a in enumerate(_LOOP_A[i]):
+                zi += h * a * ks[j]
+            ks.append(f(zi, t + _LOOP_C[i] * h))
+        ks = np.asarray(ks)
+        z5 = z + h * (_LOOP_B5 @ ks)
+        z4 = z + h * (_LOOP_B4 @ ks)
+        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(z), np.abs(z5))
+        err = float(np.sqrt(np.mean(((z5 - z4) / scale) ** 2)))
+        if err <= 1.0:
+            t += h
+            z = z5
+            n_steps += 1
+            reject_streak = 0
+        else:
+            n_rejected += 1
+            reject_streak += 1
+            if reject_streak >= 20:
+                stiff = True
+        factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
+        h *= min(5.0, max(0.2, factor))
+        if h < span * 1e-7:
+            stiff = True
+    return z, n_steps, n_rejected, stiff
+
+
+def _assert_stepper_matches_loop(f, z0, cfg):
+    """Same step and rejection counts and stiffness flag, z1 within 1e-12 relative."""
+    z1, n_steps, n_rejected, stiff = node._integrate_rk45(f, z0, cfg)
+    ref_z1, ref_steps, ref_rejected, ref_stiff = _loop_integrate_rk45(f, z0, cfg)
+    assert (n_steps, n_rejected, stiff) == (ref_steps, ref_rejected, ref_stiff)
+    assert np.all(np.abs(z1 - ref_z1) <= 1e-12 * (1.0 + np.abs(ref_z1)))
+    return n_steps, n_rejected
+
+
+_field_cases = dict(
+    seed=st.integers(0, 2**16), m=st.integers(1, 6), hidden=st.integers(1, 12),
+    scale=st.sampled_from([0.3, 1.0, 3.0]),
+    tol=st.sampled_from([1e-3, 1e-6, 1e-9]),
+    t1=st.sampled_from([0.5, 1.0, 3.0]),
+    max_step=st.sampled_from([None, 0.05, 0.4]),
+)
+
+
+def _field_problem(seed, m, hidden, scale, tol, t1, max_step):
+    field = VectorField(m=m, hidden=hidden, seed=seed, scale=scale)
+    z0 = np.random.default_rng(seed).normal(size=m)
+    cfg = SolveConfig(rtol=tol, atol=tol * 1e-2, t1=t1, max_step=max_step)
+    return field, z0, cfg
+
+
+class TestStepperMatchesLoop:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(**_field_cases)
+    def test_random_vector_fields(self, seed, m, hidden, scale, tol, t1, max_step):
+        _assert_stepper_matches_loop(*_field_problem(seed, m, hidden, scale, tol, t1,
+                                                     max_step))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(**_field_cases)
+    def test_adjoint_augmented_field(self, seed, m, hidden, scale, tol, t1, max_step):
+        field, z0, cfg = _field_problem(seed, m, hidden, scale, tol, t1, max_step)
+        calls = []
+
+        def recording(f, z_init, solve_cfg):
+            calls.append((f, z_init.copy(), solve_cfg))
+            return integrate(f, z_init, solve_cfg)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(node, "integrate", recording)
+            node.adjoint_gradient(field, z0, cfg, np.ones(m))
+        (_, _, _), (augmented, aug0, back_cfg) = calls   # forward flow, then the adjoint
+        assert aug0.shape == (2 * m + field.n_params,)
+        _assert_stepper_matches_loop(augmented, aug0, back_cfg)
+
+    @pytest.mark.parametrize("seed,scale,tol", [(0, 1.0, 1e-6), (1, 3.0, 1e-9),
+                                                (2, 3.0, 1e-3)])
+    def test_fsal_evaluation_count(self, seed, scale, tol):
+        field, z0, cfg = _field_problem(seed, 4, 8, scale, tol, 1.0, None)
+        count = 0
+
+        def counted(z, t):
+            nonlocal count
+            count += 1
+            return field(z, t)
+
+        res = integrate(counted, z0, cfg)
+        assert count == 1 + 6 * (res.n_steps + res.n_rejected)
 
 
 class TestIntegration:

@@ -102,6 +102,8 @@ class TestDefaults:
         ("support_size_train", 1),
         ("train_sizes", (5, 1)),
         ("support_sizes_eval", (1, 5)),
+        ("r_keep", 0),
+        ("ret_fracs", (0.8, 0.3, -0.1)),
     ])
     def test_bad_field_is_rejected_naming_it(self, name, value):
         cfg = tiny_config()
@@ -228,11 +230,11 @@ class TestPhase2:
         mlp = make_transform("mlp", 6, OdeBlockConfig(hidden=4), seed=0)
         none = make_transform("none", 6, OdeBlockConfig(), seed=0)
         z = np.linspace(-1, 1, 6)
-        assert isinstance(ode, OdeTransform) and ode.forward(z).shape == (6,)
-        assert isinstance(mlp, MlpTransform) and mlp.forward(z).shape == (6,)
+        assert isinstance(ode, OdeTransform) and ode.forward(z)[0].shape == (6,)
+        assert isinstance(mlp, MlpTransform) and mlp.forward(z)[0].shape == (6,)
         assert none is None
         # near-identity initialization keeps the warp gentle
-        assert np.linalg.norm(ode.forward(z) - z) < 1.0
+        assert np.linalg.norm(ode.forward(z)[0] - z) < 1.0
 
     def test_flow_solver_totals_count_every_solve(self):
         ode = make_transform("ode", 6, OdeBlockConfig(hidden=4, init_scale=1.0), seed=0)
@@ -248,11 +250,11 @@ class TestPhase2:
     def test_mlp_transform_learns(self):
         mlp = MlpTransform(4, OdeBlockConfig(hidden=4, lr=0.05), seed=1)
         z = np.ones(4)
-        before = mlp.forward(z).copy()
+        before = mlp.forward(z)[0].copy()
         for _ in range(30):
-            out = mlp.forward(z)
-            mlp.apply_batch([(z, out - np.array([1.0, 0.0, 0.0, 0.0]))])
-        after = mlp.forward(z)
+            out, state = mlp.forward(z)
+            mlp.apply_batch([(z, state, out - np.array([1.0, 0.0, 0.0, 0.0]))])
+        after = mlp.forward(z)[0]
         target = np.array([1.0, 0.0, 0.0, 0.0])
         assert np.linalg.norm(after - target) < np.linalg.norm(before - target)
 

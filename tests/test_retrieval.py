@@ -1,8 +1,11 @@
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from protoadapt.adapters import Canonicalizer
 from protoadapt.prototypes import PrototypeMemory, ProjectionChain
@@ -10,6 +13,7 @@ from protoadapt.retrieval import (
     Adam,
     ProximalConfig,
     RetrievalNet,
+    RetrievalSolution,
     TrainConfig,
     backward_through_solve,
     compose_adapter,
@@ -23,6 +27,7 @@ from protoadapt.retrieval import (
     sweep_lambda_eta,
     train_retrieval,
     _outer_gradient_w,
+    _SolveTape,
 )
 from protoadapt.util import ValidationError, sigmoid
 
@@ -61,6 +66,141 @@ def lbfgsb_oracle(memory, theta_hat, p, lam, gamma):
         if best is None or res.fun < best:
             best = res.fun
     return best
+
+
+def _loop_objective(w, memory, theta_hat, p, lam, gamma):
+    recon = w @ memory.M - theta_hat
+    val = 0.5 * float(recon @ recon) + lam * float(np.sum(w))
+    if gamma > 0:
+        val += gamma * float(np.sum((w - p) ** 2))
+    return val
+
+
+def _loop_smooth_grad(w, memory, theta_hat, p, gamma):
+    grad = memory.M @ (w @ memory.M - theta_hat)
+    if gamma > 0:
+        grad = grad + 2.0 * gamma * (w - p)
+    return grad
+
+
+def _loop_solve_proximal(theta_hat, memory, v, cfg, budget=None):
+    """The solver loop as it stood before its call overhead was cut: the oracle."""
+    p = softmax(v)
+    smax = memory.operator_norm()
+    lipschitz = smax**2 + 2.0 * cfg.gamma
+    tau = 1.0 / lipschitz if lipschitz > 0 else 1.0
+    steps = budget if budget is not None else cfg.t_prox
+
+    w = p.copy()
+    y = w.copy()
+    w_prev = w.copy()
+    t_mom = 1.0
+    trace = [_loop_objective(w, memory, theta_hat, p, cfg.lam, cfg.gamma)]
+    tape = _SolveTape(p=p, tau=tau, gamma=cfg.gamma)
+    restarts = 0
+    kkt = np.inf
+    converged = False
+
+    for it in range(steps):
+        grad_y = _loop_smooth_grad(y, memory, theta_hat, p, cfg.gamma)
+        z = y - tau * grad_y
+        w_new = np.clip(z - tau * cfg.lam, 0.0, None)
+        f_new = _loop_objective(w_new, memory, theta_hat, p, cfg.lam, cfg.gamma)
+        restarted = False
+        if f_new > trace[-1] + 1e-15:
+            restarted = True
+            restarts += 1
+            grad_w = _loop_smooth_grad(w, memory, theta_hat, p, cfg.gamma)
+            z = w - tau * grad_w
+            w_new = np.clip(z - tau * cfg.lam, 0.0, None)
+            f_new = _loop_objective(w_new, memory, theta_hat, p, cfg.lam, cfg.gamma)
+            t_mom = 1.0
+        if not np.isfinite(f_new):
+            raise ValidationError(f"solver objective diverged at iteration {it}; trace={trace}")
+
+        mask = w_new > 0.0
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom**2))
+        beta = (t_mom - 1.0) / t_next
+        tape.masks.append(mask)
+        tape.restarts.append(restarted)
+        tape.betas.append(beta)
+
+        kkt = float(np.linalg.norm(w_new - w) / max(tau, 1e-300))
+        w_prev, w = w, w_new
+        y = w + beta * (w - w_prev)
+        t_mom = t_next
+        trace.append(f_new)
+        if kkt <= cfg.tol:
+            converged = True
+            break
+
+    solution = RetrievalSolution(
+        w=w, w_tilde=None, active_set=[], recon_before=None, recon_after=None,
+        objective_trace=trace, kkt_residual=kkt, iterations=len(trace) - 1,
+        restarts=restarts, converged=converged,
+    )
+    return solution, tape
+
+
+def _assert_solver_matches_loop(seed, k, d, lam, gamma, t_prox, budget, tol, scale):
+    """Exact agreement of solve_proximal with the loop oracle; returns the solution."""
+    rng = np.random.default_rng(seed)
+    memory = make_memory(rng.normal(size=(k, d)))
+    theta_hat = scale * rng.normal(size=d)
+    v = 2.0 * rng.normal(size=k)
+    cfg = ProximalConfig(lam=lam, gamma=gamma, t_prox=t_prox, tol=tol)
+    sol, tape = solve_proximal(theta_hat, memory, v, cfg, budget=budget, record_tape=True)
+    ref, ref_tape = _loop_solve_proximal(theta_hat, memory, v, cfg, budget=budget)
+    for f in dataclasses.fields(RetrievalSolution):
+        ours, theirs = getattr(sol, f.name), getattr(ref, f.name)
+        if isinstance(theirs, np.ndarray):
+            assert np.array_equal(ours, theirs), f.name
+        else:
+            assert ours == theirs, f.name
+    assert len(tape.masks) == len(ref_tape.masks)
+    assert all(np.array_equal(a, b) for a, b in zip(tape.masks, ref_tape.masks))
+    assert tape.betas == ref_tape.betas
+    assert tape.restarts == ref_tape.restarts
+    assert np.array_equal(tape.p, ref_tape.p)
+    assert (tape.tau, tape.gamma) == (ref_tape.tau, ref_tape.gamma)
+    return sol
+
+
+class TestSolverMatchesLoop:
+    @pytest.mark.parametrize("case,args", [
+        ("one prototype", dict(seed=1, k=1, d=3, lam=1e-3, gamma=0.1, t_prox=10,
+                               budget=None, tol=1e-9, scale=1.0)),
+        ("all-zero solution", dict(seed=2, k=5, d=3, lam=1e3, gamma=0.1, t_prox=10,
+                                   budget=None, tol=1e-9, scale=1.0)),
+        ("restarts", dict(seed=3, k=5, d=3, lam=1e-3, gamma=0.0, t_prox=20,
+                          budget=100, tol=1e-300, scale=1.0)),
+        ("gamma zero", dict(seed=4, k=6, d=8, lam=1e-4, gamma=0.0, t_prox=10,
+                            budget=None, tol=1e-9, scale=1.0)),
+        ("budget above t_prox", dict(seed=5, k=8, d=8, lam=1e-4, gamma=0.5, t_prox=3,
+                                     budget=60, tol=1e-12, scale=10.0)),
+    ])
+    def test_edge_case(self, case, args):
+        sol = _assert_solver_matches_loop(**args)
+        if case == "one prototype":
+            assert sol.w.shape == (1,)
+        if case == "all-zero solution":
+            assert not np.any(sol.w)
+        if case == "restarts":
+            assert sol.restarts > 0
+        if case == "budget above t_prox":
+            assert sol.iterations > args["t_prox"]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8), d=st.integers(1, 8),
+           lam=st.sampled_from([0.0, 1e-4, 1e-2, 0.3, 1e3]),
+           gamma=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+           t_prox=st.integers(1, 20), budget=st.one_of(st.none(), st.integers(1, 200)),
+           tol=st.sampled_from([1e-300, 1e-9, 1e-4]),
+           scale=st.sampled_from([0.1, 1.0, 10.0]))
+    @example(seed=0, k=1, d=1, lam=0.0, gamma=0.0, t_prox=1, budget=None, tol=1e-9,
+             scale=1.0)
+    def test_random_problems(self, seed, k, d, lam, gamma, t_prox, budget, tol, scale):
+        _assert_solver_matches_loop(seed, k, d, lam, gamma, t_prox, budget, tol, scale)
 
 
 class TestSolver:
