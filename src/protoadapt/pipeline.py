@@ -3,7 +3,8 @@ motif statistics, bound checks, and the report bundle.
 
 Phase 1 estimates seed adapters, selects the rank, freezes the projection,
 clusters prototypes, and certifies coverage. Phase 2 trains the retrieval
-network on the outer objective with periodic diagnostics and early stopping.
+network (behind an optional residual descriptor warp) on the outer objective
+with early stopping.
 The lambda-eta penalty sweep and the support-size sweep are steps of their
 own (``run_penalty_sweep``, ``run_support_sweep``) that reuse the trained
 network. ``run_*`` functions compute; ``persist_*`` functions only write.
@@ -32,7 +33,6 @@ from .motifs import (
     make_channels,
     motif_test_report,
 )
-from .node import SolveConfig, VectorField, adjoint_gradient, integrate
 from .prototypes import (
     ProjectionChain,
     cluster_prototypes,
@@ -61,9 +61,15 @@ from .spectral import (
     rank_curve,
     sequential_r_selection,
 )
-from .synthdata import GeneratorConfig, generate_corpus, partition_tasks, resample_support, save_corpus
+from .synthdata import (
+    GeneratorConfig,
+    generate_corpus,
+    partition_tasks,
+    resample_support,
+    save_corpus_manifest,
+)
 from .tanhmap import TanhMap, flatten
-from .util import ValidationError, child_rng, config_hash, require, sigmoid, write_csv, write_json
+from .util import child_rng, config_hash, require, sigmoid, write_csv, write_json
 
 # Search-grid defaults from the experiment protocol; desk profiles override.
 DEFAULT_K_GRID = (50, 100, 200)
@@ -73,12 +79,9 @@ DEFAULT_SUPPORT_SIZES = (5, 10, 20, 50)
 
 
 @dataclass
-class OdeBlockConfig:
-    kind: str = "ode"          # "ode", "mlp", or "none"
+class WarpConfig:
+    kind: str = "mlp"          # "mlp" (residual z + map(z)) or "none"
     hidden: int = 8
-    t1: float = 1.0
-    rtol: float = 1e-5
-    atol: float = 1e-7
     lr: float = 1e-3
     init_scale: float = 0.1
 
@@ -154,10 +157,9 @@ class RunConfig:
     support_size_train: int | None = None
     train_sizes: tuple | None = None    # union-of-sizes episodic training
     support_sizes_eval: tuple = DEFAULT_SUPPORT_SIZES
-    diag_period: int = 25
 
-    # descriptor transform and motifs
-    ode: OdeBlockConfig = field(default_factory=OdeBlockConfig)
+    # descriptor warp and motifs
+    warp: WarpConfig = field(default_factory=WarpConfig)
     motifs: MotifRunConfig = field(default_factory=MotifRunConfig)
     fixed_tau: float | None = None      # ablation E: skip calibration
     use_storey: bool = True             # ablation F: Bonferroni-only when False
@@ -174,8 +176,8 @@ class RunConfig:
         require(self.batch_size >= 1, f"batch_size must be at least 1, got {self.batch_size}")
         require(1 <= self.t_prox <= MAX_UNROLL,
                 f"t_prox must lie in [1, {MAX_UNROLL}], got {self.t_prox}")
-        require(self.ode.kind in ("ode", "mlp", "none"),
-                f"ode.kind must be 'ode', 'mlp' or 'none', got {self.ode.kind!r}")
+        require(self.warp.kind in ("mlp", "none"),
+                f"warp.kind must be 'mlp' or 'none', got {self.warp.kind!r}")
         require(self.support_size_train is None or self.support_size_train >= 2,
                 f"support_size_train must be at least 2, got {self.support_size_train}")
         for name in ("train_sizes", "support_sizes_eval"):
@@ -202,8 +204,8 @@ class RunConfig:
         data = dict(data)
         if "generator" in data:
             data["generator"] = GeneratorConfig(**data["generator"])
-        if "ode" in data:
-            data["ode"] = OdeBlockConfig(**data["ode"])
+        if "warp" in data:
+            data["warp"] = WarpConfig(**data["warp"])
         if "motifs" in data:
             mot = dict(data["motifs"])
             if "cohorts" in mot:
@@ -260,82 +262,43 @@ def fewshot_benchmark_config(seed: int = 42, outdir: str = "runs/fewshot") -> Ru
 
 
 # ---------------------------------------------------------------------------
-# Descriptor transforms (continuous-time block and the ablation MLP)
+# Descriptor warp
 # ---------------------------------------------------------------------------
 
-class _MapWarp:
-    """Descriptor warp built on a TanhMap, trained by Adam on the flat parameter vector.
+class MlpTransform:
+    """Residual descriptor warp z + map(z), trained by Adam on the map's flat parameters.
 
     The map's parameters are views into the vector Adam steps in place.
-    Subclasses say how the map warps z, returning the warped point and the
-    forward state the gradient needs, and how one (z, state, dL/dwarp(z))
-    triple turns into a parameter gradient.
     """
 
-    def __init__(self, net: TanhMap, lr: float):
+    def __init__(self, d_z: int, cfg: WarpConfig, seed: int = 0):
+        net = TanhMap(d_z, cfg.hidden, d_z, seed, "mlp-transform", cfg.init_scale)
         self._params = {"phi": net.params_vector()}
         self.map = net.with_params(self._params["phi"])
-        self.opt = Adam(self._params, lr=lr)
-
-    def apply_batch(self, triples) -> None:
-        """One Adam step on the sum of the per-triple parameter gradients.
-
-        Each state must come from ``forward`` under the current parameters.
-        """
-        grad = np.zeros_like(self._params["phi"])
-        for z, state, grad_out in triples:
-            grad += self._param_grad(z, state, grad_out)
-        self.opt.step({"phi": grad})
-
-
-class OdeTransform(_MapWarp):
-    """Flow of a trainable vector field over [0, t1], adjoint gradients."""
-
-    def __init__(self, d_z: int, cfg: OdeBlockConfig, seed: int = 0):
-        super().__init__(VectorField(m=d_z, hidden=cfg.hidden, seed=seed,
-                                     scale=cfg.init_scale), cfg.lr)
-        self.solve_cfg = SolveConfig(rtol=cfg.rtol, atol=cfg.atol, t0=0.0, t1=cfg.t1)
-        # running totals over every forward solve, for run.log
-        self.solves = self.steps = self.rejected = self.stiff = 0
-
-    def forward(self, z: np.ndarray):
-        """The flow's end point and its IntegrationResult."""
-        result = integrate(self.map, z, self.solve_cfg)
-        self.solves += 1
-        self.steps += result.n_steps
-        self.rejected += result.n_rejected
-        self.stiff += result.stiff
-        return result.z1, result
-
-    def _param_grad(self, z, state, grad_out):
-        return adjoint_gradient(self.map, z, self.solve_cfg, grad_out,
-                                forward_result=state).grad_params
-
-
-class MlpTransform(_MapWarp):
-    """Residual map z + map(z) used by the continuous-time ablation."""
-
-    def __init__(self, d_z: int, cfg: OdeBlockConfig, seed: int = 0):
-        super().__init__(TanhMap(d_z, cfg.hidden, d_z, seed, "mlp-transform",
-                                 cfg.init_scale), cfg.lr)
+        self.opt = Adam(self._params, lr=cfg.lr)
 
     def forward(self, z: np.ndarray):
         """The warped point and the map's hidden layer."""
         y, h = self.map.forward(z)
         return z + y, h
 
-    def _param_grad(self, z, state, grad_out):
-        return flatten(self.map.vjp(z, state, grad_out)[0])
+    def apply_batch(self, triples) -> None:
+        """One Adam step on the summed gradients of (z, hidden, dL/dwarp(z)) triples.
+
+        Each hidden layer must come from ``forward`` under the current parameters.
+        """
+        grad = np.zeros_like(self._params["phi"])
+        for z, hidden, grad_out in triples:
+            grad += flatten(self.map.vjp(z, hidden, grad_out)[0])
+        self.opt.step({"phi": grad})
 
 
-def make_transform(kind: str, d_z: int, cfg: OdeBlockConfig, seed: int):
-    if kind == "ode":
-        return OdeTransform(d_z, cfg, seed=seed)
-    if kind == "mlp":
-        return MlpTransform(d_z, cfg, seed=seed)
-    if kind == "none":
+def make_transform(d_z: int, cfg: WarpConfig, seed: int):
+    """The configured descriptor warp, or None when ``cfg.kind`` is "none"."""
+    if cfg.kind == "none":
         return None
-    raise ValidationError(f"unknown descriptor transform kind {kind!r}")
+    require(cfg.kind == "mlp", f"warp.kind must be 'mlp' or 'none', got {cfg.kind!r}")
+    return MlpTransform(d_z, cfg, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +447,7 @@ def persist_phase1(artifacts: Phase1Artifacts, outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     cfg = artifacts.cfg
     write_json(outdir / "config.json", {"config": cfg.to_dict(), "hash": cfg.hash()})
-    save_corpus(artifacts.corpus, outdir / "corpus.csv", outdir / "corpus_manifest.json")
+    save_corpus_manifest(artifacts.corpus, outdir / "corpus_manifest.json")
     artifacts.theta_seed.to_csv(outdir / "adapters_seed.csv")
     artifacts.dim_report.to_csv(outdir / "rank_test_eigenvalues.csv")
     artifacts.dim_report_tasks.to_csv(outdir / "rank_test_tasks.csv")
@@ -547,6 +510,18 @@ def _ret_tasks_at_size(artifacts: Phase1Artifacts, tag: str, size: int | None,
     if size is None:
         return tasks
     return [resample_support(artifacts.corpus, t, size, tag=resample_tag) for t in tasks]
+
+
+def _eval_support_size(cfg: RunConfig) -> int | None:
+    """Support size of validation and test episodes (None: the full support).
+
+    With union-of-sizes training and no explicit size it is the smallest
+    training size: the hardest regime drives early stopping and is the
+    reported few-shot operating point.
+    """
+    if cfg.support_size_train is None and cfg.train_sizes:
+        return min(cfg.train_sizes)
+    return cfg.support_size_train
 
 
 def _ret_tasks_union(artifacts: Phase1Artifacts, tag: str, sizes):
@@ -613,24 +588,19 @@ def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
                outdir: Path | None = None, seed: int | None = None) -> Phase2Result:
     """Retrieval training on the anti-leakage splits plus test metrics."""
     seed = cfg.seed if seed is None else seed
-    size = cfg.support_size_train
+    size = _eval_support_size(cfg)
     if cfg.train_sizes:
         train_tasks = _ret_tasks_union(artifacts, "Ret-Train", cfg.train_sizes)
-        # validate and test at the smallest size: the hardest regime drives
-        # early stopping and is the reported few-shot operating point
-        if size is None:
-            size = min(cfg.train_sizes)
-        val_tasks = _ret_tasks_at_size(artifacts, "Ret-Val", size)
     else:
         train_tasks = _ret_tasks_at_size(artifacts, "Ret-Train", size)
-        val_tasks = _ret_tasks_at_size(artifacts, "Ret-Val", size)
+    val_tasks = _ret_tasks_at_size(artifacts, "Ret-Val", size)
     test_tasks = _ret_tasks_at_size(artifacts, "Ret-Test", size)
 
     all_tasks = train_tasks + val_tasks + test_tasks
     descriptors, theta_hats = _prepare_inputs(artifacts, all_tasks)
 
     d_z = descriptors[train_tasks[0].task_id].values.shape[0]
-    transform = make_transform(cfg.ode.kind, d_z, cfg.ode, seed=seed)
+    transform = make_transform(d_z, cfg.warp, seed=seed)
 
     pcfg = _proximal_config(cfg)
     r_keep = _r_keep(cfg, artifacts)
@@ -656,12 +626,11 @@ def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
                        test_labels=test_labels,
                        solver_trace=test_solutions[0].objective_trace)
     if outdir is not None:
-        persist_phase2(cfg, artifacts, out, Path(outdir))
+        persist_phase2(out, Path(outdir))
     return out
 
 
-def persist_phase2(cfg: RunConfig, artifacts: Phase1Artifacts, result: Phase2Result,
-                   outdir: Path) -> None:
+def persist_phase2(result: Phase2Result, outdir: Path) -> None:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_csv(outdir / "training_curve.csv",
@@ -675,17 +644,6 @@ def persist_phase2(cfg: RunConfig, artifacts: Phase1Artifacts, result: Phase2Res
               ["bin", "lo", "hi", "count", "confidence", "frequency"],
               [[r["bin"], r["lo"], r["hi"], r["count"], r["confidence"], r["frequency"]]
                for r in calibration_bins(result.test_probs, result.test_labels)])
-    # periodic diagnostics: memory health plus validation state every period
-    rows = []
-    for row in result.history:
-        if row.epoch % cfg.diag_period == 0:
-            rows.append([row.epoch, artifacts.memory.kappa, artifacts.memory.mu,
-                         artifacts.certificate.eps_hat, artifacts.certificate.eps_upper,
-                         row.val_auc, row.jaccard])
-    write_csv(outdir / "diagnostics.csv",
-              ["epoch", "kappa", "mu", "eps_hat", "eps_upper", "val_auc", "jaccard"],
-              rows)
-
     descriptors_to_csv(result.descriptors, outdir / "descriptors.csv")
 
     # trained retrieval parameters into the run manifest
@@ -694,15 +652,7 @@ def persist_phase2(cfg: RunConfig, artifacts: Phase1Artifacts, result: Phase2Res
     write_csv(outdir / "solver_trace.csv", ["iteration", "objective"],
               list(enumerate(result.solver_trace)))
 
-    log_lines = [f"phase2 stopped at epoch {result.stopped_epoch}"]
-    flow = result.transform
-    if isinstance(flow, OdeTransform) and flow.solves:
-        log_lines.append(
-            f"descriptor flow solver: {flow.solves} solves, "
-            f"mean steps {flow.steps / flow.solves:.1f}, "
-            f"mean rejected {flow.rejected / flow.solves:.2f}, stiff flags {flow.stiff}, "
-            f"settings {flow.solve_cfg.as_log_dict()}")
-    _append(outdir / "run.log", log_lines)
+    _append(outdir / "run.log", [f"phase2 stopped at epoch {result.stopped_epoch}"])
     _append(outdir / "runtime.txt",
             ["split latency accounting (solve plus compose path only)",
              f"per_task_ms test {result.latency_ms:.3f}"])
@@ -767,8 +717,12 @@ def _nearest_centroid_predictions(tasks):
 
 def run_baselines(cfg: RunConfig, artifacts: Phase1Artifacts,
                   outdir: Path | None = None, support_size: int | None = None):
-    """Support-side ridge, nearest-centroid, and the query-trained oracle ridge."""
-    size = support_size if support_size is not None else cfg.support_size_train
+    """Support-side ridge, nearest-centroid, and the query-trained oracle ridge.
+
+    Supports default to phase 2's evaluation size, so the baselines and the
+    retrieval report the same few-shot operating point.
+    """
+    size = support_size if support_size is not None else _eval_support_size(cfg)
     test_tasks = _ret_tasks_at_size(artifacts, "Ret-Test", size)
     fmap = artifacts.corpus.feature_map()
 
@@ -982,16 +936,16 @@ ABLATION_VARIANTS = {
     "fixed_tau": {"fixed_tau": 0.5},
     "bonferroni_only": {"use_storey": False},
     "no_canonicalization": {"canonicalize": False},
-    "mlp_instead_of_ode": {"ode_kind": "mlp"},
+    "no_transform": {"warp_kind": "none"},
 }
 
 
 def ablation_config(cfg: RunConfig, variant: str) -> RunConfig:
     require(variant in ABLATION_VARIANTS, f"unknown ablation variant {variant!r}")
     overrides = dict(ABLATION_VARIANTS[variant])
-    ode_kind = overrides.pop("ode_kind", None)
-    if ode_kind is not None:
-        overrides["ode"] = replace(cfg.ode, kind=ode_kind)
+    warp_kind = overrides.pop("warp_kind", None)
+    if warp_kind is not None:
+        overrides["warp"] = replace(cfg.warp, kind=warp_kind)
     return replace(cfg, **overrides)
 
 

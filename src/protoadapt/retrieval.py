@@ -393,7 +393,7 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
     """Unrolled training of the retrieval network on the outer objective.
 
     Per task: forward the descriptor through the net (optionally through a
-    continuous-time transform first), run the unrolled proximal solve, apply
+    descriptor warp first), run the unrolled proximal solve, apply
     the straight-through hard top-r mask, evaluate the outer objective on
     the query set, and backpropagate through every solver iteration back to
     the network parameters. Early stopping combines a validation-score

@@ -366,12 +366,19 @@ def save_corpus(corpus: Corpus, csv_path, manifest_path=None) -> None:
                 cells += [f"{v:.12g}" for v in row]
                 lines.append(",".join(cells))
     csv_path.write_text("\n".join(lines) + "\n")
-
     if manifest_path is not None:
-        manifest = {
-            "config": {k: (list(v) if isinstance(v, tuple) else v)
-                       for k, v in vars(corpus.cfg).items()},
-            "partition": {t.task_id: t.partition for t in corpus.tasks},
-            "clusters": {t.task_id: t.cluster_id for t in corpus.tasks},
-        }
-        write_json(manifest_path, manifest)
+        save_corpus_manifest(corpus, manifest_path)
+
+
+def save_corpus_manifest(corpus: Corpus, path) -> None:
+    """The generator config plus each task's partition and cluster tags.
+
+    ``generate_corpus(GeneratorConfig(**manifest["config"]))`` rebuilds every
+    task array bit for bit, so the manifest stands in for the sample CSV.
+    """
+    write_json(path, {
+        "config": {k: (list(v) if isinstance(v, tuple) else v)
+                   for k, v in vars(corpus.cfg).items()},
+        "partition": {t.task_id: t.partition for t in corpus.tasks},
+        "clusters": {t.task_id: t.cluster_id for t in corpus.tasks},
+    })

@@ -7,16 +7,14 @@ import pytest
 
 from protoadapt import pipeline, retrieval
 from protoadapt.metrics import compute_metrics
-from protoadapt.node import integrate
 from protoadapt.pipeline import (
     ABLATION_VARIANTS,
     DEFAULT_K_GRID,
     DEFAULT_LAMBDA_GRID,
     DEFAULT_SEEDS,
     MlpTransform,
-    OdeTransform,
-    OdeBlockConfig,
     RunConfig,
+    WarpConfig,
     ablation_config,
     desk_config,
     emit_report,
@@ -32,7 +30,7 @@ from protoadapt.pipeline import (
     run_riskbound,
     run_support_sweep,
 )
-from protoadapt.synthdata import GeneratorConfig
+from protoadapt.synthdata import GeneratorConfig, generate_corpus
 from protoadapt.util import ValidationError
 
 
@@ -87,6 +85,19 @@ class TestDefaults:
         with pytest.raises(ValidationError, match=name):
             cfg.validate()
 
+    def test_removed_diag_period_key_is_rejected(self):
+        blob = desk_config().to_dict()
+        blob["diag_period"] = 25
+        with pytest.raises(TypeError, match="diag_period"):
+            RunConfig.from_dict(blob)
+
+    def test_removed_ode_key_is_rejected(self):
+        blob = desk_config().to_dict()
+        blob["ode"] = {"kind": "ode", "hidden": 8, "t1": 1.0, "rtol": 1e-5,
+                       "atol": 1e-7, "lr": 1e-3, "init_scale": 0.1}
+        with pytest.raises(TypeError, match="ode"):
+            RunConfig.from_dict(blob)
+
     def test_removed_plant_rate_key_is_rejected(self):
         blob = desk_config().to_dict()
         blob["motifs"]["plant_rate"] = 0.6
@@ -98,7 +109,7 @@ class TestDefaults:
         ("batch_size", 0),
         ("t_prox", 0),
         ("t_prox", retrieval.MAX_UNROLL + 1),
-        ("ode.kind", "spline"),
+        ("warp.kind", "spline"),
         ("support_size_train", 1),
         ("train_sizes", (5, 1)),
         ("support_sizes_eval", (1, 5)),
@@ -107,8 +118,8 @@ class TestDefaults:
     ])
     def test_bad_field_is_rejected_naming_it(self, name, value):
         cfg = tiny_config()
-        if name == "ode.kind":
-            cfg = replace(cfg, ode=replace(cfg.ode, kind=value))
+        if name == "warp.kind":
+            cfg = replace(cfg, warp=replace(cfg.warp, kind=value))
         else:
             cfg = replace(cfg, **{name: value})
         with pytest.raises(ValidationError, match=name):
@@ -136,11 +147,26 @@ class TestPhase1(object):
     def test_persisted_bundle(self, tmp_path):
         cfg = tiny_config()
         run_phase1(cfg, outdir=tmp_path)
-        for name in ("config.json", "corpus.csv", "adapters_seed.csv",
+        for name in ("config.json", "corpus_manifest.json", "adapters_seed.csv",
                      "rank_test_eigenvalues.csv", "rank_test_tasks.csv",
                      "rank_sequential.csv", "rank_curve.csv", "memory.csv",
                      "memory.json", "phase1_summary.json"):
             assert (tmp_path / name).exists(), name
+        assert not (tmp_path / "corpus.csv").exists()
+
+    def test_manifest_rebuilds_the_corpus(self, tiny_artifacts, tmp_path):
+        cfg, art = tiny_artifacts
+        persist_phase1(art, tmp_path)
+        manifest = json.loads((tmp_path / "corpus_manifest.json").read_text())
+        rebuilt = generate_corpus(GeneratorConfig(**manifest["config"]))
+        assert [t.task_id for t in rebuilt.tasks] == [t.task_id for t in art.corpus.tasks]
+        for again, task in zip(rebuilt.tasks, art.corpus.tasks):
+            for name in ("support_x", "support_y", "query_x", "query_y", "theta_true"):
+                a, b = getattr(again, name), getattr(task, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (task.task_id, name)
+        assert manifest["partition"] == {t.task_id: t.partition for t in art.corpus.tasks}
+        assert manifest["clusters"] == {t.task_id: t.cluster_id for t in art.corpus.tasks}
+        assert set(manifest["partition"].values()) >= {"Pre-Seed", "Ret-Train", "Ret-Test"}
 
     def test_persist_only_writes(self, tiny_artifacts, tmp_path, monkeypatch):
         cfg, art = tiny_artifacts
@@ -151,7 +177,7 @@ class TestPhase1(object):
         for name in ("rank_curve", "generate_corpus", "cluster_prototypes"):
             monkeypatch.setattr(pipeline, name, forbidden)
         persist_phase1(art, tmp_path)
-        for name in ("config.json", "corpus.csv", "adapters_seed.csv",
+        for name in ("config.json", "corpus_manifest.json", "adapters_seed.csv",
                      "rank_test_eigenvalues.csv", "rank_test_tasks.csv",
                      "rank_sequential.csv", "rank_curve.csv", "memory.csv",
                      "memory.json", "phase1_summary.json"):
@@ -175,7 +201,7 @@ class TestPhase2:
         assert (tmp_path / "training_curve.csv").exists()
         assert (tmp_path / "metrics.csv").exists()
         assert (tmp_path / "calibration_bins.csv").exists()
-        assert (tmp_path / "diagnostics.csv").exists()
+        assert not (tmp_path / "diagnostics.csv").exists()
         net = json.loads((tmp_path / "retrieval_net.json").read_text())
         assert len(net["w1"]) == 32
         # latency numbers stay out of the CSVs
@@ -192,11 +218,11 @@ class TestPhase2:
         for name in ("solve_proximal", "predict_task"):
             monkeypatch.setattr(retrieval, name, forbidden)
         for name in ("predict_tasks", "sweep_lambda_eta", "build_descriptor",
-                     "ridge_adapter", "resample_support", "integrate"):
+                     "ridge_adapter", "resample_support"):
             monkeypatch.setattr(pipeline, name, forbidden)
-        persist_phase2(cfg, art, result, tmp_path)
+        persist_phase2(result, tmp_path)
         for name in ("training_curve.csv", "metrics.csv", "calibration_bins.csv",
-                     "diagnostics.csv", "descriptors.csv", "solver_trace.csv",
+                     "descriptors.csv", "solver_trace.csv",
                      "retrieval_net.json", "run.log", "runtime.txt"):
             assert (tmp_path / name).exists(), name
         # the penalty sweep is a step of its own
@@ -226,29 +252,19 @@ class TestPhase2:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_transforms(self):
-        ode = make_transform("ode", 6, OdeBlockConfig(hidden=4), seed=0)
-        mlp = make_transform("mlp", 6, OdeBlockConfig(hidden=4), seed=0)
-        none = make_transform("none", 6, OdeBlockConfig(), seed=0)
+        mlp = make_transform(6, WarpConfig(hidden=4), seed=0)
+        none = make_transform(6, WarpConfig(kind="none"), seed=0)
         z = np.linspace(-1, 1, 6)
-        assert isinstance(ode, OdeTransform) and ode.forward(z)[0].shape == (6,)
         assert isinstance(mlp, MlpTransform) and mlp.forward(z)[0].shape == (6,)
         assert none is None
         # near-identity initialization keeps the warp gentle
-        assert np.linalg.norm(ode.forward(z)[0] - z) < 1.0
-
-    def test_flow_solver_totals_count_every_solve(self):
-        ode = make_transform("ode", 6, OdeBlockConfig(hidden=4, init_scale=1.0), seed=0)
-        inputs = np.random.default_rng(0).normal(size=(1001, 6))
-        for z in inputs:
-            ode.forward(z)
-        direct = [integrate(ode.map, z, ode.solve_cfg) for z in inputs]
-        assert ode.solves == len(inputs)
-        assert ode.steps == sum(r.n_steps for r in direct)
-        assert ode.rejected == sum(r.n_rejected for r in direct) > 0
-        assert ode.stiff == sum(r.stiff for r in direct)
+        assert np.linalg.norm(mlp.forward(z)[0] - z) < 1.0
+        assert RunConfig().warp.kind == "mlp"
+        with pytest.raises(ValidationError, match="warp.kind"):
+            make_transform(6, WarpConfig(kind="ode"), seed=0)
 
     def test_mlp_transform_learns(self):
-        mlp = MlpTransform(4, OdeBlockConfig(hidden=4, lr=0.05), seed=1)
+        mlp = MlpTransform(4, WarpConfig(hidden=4, lr=0.05), seed=1)
         z = np.ones(4)
         before = mlp.forward(z)[0].copy()
         for _ in range(30):
@@ -267,6 +283,16 @@ class TestBaselinesAndSweeps:
         runtime = (tmp_path / "runtime.txt").read_text()
         assert "per_task_ms" in runtime and "peak_memory_bytes" in runtime
         assert (tmp_path / "baselines.csv").exists()
+
+    def test_fewshot_baselines_use_the_phase2_support_size(self):
+        cfg = fewshot_benchmark_config()
+        assert cfg.support_size_train is None and min(cfg.train_sizes) == 5
+        art = run_phase1(cfg)
+        default = run_baselines(cfg, art)
+        at_five = run_baselines(cfg, art, support_size=5)
+        assert set(default) == set(at_five)
+        for name, (rec, _) in default.items():
+            assert rec.row() == at_five[name][0].row(), name
 
     def test_one_cluster_corpus_centroid_near_chance(self):
         cfg = tiny_config()
@@ -312,13 +338,13 @@ class TestAblations:
         assert ablation_config(cfg, "gamma_zero").gamma == 0.0
         assert ablation_config(cfg, "soft_l1_only").hard_threshold is False
         assert ablation_config(cfg, "no_canonicalization").canonicalize is False
-        assert ablation_config(cfg, "mlp_instead_of_ode").ode.kind == "mlp"
+        assert ablation_config(cfg, "no_transform").warp.kind == "none"
         assert ablation_config(cfg, "fixed_tau").fixed_tau == 0.5
         assert ablation_config(cfg, "bonferroni_only").use_storey is False
         assert set(ABLATION_VARIANTS) >= {"full", "fixed_r", "soft_l1_only",
                                           "gamma_zero", "fixed_tau",
                                           "bonferroni_only", "no_canonicalization",
-                                          "mlp_instead_of_ode"}
+                                          "no_transform"}
 
     def test_single_prototype_memory_degenerates(self):
         cfg = tiny_config(k_grid=(1,))
