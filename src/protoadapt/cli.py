@@ -99,9 +99,8 @@ def cmd_motifs(args):
     print(f"screened {report.screened.size} channels; "
           f"pi0 = {report.pi0.pi0:.3f} {report.pi0.ci90}")
     for cal in calibrations:
-        if cal is not None:
-            print(f"{cal.cohort}: tau_bar {cal.tau_bar:.3f} |t| {cal.t_abs:.2f} "
-                  f"pass {cal.passed}")
+        print(f"{cal.cohort}: tau_bar {cal.tau_bar:.3f} |t| {cal.t_abs:.2f} "
+              f"pass {cal.passed}")
 
 
 def cmd_riskbound(args):

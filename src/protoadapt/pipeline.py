@@ -53,13 +53,10 @@ from .riskbound import check_bounds_over_tasks, feature_radius_of, lipschitz_con
 from .spectral import (
     TaskGradientSummary,
     corpus_fisher_matrix,
-    corpus_fisher_spectrum,
-    fisher_energy_test,
     fisher_energy_test_tasks,
     jl_outside_energy,
     pca_rank,
     rank_curve,
-    sequential_r_selection,
 )
 from .synthdata import (
     GeneratorConfig,
@@ -76,6 +73,9 @@ DEFAULT_K_GRID = (50, 100, 200)
 DEFAULT_LAMBDA_GRID = (1e-6, 1e-5, 1e-4, 1e-3)
 DEFAULT_SEEDS = (42, 2023, 777)
 DEFAULT_SUPPORT_SIZES = (5, 10, 20, 50)
+# prior weight decays as support evidence grows: the effective proximity
+# coefficient is gamma * GAMMA_REF_SIZE / n_support
+GAMMA_REF_SIZE = 5
 
 
 @dataclass
@@ -128,7 +128,6 @@ class RunConfig:
     # penalty is alpha * n_support, keeping the shrinkage ratio constant
     # across support sizes); tuned on validation splits
     ridge_alpha_retrieval: float = 0.2
-    r_sparse: int | None = None
     coverage_n_boot: int = 1000
     dim_n_boot: int = 1000
     mu_threshold: float = 0.95
@@ -140,11 +139,8 @@ class RunConfig:
     lam: float = 1e-4
     lam_grid: tuple = DEFAULT_LAMBDA_GRID
     gamma: float = 0.1
-    # prior weight decays as support evidence grows: the effective proximity
-    # coefficient is gamma * gamma_ref_size / n_support (disabled when None)
-    gamma_ref_size: int | None = 5
     eta: float = 0.01
-    r_keep: int | None = None           # None: use the selected rank
+    r_keep: int | None = None           # None: min(selected rank, K); see _r_keep
     t_prox: int = 10
     solver_tol: float = 1e-9
     hard_threshold: bool = True         # ablation C: soft-only when False
@@ -161,8 +157,6 @@ class RunConfig:
     # descriptor warp and motifs
     warp: WarpConfig = field(default_factory=WarpConfig)
     motifs: MotifRunConfig = field(default_factory=MotifRunConfig)
-    fixed_tau: float | None = None      # ablation E: skip calibration
-    use_storey: bool = True             # ablation F: Bonferroni-only when False
 
     def validate(self) -> None:
         self.generator.validate()
@@ -305,6 +299,15 @@ def make_transform(d_z: int, cfg: WarpConfig, seed: int):
 # Phase 1
 # ---------------------------------------------------------------------------
 
+def _r_keep(cfg: RunConfig, r: int, k: int) -> int:
+    """The operating sparsity: the configured ``r_keep``, else min(r, K).
+
+    The hard top-r rule keeps this many activations; phase 1 merges and
+    certifies coverage at it too.
+    """
+    return cfg.r_keep if cfg.r_keep is not None else min(r, k)
+
+
 @dataclass
 class Phase1Artifacts:
     cfg: RunConfig
@@ -313,9 +316,7 @@ class Phase1Artifacts:
     theta_seed: object
     theta_pre: object
     rank_selected: int
-    dim_report: object
     dim_report_tasks: object
-    sequential: object
     rank_curve: list
     jl_report: object
     memory: object
@@ -328,7 +329,11 @@ class Phase1Artifacts:
 
 
 def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
-    """Memory construction: adapters, rank tests, clustering, certificate."""
+    """Memory construction: adapters, rank rule and check, clustering, certificate.
+
+    ``pca_rank`` sets the rank; the task-resampling Fisher test is recorded as
+    the check against it.
+    """
     cfg.validate()
     notes: list[str] = []
     corpus = generate_corpus(cfg.generator)
@@ -356,19 +361,10 @@ def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
     else:
         r_selected = pca_rank(theta_seed, cfg.rho)
 
-    spectrum = corpus_fisher_spectrum(seed_tasks, fmap)
-    dim_report = fisher_energy_test(spectrum, r_center=r_selected,
-                                    n_boot=cfg.dim_n_boot, seed=cfg.seed)
     summaries = [TaskGradientSummary.from_task(t, fmap) for t in seed_tasks]
     dim_report_tasks = fisher_energy_test_tasks(summaries, r_center=r_selected,
                                                 n_boot=cfg.dim_n_boot, seed=cfg.seed)
-    sequential = sequential_r_selection(theta_seed, r_center=r_selected,
-                                        n_boot=cfg.dim_n_boot, seed=cfg.seed)
     curve = rank_curve(theta_seed, cfg.rho_list, seed=cfg.seed)
-    if dim_report.selected_r is None:
-        notes.append("eigenvalue-resampling energy test did not reject at any "
-                     "candidate (expected on spiked spectra); task-resampling "
-                     f"variant selected r={dim_report_tasks.selected_r}")
 
     canon = (fit_canonicalizer(theta_seed) if cfg.canonicalize
              else Canonicalizer.identity(theta_seed.d_theta))
@@ -404,19 +400,27 @@ def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
     memory = candidates[0][3]
     k_chosen = memory.K
 
+    def fit_sparsity(k):
+        # the retrieval's operating sparsity, within what l0_fit accepts
+        return min(_r_keep(cfg, r_selected, k), r_selected, k)
+
     merge_log = []
     if memory.mu > cfg.mu_threshold or memory.kappa > cfg.kappa_threshold:
         memory, merge_log = merge_prototypes(memory, cfg.mu_threshold,
                                              cfg.kappa_threshold,
                                              theta_pre=theta_pre,
-                                             r_sparse=cfg.r_sparse or r_selected)
+                                             r_sparse=fit_sparsity(memory.K))
         notes.append(f"prototype merging triggered: {len(merge_log)} merges, "
                      f"K {k_chosen} -> {memory.K}")
 
     memory.freeze()
     certificate = coverage_certificate(memory, theta_pre,
-                                       r_sparse=cfg.r_sparse or min(r_selected, memory.K),
+                                       r_sparse=fit_sparsity(memory.K),
                                        n_boot=cfg.coverage_n_boot, seed=cfg.seed)
+    if certificate.r_sparse == r_selected:
+        notes.append(f"coverage certified at sparsity r={r_selected}: r prototypes "
+                     "span the r-dimensional projected space, so the fit is exact "
+                     "and eps_upper is zero up to rounding")
 
     probe = ProbeHead.create(cfg.generator.d_theta, seed=cfg.seed)
     # standardization statistics must match the support sizes the retrieval
@@ -431,8 +435,8 @@ def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
 
     artifacts = Phase1Artifacts(
         cfg=cfg, corpus=corpus, partition=partition, theta_seed=theta_seed,
-        theta_pre=theta_pre, rank_selected=r_selected, dim_report=dim_report,
-        dim_report_tasks=dim_report_tasks, sequential=sequential, rank_curve=curve,
+        theta_pre=theta_pre, rank_selected=r_selected,
+        dim_report_tasks=dim_report_tasks, rank_curve=curve,
         jl_report=jl_report, memory=memory, certificate=certificate,
         probe=probe, standardizer=standardizer, merge_log=merge_log,
         k_chosen=k_chosen, notes=notes,
@@ -449,12 +453,7 @@ def persist_phase1(artifacts: Phase1Artifacts, outdir: Path) -> None:
     write_json(outdir / "config.json", {"config": cfg.to_dict(), "hash": cfg.hash()})
     save_corpus_manifest(artifacts.corpus, outdir / "corpus_manifest.json")
     artifacts.theta_seed.to_csv(outdir / "adapters_seed.csv")
-    artifacts.dim_report.to_csv(outdir / "rank_test_eigenvalues.csv")
     artifacts.dim_report_tasks.to_csv(outdir / "rank_test_tasks.csv")
-    write_csv(outdir / "rank_sequential.csv",
-              ["r", "mean_improvement", "p_value", "significant"],
-              [[rec.r, rec.mean_improvement, rec.p_value, rec.significant]
-               for rec in artifacts.sequential.records])
     write_csv(outdir / "rank_curve.csv", ["n_tasks", "rho", "r"],
               [[row["n_tasks"], row["rho"], row["r"]] for row in artifacts.rank_curve])
     if artifacts.jl_report is not None:
@@ -472,8 +471,6 @@ def persist_phase1(artifacts: Phase1Artifacts, outdir: Path) -> None:
     write_json(outdir / "phase1_summary.json", {
         "rank_selected": artifacts.rank_selected,
         "fisher_selected_tasks": artifacts.dim_report_tasks.selected_r,
-        "fisher_selected_eigenvalues": artifacts.dim_report.selected_r,
-        "sequential_selected": artifacts.sequential.selected_r,
         "k_chosen": artifacts.k_chosen,
         "k_final": artifacts.memory.K,
         "kappa": None if np.isinf(artifacts.memory.kappa) else artifacts.memory.kappa,
@@ -549,22 +546,12 @@ def _prepare_inputs(artifacts: Phase1Artifacts, tasks):
 
 def _proximal_config(cfg: RunConfig):
     """Per-task solver settings; the proximity weight scales with evidence."""
-    if cfg.gamma_ref_size is None:
-        return ProximalConfig(lam=cfg.lam, gamma=cfg.gamma, t_prox=cfg.t_prox,
-                              tol=cfg.solver_tol)
-
     def factory(task):
-        gamma = cfg.gamma * cfg.gamma_ref_size / max(task.n_support, 1)
+        gamma = cfg.gamma * GAMMA_REF_SIZE / max(task.n_support, 1)
         return ProximalConfig(lam=cfg.lam, gamma=gamma, t_prox=cfg.t_prox,
                               tol=cfg.solver_tol)
 
     return factory
-
-
-def _r_keep(cfg: RunConfig, artifacts: Phase1Artifacts) -> int:
-    """Activations kept by the hard top-r rule: the configured or the selected rank."""
-    return cfg.r_keep if cfg.r_keep is not None else min(artifacts.rank_selected,
-                                                         artifacts.memory.K)
 
 
 def _append(path: Path, lines) -> None:
@@ -603,7 +590,7 @@ def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
     transform = make_transform(d_z, cfg.warp, seed=seed)
 
     pcfg = _proximal_config(cfg)
-    r_keep = _r_keep(cfg, artifacts)
+    r_keep = _r_keep(cfg, artifacts.rank_selected, artifacts.memory.K)
     tcfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
                        weight_decay=cfg.weight_decay, patience=cfg.patience,
                        jaccard_min=cfg.jaccard_min, seed=seed, r_keep=r_keep,
@@ -666,7 +653,8 @@ def run_penalty_sweep(cfg: RunConfig, artifacts: Phase1Artifacts, phase2: Phase2
                                artifacts.memory, phase2.net, phase2.descriptors,
                                phase2.theta_hats,
                                _pcfg_lookup(_proximal_config(cfg))(val_tasks[0]),
-                               _r_keep(cfg, artifacts), artifacts.corpus.feature_map(),
+                               _r_keep(cfg, artifacts.rank_selected, artifacts.memory.K),
+                               artifacts.corpus.feature_map(),
                                transform=phase2.transform)
     if outdir is not None:
         write_csv(Path(outdir) / "sweep_lambda_eta.csv",
@@ -762,7 +750,7 @@ def run_support_sweep(cfg: RunConfig, artifacts: Phase1Artifacts, phase2: Phase2
     """Test metrics across support sizes with the trained retrieval net."""
     sizes = tuple(sizes if sizes is not None else cfg.support_sizes_eval)
     pcfg = _proximal_config(cfg)
-    r_keep = _r_keep(cfg, artifacts)
+    r_keep = _r_keep(cfg, artifacts.rank_selected, artifacts.memory.K)
     rows = []
     for size in sizes:
         tasks = _ret_tasks_at_size(artifacts, "Ret-Test", size)
@@ -849,33 +837,24 @@ def run_motifs(cfg: RunConfig, outdir: Path | None = None):
         repertoires = pos_reps + neg_reps
         labels = np.array([1] * mcfg.n_pos + [0] * mcfg.n_neg)
         activations = channel_activations(channels, repertoires)
-
-        if cfg.fixed_tau is not None:
-            calibrations.append(None)
-        else:
-            calibrations.append(calibrate_tau(activations, labels, cohort=cohort,
-                                              seed=cfg.seed))
+        calibrations.append(calibrate_tau(activations, labels, cohort=cohort,
+                                          seed=cfg.seed))
         if c_i == 0:
             report = motif_test_report(channels, repertoires, background,
                                        top_frac=mcfg.top_frac, b_min=mcfg.b_min,
                                        b_max=mcfg.b_max,
                                        null_pool_size=mcfg.null_pool_size,
                                        seed=cfg.seed)
-            if not cfg.use_storey:
-                # ablation: familywise Bonferroni instead of the q-value path
-                m = report.p_values.size
-                report.q_values = np.minimum(1.0, report.p_values * m)
 
     if outdir is not None:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        if cfg.fixed_tau is None:
-            write_csv(outdir / "threshold_calibration.csv",
-                      ["cohort", "tau_bar", "se", "t_abs", "p_value", "delta_auc",
-                       "pass", "zero_variance", "retries"],
-                      [[c.cohort, c.tau_bar, c.se, c.t_abs, c.p_value, c.delta_auc,
-                        c.passed, c.zero_variance, c.n_retries]
-                       for c in calibrations])
+        write_csv(outdir / "threshold_calibration.csv",
+                  ["cohort", "tau_bar", "se", "t_abs", "p_value", "delta_auc",
+                   "pass", "zero_variance", "retries"],
+                  [[c.cohort, c.tau_bar, c.se, c.t_abs, c.p_value, c.delta_auc,
+                    c.passed, c.zero_variance, c.n_retries]
+                   for c in calibrations])
         write_csv(outdir / "motif_tests.csv",
                   ["channel", "p_value", "q_value", "b_used"],
                   [[int(ch), p, q, int(b)] for ch, p, q, b in
@@ -892,7 +871,6 @@ def run_motifs(cfg: RunConfig, outdir: Path | None = None):
             "pi0_ci90": list(report.pi0.ci90),
             "screened": int(report.screened.size),
             "significant_at_q10": int(report.significant(0.1).size),
-            "fixed_tau": cfg.fixed_tau,
         })
     return calibrations, report
 
@@ -933,8 +911,6 @@ ABLATION_VARIANTS = {
     "fixed_r": {"fixed_r": 5},
     "soft_l1_only": {"hard_threshold": False},
     "gamma_zero": {"gamma": 0.0},
-    "fixed_tau": {"fixed_tau": 0.5},
-    "bonferroni_only": {"use_storey": False},
     "no_canonicalization": {"canonicalize": False},
     "no_transform": {"warp_kind": "none"},
 }

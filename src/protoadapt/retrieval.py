@@ -480,27 +480,27 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
 def sweep_lambda_eta(lam_grid, eta_grid, tasks, memory, net, descriptors,
                      theta_hats, pcfg_base: ProximalConfig, r_keep, feature_map,
                      transform=None, budget=None):
-    """Validation surface over (lam, eta): pooled AUC and sparsity averages."""
+    """Validation surface over (lam, eta): pooled AUC and sparsity averages.
+
+    eta enters only the outer objective, not the solve, so each lam is solved
+    once and every eta is scored on those solutions.
+    """
     require(len(lam_grid) >= 1 and len(eta_grid) >= 1, "grids must be nonempty")
     rows = []
     for lam in lam_grid:
+        pcfg = replace(pcfg_base, lam=lam)
+        probs, labels, solutions = predict_tasks(tasks, memory, net, descriptors,
+                                                 theta_hats, pcfg, r_keep, feature_map,
+                                                 transform=transform, budget=budget)
+        auc = rank_auc_or_nan(probs, labels)
+        mean_l0_pre = float(np.mean([np.sum(s.w > 1e-10) for s in solutions]))
+        mean_l0_post = float(np.mean([np.sum(s.w_tilde > 1e-10) for s in solutions]))
+        adapters = [compose_adapter(memory, s.w_tilde) for s in solutions]
         for eta in eta_grid:
-            pcfg = replace(pcfg_base, lam=lam)
-            probs, labels, solutions = predict_tasks(tasks, memory, net, descriptors,
-                                                     theta_hats, pcfg, r_keep, feature_map,
-                                                     transform=transform, budget=budget)
-            objective = []
-            for task, solution in zip(tasks, solutions):
-                adapter = compose_adapter(memory, solution.w_tilde)
-                total, _ = outer_objective(task.query_x, task.query_y, adapter,
-                                           solution.w_tilde, lam, eta, feature_map)
-                objective.append(total)
-            rows.append({
-                "lam": lam, "eta": eta,
-                "auc": rank_auc_or_nan(probs, labels),
-                "mean_l0_pre": float(np.mean([np.sum(s.w > 1e-10) for s in solutions])),
-                "mean_l0_post": float(np.mean([np.sum(s.w_tilde > 1e-10)
-                                               for s in solutions])),
-                "mean_objective": float(np.mean(objective)),
-            })
+            objective = [outer_objective(task.query_x, task.query_y, adapter,
+                                         solution.w_tilde, lam, eta, feature_map)[0]
+                         for task, solution, adapter in zip(tasks, solutions, adapters)]
+            rows.append({"lam": lam, "eta": eta, "auc": auc, "mean_l0_pre": mean_l0_pre,
+                         "mean_l0_post": mean_l0_post,
+                         "mean_objective": float(np.mean(objective))})
     return rows

@@ -98,6 +98,18 @@ class TestDefaults:
         with pytest.raises(TypeError, match="ode"):
             RunConfig.from_dict(blob)
 
+    @pytest.mark.parametrize("key,value", [
+        ("r_sparse", 2),
+        ("gamma_ref_size", 5),
+        ("fixed_tau", 0.5),
+        ("use_storey", False),
+    ])
+    def test_removed_memory_and_motif_key_is_rejected(self, key, value):
+        blob = desk_config().to_dict()
+        blob[key] = value
+        with pytest.raises(TypeError, match=key):
+            RunConfig.from_dict(blob)
+
     def test_removed_plant_rate_key_is_rejected(self):
         blob = desk_config().to_dict()
         blob["motifs"]["plant_rate"] = 0.6
@@ -135,7 +147,6 @@ class TestPhase1(object):
         assert art.certificate is art.memory.certificate
         assert art.rank_selected >= 1
         assert art.memory.K <= max(cfg.k_grid)
-        assert art.dim_report.mode == "eigenvalues"
         assert art.dim_report_tasks.mode == "tasks"
 
     def test_k_grid_filtered_with_note(self):
@@ -148,8 +159,7 @@ class TestPhase1(object):
         cfg = tiny_config()
         run_phase1(cfg, outdir=tmp_path)
         for name in ("config.json", "corpus_manifest.json", "adapters_seed.csv",
-                     "rank_test_eigenvalues.csv", "rank_test_tasks.csv",
-                     "rank_sequential.csv", "rank_curve.csv", "memory.csv",
+                     "rank_test_tasks.csv", "rank_curve.csv", "memory.csv",
                      "memory.json", "phase1_summary.json"):
             assert (tmp_path / name).exists(), name
         assert not (tmp_path / "corpus.csv").exists()
@@ -178,12 +188,42 @@ class TestPhase1(object):
             monkeypatch.setattr(pipeline, name, forbidden)
         persist_phase1(art, tmp_path)
         for name in ("config.json", "corpus_manifest.json", "adapters_seed.csv",
-                     "rank_test_eigenvalues.csv", "rank_test_tasks.csv",
-                     "rank_sequential.csv", "rank_curve.csv", "memory.csv",
+                     "rank_test_tasks.csv", "rank_curve.csv", "memory.csv",
                      "memory.json", "phase1_summary.json"):
             assert (tmp_path / name).exists(), name
         rows = (tmp_path / "rank_curve.csv").read_text().splitlines()
         assert len(rows) == 1 + len(art.rank_curve)
+
+    def test_one_rank_test_on_disk(self, tiny_artifacts, tmp_path):
+        cfg, art = tiny_artifacts
+        persist_phase1(art, tmp_path)
+        summary = json.loads((tmp_path / "phase1_summary.json").read_text())
+        assert summary["fisher_selected_tasks"] == art.dim_report_tasks.selected_r
+        for name in ("rank_test_eigenvalues.csv", "rank_sequential.csv"):
+            assert not (tmp_path / name).exists(), name
+        for key in ("fisher_selected_eigenvalues", "sequential_selected"):
+            assert key not in summary
+
+    def test_certificate_at_the_retrieval_operating_point(self, tiny_artifacts):
+        # K = 3 < r here: the certificate fits at K atoms and is not exact
+        cfg, art = tiny_artifacts
+        assert art.memory.K < art.rank_selected
+        assert art.certificate.r_sparse == pipeline._r_keep(cfg, art.rank_selected,
+                                                            art.memory.K)
+        assert not any("certified at sparsity" in n for n in art.notes)
+        cfg = desk_config(seed=42)
+        art = run_phase1(cfg)
+        r_keep = pipeline._r_keep(cfg, art.rank_selected, art.memory.K)
+        assert art.certificate.r_sparse == r_keep == art.rank_selected
+        assert any("certified at sparsity" in n for n in art.notes)
+        assert art.certificate.eps_upper < 1e-9
+
+    def test_certificate_follows_r_keep(self):
+        art = run_phase1(replace(desk_config(seed=42), r_keep=1))
+        assert art.rank_selected > 1
+        assert art.certificate.r_sparse == 1
+        assert art.certificate.eps_upper > 0.5
+        assert not any("certified at sparsity" in n for n in art.notes)
 
     def test_fixed_r_ablation(self):
         cfg = tiny_config(fixed_r=3)
@@ -339,11 +379,8 @@ class TestAblations:
         assert ablation_config(cfg, "soft_l1_only").hard_threshold is False
         assert ablation_config(cfg, "no_canonicalization").canonicalize is False
         assert ablation_config(cfg, "no_transform").warp.kind == "none"
-        assert ablation_config(cfg, "fixed_tau").fixed_tau == 0.5
-        assert ablation_config(cfg, "bonferroni_only").use_storey is False
         assert set(ABLATION_VARIANTS) >= {"full", "fixed_r", "soft_l1_only",
-                                          "gamma_zero", "fixed_tau",
-                                          "bonferroni_only", "no_canonicalization",
+                                          "gamma_zero", "no_canonicalization",
                                           "no_transform"}
 
     def test_single_prototype_memory_degenerates(self):

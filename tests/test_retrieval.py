@@ -20,6 +20,7 @@ from protoadapt.retrieval import (
     entropy_of,
     hard_top_r,
     outer_objective,
+    predict_tasks,
     residual_change,
     retrieve,
     softmax,
@@ -29,6 +30,7 @@ from protoadapt.retrieval import (
     _outer_gradient_w,
     _SolveTape,
 )
+from protoadapt.metrics import rank_auc_or_nan
 from protoadapt.util import ValidationError, sigmoid
 
 
@@ -546,3 +548,56 @@ class TestSweep:
                                  budget=3000)
         assert again[0]["auc"] == rows[1]["auc"]
         assert again[0]["mean_l0_pre"] == rows[1]["mean_l0_pre"]
+
+    def test_one_solve_per_lambda_matches_double_loop(self):
+        rng = np.random.default_rng(17)
+        memory = make_memory(rng.normal(size=(5, 4)))
+
+        class _T:
+            pass
+
+        tasks, descs, thetas = [], {}, {}
+        for i in range(6):
+            t = _T()
+            t.task_id = f"e{i}"
+            t.query_x = rng.normal(size=(7, 4))
+            t.query_y = np.array([0, 1, 1, 0, 1, 0, 0])
+            tasks.append(t)
+            descs[t.task_id] = type("D", (), {"values": rng.normal(size=3)})()
+            thetas[t.task_id] = rng.normal(size=4)
+
+        net = RetrievalNet(d_z=3, k=5, seed=4)
+        pcfg = ProximalConfig(lam=0.0, gamma=0.1, t_prox=12)
+        lam_grid, eta_grid = [1e-4, 1e-2, 0.3], [0.0, 0.01, 0.5]
+        rows = sweep_lambda_eta(lam_grid, eta_grid, tasks, memory, net, descs, thetas,
+                                pcfg, r_keep=3, feature_map=identity_map)
+        oracle = _sweep_double_loop(lam_grid, eta_grid, tasks, memory, net, descs,
+                                    thetas, pcfg, 3, identity_map)
+        assert len({row["mean_objective"] for row in rows}) == len(rows)
+        assert rows == oracle
+
+
+def _sweep_double_loop(lam_grid, eta_grid, tasks, memory, net, descriptors, theta_hats,
+                       pcfg_base, r_keep, feature_map):
+    """The sweep as it was: one full solve per (lam, eta) pair, kept as the oracle."""
+    rows = []
+    for lam in lam_grid:
+        for eta in eta_grid:
+            pcfg = dataclasses.replace(pcfg_base, lam=lam)
+            probs, labels, solutions = predict_tasks(tasks, memory, net, descriptors,
+                                                     theta_hats, pcfg, r_keep, feature_map)
+            objective = []
+            for task, solution in zip(tasks, solutions):
+                adapter = compose_adapter(memory, solution.w_tilde)
+                total, _ = outer_objective(task.query_x, task.query_y, adapter,
+                                           solution.w_tilde, lam, eta, feature_map)
+                objective.append(total)
+            rows.append({
+                "lam": lam, "eta": eta,
+                "auc": rank_auc_or_nan(probs, labels),
+                "mean_l0_pre": float(np.mean([np.sum(s.w > 1e-10) for s in solutions])),
+                "mean_l0_post": float(np.mean([np.sum(s.w_tilde > 1e-10)
+                                               for s in solutions])),
+                "mean_objective": float(np.mean(objective)),
+            })
+    return rows
