@@ -27,8 +27,8 @@ best = max(surface, key=lambda r: r["auc"])
 print(f"penalty sweep: best validation AUC {best['auc']:.4f} at "
       f"lam {best['lam']:g}, eta {best['eta']:g}")
 
-baselines = run_baselines(cfg, artifacts, outdir=outdir,
-                          support_size=cfg.support_size_train)
+# baselines default to phase 2's support size, the smallest of cfg.train_sizes
+baselines = run_baselines(cfg, artifacts, outdir=outdir)
 for name, (b_rec, latency) in baselines.items():
     print(f"baseline {name}: AUC {b_rec.auc:.4f} ({latency:.2f} ms/task)")
 

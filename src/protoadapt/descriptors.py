@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import binary_cross_entropy
 from .synthdata import PRE_PARTITIONS
 from .util import ValidationError, check_finite, child_rng, require, sigmoid
 
@@ -76,9 +77,7 @@ def probe_gradient(probe: ProbeHead, task, feature_map):
     differences in the test suite.
     """
     y, p, grad = _probe_fit(probe, task, feature_map)
-    p_safe = np.clip(p, 1e-12, 1.0 - 1e-12)
-    loss = float(-np.mean(y * np.log(p_safe) + (1.0 - y) * np.log(1.0 - p_safe)))
-    return loss, grad
+    return binary_cross_entropy(p, y), grad
 
 
 class Standardizer:

@@ -1,4 +1,4 @@
-"""Classification metrics: confusion counts, rank AUC, calibration error, health score."""
+"""Classification metrics: confusion counts, rank AUC, log loss, calibration, health score."""
 
 from __future__ import annotations
 
@@ -60,20 +60,18 @@ def rank_auc_or_nan(scores, labels) -> float:
     return rank_auc(scores, labels)
 
 
+def binary_cross_entropy(probs, labels) -> float:
+    """Mean log loss with probabilities clipped to [1e-12, 1 - 1e-12]."""
+    p = np.clip(probs, 1e-12, 1.0 - 1e-12)
+    y = np.asarray(labels, dtype=float)
+    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+
+
 def expected_calibration_error(probs, labels, n_bins: int = 10) -> float:
     """Equal-width-bin gap between mean confidence and observed frequency."""
-    probs = np.asarray(probs, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    bins = np.minimum((probs * n_bins).astype(int), n_bins - 1)
-    ece = 0.0
-    for b in range(n_bins):
-        mask = bins == b
-        if not np.any(mask):
-            continue
-        conf = probs[mask].mean()
-        acc = labels[mask].mean()
-        ece += mask.mean() * abs(acc - conf)
-    return float(ece)
+    n = np.size(probs)
+    return float(sum(row["count"] / n * abs(row["frequency"] - row["confidence"])
+                     for row in calibration_bins(probs, labels, n_bins) if row["count"]))
 
 
 def calibration_bins(probs, labels, n_bins: int = 10):

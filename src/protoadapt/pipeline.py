@@ -44,7 +44,6 @@ from .retrieval import (
     Adam,
     ProximalConfig,
     TrainConfig,
-    _pcfg_lookup,
     predict_tasks,
     sweep_lambda_eta,
     train_retrieval,
@@ -143,15 +142,16 @@ class RunConfig:
     r_keep: int | None = None           # None: min(selected rank, K); see _r_keep
     t_prox: int = 10
     solver_tol: float = 1e-9
-    hard_threshold: bool = True         # ablation C: soft-only when False
+    hard_threshold: bool = True         # ablation C: soft-only when False, in every phase-2 step
     epochs: int = 400
     batch_size: int = 100
     lr: float = 1e-3
     weight_decay: float = 0.0
     patience: int = 40
     jaccard_min: float = 0.9
-    support_size_train: int | None = None
-    train_sizes: tuple | None = None    # union-of-sizes episodic training
+    # support sizes of the training episodes, one per task and size; the smallest
+    # is also the validation, test and standardizer size. None: full supports
+    train_sizes: tuple | None = None
     support_sizes_eval: tuple = DEFAULT_SUPPORT_SIZES
 
     # descriptor warp and motifs
@@ -172,8 +172,6 @@ class RunConfig:
                 f"t_prox must lie in [1, {MAX_UNROLL}], got {self.t_prox}")
         require(self.warp.kind in ("mlp", "none"),
                 f"warp.kind must be 'mlp' or 'none', got {self.warp.kind!r}")
-        require(self.support_size_train is None or self.support_size_train >= 2,
-                f"support_size_train must be at least 2, got {self.support_size_train}")
         for name in ("train_sizes", "support_sizes_eval"):
             sizes = getattr(self, name) or ()
             require(all(n >= 2 for n in sizes), f"{name} must all be at least 2, got {sizes}")
@@ -228,7 +226,7 @@ def desk_config(seed: int = 42, outdir: str = "runs/desk") -> RunConfig:
         k_grid=(4, 6, 8),
         epochs=80,
         patience=30,
-        support_size_train=5,
+        train_sizes=(5,),
         gamma=0.1,
         eta=0.01,
         lam=1e-4,
@@ -298,6 +296,16 @@ def make_transform(d_z: int, cfg: WarpConfig, seed: int):
 # ---------------------------------------------------------------------------
 # Phase 1
 # ---------------------------------------------------------------------------
+
+def _support_size(cfg: RunConfig) -> int | None:
+    """The smallest training size (None: full supports).
+
+    Validation and test episodes use it, so the hardest regime drives early
+    stopping and is the reported few-shot operating point; so do the tasks
+    the descriptor standardizer is fitted on.
+    """
+    return min(cfg.train_sizes) if cfg.train_sizes else None
+
 
 def _r_keep(cfg: RunConfig, r: int, k: int) -> int:
     """The operating sparsity: the configured ``r_keep``, else min(r, K).
@@ -425,7 +433,7 @@ def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
     probe = ProbeHead.create(cfg.generator.d_theta, seed=cfg.seed)
     # standardization statistics must match the support sizes the retrieval
     # stage will see; the fit set stays pretraining-only either way
-    std_size = min(cfg.train_sizes) if cfg.train_sizes else cfg.support_size_train
+    std_size = _support_size(cfg)
     if std_size is not None:
         std_tasks = [resample_support(corpus, t, std_size, tag="standardizer")
                      for t in pre_tasks]
@@ -494,41 +502,25 @@ class Phase2Result:
     theta_hats: dict
     descriptors: dict
     latency_ms: float
-    support_size: int | None
     stopped_epoch: int
     test_probs: np.ndarray
     test_labels: np.ndarray
     solver_trace: list      # objective per iteration of one worked test solve
 
 
-def _ret_tasks_at_size(artifacts: Phase1Artifacts, tag: str, size: int | None,
-                       resample_tag: str = "support-size"):
+def _ret_tasks_at_size(artifacts: Phase1Artifacts, tag: str, size: int | None):
     tasks = artifacts.corpus.tasks_in(tag)
     if size is None:
         return tasks
-    return [resample_support(artifacts.corpus, t, size, tag=resample_tag) for t in tasks]
+    return [resample_support(artifacts.corpus, t, size, tag="support-size") for t in tasks]
 
 
-def _eval_support_size(cfg: RunConfig) -> int | None:
-    """Support size of validation and test episodes (None: the full support).
-
-    With union-of-sizes training and no explicit size it is the smallest
-    training size: the hardest regime drives early stopping and is the
-    reported few-shot operating point.
-    """
-    if cfg.support_size_train is None and cfg.train_sizes:
-        return min(cfg.train_sizes)
-    return cfg.support_size_train
-
-
-def _ret_tasks_union(artifacts: Phase1Artifacts, tag: str, sizes):
-    """One episode per (task, size) pair; ids carry a size suffix."""
-    out = []
-    for size in sizes:
-        for task in _ret_tasks_at_size(artifacts, tag, size):
-            clone = replace(task, task_id=f"{task.task_id}@{size}")
-            out.append(clone)
-    return out
+def _ret_train_tasks(artifacts: Phase1Artifacts, sizes):
+    """One training episode per (task, size), its id suffixed "@size"; None: full supports."""
+    if not sizes:
+        return artifacts.corpus.tasks_in("Ret-Train")
+    return [replace(task, task_id=f"{task.task_id}@{size}") for size in sizes
+            for task in _ret_tasks_at_size(artifacts, "Ret-Train", size)]
 
 
 def _prepare_inputs(artifacts: Phase1Artifacts, tasks):
@@ -575,11 +567,8 @@ def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
                outdir: Path | None = None, seed: int | None = None) -> Phase2Result:
     """Retrieval training on the anti-leakage splits plus test metrics."""
     seed = cfg.seed if seed is None else seed
-    size = _eval_support_size(cfg)
-    if cfg.train_sizes:
-        train_tasks = _ret_tasks_union(artifacts, "Ret-Train", cfg.train_sizes)
-    else:
-        train_tasks = _ret_tasks_at_size(artifacts, "Ret-Train", size)
+    size = _support_size(cfg)
+    train_tasks = _ret_train_tasks(artifacts, cfg.train_sizes)
     val_tasks = _ret_tasks_at_size(artifacts, "Ret-Val", size)
     test_tasks = _ret_tasks_at_size(artifacts, "Ret-Test", size)
 
@@ -597,7 +586,8 @@ def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
                        eta=cfg.eta)
     result = train_retrieval(train_tasks, artifacts.memory, descriptors, theta_hats,
                              artifacts.corpus.feature_map(), pcfg, tcfg,
-                             val_tasks=val_tasks, transform=transform)
+                             val_tasks=val_tasks, transform=transform,
+                             hard_threshold=cfg.hard_threshold)
 
     splits = {tag: _split_metrics(tasks, artifacts, result.net, transform, descriptors,
                                   theta_hats, pcfg, r_keep)
@@ -608,9 +598,8 @@ def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
     out = Phase2Result(net=result.net, transform=transform, history=result.history,
                        metrics={tag: split[0] for tag, split in splits.items()},
                        theta_hats=theta_hats, descriptors=descriptors,
-                       latency_ms=latency_ms, support_size=size,
-                       stopped_epoch=result.stopped_epoch, test_probs=test_probs,
-                       test_labels=test_labels,
+                       latency_ms=latency_ms, stopped_epoch=result.stopped_epoch,
+                       test_probs=test_probs, test_labels=test_labels,
                        solver_trace=test_solutions[0].objective_trace)
     if outdir is not None:
         persist_phase2(out, Path(outdir))
@@ -648,14 +637,14 @@ def persist_phase2(result: Phase2Result, outdir: Path) -> None:
 def run_penalty_sweep(cfg: RunConfig, artifacts: Phase1Artifacts, phase2: Phase2Result,
                       outdir: Path | None = None):
     """Validation surface over the (lam, eta) penalty grid with the trained net."""
-    val_tasks = _ret_tasks_at_size(artifacts, "Ret-Val", phase2.support_size)
+    val_tasks = _ret_tasks_at_size(artifacts, "Ret-Val", _support_size(cfg))
     surface = sweep_lambda_eta(cfg.lam_grid, (0.0, cfg.eta), val_tasks,
                                artifacts.memory, phase2.net, phase2.descriptors,
-                               phase2.theta_hats,
-                               _pcfg_lookup(_proximal_config(cfg))(val_tasks[0]),
+                               phase2.theta_hats, _proximal_config(cfg),
                                _r_keep(cfg, artifacts.rank_selected, artifacts.memory.K),
                                artifacts.corpus.feature_map(),
-                               transform=phase2.transform)
+                               transform=phase2.transform,
+                               hard_threshold=cfg.hard_threshold)
     if outdir is not None:
         write_csv(Path(outdir) / "sweep_lambda_eta.csv",
                   ["lam", "eta", "auc", "mean_l0_pre", "mean_l0_post", "mean_objective"],
@@ -710,7 +699,7 @@ def run_baselines(cfg: RunConfig, artifacts: Phase1Artifacts,
     Supports default to phase 2's evaluation size, so the baselines and the
     retrieval report the same few-shot operating point.
     """
-    size = support_size if support_size is not None else _eval_support_size(cfg)
+    size = support_size if support_size is not None else _support_size(cfg)
     test_tasks = _ret_tasks_at_size(artifacts, "Ret-Test", size)
     fmap = artifacts.corpus.feature_map()
 

@@ -521,7 +521,8 @@ def merge_prototypes(memory: PrototypeMemory, mu_threshold: float = 0.95,
     kappa, mu = health(m_rows)
     while m_rows.shape[0] > 1 and (mu > mu_threshold or kappa > kappa_threshold):
         i, j = _most_coherent_pair(m_rows)
-        cov_before = coverage_of(m_rows)
+        # the rows are those the last event measured as its coverage_after
+        cov_before = log[-1].coverage_after if log else coverage_of(m_rows)
         a, b = m_rows[i], m_rows[j]
         sign = 1.0 if a @ b >= 0 else -1.0
         direction = a / np.linalg.norm(a) + sign * b / np.linalg.norm(b)

@@ -4,7 +4,8 @@ The solver runs accelerated proximal gradient with a monotone restart (any
 step that would increase the objective is replaced by a plain descent step
 from the previous iterate, so the recorded objective trace never increases).
 Training differentiates through the unrolled solver steps with a recorded
-tape and treats the hard top-r mask straight-through.
+tape and treats the hard top-r mask straight-through. Training, validation,
+test prediction and the penalty sweep take one per-task step, ``_episode``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .metrics import rank_auc_or_nan
+from .metrics import binary_cross_entropy, rank_auc_or_nan
 from .tanhmap import TanhMap
 from .util import ValidationError, check_finite, child_rng, require, sigmoid
 
@@ -51,8 +52,6 @@ class RetrievalSolution:
     w: np.ndarray
     w_tilde: np.ndarray | None
     active_set: list
-    recon_before: float | None
-    recon_after: float | None
     objective_trace: list
     kkt_residual: float
     iterations: int
@@ -154,9 +153,8 @@ def solve_proximal(theta_hat, memory, v, cfg: ProximalConfig,
             break
 
     solution = RetrievalSolution(
-        w=w, w_tilde=None, active_set=[], recon_before=None, recon_after=None,
-        objective_trace=trace, kkt_residual=kkt, iterations=len(trace) - 1,
-        restarts=restarts, converged=converged,
+        w=w, w_tilde=None, active_set=[], objective_trace=trace, kkt_residual=kkt,
+        iterations=len(trace) - 1, restarts=restarts, converged=converged,
     )
     return (solution, tape) if record_tape else solution
 
@@ -216,63 +214,62 @@ def compose_adapter(memory, w_tilde: np.ndarray) -> np.ndarray:
 
 
 def retrieve(theta_hat, memory, v, cfg: ProximalConfig, r_keep: int,
-             budget: int | None = None, hard_threshold: bool = True) -> RetrievalSolution:
-    """Solve, then apply the hard top-r rule and fill in the residual report."""
-    solution = solve_proximal(theta_hat, memory, v, cfg, budget=budget)
-    w_tilde = hard_top_r(solution.w, r_keep) if hard_threshold else solution.w.copy()
-    before, after = residual_change(memory, theta_hat, solution.w, w_tilde)
-    solution.w_tilde = w_tilde
-    solution.active_set = list(np.nonzero(w_tilde)[0])
-    solution.recon_before = before
-    solution.recon_after = after
-    return solution
+             budget: int | None = None, hard_threshold: bool = True,
+             record_tape: bool = False):
+    """``solve_proximal``'s result plus w_tilde (w's top r_keep; all of w when soft)."""
+    out = solve_proximal(theta_hat, memory, v, cfg, budget=budget, record_tape=record_tape)
+    solution = out[0] if record_tape else out
+    solution.w_tilde = hard_top_r(solution.w, r_keep) if hard_threshold else solution.w.copy()
+    solution.active_set = list(np.nonzero(solution.w_tilde)[0])
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Outer objective
 # ---------------------------------------------------------------------------
 
-def entropy_of(w: np.ndarray):
-    """Shannon entropy of w / ||w||_1 with the 0 log 0 = 0 convention."""
-    total = float(np.sum(w))
-    if total <= 0.0:
-        return 0.0
-    u = w / total
+def _entropy_and_grad(w: np.ndarray):
+    """Shannon entropy of w / ||w||_1 (0 log 0 = 0) and its gradient in w."""
+    grad = np.zeros_like(w)
+    mass = float(np.sum(w))
+    if mass <= 0.0:
+        return 0.0, grad
+    u = w / mass
     pos = u > 0
-    return float(-np.sum(u[pos] * np.log(u[pos])))
+    log_u = np.log(u[pos])
+    ent = float(-np.sum(u[pos] * log_u))
+    grad[pos] = (-log_u - ent) / mass
+    return ent, grad
 
 
-def outer_objective(query_x, query_y, adapter, w_tilde, lam, eta, feature_map):
-    """Query cross-entropy plus l1 and normalized-entropy penalties."""
+def entropy_of(w: np.ndarray) -> float:
+    """Shannon entropy of w / ||w||_1 with the 0 log 0 = 0 convention."""
+    return _entropy_and_grad(w)[0]
+
+
+def outer_objective(query_x, query_y, adapter, w_tilde, lam, eta, feature_map,
+                    memory=None):
+    """Query cross-entropy plus l1 and normalized-entropy penalties.
+
+    Returns ``(total, parts)``. Given the memory that composed the adapter
+    (``adapter = w_tilde @ memory.M``), also returns the gradient of the total
+    with respect to ``w_tilde``, the l1 term taken on the active set.
+    """
     x = check_finite(feature_map(query_x), "query features")
     require(x.shape[0] >= 1, "query is empty")
-    y = np.asarray(query_y, dtype=float)
-    p = np.clip(sigmoid(x @ adapter), 1e-12, 1.0 - 1e-12)
-    ce = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    probs = sigmoid(x @ adapter)
+    ce = binary_cross_entropy(probs, query_y)
     l1 = float(np.sum(np.abs(w_tilde)))
-    ent = entropy_of(w_tilde)
+    ent, ent_grad = _entropy_and_grad(w_tilde)
     total = ce + lam * l1 + eta * ent
-    return total, {"ce": ce, "l1": l1, "entropy": ent}
-
-
-def _outer_gradient_w(query_x, query_y, memory, w_tilde, lam, eta, feature_map):
-    """Gradient of the outer objective with respect to the thresholded vector."""
-    x = feature_map(query_x)
-    y = np.asarray(query_y, dtype=float)
-    adapter = w_tilde @ memory.M
-    p = sigmoid(x @ adapter)
-    dce_dtheta = ((p - y)[:, None] * x).mean(axis=0)
-    grad = memory.M @ dce_dtheta
-    grad = grad + lam * (w_tilde > 0).astype(float)
-    total = float(np.sum(w_tilde))
-    if eta != 0.0 and total > 0.0:
-        u = w_tilde / total
-        pos = u > 0
-        h = -np.sum(u[pos] * np.log(u[pos]))
-        ent_grad = np.zeros_like(w_tilde)
-        ent_grad[pos] = (-np.log(u[pos]) - h) / total
+    parts = {"ce": ce, "l1": l1, "entropy": ent}
+    if memory is None:
+        return total, parts
+    dce_dtheta = ((probs - np.asarray(query_y, dtype=float))[:, None] * x).mean(axis=0)
+    grad = memory.M @ dce_dtheta + lam * (w_tilde > 0).astype(float)
+    if eta != 0.0:
         grad = grad + eta * ent_grad
-    return grad
+    return total, parts, grad
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +351,29 @@ def _jaccard(a: set, b: set) -> float:
     return len(a & b) / len(a | b)
 
 
+def _episode(task, memory, net, descriptor, theta_hat, pcfg, r_keep, transform=None,
+             budget=None, hard_threshold=True, record_tape=False):
+    """The phase-2 step of training (taped), validation, test and the sweep.
+
+    Warp, net logits, then ``retrieve``; ``pcfg`` is a ProximalConfig or a
+    per-task factory of one. Returns the task's config, ``retrieve``'s result
+    and the backward pass's states (z_raw, warp hidden, z, net hidden).
+    """
+    z_raw = descriptor.values
+    z, warp_hidden = transform.forward(z_raw) if transform is not None else (z_raw, None)
+    logits, net_hidden = net.forward(z)
+    task_pcfg = _pcfg_lookup(pcfg)(task)
+    out = retrieve(theta_hat, memory, logits, task_pcfg, r_keep, budget=budget,
+                   hard_threshold=hard_threshold, record_tape=record_tape)
+    return task_pcfg, out, (z_raw, warp_hidden, z, net_hidden)
+
+
 def predict_task(task, memory, net, descriptor, theta_hat, pcfg, r_keep,
                  feature_map, transform=None, budget=None, hard_threshold=True):
     """Query probabilities from the full retrieval path for one task."""
-    z = descriptor.values
-    if transform is not None:
-        z, _ = transform.forward(z)
-    v, _ = net.forward(z)
-    task_pcfg = _pcfg_lookup(pcfg)(task)
-    solution = retrieve(theta_hat, memory, v, task_pcfg, r_keep, budget=budget,
-                        hard_threshold=hard_threshold)
+    _, solution, _ = _episode(task, memory, net, descriptor, theta_hat, pcfg, r_keep,
+                              transform=transform, budget=budget,
+                              hard_threshold=hard_threshold)
     adapter = compose_adapter(memory, solution.w_tilde)
     probs = sigmoid(feature_map(task.query_x) @ adapter)
     return probs, solution
@@ -389,20 +399,20 @@ def _pcfg_lookup(pcfg):
 
 def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
                     pcfg, tcfg: TrainConfig, val_tasks=(),
-                    transform=None) -> TrainResult:
+                    transform=None, hard_threshold=True) -> TrainResult:
     """Unrolled training of the retrieval network on the outer objective.
 
-    Per task: forward the descriptor through the net (optionally through a
-    descriptor warp first), run the unrolled proximal solve, apply
-    the straight-through hard top-r mask, evaluate the outer objective on
+    Per task: take the phase-2 step (descriptor warp, net, taped solve, top-r
+    rule unless ``hard_threshold`` is off), evaluate the outer objective on
     the query set, and backpropagate through every solver iteration back to
-    the network parameters. Early stopping combines a validation-score
-    plateau (patience epochs without improvement) with an active-set
-    stability requirement (Jaccard overlap between consecutive epochs).
+    the network parameters; the top-r mask passes the gradient straight
+    through. Validation takes the same step untaped. Early stopping combines a
+    validation-score plateau (patience epochs without improvement) with an
+    active-set stability requirement (Jaccard overlap between consecutive
+    epochs).
     """
     memory.require_frozen()
     require(len(train_tasks) >= 1, "no training tasks")
-    pcfg_of = _pcfg_lookup(pcfg)
     ids = [t.task_id for t in train_tasks]
     d_z = descriptors[ids[0]].values.shape[0]
     net = RetrievalNet(d_z=d_z, k=memory.K, seed=tcfg.seed)
@@ -422,28 +432,21 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
             transform_batch = []
             for i in batch:
                 task = train_tasks[i]
-                task_pcfg = pcfg_of(task)
-                z_raw = descriptors[task.task_id].values
-                z, warp_state = (transform.forward(z_raw) if transform is not None
-                                 else (z_raw, None))
-                logits, hidden = net.forward(z)
-                theta_hat = theta_hats[task.task_id]
-                solution, tape = solve_proximal(theta_hat, memory, logits, task_pcfg,
-                                                record_tape=True)
-                w_tilde = hard_top_r(solution.w, tcfg.r_keep)
-                adapter = compose_adapter(memory, w_tilde)
-                loss, _ = outer_objective(task.query_x, task.query_y, adapter,
-                                          w_tilde, task_pcfg.lam, tcfg.eta, feature_map)
+                task_pcfg, (solution, tape), (z_raw, warp_hidden, z, net_hidden) = _episode(
+                    task, memory, net, descriptors[task.task_id], theta_hats[task.task_id],
+                    pcfg, tcfg.r_keep, transform=transform, hard_threshold=hard_threshold,
+                    record_tape=True)
+                w_tilde = solution.w_tilde
+                loss, _, grad_w_tilde = outer_objective(
+                    task.query_x, task.query_y, compose_adapter(memory, w_tilde), w_tilde,
+                    task_pcfg.lam, tcfg.eta, feature_map, memory=memory)
                 losses.append(loss)
-                grad_w_tilde = _outer_gradient_w(task.query_x, task.query_y, memory,
-                                                 w_tilde, task_pcfg.lam, tcfg.eta, feature_map)
-                # straight-through: the top-r mask passes the gradient unchanged
                 grad_v = backward_through_solve(tape, memory, grad_w_tilde)
-                task_grads, grad_z = net.vjp(z, hidden, grad_v)
+                task_grads, grad_z = net.vjp(z, net_hidden, grad_v)
                 for key in grads:
                     grads[key] += task_grads[key] / len(batch)
                 if transform is not None:
-                    transform_batch.append((z_raw, warp_state, grad_z / len(batch)))
+                    transform_batch.append((z_raw, warp_hidden, grad_z / len(batch)))
             opt.step(grads)
             if transform is not None and transform_batch:
                 transform.apply_batch(transform_batch)
@@ -452,7 +455,8 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
         if val_tasks:
             probs, labels, solutions = predict_tasks(val_tasks, memory, net, descriptors,
                                                      theta_hats, pcfg, tcfg.r_keep,
-                                                     feature_map, transform=transform)
+                                                     feature_map, transform=transform,
+                                                     hard_threshold=hard_threshold)
             val_auc = rank_auc_or_nan(probs, labels)
             actives = [set(solution.active_set) for solution in solutions]
             if prev_actives is not None:
@@ -478,20 +482,25 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
 # ---------------------------------------------------------------------------
 
 def sweep_lambda_eta(lam_grid, eta_grid, tasks, memory, net, descriptors,
-                     theta_hats, pcfg_base: ProximalConfig, r_keep, feature_map,
-                     transform=None, budget=None):
+                     theta_hats, pcfg, r_keep, feature_map,
+                     transform=None, budget=None, hard_threshold=True):
     """Validation surface over (lam, eta): pooled AUC and sparsity averages.
 
-    eta enters only the outer objective, not the solve, so each lam is solved
-    once and every eta is scored on those solutions.
+    ``pcfg`` is a ProximalConfig or a per-task factory of one; each grid lam
+    replaces its ``lam``. eta enters only the outer objective, not the solve,
+    so each lam is solved once and every eta is scored on those solutions.
     """
     require(len(lam_grid) >= 1 and len(eta_grid) >= 1, "grids must be nonempty")
+    pcfg_of = _pcfg_lookup(pcfg)
     rows = []
     for lam in lam_grid:
-        pcfg = replace(pcfg_base, lam=lam)
+        def lam_pcfg(task, lam=lam):
+            return replace(pcfg_of(task), lam=lam)
+
         probs, labels, solutions = predict_tasks(tasks, memory, net, descriptors,
-                                                 theta_hats, pcfg, r_keep, feature_map,
-                                                 transform=transform, budget=budget)
+                                                 theta_hats, lam_pcfg, r_keep, feature_map,
+                                                 transform=transform, budget=budget,
+                                                 hard_threshold=hard_threshold)
         auc = rank_auc_or_nan(probs, labels)
         mean_l0_pre = float(np.mean([np.sum(s.w > 1e-10) for s in solutions]))
         mean_l0_post = float(np.mean([np.sum(s.w_tilde > 1e-10) for s in solutions]))

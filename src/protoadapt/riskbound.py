@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import binary_cross_entropy
 from .prototypes import l0_fit
 from .util import ValidationError, check_finite, require, sigmoid
 
@@ -56,9 +57,7 @@ def feature_radius_of(tasks, feature_map) -> float:
 
 
 def empirical_risk(adapter, x_feats, labels) -> float:
-    p = np.clip(sigmoid(x_feats @ adapter), 1e-12, 1.0 - 1e-12)
-    y = np.asarray(labels, dtype=float)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    return binary_cross_entropy(sigmoid(x_feats @ adapter), labels)
 
 
 @dataclass

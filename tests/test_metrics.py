@@ -104,6 +104,20 @@ class TestAuc:
             assert spearman(scores, other) == oracle
 
 
+def _loop_ece(probs, labels, n_bins=10):
+    # ECE's own bin loop from before it summed calibration_bins; kept as the oracle
+    probs = np.asarray(probs, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    bins = np.minimum((probs * n_bins).astype(int), n_bins - 1)
+    ece = 0.0
+    for b in range(n_bins):
+        mask = bins == b
+        if not np.any(mask):
+            continue
+        ece += mask.mean() * abs(labels[mask].mean() - probs[mask].mean())
+    return float(ece)
+
+
 class TestTieRuleAndEce:
     def test_all_half_predictions(self):
         probs = np.full(10, 0.5)
@@ -120,6 +134,16 @@ class TestTieRuleAndEce:
         # [0.8,0.9): conf .85 freq 1; [0.9,1): conf .95 freq 1
         expected = 0.25 * (0.05 + 0.85 + 0.15 + 0.05)
         assert expected_calibration_error(probs, labels) == pytest.approx(expected)
+
+    def test_ece_from_the_bins_matches_the_bin_loop(self):
+        rng = np.random.default_rng(3)
+        for trial in range(3000):
+            n = int(rng.integers(1, 200))
+            probs = rng.random(n)
+            if trial % 4 == 0:  # probabilities on bin edges, 1.0 included
+                probs = rng.integers(0, 11, size=n) / 10.0
+            labels = rng.integers(0, 2, size=n)
+            assert expected_calibration_error(probs, labels) == _loop_ece(probs, labels)
 
     def test_calibration_bins_counts(self):
         rows = calibration_bins(np.array([0.05, 0.06, 0.95]), np.array([0, 0, 1]))

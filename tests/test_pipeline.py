@@ -103,6 +103,7 @@ class TestDefaults:
         ("gamma_ref_size", 5),
         ("fixed_tau", 0.5),
         ("use_storey", False),
+        ("support_size_train", 5),
     ])
     def test_removed_memory_and_motif_key_is_rejected(self, key, value):
         blob = desk_config().to_dict()
@@ -122,7 +123,7 @@ class TestDefaults:
         ("t_prox", 0),
         ("t_prox", retrieval.MAX_UNROLL + 1),
         ("warp.kind", "spline"),
-        ("support_size_train", 1),
+        ("train_sizes", (1,)),
         ("train_sizes", (5, 1)),
         ("support_sizes_eval", (1, 5)),
         ("r_keep", 0),
@@ -326,7 +327,7 @@ class TestBaselinesAndSweeps:
 
     def test_fewshot_baselines_use_the_phase2_support_size(self):
         cfg = fewshot_benchmark_config()
-        assert cfg.support_size_train is None and min(cfg.train_sizes) == 5
+        assert min(cfg.train_sizes) == 5
         art = run_phase1(cfg)
         default = run_baselines(cfg, art)
         at_five = run_baselines(cfg, art, support_size=5)
@@ -393,7 +394,7 @@ class TestAblations:
         fmap = art.corpus.feature_map()
         probs, labels = [], []
         from protoadapt.pipeline import _ret_tasks_at_size
-        for t in _ret_tasks_at_size(art, "Ret-Test", cfg.support_size_train):
+        for t in _ret_tasks_at_size(art, "Ret-Test", min(cfg.train_sizes)):
             probs.append(sigmoid(fmap(t.query_x) @ art.memory.M[0]))
             labels.append(t.query_y)
         direct = compute_metrics(np.concatenate(probs), np.concatenate(labels))

@@ -3,6 +3,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from protoadapt import prototypes
 from protoadapt.adapters import Canonicalizer, fit_canonicalizer
 from protoadapt.prototypes import (
     DegenerateAtomError,
@@ -390,6 +391,31 @@ class TestMerge:
         _, mu_after = diagnostics_of(merged.M)
         assert mu_after <= 0.95
         assert len(log) >= 1
+
+    def test_coverage_runs_once_per_merge_plus_one(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        base = rng.normal(size=(3, 4))
+        rows = np.vstack([base, base + 0.01 * rng.normal(size=(3, 4))])
+        theta_pre = _Rows(rng.normal(size=(20, 4)))
+        calls = []
+
+        def counted(memory, theta, r_sparse):
+            calls.append(memory.M.copy())
+            return coverage_residuals(memory, theta, r_sparse)
+
+        monkeypatch.setattr(prototypes, "coverage_residuals", counted)
+        merged, log = merge_prototypes(make_memory(rows), mu_threshold=0.95,
+                                       kappa_threshold=np.inf, theta_pre=theta_pre,
+                                       r_sparse=2)
+        assert len(log) >= 2
+        assert len(calls) == len(log) + 1
+        for before, after in zip(log, log[1:]):
+            assert after.coverage_before == before.coverage_after
+        # each event's coverage is that of the rows it names
+        monkeypatch.undo()
+        for evt, m_rows in zip(log, calls[1:]):
+            canon, _ = coverage_residuals(make_memory(m_rows).freeze(), theta_pre, 2)
+            assert evt.coverage_after == float(np.median(canon))
 
     def test_frozen_memory_not_mergeable(self):
         memory = make_memory(np.eye(3)).freeze()
