@@ -120,29 +120,21 @@ class TaskDescriptor:
     task_id: str
     values: np.ndarray
     blocks: dict
-    has_boot_var: bool
 
     @property
     def d_z(self) -> int:
         return self.values.shape[0]
 
 
-def _sorted_support(support_x: np.ndarray) -> np.ndarray:
-    # lexicographic row order makes bootstrap draws permutation invariant
-    order = np.lexsort(support_x.T[::-1])
-    return support_x[order]
-
-
 def build_descriptor(task, probe: ProbeHead, chain, standardizer: Standardizer,
                      feature_map, percentiles=DEFAULT_PERCENTILES,
-                     n_small_cutoff: int = 5, n_boot_var: int = 200,
-                     clip: float = 10.0, boot_seed: int = 0) -> TaskDescriptor:
+                     clip: float = 10.0) -> TaskDescriptor:
     """Concatenate standardized moments, percentiles, and the projected gradient.
 
     Layout: (standardized mu_h and sigma_h, percentile set of the pooled
     support coordinates, rank-r projection of the probe gradient plus its
-    bias partial, optional bootstrap-variance block when the support is
-    smaller than ``n_small_cutoff``). All entries are clipped elementwise.
+    bias partial), the same at every support size. All entries are clipped
+    elementwise.
     """
     if standardizer.fitted_on is not None:
         if any(tag not in PRE_PARTITIONS for tag in standardizer.fitted_on):
@@ -157,23 +149,12 @@ def build_descriptor(task, probe: ProbeHead, chain, standardizer: Standardizer,
     g_block = np.concatenate([g_proj, grad[-1:]])
 
     blocks = {"moments": std_block, "order_stats": order_block, "gradient": g_block}
-    has_boot = task.support_x.shape[0] < n_small_cutoff
-    if has_boot:
-        rng = child_rng(boot_seed, "descriptor-bootvar", task.task_id)
-        base = _sorted_support(task.support_x)
-        n = base.shape[0]
-        idx = rng.integers(0, n, size=(n_boot_var, n))
-        means = base[idx].mean(axis=1)
-        blocks["boot_var"] = means.var(axis=0)
-
     values = np.clip(np.concatenate(list(blocks.values())), -clip, clip)
-    return TaskDescriptor(task_id=task.task_id, values=values,
-                          blocks=blocks, has_boot_var=has_boot)
+    return TaskDescriptor(task_id=task.task_id, values=values, blocks=blocks)
 
 
-def descriptor_length(q: int, r: int, n_percentiles: int = 5,
-                      with_boot_var: bool = False) -> int:
-    return 2 * q + n_percentiles + (r + 1) + (q if with_boot_var else 0)
+def descriptor_length(q: int, r: int, n_percentiles: int = 5) -> int:
+    return 2 * q + n_percentiles + (r + 1)
 
 
 def descriptors_to_csv(descriptors, path) -> None:

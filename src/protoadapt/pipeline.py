@@ -41,7 +41,6 @@ from .prototypes import (
 )
 from .retrieval import (
     MAX_UNROLL,
-    Adam,
     ProximalConfig,
     TrainConfig,
     predict_tasks,
@@ -64,7 +63,7 @@ from .synthdata import (
     resample_support,
     save_corpus_manifest,
 )
-from .tanhmap import TanhMap, flatten
+from .tanhmap import TanhMap
 from .util import child_rng, config_hash, require, sigmoid, write_csv, write_json
 
 # Search-grid defaults from the experiment protocol; desk profiles override.
@@ -81,7 +80,6 @@ GAMMA_REF_SIZE = 5
 class WarpConfig:
     kind: str = "mlp"          # "mlp" (residual z + map(z)) or "none"
     hidden: int = 8
-    lr: float = 1e-3
     init_scale: float = 0.1
 
 
@@ -257,32 +255,17 @@ def fewshot_benchmark_config(seed: int = 42, outdir: str = "runs/fewshot") -> Ru
 # Descriptor warp
 # ---------------------------------------------------------------------------
 
-class MlpTransform:
-    """Residual descriptor warp z + map(z), trained by Adam on the map's flat parameters.
+class MlpTransform(TanhMap):
+    """Residual descriptor warp z + map(z); it trains in the network's Adam step.
 
-    The map's parameters are views into the vector Adam steps in place.
+    ``vjp`` is the map's: its parameter gradients are the warp's, its input
+    gradient leaves out the identity term.
     """
-
-    def __init__(self, d_z: int, cfg: WarpConfig, seed: int = 0):
-        net = TanhMap(d_z, cfg.hidden, d_z, seed, "mlp-transform", cfg.init_scale)
-        self._params = {"phi": net.params_vector()}
-        self.map = net.with_params(self._params["phi"])
-        self.opt = Adam(self._params, lr=cfg.lr)
 
     def forward(self, z: np.ndarray):
         """The warped point and the map's hidden layer."""
-        y, h = self.map.forward(z)
+        y, h = super().forward(z)
         return z + y, h
-
-    def apply_batch(self, triples) -> None:
-        """One Adam step on the summed gradients of (z, hidden, dL/dwarp(z)) triples.
-
-        Each hidden layer must come from ``forward`` under the current parameters.
-        """
-        grad = np.zeros_like(self._params["phi"])
-        for z, hidden, grad_out in triples:
-            grad += flatten(self.map.vjp(z, hidden, grad_out)[0])
-        self.opt.step({"phi": grad})
 
 
 def make_transform(d_z: int, cfg: WarpConfig, seed: int):
@@ -290,7 +273,7 @@ def make_transform(d_z: int, cfg: WarpConfig, seed: int):
     if cfg.kind == "none":
         return None
     require(cfg.kind == "mlp", f"warp.kind must be 'mlp' or 'none', got {cfg.kind!r}")
-    return MlpTransform(d_z, cfg, seed=seed)
+    return MlpTransform(d_z, cfg.hidden, d_z, seed, "mlp-transform", cfg.init_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +506,7 @@ def _ret_train_tasks(artifacts: Phase1Artifacts, sizes):
             for task in _ret_tasks_at_size(artifacts, "Ret-Train", size)]
 
 
-def _prepare_inputs(artifacts: Phase1Artifacts, tasks):
-    cfg = artifacts.cfg
+def _prepare_inputs(cfg: RunConfig, artifacts: Phase1Artifacts, tasks):
     fmap = artifacts.corpus.feature_map()
     descriptors = {}
     theta_hats = {}
@@ -551,14 +533,14 @@ def _append(path: Path, lines) -> None:
         fh.write("".join(f"{line}\n" for line in lines))
 
 
-def _split_metrics(tasks, artifacts, net, transform, descriptors, theta_hats,
-                   pcfg, r_keep):
+def _split_metrics(cfg: RunConfig, artifacts, tasks, net, transform, descriptors,
+                   theta_hats, pcfg, r_keep):
     """Pooled metrics, mean per-task latency, probabilities, labels and solutions."""
     t0 = time.perf_counter()
     probs, labels, solutions = predict_tasks(
         tasks, artifacts.memory, net, descriptors, theta_hats, pcfg, r_keep,
         artifacts.corpus.feature_map(), transform=transform,
-        hard_threshold=artifacts.cfg.hard_threshold)
+        hard_threshold=cfg.hard_threshold)
     latency_ms = 1000.0 * (time.perf_counter() - t0) / max(len(tasks), 1)
     return compute_metrics(probs, labels), latency_ms, probs, labels, solutions
 
@@ -573,7 +555,7 @@ def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
     test_tasks = _ret_tasks_at_size(artifacts, "Ret-Test", size)
 
     all_tasks = train_tasks + val_tasks + test_tasks
-    descriptors, theta_hats = _prepare_inputs(artifacts, all_tasks)
+    descriptors, theta_hats = _prepare_inputs(cfg, artifacts, all_tasks)
 
     d_z = descriptors[train_tasks[0].task_id].values.shape[0]
     transform = make_transform(d_z, cfg.warp, seed=seed)
@@ -589,8 +571,8 @@ def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
                              val_tasks=val_tasks, transform=transform,
                              hard_threshold=cfg.hard_threshold)
 
-    splits = {tag: _split_metrics(tasks, artifacts, result.net, transform, descriptors,
-                                  theta_hats, pcfg, r_keep)
+    splits = {tag: _split_metrics(cfg, artifacts, tasks, result.net, transform,
+                                  descriptors, theta_hats, pcfg, r_keep)
               for tag, tasks in (("train", train_tasks), ("val", val_tasks),
                                  ("test", test_tasks))}
     _, latency_ms, test_probs, test_labels, test_solutions = splits["test"]
@@ -743,9 +725,10 @@ def run_support_sweep(cfg: RunConfig, artifacts: Phase1Artifacts, phase2: Phase2
     rows = []
     for size in sizes:
         tasks = _ret_tasks_at_size(artifacts, "Ret-Test", size)
-        descriptors, theta_hats = _prepare_inputs(artifacts, tasks)
-        record, lat, *_ = _split_metrics(tasks, artifacts, phase2.net, phase2.transform,
-                                         descriptors, theta_hats, pcfg, r_keep)
+        descriptors, theta_hats = _prepare_inputs(cfg, artifacts, tasks)
+        record, lat, *_ = _split_metrics(cfg, artifacts, tasks, phase2.net,
+                                         phase2.transform, descriptors, theta_hats,
+                                         pcfg, r_keep)
         rows.append({"support_size": size, "auc": record.auc, "f1": record.f1,
                      "ece": record.ece, "latency_ms": lat})
     if outdir is not None:

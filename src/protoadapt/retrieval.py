@@ -290,11 +290,10 @@ class Adam:
     """Minimal Adam over a dict of parameter arrays."""
 
     def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
+                 beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.weight_decay = weight_decay
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
@@ -302,8 +301,6 @@ class Adam:
     def step(self, grads: dict) -> None:
         self.t += 1
         for key, g in grads.items():
-            if self.weight_decay:
-                g = g + self.weight_decay * self.params[key]
             self.m[key] = self.beta1 * self.m[key] + (1 - self.beta1) * g
             self.v[key] = self.beta2 * self.v[key] + (1 - self.beta2) * g * g
             m_hat = self.m[key] / (1 - self.beta1**self.t)
@@ -406,17 +403,21 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
     rule unless ``hard_threshold`` is off), evaluate the outer objective on
     the query set, and backpropagate through every solver iteration back to
     the network parameters; the top-r mask passes the gradient straight
-    through. Validation takes the same step untaped. Early stopping combines a
-    validation-score plateau (patience epochs without improvement) with an
-    active-set stability requirement (Jaccard overlap between consecutive
-    epochs).
+    through. The warp's vector-Jacobian product is taken in the same pass, and
+    one Adam step per minibatch moves the network's and the warp's arrays
+    together; weight decay applies to the network's only. Validation takes
+    the same step untaped. Early stopping combines a validation-score plateau
+    (patience epochs without improvement) with an active-set stability
+    requirement (Jaccard overlap between consecutive epochs).
     """
     memory.require_frozen()
     require(len(train_tasks) >= 1, "no training tasks")
-    ids = [t.task_id for t in train_tasks]
-    d_z = descriptors[ids[0]].values.shape[0]
+    d_z = descriptors[train_tasks[0].task_id].values.shape[0]
     net = RetrievalNet(d_z=d_z, k=memory.K, seed=tcfg.seed)
-    opt = Adam(net.params, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
+    maps = {"net": net} if transform is None else {"net": net, "warp": transform}
+    params = {(name, key): arr for name, tmap in maps.items()
+              for key, arr in tmap.params.items()}
+    opt = Adam(params, lr=tcfg.lr)
 
     history: list[TrainHistoryRow] = []
     best_auc, best_params, since_best = -np.inf, net.snapshot(), 0
@@ -428,8 +429,7 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
         losses = []
         for start in range(0, len(order), tcfg.batch_size):
             batch = order[start:start + tcfg.batch_size]
-            grads = {k: np.zeros_like(v) for k, v in net.params.items()}
-            transform_batch = []
+            grads = {key: np.zeros_like(arr) for key, arr in params.items()}
             for i in batch:
                 task = train_tasks[i]
                 task_pcfg, (solution, tape), (z_raw, warp_hidden, z, net_hidden) = _episode(
@@ -442,14 +442,17 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
                     task_pcfg.lam, tcfg.eta, feature_map, memory=memory)
                 losses.append(loss)
                 grad_v = backward_through_solve(tape, memory, grad_w_tilde)
-                task_grads, grad_z = net.vjp(z, net_hidden, grad_v)
-                for key in grads:
-                    grads[key] += task_grads[key] / len(batch)
+                net_grads, grad_z = net.vjp(z, net_hidden, grad_v)
+                for key, grad in net_grads.items():
+                    grads["net", key] += grad / len(batch)
                 if transform is not None:
-                    transform_batch.append((z_raw, warp_hidden, grad_z / len(batch)))
+                    warp_grads, _ = transform.vjp(z_raw, warp_hidden, grad_z / len(batch))
+                    for key, grad in warp_grads.items():
+                        grads["warp", key] += grad
+            if tcfg.weight_decay:
+                for key, arr in net.params.items():
+                    grads["net", key] += tcfg.weight_decay * arr
             opt.step(grads)
-            if transform is not None and transform_batch:
-                transform.apply_batch(transform_batch)
 
         val_auc, jac = np.nan, 1.0
         if val_tasks:
@@ -472,6 +475,8 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
             break
 
     if val_tasks and np.isfinite(best_auc):
+        # the warp keeps its last-epoch arrays: restoring it too lowered fewshot
+        # test AUC on 5 of 6 corpus seeds (CHANGES.md), so that waits for evidence
         net.params.update(best_params)
     return TrainResult(net=net, history=history, stopped_epoch=len(history) - 1,
                        best_val_auc=float(best_auc if np.isfinite(best_auc) else np.nan))
@@ -488,7 +493,8 @@ def sweep_lambda_eta(lam_grid, eta_grid, tasks, memory, net, descriptors,
 
     ``pcfg`` is a ProximalConfig or a per-task factory of one; each grid lam
     replaces its ``lam``. eta enters only the outer objective, not the solve,
-    so each lam is solved once and every eta is scored on those solutions.
+    so each lam is solved once, its query probabilities give each task's
+    cross-entropy, and every eta is scored on those solutions.
     """
     require(len(lam_grid) >= 1 and len(eta_grid) >= 1, "grids must be nonempty")
     pcfg_of = _pcfg_lookup(pcfg)
@@ -504,11 +510,12 @@ def sweep_lambda_eta(lam_grid, eta_grid, tasks, memory, net, descriptors,
         auc = rank_auc_or_nan(probs, labels)
         mean_l0_pre = float(np.mean([np.sum(s.w > 1e-10) for s in solutions]))
         mean_l0_post = float(np.mean([np.sum(s.w_tilde > 1e-10) for s in solutions]))
-        adapters = [compose_adapter(memory, s.w_tilde) for s in solutions]
+        # outer_objective's terms per task: query cross-entropy, l1, entropy
+        task_probs = np.split(probs, np.cumsum([len(t.query_y) for t in tasks])[:-1])
+        terms = [(binary_cross_entropy(p, t.query_y), float(np.sum(np.abs(s.w_tilde))),
+                  entropy_of(s.w_tilde)) for t, p, s in zip(tasks, task_probs, solutions)]
         for eta in eta_grid:
-            objective = [outer_objective(task.query_x, task.query_y, adapter,
-                                         solution.w_tilde, lam, eta, feature_map)[0]
-                         for task, solution, adapter in zip(tasks, solutions, adapters)]
+            objective = [ce + lam * l1 + eta * ent for ce, l1, ent in terms]
             rows.append({"lam": lam, "eta": eta, "auc": auc, "mean_l0_pre": mean_l0_pre,
                          "mean_l0_post": mean_l0_post,
                          "mean_objective": float(np.mean(objective))})

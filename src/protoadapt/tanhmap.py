@@ -1,11 +1,11 @@
 """The two-layer tanh map y = w2 tanh(w1 x + b1) + b2.
 
-It is the retrieval network (descriptor to prototype logits), the map of the
-residual descriptor warp (``z + map(z)``) and the vector field of the
-standalone continuous-time layer in ``node`` (input ``[z; t]``). Parameters
-live in a dict so Adam can step them by name; ``params_vector`` and
-``with_params`` give the flat ``w1, b1, w2, b2`` vector that the warp's Adam
-steps and the ``node`` adjoint work on.
+It is the retrieval network (descriptor to prototype logits), the residual
+descriptor warp (the subclass ``pipeline.MlpTransform``, ``z + map(z)``) and
+the vector field of the standalone continuous-time layer in ``node`` (input
+``[z; t]``). Parameters live in a dict so Adam can step them by name;
+``params_vector`` and ``with_params`` give the flat ``w1, b1, w2, b2`` vector
+that only the ``node`` adjoint works on.
 """
 
 from __future__ import annotations

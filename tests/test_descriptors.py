@@ -138,21 +138,18 @@ class TestBuildDescriptor:
         desc = build_descriptor(task, saturated, chain, std, corpus.feature_map())
         assert np.allclose(desc.blocks["gradient"], 0.0, atol=1e-10)
 
-    def test_boot_var_length_accounting(self):
+    def test_one_length_at_every_support_size(self):
         corpus, chain, std, probe = _fitted_setup()
         fmap = corpus.feature_map()
         q, r = corpus.cfg.q, chain.r
-        small = corpus.tasks_in("Ret-Train")[0]
-        small.support_x = small.support_x[:3]
-        small.support_y = np.array([0, 1, 1])
-        desc_small = build_descriptor(small, probe, chain, std, fmap, n_small_cutoff=5)
-        assert desc_small.has_boot_var
-        assert desc_small.d_z == descriptor_length(q, r, with_boot_var=True)
-
-        big = corpus.tasks_in("Ret-Val")[0]
-        desc_big = build_descriptor(big, probe, chain, std, fmap, n_small_cutoff=5)
-        assert not desc_big.has_boot_var
-        assert desc_big.d_z == descriptor_length(q, r, with_boot_var=False)
+        base = corpus.tasks_in("Ret-Train")[0]
+        assert base.support_x.shape[0] == 8
+        for n in (3, 8):
+            task = _Task(base.support_x[:n], base.support_y[:n], task_id=f"n{n}",
+                         partition=base.partition)
+            desc = build_descriptor(task, probe, chain, std, fmap)
+            assert desc.d_z == descriptor_length(q, r) == 2 * q + 5 + r + 1
+            assert list(desc.blocks) == ["moments", "order_stats", "gradient"]
 
     def test_permutation_invariance(self):
         corpus, chain, std, probe = _fitted_setup()
@@ -160,13 +157,13 @@ class TestBuildDescriptor:
         task = corpus.tasks_in("Ret-Train")[0]
         task.support_x = task.support_x[:4]
         task.support_y = np.array([0, 1, 1, 0])
-        d1 = build_descriptor(task, probe, chain, std, fmap, n_small_cutoff=6)
+        d1 = build_descriptor(task, probe, chain, std, fmap)
         rng = np.random.default_rng(3)
         for _ in range(5):
             perm = rng.permutation(4)
             shuffled = _Task(task.support_x[perm], task.support_y[perm],
                              task_id=task.task_id, partition=task.partition)
-            d2 = build_descriptor(shuffled, probe, chain, std, fmap, n_small_cutoff=6)
+            d2 = build_descriptor(shuffled, probe, chain, std, fmap)
             # invariant up to float summation order
             assert np.allclose(d1.values, d2.values, atol=1e-12)
 

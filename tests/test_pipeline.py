@@ -104,11 +104,13 @@ class TestDefaults:
         ("fixed_tau", 0.5),
         ("use_storey", False),
         ("support_size_train", 5),
+        ("warp.lr", 1e-3),
     ])
     def test_removed_memory_and_motif_key_is_rejected(self, key, value):
         blob = desk_config().to_dict()
-        blob[key] = value
-        with pytest.raises(TypeError, match=key):
+        *section, name = key.split(".")
+        (blob[section[0]] if section else blob)[name] = value
+        with pytest.raises(TypeError, match=name):
             RunConfig.from_dict(blob)
 
     def test_removed_plant_rate_key_is_rejected(self):
@@ -304,16 +306,31 @@ class TestPhase2:
         with pytest.raises(ValidationError, match="warp.kind"):
             make_transform(6, WarpConfig(kind="ode"), seed=0)
 
-    def test_mlp_transform_learns(self):
-        mlp = MlpTransform(4, WarpConfig(hidden=4, lr=0.05), seed=1)
-        z = np.ones(4)
-        before = mlp.forward(z)[0].copy()
-        for _ in range(30):
-            out, state = mlp.forward(z)
-            mlp.apply_batch([(z, state, out - np.array([1.0, 0.0, 0.0, 0.0]))])
-        after = mlp.forward(z)[0]
-        target = np.array([1.0, 0.0, 0.0, 0.0])
-        assert np.linalg.norm(after - target) < np.linalg.norm(before - target)
+    def test_soft_config_reports_the_same_whichever_way_artifacts_were_built(self):
+        cfg = fewshot_benchmark_config()
+        gen = replace(cfg.generator, n_tasks=90, n_support=400, n_query=30)
+        cfg = replace(cfg, generator=gen, epochs=3, patience=4, coverage_n_boot=200,
+                      n_restarts=3)
+        soft_cfg = replace(cfg, hard_threshold=False)
+        built_hard, built_soft = run_phase1(cfg), run_phase1(soft_cfg)
+        # K above the operating sparsity, so the top-r rule changes the solution
+        assert built_hard.memory.K > pipeline._r_keep(cfg, built_hard.rank_selected,
+                                                      built_hard.memory.K)
+        on_hard = run_phase2(soft_cfg, built_hard)
+        on_soft = run_phase2(soft_cfg, built_soft)
+        assert on_hard.history == on_soft.history
+        for split in ("train", "val", "test"):
+            assert on_hard.metrics[split].row() == on_soft.metrics[split].row(), split
+
+    def test_supports_below_five_train_and_sweep(self):
+        cfg = replace(tiny_config(train_sizes=(3, 10)), epochs=2, patience=3)
+        art = run_phase1(cfg)
+        result = run_phase2(cfg, art)
+        d_z = {desc.d_z for desc in result.descriptors.values()}
+        assert len(d_z) == 1
+        rows = run_support_sweep(cfg, art, result)
+        assert [r["support_size"] for r in rows] == list(cfg.support_sizes_eval)
+        assert all(0.0 <= r["auc"] <= 1.0 for r in rows)
 
 
 class TestBaselinesAndSweeps:

@@ -31,7 +31,9 @@ from protoadapt.retrieval import (
     _SolveTape,
 )
 from protoadapt.metrics import rank_auc_or_nan
-from protoadapt.util import ValidationError, sigmoid
+from protoadapt.pipeline import WarpConfig, make_transform
+from protoadapt.tanhmap import KEYS, TanhMap, flatten
+from protoadapt.util import ValidationError, child_rng, sigmoid
 
 
 def make_memory(m_rows, r=None):
@@ -509,11 +511,14 @@ class TestTraining:
         memory, tasks, descriptors, theta_hats = self._toy_problem()
         pcfg = ProximalConfig(lam=1e-4, gamma=0.5, t_prox=5)
         tcfg = TrainConfig(epochs=4, lr=0.0, r_keep=1, seed=0)
+        warp = make_transform(3, WarpConfig(hidden=4), seed=0)
+        warp_before = {key: arr.copy() for key, arr in warp.params.items()}
         result = train_retrieval(tasks, memory, descriptors, theta_hats,
-                                 identity_map, pcfg, tcfg)
+                                 identity_map, pcfg, tcfg, transform=warp)
         fresh = RetrievalNet(d_z=3, k=3, seed=0)
         for key in fresh.params:
             assert np.array_equal(result.net.params[key], fresh.params[key])
+            assert np.array_equal(warp.params[key], warp_before[key])
         losses = [row.train_loss for row in result.history]
         assert np.allclose(losses, losses[0], atol=1e-12)
 
@@ -580,11 +585,101 @@ class TestTraining:
             assert sol.active_set == list(np.nonzero(sol.w)[0])
         assert max(len(sol.active_set) for sol in val_solutions) > tcfg.r_keep
 
+    def test_one_adam_step_matches_the_two_optimizer_oracle(self):
+        memory, tasks, descriptors, theta_hats = self._toy_problem()
+        pcfg = ProximalConfig(lam=1e-4, gamma=0.5, t_prox=5)
+        # two minibatches (4 and 2 tasks), so the second step sees moved arrays
+        tcfg = TrainConfig(epochs=1, batch_size=4, lr=0.05, weight_decay=0.1,
+                           r_keep=1, seed=0)
+        warp = make_transform(3, WarpConfig(hidden=4, init_scale=0.5), seed=7)
+        result = train_retrieval(tasks, memory, descriptors, theta_hats, identity_map,
+                                 pcfg, tcfg, transform=warp)
+        oracle_warp = _FlatVectorWarp(3, 4, seed=7, init_scale=0.5, lr=tcfg.lr)
+        oracle_net = _two_optimizer_epoch(tasks, memory, descriptors, theta_hats, pcfg,
+                                          tcfg, oracle_warp)
+        fresh = make_transform(3, WarpConfig(hidden=4, init_scale=0.5), seed=7)
+        for key in KEYS:
+            assert np.array_equal(result.net.params[key], oracle_net.params[key]), key
+            assert np.array_equal(warp.params[key], oracle_warp.map.params[key]), key
+        assert not np.array_equal(warp.params["w1"], fresh.params["w1"])
+
     def test_adam_updates_params(self):
         params = {"w": np.ones(3)}
         opt = Adam(params, lr=0.1)
         opt.step({"w": np.array([1.0, -1.0, 0.5])})
         assert not np.allclose(params["w"], 1.0)
+
+
+class _DecayAdam:
+    """Adam as it was, adding ``weight_decay * param`` to each gradient itself."""
+
+    def __init__(self, params, lr, weight_decay=0.0):
+        self.params, self.lr, self.weight_decay = params, lr, weight_decay
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.t = 0
+
+    def step(self, grads):
+        self.t += 1
+        for key, g in grads.items():
+            if self.weight_decay:
+                g = g + self.weight_decay * self.params[key]
+            self.m[key] = 0.9 * self.m[key] + (1 - 0.9) * g
+            self.v[key] = 0.999 * self.v[key] + (1 - 0.999) * g * g
+            m_hat = self.m[key] / (1 - 0.9**self.t)
+            v_hat = self.v[key] / (1 - 0.999**self.t)
+            self.params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+class _FlatVectorWarp:
+    """The residual warp as it was: map arrays that view one flat vector, its own Adam."""
+
+    def __init__(self, d_z, hidden, seed, init_scale, lr):
+        net = TanhMap(d_z, hidden, d_z, seed, "mlp-transform", init_scale)
+        self._params = {"phi": net.params_vector()}
+        self.map = net.with_params(self._params["phi"])
+        self.opt = _DecayAdam(self._params, lr=lr)
+
+    def forward(self, z):
+        y, h = self.map.forward(z)
+        return z + y, h
+
+    def apply_batch(self, triples):
+        grad = np.zeros_like(self._params["phi"])
+        for z, hidden, grad_out in triples:
+            grad += flatten(self.map.vjp(z, hidden, grad_out)[0])
+        self.opt.step({"phi": grad})
+
+
+def _two_optimizer_epoch(tasks, memory, descriptors, theta_hats, pcfg, tcfg, warp):
+    """One training epoch as it was: the net's Adam, then the warp's ``apply_batch``."""
+    d_z = descriptors[tasks[0].task_id].values.shape[0]
+    net = RetrievalNet(d_z=d_z, k=memory.K, seed=tcfg.seed)
+    opt = _DecayAdam(net.params, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
+    order = child_rng(tcfg.seed, "epochs", 0).permutation(len(tasks))
+    for start in range(0, len(order), tcfg.batch_size):
+        batch = order[start:start + tcfg.batch_size]
+        grads = {k: np.zeros_like(v) for k, v in net.params.items()}
+        warp_batch = []
+        for i in batch:
+            task = tasks[i]
+            task_pcfg, (solution, tape), (z_raw, warp_hidden, z, net_hidden) = (
+                retrieval._episode(task, memory, net, descriptors[task.task_id],
+                                   theta_hats[task.task_id], pcfg, tcfg.r_keep,
+                                   transform=warp, record_tape=True))
+            w_tilde = solution.w_tilde
+            _, _, grad_w = outer_objective(task.query_x, task.query_y,
+                                           compose_adapter(memory, w_tilde), w_tilde,
+                                           task_pcfg.lam, tcfg.eta, identity_map,
+                                           memory=memory)
+            task_grads, grad_z = net.vjp(z, net_hidden,
+                                         backward_through_solve(tape, memory, grad_w))
+            for key in grads:
+                grads[key] += task_grads[key] / len(batch)
+            warp_batch.append((z_raw, warp_hidden, grad_z / len(batch)))
+        opt.step(grads)
+        warp.apply_batch(warp_batch)
+    return net
 
 
 class TestSweep:
@@ -668,6 +763,33 @@ class TestSweep:
                                     thetas, pcfg, 3, identity_map)
         assert len({row["mean_objective"] for row in rows}) == len(rows)
         assert rows == oracle
+
+    def test_each_query_is_mapped_once_per_lambda(self):
+        rng = np.random.default_rng(19)
+        memory = make_memory(rng.normal(size=(4, 3)))
+        tasks, descs, thetas = [], {}, {}
+        for i in range(3):
+            t = type("T", (), {})()
+            t.task_id = f"c{i}"
+            t.query_x = rng.normal(size=(5 + i, 3))
+            t.query_y = np.array([0, 1] * 4)[:5 + i]
+            tasks.append(t)
+            descs[t.task_id] = type("D", (), {"values": rng.normal(size=2)})()
+            thetas[t.task_id] = rng.normal(size=3)
+        net = RetrievalNet(d_z=2, k=4, seed=6)
+        pcfg = ProximalConfig(lam=0.0, gamma=0.1, t_prox=10)
+        lam_grid, eta_grid = [1e-4, 0.05], [0.0, 0.01, 0.5]
+        calls = []
+
+        def counting_map(x):
+            calls.append(x.shape[0])
+            return x
+
+        rows = sweep_lambda_eta(lam_grid, eta_grid, tasks, memory, net, descs, thetas,
+                                pcfg, r_keep=2, feature_map=counting_map)
+        assert calls == [5, 6, 7] * len(lam_grid)
+        assert rows == _sweep_double_loop(lam_grid, eta_grid, tasks, memory, net, descs,
+                                          thetas, pcfg, 2, identity_map)
 
 
     def test_per_task_factory_with_the_grid_lam(self):
