@@ -126,6 +126,29 @@ class TaskDescriptor:
         return self.values.shape[0]
 
 
+def _percentiles(values, q):
+    """``np.percentile(values, q)`` (linear method) from one sort, bit for bit.
+
+    numpy's own steps: virtual index (n - 1) * q / 100; its floor and the
+    next index, both moved to the last element at or past it; the weight
+    taken from the moved floor; and numpy's two-sided lerp. Only the sign of
+    a zero can differ, where -0.0 and 0.0 tie and sort and partition order
+    them differently.
+    """
+    s = np.sort(values, axis=None)
+    n = s.size
+    index = (n - 1) * (np.asarray(q, dtype=float) / 100)
+    lo = np.floor(index)
+    hi = lo + 1
+    past_end = index >= n - 1
+    lo[past_end] = hi[past_end] = -1
+    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
+    t = index - lo
+    a, b = s[lo], s[hi]
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+
 def build_descriptor(task, probe: ProbeHead, chain, standardizer: Standardizer,
                      feature_map, percentiles=DEFAULT_PERCENTILES,
                      clip: float = 10.0) -> TaskDescriptor:
@@ -142,7 +165,7 @@ def build_descriptor(task, probe: ProbeHead, chain, standardizer: Standardizer,
     mu, sigma = pooled_moments(task.support_x)
     std_block = standardizer.transform(np.concatenate([mu, sigma]))
 
-    order_block = np.percentile(task.support_x.ravel(), list(percentiles))
+    order_block = _percentiles(task.support_x, percentiles)
 
     _, _, grad = _probe_fit(probe, task, feature_map)
     g_proj = chain.project(grad[:-1])

@@ -39,25 +39,37 @@ class MetricsRecord:
                 "tp", "fp", "tn", "fn"]
 
 
-def rank_auc(scores, labels) -> float:
-    """AUC as the rank statistic over positive-negative pairs (ties count half)."""
-    scores = check_finite(scores, "scores").ravel()
+def rank_auc(scores, labels):
+    """AUC as the rank statistic over positive-negative pairs (ties count half).
+
+    ``scores`` is a vector aligned with ``labels`` (a float back), or a 2-d
+    matrix whose rows each align with them (one AUC per row, ranked in one
+    ``rankdata`` call).
+    """
+    return _rank_auc(scores, labels, single_class_nan=False)
+
+
+def rank_auc_or_nan(scores, labels):
+    """``rank_auc``, but NaN instead of an error for a single-class label vector."""
+    return _rank_auc(scores, labels, single_class_nan=True)
+
+
+def _rank_auc(scores, labels, single_class_nan):
+    scores = check_finite(scores, "scores")
     labels = np.asarray(labels, dtype=int).ravel()
-    require(scores.size == labels.size, "scores and labels must align")
+    vector = scores.ndim != 2
+    rows = scores.reshape(1, -1) if vector else scores
+    require(rows.shape[1] == labels.size, "scores and labels must align")
     pos = labels == 1
     n_pos, n_neg = int(pos.sum()), int((~pos).sum())
     if n_pos == 0 or n_neg == 0:
-        raise ValidationError("AUC undefined for a single-class label vector")
-    ranks = rankdata(scores, method="average")
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-def rank_auc_or_nan(scores, labels) -> float:
-    """``rank_auc``, but NaN instead of an error for a single-class label vector."""
-    pos = np.asarray(labels, dtype=int).ravel() == 1
-    if pos.all() or not pos.any():
-        return float("nan")
-    return rank_auc(scores, labels)
+        if not single_class_nan:
+            raise ValidationError("AUC undefined for a single-class label vector")
+        aucs = np.full(rows.shape[0], np.nan)
+    else:
+        ranks = rankdata(rows, method="average", axis=-1)
+        aucs = (ranks[:, pos].sum(axis=1) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return float(aucs[0]) if vector else aucs
 
 
 def binary_cross_entropy(probs, labels) -> float:

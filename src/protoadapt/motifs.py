@@ -351,8 +351,9 @@ def t_statistic_from_summary(tau_bar: float, se: float,
 
 
 def _threshold_score(activations, tau):
-    # fraction of screened channels firing above tau, per repertoire
-    return (activations > tau).mean(axis=0)
+    # fraction of screened channels firing above tau, per repertoire; a vector
+    # of thresholds gives one row per threshold
+    return (activations > np.asarray(tau)[..., None, None]).mean(axis=-2)
 
 
 def _stratified_split(labels, frac, rng):
@@ -400,10 +401,10 @@ def calibrate_tau(activations, labels, cohort: str = "cohort",
         optima = []
         for fold in range(n_folds):
             train_local = calib_idx[fold_assign != fold]
+            aucs = rank_auc_or_nan(_threshold_score(activations[:, train_local], grid),
+                                   labels[train_local])
             best_tau, best_auc = None, -np.inf
-            for tau in grid:
-                auc = rank_auc_or_nan(_threshold_score(activations[:, train_local], tau),
-                                      labels[train_local])
+            for tau, auc in zip(grid, aucs):
                 if np.isnan(auc):
                     continue
                 # ties prefer the threshold closest to the grid centre

@@ -604,9 +604,13 @@ def persist_phase2(result: Phase2Result, outdir: Path) -> None:
                for r in calibration_bins(result.test_probs, result.test_labels)])
     descriptors_to_csv(result.descriptors, outdir / "descriptors.csv")
 
-    # trained retrieval parameters into the run manifest
+    # trained retrieval parameters into the run manifest: the network, and the
+    # descriptor warp when there is one
     write_json(outdir / "retrieval_net.json",
                {name: arr.tolist() for name, arr in result.net.params.items()})
+    if result.transform is not None:
+        write_json(outdir / "retrieval_warp.json",
+                   {name: arr.tolist() for name, arr in result.transform.params.items()})
     write_csv(outdir / "solver_trace.csv", ["iteration", "objective"],
               list(enumerate(result.solver_trace)))
 
@@ -898,7 +902,12 @@ def ablation_config(cfg: RunConfig, variant: str) -> RunConfig:
 
 
 def run_ablations(cfg: RunConfig, variants, outdir: Path | None = None):
-    rows = []
+    """One phase-1 and phase-2 run per variant.
+
+    run.log names each variant that turns off a top-r rule which keeps every
+    activation anyway (r_keep >= K): that row equals ``full`` by construction.
+    """
+    rows, notes = [], []
     for variant in variants:
         vcfg = ablation_config(cfg, variant)
         artifacts = run_phase1(vcfg)
@@ -907,6 +916,11 @@ def run_ablations(cfg: RunConfig, variants, outdir: Path | None = None):
         rows.append({"variant": variant, "auc": rec.auc, "f1": rec.f1,
                      "ece": rec.ece, "latency_ms": result.latency_ms,
                      "rank": artifacts.rank_selected, "k": artifacts.memory.K})
+        k = artifacts.memory.K
+        r_keep = _r_keep(vcfg, artifacts.rank_selected, k)
+        if cfg.hard_threshold and not vcfg.hard_threshold and r_keep >= k:
+            notes.append(f"ablation {variant}: r_keep {r_keep} >= K {k}, so hard_top_r "
+                         "keeps every activation and this row equals full by construction")
     if outdir is not None:
         outdir = Path(outdir)
         write_csv(outdir / "ablations.csv",
@@ -915,6 +929,8 @@ def run_ablations(cfg: RunConfig, variants, outdir: Path | None = None):
                    for r in rows])
         _append(outdir / "runtime.txt",
                 [f"per_task_ms ablation_{r['variant']} {r['latency_ms']:.3f}" for r in rows])
+        if notes:
+            _append(outdir / "run.log", notes)
     return rows
 
 

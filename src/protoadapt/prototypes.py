@@ -9,6 +9,7 @@ over pretraining tasks, with both percentile and BCa intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -32,9 +33,13 @@ class DegenerateAtomError(ValidationError):
     """A prototype row with zero norm cannot act as a dictionary atom."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProjectionChain:
-    """Frozen linear map from raw parameter space to the top-r canonical coords."""
+    """Frozen linear map from raw parameter space to the top-r canonical coords.
+
+    Frozen, so the subspace basis, computed on first use and kept, always
+    belongs to the chain's canonicalizer and rank.
+    """
 
     canonicalizer: Canonicalizer
     r: int
@@ -53,14 +58,20 @@ class ProjectionChain:
         out = self.canonicalizer.invert(full)
         return out[0] if single else out
 
-    def raw_basis(self) -> np.ndarray:
-        """Orthonormal basis of the fitted subspace in raw coordinates."""
+    @cached_property
+    def _raw_basis(self) -> np.ndarray:
         img = self.lift(np.eye(self.r))          # r x d rows spanning the subspace
         q, _ = np.linalg.qr(img.T)
-        return q[:, : self.r]
+        basis = q[:, : self.r]
+        basis.setflags(write=False)
+        return basis
+
+    def raw_basis(self) -> np.ndarray:
+        """Orthonormal basis of the fitted subspace in raw coordinates (read-only)."""
+        return self._raw_basis
 
     def subspace_project(self, vec: np.ndarray) -> np.ndarray:
-        basis = self.raw_basis()
+        basis = self._raw_basis
         return basis @ (basis.T @ np.asarray(vec, dtype=float))
 
 
@@ -310,10 +321,10 @@ def cluster_prototypes(theta, chain: ProjectionChain, k: int, n_restarts: int = 
 # ---------------------------------------------------------------------------
 
 def _ls_on_support(u, atoms, support):
+    """Least-squares coefficients of u on the support's atoms and the residual vector."""
     sub = atoms[support]                      # |S| x dim
     coef, _, _, _ = np.linalg.lstsq(sub.T, u, rcond=None)
-    resid = u - coef @ sub
-    return coef, float(np.linalg.norm(resid))
+    return coef, u - coef @ sub
 
 
 def l0_fit(u, atoms, r_sparse: int, exact: bool = False):
@@ -340,15 +351,17 @@ def l0_fit(u, atoms, r_sparse: int, exact: bool = False):
         best = (float(np.linalg.norm(u)), (), np.zeros(k))
         for size in range(1, r_sparse + 1):
             for support in combinations(range(k), size):
-                coef, resid = _ls_on_support(u, atoms, list(support))
+                coef, resid_vec = _ls_on_support(u, atoms, list(support))
+                resid = float(np.linalg.norm(resid_vec))
                 if resid < best[0] - 1e-12:
                     w = np.zeros(k)
                     w[list(support)] = coef
                     best = (resid, support, w)
         return best[2], best[0]
 
+    # the last step's fit is the returned one: it is on the final active set
     w = np.zeros(k)
-    residual = u.copy()
+    residual = u
     active: list[int] = []
     u_norm = np.linalg.norm(u)
     for _ in range(r_sparse):
@@ -358,14 +371,10 @@ def l0_fit(u, atoms, r_sparse: int, exact: bool = False):
         if corr[best_atom] <= 1e-12 * max(u_norm, 1e-300):
             break
         active.append(best_atom)
-        coef, _ = _ls_on_support(u, atoms, active)
-        residual = u - coef @ atoms[active]
+        coef, residual = _ls_on_support(u, atoms, active)
     if active:
-        coef, resid = _ls_on_support(u, atoms, active)
         w[active] = coef
-    else:
-        resid = float(np.linalg.norm(u))
-    return w, resid
+    return w, float(np.linalg.norm(residual))
 
 
 # ---------------------------------------------------------------------------

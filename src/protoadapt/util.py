@@ -38,7 +38,7 @@ def require(condition: bool, message: str) -> None:
 
 def check_finite(arr, name: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite values")
     return arr
 
@@ -81,10 +81,10 @@ def config_hash(obj) -> str:
 
 
 def sigmoid(x):
+    """Logistic function in one pass; exp only sees -|x|, so it never overflows.
+
+    ``minimum(x, -x)`` is -|x| but keeps a NaN's sign bit.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))

@@ -3,9 +3,11 @@ import pytest
 
 from protoadapt.adapters import Canonicalizer
 from protoadapt.descriptors import (
+    DEFAULT_PERCENTILES,
     LeakageError,
     ProbeHead,
     Standardizer,
+    _percentiles,
     build_descriptor,
     descriptor_length,
     pooled_moments,
@@ -173,3 +175,33 @@ class TestBuildDescriptor:
         task.support_x = task.support_x * 1e6
         desc = build_descriptor(task, probe, chain, std, corpus.feature_map(), clip=10.0)
         assert np.max(np.abs(desc.values)) <= 10.0
+
+
+class TestPercentiles:
+    """``_percentiles`` against ``np.percentile``, the call it replaced, bit for bit."""
+
+    QS = (DEFAULT_PERCENTILES, (0.0, 100.0), (0.0, 1.0, 33.3, 50.0, 66.7, 99.0, 100.0),
+          tuple(np.linspace(0.0, 100.0, 41)))
+
+    @staticmethod
+    def _samples(n, rng):
+        yield rng.normal(size=n)
+        yield rng.integers(0, 4, size=n).astype(float)          # heavy ties, +0.0
+        yield np.round(rng.normal(size=n), 1) * 1e3 + 0.0        # ties, no -0.0
+        yield np.full(n, 0.37)
+
+    def test_bit_equal_to_np_percentile(self):
+        rng = np.random.default_rng(0)
+        checked = 0
+        for n in list(range(1, 1001)) + [12_800]:
+            for values in self._samples(n, rng):
+                for q in self.QS:
+                    oracle = np.percentile(values, list(q))
+                    assert _percentiles(values, q).tobytes() == oracle.tobytes(), (n, q)
+                    checked += 1
+        assert checked == 1001 * 4 * len(self.QS)
+
+    def test_two_dimensional_support_pools_every_entry(self):
+        x = np.random.default_rng(1).normal(size=(50, 16))
+        oracle = np.percentile(x.ravel(), list(DEFAULT_PERCENTILES))
+        assert _percentiles(x, DEFAULT_PERCENTILES).tobytes() == oracle.tobytes()

@@ -89,6 +89,24 @@ class TestAuc:
             checked += 1
         assert checked >= 250
 
+    def test_score_matrix_matches_one_call_per_row_exactly(self):
+        rng = np.random.default_rng(14)
+        for scores, labels in _tied_cases(n_cases=60, seed=15):
+            matrix = np.vstack([scores, np.round(rng.random((4, scores.size)), 1)])
+            rows = rank_auc_or_nan(matrix, labels)
+            assert rows.shape == (5,)
+            for row, auc in zip(matrix, rows):
+                oracle = rank_auc_or_nan(row, labels)
+                assert (np.isnan(auc) and np.isnan(oracle)) or auc == oracle
+            if not np.isnan(rows).any():
+                assert np.array_equal(rank_auc(matrix, labels), rows)
+        assert np.isnan(rank_auc_or_nan(np.zeros((3, 4)), np.ones(4))).all()
+        assert rank_auc_or_nan(np.zeros((1, 4)), np.array([0, 1, 0, 1])).shape == (1,)
+        with pytest.raises(ValidationError):
+            rank_auc(np.zeros((3, 4)), np.ones(4))
+        with pytest.raises(ValidationError):
+            rank_auc_or_nan(np.zeros((4, 2)), np.array([0, 1, 0, 1]))
+
     def test_spearman_matches_tie_loop_oracle_exactly(self):
         rng = np.random.default_rng(12)
         for scores, _ in _tied_cases(seed=13):

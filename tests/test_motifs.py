@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import t as t_dist
 
+from protoadapt import motifs
+from protoadapt.metrics import rank_auc_or_nan
 from protoadapt.motifs import (
     CalibrationError,
     DESK_PERMUTATION_FLOOR,
@@ -259,6 +261,66 @@ class TestTauCalibration:
         with pytest.raises(CalibrationError):
             calibrate_tau(acts, labels, cohort="flat", calib_frac=0.4,
                           gap_bound=1e-6, max_retries=2, seed=4)
+
+
+def _calibration_cases():
+    # (activations, labels, seed, gap_bound): flat, separable and saturated
+    # channels like real motif activations, where most entries are 1.0
+    rng = np.random.default_rng(21)
+    for case in range(60):
+        n_rep = int(rng.choice([20, 24, 32, 40, 60]))
+        n_channels = int(rng.integers(3, 40))
+        labels = rng.permutation(np.arange(n_rep) % 2)
+        kind = case % 3
+        if kind == 0:
+            acts = rng.random(size=(n_channels, n_rep))
+        elif kind == 1:
+            base = np.where(labels == 1, 0.62, 0.38)
+            acts = np.clip(base + 0.15 * rng.normal(size=(n_channels, n_rep)), 0.0, 1.0)
+        else:
+            acts = np.where(rng.random(size=(n_channels, n_rep)) < 0.94, 1.0,
+                            np.round(rng.random(size=(n_channels, n_rep)), 1))
+        yield acts, labels, int(rng.integers(0, 1000)), float(rng.choice([0.01, 0.1, 1.0]))
+
+
+class TestCalibrationMatchesThresholdLoop:
+    """One rank call per fold against the per-threshold AUC loop it replaced."""
+
+    @staticmethod
+    def _threshold_loop(monkeypatch):
+        one_threshold = motifs._threshold_score
+
+        def scores_per_threshold(activations, tau):
+            if np.ndim(tau) == 0:
+                return one_threshold(activations, tau)
+            return np.stack([(activations > t).mean(axis=0) for t in tau])
+
+        def auc_per_threshold(scores, labels):
+            if scores.ndim == 1:
+                return rank_auc_or_nan(scores, labels)
+            return np.array([rank_auc_or_nan(row, labels) for row in scores])
+
+        monkeypatch.setattr(motifs, "_threshold_score", scores_per_threshold)
+        monkeypatch.setattr(motifs, "rank_auc_or_nan", auc_per_threshold)
+
+    @staticmethod
+    def _run(acts, labels, seed, gap_bound):
+        try:
+            return repr(calibrate_tau(acts, labels, cohort="c", calib_frac=0.4,
+                                      gap_bound=gap_bound, seed=seed))
+        except CalibrationError as exc:
+            return f"CalibrationError: {exc}"
+
+    def test_every_field_and_failure_identical(self, monkeypatch):
+        cases = list(_calibration_cases())
+        fast = [self._run(*case) for case in cases]
+        self._threshold_loop(monkeypatch)
+        loop = [self._run(*case) for case in cases]
+        assert fast == loop
+        outcomes = " ".join(fast)
+        assert "CalibrationError" in outcomes
+        assert "zero_variance=True" in outcomes and "zero_variance=False" in outcomes
+        assert any("n_retries=0" not in out and "Error" not in out for out in fast)
 
 
 class TestPowerCurve:

@@ -266,7 +266,7 @@ class TestPhase2:
         persist_phase2(result, tmp_path)
         for name in ("training_curve.csv", "metrics.csv", "calibration_bins.csv",
                      "descriptors.csv", "solver_trace.csv",
-                     "retrieval_net.json", "run.log", "runtime.txt"):
+                     "retrieval_net.json", "retrieval_warp.json", "run.log", "runtime.txt"):
             assert (tmp_path / name).exists(), name
         # the penalty sweep is a step of its own
         assert not (tmp_path / "sweep_lambda_eta.csv").exists()
@@ -274,6 +274,42 @@ class TestPhase2:
         rows = run_penalty_sweep(cfg, art, result, outdir=tmp_path)
         assert len(rows) == 2 * len(cfg.lam_grid)
         assert (tmp_path / "sweep_lambda_eta.csv").exists()
+
+    def test_run_files_rebuild_the_test_predictions_bit_for_bit(self, tiny_artifacts,
+                                                                tmp_path):
+        cfg, art = tiny_artifacts
+        persist_phase1(art, tmp_path)
+        result = run_phase2(cfg, art, outdir=tmp_path)
+        # everything below comes from the run's files: the config, then the
+        # network's and the warp's trained arrays
+        cfg_disk = RunConfig.from_dict(
+            json.loads((tmp_path / "config.json").read_text())["config"])
+        art_disk = run_phase1(cfg_disk)
+        tasks = pipeline._ret_tasks_at_size(art_disk, "Ret-Test",
+                                            pipeline._support_size(cfg_disk))
+        descriptors, theta_hats = pipeline._prepare_inputs(cfg_disk, art_disk, tasks)
+        d_z = descriptors[tasks[0].task_id].d_z
+        net = retrieval.RetrievalNet(d_z, art_disk.memory.K)
+        warp = make_transform(d_z, cfg_disk.warp, seed=cfg_disk.seed)
+        untrained = {key: arr.copy() for key, arr in warp.params.items()}
+        for tmap, name in ((net, "retrieval_net.json"), (warp, "retrieval_warp.json")):
+            saved = json.loads((tmp_path / name).read_text())
+            tmap.params = {key: np.asarray(value, dtype=float) for key, value in saved.items()}
+        assert any(not np.array_equal(warp.params[key], untrained[key]) for key in untrained)
+        probs, labels, _ = retrieval.predict_tasks(
+            tasks, art_disk.memory, net, descriptors, theta_hats,
+            pipeline._proximal_config(cfg_disk),
+            pipeline._r_keep(cfg_disk, art_disk.rank_selected, art_disk.memory.K),
+            art_disk.corpus.feature_map(), transform=warp,
+            hard_threshold=cfg_disk.hard_threshold)
+        assert probs.tobytes() == result.test_probs.tobytes()
+        assert np.array_equal(labels, result.test_labels)
+
+    def test_no_warp_file_without_a_warp(self, tiny_artifacts, tmp_path):
+        cfg, art = tiny_artifacts
+        run_phase2(replace(cfg, warp=replace(cfg.warp, kind="none")), art, outdir=tmp_path)
+        assert (tmp_path / "retrieval_net.json").exists()
+        assert not (tmp_path / "retrieval_warp.json").exists()
 
     def test_every_stage_appends_to_runtime(self, tiny_artifacts, tmp_path):
         cfg, art = tiny_artifacts
@@ -400,6 +436,29 @@ class TestAblations:
         assert set(ABLATION_VARIANTS) >= {"full", "fixed_r", "soft_l1_only",
                                           "gamma_zero", "no_canonicalization",
                                           "no_transform"}
+
+    def test_no_op_soft_ablation_is_flagged(self, tmp_path):
+        # desk seed 42 ends at r_keep = K = 4: the top-r rule keeps everything
+        rows = pipeline.run_ablations(desk_config(seed=42), ["full", "soft_l1_only"],
+                                      outdir=tmp_path)
+        full, soft = rows
+        assert (soft["rank"], soft["k"]) == (4, 4)
+        assert (full["auc"], full["f1"], full["ece"]) == (soft["auc"], soft["f1"], soft["ece"])
+        log = (tmp_path / "run.log").read_text().splitlines()
+        assert log == ["ablation soft_l1_only: r_keep 4 >= K 4, so hard_top_r keeps every "
+                       "activation and this row equals full by construction"]
+
+    def test_soft_ablation_with_k_above_r_keep_is_not_flagged(self, tmp_path):
+        rows = pipeline.run_ablations(tiny_config(r_keep=1), ["soft_l1_only"], outdir=tmp_path)
+        assert rows[0]["k"] > 1
+        assert not (tmp_path / "run.log").exists()
+
+    def test_soft_base_config_flags_no_variant(self, tmp_path):
+        # every variant of a soft-threshold base is soft; none turns a rule off
+        rows = pipeline.run_ablations(tiny_config(hard_threshold=False, r_keep=100),
+                                      ["full", "gamma_zero"], outdir=tmp_path)
+        assert all(row["k"] <= 100 for row in rows)
+        assert not (tmp_path / "run.log").exists()
 
     def test_single_prototype_memory_degenerates(self):
         cfg = tiny_config(k_grid=(1,))

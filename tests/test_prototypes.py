@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations, product
 
 import numpy as np
@@ -141,6 +142,31 @@ class TestProjectionChain:
         proj = basis @ (basis.T @ lifted.T)
         assert np.max(np.abs(proj - lifted.T)) < 1e-10
 
+    def test_raw_basis_cached_after_one_qr(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        rows = rng.normal(size=(15, 4)) * np.array([3.0, 2.0, 0.5, 0.1])
+        chain = ProjectionChain(canonicalizer=fit_canonicalizer(rows), r=2)
+        # the uncached value, computed as raw_basis did before the cache
+        uncached = np.linalg.qr(chain.lift(np.eye(2)).T)[0][:, :2]
+        real_qr, calls = np.linalg.qr, []
+
+        def counting_qr(*args, **kwargs):
+            calls.append(1)
+            return real_qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        for vec in rng.normal(size=(100, 4)):
+            expected = uncached @ (uncached.T @ vec)
+            assert chain.subspace_project(vec).tobytes() == expected.tobytes()
+        assert len(calls) == 1
+        assert chain.raw_basis().tobytes() == uncached.tobytes()
+        assert not chain.raw_basis().flags.writeable
+
+    def test_chain_is_frozen(self):
+        chain = identity_chain(3, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            chain.r = 1
+
 
 class TestClustering:
     def test_k_equals_n_zero_sse(self):
@@ -211,7 +237,67 @@ class TestClustering:
         assert silhouette_score(np.eye(3), np.zeros(3, dtype=int)) == 0.0
 
 
+def _l0_fit_loop(u, atoms, r_sparse):
+    # OMP as it was before the last fit was reused: it refits the final active
+    # set after the loop; kept as the oracle
+    norms = np.linalg.norm(atoms, axis=1)
+
+    def ls(support):
+        sub = atoms[support]
+        coef, _, _, _ = np.linalg.lstsq(sub.T, u, rcond=None)
+        return coef, float(np.linalg.norm(u - coef @ sub))
+
+    w = np.zeros(atoms.shape[0])
+    residual = u.copy()
+    active = []
+    u_norm = np.linalg.norm(u)
+    for _ in range(r_sparse):
+        corr = np.abs(atoms @ residual) / norms
+        corr[active] = -np.inf
+        best_atom = int(np.argmax(corr))
+        if corr[best_atom] <= 1e-12 * max(u_norm, 1e-300):
+            break
+        active.append(best_atom)
+        coef, _ = ls(active)
+        residual = u - coef @ atoms[active]
+    if active:
+        coef, resid = ls(active)
+        w[active] = coef
+    else:
+        resid = float(np.linalg.norm(u))
+    return w, resid
+
+
 class TestL0Fit:
+    def test_omp_bit_equal_to_refitting_loop(self):
+        rng = np.random.default_rng(6)
+        breaks = 0
+        for trial in range(300):
+            k, dim = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            atoms = rng.normal(size=(k, dim))
+            kind = trial % 4
+            if kind == 0:
+                u = rng.normal(size=dim)
+            elif kind == 1:     # one atom explains u: the loop breaks after one step
+                u = 2.5 * atoms[int(rng.integers(0, k))]
+            elif kind == 2:     # u orthogonal to every atom: the loop breaks at once
+                atoms[:, -1] = 0.0
+                u = np.zeros(dim)
+                u[-1] = 1.0
+                if dim == 1:
+                    atoms[:, -1] = 1.0
+            else:               # a planted sparse combination
+                u = rng.random(k) * (rng.random(k) < 0.5) @ atoms
+            if not np.all(np.linalg.norm(atoms, axis=1) > 1e-12):
+                continue
+            r_sparse = int(rng.integers(1, min(k, dim) + 1))
+            w, resid = l0_fit(u, atoms, r_sparse)
+            w_loop, resid_loop = _l0_fit_loop(u, atoms, r_sparse)
+            assert w.tobytes() == w_loop.tobytes(), trial
+            assert resid == resid_loop, trial
+            breaks += np.count_nonzero(w) < r_sparse
+        assert breaks >= 50
+
     def test_exact_prototype_row(self):
         atoms = np.array([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0], [1.0, 1.0, 1.0]])
         w, resid = l0_fit(atoms[1], atoms, r_sparse=1)

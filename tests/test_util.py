@@ -1,0 +1,63 @@
+import numpy as np
+import pytest
+
+from protoadapt.util import ValidationError, check_finite, sigmoid
+
+
+def _masked_sigmoid(x):
+    # the former implementation, kept as the oracle: one exp per sign mask
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestSigmoid:
+    def test_special_values_bit_equal(self):
+        nan = np.float64(np.nan)
+        x = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, nan, -nan,
+                      709.0, -745.2, 1e-300, -1e-300, 36.7, -36.7])
+        assert _same_bits(sigmoid(x), _masked_sigmoid(x))
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0,
+                                       np.nan, 2.5, -2.5])
+    def test_zero_dimensional_bit_equal(self, value):
+        out = sigmoid(np.float64(value))
+        assert out.ndim == 0
+        assert _same_bits(out, _masked_sigmoid(np.float64(value)))
+
+    def test_empty_and_shaped_inputs(self):
+        for x in (np.array([]), np.zeros((0, 3)), np.linspace(-9, 9, 24).reshape(2, 3, 4)):
+            assert _same_bits(sigmoid(x), _masked_sigmoid(x))
+
+    def test_random_bit_equal_across_sizes_scales_and_strides(self):
+        rng = np.random.default_rng(0)
+        for n in list(range(70)) + [399, 400, 401, 1000, 4096]:
+            for scale in (0.1, 1.0, 5.0, 30.0, 800.0):
+                x = rng.normal(size=n) * scale
+                assert _same_bits(sigmoid(x), _masked_sigmoid(x)), (n, scale)
+        x = rng.normal(size=3000) * 4.0
+        for start in range(4):
+            assert _same_bits(sigmoid(x[start::3]), _masked_sigmoid(x[start::3]))
+
+    def test_no_overflow_warning(self):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            sigmoid(np.array([-1e308, -800.0, 800.0, 1e308]))
+
+
+class TestCheckFinite:
+    def test_passes_finite_and_empty(self):
+        assert check_finite([1, 2], "x").dtype == float
+        assert check_finite(np.zeros((0, 2)), "x").shape == (0, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValidationError, match="x contains non-finite"):
+            check_finite(np.array([[0.0, bad]]), "x")
