@@ -59,6 +59,7 @@ from .retrieval import (
     hard_top_r,
     outer_objective,
     retrieve,
+    solve_block,
     solve_proximal,
     sweep_lambda_eta,
     train_retrieval,

@@ -75,6 +75,27 @@ class ProjectionChain:
         return basis @ (basis.T @ np.asarray(vec, dtype=float))
 
 
+@dataclass(frozen=True)
+class Atoms:
+    """Dictionary rows for sparse fits, validated and normed once.
+
+    Build one with ``Atoms.of`` and pass it to every ``l0_fit`` on the same
+    rows, so the finiteness check, the row norms and the degeneracy check run
+    once per dictionary rather than once per fit.
+    """
+
+    rows: np.ndarray
+    norms: np.ndarray
+
+    @classmethod
+    def of(cls, rows) -> "Atoms":
+        rows = check_finite(rows, "atoms")
+        norms = np.linalg.norm(rows, axis=1)
+        if np.any(norms < 1e-12):
+            raise DegenerateAtomError("prototype rows with zero norm present")
+        return cls(rows, norms)
+
+
 @dataclass
 class CoverageCertificate:
     """Bootstrap certificate for the median sparse reconstruction error."""
@@ -131,6 +152,8 @@ class PrototypeMemory:
         self.certificate = None
         self.frozen = False
         self._operator_norm = None
+        self._gram = None
+        self._row_atoms = None
 
     @property
     def K(self) -> int:
@@ -149,6 +172,21 @@ class PrototypeMemory:
         if self._operator_norm is None:
             self._operator_norm = float(np.linalg.svd(self.M, compute_uv=False)[0]) if self.M.size else 0.0
         return self._operator_norm
+
+    def gram(self) -> np.ndarray:
+        """M M^T (K x K, read-only), cached on a frozen memory."""
+        self.require_frozen()
+        if self._gram is None:
+            self._gram = self.M @ self.M.T
+            self._gram.setflags(write=False)
+        return self._gram
+
+    def row_atoms(self) -> Atoms:
+        """The rows M as an ``l0_fit`` dictionary, cached on a frozen memory."""
+        self.require_frozen()
+        if self._row_atoms is None:
+            self._row_atoms = Atoms.of(self.M)
+        return self._row_atoms
 
     def freeze(self) -> "PrototypeMemory":
         self.M.setflags(write=False)
@@ -334,17 +372,16 @@ def l0_fit(u, atoms, r_sparse: int, exact: bool = False):
     largest normalized correlation to the residual, refitting least squares
     on the active set each step. ``exact=True`` enumerates every support of
     size up to ``r_sparse`` (small K only) and returns the global optimum,
-    breaking ties toward the lexicographically smallest support.
+    breaking ties toward the lexicographically smallest support. ``atoms``
+    is a (K x dim) array or an ``Atoms`` built from one.
 
     Returns (w, residual_norm) with w a length-K coefficient vector.
     """
     u = check_finite(u, "target vector")
-    atoms = check_finite(atoms, "atoms")
+    dictionary = atoms if isinstance(atoms, Atoms) else Atoms.of(atoms)
+    atoms, norms = dictionary.rows, dictionary.norms
     k, dim = atoms.shape
     require(1 <= r_sparse <= min(k, dim), "need 1 <= r_sparse <= min(K, dim)")
-    norms = np.linalg.norm(atoms, axis=1)
-    if np.any(norms < 1e-12):
-        raise DegenerateAtomError("prototype rows with zero norm present")
 
     if exact:
         require(k <= 12, "exact mode is for small dictionaries")
@@ -389,8 +426,9 @@ def coverage_residuals(memory: PrototypeMemory, theta_pre, r_sparse: int):
     canon = np.empty(rows.shape[0])
     raw = np.empty(rows.shape[0])
     lift = memory.chain.lift
+    atoms = Atoms.of(memory.centroids)
     for i, u in enumerate(coords):
-        w, resid = l0_fit(u, memory.centroids, r_sparse)
+        w, resid = l0_fit(u, atoms, r_sparse)
         canon[i] = resid
         recon = w @ memory.centroids
         raw[i] = float(np.linalg.norm(lift(u) - lift(recon)))

@@ -4,8 +4,14 @@ The solver runs accelerated proximal gradient with a monotone restart (any
 step that would increase the objective is replaced by a plain descent step
 from the previous iterate, so the recorded objective trace never increases).
 Training differentiates through the unrolled solver steps with a recorded
-tape and treats the hard top-r mask straight-through. Training, validation,
-test prediction and the penalty sweep take one per-task step, ``_episode``.
+tape and treats the hard top-r mask straight-through.
+
+There are two paths. Training, validation, test prediction and the penalty
+sweep run many tasks at once as one block (``_episode_block``: one warp and
+network pass over T rows, ``solve_block`` in Gram form, ``backward_block``).
+One-task calls (``predict_task``) take ``_episode``, ``solve_proximal`` and
+``backward_through_solve``, whose arithmetic the block code is checked
+against and which costs less than a block of one row.
 """
 
 from __future__ import annotations
@@ -225,6 +231,189 @@ def retrieve(theta_hat, memory, v, cfg: ProximalConfig, r_keep: int,
 
 
 # ---------------------------------------------------------------------------
+# Block path: the solve and its backward pass on T tasks at once
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _BlockTape:
+    """A block solve's branches: one slice per step, one row per task.
+
+    Slices past a row's ``iterations`` are padding; the backward pass treats
+    those steps as the identity.
+    """
+
+    masks: np.ndarray       # (steps, T, K) prox masks
+    restarts: np.ndarray    # (steps, T)
+    betas: np.ndarray       # (steps, T) momentum coefficients
+    iterations: np.ndarray  # (T,) steps each row took
+    p: np.ndarray           # (T, K) softmax of the logits
+    tau: np.ndarray         # (T,) step sizes
+    gamma: np.ndarray       # (T,)
+
+
+def solve_block(theta_hats, memory, logits, cfgs, r_keep: int, budget: int | None = None,
+                hard_threshold: bool = True, record_tape: bool = False):
+    """``retrieve`` for T tasks at once, on a (T x K) block in prototype coordinates.
+
+    Row i is task i's problem (theta_hats[i], logits[i]) with ``cfgs[i]``'s
+    lam and gamma, hence its own step size; ``t_prox`` and ``tol`` are shared.
+    The smooth term takes Gram form, 0.5 w G w^T - b_i w^T + 0.5 ||theta_hat_i||^2
+    with the memory's cached G = M M^T and b_i = M theta_hat_i, so one product
+    with G per step serves every row. Each row has its own momentum, monotone
+    restart and stop at the KKT tolerance; a stopped row keeps the results of
+    its last step. Gram form rounds differently from ``solve_proximal``, so a
+    near-tie of the monotone test can go the other way there.
+
+    Returns one ``RetrievalSolution`` per row with w_tilde as ``retrieve`` sets
+    it (the stable top r_keep of each row, ties to the lowest index); with
+    ``record_tape`` also the ``_BlockTape`` that ``backward_block`` walks.
+    """
+    memory.require_frozen()
+    n_rows, k = len(cfgs), memory.K
+    require(n_rows >= 1, "the block has no tasks")
+    for cfg in cfgs:
+        cfg.validate()
+    t_prox, tol = cfgs[0].t_prox, cfgs[0].tol
+    require(all(cfg.t_prox == t_prox and cfg.tol == tol for cfg in cfgs),
+            "the tasks of a block must share t_prox and tol")
+    theta_hats = check_finite(theta_hats, "theta_hat")
+    logits = check_finite(logits, "retrieval logits")
+    require(logits.shape == (n_rows, k), "logits must be one length-K row per task")
+    require(theta_hats.shape == (n_rows, memory.d_theta),
+            "theta_hats must be one length-d_theta row per task")
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+
+    gram = memory.gram()
+    lam = np.array([cfg.lam for cfg in cfgs])
+    gamma = np.array([cfg.gamma for cfg in cfgs])
+    lipschitz = memory.operator_norm() ** 2 + 2.0 * gamma
+    tau = 1.0 / np.where(lipschitz > 0, lipschitz, 1.0)
+    kkt_scale = np.maximum(tau, 1e-300)
+    tau_col, two_gamma_col = tau[:, None], 2.0 * gamma[:, None]
+    linear = lam[:, None] - theta_hats @ memory.M.T     # lam - b: w >= 0, so lam ||w||_1 is linear
+    const = 0.5 * (theta_hats**2).sum(axis=1)
+    steps = budget if budget is not None else t_prox
+
+    def objective(x, gx):
+        return (((0.5 * gx + linear) * x).sum(axis=1) + const
+                + gamma * ((x - p) ** 2).sum(axis=1))
+
+    def prox_step(x, gx):
+        return np.maximum(x - tau_col * (gx + linear + two_gamma_col * (x - p)), 0.0)
+
+    w = p.copy()
+    gw = w @ gram
+    y, gy = w, gw
+    t_mom = np.ones(n_rows)
+    f_last = objective(w, gw)
+    trace = [f_last]
+    masks, restart_flags, betas = [], [], []
+    live = np.ones(n_rows, dtype=bool)      # rows still iterating
+    iterations = np.zeros(n_rows, dtype=int)
+    restarts = np.zeros(n_rows, dtype=int)
+    kkt = np.full(n_rows, np.inf)
+    w_final = np.empty_like(w)
+
+    for it in range(steps):
+        w_new = prox_step(y, gy)
+        gw_new = w_new @ gram
+        f_new = objective(w_new, gw_new)
+        restarted = live & (f_new > f_last + 1e-15)
+        if restarted.any():
+            # monotone restart of those rows: plain descent step from w
+            w_plain = prox_step(w, gw)
+            gw_plain = w_plain @ gram
+            rows = restarted[:, None]
+            w_new = np.where(rows, w_plain, w_new)
+            gw_new = np.where(rows, gw_plain, gw_new)
+            f_new = np.where(restarted, objective(w_plain, gw_plain), f_new)
+            t_mom = np.where(restarted, 1.0, t_mom)
+            restarts += restarted
+        if not np.isfinite(f_new).all():
+            raise ValidationError(f"solver objective diverged at iteration {it}")
+
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom**2))
+        beta = (t_mom - 1.0) / t_next
+        if record_tape:
+            masks.append(w_new > 0.0)
+            restart_flags.append(restarted)
+            betas.append(beta)
+
+        step = w_new - w
+        kkt_step = np.sqrt((step * step).sum(axis=1)) / kkt_scale
+        kkt = np.where(live, kkt_step, kkt)
+        iterations += live
+        trace.append(f_new)
+        stop = live & (kkt_step <= tol)
+        if stop.any():
+            w_final[stop] = w_new[stop]
+            live = live & ~stop
+            if not live.any():
+                break
+        w, gw = w_new, gw_new
+        y = w + beta[:, None] * step
+        gy = y @ gram
+        t_mom = t_next
+        f_last = f_new
+    w_final[live] = w[live]
+
+    w_tilde = w_final.copy()
+    if hard_threshold:
+        require(r_keep >= 1, "r must be at least 1")
+        drop = np.argsort(-w_final, axis=1, kind="stable")[:, r_keep:]
+        np.put_along_axis(w_tilde, drop, 0.0, axis=1)
+    f_steps = np.array(trace)
+    solutions = [RetrievalSolution(
+        w=w_final[i], w_tilde=w_tilde[i], active_set=list(np.nonzero(w_tilde[i])[0]),
+        objective_trace=f_steps[:iterations[i] + 1, i].tolist(), kkt_residual=float(kkt[i]),
+        iterations=int(iterations[i]), restarts=int(restarts[i]), converged=not live[i],
+    ) for i in range(n_rows)]
+    if not record_tape:
+        return solutions
+    n_steps = len(trace) - 1
+    tape = _BlockTape(masks=np.array(masks).reshape(n_steps, n_rows, k),
+                      restarts=np.array(restart_flags).reshape(n_steps, n_rows),
+                      betas=np.array(betas).reshape(n_steps, n_rows),
+                      iterations=iterations, p=p, tau=tau, gamma=gamma)
+    return solutions, tape
+
+
+def backward_block(tape: _BlockTape, memory, grad_w: np.ndarray) -> np.ndarray:
+    """``backward_through_solve`` for a block: dL/dv, one row per task.
+
+    Walks the block's steps in reverse with every forward branch fixed. A row
+    that stopped before the block's last step treats its later steps as the
+    identity, so its gradient reaches its own last step unchanged.
+    """
+    gram = memory.gram()
+    n_steps = tape.masks.shape[0]
+    tau, gamma = tape.tau[:, None], tape.gamma[:, None]
+    grads = np.zeros((n_steps + 1,) + grad_w.shape)
+    grads[n_steps] = grad_w
+    gp = np.zeros_like(grad_w)
+
+    for k in range(n_steps, 0, -1):
+        live = k <= tape.iterations
+        live_rows = live[:, None]
+        g = grads[k]
+        gz = np.where(tape.masks[k - 1], g, 0.0)
+        # z = y - tau * ((G + 2 gamma I) y - b - 2 gamma p), per row
+        gy = gz - tau * (gz @ gram + 2.0 * gamma * gz)
+        gp += np.where(live_rows, tau * 2.0 * gamma * gz, 0.0)
+        moved = np.where(live_rows, gy, g)
+        if k == 1:
+            grads[0] += moved
+        else:
+            beta = np.where(live & ~tape.restarts[k - 1], tape.betas[k - 2], 0.0)[:, None]
+            grads[k - 1] += (1.0 + beta) * moved
+            grads[k - 2] -= beta * moved
+    gp += grads[0]
+    p = tape.p
+    return p * (gp - (p * gp).sum(axis=1, keepdims=True))
+
+
+# ---------------------------------------------------------------------------
 # Outer objective
 # ---------------------------------------------------------------------------
 
@@ -332,6 +521,11 @@ class TrainHistoryRow:
     train_loss: float
     val_auc: float
     jaccard: float
+    # work counters over the epoch's training episodes
+    solver_iterations: int
+    solver_restarts: int
+    converged_frac: float
+    mean_active_size: float
 
 
 @dataclass
@@ -376,18 +570,65 @@ def predict_task(task, memory, net, descriptor, theta_hat, pcfg, r_keep,
     return probs, solution
 
 
+def _episode_block(tasks, memory, net, descriptors, theta_hats, pcfg, r_keep,
+                   transform=None, budget=None, hard_threshold=True, record_tape=False):
+    """``_episode`` for a list of tasks: one warp pass, one net pass, one ``solve_block``.
+
+    Returns the tasks' configs, ``solve_block``'s result and the backward
+    pass's states (z_raw, warp hidden, z, net hidden), one row per task.
+    """
+    z_raw = np.stack([descriptors[task.task_id].values for task in tasks])
+    z, warp_hidden = transform.forward(z_raw) if transform is not None else (z_raw, None)
+    logits, net_hidden = net.forward(z)
+    pcfg_of = _pcfg_lookup(pcfg)
+    task_pcfgs = [pcfg_of(task) for task in tasks]
+    theta = np.stack([theta_hats[task.task_id] for task in tasks])
+    out = solve_block(theta, memory, logits, task_pcfgs, r_keep, budget=budget,
+                      hard_threshold=hard_threshold, record_tape=record_tape)
+    return task_pcfgs, out, (z_raw, warp_hidden, z, net_hidden)
+
+
 def predict_tasks(tasks, memory, net, descriptors, theta_hats, pcfg, r_keep,
                   feature_map, transform=None, budget=None, hard_threshold=True):
-    """Pooled query probabilities and labels over tasks, plus each task's solution."""
-    probs, solutions = [], []
-    for task in tasks:
-        task_probs, solution = predict_task(
-            task, memory, net, descriptors[task.task_id], theta_hats[task.task_id],
-            pcfg, r_keep, feature_map, transform=transform, budget=budget,
-            hard_threshold=hard_threshold)
-        probs.append(task_probs)
-        solutions.append(solution)
+    """Pooled query probabilities and labels over tasks, plus each task's solution.
+
+    One block episode serves every task; ``predict_task`` is the one-task path.
+    """
+    _, solutions, _ = _episode_block(tasks, memory, net, descriptors, theta_hats, pcfg,
+                                     r_keep, transform=transform, budget=budget,
+                                     hard_threshold=hard_threshold)
+    probs = [sigmoid(feature_map(task.query_x) @ compose_adapter(memory, solution.w_tilde))
+             for task, solution in zip(tasks, solutions)]
     return np.concatenate(probs), np.concatenate([t.query_y for t in tasks]), solutions
+
+
+def minibatch_gradients(tasks, memory, net, descriptors, theta_hats, pcfg, r_keep,
+                        feature_map, eta, transform=None, hard_threshold=True):
+    """The gradient one training step takes: of the mean outer loss over ``tasks``.
+
+    One taped block episode, the outer objective per task, ``backward_block``,
+    then one VJP through the network and one through the warp; the top-r mask
+    passes the gradient straight through. Returns the per-task losses, the
+    solutions and the gradients keyed ("net", key) and ("warp", key).
+    """
+    task_pcfgs, (solutions, tape), (z_raw, warp_hidden, z, net_hidden) = _episode_block(
+        tasks, memory, net, descriptors, theta_hats, pcfg, r_keep, transform=transform,
+        hard_threshold=hard_threshold, record_tape=True)
+    losses = []
+    grad_w = np.empty((len(tasks), memory.K))
+    for row, (task, task_pcfg, solution) in enumerate(zip(tasks, task_pcfgs, solutions)):
+        w_tilde = solution.w_tilde
+        loss, _, grad_w[row] = outer_objective(
+            task.query_x, task.query_y, compose_adapter(memory, w_tilde), w_tilde,
+            task_pcfg.lam, eta, feature_map, memory=memory)
+        losses.append(loss)
+    grad_v = backward_block(tape, memory, grad_w / len(tasks))
+    net_grads, grad_z = net.vjp(z, net_hidden, grad_v)
+    grads = {("net", key): grad for key, grad in net_grads.items()}
+    if transform is not None:
+        warp_grads, _ = transform.vjp(z_raw, warp_hidden, grad_z)
+        grads.update({("warp", key): grad for key, grad in warp_grads.items()})
+    return losses, solutions, grads
 
 
 def _pcfg_lookup(pcfg):
@@ -399,16 +640,16 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
                     transform=None, hard_threshold=True) -> TrainResult:
     """Unrolled training of the retrieval network on the outer objective.
 
-    Per task: take the phase-2 step (descriptor warp, net, taped solve, top-r
-    rule unless ``hard_threshold`` is off), evaluate the outer objective on
-    the query set, and backpropagate through every solver iteration back to
-    the network parameters; the top-r mask passes the gradient straight
-    through. The warp's vector-Jacobian product is taken in the same pass, and
-    one Adam step per minibatch moves the network's and the warp's arrays
-    together; weight decay applies to the network's only. Validation takes
-    the same step untaped. Early stopping combines a validation-score plateau
-    (patience epochs without improvement) with an active-set stability
-    requirement (Jaccard overlap between consecutive epochs).
+    Per minibatch, ``minibatch_gradients``: one block episode (descriptor
+    warp, net, taped solve, top-r rule unless ``hard_threshold`` is off), the
+    outer objective on each task's query set, and one backward pass through
+    every solver iteration, the network and the warp; the top-r mask passes
+    the gradient straight through. One Adam step per minibatch moves the
+    network's and the warp's arrays together; weight decay applies to the
+    network's only. Validation takes the same block step untaped. Early
+    stopping combines a validation-score plateau (patience epochs without
+    improvement) with an active-set stability requirement (Jaccard overlap
+    between consecutive epochs).
     """
     memory.require_frozen()
     require(len(train_tasks) >= 1, "no training tasks")
@@ -426,29 +667,14 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
     for epoch in range(tcfg.epochs):
         rng = child_rng(tcfg.seed, "epochs", epoch)
         order = rng.permutation(len(train_tasks))
-        losses = []
+        losses, episodes = [], []
         for start in range(0, len(order), tcfg.batch_size):
-            batch = order[start:start + tcfg.batch_size]
-            grads = {key: np.zeros_like(arr) for key, arr in params.items()}
-            for i in batch:
-                task = train_tasks[i]
-                task_pcfg, (solution, tape), (z_raw, warp_hidden, z, net_hidden) = _episode(
-                    task, memory, net, descriptors[task.task_id], theta_hats[task.task_id],
-                    pcfg, tcfg.r_keep, transform=transform, hard_threshold=hard_threshold,
-                    record_tape=True)
-                w_tilde = solution.w_tilde
-                loss, _, grad_w_tilde = outer_objective(
-                    task.query_x, task.query_y, compose_adapter(memory, w_tilde), w_tilde,
-                    task_pcfg.lam, tcfg.eta, feature_map, memory=memory)
-                losses.append(loss)
-                grad_v = backward_through_solve(tape, memory, grad_w_tilde)
-                net_grads, grad_z = net.vjp(z, net_hidden, grad_v)
-                for key, grad in net_grads.items():
-                    grads["net", key] += grad / len(batch)
-                if transform is not None:
-                    warp_grads, _ = transform.vjp(z_raw, warp_hidden, grad_z / len(batch))
-                    for key, grad in warp_grads.items():
-                        grads["warp", key] += grad
+            batch = [train_tasks[i] for i in order[start:start + tcfg.batch_size]]
+            batch_losses, solutions, grads = minibatch_gradients(
+                batch, memory, net, descriptors, theta_hats, pcfg, tcfg.r_keep,
+                feature_map, tcfg.eta, transform=transform, hard_threshold=hard_threshold)
+            losses.extend(batch_losses)
+            episodes.extend(solutions)
             if tcfg.weight_decay:
                 for key, arr in net.params.items():
                     grads["net", key] += tcfg.weight_decay * arr
@@ -469,8 +695,12 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
                 best_auc, best_params, since_best = val_auc, net.snapshot(), 0
             else:
                 since_best += 1
-        history.append(TrainHistoryRow(epoch=epoch, train_loss=float(np.mean(losses)),
-                                       val_auc=float(val_auc), jaccard=jac))
+        history.append(TrainHistoryRow(
+            epoch=epoch, train_loss=float(np.mean(losses)), val_auc=float(val_auc),
+            jaccard=jac, solver_iterations=sum(sol.iterations for sol in episodes),
+            solver_restarts=sum(sol.restarts for sol in episodes),
+            converged_frac=float(np.mean([sol.converged for sol in episodes])),
+            mean_active_size=float(np.mean([len(sol.active_set) for sol in episodes]))))
         if val_tasks and since_best >= tcfg.patience and jac >= tcfg.jaccard_min:
             break
 

@@ -99,7 +99,7 @@ def check_bound(task, memory, certificate, feature_map, r_sparse: int | None = N
 
     u_star = memory.chain.subspace_project(theta)
     eps_app = float(np.linalg.norm(theta - u_star))
-    w_star, eps_cov = l0_fit(u_star, memory.M, min(r_fit, memory.K))
+    w_star, eps_cov = l0_fit(u_star, memory.row_atoms(), min(r_fit, memory.K))
     approx = w_star @ memory.M
     adapter_gap = float(np.linalg.norm(theta - approx))
     triangle_slack = eps_app + eps_cov - adapter_gap

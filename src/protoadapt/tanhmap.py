@@ -3,7 +3,9 @@
 It is the retrieval network (descriptor to prototype logits), the residual
 descriptor warp (the subclass ``pipeline.MlpTransform``, ``z + map(z)``) and
 the vector field of the standalone continuous-time layer in ``node`` (input
-``[z; t]``). Parameters live in a dict so Adam can step them by name;
+``[z; t]``). ``forward`` and ``vjp`` take one point or a (T x d) block of
+rows, so phase 2 runs a minibatch through the warp and the network in one
+product each way. Parameters live in a dict so Adam can step them by name;
 ``params_vector`` and ``with_params`` give the flat ``w1, b1, w2, b2`` vector
 that only the ``node`` adjoint works on.
 """
@@ -38,19 +40,24 @@ class TanhMap:
         }
 
     def hidden(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(self.params["w1"] @ x + self.params["b1"])
+        return np.tanh((self.params["w1"] @ x.T).T + self.params["b1"])
 
     def forward(self, x: np.ndarray):
-        """Output and hidden layer at x."""
+        """Output and hidden layer at x, one point or a (T x d_in) block of rows."""
         h = self.hidden(x)
-        return self.params["w2"] @ h + self.params["b2"], h
+        return (self.params["w2"] @ h.T).T + self.params["b2"], h
 
     def vjp(self, x: np.ndarray, h: np.ndarray, grad_y: np.ndarray):
-        """Parameter gradients (a dict) and input gradient of grad_y . y at x."""
-        g_pre = (self.params["w2"].T @ grad_y) * (1.0 - h**2)
-        grads = {"w1": np.outer(g_pre, x), "b1": g_pre,
-                 "w2": np.outer(grad_y, h), "b2": grad_y}
-        return grads, self.params["w1"].T @ g_pre
+        """Parameter gradients (a dict) and input gradient of grad_y . y at x.
+
+        On a block of rows the parameter gradients are summed over the rows
+        and the input gradient has one row per input row.
+        """
+        g_pre = (self.params["w2"].T @ grad_y.T).T * (1.0 - h**2)
+        g_rows, x_rows, h_rows, y_rows = map(np.atleast_2d, (g_pre, x, h, grad_y))
+        grads = {"w1": g_rows.T @ x_rows, "b1": g_rows.sum(axis=0),
+                 "w2": y_rows.T @ h_rows, "b2": y_rows.sum(axis=0)}
+        return grads, (self.params["w1"].T @ g_pre.T).T
 
     @property
     def n_params(self) -> int:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from protoadapt.adapters import assemble_theta, ridge_adapter
+from protoadapt.adapters import Canonicalizer, assemble_theta, ridge_adapter
 from protoadapt.metrics import rank_auc
 from protoadapt.motifs import (
     fit_background,
@@ -24,8 +24,10 @@ from protoadapt.motifs import (
 )
 from protoadapt.node import SolveConfig, VectorField, adjoint_gradient, integrate
 from protoadapt.pipeline import (
+    WarpConfig,
     desk_config,
     fewshot_benchmark_config,
+    make_transform,
     run_baselines,
     run_motifs,
     run_penalty_sweep,
@@ -34,9 +36,24 @@ from protoadapt.pipeline import (
     run_riskbound,
     run_support_sweep,
 )
-from protoadapt.prototypes import coverage_certificate, coverage_residuals, l0_fit
+from protoadapt.prototypes import (
+    PrototypeMemory,
+    ProjectionChain,
+    coverage_certificate,
+    coverage_residuals,
+    l0_fit,
+)
 from protoadapt.resampling import bootstrap_statistics, percentile_interval
-from protoadapt.retrieval import ProximalConfig, softmax, solve_proximal
+from protoadapt.retrieval import (
+    ProximalConfig,
+    RetrievalNet,
+    _episode_block,
+    compose_adapter,
+    minibatch_gradients,
+    outer_objective,
+    softmax,
+    solve_proximal,
+)
 from protoadapt.spectral import (
     TaskGradientSummary,
     decision_report_from_pvalues,
@@ -241,6 +258,82 @@ def test_adjoint_gradients():
     assert time.time() - started < 60.0
     _announce("adjoint gradients", started,
               f"worst finite-difference error {worst:.2e}, flow error {flow_err:.2e}")
+
+
+class _Task:
+    def __init__(self, task_id, query_x, query_y, n_support):
+        self.task_id, self.query_x, self.query_y = task_id, query_x, query_y
+        self.n_support = n_support
+
+
+class _Descriptor:
+    def __init__(self, values):
+        self.values = values
+
+
+def _identity_map(x):
+    return x
+
+
+def test_training_gradient_vs_finite_differences():
+    """The gradient phase 2 trains with, against central differences.
+
+    ``minibatch_gradients`` takes the net and warp arrays through the block
+    solve, the outer loss per task, ``backward_block`` and the two VJPs.
+    r_keep = K, so the top-r rule drops nothing and its straight-through
+    gradient is the true one; tol = 1e-300, so no row stops early (a stop at
+    the KKT tolerance is a jump in the loss).
+    """
+    started = time.time()
+    rng = np.random.default_rng(2718)
+    eps, eta = 1e-6, 0.01
+    worst = 0.0
+    for trial in range(20):
+        k, d, d_z = (int(n) for n in rng.integers(2, 6, size=3))
+        atoms = rng.normal(size=(k, d))
+        chain = ProjectionChain(canonicalizer=Canonicalizer.identity(d), r=d)
+        memory = PrototypeMemory(m_rows=atoms, chain=chain,
+                                 centroids=chain.project(atoms)).freeze()
+        tasks = [_Task(f"t{i}", rng.normal(size=(8, d)), rng.integers(0, 2, size=8),
+                       int(rng.choice([5, 10, 20]))) for i in range(int(rng.integers(2, 6)))]
+        descriptors = {t.task_id: _Descriptor(rng.normal(size=d_z)) for t in tasks}
+        theta_hats = {t.task_id: rng.normal(size=d) for t in tasks}
+
+        def pcfg(task):
+            return ProximalConfig(lam=1e-3, gamma=0.5 * 5 / task.n_support, t_prox=8,
+                                  tol=1e-300)
+
+        net = RetrievalNet(d_z, k, seed=trial)
+        warp = make_transform(d_z, WarpConfig(hidden=4, init_scale=0.5), seed=trial)
+
+        def mean_loss():
+            task_pcfgs, solutions, _ = _episode_block(tasks, memory, net, descriptors,
+                                                      theta_hats, pcfg, k, transform=warp)
+            return float(np.mean([
+                outer_objective(t.query_x, t.query_y, compose_adapter(memory, s.w_tilde),
+                                s.w_tilde, c.lam, eta, _identity_map)[0]
+                for t, c, s in zip(tasks, task_pcfgs, solutions)]))
+
+        _, _, grads = minibatch_gradients(tasks, memory, net, descriptors, theta_hats,
+                                          pcfg, k, _identity_map, eta, transform=warp)
+        ours, fd = [], []
+        for (name, key), grad in grads.items():
+            arr = (net if name == "net" else warp).params[key]
+            for idx in np.ndindex(arr.shape):
+                orig = arr[idx]
+                arr[idx] = orig + eps
+                up = mean_loss()
+                arr[idx] = orig - eps
+                down = mean_loss()
+                arr[idx] = orig
+                ours.append(grad[idx])
+                fd.append((up - down) / (2 * eps))
+        err = np.linalg.norm(np.subtract(ours, fd)) / max(np.linalg.norm(fd), 1e-12)
+        worst = max(worst, err)
+        assert err < 1e-4, trial
+    assert time.time() - started < 120.0
+    _announce("training gradient", started,
+              f"20 minibatches, worst finite-difference error {worst:.2e}")
 
 
 def test_planted_rank_recovery():

@@ -250,6 +250,41 @@ class TestPhase2:
         # latency numbers stay out of the CSVs
         assert "ms" in (tmp_path / "runtime.txt").read_text()
 
+    def test_training_curve_carries_the_solver_counters(self, tiny_artifacts, tmp_path,
+                                                        monkeypatch):
+        cfg, art = tiny_artifacts
+        episodes, original = [], retrieval.minibatch_gradients
+
+        def spy(*args, **kwargs):
+            out = original(*args, **kwargs)
+            episodes.append(out[1])
+            return out
+
+        monkeypatch.setattr(retrieval, "minibatch_gradients", spy)
+        result = run_phase2(cfg, art, outdir=tmp_path)
+        monkeypatch.undo()
+        lines = (tmp_path / "training_curve.csv").read_text().splitlines()
+        assert lines[0] == ("epoch,train_loss,val_auc,jaccard,solver_iterations,"
+                            "solver_restarts,converged_frac,mean_active_size")
+        assert len(lines) == len(result.history) + 1
+        n_batches = len(episodes) // len(result.history)
+        r_keep = pipeline._r_keep(cfg, art.rank_selected, art.memory.K)
+        for row, line in zip(result.history, lines[1:]):
+            cells = line.split(",")
+            assert int(cells[4]) == row.solver_iterations
+            assert int(cells[5]) == row.solver_restarts
+            # the epoch's training episodes, recounted from the solutions
+            sols = [sol for batch in episodes[row.epoch * n_batches:(row.epoch + 1) * n_batches]
+                    for sol in batch]
+            assert row.solver_iterations == sum(sol.iterations for sol in sols)
+            assert row.solver_restarts == sum(sol.restarts for sol in sols)
+            assert row.converged_frac == np.mean([sol.converged for sol in sols])
+            assert row.mean_active_size == np.mean([len(sol.active_set) for sol in sols])
+            assert 0 < row.solver_iterations <= len(sols) * cfg.t_prox
+            assert 0 <= row.solver_restarts <= row.solver_iterations
+            assert 0.0 <= row.converged_frac <= 1.0
+            assert 1.0 <= row.mean_active_size <= r_keep
+
     def test_persist_only_writes_and_sweep_is_separate(self, tiny_artifacts, tmp_path,
                                                        monkeypatch):
         cfg, art = tiny_artifacts

@@ -16,6 +16,7 @@ from protoadapt.retrieval import (
     RetrievalNet,
     RetrievalSolution,
     TrainConfig,
+    backward_block,
     backward_through_solve,
     compose_adapter,
     entropy_of,
@@ -25,6 +26,7 @@ from protoadapt.retrieval import (
     residual_change,
     retrieve,
     softmax,
+    solve_block,
     solve_proximal,
     sweep_lambda_eta,
     train_retrieval,
@@ -204,6 +206,142 @@ class TestSolverMatchesLoop:
              scale=1.0)
     def test_random_problems(self, seed, k, d, lam, gamma, t_prox, budget, tol, scale):
         _assert_solver_matches_loop(seed, k, d, lam, gamma, t_prox, budget, tol, scale)
+
+
+def _block_problem(seed, n_rows, k, d, t_prox, tol, scale):
+    """A memory and T rows of mixed lam and gamma (some gamma zero)."""
+    rng = np.random.default_rng(seed)
+    memory = make_memory(rng.normal(size=(k, d)))
+    theta_hats = scale * rng.normal(size=(n_rows, d))
+    logits = 2.0 * rng.normal(size=(n_rows, k))
+    lams = rng.choice([0.0, 1e-4, 1e-2, 0.3, 1e3], size=n_rows)
+    gammas = np.where(rng.random(n_rows) < 0.25, 0.0, rng.uniform(1e-3, 2.0, size=n_rows))
+    cfgs = [ProximalConfig(lam=float(lam), gamma=float(gamma), t_prox=t_prox, tol=tol)
+            for lam, gamma in zip(lams, gammas)]
+    return memory, theta_hats, logits, cfgs, rng.normal(size=(n_rows, k))
+
+
+def _first_flip(flags, ref_flags):
+    """The first step both solves took where their restart flags differ, else None."""
+    return next((s for s, (a, b) in enumerate(zip(flags, ref_flags)) if a != b), None)
+
+
+def _flip_gap(theta_hat, memory, v, cfg, budget, step, ref_tape):
+    """|f(candidate) - f(last)| of the one-task solve at ``step``: its restart test's margin."""
+    p, tau = ref_tape.p, ref_tape.tau
+    last = solve_proximal(theta_hat, memory, v, cfg, budget=step)
+    y = last.w
+    if step >= 1:
+        w_before = solve_proximal(theta_hat, memory, v, cfg, budget=step - 1).w
+        y = last.w + ref_tape.betas[step - 1] * (last.w - w_before)
+    z = y - tau * _loop_smooth_grad(y, memory, theta_hat, p, cfg.gamma)
+    candidate = np.clip(z - tau * cfg.lam, 0.0, None)
+    f_last = last.objective_trace[-1]
+    f_candidate = _loop_objective(candidate, memory, theta_hat, p, cfg.lam, cfg.gamma)
+    return abs(f_candidate - f_last), f_last
+
+
+def _assert_block_contract(seed, n_rows, k, d, t_prox, budget, tol, scale, r_keep):
+    """``solve_block`` and ``backward_block`` against the one-task path, row by row.
+
+    Every row: final objective within 1e-12 (1 + |f|) of ``solve_proximal``'s,
+    a trace that never rises by more than 1e-12, w_tilde by the top-r rule.
+    Rows whose restart flags match the one-task tape on every step: the same
+    iterations, restarts, converged flag and masks, w within
+    1e-12 (1 + ||w||_inf) and dL/dv within 1e-10 (1 + ||g||_inf). A row whose
+    flags differ must differ first where the one-task restart test was a
+    near-tie; a row that stops at another step, where the stop test was one.
+    Returns the block's solutions and how many rows matched.
+    """
+    memory, theta_hats, logits, cfgs, grad_w = _block_problem(seed, n_rows, k, d, t_prox,
+                                                              tol, scale)
+    r_keep = min(r_keep, k)
+    sols, tape = solve_block(theta_hats, memory, logits, cfgs, r_keep, budget=budget,
+                             record_tape=True)
+    grad_v = backward_block(tape, memory, grad_w)
+    assert len(sols) == n_rows and grad_v.shape == (n_rows, k)
+    matched = 0
+    for i, (sol, cfg) in enumerate(zip(sols, cfgs)):
+        ref, ref_tape = solve_proximal(theta_hats[i], memory, logits[i], cfg, budget=budget,
+                                       record_tape=True)
+        f, f_ref = sol.objective_trace[-1], ref.objective_trace[-1]
+        assert abs(f - f_ref) <= 1e-12 * (1.0 + abs(f_ref)), i
+        assert all(b <= a + 1e-12 for a, b in zip(sol.objective_trace, sol.objective_trace[1:]))
+        assert len(sol.objective_trace) == sol.iterations + 1
+        assert np.array_equal(sol.w_tilde, hard_top_r(sol.w, r_keep))
+        assert sol.active_set == list(np.nonzero(sol.w_tilde)[0])
+        flags = [bool(flag) for flag in tape.restarts[:sol.iterations, i]]
+        flip = _first_flip(flags, ref_tape.restarts)
+        if flip is not None:
+            gap, f_last = _flip_gap(theta_hats[i], memory, logits[i], cfg, budget, flip,
+                                    ref_tape)
+            assert gap <= 1e-12 * (1.0 + abs(f_last)), (i, flip, gap)
+            continue
+        if sol.iterations != ref.iterations:
+            # the stop test was a near-tie where the first of the two stopped
+            n = min(sol.iterations, ref.iterations)
+            went_on = (solve_block(theta_hats, memory, logits, cfgs, r_keep, budget=n)[i]
+                       if sol.iterations > n else
+                       solve_proximal(theta_hats[i], memory, logits[i], cfg, budget=n))
+            gap = (went_on.kkt_residual - tol) * ref_tape.tau
+            assert gap <= 1e-12 * (1.0 + np.max(np.abs(ref.w))), (i, n, gap)
+            continue
+        matched += 1
+        assert (sol.restarts, sol.converged) == (ref.restarts, ref.converged), i
+        assert np.array_equal(tape.masks[:sol.iterations, i], np.array(ref_tape.masks)), i
+        assert np.max(np.abs(sol.w - ref.w)) <= 1e-12 * (1.0 + np.max(np.abs(ref.w))), i
+        ref_grad = backward_through_solve(ref_tape, memory, grad_w[i])
+        assert (np.max(np.abs(grad_v[i] - ref_grad))
+                <= 1e-10 * (1.0 + np.max(np.abs(ref_grad)))), i
+    return sols, matched
+
+
+class TestBlockMatchesSingleTask:
+    @pytest.mark.parametrize("case,args", [
+        ("one prototype", dict(seed=1, n_rows=6, k=1, d=3, t_prox=10, budget=None,
+                               tol=1e-9, scale=1.0, r_keep=1)),
+        ("all-zero rows", dict(seed=2, n_rows=8, k=5, d=3, t_prox=10, budget=None,
+                               tol=1e-9, scale=1.0, r_keep=2)),
+        ("restarts", dict(seed=3, n_rows=12, k=5, d=3, t_prox=20, budget=100,
+                          tol=1e-300, scale=1.0, r_keep=5)),
+        ("rows stop at different steps", dict(seed=4, n_rows=12, k=6, d=8, t_prox=10,
+                                              budget=20, tol=1e-4, scale=1.0, r_keep=3)),
+        ("one row", dict(seed=5, n_rows=1, k=8, d=8, t_prox=10, budget=None, tol=1e-9,
+                         scale=10.0, r_keep=2)),
+    ])
+    def test_edge_case(self, case, args):
+        sols, matched = _assert_block_contract(**args)
+        assert matched >= 1
+        if case == "one prototype":
+            assert all(sol.w.shape == (1,) for sol in sols)
+        if case == "all-zero rows":
+            assert any(not np.any(sol.w) for sol in sols)
+            assert any(np.any(sol.w) for sol in sols)
+        if case == "restarts":
+            assert sum(sol.restarts > 0 for sol in sols) >= 2
+        if case == "rows stop at different steps":
+            stops = {sol.iterations for sol in sols if sol.converged}
+            assert len(stops) >= 3 and not all(sol.converged for sol in sols)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 12), k=st.integers(1, 8),
+           d=st.integers(1, 8), t_prox=st.integers(1, 20),
+           budget=st.one_of(st.none(), st.integers(1, 200)),
+           tol=st.sampled_from([1e-300, 1e-9, 1e-4]),
+           scale=st.sampled_from([0.1, 1.0, 10.0]), r_keep=st.integers(1, 8))
+    def test_random_blocks(self, seed, n_rows, k, d, t_prox, budget, tol, scale, r_keep):
+        _assert_block_contract(seed, n_rows, k, d, t_prox, budget, tol, scale, r_keep)
+
+    def test_soft_rule_keeps_w(self):
+        memory, theta_hats, logits, cfgs, _ = _block_problem(6, 5, 6, 4, 10, 1e-9, 1.0)
+        for sol in solve_block(theta_hats, memory, logits, cfgs, 1, hard_threshold=False):
+            assert np.array_equal(sol.w_tilde, sol.w)
+
+    def test_rows_must_share_the_unroll_and_tolerance(self):
+        memory, theta_hats, logits, cfgs, _ = _block_problem(7, 2, 3, 3, 10, 1e-9, 1.0)
+        cfgs[1] = dataclasses.replace(cfgs[1], t_prox=5)
+        with pytest.raises(ValidationError, match="share t_prox and tol"):
+            solve_block(theta_hats, memory, logits, cfgs, 1)
 
 
 class TestSolver:
@@ -598,9 +736,12 @@ class TestTraining:
         oracle_net = _two_optimizer_epoch(tasks, memory, descriptors, theta_hats, pcfg,
                                           tcfg, oracle_warp)
         fresh = make_transform(3, WarpConfig(hidden=4, init_scale=0.5), seed=7)
+        # training solves each minibatch as one Gram-form block, the oracle task
+        # by task with solve_proximal: the block contract's tolerance
         for key in KEYS:
-            assert np.array_equal(result.net.params[key], oracle_net.params[key]), key
-            assert np.array_equal(warp.params[key], oracle_warp.map.params[key]), key
+            for ours, theirs in ((result.net.params[key], oracle_net.params[key]),
+                                 (warp.params[key], oracle_warp.map.params[key])):
+                assert np.all(np.abs(ours - theirs) <= 1e-10 * (1.0 + np.abs(theirs))), key
         assert not np.array_equal(warp.params["w1"], fresh.params["w1"])
 
     def test_adam_updates_params(self):
@@ -823,10 +964,13 @@ class TestSweep:
                                                  lam, 0.0, identity_map)[0])
             return float(np.mean(objective))
 
+        # the sweep solves as one Gram-form block, the oracle task by task with
+        # solve_proximal: the block contract's tolerance
         for row in rows:
-            assert row["mean_objective"] == mean_objective(row["lam"], factory)
-            assert row["mean_objective"] != mean_objective(row["lam"],
-                                                           lambda t: factory(tasks[0]))
+            f = mean_objective(row["lam"], factory)
+            assert abs(row["mean_objective"] - f) <= 1e-12 * (1.0 + abs(f))
+            assert row["mean_objective"] != pytest.approx(
+                mean_objective(row["lam"], lambda t: factory(tasks[0])), rel=1e-9)
 
 
 def _sweep_double_loop(lam_grid, eta_grid, tasks, memory, net, descriptors, theta_hats,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from protoadapt import prototypes
 from protoadapt.adapters import Canonicalizer, fit_canonicalizer, ridge_adapter, assemble_theta
 from protoadapt.prototypes import (
     PrototypeMemory,
@@ -69,6 +70,30 @@ def _frozen_memory(atoms, r=None):
 
 
 class TestCheckBound:
+    def test_row_norms_computed_once_per_memory(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        atoms = rng.normal(size=(5, 4))
+        memory = _frozen_memory(atoms)
+        cert = coverage_certificate(memory, rng.normal(size=(8, 4)), r_sparse=2,
+                                    n_boot=50, seed=0)
+        calls = []
+        build = prototypes.Atoms.of.__func__
+
+        def counting(cls, rows):
+            calls.append(rows.shape)
+            return build(cls, rows)
+
+        monkeypatch.setattr(prototypes.Atoms, "of", classmethod(counting))
+        tasks = [_FixedTask(rng.normal(size=4), rng, task_id=f"t{i}") for i in range(100)]
+        reports = [check_bound(task, memory, cert, identity_map) for task in tasks]
+        assert calls == [(5, 4)]
+        monkeypatch.undo()
+        # the cached dictionary fits exactly as the array does
+        for task, report in zip(tasks, reports):
+            u = memory.chain.subspace_project(task.theta_true)
+            _, eps = prototypes.l0_fit(u, memory.M, 2)
+            assert report.eps_coverage == eps
+
     def test_prototype_row_exact_zero(self):
         rng = np.random.default_rng(1)
         atoms = np.vstack([np.eye(3) * 2.0])
