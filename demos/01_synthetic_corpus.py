@@ -2,10 +2,9 @@
 """Generate an episodic corpus, partition it, and sketch the health-score demo."""
 
 import numpy as np
+from scipy.stats import spearmanr
 
-from protoadapt.synthdata import (
-    GeneratorConfig, generate_corpus, partition_tasks, save_corpus, spearman,
-)
+from protoadapt.synthdata import GeneratorConfig, generate_corpus, partition_tasks, save_corpus
 from protoadapt.util import sigmoid
 
 cfg = GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=80, n_support=30,
@@ -33,5 +32,5 @@ rng = np.random.default_rng(1)
 age = rng.uniform(25, 80, size=60)
 risk = sigmoid((age - 55) / 8.0) + 0.08 * rng.normal(size=60)
 health = 1.0 - np.clip(risk, 0, 1)
-rho = spearman(health, age)
+rho, _ = spearmanr(health, age)
 print(f"health score vs age: spearman rho = {rho:.3f} (expected strongly negative)")

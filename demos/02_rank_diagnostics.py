@@ -6,7 +6,7 @@ import numpy as np
 from protoadapt.adapters import assemble_theta, ridge_adapter
 from protoadapt.spectral import (
     TaskGradientSummary, corpus_fisher_spectrum, energy_ratio,
-    fisher_ci_vs_support, fisher_energy_test, fisher_energy_test_tasks,
+    fisher_energy_test, fisher_energy_test_tasks,
     jl_outside_energy, pca_rank, rank_curve, sequential_r_selection,
 )
 from protoadapt.synthdata import GeneratorConfig, generate_corpus
@@ -40,11 +40,6 @@ for rec in task_report.records:
 
 seq = sequential_r_selection(theta, r_center=2, n_boot=1000, seed=0)
 print("sequential paired-bootstrap selection:", seq.selected_r)
-
-bands = fisher_ci_vs_support(corpus.tasks[0], fmap, support_sizes=(10, 50, 200),
-                             n_boot=300, seed=0, top_k=1)
-for row in bands:
-    print(f"  n_S={row['n_support']}: leading eigenvalue band width {row['width']:.5f}")
 
 jl = jl_outside_energy(theta, sum(np.outer(s.mean, s.mean) for s in summaries) / len(summaries),
                        r=2, s=5, n_maps=16, seed=0)

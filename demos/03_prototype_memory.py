@@ -5,8 +5,7 @@ import numpy as np
 
 from protoadapt.adapters import assemble_theta, fit_canonicalizer, ridge_adapter
 from protoadapt.prototypes import (
-    ProjectionChain, cluster_prototypes, coverage_certificate, diagnostics,
-    l0_fit, merge_prototypes,
+    ProjectionChain, cluster_prototypes, coverage_certificate, l0_fit, merge_prototypes,
 )
 from protoadapt.synthdata import GeneratorConfig, generate_corpus, partition_tasks
 
@@ -32,8 +31,7 @@ for k in (2, 3, 4, 6):
           f"sse={mem.sse:.3f}")
 
 memory = cluster_prototypes(theta_seed, chain, k=3, n_restarts=6, seed=0)
-kappa, mu = diagnostics(memory)
-print(f"chosen K=3: condition number {memory.kappa:.3f}, coherence {mu:.3f}")
+print(f"chosen K=3: condition number {memory.kappa:.3f}, coherence {memory.mu:.3f}")
 
 memory.freeze()
 pre_tasks = corpus.tasks_in("Pre-Seed", "Pre-Rest")

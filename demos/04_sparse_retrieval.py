@@ -6,8 +6,8 @@ import numpy as np
 from protoadapt.adapters import Canonicalizer
 from protoadapt.prototypes import PrototypeMemory, ProjectionChain
 from protoadapt.retrieval import (
-    ProximalConfig, compose_adapter, hard_top_r, outer_objective,
-    residual_change, retrieve, softmax, solve_proximal,
+    ProximalConfig, compose_adapter, hard_top_r, outer_objective, retrieve, softmax,
+    solve_proximal,
 )
 
 rng = np.random.default_rng(0)
@@ -30,7 +30,8 @@ print("objective trace monotone:", bool(np.all(np.diff(trace) <= 1e-12)),
       f"(first {trace[0]:.5f} -> last {trace[-1]:.5f})")
 
 w_tilde = hard_top_r(solution.w, 2)
-before, after = residual_change(memory, theta_hat, solution.w, w_tilde)
+before, after = (np.linalg.norm(compose_adapter(memory, w) - theta_hat)
+                 for w in (solution.w, w_tilde))
 print(f"hard top-2 keeps atoms {np.nonzero(w_tilde)[0].tolist()}; "
       f"reconstruction residual {before:.5f} -> {after:.5f}")
 

@@ -6,9 +6,7 @@ from dataclasses import replace
 import numpy as np
 
 from protoadapt.pipeline import desk_config, run_phase1
-from protoadapt.riskbound import (
-    check_bound, check_bounds_over_tasks, lipschitz_constant, sparsity_capacity_term,
-)
+from protoadapt.riskbound import check_bound, check_bounds_over_tasks, lipschitz_constant
 
 cfg = desk_config(seed=42)
 cfg = replace(cfg, generator=replace(cfg.generator, n_tasks=60, n_support=200,
@@ -31,8 +29,3 @@ print(summary.as_text())
 
 lip = lipschitz_constant(feature_radius=3.0, adapter_radius=5.0)
 print(f"logistic-loss constants: L = {lip.lipschitz}, loss bound B = {lip.loss_bound:.3f}")
-
-print("capacity term (un-normalized leading constant):")
-for n_q in (50, 100, 200, 400):
-    val = sparsity_capacity_term(r=2, k=6, n_query=n_q, delta=0.1)
-    print(f"  n_query={n_q}: {val:.4f}")

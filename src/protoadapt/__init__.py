@@ -9,7 +9,7 @@ gradients, and an executable excess-risk bound checker.
 """
 
 from .adapters import AdapterMatrix, Canonicalizer, assemble_theta, fit_canonicalizer, ridge_adapter
-from .descriptors import LeakageError, ProbeHead, Standardizer, build_descriptor, pooled_moments, probe_gradient
+from .descriptors import LeakageError, ProbeHead, Standardizer, build_descriptor, pooled_moments
 from .metrics import MetricsRecord, compute_metrics, rank_auc
 from .motifs import (
     MarkovBackground,
@@ -46,7 +46,6 @@ from .prototypes import (
     ProjectionChain,
     cluster_prototypes,
     coverage_certificate,
-    diagnostics,
     l0_fit,
     merge_prototypes,
 )
@@ -64,19 +63,17 @@ from .retrieval import (
     sweep_lambda_eta,
     train_retrieval,
 )
-from .riskbound import check_bound, check_bounds_over_tasks, lipschitz_constant, sparsity_capacity_term
+from .riskbound import check_bound, check_bounds_over_tasks, lipschitz_constant
 from .spectral import (
     DimTestReport,
     FisherSpectrum,
     corpus_fisher_spectrum,
-    fisher_ci_vs_support,
     fisher_energy_test,
     fisher_energy_test_tasks,
-    fisher_spectrum,
     jl_outside_energy,
     pca_rank,
     sequential_r_selection,
 )
-from .synthdata import Corpus, EpisodeTask, GeneratorConfig, generate_corpus, partition_tasks, spearman
+from .synthdata import Corpus, EpisodeTask, GeneratorConfig, generate_corpus, partition_tasks
 
 __version__ = "0.1.0"

@@ -16,7 +16,6 @@ class AdapterMatrix:
     rows: np.ndarray
     task_ids: list
     ridge_alpha: float | None = None
-    canonicalized: bool = False
 
     def __post_init__(self):
         self.rows = check_finite(self.rows, "adapter rows")
@@ -123,14 +122,6 @@ class Canonicalizer:
         single = rows.ndim == 1
         out = (np.atleast_2d(rows) * self.pc_scale) @ self.basis.T * self.scale
         return out[0] if single else out
-
-    def apply_matrix(self, theta: AdapterMatrix) -> AdapterMatrix:
-        return AdapterMatrix(
-            rows=self.apply(theta.rows),
-            task_ids=list(theta.task_ids),
-            ridge_alpha=theta.ridge_alpha,
-            canonicalized=True,
-        )
 
     def as_dict(self) -> dict:
         return {

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .pipeline import (
     RunConfig,
+    build_corpus,
     desk_config,
     emit_report,
     run_ablations,
@@ -21,15 +22,13 @@ from .pipeline import (
     run_penalty_sweep,
     run_phase1,
     run_phase2,
+    run_power_curve,
     run_riskbound,
     run_seed_stability,
     run_support_sweep,
     ABLATION_VARIANTS,
 )
-from .synthdata import generate_corpus, partition_tasks, save_corpus
-from .adapters import ridge_adapter
-
-import numpy as np
+from .synthdata import save_corpus
 
 
 def load_config(args) -> RunConfig:
@@ -48,12 +47,7 @@ def load_config(args) -> RunConfig:
 
 def cmd_generate(args):
     cfg = load_config(args)
-    corpus = generate_corpus(cfg.generator)
-    fmap = corpus.feature_map()
-    vectors = np.stack([ridge_adapter(t, fmap, cfg.ridge_alpha) for t in corpus.tasks])
-    partition_tasks(corpus.tasks, frac_pre=cfg.frac_pre, frac_seed=cfg.frac_seed,
-                    tau_sim=cfg.tau_sim, seed=cfg.seed, vectors=vectors,
-                    ret_fracs=cfg.ret_fracs)
+    corpus, _, _ = build_corpus(cfg)
     outdir = Path(cfg.outdir)
     save_corpus(corpus, outdir / "corpus.csv", outdir / "corpus_manifest.json")
     print(f"wrote {outdir / 'corpus.csv'} ({len(corpus.tasks)} tasks)")
@@ -96,6 +90,7 @@ def cmd_ablate(args):
 def cmd_motifs(args):
     cfg = load_config(args)
     calibrations, report = run_motifs(cfg, outdir=Path(cfg.outdir))
+    run_power_curve(cfg, outdir=Path(cfg.outdir))
     print(f"screened {report.screened.size} channels; "
           f"pi0 = {report.pi0.pi0:.3f} {report.pi0.ci90}")
     for cal in calibrations:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import binary_cross_entropy
 from .synthdata import PRE_PARTITIONS
 from .util import ValidationError, check_finite, child_rng, require, sigmoid
 
@@ -44,9 +43,6 @@ class ProbeHead:
         head.weights.setflags(write=False)
         return head
 
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        return sigmoid(np.atleast_2d(features) @ self.weights + self.bias)
-
 
 def pooled_moments(embeddings):
     """Pooled mean and elementwise population standard deviation."""
@@ -58,26 +54,12 @@ def pooled_moments(embeddings):
 
 
 def _probe_fit(probe: ProbeHead, task, feature_map):
-    """Support labels, probe probabilities and the averaged parameter gradient."""
+    """The probe's mean cross-entropy gradient on the support, bias partial last."""
     x = check_finite(feature_map(task.support_x), "support features")
     y = np.asarray(task.support_y, dtype=float)
     require(np.all((y == 0.0) | (y == 1.0)), "labels must be binary")
-    p = sigmoid(x @ probe.weights + probe.bias)
-    err = p - y
-    grad_w = (err[:, None] * x).mean(axis=0)
-    grad_b = float(err.mean())
-    return y, p, np.concatenate([grad_w, [grad_b]])
-
-
-def probe_gradient(probe: ProbeHead, task, feature_map):
-    """Mean cross-entropy loss and averaged parameter gradient of the probe.
-
-    Returns (loss, g) with g of length d_theta + 1; the last entry is the
-    bias partial. The analytic gradient is checked against finite
-    differences in the test suite.
-    """
-    y, p, grad = _probe_fit(probe, task, feature_map)
-    return binary_cross_entropy(p, y), grad
+    err = sigmoid(x @ probe.weights + probe.bias) - y
+    return np.concatenate([(err[:, None] * x).mean(axis=0), [err.mean()]])
 
 
 class Standardizer:
@@ -167,17 +149,13 @@ def build_descriptor(task, probe: ProbeHead, chain, standardizer: Standardizer,
 
     order_block = _percentiles(task.support_x, percentiles)
 
-    _, _, grad = _probe_fit(probe, task, feature_map)
+    grad = _probe_fit(probe, task, feature_map)
     g_proj = chain.project(grad[:-1])
     g_block = np.concatenate([g_proj, grad[-1:]])
 
     blocks = {"moments": std_block, "order_stats": order_block, "gradient": g_block}
     values = np.clip(np.concatenate(list(blocks.values())), -clip, clip)
     return TaskDescriptor(task_id=task.task_id, values=values, blocks=blocks)
-
-
-def descriptor_length(q: int, r: int, n_percentiles: int = 5) -> int:
-    return 2 * q + n_percentiles + (r + 1)
 
 
 def descriptors_to_csv(descriptors, path) -> None:

@@ -7,7 +7,8 @@ network (behind an optional residual descriptor warp) on the outer objective
 with early stopping.
 The lambda-eta penalty sweep and the support-size sweep are steps of their
 own (``run_penalty_sweep``, ``run_support_sweep``) that reuse the trained
-network. ``run_*`` functions compute; ``persist_*`` functions only write.
+network; so is the motif power curve (``run_power_curve``). ``run_*``
+functions compute; ``persist_*`` functions only write.
 All tabular outputs are deterministic functions of the run configuration;
 wall-clock measurements go to runtime.txt and run.log only, never into CSVs,
 and every stage appends its lines to both files.
@@ -32,6 +33,7 @@ from .motifs import (
     fit_background,
     make_channels,
     motif_test_report,
+    power_curve,
 )
 from .prototypes import (
     ProjectionChain,
@@ -164,6 +166,11 @@ class RunConfig:
         require(self.dim_n_boot >= 1, f"dim_n_boot must be at least 1, got {self.dim_n_boot}")
         require(self.coverage_n_boot >= 1,
                 f"coverage_n_boot must be at least 1, got {self.coverage_n_boot}")
+        require(0.0 < self.rho < 1.0, f"rho must lie in (0, 1), got {self.rho}")
+        for name in ("lam", "gamma", "lr", "weight_decay", "eta"):
+            value = getattr(self, name)
+            require(value >= 0.0, f"{name} must be nonnegative, got {value}")
+        require(self.solver_tol > 0.0, f"solver_tol must be positive, got {self.solver_tol}")
         require(self.epochs >= 1, f"epochs must be at least 1, got {self.epochs}")
         require(self.batch_size >= 1, f"batch_size must be at least 1, got {self.batch_size}")
         require(1 <= self.t_prox <= MAX_UNROLL,
@@ -319,23 +326,34 @@ class Phase1Artifacts:
     notes: list
 
 
-def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
-    """Memory construction: adapters, rank rule and check, clustering, certificate.
+def build_corpus(cfg: RunConfig):
+    """Phase 1's first steps, which ``protoadapt generate`` runs on its own.
 
-    ``pca_rank`` sets the rank; the task-resampling Fisher test is recorded as
-    the check against it.
+    Generates the corpus, fits each task's ridge adapter and partitions the
+    tasks on those adapters. Returns the corpus, the adapters by task id and
+    the partition summary.
     """
     cfg.validate()
-    notes: list[str] = []
     corpus = generate_corpus(cfg.generator)
     fmap = corpus.feature_map()
-
     adapters = {t.task_id: ridge_adapter(t, fmap, cfg.ridge_alpha) for t in corpus.tasks}
     vectors = np.stack([adapters[t.task_id] for t in corpus.tasks])
     partition = partition_tasks(corpus.tasks, frac_pre=cfg.frac_pre,
                                 frac_seed=cfg.frac_seed, tau_sim=cfg.tau_sim,
                                 seed=cfg.seed, vectors=vectors,
                                 ret_fracs=cfg.ret_fracs)
+    return corpus, adapters, partition
+
+
+def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
+    """Memory construction: adapters, rank rule and check, clustering, certificate.
+
+    ``pca_rank`` sets the rank; the task-resampling Fisher test is recorded as
+    the check against it.
+    """
+    corpus, adapters, partition = build_corpus(cfg)
+    fmap = corpus.feature_map()
+    notes: list[str] = []
 
     seed_tasks = corpus.tasks_in("Pre-Seed")
     pre_tasks = corpus.tasks_in("Pre-Seed", "Pre-Rest")
@@ -841,13 +859,6 @@ def run_motifs(cfg: RunConfig, outdir: Path | None = None):
                   ["channel", "p_value", "q_value", "b_used"],
                   [[int(ch), p, q, int(b)] for ch, p, q, b in
                    zip(report.screened, report.p_values, report.q_values, report.b_used)])
-        from .motifs import power_curve
-        curve = power_curve((0.0, 0.5, 1.0, 2.0, 4.0), alpha=0.05,
-                            null_sampler=lambda rng, size: rng.normal(size=size),
-                            n_trials=60, m_channels=30, b_perm=300, seed=cfg.seed)
-        write_csv(outdir / "power_curve.csv",
-                  ["effect", "rate_p", "rate_q"],
-                  [[r["effect"], r["rate_p"], r["rate_q"]] for r in curve])
         write_json(outdir / "motif_summary.json", {
             "pi0": report.pi0.pi0,
             "pi0_ci90": list(report.pi0.ci90),
@@ -855,6 +866,23 @@ def run_motifs(cfg: RunConfig, outdir: Path | None = None):
             "significant_at_q10": int(report.significant(0.1).size),
         })
     return calibrations, report
+
+
+def run_power_curve(cfg: RunConfig, outdir: Path | None = None):
+    """Detection rates of the permutation test and q-values against effect size.
+
+    Gaussian nulls, 30 channels and 60 trials per effect; rows of effect,
+    raw-p rate and q-value rate.
+    """
+    curve = power_curve((0.0, 0.5, 1.0, 2.0, 4.0), alpha=0.05,
+                        null_sampler=lambda rng, size: rng.normal(size=size),
+                        n_trials=60, m_channels=30, b_perm=300, seed=cfg.seed)
+    if outdir is not None:
+        outdir = Path(outdir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        write_csv(outdir / "power_curve.csv", ["effect", "rate_p", "rate_q"],
+                  [[r["effect"], r["rate_p"], r["rate_q"]] for r in curve])
+    return curve
 
 
 # ---------------------------------------------------------------------------

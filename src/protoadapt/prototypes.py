@@ -66,10 +66,6 @@ class ProjectionChain:
         basis.setflags(write=False)
         return basis
 
-    def raw_basis(self) -> np.ndarray:
-        """Orthonormal basis of the fitted subspace in raw coordinates (read-only)."""
-        return self._raw_basis
-
     def subspace_project(self, vec: np.ndarray) -> np.ndarray:
         basis = self._raw_basis
         return basis @ (basis.T @ np.asarray(vec, dtype=float))
@@ -501,16 +497,6 @@ def mu_of(m_rows: np.ndarray) -> float:
     gram = np.abs(unit @ unit.T)
     np.fill_diagonal(gram, 0.0)
     return float(np.clip(gram.max(), 0.0, 1.0))
-
-
-def diagnostics_of(m_rows: np.ndarray):
-    """Condition number of M^T and mutual coherence of the rows of M."""
-    return kappa_of(m_rows), mu_of(m_rows)
-
-
-def diagnostics(memory: PrototypeMemory):
-    require(memory.K >= 2, "need at least two prototypes")
-    return diagnostics_of(memory.M)
 
 
 # ---------------------------------------------------------------------------

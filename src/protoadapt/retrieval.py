@@ -207,12 +207,6 @@ def hard_top_r(w: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
-def residual_change(memory, theta_hat, w: np.ndarray, w_tilde: np.ndarray):
-    before = float(np.linalg.norm(w @ memory.M - theta_hat))
-    after = float(np.linalg.norm(w_tilde @ memory.M - theta_hat))
-    return before, after
-
-
 def compose_adapter(memory, w_tilde: np.ndarray) -> np.ndarray:
     w_tilde = check_finite(w_tilde, "activations")
     require(w_tilde.shape[0] == memory.K, "activation length must equal K")
@@ -543,7 +537,7 @@ def _jaccard(a: set, b: set) -> float:
 
 
 def _episode(task, memory, net, descriptor, theta_hat, pcfg, r_keep, transform=None,
-             budget=None, hard_threshold=True, record_tape=False):
+             hard_threshold=True, record_tape=False):
     """The phase-2 step of training (taped), validation, test and the sweep.
 
     Warp, net logits, then ``retrieve``; ``pcfg`` is a ProximalConfig or a
@@ -554,24 +548,23 @@ def _episode(task, memory, net, descriptor, theta_hat, pcfg, r_keep, transform=N
     z, warp_hidden = transform.forward(z_raw) if transform is not None else (z_raw, None)
     logits, net_hidden = net.forward(z)
     task_pcfg = _pcfg_lookup(pcfg)(task)
-    out = retrieve(theta_hat, memory, logits, task_pcfg, r_keep, budget=budget,
+    out = retrieve(theta_hat, memory, logits, task_pcfg, r_keep,
                    hard_threshold=hard_threshold, record_tape=record_tape)
     return task_pcfg, out, (z_raw, warp_hidden, z, net_hidden)
 
 
 def predict_task(task, memory, net, descriptor, theta_hat, pcfg, r_keep,
-                 feature_map, transform=None, budget=None, hard_threshold=True):
+                 feature_map, transform=None, hard_threshold=True):
     """Query probabilities from the full retrieval path for one task."""
     _, solution, _ = _episode(task, memory, net, descriptor, theta_hat, pcfg, r_keep,
-                              transform=transform, budget=budget,
-                              hard_threshold=hard_threshold)
+                              transform=transform, hard_threshold=hard_threshold)
     adapter = compose_adapter(memory, solution.w_tilde)
     probs = sigmoid(feature_map(task.query_x) @ adapter)
     return probs, solution
 
 
 def _episode_block(tasks, memory, net, descriptors, theta_hats, pcfg, r_keep,
-                   transform=None, budget=None, hard_threshold=True, record_tape=False):
+                   transform=None, hard_threshold=True, record_tape=False):
     """``_episode`` for a list of tasks: one warp pass, one net pass, one ``solve_block``.
 
     Returns the tasks' configs, ``solve_block``'s result and the backward
@@ -583,19 +576,19 @@ def _episode_block(tasks, memory, net, descriptors, theta_hats, pcfg, r_keep,
     pcfg_of = _pcfg_lookup(pcfg)
     task_pcfgs = [pcfg_of(task) for task in tasks]
     theta = np.stack([theta_hats[task.task_id] for task in tasks])
-    out = solve_block(theta, memory, logits, task_pcfgs, r_keep, budget=budget,
+    out = solve_block(theta, memory, logits, task_pcfgs, r_keep,
                       hard_threshold=hard_threshold, record_tape=record_tape)
     return task_pcfgs, out, (z_raw, warp_hidden, z, net_hidden)
 
 
 def predict_tasks(tasks, memory, net, descriptors, theta_hats, pcfg, r_keep,
-                  feature_map, transform=None, budget=None, hard_threshold=True):
+                  feature_map, transform=None, hard_threshold=True):
     """Pooled query probabilities and labels over tasks, plus each task's solution.
 
     One block episode serves every task; ``predict_task`` is the one-task path.
     """
     _, solutions, _ = _episode_block(tasks, memory, net, descriptors, theta_hats, pcfg,
-                                     r_keep, transform=transform, budget=budget,
+                                     r_keep, transform=transform,
                                      hard_threshold=hard_threshold)
     probs = [sigmoid(feature_map(task.query_x) @ compose_adapter(memory, solution.w_tilde))
              for task, solution in zip(tasks, solutions)]
@@ -718,7 +711,7 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
 
 def sweep_lambda_eta(lam_grid, eta_grid, tasks, memory, net, descriptors,
                      theta_hats, pcfg, r_keep, feature_map,
-                     transform=None, budget=None, hard_threshold=True):
+                     transform=None, hard_threshold=True):
     """Validation surface over (lam, eta): pooled AUC and sparsity averages.
 
     ``pcfg`` is a ProximalConfig or a per-task factory of one; each grid lam
@@ -735,7 +728,7 @@ def sweep_lambda_eta(lam_grid, eta_grid, tasks, memory, net, descriptors,
 
         probs, labels, solutions = predict_tasks(tasks, memory, net, descriptors,
                                                  theta_hats, lam_pcfg, r_keep, feature_map,
-                                                 transform=transform, budget=budget,
+                                                 transform=transform,
                                                  hard_threshold=hard_threshold)
         auc = rank_auc_or_nan(probs, labels)
         mean_l0_pre = float(np.mean([np.sum(s.w > 1e-10) for s in solutions]))

@@ -5,7 +5,9 @@ sparse approximant through the frozen memory, checks the triangle-inequality
 chain on that task's own measured residuals (an exact identity up to float
 error), and evaluates the Lipschitz-based deterministic gap bound both with
 per-task residuals (exact) and with the certified median-based upper bound
-(holds for most tasks by median semantics; the rate is reported).
+(holds for most tasks by median semantics; the rate is reported). Every
+risk is measured on the task's own query set; the harness estimates no
+population risk and no sample-size capacity term.
 """
 
 from __future__ import annotations
@@ -72,23 +74,19 @@ class BoundReport:
     triangle_slack: float            # eps_app + eps_coverage - adapter_gap
     deterministic_bound: float       # L (eps_app + eps_coverage), per-task residuals
     certified_bound: float           # L (eps_app + eps_certified)
-    gen_gap_mem: float | None
-    gen_gap_oracle: float | None
     triangle_holds: bool
     per_task_bound_holds: bool
     certified_bound_holds: bool
 
 
 def check_bound(task, memory, certificate, feature_map, r_sparse: int | None = None,
-                tol: float = 1e-9, population_sampler=None) -> BoundReport:
+                tol: float = 1e-9) -> BoundReport:
     """Triangle and Lipschitz gap checks for one task with a known adapter.
 
     The approximant is built exactly as the decomposition prescribes:
     project the true adapter onto the fitted subspace, sparse-fit the
     projection in the prototype rows (raw space), and compare the empirical
     risks of the composed and oracle predictors on the task's query set.
-    ``population_sampler(task, n)`` optionally supplies fresh labeled query
-    draws to estimate generalization gaps.
     """
     if task.theta_true is None:
         raise ValidationError(f"task {task.task_id} has no ground-truth adapter")
@@ -114,13 +112,6 @@ def check_bound(task, memory, certificate, feature_map, r_sparse: int | None = N
     det_bound = lipschitz * (eps_app + eps_cov)
     cert_bound = lipschitz * (eps_app + eps_cert)
 
-    gen_mem = gen_oracle = None
-    if population_sampler is not None:
-        fresh_x, fresh_y = population_sampler(task, 20_000)
-        fresh_feats = feature_map(fresh_x)
-        gen_mem = abs(risk_mem - empirical_risk(approx, fresh_feats, fresh_y))
-        gen_oracle = abs(risk_oracle - empirical_risk(theta, fresh_feats, fresh_y))
-
     return BoundReport(
         task_id=task.task_id,
         eps_app=eps_app,
@@ -132,23 +123,10 @@ def check_bound(task, memory, certificate, feature_map, r_sparse: int | None = N
         triangle_slack=triangle_slack,
         deterministic_bound=det_bound,
         certified_bound=cert_bound,
-        gen_gap_mem=gen_mem,
-        gen_gap_oracle=gen_oracle,
         triangle_holds=adapter_gap <= eps_app + eps_cov + tol,
         per_task_bound_holds=emp_gap <= det_bound + tol,
         certified_bound_holds=emp_gap <= cert_bound + tol,
     )
-
-
-def sparsity_capacity_term(r: int, k: int, n_query: int, delta: float) -> float:
-    """Capacity scaling sqrt((r log K + log(1/delta)) / n_query), C = 1.
-
-    The leading constant of the uniform deviation bound is not derivable
-    from first principles here, so the value is reported un-normalized.
-    """
-    require(r >= 1 and k >= 1 and n_query >= 1, "counts must be positive")
-    require(0.0 < delta < 1.0, "delta must lie in (0, 1)")
-    return float(np.sqrt((r * np.log(k) + np.log(1.0 / delta)) / n_query))
 
 
 @dataclass
@@ -167,11 +145,8 @@ class BoundSummary:
 
 
 def check_bounds_over_tasks(tasks, memory, certificate, feature_map,
-                            r_sparse: int | None = None, tol: float = 1e-9,
-                            population_sampler=None) -> BoundSummary:
-    reports = [check_bound(t, memory, certificate, feature_map,
-                           r_sparse=r_sparse, tol=tol,
-                           population_sampler=population_sampler)
+                            r_sparse: int | None = None, tol: float = 1e-9) -> BoundSummary:
+    reports = [check_bound(t, memory, certificate, feature_map, r_sparse=r_sparse, tol=tol)
                for t in tasks]
     require(len(reports) >= 1, "no tasks to check")
     return BoundSummary(

@@ -1,4 +1,4 @@
-"""Spectral rank diagnostics: PCA energy rule, Fisher spectra, bootstrap tests.
+"""Spectral rank diagnostics: PCA energy rule, across-task Fisher spectra, bootstrap tests.
 
 Two bootstrap selectors live here. The percentile test on the Fisher energy
 ratio Bonferroni-corrects five neighbouring candidate dimensions and comes in
@@ -9,6 +9,8 @@ because eigenvalue resampling is uninformative on strongly spiked spectra
 (see fisher_energy_test notes). Both feed their replicate spectra to one
 ratio test and one decision rule. The sequential selector compares
 reconstruction errors of adjacent PCA dimensions with paired bootstrap tests.
+A random-projection check measures the Fisher energy a held-out set of
+adapters leaves outside the fitted subspace.
 """
 
 from __future__ import annotations
@@ -117,19 +119,6 @@ def task_gradients(task, feature_map, at=None) -> np.ndarray:
     theta0 = np.zeros(x.shape[1]) if at is None else np.asarray(at, dtype=float)
     p = sigmoid(x @ theta0)
     return (p - y)[:, None] * x
-
-
-def fisher_spectrum_from_gradients(grads: np.ndarray, reg: float | None = None) -> FisherSpectrum:
-    grads = check_finite(grads, "gradients")
-    n = grads.shape[0]
-    eig, reg = _regularized_spectra(grads.T @ grads / n, reg)
-    return FisherSpectrum(eigenvalues=eig, ridge_reg=reg, n_support=n)
-
-
-def fisher_spectrum(task, feature_map, reg: float | None = None, at=None) -> FisherSpectrum:
-    """Eigenvalues of (1/n) sum g g^T + reg I over per-sample gradients."""
-    require(task.support_x.shape[0] >= 1, "support is empty")
-    return fisher_spectrum_from_gradients(task_gradients(task, feature_map, at=at), reg=reg)
 
 
 @dataclass
@@ -371,42 +360,6 @@ def fisher_energy_test_tasks(summaries, r_center: int, n_boot: int = 1000,
 
     return _ratio_test(eig_full, r_center, replicate_spectra, alpha, h0_level, n_boot,
                        mode="tasks")
-
-
-# ---------------------------------------------------------------------------
-# Eigenvalue confidence bands across support sizes
-# ---------------------------------------------------------------------------
-
-def fisher_ci_vs_support(task, feature_map, support_sizes, n_boot: int = 500,
-                         percentiles=(5.0, 95.0), reg: float | None = None,
-                         seed: int = 0, top_k: int = 3, at=None,
-                         exhaustive: bool = False):
-    """Percentile bands of leading Fisher eigenvalues vs support subsample size.
-
-    Subsamples are drawn with replacement from the task support; band width
-    is reported, not asserted, since stabilization has no numeric criterion.
-    """
-    grads = task_gradients(task, feature_map, at=at)
-    n = grads.shape[0]
-    rows = []
-    for n_s in support_sizes:
-        require(2 <= n_s <= n, f"support size {n_s} exceeds available samples ({n})")
-        if exhaustive:
-            require(n_s == n, "exhaustive mode enumerates full-size resamples only")
-            draws = exhaustive_index_tuples(n)
-        else:
-            draws = child_rng(seed, "fisher-ci", n_s).integers(0, n, size=(n_boot, n_s))
-        top = np.array([
-            fisher_spectrum_from_gradients(grads[idx], reg=reg).eigenvalues[:top_k]
-            for idx in draws
-        ])
-        for k in range(min(top_k, top.shape[1])):
-            lo, hi = np.percentile(top[:, k], list(percentiles))
-            rows.append({
-                "n_support": int(n_s), "eig_index": k + 1,
-                "lo": float(lo), "hi": float(hi), "width": float(hi - lo),
-            })
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .util import ValidationError, check_finite, child_rng, require, sigmoid, write_json
 
@@ -91,9 +90,6 @@ class Corpus:
     feature_w: np.ndarray   # d_theta x q frozen random linear map
     basis: np.ndarray       # d_theta x r_true planted orthonormal basis
     cluster_dirs: np.ndarray
-
-    def features(self, x: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(x) @ self.feature_w.T
 
     def feature_map(self):
         w = self.feature_w
@@ -335,20 +331,6 @@ def partition_tasks(
         assignments=assignments,
         cluster_ids=cluster_ids,
     )
-
-
-def spearman(a, b) -> float:
-    """Spearman rank correlation with average-rank tie handling."""
-    a = check_finite(a, "a").ravel()
-    b = check_finite(b, "b").ravel()
-    require(a.size == b.size, "inputs must have equal length")
-    require(a.size >= 3, "need at least three observations")
-    if np.all(a == a[0]) or np.all(b == b[0]):
-        raise ValidationError("correlation undefined for constant input")
-    ra, rb = rankdata(a, method="average"), rankdata(b, method="average")
-    ra = ra - ra.mean()
-    rb = rb - rb.mean()
-    return float(ra @ rb / np.sqrt((ra @ ra) * (rb @ rb)))
 
 
 def save_corpus(corpus: Corpus, csv_path, manifest_path=None) -> None:

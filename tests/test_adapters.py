@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from protoadapt.adapters import (
-    AdapterMatrix,
     Canonicalizer,
     assemble_theta,
     fit_canonicalizer,
@@ -172,11 +171,3 @@ class TestCanonicalizer:
         rows = np.arange(6.0).reshape(2, 3)
         assert np.array_equal(canon.apply(rows), rows)
         assert np.array_equal(canon.invert(rows), rows)
-
-    def test_apply_matrix_marks_flag(self):
-        rows = self._random_matrix(10)
-        theta = AdapterMatrix(rows=rows, task_ids=[str(i) for i in range(rows.shape[0])])
-        canon = fit_canonicalizer(theta)
-        out = canon.apply_matrix(theta)
-        assert out.canonicalized
-        assert not theta.canonicalized

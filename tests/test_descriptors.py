@@ -8,10 +8,9 @@ from protoadapt.descriptors import (
     ProbeHead,
     Standardizer,
     _percentiles,
+    _probe_fit,
     build_descriptor,
-    descriptor_length,
     pooled_moments,
-    probe_gradient,
 )
 from protoadapt.prototypes import ProjectionChain
 from protoadapt.synthdata import GeneratorConfig, generate_corpus, partition_tasks
@@ -58,15 +57,14 @@ class TestProbeGradient:
         probe = ProbeHead(weights=np.array([50.0, 0.0]), bias=0.0, seed=0)
         x = np.array([[1.0, 0.0], [-1.0, 0.0]])
         task = _Task(x, [1, 0])
-        loss, grad = probe_gradient(probe, task, identity_map)
-        assert loss < 1e-8
+        grad = _probe_fit(probe, task, identity_map)
         assert np.linalg.norm(grad) < 1e-8
 
     def test_symmetric_support_zero_bias_gradient(self):
         probe = ProbeHead(weights=np.zeros(2), bias=0.0, seed=0)
         x = np.array([[1.0, 2.0], [-1.0, -2.0]])
         task = _Task(x, [1, 0])
-        _, grad = probe_gradient(probe, task, identity_map)
+        grad = _probe_fit(probe, task, identity_map)
         assert grad[-1] == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_finite_differences(self):
@@ -75,7 +73,7 @@ class TestProbeGradient:
         x = rng.normal(size=(4, 3))
         y = rng.integers(0, 2, size=4)
         task = _Task(x, y)
-        _, grad = probe_gradient(probe, task, identity_map)
+        grad = _probe_fit(probe, task, identity_map)
 
         def loss_at(w, b):
             p = np.clip(sigmoid(x @ w + b), 1e-12, 1 - 1e-12)
@@ -150,7 +148,7 @@ class TestBuildDescriptor:
             task = _Task(base.support_x[:n], base.support_y[:n], task_id=f"n{n}",
                          partition=base.partition)
             desc = build_descriptor(task, probe, chain, std, fmap)
-            assert desc.d_z == descriptor_length(q, r) == 2 * q + 5 + r + 1
+            assert desc.d_z == 2 * q + len(DEFAULT_PERCENTILES) + r + 1
             assert list(desc.blocks) == ["moments", "order_stats", "gradient"]
 
     def test_permutation_invariance(self):

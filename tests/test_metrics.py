@@ -10,7 +10,6 @@ from protoadapt.metrics import (
     rank_auc,
     rank_auc_or_nan,
 )
-from protoadapt.synthdata import spearman
 from protoadapt.util import ValidationError
 
 
@@ -106,20 +105,6 @@ class TestAuc:
             rank_auc(np.zeros((3, 4)), np.ones(4))
         with pytest.raises(ValidationError):
             rank_auc_or_nan(np.zeros((4, 2)), np.array([0, 1, 0, 1]))
-
-    def test_spearman_matches_tie_loop_oracle_exactly(self):
-        rng = np.random.default_rng(12)
-        for scores, _ in _tied_cases(seed=13):
-            if scores.size < 3:
-                continue
-            other = np.round(rng.random(scores.size), 1)
-            if np.all(scores == scores[0]) or np.all(other == other[0]):
-                continue
-            ra = _loop_average_ranks(scores)
-            rb = _loop_average_ranks(other)
-            ra, rb = ra - ra.mean(), rb - rb.mean()
-            oracle = float(ra @ rb / np.sqrt((ra @ ra) * (rb @ rb)))
-            assert spearman(scores, other) == oracle
 
 
 def _loop_ece(probs, labels, n_bins=10):

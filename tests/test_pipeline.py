@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from protoadapt import pipeline, retrieval
+from protoadapt.cli import main
 from protoadapt.metrics import compute_metrics
 from protoadapt.pipeline import (
     ABLATION_VARIANTS,
@@ -27,6 +28,7 @@ from protoadapt.pipeline import (
     run_penalty_sweep,
     run_phase1,
     run_phase2,
+    run_power_curve,
     run_riskbound,
     run_support_sweep,
 )
@@ -130,6 +132,16 @@ class TestDefaults:
         ("support_sizes_eval", (1, 5)),
         ("r_keep", 0),
         ("ret_fracs", (0.8, 0.3, -0.1)),
+        ("lam", -1e-4),
+        ("gamma", -0.1),
+        ("solver_tol", 0.0),
+        ("solver_tol", -1e-9),
+        ("lr", -1e-3),
+        ("weight_decay", -2e-3),
+        ("eta", -0.01),
+        ("rho", 0.0),
+        ("rho", 1.0),
+        ("rho", 1.5),
     ])
     def test_bad_field_is_rejected_naming_it(self, name, value):
         cfg = tiny_config()
@@ -141,6 +153,10 @@ class TestDefaults:
             cfg.validate()
         with pytest.raises(ValidationError, match=name):
             RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+
+    def test_zero_rates_and_penalties_are_legal(self):
+        replace(tiny_config(), lr=0.0, weight_decay=0.0, eta=0.0, lam=0.0,
+                gamma=0.0).validate()
 
 
 class TestPhase1(object):
@@ -452,6 +468,11 @@ class TestMotifAndRiskRuns:
         assert all(c.passed for c in calibrations)
         assert (tmp_path / "threshold_calibration.csv").exists()
         assert (tmp_path / "motif_tests.csv").exists()
+        # the power curve is a step of its own
+        assert not (tmp_path / "power_curve.csv").exists()
+        curve = run_power_curve(cfg, outdir=tmp_path)
+        assert [row["effect"] for row in curve] == [0.0, 0.5, 1.0, 2.0, 4.0]
+        assert (tmp_path / "power_curve.csv").exists()
 
     def test_riskbound_run(self, tiny_artifacts, tmp_path):
         cfg, art = tiny_artifacts
@@ -459,6 +480,35 @@ class TestMotifAndRiskRuns:
         assert summary.triangle_rate == 1.0
         assert summary.per_task_rate == 1.0
         assert (tmp_path / "riskbound.csv").exists()
+
+
+class TestCommandLine:
+    @staticmethod
+    def _config_file(cfg, path):
+        path.write_text(json.dumps({"config": cfg.to_dict()}))
+        return str(path)
+
+    def test_generate_writes_the_partition_phase1_writes(self, tmp_path, capsys):
+        cfg = tiny_config()
+        config = self._config_file(cfg, tmp_path / "config.json")
+        assert main(["--config", config, "--outdir", str(tmp_path / "gen"), "generate"]) == 0
+        run_phase1(cfg, outdir=tmp_path / "phase1")
+        generated = (tmp_path / "gen" / "corpus_manifest.json").read_bytes()
+        assert generated == (tmp_path / "phase1" / "corpus_manifest.json").read_bytes()
+        assert set(json.loads(generated)["partition"].values()) == {
+            "Pre-Seed", "Pre-Rest", "Ret-Train", "Ret-Val", "Ret-Test"}
+
+    def test_motifs_runs_the_power_curve_step(self, tmp_path, capsys):
+        cfg = tiny_config()
+        cfg = replace(cfg, motifs=replace(cfg.motifs, n_channels=24, n_pos=16, n_neg=16,
+                                          b_min=200, b_max=400, null_pool_size=48,
+                                          cohorts=("cohortA",)))
+        config = self._config_file(cfg, tmp_path / "config.json")
+        assert main(["--config", config, "--outdir", str(tmp_path / "cli"), "motifs"]) == 0
+        run_power_curve(cfg, outdir=tmp_path / "step")
+        assert ((tmp_path / "cli" / "power_curve.csv").read_bytes()
+                == (tmp_path / "step" / "power_curve.csv").read_bytes())
+        assert (tmp_path / "cli" / "motif_tests.csv").exists()
 
 
 class TestAblations:

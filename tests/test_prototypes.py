@@ -15,10 +15,10 @@ from protoadapt.prototypes import (
     cluster_prototypes,
     coverage_certificate,
     coverage_residuals,
-    diagnostics,
-    diagnostics_of,
+    kappa_of,
     l0_fit,
     merge_prototypes,
+    mu_of,
     silhouette_score,
 )
 from protoadapt.resampling import (
@@ -133,20 +133,23 @@ class TestProjectionChain:
         assert np.max(np.abs(again - coords)) < 1e-10
 
     def test_raw_basis_orthonormal_and_spans_lift(self):
+        # subspace_project is an orthogonal projector onto the lifted coordinates
         rng = np.random.default_rng(1)
         rows = rng.normal(size=(15, 4)) * np.array([3.0, 2.0, 0.5, 0.1])
         chain = ProjectionChain(canonicalizer=fit_canonicalizer(rows), r=2)
-        basis = chain.raw_basis()
-        assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-10)
+        proj = np.stack([chain.subspace_project(e) for e in np.eye(4)], axis=1)
+        assert np.allclose(proj, proj.T, atol=1e-10)
+        assert np.allclose(proj @ proj, proj, atol=1e-10)
+        assert np.trace(proj) == pytest.approx(2.0, abs=1e-10)
         lifted = chain.lift(np.eye(2))
-        proj = basis @ (basis.T @ lifted.T)
-        assert np.max(np.abs(proj - lifted.T)) < 1e-10
+        for vec in lifted:
+            assert np.max(np.abs(chain.subspace_project(vec) - vec)) < 1e-10
 
     def test_raw_basis_cached_after_one_qr(self, monkeypatch):
         rng = np.random.default_rng(2)
         rows = rng.normal(size=(15, 4)) * np.array([3.0, 2.0, 0.5, 0.1])
         chain = ProjectionChain(canonicalizer=fit_canonicalizer(rows), r=2)
-        # the uncached value, computed as raw_basis did before the cache
+        # the uncached basis: one lift of the coordinate axes and one QR
         uncached = np.linalg.qr(chain.lift(np.eye(2)).T)[0][:, :2]
         real_qr, calls = np.linalg.qr, []
 
@@ -159,8 +162,7 @@ class TestProjectionChain:
             expected = uncached @ (uncached.T @ vec)
             assert chain.subspace_project(vec).tobytes() == expected.tobytes()
         assert len(calls) == 1
-        assert chain.raw_basis().tobytes() == uncached.tobytes()
-        assert not chain.raw_basis().flags.writeable
+        assert not chain._raw_basis.flags.writeable
 
     def test_chain_is_frozen(self):
         chain = identity_chain(3, 2)
@@ -411,19 +413,18 @@ class TestCoverage:
 class TestDiagnostics:
     def test_orthonormal_rows(self):
         memory = make_memory(np.eye(4)[:3])
-        kappa, mu = diagnostics(memory)
-        assert kappa == pytest.approx(1.0)
-        assert mu == pytest.approx(0.0)
+        assert memory.kappa == pytest.approx(1.0)
+        assert memory.mu == pytest.approx(0.0)
+        assert kappa_of(memory.M) == pytest.approx(1.0)
 
     def test_duplicate_row_full_coherence(self):
         rows = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
-        kappa, mu = diagnostics_of(rows)
-        assert mu == pytest.approx(1.0)
+        assert mu_of(rows) == pytest.approx(1.0)
 
     def test_matches_svd_gram_oracle(self):
         rng = np.random.default_rng(9)
         rows = rng.normal(size=(5, 3))
-        kappa, mu = diagnostics_of(rows)
+        kappa, mu = kappa_of(rows), mu_of(rows)
         s = np.linalg.svd(rows.T, compute_uv=False)
         assert kappa == pytest.approx(s.max() / s.min(), abs=1e-10)
         best = 0.0
@@ -435,20 +436,17 @@ class TestDiagnostics:
 
     def test_singular_gives_inf_sentinel(self):
         rows = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-        kappa, mu = diagnostics_of(rows)
-        assert np.isinf(kappa)
+        assert np.isinf(kappa_of(rows))
 
     def test_invariances(self):
         rng = np.random.default_rng(10)
         rows = rng.normal(size=(6, 4))
-        kappa, mu = diagnostics_of(rows)
+        kappa, mu = kappa_of(rows), mu_of(rows)
         perm = rng.permutation(6)
-        kappa_p, mu_p = diagnostics_of(rows[perm])
-        assert kappa_p == pytest.approx(kappa)
-        assert mu_p == pytest.approx(mu)
+        assert kappa_of(rows[perm]) == pytest.approx(kappa)
+        assert mu_of(rows[perm]) == pytest.approx(mu)
         scales = rng.uniform(0.5, 3.0, size=6)
-        _, mu_s = diagnostics_of(rows * scales[:, None])
-        assert mu_s == pytest.approx(mu)
+        assert mu_of(rows * scales[:, None]) == pytest.approx(mu)
 
 
 class TestMerge:
@@ -474,8 +472,7 @@ class TestMerge:
         rows = np.stack([base, mk(0.14), mk(0.28)]) * 2.0
         memory = make_memory(rows)
         merged, log = merge_prototypes(memory, mu_threshold=0.95, kappa_threshold=np.inf)
-        _, mu_after = diagnostics_of(merged.M)
-        assert mu_after <= 0.95
+        assert mu_of(merged.M) <= 0.95
         assert len(log) >= 1
 
     def test_coverage_runs_once_per_merge_plus_one(self, monkeypatch):

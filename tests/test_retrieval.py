@@ -23,7 +23,6 @@ from protoadapt.retrieval import (
     hard_top_r,
     outer_objective,
     predict_tasks,
-    residual_change,
     retrieve,
     softmax,
     solve_block,
@@ -459,17 +458,6 @@ class TestHardTopR:
         assert np.array_equal(hard_top_r(once, 2), once)
         assert np.allclose(hard_top_r(3.5 * w, 2), 3.5 * once)
 
-    def test_residual_change_single_atom_oracle(self):
-        rng = np.random.default_rng(8)
-        memory = make_memory(rng.normal(size=(5, 4)))
-        theta_hat = rng.normal(size=4)
-        w = np.abs(rng.normal(size=5))
-        w_tilde = hard_top_r(w, 1)
-        _, after = residual_change(memory, theta_hat, w, w_tilde)
-        j = int(np.argmax(w))
-        oracle = np.linalg.norm(w[j] * memory.M[j] - theta_hat)
-        assert after == pytest.approx(oracle, abs=1e-12)
-
 
 class TestCompose:
     def test_unit_vector_returns_row(self):
@@ -867,14 +855,23 @@ class TestSweep:
         net = RetrievalNet(d_z=5, k=6, seed=3)
         pcfg = ProximalConfig(lam=0.0, gamma=0.05, t_prox=20, tol=1e-14)
         lam_grid = [1e-4, 1e-2, 0.1, 1.0]
-        rows = sweep_lambda_eta(lam_grid, [0.0], tasks, memory, net, descs, thetas,
-                                pcfg, r_keep=6, feature_map=identity_map, budget=3000)
-        pre = [row["mean_l0_pre"] for row in rows]
+        logits, _ = net.forward(np.stack([descs[t.task_id].values for t in tasks]))
+        theta = np.stack([thetas[t.task_id] for t in tasks])
+
+        def mean_l0_pre(lam, budget=None):
+            cfgs = [dataclasses.replace(pcfg, lam=lam)] * len(tasks)
+            solutions = solve_block(theta, memory, logits, cfgs, 6, budget=budget)
+            return float(np.mean([np.sum(s.w > 1e-10) for s in solutions]))
+
+        # solved to tolerance, the support shrinks as lam grows
+        pre = [mean_l0_pre(lam, budget=3000) for lam in lam_grid]
         assert all(a >= b - 1e-9 for a, b in zip(pre, pre[1:]))
-        # surface values equal per-cell recomputation
+        # the surface reports its own solves, and a cell equals its recomputation
+        rows = sweep_lambda_eta(lam_grid, [0.0], tasks, memory, net, descs, thetas,
+                                pcfg, r_keep=6, feature_map=identity_map)
+        assert [row["mean_l0_pre"] for row in rows] == [mean_l0_pre(lam) for lam in lam_grid]
         again = sweep_lambda_eta([lam_grid[1]], [0.0], tasks, memory, net, descs,
-                                 thetas, pcfg, r_keep=6, feature_map=identity_map,
-                                 budget=3000)
+                                 thetas, pcfg, r_keep=6, feature_map=identity_map)
         assert again[0]["auc"] == rows[1]["auc"]
         assert again[0]["mean_l0_pre"] == rows[1]["mean_l0_pre"]
 

@@ -7,6 +7,7 @@ import scipy.linalg
 from protoadapt.adapters import assemble_theta, ridge_adapter
 from protoadapt.spectral import (
     DEFAULT_H0_LEVEL,
+    _regularized_spectra,
     DimTestRecord,
     DimTestReport,
     FisherSpectrum,
@@ -16,11 +17,8 @@ from protoadapt.spectral import (
     corpus_fisher_spectrum,
     decision_report_from_pvalues,
     energy_ratio,
-    fisher_ci_vs_support,
     fisher_energy_test,
     fisher_energy_test_tasks,
-    fisher_spectrum,
-    fisher_spectrum_from_gradients,
     jl_outside_energy,
     pca_rank,
     rank_curve,
@@ -89,21 +87,24 @@ class TestFisherSpectrum:
     def test_zero_gradients_all_reg(self):
         task = _Task(np.zeros((4, 3)), [0, 1, 0, 1])
         # zero features give zero gradients
-        spec = fisher_spectrum(task, identity_map, reg=0.1)
+        spec = corpus_fisher_spectrum([task, task], identity_map, reg=0.1)
         assert np.allclose(spec.eigenvalues, 0.1)
 
     def test_single_gradient_rank_one(self):
-        g = np.array([[3.0, 4.0, 0.0]])
-        spec = fisher_spectrum_from_gradients(g, reg=0.0)
-        assert spec.eigenvalues[0] == pytest.approx(25.0)
-        assert np.allclose(spec.eigenvalues[1:], 0.0, atol=1e-12)
+        g = np.array([3.0, 4.0, 0.0])
+        eig, reg = _regularized_spectra(np.outer(g, g), 0.0)
+        assert reg == 0.0
+        assert eig[0] == pytest.approx(25.0)
+        assert np.allclose(eig[1:], 0.0, atol=1e-12)
 
     def test_matches_dense_eigensolver(self):
         rng = np.random.default_rng(5)
-        grads = rng.normal(size=(50, 6))
-        spec = fisher_spectrum_from_gradients(grads, reg=0.0)
-        oracle = scipy.linalg.eigh(grads.T @ grads / 50, eigvals_only=True)[::-1]
-        assert np.max(np.abs(spec.eigenvalues - oracle)) < 1e-8
+        grads = rng.normal(size=(3, 50, 6))
+        fishers = grads.transpose(0, 2, 1) @ grads / 50
+        eig, _ = _regularized_spectra(fishers, 0.0)
+        for one, fisher in zip(eig, fishers):
+            oracle = scipy.linalg.eigh(fisher, eigvals_only=True)[::-1]
+            assert np.max(np.abs(one - oracle)) < 1e-8
 
     def test_gradient_formula(self):
         x = np.array([[1.0, 0.0], [0.0, 2.0]])
@@ -115,7 +116,7 @@ class TestFisherSpectrum:
     def test_non_finite_rejected(self):
         task = _Task([[np.inf, 0.0]], [1])
         with pytest.raises(ValidationError):
-            fisher_spectrum(task, identity_map)
+            task_gradients(task, identity_map)
 
 
 class TestEnergyTest:
@@ -376,8 +377,6 @@ class TestCorpusFisher:
         fmap = corpus.feature_map()
         summaries = [TaskGradientSummary.from_task(t, fmap) for t in corpus.tasks]
         with pytest.raises(ValidationError, match="reg"):
-            fisher_spectrum_from_gradients(np.eye(3), reg=-1e-3)
-        with pytest.raises(ValidationError, match="reg"):
             corpus_fisher_spectrum(corpus.tasks, fmap, reg=-1e-3)
         with pytest.raises(ValidationError, match="reg"):
             fisher_energy_test_tasks(summaries, r_center=2, n_boot=10, reg=-1e-3)
@@ -390,42 +389,6 @@ class TestCorpusFisher:
         spec = corpus_fisher_spectrum(corpus.tasks, fmap)
         assert energy_ratio(spec.eigenvalues, 2) >= 0.95
         assert energy_ratio(spec.eigenvalues, 1) <= 0.8
-
-
-class TestCiVsSupport:
-    def test_zero_variance_gradients_zero_width(self):
-        x = np.tile(np.array([[1.0, 2.0]]), (6, 1))
-        task = _Task(x, np.ones(6, dtype=int))
-        rows = fisher_ci_vs_support(task, identity_map, support_sizes=(2, 4, 6),
-                                    n_boot=50, reg=0.0, seed=0, top_k=1)
-        assert all(row["width"] < 1e-12 for row in rows)
-
-    def test_full_support_band_positive(self):
-        rng = np.random.default_rng(8)
-        task = _Task(rng.normal(size=(8, 3)), rng.integers(0, 2, size=8))
-        rows = fisher_ci_vs_support(task, identity_map, support_sizes=(8,),
-                                    n_boot=200, reg=0.0, seed=1, top_k=1)
-        assert rows[0]["width"] > 0.0
-
-    def test_two_point_exhaustive_matches_enumeration(self):
-        x = np.array([[1.0, 0.0], [0.0, 2.0]])
-        task = _Task(x, [1, 0])
-        rows = fisher_ci_vs_support(task, identity_map, support_sizes=(2,),
-                                    n_boot=10, reg=0.0, seed=0, top_k=1,
-                                    exhaustive=True)
-        grads = task_gradients(task, identity_map)
-        tops = []
-        for idx in product(range(2), repeat=2):
-            g = grads[list(idx)]
-            tops.append(np.linalg.eigvalsh(g.T @ g / 2)[::-1][0])
-        lo, hi = np.percentile(tops, [5, 95])
-        assert rows[0]["lo"] == pytest.approx(float(lo))
-        assert rows[0]["hi"] == pytest.approx(float(hi))
-
-    def test_oversized_subsample_rejected(self):
-        task = _Task(np.eye(3), [0, 1, 0])
-        with pytest.raises(ValidationError):
-            fisher_ci_vs_support(task, identity_map, support_sizes=(4,))
 
 
 class TestProjectionEnergy:

@@ -8,7 +8,6 @@ from protoadapt.synthdata import (
     partition_tasks,
     resample_support,
     save_corpus,
-    spearman,
 )
 from protoadapt.util import ValidationError
 
@@ -150,22 +149,6 @@ class TestPartition:
         corpus = generate_corpus(cfg)
         with pytest.raises(ValidationError):
             partition_tasks(corpus.tasks, seed=0, vectors=self._vectors(corpus))
-
-
-class TestSpearman:
-    def test_perfect_agreement(self):
-        assert spearman([1, 2, 3, 5], [10, 20, 30, 50]) == pytest.approx(1.0)
-
-    def test_perfect_reversal(self):
-        assert spearman([1, 2, 3, 4], [9, 7, 5, 3]) == pytest.approx(-1.0)
-
-    def test_hand_computed_case(self):
-        # d = (0, 1, -1, 0), sum d^2 = 2, rho = 1 - 6*2 / (4*15) = 0.8
-        assert spearman([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8)
-
-    def test_constant_input_rejected(self):
-        with pytest.raises(ValidationError):
-            spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
 
 def test_save_corpus_roundtrip_shape(tmp_path):
