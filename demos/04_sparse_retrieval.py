@@ -6,9 +6,9 @@ import numpy as np
 from protoadapt.adapters import Canonicalizer
 from protoadapt.prototypes import PrototypeMemory, ProjectionChain
 from protoadapt.retrieval import (
-    ProximalConfig, compose_adapter, hard_top_r, outer_objective, retrieve, softmax,
-    solve_proximal,
+    ProximalConfig, compose_adapter, hard_top_r, outer_terms, softmax, solve_proximal,
 )
+from protoadapt.synthdata import EpisodeTask
 
 rng = np.random.default_rng(0)
 d, k = 4, 6
@@ -35,15 +35,14 @@ before, after = (np.linalg.norm(compose_adapter(memory, w) - theta_hat)
 print(f"hard top-2 keeps atoms {np.nonzero(w_tilde)[0].tolist()}; "
       f"reconstruction residual {before:.5f} -> {after:.5f}")
 
-adapter = compose_adapter(memory, w_tilde)
 query_x = rng.normal(size=(30, d))
 query_y = (query_x @ theta_hat > 0).astype(int)
-total, parts = outer_objective(query_x, query_y, adapter, w_tilde,
-                               lam=1e-3, eta=0.05, feature_map=lambda x: np.atleast_2d(x))
-print(f"outer objective {total:.4f} (ce {parts['ce']:.4f}, l1 {parts['l1']:.4f}, "
-      f"entropy {parts['entropy']:.4f})")
-
-# one-call convenience path
-full = retrieve(theta_hat, memory, v, cfg, r_keep=2, budget=2000)
-print("active set via retrieve():", full.active_set)
+task = EpisodeTask("demo", query_x[:0], query_y[:0], query_x, query_y)
+# a block of one task: the query logits in prototype coordinates, query_x M^T w_tilde
+lam, eta = 1e-3, 0.05
+_, ce, l1, entropy, _, _ = outer_terms([task], memory, w_tilde[None],
+                                       feature_map=lambda x: np.atleast_2d(x))
+total = ce[0] + lam * l1[0] + eta * entropy[0]
+print(f"outer objective {total:.4f} (ce {ce[0]:.4f}, l1 {l1[0]:.4f}, "
+      f"entropy {entropy[0]:.4f})")
 print("softmax prior that seeded the solve:", np.round(softmax(v), 3))

@@ -56,8 +56,7 @@ from .retrieval import (
     TrainConfig,
     compose_adapter,
     hard_top_r,
-    outer_objective,
-    retrieve,
+    outer_terms,
     solve_block,
     solve_proximal,
     sweep_lambda_eta,

@@ -8,10 +8,12 @@ tape and treats the hard top-r mask straight-through.
 
 There are two paths. Training, validation, test prediction and the penalty
 sweep run many tasks at once as one block (``_episode_block``: one warp and
-network pass over T rows, ``solve_block`` in Gram form, ``backward_block``).
-One-task calls (``predict_task``) take ``_episode``, ``solve_proximal`` and
-``backward_through_solve``, whose arithmetic the block code is checked
-against and which costs less than a block of one row.
+network pass over T rows, ``solve_block`` in Gram form, ``backward_block``)
+and take the outer objective on the block in prototype coordinates
+(``outer_terms``). One-task calls (``predict_task``) run the warp, the
+network, ``solve_proximal`` and the top-r rule directly; ``solve_proximal``
+and ``backward_through_solve`` are the arithmetic the block code is checked
+against, and cost less than a block of one row.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .metrics import binary_cross_entropy, rank_auc_or_nan
+from .metrics import rank_auc_or_nan
 from .tanhmap import TanhMap
 from .util import ValidationError, check_finite, child_rng, require, sigmoid
 
@@ -213,17 +215,6 @@ def compose_adapter(memory, w_tilde: np.ndarray) -> np.ndarray:
     return w_tilde @ memory.M
 
 
-def retrieve(theta_hat, memory, v, cfg: ProximalConfig, r_keep: int,
-             budget: int | None = None, hard_threshold: bool = True,
-             record_tape: bool = False):
-    """``solve_proximal``'s result plus w_tilde (w's top r_keep; all of w when soft)."""
-    out = solve_proximal(theta_hat, memory, v, cfg, budget=budget, record_tape=record_tape)
-    solution = out[0] if record_tape else out
-    solution.w_tilde = hard_top_r(solution.w, r_keep) if hard_threshold else solution.w.copy()
-    solution.active_set = list(np.nonzero(solution.w_tilde)[0])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Block path: the solve and its backward pass on T tasks at once
 # ---------------------------------------------------------------------------
@@ -247,7 +238,7 @@ class _BlockTape:
 
 def solve_block(theta_hats, memory, logits, cfgs, r_keep: int, budget: int | None = None,
                 hard_threshold: bool = True, record_tape: bool = False):
-    """``retrieve`` for T tasks at once, on a (T x K) block in prototype coordinates.
+    """``solve_proximal`` and the top-r rule for T tasks at once, on a (T x K) block.
 
     Row i is task i's problem (theta_hats[i], logits[i]) with ``cfgs[i]``'s
     lam and gamma, hence its own step size; ``t_prox`` and ``tol`` are shared.
@@ -258,9 +249,10 @@ def solve_block(theta_hats, memory, logits, cfgs, r_keep: int, budget: int | Non
     its last step. Gram form rounds differently from ``solve_proximal``, so a
     near-tie of the monotone test can go the other way there.
 
-    Returns one ``RetrievalSolution`` per row with w_tilde as ``retrieve`` sets
-    it (the stable top r_keep of each row, ties to the lowest index); with
-    ``record_tape`` also the ``_BlockTape`` that ``backward_block`` walks.
+    Returns one ``RetrievalSolution`` per row with w_tilde as ``predict_task``
+    sets it (the stable top r_keep of each row, ties to the lowest index; all
+    of w when soft); with ``record_tape`` also the ``_BlockTape`` that
+    ``backward_block`` walks.
     """
     memory.require_frozen()
     n_rows, k = len(cfgs), memory.K
@@ -411,48 +403,39 @@ def backward_block(tape: _BlockTape, memory, grad_w: np.ndarray) -> np.ndarray:
 # Outer objective
 # ---------------------------------------------------------------------------
 
-def _entropy_and_grad(w: np.ndarray):
-    """Shannon entropy of w / ||w||_1 (0 log 0 = 0) and its gradient in w."""
-    grad = np.zeros_like(w)
-    mass = float(np.sum(w))
-    if mass <= 0.0:
-        return 0.0, grad
-    u = w / mass
-    pos = u > 0
-    log_u = np.log(u[pos])
-    ent = float(-np.sum(u[pos] * log_u))
-    grad[pos] = (-log_u - ent) / mass
-    return ent, grad
+def outer_terms(tasks, memory, w_tilde, feature_map):
+    """The outer objective's terms for a block of tasks, in prototype coordinates.
 
+    Task i's query set maps once to P_i = feature_map(x_q) M^T (n_i x K), so
+    its query logits are P_i w_tilde[i] and the adapter w_tilde[i] @ M is never
+    formed. The tasks' rows are stacked and segment sums take each task's mean
+    over its own rows, so query sizes may differ between tasks.
 
-def entropy_of(w: np.ndarray) -> float:
-    """Shannon entropy of w / ||w||_1 with the 0 log 0 = 0 convention."""
-    return _entropy_and_grad(w)[0]
-
-
-def outer_objective(query_x, query_y, adapter, w_tilde, lam, eta, feature_map,
-                    memory=None):
-    """Query cross-entropy plus l1 and normalized-entropy penalties.
-
-    Returns ``(total, parts)``. Given the memory that composed the adapter
-    (``adapter = w_tilde @ memory.M``), also returns the gradient of the total
-    with respect to ``w_tilde``, the l1 term taken on the active set.
+    Returns the pooled query probabilities and, one entry or row per task, the
+    query cross-entropy (probabilities clipped to [1e-12, 1 - 1e-12]),
+    ||w_tilde||_1, the entropy of w_tilde / ||w_tilde||_1 (0 log 0 = 0), and
+    the gradients in w_tilde of the cross-entropy, P_i^T (p - y) / n_i, and of
+    the entropy.
     """
-    x = check_finite(feature_map(query_x), "query features")
-    require(x.shape[0] >= 1, "query is empty")
-    probs = sigmoid(x @ adapter)
-    ce = binary_cross_entropy(probs, query_y)
-    l1 = float(np.sum(np.abs(w_tilde)))
-    ent, ent_grad = _entropy_and_grad(w_tilde)
-    total = ce + lam * l1 + eta * ent
-    parts = {"ce": ce, "l1": l1, "entropy": ent}
-    if memory is None:
-        return total, parts
-    dce_dtheta = ((probs - np.asarray(query_y, dtype=float))[:, None] * x).mean(axis=0)
-    grad = memory.M @ dce_dtheta + lam * (w_tilde > 0).astype(float)
-    if eta != 0.0:
-        grad = grad + eta * ent_grad
-    return total, parts, grad
+    coords = [feature_map(task.query_x) @ memory.M.T for task in tasks]
+    sizes = np.array([len(rows) for rows in coords])
+    require(sizes.min() >= 1, "query is empty")
+    coords = check_finite(np.concatenate(coords), "query features")
+    starts = np.cumsum(sizes) - sizes
+    labels = np.concatenate([task.query_y for task in tasks]).astype(float)
+    probs = sigmoid((coords * np.repeat(w_tilde, sizes, axis=0)).sum(axis=1))
+    p = np.clip(probs, 1e-12, 1.0 - 1e-12)
+    nll = -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
+    ce = np.add.reduceat(nll, starts) / sizes
+    grad_ce = np.add.reduceat((probs - labels)[:, None] * coords, starts) / sizes[:, None]
+    mass = w_tilde.sum(axis=1, keepdims=True)
+    mass = np.where(mass > 0.0, mass, 1.0)
+    u = w_tilde / mass
+    pos = u > 0.0
+    log_u = np.log(np.where(pos, u, 1.0))
+    entropy = -(u * log_u).sum(axis=1)
+    grad_entropy = np.where(pos, (-log_u - entropy[:, None]) / mass, 0.0)
+    return probs, ce, np.abs(w_tilde).sum(axis=1), entropy, grad_ce, grad_entropy
 
 
 # ---------------------------------------------------------------------------
@@ -536,39 +519,29 @@ def _jaccard(a: set, b: set) -> float:
     return len(a & b) / len(a | b)
 
 
-def _episode(task, memory, net, descriptor, theta_hat, pcfg, r_keep, transform=None,
-             hard_threshold=True, record_tape=False):
-    """The phase-2 step of training (taped), validation, test and the sweep.
-
-    Warp, net logits, then ``retrieve``; ``pcfg`` is a ProximalConfig or a
-    per-task factory of one. Returns the task's config, ``retrieve``'s result
-    and the backward pass's states (z_raw, warp hidden, z, net hidden).
-    """
-    z_raw = descriptor.values
-    z, warp_hidden = transform.forward(z_raw) if transform is not None else (z_raw, None)
-    logits, net_hidden = net.forward(z)
-    task_pcfg = _pcfg_lookup(pcfg)(task)
-    out = retrieve(theta_hat, memory, logits, task_pcfg, r_keep,
-                   hard_threshold=hard_threshold, record_tape=record_tape)
-    return task_pcfg, out, (z_raw, warp_hidden, z, net_hidden)
-
-
 def predict_task(task, memory, net, descriptor, theta_hat, pcfg, r_keep,
                  feature_map, transform=None, hard_threshold=True):
-    """Query probabilities from the full retrieval path for one task."""
-    _, solution, _ = _episode(task, memory, net, descriptor, theta_hat, pcfg, r_keep,
-                              transform=transform, hard_threshold=hard_threshold)
-    adapter = compose_adapter(memory, solution.w_tilde)
-    probs = sigmoid(feature_map(task.query_x) @ adapter)
+    """Query probabilities and the solution for one task.
+
+    Warp, net logits, ``solve_proximal``, then w_tilde: the solution's top
+    r_keep (all of w when soft). ``pcfg`` is a ProximalConfig or a per-task
+    factory of one.
+    """
+    z = descriptor.values if transform is None else transform.forward(descriptor.values)[0]
+    solution = solve_proximal(theta_hat, memory, net.forward(z)[0], _pcfg_lookup(pcfg)(task))
+    solution.w_tilde = hard_top_r(solution.w, r_keep) if hard_threshold else solution.w.copy()
+    solution.active_set = list(np.nonzero(solution.w_tilde)[0])
+    probs = sigmoid(feature_map(task.query_x) @ compose_adapter(memory, solution.w_tilde))
     return probs, solution
 
 
 def _episode_block(tasks, memory, net, descriptors, theta_hats, pcfg, r_keep,
                    transform=None, hard_threshold=True, record_tape=False):
-    """``_episode`` for a list of tasks: one warp pass, one net pass, one ``solve_block``.
+    """The phase-2 step for a list of tasks: one warp, one net and one block solve.
 
-    Returns the tasks' configs, ``solve_block``'s result and the backward
-    pass's states (z_raw, warp hidden, z, net hidden), one row per task.
+    ``pcfg`` is a ProximalConfig or a per-task factory of one. Returns the
+    tasks' configs, ``solve_block``'s result and the backward pass's states
+    (z_raw, warp hidden, z, net hidden), one row per task.
     """
     z_raw = np.stack([descriptors[task.task_id].values for task in tasks])
     z, warp_hidden = transform.forward(z_raw) if transform is not None else (z_raw, None)
@@ -585,36 +558,37 @@ def predict_tasks(tasks, memory, net, descriptors, theta_hats, pcfg, r_keep,
                   feature_map, transform=None, hard_threshold=True):
     """Pooled query probabilities and labels over tasks, plus each task's solution.
 
-    One block episode serves every task; ``predict_task`` is the one-task path.
+    One block episode and ``outer_terms`` serve every task; ``predict_task``
+    is the one-task path.
     """
     _, solutions, _ = _episode_block(tasks, memory, net, descriptors, theta_hats, pcfg,
                                      r_keep, transform=transform,
                                      hard_threshold=hard_threshold)
-    probs = [sigmoid(feature_map(task.query_x) @ compose_adapter(memory, solution.w_tilde))
-             for task, solution in zip(tasks, solutions)]
-    return np.concatenate(probs), np.concatenate([t.query_y for t in tasks]), solutions
+    w_tilde = np.stack([solution.w_tilde for solution in solutions])
+    probs = outer_terms(tasks, memory, w_tilde, feature_map)[0]
+    return probs, np.concatenate([t.query_y for t in tasks]), solutions
 
 
 def minibatch_gradients(tasks, memory, net, descriptors, theta_hats, pcfg, r_keep,
                         feature_map, eta, transform=None, hard_threshold=True):
     """The gradient one training step takes: of the mean outer loss over ``tasks``.
 
-    One taped block episode, the outer objective per task, ``backward_block``,
+    One taped block episode, ``outer_terms`` on the block, ``backward_block``,
     then one VJP through the network and one through the warp; the top-r mask
-    passes the gradient straight through. Returns the per-task losses, the
-    solutions and the gradients keyed ("net", key) and ("warp", key).
+    passes the gradient straight through, and the l1 term's gradient is taken
+    on the active set. Returns the per-task losses (query cross-entropy plus
+    lam times l1 plus eta times entropy), the solutions and the gradients keyed
+    ("net", key) and ("warp", key).
     """
     task_pcfgs, (solutions, tape), (z_raw, warp_hidden, z, net_hidden) = _episode_block(
         tasks, memory, net, descriptors, theta_hats, pcfg, r_keep, transform=transform,
         hard_threshold=hard_threshold, record_tape=True)
-    losses = []
-    grad_w = np.empty((len(tasks), memory.K))
-    for row, (task, task_pcfg, solution) in enumerate(zip(tasks, task_pcfgs, solutions)):
-        w_tilde = solution.w_tilde
-        loss, _, grad_w[row] = outer_objective(
-            task.query_x, task.query_y, compose_adapter(memory, w_tilde), w_tilde,
-            task_pcfg.lam, eta, feature_map, memory=memory)
-        losses.append(loss)
+    w_tilde = np.stack([solution.w_tilde for solution in solutions])
+    _, ce, l1, entropy, grad_ce, grad_entropy = outer_terms(tasks, memory, w_tilde,
+                                                            feature_map)
+    lam = np.array([task_pcfg.lam for task_pcfg in task_pcfgs])
+    losses = ce + lam * l1 + eta * entropy
+    grad_w = grad_ce + lam[:, None] * (w_tilde > 0.0) + eta * grad_entropy
     grad_v = backward_block(tape, memory, grad_w / len(tasks))
     net_grads, grad_z = net.vjp(z, net_hidden, grad_v)
     grads = {("net", key): grad for key, grad in net_grads.items()}
@@ -635,9 +609,9 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
 
     Per minibatch, ``minibatch_gradients``: one block episode (descriptor
     warp, net, taped solve, top-r rule unless ``hard_threshold`` is off), the
-    outer objective on each task's query set, and one backward pass through
-    every solver iteration, the network and the warp; the top-r mask passes
-    the gradient straight through. One Adam step per minibatch moves the
+    outer objective on the block's query sets (``outer_terms``), and one
+    backward pass through every solver iteration, the network and the warp;
+    the top-r mask passes the gradient straight through. One Adam step per minibatch moves the
     network's and the warp's arrays together; weight decay applies to the
     network's only. Validation takes the same block step untaped. Early
     stopping combines a validation-score plateau (patience epochs without
@@ -716,30 +690,27 @@ def sweep_lambda_eta(lam_grid, eta_grid, tasks, memory, net, descriptors,
 
     ``pcfg`` is a ProximalConfig or a per-task factory of one; each grid lam
     replaces its ``lam``. eta enters only the outer objective, not the solve,
-    so each lam is solved once, its query probabilities give each task's
-    cross-entropy, and every eta is scored on those solutions.
+    so each lam is solved once as one block, ``outer_terms`` gives each task's
+    terms, and every eta is scored on those solutions.
     """
     require(len(lam_grid) >= 1 and len(eta_grid) >= 1, "grids must be nonempty")
     pcfg_of = _pcfg_lookup(pcfg)
+    labels = np.concatenate([t.query_y for t in tasks])
     rows = []
     for lam in lam_grid:
         def lam_pcfg(task, lam=lam):
             return replace(pcfg_of(task), lam=lam)
 
-        probs, labels, solutions = predict_tasks(tasks, memory, net, descriptors,
-                                                 theta_hats, lam_pcfg, r_keep, feature_map,
-                                                 transform=transform,
-                                                 hard_threshold=hard_threshold)
+        _, solutions, _ = _episode_block(tasks, memory, net, descriptors, theta_hats,
+                                         lam_pcfg, r_keep, transform=transform,
+                                         hard_threshold=hard_threshold)
+        w_tilde = np.stack([s.w_tilde for s in solutions])
+        probs, ce, l1, entropy, _, _ = outer_terms(tasks, memory, w_tilde, feature_map)
         auc = rank_auc_or_nan(probs, labels)
         mean_l0_pre = float(np.mean([np.sum(s.w > 1e-10) for s in solutions]))
-        mean_l0_post = float(np.mean([np.sum(s.w_tilde > 1e-10) for s in solutions]))
-        # outer_objective's terms per task: query cross-entropy, l1, entropy
-        task_probs = np.split(probs, np.cumsum([len(t.query_y) for t in tasks])[:-1])
-        terms = [(binary_cross_entropy(p, t.query_y), float(np.sum(np.abs(s.w_tilde))),
-                  entropy_of(s.w_tilde)) for t, p, s in zip(tasks, task_probs, solutions)]
+        mean_l0_post = float(np.mean(np.sum(w_tilde > 1e-10, axis=1)))
         for eta in eta_grid:
-            objective = [ce + lam * l1 + eta * ent for ce, l1, ent in terms]
             rows.append({"lam": lam, "eta": eta, "auc": auc, "mean_l0_pre": mean_l0_pre,
                          "mean_l0_post": mean_l0_post,
-                         "mean_objective": float(np.mean(objective))})
+                         "mean_objective": float(np.mean(ce + lam * l1 + eta * entropy))})
     return rows

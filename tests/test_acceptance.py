@@ -50,7 +50,6 @@ from protoadapt.retrieval import (
     _episode_block,
     compose_adapter,
     minibatch_gradients,
-    outer_objective,
     softmax,
     solve_proximal,
 )
@@ -61,6 +60,7 @@ from protoadapt.spectral import (
     pca_rank,
 )
 from protoadapt.synthdata import GeneratorConfig, generate_corpus
+from protoadapt.util import sigmoid
 
 # reference summary rows for the rank-test arithmetic check:
 # (candidate, observed ratio, raw p-value) with the published adjusted
@@ -275,11 +275,27 @@ def _identity_map(x):
     return x
 
 
+def _outer_loss(query_x, query_y, adapter, w_tilde, lam, eta):
+    """One task's outer loss by the per-task formula, apart from the block code.
+
+    The finite differences take their reference loss from here, so the check
+    does not call ``outer_terms``, which it tests.
+    """
+    p = np.clip(sigmoid(query_x @ adapter), 1e-12, 1.0 - 1e-12)
+    y = np.asarray(query_y, dtype=float)
+    ce = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    ent, mass = 0.0, float(np.sum(w_tilde))
+    if mass > 0.0:
+        u = w_tilde[w_tilde > 0] / mass
+        ent = float(-np.sum(u * np.log(u)))
+    return ce + lam * float(np.sum(np.abs(w_tilde))) + eta * ent
+
+
 def test_training_gradient_vs_finite_differences():
     """The gradient phase 2 trains with, against central differences.
 
     ``minibatch_gradients`` takes the net and warp arrays through the block
-    solve, the outer loss per task, ``backward_block`` and the two VJPs.
+    solve, the outer loss on the block, ``backward_block`` and the two VJPs.
     r_keep = K, so the top-r rule drops nothing and its straight-through
     gradient is the true one; tol = 1e-300, so no row stops early (a stop at
     the KKT tolerance is a jump in the loss).
@@ -310,8 +326,8 @@ def test_training_gradient_vs_finite_differences():
             task_pcfgs, solutions, _ = _episode_block(tasks, memory, net, descriptors,
                                                       theta_hats, pcfg, k, transform=warp)
             return float(np.mean([
-                outer_objective(t.query_x, t.query_y, compose_adapter(memory, s.w_tilde),
-                                s.w_tilde, c.lam, eta, _identity_map)[0]
+                _outer_loss(t.query_x, t.query_y, compose_adapter(memory, s.w_tilde),
+                            s.w_tilde, c.lam, eta)
                 for t, c, s in zip(tasks, task_pcfgs, solutions)]))
 
         _, _, grads = minibatch_gradients(tasks, memory, net, descriptors, theta_hats,

@@ -19,11 +19,9 @@ from protoadapt.retrieval import (
     backward_block,
     backward_through_solve,
     compose_adapter,
-    entropy_of,
     hard_top_r,
-    outer_objective,
+    outer_terms,
     predict_tasks,
-    retrieve,
     softmax,
     solve_block,
     solve_proximal,
@@ -483,55 +481,99 @@ class TestCompose:
             compose_adapter(memory, np.ones(4))
 
 
+class _Query:
+    def __init__(self, query_x, query_y):
+        self.query_x, self.query_y = query_x, query_y
+
+
+def _entropy(w):
+    """The entropy ``outer_terms`` returns for w as a one-task block."""
+    memory = make_memory(np.eye(len(w)))
+    return outer_terms([_Query(np.zeros((1, len(w))), [1])], memory, w[None],
+                       identity_map)[3][0]
+
+
+def _outer_totals(terms, w_tilde, lam, eta):
+    """Each task's outer loss and its gradient in w_tilde, from ``outer_terms``' terms."""
+    _, ce, l1, entropy, grad_ce, grad_entropy = terms
+    return (ce + lam * l1 + eta * entropy,
+            grad_ce + lam * (w_tilde > 0.0) + eta * grad_entropy)
+
+
 class TestOuterObjective:
     def test_one_hot_entropy_zero(self):
-        assert entropy_of(np.array([0.0, 5.0, 0.0])) == 0.0
+        assert _entropy(np.array([0.0, 5.0, 0.0])) == 0.0
 
     def test_uniform_entropy_log_k(self):
         for k in (2, 3, 5):
             w = np.zeros(8)
             w[:k] = 0.7
-            assert entropy_of(w) == pytest.approx(np.log(k))
+            assert _entropy(w) == pytest.approx(np.log(k))
 
     def test_zero_vector_entropy(self):
-        assert entropy_of(np.zeros(4)) == 0.0
+        assert _entropy(np.zeros(4)) == 0.0
 
     def test_matches_direct_recomputation(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(6, 3))
         y = rng.integers(0, 2, size=6)
-        adapter = rng.normal(size=3)
+        memory = make_memory(rng.normal(size=(4, 3)))
         w_tilde = np.abs(rng.normal(size=4))
         lam, eta = 0.05, 0.2
-        total, parts = outer_objective(x, y, adapter, w_tilde, lam, eta, identity_map)
-        p = np.clip(sigmoid(x @ adapter), 1e-12, 1 - 1e-12)
+        _, ce, l1, entropy, _, _ = outer_terms([_Query(x, y)], memory, w_tilde[None],
+                                               identity_map)
+        total = ce[0] + lam * l1[0] + eta * entropy[0]
+        p = np.clip(sigmoid(x @ compose_adapter(memory, w_tilde)), 1e-12, 1 - 1e-12)
         ce = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
         u = w_tilde / w_tilde.sum()
         ent = -np.sum(u * np.log(u))
         assert total == pytest.approx(ce + lam * w_tilde.sum() + eta * ent, abs=1e-12)
-        assert parts["entropy"] == pytest.approx(ent)
+        assert entropy[0] == pytest.approx(ent)
 
     def test_loss_and_gradient_match_the_separate_pair(self):
+        # ragged query sizes, all-zero rows, K = 1 and eta = 0 all occur
         rng = np.random.default_rng(100)
+        seen = set()
         for trial in range(300):
-            k, d, n = (int(rng.integers(1, 7)), int(rng.integers(1, 5)),
-                       int(rng.integers(1, 12)))
+            k, d, n_tasks = (int(rng.integers(1, 7)), int(rng.integers(1, 5)),
+                             int(rng.integers(1, 6)))
             memory = make_memory(rng.normal(size=(k, d)))
-            x = rng.normal(size=(n, d))
-            y = rng.integers(0, 2, size=n)
-            w = np.maximum(rng.normal(size=k), 0.0)  # all zero on some trials
-            w_tilde = hard_top_r(w, int(rng.integers(1, k + 1))) if trial % 3 else w
+            tasks = []
+            for _ in range(n_tasks):
+                n = int(rng.integers(1, 12))
+                tasks.append(_Query(rng.normal(size=(n, d)), rng.integers(0, 2, size=n)))
+            w = np.maximum(rng.normal(size=(n_tasks, k)), 0.0)
+            w_tilde = (np.stack([hard_top_r(row, int(rng.integers(1, k + 1))) for row in w])
+                       if trial % 3 else w)
             lam = float(rng.choice([0.0, 1e-4, 0.05]))
             eta = float(rng.choice([0.0, 0.01, 0.3]))
-            adapter = compose_adapter(memory, w_tilde)
-            total, parts, grad = outer_objective(x, y, adapter, w_tilde, lam, eta,
-                                                 identity_map, memory=memory)
-            assert (total, parts) == _pair_outer_objective(x, y, adapter, w_tilde, lam, eta,
-                                                           identity_map)
-            assert np.array_equal(grad, _pair_outer_gradient_w(x, y, memory, w_tilde, lam,
-                                                               eta, identity_map))
-            assert outer_objective(x, y, adapter, w_tilde, lam, eta,
-                                   identity_map) == (total, parts)
+            terms = outer_terms(tasks, memory, w_tilde, identity_map)
+            totals, grads = _outer_totals(terms, w_tilde, lam, eta)
+            probs = np.split(terms[0], np.cumsum([len(t.query_y) for t in tasks])[:-1])
+            assert len(terms[0]) == sum(len(t.query_y) for t in tasks)
+            for i, task in enumerate(tasks):
+                adapter = compose_adapter(memory, w_tilde[i])
+                total, parts = _pair_outer_objective(task.query_x, task.query_y, adapter,
+                                                     w_tilde[i], lam, eta, identity_map)
+                grad = _pair_outer_gradient_w(task.query_x, task.query_y, memory,
+                                              w_tilde[i], lam, eta, identity_map)
+                ref_probs = sigmoid(task.query_x @ adapter)
+                for ours, theirs in ((totals[i], total), (terms[1][i], parts["ce"]),
+                                     (terms[2][i], parts["l1"]),
+                                     (terms[3][i], parts["entropy"]),
+                                     (grads[i], grad), (probs[i], ref_probs)):
+                    assert np.all(np.abs(ours - theirs) <= 1e-12 * (1.0 + np.abs(theirs)))
+            seen.update({("ragged", len({len(t.query_y) for t in tasks}) > 1),
+                         ("zero row", bool((w_tilde.sum(axis=1) == 0.0).any())),
+                         ("K = 1", k == 1), ("eta = 0", eta == 0.0)})
+        assert {("ragged", True), ("zero row", True), ("K = 1", True),
+                ("eta = 0", True)} <= seen
+
+    def test_empty_query_is_rejected(self):
+        memory = make_memory(np.eye(2))
+        tasks = [_Query(np.ones((3, 2)), [0, 1, 1]), _Query(np.zeros((0, 2)), [])]
+        with pytest.raises(ValidationError, match="query is empty"):
+            outer_terms(tasks, memory, np.ones((2, 2)), identity_map)
 
 
 def _pair_outer_objective(query_x, query_y, adapter, w_tilde, lam, eta, feature_map):
@@ -585,14 +627,14 @@ class TestUnrolledBackward:
             sol = solve_proximal(theta_hat, memory, v, cfg)
             w_tilde = sol.w  # no mask: keep the loss smooth for the check
             adapter = compose_adapter(memory, w_tilde)
-            total, _ = outer_objective(query_x, query_y, adapter, w_tilde,
-                                       lam, eta, identity_map)
+            total, _ = _pair_outer_objective(query_x, query_y, adapter, w_tilde,
+                                             lam, eta, identity_map)
             return total
 
         sol, tape = solve_proximal(theta_hat, memory, v0, cfg, record_tape=True)
-        _, _, grad_w = outer_objective(query_x, query_y, compose_adapter(memory, sol.w),
-                                       sol.w, lam, eta, identity_map, memory=memory)
-        grad_v = backward_through_solve(tape, memory, grad_w)
+        terms = outer_terms([_Query(query_x, query_y)], memory, sol.w[None], identity_map)
+        _, grad_w = _outer_totals(terms, sol.w[None], lam, eta)
+        grad_v = backward_through_solve(tape, memory, grad_w[0])
 
         eps = 1e-6
         fd = np.empty(4)
@@ -686,9 +728,10 @@ class TestTraining:
                 logits, _ = net.forward(descriptors[t.task_id].values)
                 w_tilde = threshold(solve_proximal(theta_hats[t.task_id], memory, logits,
                                                    pcfg).w)
-                losses.append(outer_objective(t.query_x, t.query_y,
-                                              compose_adapter(memory, w_tilde), w_tilde,
-                                              pcfg.lam, tcfg.eta, identity_map)[0])
+                losses.append(_pair_outer_objective(t.query_x, t.query_y,
+                                                    compose_adapter(memory, w_tilde),
+                                                    w_tilde, pcfg.lam, tcfg.eta,
+                                                    identity_map)[0])
             return np.mean(losses)
 
         val_solutions = []
@@ -724,8 +767,9 @@ class TestTraining:
         oracle_net = _two_optimizer_epoch(tasks, memory, descriptors, theta_hats, pcfg,
                                           tcfg, oracle_warp)
         fresh = make_transform(3, WarpConfig(hidden=4, init_scale=0.5), seed=7)
-        # training solves each minibatch as one Gram-form block, the oracle task
-        # by task with solve_proximal: the block contract's tolerance
+        # training solves each minibatch as one Gram-form block and takes its
+        # outer loss in prototype coordinates, the oracle task by task with
+        # solve_proximal and the composed adapter: the block contract's tolerance
         for key in KEYS:
             for ours, theirs in ((result.net.params[key], oracle_net.params[key]),
                                  (warp.params[key], oracle_warp.map.params[key])):
@@ -792,15 +836,14 @@ def _two_optimizer_epoch(tasks, memory, descriptors, theta_hats, pcfg, tcfg, war
         warp_batch = []
         for i in batch:
             task = tasks[i]
-            task_pcfg, (solution, tape), (z_raw, warp_hidden, z, net_hidden) = (
-                retrieval._episode(task, memory, net, descriptors[task.task_id],
-                                   theta_hats[task.task_id], pcfg, tcfg.r_keep,
-                                   transform=warp, record_tape=True))
-            w_tilde = solution.w_tilde
-            _, _, grad_w = outer_objective(task.query_x, task.query_y,
-                                           compose_adapter(memory, w_tilde), w_tilde,
-                                           task_pcfg.lam, tcfg.eta, identity_map,
-                                           memory=memory)
+            z_raw = descriptors[task.task_id].values
+            z, warp_hidden = warp.forward(z_raw)
+            logits, net_hidden = net.forward(z)
+            solution, tape = solve_proximal(theta_hats[task.task_id], memory, logits, pcfg,
+                                            record_tape=True)
+            grad_w = _pair_outer_gradient_w(task.query_x, task.query_y, memory,
+                                            hard_top_r(solution.w, tcfg.r_keep), pcfg.lam,
+                                            tcfg.eta, identity_map)
             task_grads, grad_z = net.vjp(z, net_hidden,
                                          backward_through_solve(tape, memory, grad_w))
             for key in grads:
@@ -900,7 +943,7 @@ class TestSweep:
         oracle = _sweep_double_loop(lam_grid, eta_grid, tasks, memory, net, descs,
                                     thetas, pcfg, 3, identity_map)
         assert len({row["mean_objective"] for row in rows}) == len(rows)
-        assert rows == oracle
+        _assert_rows_match(rows, oracle)
 
     def test_each_query_is_mapped_once_per_lambda(self):
         rng = np.random.default_rng(19)
@@ -926,8 +969,8 @@ class TestSweep:
         rows = sweep_lambda_eta(lam_grid, eta_grid, tasks, memory, net, descs, thetas,
                                 pcfg, r_keep=2, feature_map=counting_map)
         assert calls == [5, 6, 7] * len(lam_grid)
-        assert rows == _sweep_double_loop(lam_grid, eta_grid, tasks, memory, net, descs,
-                                          thetas, pcfg, 2, identity_map)
+        _assert_rows_match(rows, _sweep_double_loop(lam_grid, eta_grid, tasks, memory, net,
+                                                    descs, thetas, pcfg, 2, identity_map))
 
 
     def test_per_task_factory_with_the_grid_lam(self):
@@ -956,9 +999,9 @@ class TestSweep:
                 w = solve_proximal(thetas[t.task_id], memory, logits,
                                    dataclasses.replace(pcfg_of(t), lam=lam)).w
                 w_tilde = hard_top_r(w, 2)
-                objective.append(outer_objective(t.query_x, t.query_y,
-                                                 compose_adapter(memory, w_tilde), w_tilde,
-                                                 lam, 0.0, identity_map)[0])
+                objective.append(_pair_outer_objective(t.query_x, t.query_y,
+                                                       compose_adapter(memory, w_tilde),
+                                                       w_tilde, lam, 0.0, identity_map)[0])
             return float(np.mean(objective))
 
         # the sweep solves as one Gram-form block, the oracle task by task with
@@ -982,8 +1025,8 @@ def _sweep_double_loop(lam_grid, eta_grid, tasks, memory, net, descriptors, thet
             objective = []
             for task, solution in zip(tasks, solutions):
                 adapter = compose_adapter(memory, solution.w_tilde)
-                total, _ = outer_objective(task.query_x, task.query_y, adapter,
-                                           solution.w_tilde, lam, eta, feature_map)
+                total, _ = _pair_outer_objective(task.query_x, task.query_y, adapter,
+                                                 solution.w_tilde, lam, eta, feature_map)
                 objective.append(total)
             rows.append({
                 "lam": lam, "eta": eta,
@@ -994,3 +1037,18 @@ def _sweep_double_loop(lam_grid, eta_grid, tasks, memory, net, descriptors, thet
                 "mean_objective": float(np.mean(objective)),
             })
     return rows
+
+
+def _assert_rows_match(rows, oracle):
+    """Sweep rows equal the oracle's, but for ``mean_objective`` at 1e-12 (1 + |f|).
+
+    ``outer_terms`` takes the query logits in prototype coordinates, the
+    oracle through the composed adapter, so the objective moves in the last bits.
+    """
+    assert len(rows) == len(oracle)
+    for row, ref in zip(rows, oracle):
+        assert row.keys() == ref.keys()
+        assert {key: value for key, value in row.items() if key != "mean_objective"} == {
+            key: value for key, value in ref.items() if key != "mean_objective"}
+        f = ref["mean_objective"]
+        assert abs(row["mean_objective"] - f) <= 1e-12 * (1.0 + abs(f))
