@@ -73,9 +73,6 @@ DEFAULT_K_GRID = (50, 100, 200)
 DEFAULT_LAMBDA_GRID = (1e-6, 1e-5, 1e-4, 1e-3)
 DEFAULT_SEEDS = (42, 2023, 777)
 DEFAULT_SUPPORT_SIZES = (5, 10, 20, 50)
-# prior weight decays as support evidence grows: the effective proximity
-# coefficient is gamma * GAMMA_REF_SIZE / n_support
-GAMMA_REF_SIZE = 5
 
 
 @dataclass
@@ -137,7 +134,7 @@ class RunConfig:
     # retrieval
     lam: float = 1e-4
     lam_grid: tuple = DEFAULT_LAMBDA_GRID
-    gamma: float = 0.1
+    gamma: float = 0.1                  # at retrieval.GAMMA_REF_SIZE support examples
     eta: float = 0.01
     r_keep: int | None = None           # None: min(selected rank, K); see _r_keep
     t_prox: int = 10
@@ -536,14 +533,10 @@ def _prepare_inputs(cfg: RunConfig, artifacts: Phase1Artifacts, tasks):
     return descriptors, theta_hats
 
 
-def _proximal_config(cfg: RunConfig):
-    """Per-task solver settings; the proximity weight scales with evidence."""
-    def factory(task):
-        gamma = cfg.gamma * GAMMA_REF_SIZE / max(task.n_support, 1)
-        return ProximalConfig(lam=cfg.lam, gamma=gamma, t_prox=cfg.t_prox,
-                              tol=cfg.solver_tol)
-
-    return factory
+def _proximal_config(cfg: RunConfig) -> ProximalConfig:
+    """The solver settings; retrieval scales gamma to each task's support size."""
+    return ProximalConfig(lam=cfg.lam, gamma=cfg.gamma, t_prox=cfg.t_prox,
+                          tol=cfg.solver_tol)
 
 
 def _append(path: Path, lines) -> None:
@@ -553,17 +546,17 @@ def _append(path: Path, lines) -> None:
 
 def _split_metrics(cfg: RunConfig, artifacts, tasks, net, transform, descriptors,
                    theta_hats, pcfg, r_keep):
-    """Pooled metrics, per-task latency, probabilities, labels and solutions.
+    """Pooled metrics, per-task latency, probabilities, labels and the block's solution.
 
     The split runs as one block, so the latency is the block's time over its tasks.
     """
     t0 = time.perf_counter()
-    probs, labels, solutions = predict_tasks(
+    probs, labels, solution = predict_tasks(
         tasks, artifacts.memory, net, descriptors, theta_hats, pcfg, r_keep,
         artifacts.corpus.feature_map(), transform=transform,
         hard_threshold=cfg.hard_threshold)
     latency_ms = 1000.0 * (time.perf_counter() - t0) / max(len(tasks), 1)
-    return compute_metrics(probs, labels), latency_ms, probs, labels, solutions
+    return compute_metrics(probs, labels), latency_ms, probs, labels, solution
 
 
 def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
@@ -596,14 +589,15 @@ def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
                                   descriptors, theta_hats, pcfg, r_keep)
               for tag, tasks in (("train", train_tasks), ("val", val_tasks),
                                  ("test", test_tasks))}
-    _, latency_ms, test_probs, test_labels, test_solutions = splits["test"]
+    _, latency_ms, test_probs, test_labels, test_solution = splits["test"]
+    first_steps = test_solution.iterations[0] + 1
 
     out = Phase2Result(net=result.net, transform=transform, history=result.history,
                        metrics={tag: split[0] for tag, split in splits.items()},
                        theta_hats=theta_hats, descriptors=descriptors,
                        latency_ms=latency_ms, stopped_epoch=result.stopped_epoch,
                        test_probs=test_probs, test_labels=test_labels,
-                       solver_trace=test_solutions[0].objective_trace)
+                       solver_trace=test_solution.objective_trace[:first_steps, 0].tolist())
     if outdir is not None:
         persist_phase2(out, Path(outdir))
     return out

@@ -10,10 +10,13 @@ There are two paths. Training, validation, test prediction and the penalty
 sweep run many tasks at once as one block (``_episode_block``: one warp and
 network pass over T rows, ``solve_block`` in Gram form, ``backward_block``)
 and take the outer objective on the block in prototype coordinates
-(``outer_terms``). One-task calls (``predict_task``) run the warp, the
-network, ``solve_proximal`` and the top-r rule directly; ``solve_proximal``
-and ``backward_through_solve`` are the arithmetic the block code is checked
-against, and cost less than a block of one row.
+(``outer_terms``). ``solve_block`` takes one ``ProximalConfig`` (lam and gamma
+one value or one per row) and returns one ``BlockSolution`` of arrays.
+One-task calls (``predict_task``) run the warp, the network,
+``solve_proximal`` and the top-r rule directly; ``solve_proximal`` and
+``backward_through_solve`` are the arithmetic the block code is checked
+against, and cost less than a block of one row. Both paths scale a config's
+gamma to each task's support size (``GAMMA_REF_SIZE``).
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ from .tanhmap import TanhMap
 from .util import ValidationError, check_finite, child_rng, require, sigmoid
 
 MAX_UNROLL = 20  # training-time unroll cap
+# a config's gamma is the prior's weight at GAMMA_REF_SIZE support examples; it shrinks
+# as evidence grows, so a task solves with gamma * GAMMA_REF_SIZE / n_support
+GAMMA_REF_SIZE = 5
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
@@ -43,8 +49,8 @@ def softmax_vjp(p: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ProximalConfig:
-    lam: float = 1e-4
-    gamma: float = 0.1
+    lam: float | np.ndarray = 1e-4     # lam and gamma: one value, or one per solve_block row
+    gamma: float | np.ndarray = 0.1
     t_prox: int = 10
     tol: float = 1e-9
 
@@ -220,50 +226,51 @@ def compose_adapter(memory, w_tilde: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _BlockTape:
-    """A block solve's branches: one slice per step, one row per task.
+class BlockSolution:
+    """A block solve, one row per task; ``record_tape`` keeps the step records.
 
-    Slices past a row's ``iterations`` are padding; the backward pass treats
-    those steps as the identity.
+    Past a row's ``iterations``, its trace and step records are padding, which
+    ``backward_block`` treats as the identity.
     """
 
-    masks: np.ndarray       # (steps, T, K) prox masks
-    restarts: np.ndarray    # (steps, T)
-    betas: np.ndarray       # (steps, T) momentum coefficients
-    iterations: np.ndarray  # (T,) steps each row took
-    p: np.ndarray           # (T, K) softmax of the logits
-    tau: np.ndarray         # (T,) step sizes
-    gamma: np.ndarray       # (T,)
+    w: np.ndarray                # (T, K) solutions before the top-r rule
+    w_tilde: np.ndarray          # (T, K) as ``predict_task`` sets it
+    iterations: np.ndarray       # (T,) steps each row took
+    restarts: np.ndarray         # (T,)
+    converged: np.ndarray        # (T,) stopped at the KKT tolerance
+    kkt_residual: np.ndarray     # (T,)
+    objective_trace: np.ndarray  # (steps + 1, T)
+    p: np.ndarray                # (T, K) softmax of the logits
+    tau: np.ndarray              # (T,) step sizes
+    gamma: np.ndarray            # (T,)
+    masks: np.ndarray | None = None      # (steps, T, K) prox masks
+    restarted: np.ndarray | None = None  # (steps, T)
+    betas: np.ndarray | None = None      # (steps, T) momentum coefficients
 
 
-def solve_block(theta_hats, memory, logits, cfgs, r_keep: int, budget: int | None = None,
-                hard_threshold: bool = True, record_tape: bool = False):
+def solve_block(theta_hats, memory, logits, cfg: ProximalConfig, r_keep: int,
+                budget: int | None = None, hard_threshold: bool = True,
+                record_tape: bool = False) -> BlockSolution:
     """``solve_proximal`` and the top-r rule for T tasks at once, on a (T x K) block.
 
-    Row i is task i's problem (theta_hats[i], logits[i]) with ``cfgs[i]``'s
-    lam and gamma, hence its own step size; ``t_prox`` and ``tol`` are shared.
-    The smooth term takes Gram form, 0.5 w G w^T - b_i w^T + 0.5 ||theta_hat_i||^2
-    with the memory's cached G = M M^T and b_i = M theta_hat_i, so one product
-    with G per step serves every row. Each row has its own momentum, monotone
-    restart and stop at the KKT tolerance; a stopped row keeps the results of
-    its last step. Gram form rounds differently from ``solve_proximal``, so a
-    near-tie of the monotone test can go the other way there.
+    Row i is task i's problem (theta_hats[i], logits[i]) with lam and gamma
+    ``cfg``'s, each one value or one per row, hence its own step size;
+    ``t_prox`` and ``tol`` are shared. The smooth term takes Gram form,
+    0.5 w G w^T - b_i w^T + 0.5 ||theta_hat_i||^2 with the memory's cached
+    G = M M^T and b_i = M theta_hat_i, so one product with G per step serves
+    every row. Each row has its own momentum, monotone restart and stop at the
+    KKT tolerance; a stopped row keeps the results of its last step. Gram form
+    rounds differently from ``solve_proximal``, so a near-tie of the monotone
+    test can go the other way there.
 
-    Returns one ``RetrievalSolution`` per row with w_tilde as ``predict_task``
-    sets it (the stable top r_keep of each row, ties to the lowest index; all
-    of w when soft); with ``record_tape`` also the ``_BlockTape`` that
-    ``backward_block`` walks.
+    w_tilde is the stable top r_keep of each row (ties to the lowest index),
+    all of w when soft.
     """
     memory.require_frozen()
-    n_rows, k = len(cfgs), memory.K
-    require(n_rows >= 1, "the block has no tasks")
-    for cfg in cfgs:
-        cfg.validate()
-    t_prox, tol = cfgs[0].t_prox, cfgs[0].tol
-    require(all(cfg.t_prox == t_prox and cfg.tol == tol for cfg in cfgs),
-            "the tasks of a block must share t_prox and tol")
     theta_hats = check_finite(theta_hats, "theta_hat")
     logits = check_finite(logits, "retrieval logits")
+    n_rows, k = len(logits), memory.K
+    require(n_rows >= 1, "the block has no tasks")
     require(logits.shape == (n_rows, k), "logits must be one length-K row per task")
     require(theta_hats.shape == (n_rows, memory.d_theta),
             "theta_hats must be one length-d_theta row per task")
@@ -271,15 +278,16 @@ def solve_block(theta_hats, memory, logits, cfgs, r_keep: int, budget: int | Non
     p = e / e.sum(axis=1, keepdims=True)
 
     gram = memory.gram()
-    lam = np.array([cfg.lam for cfg in cfgs])
-    gamma = np.array([cfg.gamma for cfg in cfgs])
+    lam, gamma = (np.broadcast_to(np.asarray(value, dtype=float), (n_rows,))
+                  for value in (cfg.lam, cfg.gamma))
+    replace(cfg, lam=float(lam.min()), gamma=float(gamma.min())).validate()  # checks every row
     lipschitz = memory.operator_norm() ** 2 + 2.0 * gamma
     tau = 1.0 / np.where(lipschitz > 0, lipschitz, 1.0)
     kkt_scale = np.maximum(tau, 1e-300)
     tau_col, two_gamma_col = tau[:, None], 2.0 * gamma[:, None]
     linear = lam[:, None] - theta_hats @ memory.M.T     # lam - b: w >= 0, so lam ||w||_1 is linear
     const = 0.5 * (theta_hats**2).sum(axis=1)
-    steps = budget if budget is not None else t_prox
+    steps = budget if budget is not None else cfg.t_prox
 
     def objective(x, gx):
         return (((0.5 * gx + linear) * x).sum(axis=1) + const
@@ -331,7 +339,7 @@ def solve_block(theta_hats, memory, logits, cfgs, r_keep: int, budget: int | Non
         kkt = np.where(live, kkt_step, kkt)
         iterations += live
         trace.append(f_new)
-        stop = live & (kkt_step <= tol)
+        stop = live & (kkt_step <= cfg.tol)
         if stop.any():
             w_final[stop] = w_new[stop]
             live = live & ~stop
@@ -349,41 +357,38 @@ def solve_block(theta_hats, memory, logits, cfgs, r_keep: int, budget: int | Non
         require(r_keep >= 1, "r must be at least 1")
         drop = np.argsort(-w_final, axis=1, kind="stable")[:, r_keep:]
         np.put_along_axis(w_tilde, drop, 0.0, axis=1)
-    f_steps = np.array(trace)
-    solutions = [RetrievalSolution(
-        w=w_final[i], w_tilde=w_tilde[i], active_set=list(np.nonzero(w_tilde[i])[0]),
-        objective_trace=f_steps[:iterations[i] + 1, i].tolist(), kkt_residual=float(kkt[i]),
-        iterations=int(iterations[i]), restarts=int(restarts[i]), converged=not live[i],
-    ) for i in range(n_rows)]
-    if not record_tape:
-        return solutions
-    n_steps = len(trace) - 1
-    tape = _BlockTape(masks=np.array(masks).reshape(n_steps, n_rows, k),
-                      restarts=np.array(restart_flags).reshape(n_steps, n_rows),
-                      betas=np.array(betas).reshape(n_steps, n_rows),
-                      iterations=iterations, p=p, tau=tau, gamma=gamma)
-    return solutions, tape
+    solution = BlockSolution(w=w_final, w_tilde=w_tilde, iterations=iterations,
+                             restarts=restarts, converged=~live, kkt_residual=kkt,
+                             objective_trace=np.array(trace), p=p, tau=tau, gamma=gamma)
+    if record_tape:
+        n_steps = len(trace) - 1
+        solution.masks = np.array(masks).reshape(n_steps, n_rows, k)
+        solution.restarted = np.array(restart_flags).reshape(n_steps, n_rows)
+        solution.betas = np.array(betas).reshape(n_steps, n_rows)
+    return solution
 
 
-def backward_block(tape: _BlockTape, memory, grad_w: np.ndarray) -> np.ndarray:
+def backward_block(block: BlockSolution, memory, grad_w: np.ndarray) -> np.ndarray:
     """``backward_through_solve`` for a block: dL/dv, one row per task.
 
-    Walks the block's steps in reverse with every forward branch fixed. A row
-    that stopped before the block's last step treats its later steps as the
-    identity, so its gradient reaches its own last step unchanged.
+    Walks the step records of a ``record_tape`` block solve in reverse with
+    every forward branch fixed. A row that stopped before the block's last
+    step treats its later steps as the identity, so its gradient reaches its
+    own last step unchanged.
     """
+    require(block.masks is not None, "the block was solved without record_tape")
     gram = memory.gram()
-    n_steps = tape.masks.shape[0]
-    tau, gamma = tape.tau[:, None], tape.gamma[:, None]
+    n_steps = block.masks.shape[0]
+    tau, gamma = block.tau[:, None], block.gamma[:, None]
     grads = np.zeros((n_steps + 1,) + grad_w.shape)
     grads[n_steps] = grad_w
     gp = np.zeros_like(grad_w)
 
     for k in range(n_steps, 0, -1):
-        live = k <= tape.iterations
+        live = k <= block.iterations
         live_rows = live[:, None]
         g = grads[k]
-        gz = np.where(tape.masks[k - 1], g, 0.0)
+        gz = np.where(block.masks[k - 1], g, 0.0)
         # z = y - tau * ((G + 2 gamma I) y - b - 2 gamma p), per row
         gy = gz - tau * (gz @ gram + 2.0 * gamma * gz)
         gp += np.where(live_rows, tau * 2.0 * gamma * gz, 0.0)
@@ -391,11 +396,11 @@ def backward_block(tape: _BlockTape, memory, grad_w: np.ndarray) -> np.ndarray:
         if k == 1:
             grads[0] += moved
         else:
-            beta = np.where(live & ~tape.restarts[k - 1], tape.betas[k - 2], 0.0)[:, None]
+            beta = np.where(live & ~block.restarted[k - 1], block.betas[k - 2], 0.0)[:, None]
             grads[k - 1] += (1.0 + beta) * moved
             grads[k - 2] -= beta * moved
     gp += grads[0]
-    p = tape.p
+    p = block.p
     return p * (gp - (p * gp).sum(axis=1, keepdims=True))
 
 
@@ -403,12 +408,22 @@ def backward_block(tape: _BlockTape, memory, grad_w: np.ndarray) -> np.ndarray:
 # Outer objective
 # ---------------------------------------------------------------------------
 
+def _query_probs(tasks, memory, w_tilde, feature_map):
+    """The stacked P_i = feature_map(x_q) M^T (n_i x K), query sizes and probabilities.
+
+    Task i's query logits are P_i w_tilde[i]; the adapter w_tilde[i] @ M is never formed.
+    """
+    coords = [feature_map(task.query_x) @ memory.M.T for task in tasks]
+    sizes = np.array([len(rows) for rows in coords])
+    require(sizes.min() >= 1, "query is empty")
+    coords = check_finite(np.concatenate(coords), "query features")
+    return coords, sizes, sigmoid((coords * np.repeat(w_tilde, sizes, axis=0)).sum(axis=1))
+
+
 def outer_terms(tasks, memory, w_tilde, feature_map):
     """The outer objective's terms for a block of tasks, in prototype coordinates.
 
-    Task i's query set maps once to P_i = feature_map(x_q) M^T (n_i x K), so
-    its query logits are P_i w_tilde[i] and the adapter w_tilde[i] @ M is never
-    formed. The tasks' rows are stacked and segment sums take each task's mean
+    The queries map as in ``_query_probs``; segment sums take each task's mean
     over its own rows, so query sizes may differ between tasks.
 
     Returns the pooled query probabilities and, one entry or row per task, the
@@ -417,13 +432,9 @@ def outer_terms(tasks, memory, w_tilde, feature_map):
     the gradients in w_tilde of the cross-entropy, P_i^T (p - y) / n_i, and of
     the entropy.
     """
-    coords = [feature_map(task.query_x) @ memory.M.T for task in tasks]
-    sizes = np.array([len(rows) for rows in coords])
-    require(sizes.min() >= 1, "query is empty")
-    coords = check_finite(np.concatenate(coords), "query features")
+    coords, sizes, probs = _query_probs(tasks, memory, w_tilde, feature_map)
     starts = np.cumsum(sizes) - sizes
     labels = np.concatenate([task.query_y for task in tasks]).astype(float)
-    probs = sigmoid((coords * np.repeat(w_tilde, sizes, axis=0)).sum(axis=1))
     p = np.clip(probs, 1e-12, 1.0 - 1e-12)
     nll = -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
     ce = np.add.reduceat(nll, starts) / sizes
@@ -453,13 +464,10 @@ class RetrievalNet(TanhMap):
 
 
 class Adam:
-    """Minimal Adam over a dict of parameter arrays."""
+    """Minimal Adam over a dict of parameter arrays: beta1 0.9, beta2 0.999, eps 1e-8."""
 
-    def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params
-        self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self, params: dict, lr: float = 1e-3):
+        self.params, self.lr = params, lr
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
@@ -467,11 +475,11 @@ class Adam:
     def step(self, grads: dict) -> None:
         self.t += 1
         for key, g in grads.items():
-            self.m[key] = self.beta1 * self.m[key] + (1 - self.beta1) * g
-            self.v[key] = self.beta2 * self.v[key] + (1 - self.beta2) * g * g
-            m_hat = self.m[key] / (1 - self.beta1**self.t)
-            v_hat = self.v[key] / (1 - self.beta2**self.t)
-            self.params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[key] = 0.9 * self.m[key] + (1 - 0.9) * g
+            self.v[key] = 0.999 * self.v[key] + (1 - 0.999) * g * g
+            m_hat = self.m[key] / (1 - 0.9**self.t)
+            v_hat = self.v[key] / (1 - 0.999**self.t)
+            self.params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -513,22 +521,17 @@ class TrainResult:
     best_val_auc: float
 
 
-def _jaccard(a: set, b: set) -> float:
-    if not a and not b:
-        return 1.0
-    return len(a & b) / len(a | b)
-
-
 def predict_task(task, memory, net, descriptor, theta_hat, pcfg, r_keep,
                  feature_map, transform=None, hard_threshold=True):
     """Query probabilities and the solution for one task.
 
-    Warp, net logits, ``solve_proximal``, then w_tilde: the solution's top
-    r_keep (all of w when soft). ``pcfg`` is a ProximalConfig or a per-task
-    factory of one.
+    Warp, net logits, ``solve_proximal`` with ``pcfg``'s gamma scaled to the
+    task's support size (``GAMMA_REF_SIZE``), then w_tilde: the solution's top
+    r_keep (all of w when soft).
     """
     z = descriptor.values if transform is None else transform.forward(descriptor.values)[0]
-    solution = solve_proximal(theta_hat, memory, net.forward(z)[0], _pcfg_lookup(pcfg)(task))
+    gamma = pcfg.gamma * GAMMA_REF_SIZE / max(task.n_support, 1)
+    solution = solve_proximal(theta_hat, memory, net.forward(z)[0], replace(pcfg, gamma=gamma))
     solution.w_tilde = hard_top_r(solution.w, r_keep) if hard_threshold else solution.w.copy()
     solution.active_set = list(np.nonzero(solution.w_tilde)[0])
     probs = sigmoid(feature_map(task.query_x) @ compose_adapter(memory, solution.w_tilde))
@@ -539,34 +542,32 @@ def _episode_block(tasks, memory, net, descriptors, theta_hats, pcfg, r_keep,
                    transform=None, hard_threshold=True, record_tape=False):
     """The phase-2 step for a list of tasks: one warp, one net and one block solve.
 
-    ``pcfg`` is a ProximalConfig or a per-task factory of one. Returns the
-    tasks' configs, ``solve_block``'s result and the backward pass's states
-    (z_raw, warp hidden, z, net hidden), one row per task.
+    Each task solves with ``pcfg``'s gamma scaled to its support size
+    (``GAMMA_REF_SIZE``). Returns the ``BlockSolution`` and the backward
+    pass's states (z_raw, warp hidden, z, net hidden), one row per task.
     """
     z_raw = np.stack([descriptors[task.task_id].values for task in tasks])
     z, warp_hidden = transform.forward(z_raw) if transform is not None else (z_raw, None)
     logits, net_hidden = net.forward(z)
-    pcfg_of = _pcfg_lookup(pcfg)
-    task_pcfgs = [pcfg_of(task) for task in tasks]
     theta = np.stack([theta_hats[task.task_id] for task in tasks])
-    out = solve_block(theta, memory, logits, task_pcfgs, r_keep,
-                      hard_threshold=hard_threshold, record_tape=record_tape)
-    return task_pcfgs, out, (z_raw, warp_hidden, z, net_hidden)
+    n_support = np.maximum([task.n_support for task in tasks], 1)
+    solution = solve_block(theta, memory, logits,
+                           replace(pcfg, gamma=pcfg.gamma * GAMMA_REF_SIZE / n_support),
+                           r_keep, hard_threshold=hard_threshold, record_tape=record_tape)
+    return solution, (z_raw, warp_hidden, z, net_hidden)
 
 
 def predict_tasks(tasks, memory, net, descriptors, theta_hats, pcfg, r_keep,
                   feature_map, transform=None, hard_threshold=True):
-    """Pooled query probabilities and labels over tasks, plus each task's solution.
+    """Pooled query probabilities and labels over tasks, plus the block's solution.
 
-    One block episode and ``outer_terms`` serve every task; ``predict_task``
+    One block episode and ``_query_probs`` serve every task; ``predict_task``
     is the one-task path.
     """
-    _, solutions, _ = _episode_block(tasks, memory, net, descriptors, theta_hats, pcfg,
-                                     r_keep, transform=transform,
-                                     hard_threshold=hard_threshold)
-    w_tilde = np.stack([solution.w_tilde for solution in solutions])
-    probs = outer_terms(tasks, memory, w_tilde, feature_map)[0]
-    return probs, np.concatenate([t.query_y for t in tasks]), solutions
+    solution, _ = _episode_block(tasks, memory, net, descriptors, theta_hats, pcfg, r_keep,
+                                 transform=transform, hard_threshold=hard_threshold)
+    probs = _query_probs(tasks, memory, solution.w_tilde, feature_map)[2]
+    return probs, np.concatenate([t.query_y for t in tasks]), solution
 
 
 def minibatch_gradients(tasks, memory, net, descriptors, theta_hats, pcfg, r_keep,
@@ -577,29 +578,24 @@ def minibatch_gradients(tasks, memory, net, descriptors, theta_hats, pcfg, r_kee
     then one VJP through the network and one through the warp; the top-r mask
     passes the gradient straight through, and the l1 term's gradient is taken
     on the active set. Returns the per-task losses (query cross-entropy plus
-    lam times l1 plus eta times entropy), the solutions and the gradients keyed
-    ("net", key) and ("warp", key).
+    lam times l1 plus eta times entropy), the block's solution and the
+    gradients keyed ("net", key) and ("warp", key).
     """
-    task_pcfgs, (solutions, tape), (z_raw, warp_hidden, z, net_hidden) = _episode_block(
+    solution, (z_raw, warp_hidden, z, net_hidden) = _episode_block(
         tasks, memory, net, descriptors, theta_hats, pcfg, r_keep, transform=transform,
         hard_threshold=hard_threshold, record_tape=True)
-    w_tilde = np.stack([solution.w_tilde for solution in solutions])
+    w_tilde, lam = solution.w_tilde, pcfg.lam
     _, ce, l1, entropy, grad_ce, grad_entropy = outer_terms(tasks, memory, w_tilde,
                                                             feature_map)
-    lam = np.array([task_pcfg.lam for task_pcfg in task_pcfgs])
     losses = ce + lam * l1 + eta * entropy
-    grad_w = grad_ce + lam[:, None] * (w_tilde > 0.0) + eta * grad_entropy
-    grad_v = backward_block(tape, memory, grad_w / len(tasks))
+    grad_w = grad_ce + lam * (w_tilde > 0.0) + eta * grad_entropy
+    grad_v = backward_block(solution, memory, grad_w / len(tasks))
     net_grads, grad_z = net.vjp(z, net_hidden, grad_v)
     grads = {("net", key): grad for key, grad in net_grads.items()}
     if transform is not None:
         warp_grads, _ = transform.vjp(z_raw, warp_hidden, grad_z)
         grads.update({("warp", key): grad for key, grad in warp_grads.items()})
-    return losses, solutions, grads
-
-
-def _pcfg_lookup(pcfg):
-    return pcfg if callable(pcfg) else (lambda task: pcfg)
+    return losses, solution, grads
 
 
 def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
@@ -629,19 +625,19 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
 
     history: list[TrainHistoryRow] = []
     best_auc, best_params, since_best = -np.inf, net.snapshot(), 0
-    prev_actives = None
+    prev_active = None
 
     for epoch in range(tcfg.epochs):
         rng = child_rng(tcfg.seed, "epochs", epoch)
         order = rng.permutation(len(train_tasks))
-        losses, episodes = [], []
+        losses, blocks = [], []
         for start in range(0, len(order), tcfg.batch_size):
             batch = [train_tasks[i] for i in order[start:start + tcfg.batch_size]]
-            batch_losses, solutions, grads = minibatch_gradients(
+            batch_losses, solution, grads = minibatch_gradients(
                 batch, memory, net, descriptors, theta_hats, pcfg, tcfg.r_keep,
                 feature_map, tcfg.eta, transform=transform, hard_threshold=hard_threshold)
             losses.extend(batch_losses)
-            episodes.extend(solutions)
+            blocks.append(solution)
             if tcfg.weight_decay:
                 for key, arr in net.params.items():
                     grads["net", key] += tcfg.weight_decay * arr
@@ -649,25 +645,29 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
 
         val_auc, jac = np.nan, 1.0
         if val_tasks:
-            probs, labels, solutions = predict_tasks(val_tasks, memory, net, descriptors,
-                                                     theta_hats, pcfg, tcfg.r_keep,
-                                                     feature_map, transform=transform,
-                                                     hard_threshold=hard_threshold)
+            probs, labels, solution = predict_tasks(val_tasks, memory, net, descriptors,
+                                                    theta_hats, pcfg, tcfg.r_keep,
+                                                    feature_map, transform=transform,
+                                                    hard_threshold=hard_threshold)
             val_auc = rank_auc_or_nan(probs, labels)
-            actives = [set(solution.active_set) for solution in solutions]
-            if prev_actives is not None:
-                jac = float(np.mean([_jaccard(a, b) for a, b in zip(actives, prev_actives)]))
-            prev_actives = actives
+            active = solution.w_tilde != 0.0
+            if prev_active is not None:
+                # per-task Jaccard overlap of the active sets; two empty sets overlap fully
+                union = (active | prev_active).sum(axis=1)
+                overlap = (active & prev_active).sum(axis=1) / np.maximum(union, 1)
+                jac = float(np.mean(np.where(union > 0, overlap, 1.0)))
+            prev_active = active
             if val_auc > best_auc + tcfg.min_delta:
                 best_auc, best_params, since_best = val_auc, net.snapshot(), 0
             else:
                 since_best += 1
         history.append(TrainHistoryRow(
             epoch=epoch, train_loss=float(np.mean(losses)), val_auc=float(val_auc),
-            jaccard=jac, solver_iterations=sum(sol.iterations for sol in episodes),
-            solver_restarts=sum(sol.restarts for sol in episodes),
-            converged_frac=float(np.mean([sol.converged for sol in episodes])),
-            mean_active_size=float(np.mean([len(sol.active_set) for sol in episodes]))))
+            jaccard=jac, solver_iterations=int(sum(b.iterations.sum() for b in blocks)),
+            solver_restarts=int(sum(b.restarts.sum() for b in blocks)),
+            converged_frac=float(np.mean(np.concatenate([b.converged for b in blocks]))),
+            mean_active_size=float(np.mean(np.concatenate(
+                [np.count_nonzero(b.w_tilde, axis=1) for b in blocks])))))
         if val_tasks and since_best >= tcfg.patience and jac >= tcfg.jaccard_min:
             break
 
@@ -688,27 +688,23 @@ def sweep_lambda_eta(lam_grid, eta_grid, tasks, memory, net, descriptors,
                      transform=None, hard_threshold=True):
     """Validation surface over (lam, eta): pooled AUC and sparsity averages.
 
-    ``pcfg`` is a ProximalConfig or a per-task factory of one; each grid lam
-    replaces its ``lam``. eta enters only the outer objective, not the solve,
-    so each lam is solved once as one block, ``outer_terms`` gives each task's
-    terms, and every eta is scored on those solutions.
+    Each grid lam replaces ``pcfg``'s ``lam``. eta enters only the outer
+    objective, not the solve, so each lam is solved once as one block,
+    ``outer_terms`` gives each task's terms, and every eta is scored on those
+    solutions.
     """
     require(len(lam_grid) >= 1 and len(eta_grid) >= 1, "grids must be nonempty")
-    pcfg_of = _pcfg_lookup(pcfg)
     labels = np.concatenate([t.query_y for t in tasks])
     rows = []
     for lam in lam_grid:
-        def lam_pcfg(task, lam=lam):
-            return replace(pcfg_of(task), lam=lam)
-
-        _, solutions, _ = _episode_block(tasks, memory, net, descriptors, theta_hats,
-                                         lam_pcfg, r_keep, transform=transform,
-                                         hard_threshold=hard_threshold)
-        w_tilde = np.stack([s.w_tilde for s in solutions])
-        probs, ce, l1, entropy, _, _ = outer_terms(tasks, memory, w_tilde, feature_map)
+        solution, _ = _episode_block(tasks, memory, net, descriptors, theta_hats,
+                                     replace(pcfg, lam=lam), r_keep, transform=transform,
+                                     hard_threshold=hard_threshold)
+        probs, ce, l1, entropy, _, _ = outer_terms(tasks, memory, solution.w_tilde,
+                                                   feature_map)
         auc = rank_auc_or_nan(probs, labels)
-        mean_l0_pre = float(np.mean([np.sum(s.w > 1e-10) for s in solutions]))
-        mean_l0_post = float(np.mean(np.sum(w_tilde > 1e-10, axis=1)))
+        mean_l0_pre = float(np.mean(np.sum(solution.w > 1e-10, axis=1)))
+        mean_l0_post = float(np.mean(np.sum(solution.w_tilde > 1e-10, axis=1)))
         for eta in eta_grid:
             rows.append({"lam": lam, "eta": eta, "auc": auc, "mean_l0_pre": mean_l0_pre,
                          "mean_l0_post": mean_l0_post,

@@ -315,20 +315,19 @@ def test_training_gradient_vs_finite_differences():
         descriptors = {t.task_id: _Descriptor(rng.normal(size=d_z)) for t in tasks}
         theta_hats = {t.task_id: rng.normal(size=d) for t in tasks}
 
-        def pcfg(task):
-            return ProximalConfig(lam=1e-3, gamma=0.5 * 5 / task.n_support, t_prox=8,
-                                  tol=1e-300)
+        # gamma at 5 support examples: each task solves with 0.5 * 5 / n_support
+        pcfg = ProximalConfig(lam=1e-3, gamma=0.5, t_prox=8, tol=1e-300)
 
         net = RetrievalNet(d_z, k, seed=trial)
         warp = make_transform(d_z, WarpConfig(hidden=4, init_scale=0.5), seed=trial)
 
         def mean_loss():
-            task_pcfgs, solutions, _ = _episode_block(tasks, memory, net, descriptors,
-                                                      theta_hats, pcfg, k, transform=warp)
+            solution, _ = _episode_block(tasks, memory, net, descriptors, theta_hats, pcfg,
+                                         k, transform=warp)
             return float(np.mean([
-                _outer_loss(t.query_x, t.query_y, compose_adapter(memory, s.w_tilde),
-                            s.w_tilde, c.lam, eta)
-                for t, c, s in zip(tasks, task_pcfgs, solutions)]))
+                _outer_loss(t.query_x, t.query_y, compose_adapter(memory, w_tilde),
+                            w_tilde, pcfg.lam, eta)
+                for t, w_tilde in zip(tasks, solution.w_tilde)]))
 
         _, _, grads = minibatch_gradients(tasks, memory, net, descriptors, theta_hats,
                                           pcfg, k, _identity_map, eta, transform=warp)

@@ -289,14 +289,16 @@ class TestPhase2:
             cells = line.split(",")
             assert int(cells[4]) == row.solver_iterations
             assert int(cells[5]) == row.solver_restarts
-            # the epoch's training episodes, recounted from the solutions
-            sols = [sol for batch in episodes[row.epoch * n_batches:(row.epoch + 1) * n_batches]
-                    for sol in batch]
-            assert row.solver_iterations == sum(sol.iterations for sol in sols)
-            assert row.solver_restarts == sum(sol.restarts for sol in sols)
-            assert row.converged_frac == np.mean([sol.converged for sol in sols])
-            assert row.mean_active_size == np.mean([len(sol.active_set) for sol in sols])
-            assert 0 < row.solver_iterations <= len(sols) * cfg.t_prox
+            # the epoch's training episodes, recounted from the block solutions
+            blocks = episodes[row.epoch * n_batches:(row.epoch + 1) * n_batches]
+            n_episodes = sum(len(block.iterations) for block in blocks)
+            assert row.solver_iterations == sum(int(block.iterations.sum()) for block in blocks)
+            assert row.solver_restarts == sum(int(block.restarts.sum()) for block in blocks)
+            assert row.converged_frac == np.mean([converged for block in blocks
+                                                  for converged in block.converged])
+            assert row.mean_active_size == np.mean([np.count_nonzero(w_tilde) for block in blocks
+                                                    for w_tilde in block.w_tilde])
+            assert 0 < row.solver_iterations <= n_episodes * cfg.t_prox
             assert 0 <= row.solver_restarts <= row.solver_iterations
             assert 0.0 <= row.converged_frac <= 1.0
             assert 1.0 <= row.mean_active_size <= r_keep

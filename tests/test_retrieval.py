@@ -11,6 +11,7 @@ from protoadapt import retrieval
 from protoadapt.adapters import Canonicalizer
 from protoadapt.prototypes import PrototypeMemory, ProjectionChain
 from protoadapt.retrieval import (
+    GAMMA_REF_SIZE,
     Adam,
     ProximalConfig,
     RetrievalNet,
@@ -21,6 +22,7 @@ from protoadapt.retrieval import (
     compose_adapter,
     hard_top_r,
     outer_terms,
+    predict_task,
     predict_tasks,
     softmax,
     solve_block,
@@ -206,16 +208,20 @@ class TestSolverMatchesLoop:
 
 
 def _block_problem(seed, n_rows, k, d, t_prox, tol, scale):
-    """A memory and T rows of mixed lam and gamma (some gamma zero)."""
+    """A memory and T rows of mixed lam and gamma (some gamma zero), one config."""
     rng = np.random.default_rng(seed)
     memory = make_memory(rng.normal(size=(k, d)))
     theta_hats = scale * rng.normal(size=(n_rows, d))
     logits = 2.0 * rng.normal(size=(n_rows, k))
     lams = rng.choice([0.0, 1e-4, 1e-2, 0.3, 1e3], size=n_rows)
     gammas = np.where(rng.random(n_rows) < 0.25, 0.0, rng.uniform(1e-3, 2.0, size=n_rows))
-    cfgs = [ProximalConfig(lam=float(lam), gamma=float(gamma), t_prox=t_prox, tol=tol)
-            for lam, gamma in zip(lams, gammas)]
-    return memory, theta_hats, logits, cfgs, rng.normal(size=(n_rows, k))
+    cfg = ProximalConfig(lam=lams, gamma=gammas, t_prox=t_prox, tol=tol)
+    return memory, theta_hats, logits, cfg, rng.normal(size=(n_rows, k))
+
+
+def _row_config(cfg, i):
+    """Row i's one-task config of a block config."""
+    return dataclasses.replace(cfg, lam=float(cfg.lam[i]), gamma=float(cfg.gamma[i]))
 
 
 def _first_flip(flags, ref_flags):
@@ -248,49 +254,54 @@ def _assert_block_contract(seed, n_rows, k, d, t_prox, budget, tol, scale, r_kee
     1e-12 (1 + ||w||_inf) and dL/dv within 1e-10 (1 + ||g||_inf). A row whose
     flags differ must differ first where the one-task restart test was a
     near-tie; a row that stops at another step, where the stop test was one.
-    Returns the block's solutions and how many rows matched.
+    Returns the block's solution and how many rows matched.
     """
-    memory, theta_hats, logits, cfgs, grad_w = _block_problem(seed, n_rows, k, d, t_prox,
-                                                              tol, scale)
+    memory, theta_hats, logits, cfg, grad_w = _block_problem(seed, n_rows, k, d, t_prox,
+                                                             tol, scale)
     r_keep = min(r_keep, k)
-    sols, tape = solve_block(theta_hats, memory, logits, cfgs, r_keep, budget=budget,
-                             record_tape=True)
-    grad_v = backward_block(tape, memory, grad_w)
-    assert len(sols) == n_rows and grad_v.shape == (n_rows, k)
+    block = solve_block(theta_hats, memory, logits, cfg, r_keep, budget=budget,
+                        record_tape=True)
+    grad_v = backward_block(block, memory, grad_w)
+    n_steps = block.masks.shape[0]
+    assert block.w.shape == block.w_tilde.shape == grad_v.shape == (n_rows, k)
+    assert block.objective_trace.shape == (n_steps + 1, n_rows)
+    assert block.iterations.max() == n_steps
     matched = 0
-    for i, (sol, cfg) in enumerate(zip(sols, cfgs)):
-        ref, ref_tape = solve_proximal(theta_hats[i], memory, logits[i], cfg, budget=budget,
-                                       record_tape=True)
-        f, f_ref = sol.objective_trace[-1], ref.objective_trace[-1]
+    for i in range(n_rows):
+        row_cfg, iterations, w = _row_config(cfg, i), block.iterations[i], block.w[i]
+        trace = block.objective_trace[:iterations + 1, i]
+        ref, ref_tape = solve_proximal(theta_hats[i], memory, logits[i], row_cfg,
+                                       budget=budget, record_tape=True)
+        f, f_ref = trace[-1], ref.objective_trace[-1]
         assert abs(f - f_ref) <= 1e-12 * (1.0 + abs(f_ref)), i
-        assert all(b <= a + 1e-12 for a, b in zip(sol.objective_trace, sol.objective_trace[1:]))
-        assert len(sol.objective_trace) == sol.iterations + 1
-        assert np.array_equal(sol.w_tilde, hard_top_r(sol.w, r_keep))
-        assert sol.active_set == list(np.nonzero(sol.w_tilde)[0])
-        flags = [bool(flag) for flag in tape.restarts[:sol.iterations, i]]
+        assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+        assert np.array_equal(block.w_tilde[i], hard_top_r(w, r_keep))
+        flags = [bool(flag) for flag in block.restarted[:iterations, i]]
         flip = _first_flip(flags, ref_tape.restarts)
         if flip is not None:
-            gap, f_last = _flip_gap(theta_hats[i], memory, logits[i], cfg, budget, flip,
+            gap, f_last = _flip_gap(theta_hats[i], memory, logits[i], row_cfg, budget, flip,
                                     ref_tape)
             assert gap <= 1e-12 * (1.0 + abs(f_last)), (i, flip, gap)
             continue
-        if sol.iterations != ref.iterations:
+        if iterations != ref.iterations:
             # the stop test was a near-tie where the first of the two stopped
-            n = min(sol.iterations, ref.iterations)
-            went_on = (solve_block(theta_hats, memory, logits, cfgs, r_keep, budget=n)[i]
-                       if sol.iterations > n else
-                       solve_proximal(theta_hats[i], memory, logits[i], cfg, budget=n))
-            gap = (went_on.kkt_residual - tol) * ref_tape.tau
+            n = min(iterations, ref.iterations)
+            went_on = (solve_block(theta_hats, memory, logits, cfg, r_keep,
+                                   budget=n).kkt_residual[i]
+                       if iterations > n else
+                       solve_proximal(theta_hats[i], memory, logits[i], row_cfg,
+                                      budget=n).kkt_residual)
+            gap = (went_on - tol) * ref_tape.tau
             assert gap <= 1e-12 * (1.0 + np.max(np.abs(ref.w))), (i, n, gap)
             continue
         matched += 1
-        assert (sol.restarts, sol.converged) == (ref.restarts, ref.converged), i
-        assert np.array_equal(tape.masks[:sol.iterations, i], np.array(ref_tape.masks)), i
-        assert np.max(np.abs(sol.w - ref.w)) <= 1e-12 * (1.0 + np.max(np.abs(ref.w))), i
+        assert (block.restarts[i], block.converged[i]) == (ref.restarts, ref.converged), i
+        assert np.array_equal(block.masks[:iterations, i], np.array(ref_tape.masks)), i
+        assert np.max(np.abs(w - ref.w)) <= 1e-12 * (1.0 + np.max(np.abs(ref.w))), i
         ref_grad = backward_through_solve(ref_tape, memory, grad_w[i])
         assert (np.max(np.abs(grad_v[i] - ref_grad))
                 <= 1e-10 * (1.0 + np.max(np.abs(ref_grad)))), i
-    return sols, matched
+    return block, matched
 
 
 class TestBlockMatchesSingleTask:
@@ -307,18 +318,18 @@ class TestBlockMatchesSingleTask:
                          scale=10.0, r_keep=2)),
     ])
     def test_edge_case(self, case, args):
-        sols, matched = _assert_block_contract(**args)
+        block, matched = _assert_block_contract(**args)
         assert matched >= 1
         if case == "one prototype":
-            assert all(sol.w.shape == (1,) for sol in sols)
+            assert block.w.shape == (args["n_rows"], 1)
         if case == "all-zero rows":
-            assert any(not np.any(sol.w) for sol in sols)
-            assert any(np.any(sol.w) for sol in sols)
+            assert not block.w.any(axis=1).all()
+            assert block.w.any(axis=1).any()
         if case == "restarts":
-            assert sum(sol.restarts > 0 for sol in sols) >= 2
+            assert np.sum(block.restarts > 0) >= 2
         if case == "rows stop at different steps":
-            stops = {sol.iterations for sol in sols if sol.converged}
-            assert len(stops) >= 3 and not all(sol.converged for sol in sols)
+            stops = set(block.iterations[block.converged].tolist())
+            assert len(stops) >= 3 and not block.converged.all()
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 12), k=st.integers(1, 8),
@@ -330,15 +341,9 @@ class TestBlockMatchesSingleTask:
         _assert_block_contract(seed, n_rows, k, d, t_prox, budget, tol, scale, r_keep)
 
     def test_soft_rule_keeps_w(self):
-        memory, theta_hats, logits, cfgs, _ = _block_problem(6, 5, 6, 4, 10, 1e-9, 1.0)
-        for sol in solve_block(theta_hats, memory, logits, cfgs, 1, hard_threshold=False):
-            assert np.array_equal(sol.w_tilde, sol.w)
-
-    def test_rows_must_share_the_unroll_and_tolerance(self):
-        memory, theta_hats, logits, cfgs, _ = _block_problem(7, 2, 3, 3, 10, 1e-9, 1.0)
-        cfgs[1] = dataclasses.replace(cfgs[1], t_prox=5)
-        with pytest.raises(ValidationError, match="share t_prox and tol"):
-            solve_block(theta_hats, memory, logits, cfgs, 1)
+        memory, theta_hats, logits, cfg, _ = _block_problem(6, 5, 6, 4, 10, 1e-9, 1.0)
+        block = solve_block(theta_hats, memory, logits, cfg, 1, hard_threshold=False)
+        assert np.array_equal(block.w_tilde, block.w)
 
 
 class TestSolver:
@@ -412,8 +417,9 @@ class TestSolver:
             ProximalConfig(t_prox=0).validate()
 
     def test_per_iteration_cost_linear_in_problem_size(self):
-        # wall time across a 4x ladder stays within 2x of the linear fit; the
-        # two sizes alternate repeats, so a busy spell on the host hits both
+        # the process's CPU time across a 4x ladder stays within 2x of the
+        # linear fit: another busy process on the host does not count against
+        # it, and the two sizes alternate repeats, so a busy spell hits both
         rng = np.random.default_rng(6)
 
         def problem(k, d):
@@ -426,9 +432,9 @@ class TestSolver:
         best = dict.fromkeys(problems, np.inf)
         for _ in range(3):
             for name, (memory, theta_hat, v) in problems.items():
-                t0 = time.perf_counter()
+                t0 = time.process_time()
                 solve_proximal(theta_hat, memory, v, cfg, budget=30)
-                best[name] = min(best[name], time.perf_counter() - t0)
+                best[name] = min(best[name], time.process_time() - t0)
         assert best["big"] / best["small"] < 2.0 * 16.0
 
 
@@ -655,10 +661,11 @@ class TestTraining:
         theta_hats = {}
 
         class _T:
-            def __init__(self, tid, qx, qy):
+            def __init__(self, tid, qx, qy, n_support):
                 self.task_id = tid
                 self.query_x = qx
                 self.query_y = qy
+                self.n_support = n_support
 
         class _D:
             def __init__(self, values):
@@ -669,7 +676,7 @@ class TestTraining:
             theta = memory.M[proto]
             qx = rng.normal(size=(12, 2))
             qy = (sigmoid(qx @ theta) > rng.random(12)).astype(int)
-            t = _T(f"t{i}", qx, qy)
+            t = _T(f"t{i}", qx, qy, 5 * (1 + i % 2))
             tasks.append(t)
             descriptors[t.task_id] = _D(np.array([1.0, 0.0, float(proto)]))
             theta_hats[t.task_id] = theta + 0.1 * rng.normal(size=2)
@@ -699,6 +706,7 @@ class TestTraining:
 
         class _T:
             task_id = "only"
+            n_support = 5
             query_x = qx
             query_y = qy
 
@@ -727,7 +735,7 @@ class TestTraining:
             for t in tasks:
                 logits, _ = net.forward(descriptors[t.task_id].values)
                 w_tilde = threshold(solve_proximal(theta_hats[t.task_id], memory, logits,
-                                                   pcfg).w)
+                                                   _at_support_size(pcfg, t)).w)
                 losses.append(_pair_outer_objective(t.query_x, t.query_y,
                                                     compose_adapter(memory, w_tilde),
                                                     w_tilde, pcfg.lam, tcfg.eta,
@@ -738,7 +746,7 @@ class TestTraining:
 
         def spy(*args, **kwargs):
             out = predict_tasks(*args, **kwargs)
-            val_solutions.extend(out[2])
+            val_solutions.append(out[2])
             return out
 
         monkeypatch.setattr(retrieval, "predict_tasks", spy)
@@ -748,11 +756,12 @@ class TestTraining:
         assert soft != pytest.approx(hard)
         assert [row.train_loss for row in result.history] == pytest.approx([soft] * 2,
                                                                            rel=1e-12)
-        assert len(val_solutions) == 2 * len(tasks)
-        for sol in val_solutions:
-            assert np.array_equal(sol.w_tilde, sol.w)
-            assert sol.active_set == list(np.nonzero(sol.w)[0])
-        assert max(len(sol.active_set) for sol in val_solutions) > tcfg.r_keep
+        assert len(val_solutions) == 2
+        for block in val_solutions:
+            assert block.w.shape[0] == len(tasks)
+            assert np.array_equal(block.w_tilde, block.w)
+        assert max(np.count_nonzero(block.w_tilde, axis=1).max()
+                   for block in val_solutions) > tcfg.r_keep
 
     def test_one_adam_step_matches_the_two_optimizer_oracle(self):
         memory, tasks, descriptors, theta_hats = self._toy_problem()
@@ -776,11 +785,43 @@ class TestTraining:
                 assert np.all(np.abs(ours - theirs) <= 1e-10 * (1.0 + np.abs(theirs))), key
         assert not np.array_equal(warp.params["w1"], fresh.params["w1"])
 
+    def test_jaccard_matches_the_set_loop(self, monkeypatch):
+        memory, tasks, descriptors, theta_hats = self._toy_problem()
+        tcfg = TrainConfig(epochs=6, lr=0.05, r_keep=1, seed=0)
+        for lam in (1e-4, 1e3):  # 1e3 empties every active set
+            pcfg = ProximalConfig(lam=lam, gamma=0.5, t_prox=5)
+            blocks = []
+
+            def spy(*args, **kwargs):
+                out = predict_tasks(*args, **kwargs)
+                blocks.append(out[2])
+                return out
+
+            monkeypatch.setattr(retrieval, "predict_tasks", spy)
+            result = train_retrieval(tasks, memory, descriptors, theta_hats, identity_map,
+                                     pcfg, tcfg, val_tasks=tasks, hard_threshold=False)
+            monkeypatch.undo()
+            actives = [[set(np.nonzero(w)[0]) for w in block.w_tilde] for block in blocks]
+            expected = [1.0] + [float(np.mean([_set_jaccard(a, b) for a, b in zip(now, before)]))
+                                for before, now in zip(actives, actives[1:])]
+            assert [row.jaccard for row in result.history] == expected
+            if lam == 1e3:
+                assert not any(active for epoch in actives for active in epoch)
+            else:
+                assert min(expected) < 1.0
+
     def test_adam_updates_params(self):
         params = {"w": np.ones(3)}
         opt = Adam(params, lr=0.1)
         opt.step({"w": np.array([1.0, -1.0, 0.5])})
         assert not np.allclose(params["w"], 1.0)
+
+
+def _set_jaccard(a, b):
+    """The active-set overlap as it was: Jaccard of index sets, 1 for two empty sets."""
+    if not a and not b:
+        return 1.0
+    return len(a & b) / len(a | b)
 
 
 class _DecayAdam:
@@ -824,6 +865,11 @@ class _FlatVectorWarp:
         self.opt.step({"phi": grad})
 
 
+def _at_support_size(pcfg, task):
+    """``pcfg`` with gamma scaled to the task's support size, as phase 2 solves it."""
+    return dataclasses.replace(pcfg, gamma=pcfg.gamma * GAMMA_REF_SIZE / task.n_support)
+
+
 def _two_optimizer_epoch(tasks, memory, descriptors, theta_hats, pcfg, tcfg, warp):
     """One training epoch as it was: the net's Adam, then the warp's ``apply_batch``."""
     d_z = descriptors[tasks[0].task_id].values.shape[0]
@@ -839,8 +885,8 @@ def _two_optimizer_epoch(tasks, memory, descriptors, theta_hats, pcfg, tcfg, war
             z_raw = descriptors[task.task_id].values
             z, warp_hidden = warp.forward(z_raw)
             logits, net_hidden = net.forward(z)
-            solution, tape = solve_proximal(theta_hats[task.task_id], memory, logits, pcfg,
-                                            record_tape=True)
+            solution, tape = solve_proximal(theta_hats[task.task_id], memory, logits,
+                                            _at_support_size(pcfg, task), record_tape=True)
             grad_w = _pair_outer_gradient_w(task.query_x, task.query_y, memory,
                                             hard_top_r(solution.w, tcfg.r_keep), pcfg.lam,
                                             tcfg.eta, identity_map)
@@ -861,6 +907,7 @@ class TestSweep:
 
         class _T:
             task_id = "a"
+            n_support = 10
             query_x = rng.normal(size=(8, 2))
             query_y = np.array([0, 1, 0, 1, 1, 0, 1, 0])
 
@@ -873,7 +920,6 @@ class TestSweep:
                                 {"a": _D()}, {"a": rng.normal(size=2)},
                                 pcfg, r_keep=2, feature_map=identity_map)
         assert len(rows) == 1
-        from protoadapt.retrieval import predict_task
         probs, sol = predict_task(_T(), memory, net, _D(), rows and rng.normal(size=2),
                                   pcfg, 2, identity_map)
         assert 0.0 <= rows[0]["auc"] <= 1.0
@@ -888,7 +934,7 @@ class TestSweep:
             class _T:
                 pass
             t = _T()
-            t.task_id = f"s{i}"
+            t.task_id, t.n_support = f"s{i}", 5 + 3 * i
             t.query_x = rng.normal(size=(6, 4))
             t.query_y = np.array([0, 1] * 3)
             tasks.append(t)
@@ -901,10 +947,13 @@ class TestSweep:
         logits, _ = net.forward(np.stack([descs[t.task_id].values for t in tasks]))
         theta = np.stack([thetas[t.task_id] for t in tasks])
 
+        gammas = np.array([_at_support_size(pcfg, t).gamma for t in tasks])
+
         def mean_l0_pre(lam, budget=None):
-            cfgs = [dataclasses.replace(pcfg, lam=lam)] * len(tasks)
-            solutions = solve_block(theta, memory, logits, cfgs, 6, budget=budget)
-            return float(np.mean([np.sum(s.w > 1e-10) for s in solutions]))
+            block = solve_block(theta, memory, logits,
+                                dataclasses.replace(pcfg, lam=lam, gamma=gammas), 6,
+                                budget=budget)
+            return float(np.mean(np.sum(block.w > 1e-10, axis=1)))
 
         # solved to tolerance, the support shrinks as lam grows
         pre = [mean_l0_pre(lam, budget=3000) for lam in lam_grid]
@@ -928,7 +977,7 @@ class TestSweep:
         tasks, descs, thetas = [], {}, {}
         for i in range(6):
             t = _T()
-            t.task_id = f"e{i}"
+            t.task_id, t.n_support = f"e{i}", 5 * (i + 1)
             t.query_x = rng.normal(size=(7, 4))
             t.query_y = np.array([0, 1, 1, 0, 1, 0, 0])
             tasks.append(t)
@@ -951,7 +1000,7 @@ class TestSweep:
         tasks, descs, thetas = [], {}, {}
         for i in range(3):
             t = type("T", (), {})()
-            t.task_id = f"c{i}"
+            t.task_id, t.n_support = f"c{i}", 5 + i
             t.query_x = rng.normal(size=(5 + i, 3))
             t.query_y = np.array([0, 1] * 4)[:5 + i]
             tasks.append(t)
@@ -973,7 +1022,7 @@ class TestSweep:
                                                     descs, thetas, pcfg, 2, identity_map))
 
 
-    def test_per_task_factory_with_the_grid_lam(self):
+    def test_support_scaled_gamma_with_the_grid_lam(self):
         rng = np.random.default_rng(18)
         memory = make_memory(rng.normal(size=(4, 3)))
         tasks, descs, thetas = [], {}, {}
@@ -986,31 +1035,61 @@ class TestSweep:
             descs[t.task_id] = type("D", (), {"values": rng.normal(size=2)})()
             thetas[t.task_id] = rng.normal(size=3)
         net = RetrievalNet(d_z=2, k=4, seed=5)
-
-        def factory(task):
-            return ProximalConfig(lam=0.5, gamma=2.0 / task.n_support, t_prox=10)
-
+        pcfg = ProximalConfig(lam=0.5, gamma=0.4, t_prox=10)
         rows = sweep_lambda_eta([1e-3, 0.2], [0.0], tasks, memory, net, descs, thetas,
-                                factory, r_keep=2, feature_map=identity_map)
-        def mean_objective(lam, pcfg_of):
+                                pcfg, r_keep=2, feature_map=identity_map)
+
+        def mean_objective(lam, size_of):
             objective = []
             for t in tasks:
                 logits = net.forward(descs[t.task_id].values)[0]
+                gamma = pcfg.gamma * GAMMA_REF_SIZE / size_of(t)
                 w = solve_proximal(thetas[t.task_id], memory, logits,
-                                   dataclasses.replace(pcfg_of(t), lam=lam)).w
+                                   dataclasses.replace(pcfg, lam=lam, gamma=gamma)).w
                 w_tilde = hard_top_r(w, 2)
                 objective.append(_pair_outer_objective(t.query_x, t.query_y,
                                                        compose_adapter(memory, w_tilde),
                                                        w_tilde, lam, 0.0, identity_map)[0])
             return float(np.mean(objective))
 
-        # the sweep solves as one Gram-form block, the oracle task by task with
+        # each row solves with gamma at its own support size (5, 10, 15, 20); the
+        # sweep solves as one Gram-form block, the oracle task by task with
         # solve_proximal: the block contract's tolerance
         for row in rows:
-            f = mean_objective(row["lam"], factory)
+            f = mean_objective(row["lam"], lambda t: t.n_support)
             assert abs(row["mean_objective"] - f) <= 1e-12 * (1.0 + abs(f))
             assert row["mean_objective"] != pytest.approx(
-                mean_objective(row["lam"], lambda t: factory(tasks[0])), rel=1e-9)
+                mean_objective(row["lam"], lambda t: tasks[0].n_support), rel=1e-9)
+
+
+class TestOneTaskPath:
+    def test_scales_gamma_as_the_block_does(self):
+        rng = np.random.default_rng(20)
+        memory = make_memory(rng.normal(size=(4, 3)))
+        tasks, descs, thetas = [], {}, {}
+        for i in range(3):
+            t = type("T", (), {})()
+            t.task_id, t.n_support = f"p{i}", 5 * (i + 1)
+            t.query_x = rng.normal(size=(6, 3))
+            t.query_y = np.array([0, 1] * 3)
+            tasks.append(t)
+            descs[t.task_id] = type("D", (), {"values": rng.normal(size=2)})()
+            thetas[t.task_id] = rng.normal(size=3)
+        net = RetrievalNet(d_z=2, k=4, seed=7)
+        pcfg = ProximalConfig(lam=1e-3, gamma=0.4, t_prox=10)
+        probs, _, block = predict_tasks(tasks, memory, net, descs, thetas, pcfg, 2,
+                                        identity_map)
+        rows = np.cumsum([0] + [len(t.query_y) for t in tasks])
+        # the block solves in Gram form, the one-task path with solve_proximal:
+        # the block contract's tolerance
+        for i, t in enumerate(tasks):
+            one_probs, sol = predict_task(t, memory, net, descs[t.task_id], thetas[t.task_id],
+                                          pcfg, 2, identity_map)
+            assert np.max(np.abs(sol.w - block.w[i])) <= 1e-12 * (1.0 + np.max(np.abs(sol.w)))
+            assert np.max(np.abs(one_probs - probs[rows[i]:rows[i + 1]])) <= 1e-12
+            unscaled = solve_proximal(thetas[t.task_id], memory,
+                                      net.forward(descs[t.task_id].values)[0], pcfg).w
+            assert (t.n_support == GAMMA_REF_SIZE) == np.allclose(sol.w, unscaled, atol=1e-9)
 
 
 def _sweep_double_loop(lam_grid, eta_grid, tasks, memory, net, descriptors, theta_hats,
@@ -1020,20 +1099,20 @@ def _sweep_double_loop(lam_grid, eta_grid, tasks, memory, net, descriptors, thet
     for lam in lam_grid:
         for eta in eta_grid:
             pcfg = dataclasses.replace(pcfg_base, lam=lam)
-            probs, labels, solutions = predict_tasks(tasks, memory, net, descriptors,
-                                                     theta_hats, pcfg, r_keep, feature_map)
+            probs, labels, block = predict_tasks(tasks, memory, net, descriptors,
+                                                 theta_hats, pcfg, r_keep, feature_map)
             objective = []
-            for task, solution in zip(tasks, solutions):
-                adapter = compose_adapter(memory, solution.w_tilde)
+            for task, w_tilde in zip(tasks, block.w_tilde):
+                adapter = compose_adapter(memory, w_tilde)
                 total, _ = _pair_outer_objective(task.query_x, task.query_y, adapter,
-                                                 solution.w_tilde, lam, eta, feature_map)
+                                                 w_tilde, lam, eta, feature_map)
                 objective.append(total)
             rows.append({
                 "lam": lam, "eta": eta,
                 "auc": rank_auc_or_nan(probs, labels),
-                "mean_l0_pre": float(np.mean([np.sum(s.w > 1e-10) for s in solutions])),
-                "mean_l0_post": float(np.mean([np.sum(s.w_tilde > 1e-10)
-                                               for s in solutions])),
+                "mean_l0_pre": float(np.mean([np.sum(w > 1e-10) for w in block.w])),
+                "mean_l0_post": float(np.mean([np.sum(w_tilde > 1e-10)
+                                               for w_tilde in block.w_tilde])),
                 "mean_objective": float(np.mean(objective)),
             })
     return rows
