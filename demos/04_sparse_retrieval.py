@@ -6,7 +6,7 @@ import numpy as np
 from protoadapt.adapters import Canonicalizer
 from protoadapt.prototypes import PrototypeMemory, ProjectionChain
 from protoadapt.retrieval import (
-    ProximalConfig, compose_adapter, hard_top_r, outer_terms, softmax, solve_proximal,
+    Episodes, ProximalConfig, compose_adapter, hard_top_r, outer_terms, softmax, solve_proximal,
 )
 from protoadapt.synthdata import EpisodeTask
 
@@ -38,10 +38,13 @@ print(f"hard top-2 keeps atoms {np.nonzero(w_tilde)[0].tolist()}; "
 query_x = rng.normal(size=(30, d))
 query_y = (query_x @ theta_hat > 0).astype(int)
 task = EpisodeTask("demo", query_x[:0], query_y[:0], query_x, query_y)
-# a block of one task: the query logits in prototype coordinates, query_x M^T w_tilde
+# a block of one task: Episodes.of maps its query set once to prototype
+# coordinates, query_x M^T, and the query logits are those times w_tilde
+# (this demo has no descriptor, so its row is a zero placeholder)
+episodes = Episodes.of([task], np.zeros((1, 1)), theta_hat[None], memory,
+                       feature_map=lambda x: np.atleast_2d(x))
 lam, eta = 1e-3, 0.05
-_, ce, l1, entropy, _, _ = outer_terms([task], memory, w_tilde[None],
-                                       feature_map=lambda x: np.atleast_2d(x))
+_, ce, l1, entropy, _, _ = outer_terms(episodes, w_tilde[None])
 total = ce[0] + lam * l1[0] + eta * entropy[0]
 print(f"outer objective {total:.4f} (ce {ce[0]:.4f}, l1 {l1[0]:.4f}, "
       f"entropy {entropy[0]:.4f})")

@@ -50,6 +50,7 @@ from .prototypes import (
     merge_prototypes,
 )
 from .retrieval import (
+    Episodes,
     ProximalConfig,
     RetrievalNet,
     RetrievalSolution,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .synthdata import PRE_PARTITIONS
-from .util import ValidationError, check_finite, child_rng, require, sigmoid
+from .util import ValidationError, check_finite, child_rng, require, sigmoid, write_csv
 
 DEFAULT_PERCENTILES = (10.0, 25.0, 50.0, 75.0, 90.0)
 
@@ -103,10 +103,6 @@ class TaskDescriptor:
     values: np.ndarray
     blocks: dict
 
-    @property
-    def d_z(self) -> int:
-        return self.values.shape[0]
-
 
 def _percentiles(values, q):
     """``np.percentile(values, q)`` (linear method) from one sort, bit for bit.
@@ -158,13 +154,9 @@ def build_descriptor(task, probe: ProbeHead, chain, standardizer: Standardizer,
     return TaskDescriptor(task_id=task.task_id, values=values, blocks=blocks)
 
 
-def descriptors_to_csv(descriptors, path) -> None:
-    """Audit export: one row per task id, one column per descriptor entry."""
-    from .util import write_csv
-
-    items = sorted(descriptors.items())
-    require(len(items) >= 1, "no descriptors to export")
-    d_z = items[0][1].values.shape[0]
-    header = ["task_id"] + [f"z{j}" for j in range(d_z)]
-    rows = [[tid] + list(desc.values) for tid, desc in items]
-    write_csv(path, header, rows)
+def descriptors_to_csv(blocks, path) -> None:
+    """Audit export of phase-2 ``Episodes`` blocks: one row per task id, one column per entry."""
+    rows = sorted(([tid] + list(z) for block in blocks
+                   for tid, z in zip(block.task_ids, block.z)), key=lambda row: row[0])
+    require(len(rows) >= 1, "no descriptors to export")
+    write_csv(path, ["task_id"] + [f"z{j}" for j in range(len(rows[0]) - 1)], rows)

@@ -43,6 +43,7 @@ from .prototypes import (
 )
 from .retrieval import (
     MAX_UNROLL,
+    Episodes,
     ProximalConfig,
     TrainConfig,
     predict_tasks,
@@ -497,8 +498,7 @@ class Phase2Result:
     transform: object
     history: list
     metrics: dict
-    theta_hats: dict
-    descriptors: dict
+    splits: dict            # "train", "val", "test" -> the split's Episodes
     latency_ms: float
     stopped_epoch: int
     test_probs: np.ndarray
@@ -521,16 +521,14 @@ def _ret_train_tasks(artifacts: Phase1Artifacts, sizes):
             for task in _ret_tasks_at_size(artifacts, "Ret-Train", size)]
 
 
-def _prepare_inputs(cfg: RunConfig, artifacts: Phase1Artifacts, tasks):
+def _prepare_inputs(cfg: RunConfig, artifacts: Phase1Artifacts, tasks) -> Episodes:
+    """The tasks' phase-2 inputs: descriptors, support adapters and query coordinates."""
     fmap = artifacts.corpus.feature_map()
-    descriptors = {}
-    theta_hats = {}
-    for task in tasks:
-        descriptors[task.task_id] = build_descriptor(
-            task, artifacts.probe, artifacts.memory.chain, artifacts.standardizer, fmap)
-        theta_hats[task.task_id] = ridge_adapter(
-            task, fmap, cfg.ridge_alpha_retrieval * task.n_support)
-    return descriptors, theta_hats
+    z = [build_descriptor(task, artifacts.probe, artifacts.memory.chain,
+                          artifacts.standardizer, fmap).values for task in tasks]
+    theta_hats = [ridge_adapter(task, fmap, cfg.ridge_alpha_retrieval * task.n_support)
+                  for task in tasks]
+    return Episodes.of(tasks, np.stack(z), np.stack(theta_hats), artifacts.memory, fmap)
 
 
 def _proximal_config(cfg: RunConfig) -> ProximalConfig:
@@ -544,18 +542,16 @@ def _append(path: Path, lines) -> None:
         fh.write("".join(f"{line}\n" for line in lines))
 
 
-def _split_metrics(cfg: RunConfig, artifacts, tasks, net, transform, descriptors,
-                   theta_hats, pcfg, r_keep):
+def _split_metrics(cfg: RunConfig, artifacts, episodes, net, transform, pcfg, r_keep):
     """Pooled metrics, per-task latency, probabilities, labels and the block's solution.
 
-    The split runs as one block, so the latency is the block's time over its tasks.
+    The latency is the block's time over its tasks; its query sets were mapped beforehand.
     """
     t0 = time.perf_counter()
-    probs, labels, solution = predict_tasks(
-        tasks, artifacts.memory, net, descriptors, theta_hats, pcfg, r_keep,
-        artifacts.corpus.feature_map(), transform=transform,
-        hard_threshold=cfg.hard_threshold)
-    latency_ms = 1000.0 * (time.perf_counter() - t0) / max(len(tasks), 1)
+    probs, labels, solution = predict_tasks(episodes, artifacts.memory, net, pcfg, r_keep,
+                                            transform=transform,
+                                            hard_threshold=cfg.hard_threshold)
+    latency_ms = 1000.0 * (time.perf_counter() - t0) / max(len(episodes.task_ids), 1)
     return compute_metrics(probs, labels), latency_ms, probs, labels, solution
 
 
@@ -564,15 +560,11 @@ def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
     """Retrieval training on the anti-leakage splits plus test metrics."""
     seed = cfg.seed if seed is None else seed
     size = _support_size(cfg)
-    train_tasks = _ret_train_tasks(artifacts, cfg.train_sizes)
-    val_tasks = _ret_tasks_at_size(artifacts, "Ret-Val", size)
-    test_tasks = _ret_tasks_at_size(artifacts, "Ret-Test", size)
-
-    all_tasks = train_tasks + val_tasks + test_tasks
-    descriptors, theta_hats = _prepare_inputs(cfg, artifacts, all_tasks)
-
-    d_z = descriptors[train_tasks[0].task_id].values.shape[0]
-    transform = make_transform(d_z, cfg.warp, seed=seed)
+    splits = {tag: _prepare_inputs(cfg, artifacts, tasks) for tag, tasks in (
+        ("train", _ret_train_tasks(artifacts, cfg.train_sizes)),
+        ("val", _ret_tasks_at_size(artifacts, "Ret-Val", size)),
+        ("test", _ret_tasks_at_size(artifacts, "Ret-Test", size)))}
+    transform = make_transform(splits["train"].z.shape[1], cfg.warp, seed=seed)
 
     pcfg = _proximal_config(cfg)
     r_keep = _r_keep(cfg, artifacts.rank_selected, artifacts.memory.K)
@@ -580,22 +572,20 @@ def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
                        weight_decay=cfg.weight_decay, patience=cfg.patience,
                        jaccard_min=cfg.jaccard_min, seed=seed, r_keep=r_keep,
                        eta=cfg.eta)
-    result = train_retrieval(train_tasks, artifacts.memory, descriptors, theta_hats,
-                             artifacts.corpus.feature_map(), pcfg, tcfg,
-                             val_tasks=val_tasks, transform=transform,
+    result = train_retrieval(splits["train"], artifacts.memory, pcfg, tcfg,
+                             val=splits["val"], transform=transform,
                              hard_threshold=cfg.hard_threshold)
 
-    splits = {tag: _split_metrics(cfg, artifacts, tasks, result.net, transform,
-                                  descriptors, theta_hats, pcfg, r_keep)
-              for tag, tasks in (("train", train_tasks), ("val", val_tasks),
-                                 ("test", test_tasks))}
-    _, latency_ms, test_probs, test_labels, test_solution = splits["test"]
+    evaluated = {tag: _split_metrics(cfg, artifacts, episodes, result.net, transform,
+                                     pcfg, r_keep)
+                 for tag, episodes in splits.items()}
+    _, latency_ms, test_probs, test_labels, test_solution = evaluated["test"]
     first_steps = test_solution.iterations[0] + 1
 
     out = Phase2Result(net=result.net, transform=transform, history=result.history,
-                       metrics={tag: split[0] for tag, split in splits.items()},
-                       theta_hats=theta_hats, descriptors=descriptors,
-                       latency_ms=latency_ms, stopped_epoch=result.stopped_epoch,
+                       metrics={tag: split[0] for tag, split in evaluated.items()},
+                       splits=splits, latency_ms=latency_ms,
+                       stopped_epoch=result.stopped_epoch,
                        test_probs=test_probs, test_labels=test_labels,
                        solver_trace=test_solution.objective_trace[:first_steps, 0].tolist())
     if outdir is not None:
@@ -619,7 +609,7 @@ def persist_phase2(result: Phase2Result, outdir: Path) -> None:
               ["bin", "lo", "hi", "count", "confidence", "frequency"],
               [[r["bin"], r["lo"], r["hi"], r["count"], r["confidence"], r["frequency"]]
                for r in calibration_bins(result.test_probs, result.test_labels)])
-    descriptors_to_csv(result.descriptors, outdir / "descriptors.csv")
+    descriptors_to_csv(result.splits.values(), outdir / "descriptors.csv")
 
     # trained retrieval parameters into the run manifest: the network, and the
     # descriptor warp when there is one
@@ -633,20 +623,21 @@ def persist_phase2(result: Phase2Result, outdir: Path) -> None:
 
     _append(outdir / "run.log", [f"phase2 stopped at epoch {result.stopped_epoch}"])
     _append(outdir / "runtime.txt",
-            ["split latency accounting (solve plus compose path only; each split "
-             "runs as one block, so per_task_ms is the block's time over its tasks)",
+            ["split latency accounting (warp, net, block solve and query probabilities; "
+             "query sets are mapped before timing, and each split runs as one block, so "
+             "per_task_ms is the block's time over its tasks)",
              f"per_task_ms test {result.latency_ms:.3f}"])
 
 
 def run_penalty_sweep(cfg: RunConfig, artifacts: Phase1Artifacts, phase2: Phase2Result,
                       outdir: Path | None = None):
-    """Validation surface over the (lam, eta) penalty grid with the trained net."""
-    val_tasks = _ret_tasks_at_size(artifacts, "Ret-Val", _support_size(cfg))
-    surface = sweep_lambda_eta(cfg.lam_grid, (0.0, cfg.eta), val_tasks,
-                               artifacts.memory, phase2.net, phase2.descriptors,
-                               phase2.theta_hats, _proximal_config(cfg),
+    """Validation surface over the (lam, eta) penalty grid with the trained net.
+
+    Reuses phase 2's validation block, so no input is rebuilt.
+    """
+    surface = sweep_lambda_eta(cfg.lam_grid, (0.0, cfg.eta), phase2.splits["val"],
+                               artifacts.memory, phase2.net, _proximal_config(cfg),
                                _r_keep(cfg, artifacts.rank_selected, artifacts.memory.K),
-                               artifacts.corpus.feature_map(),
                                transform=phase2.transform,
                                hard_threshold=cfg.hard_threshold)
     if outdir is not None:
@@ -746,11 +737,10 @@ def run_support_sweep(cfg: RunConfig, artifacts: Phase1Artifacts, phase2: Phase2
     r_keep = _r_keep(cfg, artifacts.rank_selected, artifacts.memory.K)
     rows = []
     for size in sizes:
-        tasks = _ret_tasks_at_size(artifacts, "Ret-Test", size)
-        descriptors, theta_hats = _prepare_inputs(cfg, artifacts, tasks)
-        record, lat, *_ = _split_metrics(cfg, artifacts, tasks, phase2.net,
-                                         phase2.transform, descriptors, theta_hats,
-                                         pcfg, r_keep)
+        episodes = _prepare_inputs(cfg, artifacts,
+                                   _ret_tasks_at_size(artifacts, "Ret-Test", size))
+        record, lat, *_ = _split_metrics(cfg, artifacts, episodes, phase2.net,
+                                         phase2.transform, pcfg, r_keep)
         rows.append({"support_size": size, "auc": record.auc, "f1": record.f1,
                      "ece": record.ece, "latency_ms": lat})
     if outdir is not None:

@@ -7,16 +7,17 @@ Training differentiates through the unrolled solver steps with a recorded
 tape and treats the hard top-r mask straight-through.
 
 There are two paths. Training, validation, test prediction and the penalty
-sweep run many tasks at once as one block (``_episode_block``: one warp and
-network pass over T rows, ``solve_block`` in Gram form, ``backward_block``)
-and take the outer objective on the block in prototype coordinates
-(``outer_terms``). ``solve_block`` takes one ``ProximalConfig`` (lam and gamma
-one value or one per row) and returns one ``BlockSolution`` of arrays.
-One-task calls (``predict_task``) run the warp, the network,
-``solve_proximal`` and the top-r rule directly; ``solve_proximal`` and
-``backward_through_solve`` are the arithmetic the block code is checked
-against, and cost less than a block of one row. Both paths scale a config's
-gamma to each task's support size (``GAMMA_REF_SIZE``).
+sweep run blocks of ``Episodes`` (each task's descriptor, support adapter and
+query set in prototype coordinates, built once): one warp and network pass
+over T rows and ``solve_block`` in Gram form (``_episode_block``), the outer
+objective on the block (``outer_terms``) and, in training, ``backward_block``.
+``solve_block`` takes one ``ProximalConfig`` (lam and gamma one value or one
+per row) and returns one ``BlockSolution`` of arrays. One-task calls
+(``predict_task``) run the warp, the network, ``solve_proximal`` and the
+top-r rule directly; ``solve_proximal`` and ``backward_through_solve`` are the
+arithmetic the block code is checked against, and cost less than a block of
+one row. Both paths scale a config's gamma to each task's support size
+(``GAMMA_REF_SIZE``).
 """
 
 from __future__ import annotations
@@ -405,26 +406,51 @@ def backward_block(block: BlockSolution, memory, grad_w: np.ndarray) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# Outer objective
+# Phase-2 inputs and the outer objective
 # ---------------------------------------------------------------------------
 
-def _query_probs(tasks, memory, w_tilde, feature_map):
-    """The stacked P_i = feature_map(x_q) M^T (n_i x K), query sizes and probabilities.
+@dataclass
+class Episodes:
+    """Phase-2 inputs, one row per task; ``Episodes.of`` maps and checks each query set once."""
 
-    Task i's query logits are P_i w_tilde[i]; the adapter w_tilde[i] @ M is never formed.
-    """
-    coords = [feature_map(task.query_x) @ memory.M.T for task in tasks]
-    sizes = np.array([len(rows) for rows in coords])
-    require(sizes.min() >= 1, "query is empty")
-    coords = check_finite(np.concatenate(coords), "query features")
+    task_ids: list
+    z: np.ndarray           # (T, d_z) descriptor values
+    theta_hats: np.ndarray  # (T, d_theta) support adapters
+    n_support: np.ndarray   # (T,)
+    coords: list            # per task, P_i = feature_map(x_q) M^T (n_i x K)
+    labels: list            # per task, query_y
+
+    @classmethod
+    def of(cls, tasks, z, theta_hats, memory, feature_map) -> "Episodes":
+        mapped = {}  # a task at several support sizes keeps one query array: map it once
+        for x in (task.query_x for task in tasks):
+            if id(x) not in mapped:
+                mapped[id(x)] = check_finite(feature_map(x) @ memory.M.T, "query features")
+        coords = [mapped[id(task.query_x)] for task in tasks]
+        require(all(len(rows) >= 1 for rows in coords), "query is empty")
+        return cls([task.task_id for task in tasks], z, theta_hats,
+                   np.array([task.n_support for task in tasks]), coords,
+                   [task.query_y for task in tasks])
+
+    def take(self, rows) -> "Episodes":
+        """The episodes at ``rows``, in that order (a minibatch)."""
+        return Episodes([self.task_ids[i] for i in rows], self.z[rows], self.theta_hats[rows],
+                        self.n_support[rows], [self.coords[i] for i in rows],
+                        [self.labels[i] for i in rows])
+
+
+def _query_probs(episodes: Episodes, w_tilde):
+    """A block's stacked P_i, query sizes and probabilities; task i's logits are P_i w_tilde[i]."""
+    coords = np.concatenate(episodes.coords)
+    sizes = np.array([len(rows) for rows in episodes.coords])
     return coords, sizes, sigmoid((coords * np.repeat(w_tilde, sizes, axis=0)).sum(axis=1))
 
 
-def outer_terms(tasks, memory, w_tilde, feature_map):
+def outer_terms(episodes: Episodes, w_tilde):
     """The outer objective's terms for a block of tasks, in prototype coordinates.
 
-    The queries map as in ``_query_probs``; segment sums take each task's mean
-    over its own rows, so query sizes may differ between tasks.
+    Segment sums take each task's mean over its own query rows, so query
+    sizes may differ between tasks.
 
     Returns the pooled query probabilities and, one entry or row per task, the
     query cross-entropy (probabilities clipped to [1e-12, 1 - 1e-12]),
@@ -432,9 +458,9 @@ def outer_terms(tasks, memory, w_tilde, feature_map):
     the gradients in w_tilde of the cross-entropy, P_i^T (p - y) / n_i, and of
     the entropy.
     """
-    coords, sizes, probs = _query_probs(tasks, memory, w_tilde, feature_map)
+    coords, sizes, probs = _query_probs(episodes, w_tilde)
     starts = np.cumsum(sizes) - sizes
-    labels = np.concatenate([task.query_y for task in tasks]).astype(float)
+    labels = np.concatenate(episodes.labels).astype(float)
     p = np.clip(probs, 1e-12, 1.0 - 1e-12)
     nll = -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
     ce = np.add.reduceat(nll, starts) / sizes
@@ -494,7 +520,6 @@ class TrainConfig:
     weight_decay: float = 0.0
     patience: int = 40
     jaccard_min: float = 0.9
-    min_delta: float = 1e-4
     seed: int = 0
     r_keep: int = 2
     eta: float = 0.01
@@ -518,7 +543,6 @@ class TrainResult:
     net: RetrievalNet
     history: list
     stopped_epoch: int
-    best_val_auc: float
 
 
 def predict_task(task, memory, net, descriptor, theta_hat, pcfg, r_keep,
@@ -538,41 +562,39 @@ def predict_task(task, memory, net, descriptor, theta_hat, pcfg, r_keep,
     return probs, solution
 
 
-def _episode_block(tasks, memory, net, descriptors, theta_hats, pcfg, r_keep,
-                   transform=None, hard_threshold=True, record_tape=False):
-    """The phase-2 step for a list of tasks: one warp, one net and one block solve.
+def _episode_block(episodes: Episodes, memory, net, pcfg, r_keep, transform=None,
+                   hard_threshold=True, record_tape=False):
+    """The phase-2 step for a block of episodes: one warp, one net and one block solve.
 
     Each task solves with ``pcfg``'s gamma scaled to its support size
     (``GAMMA_REF_SIZE``). Returns the ``BlockSolution`` and the backward
     pass's states (z_raw, warp hidden, z, net hidden), one row per task.
     """
-    z_raw = np.stack([descriptors[task.task_id].values for task in tasks])
+    z_raw = episodes.z
     z, warp_hidden = transform.forward(z_raw) if transform is not None else (z_raw, None)
     logits, net_hidden = net.forward(z)
-    theta = np.stack([theta_hats[task.task_id] for task in tasks])
-    n_support = np.maximum([task.n_support for task in tasks], 1)
-    solution = solve_block(theta, memory, logits,
+    n_support = np.maximum(episodes.n_support, 1)
+    solution = solve_block(episodes.theta_hats, memory, logits,
                            replace(pcfg, gamma=pcfg.gamma * GAMMA_REF_SIZE / n_support),
                            r_keep, hard_threshold=hard_threshold, record_tape=record_tape)
     return solution, (z_raw, warp_hidden, z, net_hidden)
 
 
-def predict_tasks(tasks, memory, net, descriptors, theta_hats, pcfg, r_keep,
-                  feature_map, transform=None, hard_threshold=True):
-    """Pooled query probabilities and labels over tasks, plus the block's solution.
+def predict_tasks(episodes: Episodes, memory, net, pcfg, r_keep, transform=None,
+                  hard_threshold=True):
+    """Pooled query probabilities and labels over a block, plus the block's solution.
 
-    One block episode and ``_query_probs`` serve every task; ``predict_task``
-    is the one-task path.
+    ``predict_task`` is the one-task path.
     """
-    solution, _ = _episode_block(tasks, memory, net, descriptors, theta_hats, pcfg, r_keep,
-                                 transform=transform, hard_threshold=hard_threshold)
-    probs = _query_probs(tasks, memory, solution.w_tilde, feature_map)[2]
-    return probs, np.concatenate([t.query_y for t in tasks]), solution
+    solution, _ = _episode_block(episodes, memory, net, pcfg, r_keep, transform=transform,
+                                 hard_threshold=hard_threshold)
+    probs = _query_probs(episodes, solution.w_tilde)[2]
+    return probs, np.concatenate(episodes.labels), solution
 
 
-def minibatch_gradients(tasks, memory, net, descriptors, theta_hats, pcfg, r_keep,
-                        feature_map, eta, transform=None, hard_threshold=True):
-    """The gradient one training step takes: of the mean outer loss over ``tasks``.
+def minibatch_gradients(episodes: Episodes, memory, net, pcfg, r_keep, eta, transform=None,
+                        hard_threshold=True):
+    """The gradient one training step takes: of the mean outer loss over ``episodes``.
 
     One taped block episode, ``outer_terms`` on the block, ``backward_block``,
     then one VJP through the network and one through the warp; the top-r mask
@@ -582,14 +604,13 @@ def minibatch_gradients(tasks, memory, net, descriptors, theta_hats, pcfg, r_kee
     gradients keyed ("net", key) and ("warp", key).
     """
     solution, (z_raw, warp_hidden, z, net_hidden) = _episode_block(
-        tasks, memory, net, descriptors, theta_hats, pcfg, r_keep, transform=transform,
+        episodes, memory, net, pcfg, r_keep, transform=transform,
         hard_threshold=hard_threshold, record_tape=True)
     w_tilde, lam = solution.w_tilde, pcfg.lam
-    _, ce, l1, entropy, grad_ce, grad_entropy = outer_terms(tasks, memory, w_tilde,
-                                                            feature_map)
+    _, ce, l1, entropy, grad_ce, grad_entropy = outer_terms(episodes, w_tilde)
     losses = ce + lam * l1 + eta * entropy
     grad_w = grad_ce + lam * (w_tilde > 0.0) + eta * grad_entropy
-    grad_v = backward_block(solution, memory, grad_w / len(tasks))
+    grad_v = backward_block(solution, memory, grad_w / len(episodes.task_ids))
     net_grads, grad_z = net.vjp(z, net_hidden, grad_v)
     grads = {("net", key): grad for key, grad in net_grads.items()}
     if transform is not None:
@@ -598,26 +619,25 @@ def minibatch_gradients(tasks, memory, net, descriptors, theta_hats, pcfg, r_kee
     return losses, solution, grads
 
 
-def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
-                    pcfg, tcfg: TrainConfig, val_tasks=(),
+def train_retrieval(train: Episodes, memory, pcfg, tcfg: TrainConfig, val: Episodes = None,
                     transform=None, hard_threshold=True) -> TrainResult:
     """Unrolled training of the retrieval network on the outer objective.
 
-    Per minibatch, ``minibatch_gradients``: one block episode (descriptor
-    warp, net, taped solve, top-r rule unless ``hard_threshold`` is off), the
-    outer objective on the block's query sets (``outer_terms``), and one
-    backward pass through every solver iteration, the network and the warp;
-    the top-r mask passes the gradient straight through. One Adam step per minibatch moves the
-    network's and the warp's arrays together; weight decay applies to the
-    network's only. Validation takes the same block step untaped. Early
-    stopping combines a validation-score plateau (patience epochs without
-    improvement) with an active-set stability requirement (Jaccard overlap
-    between consecutive epochs).
+    Per minibatch of ``train``'s rows, ``minibatch_gradients``: one block
+    episode (descriptor warp, net, taped solve, top-r rule unless
+    ``hard_threshold`` is off), the outer objective on the block's query
+    coordinates (``outer_terms``), and one backward pass through every solver
+    iteration, the network and the warp; the top-r mask passes the gradient
+    straight through. One Adam step per minibatch moves the network's and the
+    warp's arrays together; weight decay applies to the network's only.
+    Validation takes the same block step untaped on ``val``. Early stopping
+    combines a validation-score plateau (patience epochs without an
+    improvement above 1e-4) with an active-set stability requirement (Jaccard
+    overlap between consecutive epochs).
     """
     memory.require_frozen()
-    require(len(train_tasks) >= 1, "no training tasks")
-    d_z = descriptors[train_tasks[0].task_id].values.shape[0]
-    net = RetrievalNet(d_z=d_z, k=memory.K, seed=tcfg.seed)
+    require(len(train.task_ids) >= 1, "no training tasks")
+    net = RetrievalNet(d_z=train.z.shape[1], k=memory.K, seed=tcfg.seed)
     maps = {"net": net} if transform is None else {"net": net, "warp": transform}
     params = {(name, key): arr for name, tmap in maps.items()
               for key, arr in tmap.params.items()}
@@ -629,13 +649,12 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
 
     for epoch in range(tcfg.epochs):
         rng = child_rng(tcfg.seed, "epochs", epoch)
-        order = rng.permutation(len(train_tasks))
+        order = rng.permutation(len(train.task_ids))
         losses, blocks = [], []
         for start in range(0, len(order), tcfg.batch_size):
-            batch = [train_tasks[i] for i in order[start:start + tcfg.batch_size]]
             batch_losses, solution, grads = minibatch_gradients(
-                batch, memory, net, descriptors, theta_hats, pcfg, tcfg.r_keep,
-                feature_map, tcfg.eta, transform=transform, hard_threshold=hard_threshold)
+                train.take(order[start:start + tcfg.batch_size]), memory, net, pcfg,
+                tcfg.r_keep, tcfg.eta, transform=transform, hard_threshold=hard_threshold)
             losses.extend(batch_losses)
             blocks.append(solution)
             if tcfg.weight_decay:
@@ -644,10 +663,9 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
             opt.step(grads)
 
         val_auc, jac = np.nan, 1.0
-        if val_tasks:
-            probs, labels, solution = predict_tasks(val_tasks, memory, net, descriptors,
-                                                    theta_hats, pcfg, tcfg.r_keep,
-                                                    feature_map, transform=transform,
+        if val is not None:
+            probs, labels, solution = predict_tasks(val, memory, net, pcfg, tcfg.r_keep,
+                                                    transform=transform,
                                                     hard_threshold=hard_threshold)
             val_auc = rank_auc_or_nan(probs, labels)
             active = solution.w_tilde != 0.0
@@ -657,7 +675,7 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
                 overlap = (active & prev_active).sum(axis=1) / np.maximum(union, 1)
                 jac = float(np.mean(np.where(union > 0, overlap, 1.0)))
             prev_active = active
-            if val_auc > best_auc + tcfg.min_delta:
+            if val_auc > best_auc + 1e-4:
                 best_auc, best_params, since_best = val_auc, net.snapshot(), 0
             else:
                 since_best += 1
@@ -668,23 +686,21 @@ def train_retrieval(train_tasks, memory, descriptors, theta_hats, feature_map,
             converged_frac=float(np.mean(np.concatenate([b.converged for b in blocks]))),
             mean_active_size=float(np.mean(np.concatenate(
                 [np.count_nonzero(b.w_tilde, axis=1) for b in blocks])))))
-        if val_tasks and since_best >= tcfg.patience and jac >= tcfg.jaccard_min:
+        if val is not None and since_best >= tcfg.patience and jac >= tcfg.jaccard_min:
             break
 
-    if val_tasks and np.isfinite(best_auc):
+    if val is not None and np.isfinite(best_auc):
         # the warp keeps its last-epoch arrays: restoring it too lowered fewshot
         # test AUC on 5 of 6 corpus seeds (CHANGES.md), so that waits for evidence
         net.params.update(best_params)
-    return TrainResult(net=net, history=history, stopped_epoch=len(history) - 1,
-                       best_val_auc=float(best_auc if np.isfinite(best_auc) else np.nan))
+    return TrainResult(net=net, history=history, stopped_epoch=len(history) - 1)
 
 
 # ---------------------------------------------------------------------------
 # Validation sweep over the penalty surface
 # ---------------------------------------------------------------------------
 
-def sweep_lambda_eta(lam_grid, eta_grid, tasks, memory, net, descriptors,
-                     theta_hats, pcfg, r_keep, feature_map,
+def sweep_lambda_eta(lam_grid, eta_grid, episodes: Episodes, memory, net, pcfg, r_keep,
                      transform=None, hard_threshold=True):
     """Validation surface over (lam, eta): pooled AUC and sparsity averages.
 
@@ -694,14 +710,12 @@ def sweep_lambda_eta(lam_grid, eta_grid, tasks, memory, net, descriptors,
     solutions.
     """
     require(len(lam_grid) >= 1 and len(eta_grid) >= 1, "grids must be nonempty")
-    labels = np.concatenate([t.query_y for t in tasks])
+    labels = np.concatenate(episodes.labels)
     rows = []
     for lam in lam_grid:
-        solution, _ = _episode_block(tasks, memory, net, descriptors, theta_hats,
-                                     replace(pcfg, lam=lam), r_keep, transform=transform,
-                                     hard_threshold=hard_threshold)
-        probs, ce, l1, entropy, _, _ = outer_terms(tasks, memory, solution.w_tilde,
-                                                   feature_map)
+        solution, _ = _episode_block(episodes, memory, net, replace(pcfg, lam=lam), r_keep,
+                                     transform=transform, hard_threshold=hard_threshold)
+        probs, ce, l1, entropy, _, _ = outer_terms(episodes, solution.w_tilde)
         auc = rank_auc_or_nan(probs, labels)
         mean_l0_pre = float(np.mean(np.sum(solution.w > 1e-10, axis=1)))
         mean_l0_post = float(np.mean(np.sum(solution.w_tilde > 1e-10, axis=1)))

@@ -45,6 +45,7 @@ from protoadapt.prototypes import (
 )
 from protoadapt.resampling import bootstrap_statistics, percentile_interval
 from protoadapt.retrieval import (
+    Episodes,
     ProximalConfig,
     RetrievalNet,
     _episode_block,
@@ -266,11 +267,6 @@ class _Task:
         self.n_support = n_support
 
 
-class _Descriptor:
-    def __init__(self, values):
-        self.values = values
-
-
 def _identity_map(x):
     return x
 
@@ -312,8 +308,9 @@ def test_training_gradient_vs_finite_differences():
                                  centroids=chain.project(atoms)).freeze()
         tasks = [_Task(f"t{i}", rng.normal(size=(8, d)), rng.integers(0, 2, size=8),
                        int(rng.choice([5, 10, 20]))) for i in range(int(rng.integers(2, 6)))]
-        descriptors = {t.task_id: _Descriptor(rng.normal(size=d_z)) for t in tasks}
-        theta_hats = {t.task_id: rng.normal(size=d) for t in tasks}
+        z = np.stack([rng.normal(size=d_z) for _ in tasks])
+        theta_hats = np.stack([rng.normal(size=d) for _ in tasks])
+        episodes = Episodes.of(tasks, z, theta_hats, memory, _identity_map)
 
         # gamma at 5 support examples: each task solves with 0.5 * 5 / n_support
         pcfg = ProximalConfig(lam=1e-3, gamma=0.5, t_prox=8, tol=1e-300)
@@ -322,15 +319,13 @@ def test_training_gradient_vs_finite_differences():
         warp = make_transform(d_z, WarpConfig(hidden=4, init_scale=0.5), seed=trial)
 
         def mean_loss():
-            solution, _ = _episode_block(tasks, memory, net, descriptors, theta_hats, pcfg,
-                                         k, transform=warp)
+            solution, _ = _episode_block(episodes, memory, net, pcfg, k, transform=warp)
             return float(np.mean([
                 _outer_loss(t.query_x, t.query_y, compose_adapter(memory, w_tilde),
                             w_tilde, pcfg.lam, eta)
                 for t, w_tilde in zip(tasks, solution.w_tilde)]))
 
-        _, _, grads = minibatch_gradients(tasks, memory, net, descriptors, theta_hats,
-                                          pcfg, k, _identity_map, eta, transform=warp)
+        _, _, grads = minibatch_gradients(episodes, memory, net, pcfg, k, eta, transform=warp)
         ours, fd = [], []
         for (name, key), grad in grads.items():
             arr = (net if name == "net" else warp).params[key]

@@ -148,7 +148,7 @@ class TestBuildDescriptor:
             task = _Task(base.support_x[:n], base.support_y[:n], task_id=f"n{n}",
                          partition=base.partition)
             desc = build_descriptor(task, probe, chain, std, fmap)
-            assert desc.d_z == 2 * q + len(DEFAULT_PERCENTILES) + r + 1
+            assert desc.values.shape == (2 * q + len(DEFAULT_PERCENTILES) + r + 1,)
             assert list(desc.blocks) == ["moments", "order_stats", "gradient"]
 
     def test_permutation_invariance(self):

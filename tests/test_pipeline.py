@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -303,6 +304,26 @@ class TestPhase2:
             assert 0.0 <= row.converged_frac <= 1.0
             assert 1.0 <= row.mean_active_size <= r_keep
 
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_each_query_set_is_mapped_once(self, tiny_artifacts, monkeypatch, epochs):
+        cfg, art = tiny_artifacts
+        # resampled supports keep the task's query array, so identity names the set;
+        # at two training sizes each Ret-Train query set serves two episodes
+        queries = {id(task.query_x): task.task_id
+                   for task in art.corpus.tasks_in("Ret-Train", "Ret-Val", "Ret-Test")}
+        fmap, calls = art.corpus.feature_map(), Counter()
+
+        def counting_map(x):
+            if id(x) in queries:
+                calls[queries[id(x)]] += 1
+            return fmap(x)
+
+        monkeypatch.setattr(art.corpus, "feature_map", lambda: counting_map)
+        result = run_phase2(replace(cfg, epochs=epochs, patience=epochs + 1,
+                                    train_sizes=(5, 10)), art)
+        assert len(result.history) == epochs
+        assert calls == Counter(queries.values())
+
     def test_persist_only_writes_and_sweep_is_separate(self, tiny_artifacts, tmp_path,
                                                        monkeypatch):
         cfg, art = tiny_artifacts
@@ -340,8 +361,8 @@ class TestPhase2:
         art_disk = run_phase1(cfg_disk)
         tasks = pipeline._ret_tasks_at_size(art_disk, "Ret-Test",
                                             pipeline._support_size(cfg_disk))
-        descriptors, theta_hats = pipeline._prepare_inputs(cfg_disk, art_disk, tasks)
-        d_z = descriptors[tasks[0].task_id].d_z
+        episodes = pipeline._prepare_inputs(cfg_disk, art_disk, tasks)
+        d_z = episodes.z.shape[1]
         net = retrieval.RetrievalNet(d_z, art_disk.memory.K)
         warp = make_transform(d_z, cfg_disk.warp, seed=cfg_disk.seed)
         untrained = {key: arr.copy() for key, arr in warp.params.items()}
@@ -350,11 +371,9 @@ class TestPhase2:
             tmap.params = {key: np.asarray(value, dtype=float) for key, value in saved.items()}
         assert any(not np.array_equal(warp.params[key], untrained[key]) for key in untrained)
         probs, labels, _ = retrieval.predict_tasks(
-            tasks, art_disk.memory, net, descriptors, theta_hats,
-            pipeline._proximal_config(cfg_disk),
+            episodes, art_disk.memory, net, pipeline._proximal_config(cfg_disk),
             pipeline._r_keep(cfg_disk, art_disk.rank_selected, art_disk.memory.K),
-            art_disk.corpus.feature_map(), transform=warp,
-            hard_threshold=cfg_disk.hard_threshold)
+            transform=warp, hard_threshold=cfg_disk.hard_threshold)
         assert probs.tobytes() == result.test_probs.tobytes()
         assert np.array_equal(labels, result.test_labels)
 
@@ -415,7 +434,7 @@ class TestPhase2:
         cfg = replace(tiny_config(train_sizes=(3, 10)), epochs=2, patience=3)
         art = run_phase1(cfg)
         result = run_phase2(cfg, art)
-        d_z = {desc.d_z for desc in result.descriptors.values()}
+        d_z = {episodes.z.shape[1] for episodes in result.splits.values()}
         assert len(d_z) == 1
         rows = run_support_sweep(cfg, art, result)
         assert [r["support_size"] for r in rows] == list(cfg.support_sizes_eval)

@@ -13,6 +13,7 @@ from protoadapt.prototypes import PrototypeMemory, ProjectionChain
 from protoadapt.retrieval import (
     GAMMA_REF_SIZE,
     Adam,
+    Episodes,
     ProximalConfig,
     RetrievalNet,
     RetrievalSolution,
@@ -488,15 +489,29 @@ class TestCompose:
 
 
 class _Query:
+    task_id, n_support = "q", 5
+
     def __init__(self, query_x, query_y):
         self.query_x, self.query_y = query_x, query_y
+
+
+def _query_block(tasks, memory, feature_map=identity_map):
+    """``Episodes`` of query sets alone; the descriptor and adapter rows are zeros."""
+    return Episodes.of(tasks, np.zeros((len(tasks), 1)), np.zeros((len(tasks), memory.d_theta)),
+                       memory, feature_map)
+
+
+def _block(tasks, memory, descriptors, theta_hats, feature_map=identity_map):
+    """The toy tasks as one ``Episodes`` block, read from their by-id dicts, in task order."""
+    return Episodes.of(tasks, np.stack([descriptors[t.task_id].values for t in tasks]),
+                       np.stack([theta_hats[t.task_id] for t in tasks]), memory, feature_map)
 
 
 def _entropy(w):
     """The entropy ``outer_terms`` returns for w as a one-task block."""
     memory = make_memory(np.eye(len(w)))
-    return outer_terms([_Query(np.zeros((1, len(w))), [1])], memory, w[None],
-                       identity_map)[3][0]
+    return outer_terms(_query_block([_Query(np.zeros((1, len(w))), [1])], memory),
+                       w[None])[3][0]
 
 
 def _outer_totals(terms, w_tilde, lam, eta):
@@ -526,8 +541,8 @@ class TestOuterObjective:
         memory = make_memory(rng.normal(size=(4, 3)))
         w_tilde = np.abs(rng.normal(size=4))
         lam, eta = 0.05, 0.2
-        _, ce, l1, entropy, _, _ = outer_terms([_Query(x, y)], memory, w_tilde[None],
-                                               identity_map)
+        _, ce, l1, entropy, _, _ = outer_terms(_query_block([_Query(x, y)], memory),
+                                               w_tilde[None])
         total = ce[0] + lam * l1[0] + eta * entropy[0]
         p = np.clip(sigmoid(x @ compose_adapter(memory, w_tilde)), 1e-12, 1 - 1e-12)
         ce = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
@@ -553,7 +568,7 @@ class TestOuterObjective:
                        if trial % 3 else w)
             lam = float(rng.choice([0.0, 1e-4, 0.05]))
             eta = float(rng.choice([0.0, 0.01, 0.3]))
-            terms = outer_terms(tasks, memory, w_tilde, identity_map)
+            terms = outer_terms(_query_block(tasks, memory), w_tilde)
             totals, grads = _outer_totals(terms, w_tilde, lam, eta)
             probs = np.split(terms[0], np.cumsum([len(t.query_y) for t in tasks])[:-1])
             assert len(terms[0]) == sum(len(t.query_y) for t in tasks)
@@ -579,7 +594,15 @@ class TestOuterObjective:
         memory = make_memory(np.eye(2))
         tasks = [_Query(np.ones((3, 2)), [0, 1, 1]), _Query(np.zeros((0, 2)), [])]
         with pytest.raises(ValidationError, match="query is empty"):
-            outer_terms(tasks, memory, np.ones((2, 2)), identity_map)
+            _query_block(tasks, memory)
+
+    def test_non_finite_query_feature_is_rejected(self):
+        memory = make_memory(np.eye(2))
+        query_x = np.ones((3, 2))
+        query_x[1, 0] = np.nan
+        tasks = [_Query(np.ones((2, 2)), [0, 1]), _Query(query_x, [0, 1, 1])]
+        with pytest.raises(ValidationError, match="query features"):
+            _query_block(tasks, memory)
 
 
 def _pair_outer_objective(query_x, query_y, adapter, w_tilde, lam, eta, feature_map):
@@ -638,7 +661,7 @@ class TestUnrolledBackward:
             return total
 
         sol, tape = solve_proximal(theta_hat, memory, v0, cfg, record_tape=True)
-        terms = outer_terms([_Query(query_x, query_y)], memory, sol.w[None], identity_map)
+        terms = outer_terms(_query_block([_Query(query_x, query_y)], memory), sol.w[None])
         _, grad_w = _outer_totals(terms, sol.w[None], lam, eta)
         grad_v = backward_through_solve(tape, memory, grad_w[0])
 
@@ -688,8 +711,8 @@ class TestTraining:
         tcfg = TrainConfig(epochs=4, lr=0.0, r_keep=1, seed=0)
         warp = make_transform(3, WarpConfig(hidden=4), seed=0)
         warp_before = {key: arr.copy() for key, arr in warp.params.items()}
-        result = train_retrieval(tasks, memory, descriptors, theta_hats,
-                                 identity_map, pcfg, tcfg, transform=warp)
+        result = train_retrieval(_block(tasks, memory, descriptors, theta_hats), memory,
+                                 pcfg, tcfg, transform=warp)
         fresh = RetrievalNet(d_z=3, k=3, seed=0)
         for key in fresh.params:
             assert np.array_equal(result.net.params[key], fresh.params[key])
@@ -717,8 +740,8 @@ class TestTraining:
         # so training has to move the argmax onto the matching prototype
         pcfg = ProximalConfig(lam=1e-4, gamma=1.0, t_prox=5)
         tcfg = TrainConfig(epochs=200, lr=5e-3, r_keep=1, seed=1)
-        result = train_retrieval([_T()], memory, {"only": _D()},
-                                 {"only": np.zeros(2)}, identity_map, pcfg, tcfg)
+        result = train_retrieval(_block([_T()], memory, {"only": _D()}, {"only": np.zeros(2)}),
+                                 memory, pcfg, tcfg)
         logits, _ = result.net.forward(np.array([0.5, -0.5]))
         assert int(np.argmax(logits)) == 1
         losses = [row.train_loss for row in result.history]
@@ -750,8 +773,8 @@ class TestTraining:
             return out
 
         monkeypatch.setattr(retrieval, "predict_tasks", spy)
-        result = train_retrieval(tasks, memory, descriptors, theta_hats, identity_map,
-                                 pcfg, tcfg, val_tasks=tasks, hard_threshold=False)
+        block = _block(tasks, memory, descriptors, theta_hats)
+        result = train_retrieval(block, memory, pcfg, tcfg, val=block, hard_threshold=False)
         soft, hard = mean_loss(lambda w: w), mean_loss(lambda w: hard_top_r(w, 1))
         assert soft != pytest.approx(hard)
         assert [row.train_loss for row in result.history] == pytest.approx([soft] * 2,
@@ -770,7 +793,7 @@ class TestTraining:
         tcfg = TrainConfig(epochs=1, batch_size=4, lr=0.05, weight_decay=0.1,
                            r_keep=1, seed=0)
         warp = make_transform(3, WarpConfig(hidden=4, init_scale=0.5), seed=7)
-        result = train_retrieval(tasks, memory, descriptors, theta_hats, identity_map,
+        result = train_retrieval(_block(tasks, memory, descriptors, theta_hats), memory,
                                  pcfg, tcfg, transform=warp)
         oracle_warp = _FlatVectorWarp(3, 4, seed=7, init_scale=0.5, lr=tcfg.lr)
         oracle_net = _two_optimizer_epoch(tasks, memory, descriptors, theta_hats, pcfg,
@@ -798,8 +821,9 @@ class TestTraining:
                 return out
 
             monkeypatch.setattr(retrieval, "predict_tasks", spy)
-            result = train_retrieval(tasks, memory, descriptors, theta_hats, identity_map,
-                                     pcfg, tcfg, val_tasks=tasks, hard_threshold=False)
+            block = _block(tasks, memory, descriptors, theta_hats)
+            result = train_retrieval(block, memory, pcfg, tcfg, val=block,
+                                     hard_threshold=False)
             monkeypatch.undo()
             actives = [[set(np.nonzero(w)[0]) for w in block.w_tilde] for block in blocks]
             expected = [1.0] + [float(np.mean([_set_jaccard(a, b) for a, b in zip(now, before)]))
@@ -915,13 +939,15 @@ class TestSweep:
             values = rng.normal(size=4)
 
         net = RetrievalNet(d_z=4, k=3, seed=2)
-        pcfg = ProximalConfig(lam=1e-3, gamma=0.2, t_prox=8)
-        rows = sweep_lambda_eta([1e-3], [0.1], [_T()], memory, net,
-                                {"a": _D()}, {"a": rng.normal(size=2)},
-                                pcfg, r_keep=2, feature_map=identity_map)
+        descs, thetas = {"a": _D()}, {"a": rng.normal(size=2)}
+        # the config's lam differs from the grid's, so a sweep that solves at the
+        # config's lam, or scores without the grid eta, does not match the cell
+        pcfg = ProximalConfig(lam=0.5, gamma=0.2, t_prox=8)
+        rows = sweep_lambda_eta([1e-3], [0.1], _block([_T()], memory, descs, thetas), memory,
+                                net, pcfg, r_keep=2)
         assert len(rows) == 1
-        probs, sol = predict_task(_T(), memory, net, _D(), rows and rng.normal(size=2),
-                                  pcfg, 2, identity_map)
+        _assert_rows_match(rows, _sweep_double_loop([1e-3], [0.1], [_T()], memory, net, descs,
+                                                    thetas, pcfg, 2, identity_map))
         assert 0.0 <= rows[0]["auc"] <= 1.0
         assert rows[0]["mean_l0_post"] <= 2
 
@@ -959,11 +985,10 @@ class TestSweep:
         pre = [mean_l0_pre(lam, budget=3000) for lam in lam_grid]
         assert all(a >= b - 1e-9 for a, b in zip(pre, pre[1:]))
         # the surface reports its own solves, and a cell equals its recomputation
-        rows = sweep_lambda_eta(lam_grid, [0.0], tasks, memory, net, descs, thetas,
-                                pcfg, r_keep=6, feature_map=identity_map)
+        block = _block(tasks, memory, descs, thetas)
+        rows = sweep_lambda_eta(lam_grid, [0.0], block, memory, net, pcfg, r_keep=6)
         assert [row["mean_l0_pre"] for row in rows] == [mean_l0_pre(lam) for lam in lam_grid]
-        again = sweep_lambda_eta([lam_grid[1]], [0.0], tasks, memory, net, descs,
-                                 thetas, pcfg, r_keep=6, feature_map=identity_map)
+        again = sweep_lambda_eta([lam_grid[1]], [0.0], block, memory, net, pcfg, r_keep=6)
         assert again[0]["auc"] == rows[1]["auc"]
         assert again[0]["mean_l0_pre"] == rows[1]["mean_l0_pre"]
 
@@ -987,40 +1012,12 @@ class TestSweep:
         net = RetrievalNet(d_z=3, k=5, seed=4)
         pcfg = ProximalConfig(lam=0.0, gamma=0.1, t_prox=12)
         lam_grid, eta_grid = [1e-4, 1e-2, 0.3], [0.0, 0.01, 0.5]
-        rows = sweep_lambda_eta(lam_grid, eta_grid, tasks, memory, net, descs, thetas,
-                                pcfg, r_keep=3, feature_map=identity_map)
+        rows = sweep_lambda_eta(lam_grid, eta_grid, _block(tasks, memory, descs, thetas),
+                                memory, net, pcfg, r_keep=3)
         oracle = _sweep_double_loop(lam_grid, eta_grid, tasks, memory, net, descs,
                                     thetas, pcfg, 3, identity_map)
         assert len({row["mean_objective"] for row in rows}) == len(rows)
         _assert_rows_match(rows, oracle)
-
-    def test_each_query_is_mapped_once_per_lambda(self):
-        rng = np.random.default_rng(19)
-        memory = make_memory(rng.normal(size=(4, 3)))
-        tasks, descs, thetas = [], {}, {}
-        for i in range(3):
-            t = type("T", (), {})()
-            t.task_id, t.n_support = f"c{i}", 5 + i
-            t.query_x = rng.normal(size=(5 + i, 3))
-            t.query_y = np.array([0, 1] * 4)[:5 + i]
-            tasks.append(t)
-            descs[t.task_id] = type("D", (), {"values": rng.normal(size=2)})()
-            thetas[t.task_id] = rng.normal(size=3)
-        net = RetrievalNet(d_z=2, k=4, seed=6)
-        pcfg = ProximalConfig(lam=0.0, gamma=0.1, t_prox=10)
-        lam_grid, eta_grid = [1e-4, 0.05], [0.0, 0.01, 0.5]
-        calls = []
-
-        def counting_map(x):
-            calls.append(x.shape[0])
-            return x
-
-        rows = sweep_lambda_eta(lam_grid, eta_grid, tasks, memory, net, descs, thetas,
-                                pcfg, r_keep=2, feature_map=counting_map)
-        assert calls == [5, 6, 7] * len(lam_grid)
-        _assert_rows_match(rows, _sweep_double_loop(lam_grid, eta_grid, tasks, memory, net,
-                                                    descs, thetas, pcfg, 2, identity_map))
-
 
     def test_support_scaled_gamma_with_the_grid_lam(self):
         rng = np.random.default_rng(18)
@@ -1036,8 +1033,8 @@ class TestSweep:
             thetas[t.task_id] = rng.normal(size=3)
         net = RetrievalNet(d_z=2, k=4, seed=5)
         pcfg = ProximalConfig(lam=0.5, gamma=0.4, t_prox=10)
-        rows = sweep_lambda_eta([1e-3, 0.2], [0.0], tasks, memory, net, descs, thetas,
-                                pcfg, r_keep=2, feature_map=identity_map)
+        rows = sweep_lambda_eta([1e-3, 0.2], [0.0], _block(tasks, memory, descs, thetas),
+                                memory, net, pcfg, r_keep=2)
 
         def mean_objective(lam, size_of):
             objective = []
@@ -1077,8 +1074,8 @@ class TestOneTaskPath:
             thetas[t.task_id] = rng.normal(size=3)
         net = RetrievalNet(d_z=2, k=4, seed=7)
         pcfg = ProximalConfig(lam=1e-3, gamma=0.4, t_prox=10)
-        probs, _, block = predict_tasks(tasks, memory, net, descs, thetas, pcfg, 2,
-                                        identity_map)
+        probs, _, block = predict_tasks(_block(tasks, memory, descs, thetas), memory, net,
+                                        pcfg, 2)
         rows = np.cumsum([0] + [len(t.query_y) for t in tasks])
         # the block solves in Gram form, the one-task path with solve_proximal:
         # the block contract's tolerance
@@ -1099,8 +1096,9 @@ def _sweep_double_loop(lam_grid, eta_grid, tasks, memory, net, descriptors, thet
     for lam in lam_grid:
         for eta in eta_grid:
             pcfg = dataclasses.replace(pcfg_base, lam=lam)
-            probs, labels, block = predict_tasks(tasks, memory, net, descriptors,
-                                                 theta_hats, pcfg, r_keep, feature_map)
+            probs, labels, block = predict_tasks(
+                _block(tasks, memory, descriptors, theta_hats, feature_map), memory, net,
+                pcfg, r_keep)
             objective = []
             for task, w_tilde in zip(tasks, block.w_tilde):
                 adapter = compose_adapter(memory, w_tilde)
