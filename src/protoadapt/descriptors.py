@@ -97,13 +97,6 @@ class Standardizer:
         return (moments_vec - self.mean) / self.std
 
 
-@dataclass
-class TaskDescriptor:
-    task_id: str
-    values: np.ndarray
-    blocks: dict
-
-
 def _percentiles(values, q):
     """``np.percentile(values, q)`` (linear method) from one sort, bit for bit.
 
@@ -129,13 +122,14 @@ def _percentiles(values, q):
 
 def build_descriptor(task, probe: ProbeHead, chain, standardizer: Standardizer,
                      feature_map, percentiles=DEFAULT_PERCENTILES,
-                     clip: float = 10.0) -> TaskDescriptor:
+                     clip: float = 10.0) -> np.ndarray:
     """Concatenate standardized moments, percentiles, and the projected gradient.
 
-    Layout: (standardized mu_h and sigma_h, percentile set of the pooled
-    support coordinates, rank-r projection of the probe gradient plus its
-    bias partial), the same at every support size. All entries are clipped
-    elementwise.
+    Layout, the same at every support size: standardized mu_h and sigma_h
+    (the first 2q entries), the percentile set of the pooled support
+    coordinates (the next len(percentiles)), and the rank-r projection of the
+    probe gradient plus its bias partial (the last r + 1). Returns the vector
+    with every entry clipped to [-clip, clip].
     """
     if standardizer.fitted_on is not None:
         if any(tag not in PRE_PARTITIONS for tag in standardizer.fitted_on):
@@ -149,9 +143,7 @@ def build_descriptor(task, probe: ProbeHead, chain, standardizer: Standardizer,
     g_proj = chain.project(grad[:-1])
     g_block = np.concatenate([g_proj, grad[-1:]])
 
-    blocks = {"moments": std_block, "order_stats": order_block, "gradient": g_block}
-    values = np.clip(np.concatenate(list(blocks.values())), -clip, clip)
-    return TaskDescriptor(task_id=task.task_id, values=values, blocks=blocks)
+    return np.clip(np.concatenate([std_block, order_block, g_block]), -clip, clip)
 
 
 def descriptors_to_csv(blocks, path) -> None:

@@ -525,7 +525,7 @@ def _prepare_inputs(cfg: RunConfig, artifacts: Phase1Artifacts, tasks) -> Episod
     """The tasks' phase-2 inputs: descriptors, support adapters and query coordinates."""
     fmap = artifacts.corpus.feature_map()
     z = [build_descriptor(task, artifacts.probe, artifacts.memory.chain,
-                          artifacts.standardizer, fmap).values for task in tasks]
+                          artifacts.standardizer, fmap) for task in tasks]
     theta_hats = [ridge_adapter(task, fmap, cfg.ridge_alpha_retrieval * task.n_support)
                   for task in tasks]
     return Episodes.of(tasks, np.stack(z), np.stack(theta_hats), artifacts.memory, fmap)

@@ -14,10 +14,10 @@ objective on the block (``outer_terms``) and, in training, ``backward_block``.
 ``solve_block`` takes one ``ProximalConfig`` (lam and gamma one value or one
 per row) and returns one ``BlockSolution`` of arrays. One-task calls
 (``predict_task``) run the warp, the network, ``solve_proximal`` and the
-top-r rule directly; ``solve_proximal`` and ``backward_through_solve`` are the
-arithmetic the block code is checked against, and cost less than a block of
-one row. Both paths scale a config's gamma to each task's support size
-(``GAMMA_REF_SIZE``).
+top-r rule directly; ``solve_proximal`` works in Gram form too, on length-K
+vectors. The tests check it against the reconstruction-form loop kept there as
+its oracle, and the block code against it and ``backward_through_solve``. Both
+paths scale a config's gamma to each task's support size (``GAMMA_REF_SIZE``).
 """
 
 from __future__ import annotations
@@ -95,6 +95,12 @@ def solve_proximal(theta_hat, memory, v, cfg: ProximalConfig,
     (defaults to cfg.t_prox, the training unroll length; evaluation callers
     may pass a larger budget to solve to tolerance).
 
+    Gram form, on length-K vectors: with H = G + 2 gamma I (G = M M^T, cached
+    on the memory) and c = lam - M theta_hat - 2 gamma p, the objective on
+    w >= 0 is 0.5 w H w^T + c w^T + 0.5 ||theta_hat||^2 + gamma ||p||^2 and the
+    prox step from x is max(x (I - tau H) - tau c, 0). The tests keep the
+    reconstruction-form loop as the oracle; the two round differently.
+
     Returns the pre-threshold solution; with ``record_tape`` also returns
     the iteration tape used for unrolled differentiation.
     """
@@ -105,27 +111,23 @@ def solve_proximal(theta_hat, memory, v, cfg: ProximalConfig,
     require(v.shape[0] == memory.K, "logit length must equal K")
     p = softmax(v)
 
-    m_rows, lam, gamma = memory.M, cfg.lam, cfg.gamma
-    two_gamma = 2.0 * gamma
-    smax = memory.operator_norm()
-    lipschitz = smax**2 + two_gamma
+    gamma = cfg.gamma
+    lipschitz = memory.operator_norm() ** 2 + 2.0 * gamma
     tau = 1.0 / lipschitz if lipschitz > 0 else 1.0
-    tau_lam, kkt_scale = tau * lam, max(tau, 1e-300)
+    kkt_scale = max(tau, 1e-300)
     steps = budget if budget is not None else cfg.t_prox
+    eye = np.eye(memory.K)
+    hessian = memory.gram() + 2.0 * gamma * eye
+    linear = cfg.lam - memory.M @ theta_hat - 2.0 * gamma * p
+    const = 0.5 * float(theta_hat @ theta_hat) + gamma * float(p @ p)
+    half_hessian, step_map, tau_linear = 0.5 * hessian, eye - tau * hessian, tau * linear
 
     def objective(x):
-        recon = x @ m_rows - theta_hat
-        val = 0.5 * float(recon @ recon) + lam * float(x.sum())
-        if gamma > 0:
-            val += gamma * float(((x - p) ** 2).sum())
-        return val
+        return float((x @ half_hessian + linear) @ x) + const
 
     def prox_step(x):
         """Prox-gradient step from x and the objective at its result."""
-        grad = m_rows @ (x @ m_rows - theta_hat)
-        if gamma > 0:
-            grad = grad + two_gamma * (x - p)
-        w_next = np.maximum(x - tau * grad - tau_lam, 0.0)
+        w_next = np.maximum(x @ step_map - tau_linear, 0.0)
         return w_next, objective(w_next)
 
     w = p.copy()
@@ -549,11 +551,12 @@ def predict_task(task, memory, net, descriptor, theta_hat, pcfg, r_keep,
                  feature_map, transform=None, hard_threshold=True):
     """Query probabilities and the solution for one task.
 
-    Warp, net logits, ``solve_proximal`` with ``pcfg``'s gamma scaled to the
-    task's support size (``GAMMA_REF_SIZE``), then w_tilde: the solution's top
-    r_keep (all of w when soft).
+    Warp of the descriptor vector (``build_descriptor``), net logits,
+    ``solve_proximal`` with ``pcfg``'s gamma scaled to the task's support size
+    (``GAMMA_REF_SIZE``), then w_tilde: the solution's top r_keep (all of w
+    when soft).
     """
-    z = descriptor.values if transform is None else transform.forward(descriptor.values)[0]
+    z = descriptor if transform is None else transform.forward(descriptor)[0]
     gamma = pcfg.gamma * GAMMA_REF_SIZE / max(task.n_support, 1)
     solution = solve_proximal(theta_hat, memory, net.forward(z)[0], replace(pcfg, gamma=gamma))
     solution.w_tilde = hard_top_r(solution.w, r_keep) if hard_threshold else solution.w.copy()

@@ -121,13 +121,18 @@ class TestStandardizerLeakage:
             Standardizer().fit_from_tasks(mixed)
 
 
+def _blocks(desc, q):
+    """The moments, percentile and gradient blocks of a descriptor, by their documented slices."""
+    return np.split(desc, [2 * q, 2 * q + len(DEFAULT_PERCENTILES)])
+
+
 class TestBuildDescriptor:
     def test_constant_coordinate_percentiles(self):
         corpus, chain, std, probe = _fitted_setup()
         task = corpus.tasks_in("Ret-Train")[0]
         task.support_x = np.full_like(task.support_x, 0.37)
         desc = build_descriptor(task, probe, chain, std, corpus.feature_map())
-        assert np.allclose(desc.blocks["order_stats"], 0.37)
+        assert np.allclose(_blocks(desc, corpus.cfg.q)[1], 0.37)
 
     def test_zero_gradient_projects_to_zero(self):
         corpus, chain, std, probe = _fitted_setup()
@@ -136,7 +141,7 @@ class TestBuildDescriptor:
         task = _Task(task.support_x, np.ones(task.support_x.shape[0], dtype=int),
                      task_id="sat", partition="Ret-Train")
         desc = build_descriptor(task, saturated, chain, std, corpus.feature_map())
-        assert np.allclose(desc.blocks["gradient"], 0.0, atol=1e-10)
+        assert np.allclose(_blocks(desc, corpus.cfg.q)[2], 0.0, atol=1e-10)
 
     def test_one_length_at_every_support_size(self):
         corpus, chain, std, probe = _fitted_setup()
@@ -148,8 +153,15 @@ class TestBuildDescriptor:
             task = _Task(base.support_x[:n], base.support_y[:n], task_id=f"n{n}",
                          partition=base.partition)
             desc = build_descriptor(task, probe, chain, std, fmap)
-            assert desc.values.shape == (2 * q + len(DEFAULT_PERCENTILES) + r + 1,)
-            assert list(desc.blocks) == ["moments", "order_stats", "gradient"]
+            assert desc.shape == (2 * q + len(DEFAULT_PERCENTILES) + r + 1,)
+            moments, order_stats, gradient = _blocks(desc, q)
+            mu, sigma = pooled_moments(task.support_x)
+            grad = _probe_fit(probe, task, fmap)
+            for block, expected in [
+                    (moments, std.transform(np.concatenate([mu, sigma]))),
+                    (order_stats, _percentiles(task.support_x, DEFAULT_PERCENTILES)),
+                    (gradient, np.concatenate([chain.project(grad[:-1]), grad[-1:]]))]:
+                assert np.array_equal(block, np.clip(expected, -10.0, 10.0))
 
     def test_permutation_invariance(self):
         corpus, chain, std, probe = _fitted_setup()
@@ -165,14 +177,14 @@ class TestBuildDescriptor:
                              task_id=task.task_id, partition=task.partition)
             d2 = build_descriptor(shuffled, probe, chain, std, fmap)
             # invariant up to float summation order
-            assert np.allclose(d1.values, d2.values, atol=1e-12)
+            assert np.allclose(d1, d2, atol=1e-12)
 
     def test_values_clipped(self):
         corpus, chain, std, probe = _fitted_setup()
         task = corpus.tasks_in("Ret-Train")[0]
         task.support_x = task.support_x * 1e6
         desc = build_descriptor(task, probe, chain, std, corpus.feature_map(), clip=10.0)
-        assert np.max(np.abs(desc.values)) <= 10.0
+        assert np.max(np.abs(desc)) <= 10.0
 
 
 class TestPercentiles:
