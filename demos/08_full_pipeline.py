@@ -28,9 +28,10 @@ print(f"penalty sweep: best validation AUC {best['auc']:.4f} at "
       f"lam {best['lam']:g}, eta {best['eta']:g}")
 
 # baselines default to phase 2's support size, the smallest of cfg.train_sizes
+# per-task times are in runtime.txt, one stage=baseline.<name> line each
 baselines = run_baselines(cfg, artifacts, outdir=outdir)
-for name, (b_rec, latency) in baselines.items():
-    print(f"baseline {name}: AUC {b_rec.auc:.4f} ({latency:.2f} ms/task)")
+for name, b_rec in baselines.items():
+    print(f"baseline {name}: AUC {b_rec.auc:.4f}")
 
 sweep = run_support_sweep(cfg, artifacts, result, outdir=outdir)
 print("support-size curve:", [(r["support_size"], round(r["auc"], 4)) for r in sweep])

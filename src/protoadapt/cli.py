@@ -75,8 +75,8 @@ def cmd_baselines(args):
     cfg = load_config(args)
     artifacts = run_phase1(cfg)
     results = run_baselines(cfg, artifacts, outdir=Path(cfg.outdir))
-    for name, (rec, lat) in results.items():
-        print(f"{name}: AUC {rec.auc:.4f} ({lat:.2f} ms/task)")
+    for name, rec in results.items():
+        print(f"{name}: AUC {rec.auc:.4f}")
 
 
 def cmd_ablate(args):

@@ -233,20 +233,21 @@ class Pi0Estimate:
     lam: float
 
 
+def _storey_estimate(p: np.ndarray, lam: float) -> float:
+    """Storey's null proportion min(1, #{p > lam} / ((1 - lam) m)) of m p-values."""
+    return min(1.0, float(np.sum(p > lam)) / ((1.0 - lam) * p.size))
+
+
 def storey_pi0(p_values, lam: float = 0.5, n_boot: int = 1000, seed: int = 0) -> Pi0Estimate:
     """Storey null-proportion estimate with a bootstrap 90 percent interval."""
     p = check_finite(p_values, "p-values").ravel()
     require(p.size >= 1, "empty p-value set")
     require(np.all((p > 0) & (p <= 1)), "p-values must lie in (0, 1]")
     require(0.0 < lam < 1.0, "lambda must lie in (0, 1)")
-
-    def estimate(sample):
-        return min(1.0, float(np.sum(sample > lam)) / ((1.0 - lam) * sample.size))
-
-    pi0 = estimate(p)
+    pi0 = _storey_estimate(p, lam)
     rng = child_rng(seed, "storey")
     idx = bootstrap_indices(p.size, n_boot, rng)
-    reps = np.array([estimate(p[row]) for row in idx])
+    reps = np.array([_storey_estimate(p[row], lam) for row in idx])
     return Pi0Estimate(pi0=pi0, ci90=percentile_interval(reps, 0.90), lam=lam)
 
 
@@ -481,7 +482,7 @@ def power_curve(effect_sizes, alpha: float, null_sampler, n_trials: int = 100,
             null_draws = np.asarray(null_sampler(rng, (b_perm, m_channels)), dtype=float)
             counts = (null_draws >= observed[None, :]).sum(axis=0)
             p_vals = (1 + counts) / (b_perm + 1)
-            pi0 = min(1.0, float(np.sum(p_vals > 0.5)) / (0.5 * m_channels))
+            pi0 = _storey_estimate(p_vals, 0.5)
             q_vals = q_values(p_vals, pi0 if pi0 > 0 else 1.0)
             hits_p += int(np.sum(p_vals[:n_planted] <= alpha))
             hits_q += int(np.sum(q_vals[:n_planted] <= alpha))

@@ -10,14 +10,14 @@ own (``run_penalty_sweep``, ``run_support_sweep``) that reuse the trained
 network; so is the motif power curve (``run_power_curve``). ``run_*``
 functions compute; ``persist_*`` functions only write.
 All tabular outputs are deterministic functions of the run configuration;
-wall-clock measurements go to runtime.txt and run.log only, never into CSVs,
-and every stage appends its lines to both files.
+time and memory go to runtime.txt only, never into CSVs: each timed stage
+appends one line, ``stage=<name> ms=<wall ms>[ tasks=<n>] rss_mb=<MB>
+run=<config hash>`` (``util.StageTimer``). Per-task latency is ms / tasks;
+``rss_mb`` is the process's peak resident set so far, not the stage's own.
 """
 
 from __future__ import annotations
 
-import time
-import tracemalloc
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -67,7 +67,7 @@ from .synthdata import (
     save_corpus_manifest,
 )
 from .tanhmap import TanhMap
-from .util import child_rng, config_hash, require, sigmoid, write_csv, write_json
+from .util import StageTimer, child_rng, config_hash, require, sigmoid, write_csv, write_json
 
 # Search-grid defaults from the experiment protocol; desk profiles override.
 DEFAULT_K_GRID = (50, 100, 200)
@@ -322,6 +322,7 @@ class Phase1Artifacts:
     merge_log: list
     k_chosen: int
     notes: list
+    runtime: list           # the phase1 stage line
 
 
 def build_corpus(cfg: RunConfig):
@@ -349,96 +350,98 @@ def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
     ``pca_rank`` sets the rank; the task-resampling Fisher test is recorded as
     the check against it.
     """
-    corpus, adapters, partition = build_corpus(cfg)
-    fmap = corpus.feature_map()
-    notes: list[str] = []
+    timer = StageTimer(cfg.hash())
+    with timer.stage("phase1", None):
+        corpus, adapters, partition = build_corpus(cfg)
+        fmap = corpus.feature_map()
+        notes: list[str] = []
 
-    seed_tasks = corpus.tasks_in("Pre-Seed")
-    pre_tasks = corpus.tasks_in("Pre-Seed", "Pre-Rest")
-    theta_seed = assemble_theta([adapters[t.task_id] for t in seed_tasks],
-                                task_ids=[t.task_id for t in seed_tasks],
-                                ridge_alpha=cfg.ridge_alpha)
-    theta_pre = assemble_theta([adapters[t.task_id] for t in pre_tasks],
-                               task_ids=[t.task_id for t in pre_tasks],
-                               ridge_alpha=cfg.ridge_alpha)
+        seed_tasks = corpus.tasks_in("Pre-Seed")
+        pre_tasks = corpus.tasks_in("Pre-Seed", "Pre-Rest")
+        theta_seed = assemble_theta([adapters[t.task_id] for t in seed_tasks],
+                                    task_ids=[t.task_id for t in seed_tasks],
+                                    ridge_alpha=cfg.ridge_alpha)
+        theta_pre = assemble_theta([adapters[t.task_id] for t in pre_tasks],
+                                   task_ids=[t.task_id for t in pre_tasks],
+                                   ridge_alpha=cfg.ridge_alpha)
 
-    if cfg.fixed_r is not None:
-        r_selected = int(cfg.fixed_r)
-        notes.append(f"rank selection disabled; fixed r={r_selected}")
-    else:
-        r_selected = pca_rank(theta_seed, cfg.rho)
+        if cfg.fixed_r is not None:
+            r_selected = int(cfg.fixed_r)
+            notes.append(f"rank selection disabled; fixed r={r_selected}")
+        else:
+            r_selected = pca_rank(theta_seed, cfg.rho)
 
-    summaries = [TaskGradientSummary.from_task(t, fmap) for t in seed_tasks]
-    dim_report_tasks = fisher_energy_test_tasks(summaries, r_center=r_selected,
-                                                n_boot=cfg.dim_n_boot, seed=cfg.seed)
-    curve = rank_curve(theta_seed, cfg.rho_list, seed=cfg.seed)
+        summaries = [TaskGradientSummary.from_task(t, fmap) for t in seed_tasks]
+        dim_report_tasks = fisher_energy_test_tasks(summaries, r_center=r_selected,
+                                                    n_boot=cfg.dim_n_boot, seed=cfg.seed)
+        curve = rank_curve(theta_seed, cfg.rho_list, seed=cfg.seed)
 
-    canon = (fit_canonicalizer(theta_seed) if cfg.canonicalize
-             else Canonicalizer.identity(theta_seed.d_theta))
-    chain = ProjectionChain(canonicalizer=canon, r=r_selected)
+        canon = (fit_canonicalizer(theta_seed) if cfg.canonicalize
+                 else Canonicalizer.identity(theta_seed.d_theta))
+        chain = ProjectionChain(canonicalizer=canon, r=r_selected)
 
-    rest_tasks = corpus.tasks_in("Pre-Rest")
-    jl_report = None
-    d_theta = theta_seed.d_theta
-    s_dim = min(d_theta - 1, max(r_selected + 1, (r_selected + d_theta) // 2))
-    if len(rest_tasks) >= 3 and r_selected < s_dim < d_theta:
-        holdout = assemble_theta([adapters[t.task_id] for t in rest_tasks])
-        fisher_mat = corpus_fisher_matrix(summaries, bias_correct=False)
-        jl_report = jl_outside_energy(holdout, fisher_mat, r=r_selected, s=s_dim,
-                                      n_maps=16, seed=cfg.seed)
-    else:
-        notes.append("projection leakage check skipped: no holdout dimension "
-                     f"with r={r_selected} < s < d={d_theta} available")
+        rest_tasks = corpus.tasks_in("Pre-Rest")
+        jl_report = None
+        d_theta = theta_seed.d_theta
+        s_dim = min(d_theta - 1, max(r_selected + 1, (r_selected + d_theta) // 2))
+        if len(rest_tasks) >= 3 and r_selected < s_dim < d_theta:
+            holdout = assemble_theta([adapters[t.task_id] for t in rest_tasks])
+            fisher_mat = corpus_fisher_matrix(summaries, bias_correct=False)
+            jl_report = jl_outside_energy(holdout, fisher_mat, r=r_selected, s=s_dim,
+                                          n_maps=16, seed=cfg.seed)
+        else:
+            notes.append("projection leakage check skipped: no holdout dimension "
+                         f"with r={r_selected} < s < d={d_theta} available")
 
-    n_seed = theta_seed.n_tasks
-    usable_k = [k for k in cfg.k_grid if k <= n_seed]
-    if len(usable_k) < len(cfg.k_grid):
-        notes.append(f"K grid values above the seed count {n_seed} skipped: "
-                     f"{[k for k in cfg.k_grid if k > n_seed]}")
-    require(len(usable_k) >= 1, "no usable K values in the grid")
-    # K selection: best cluster separation (silhouette), restart stability
-    # as the tie-breaker, then parsimony
-    candidates = []
-    for k in usable_k:
-        mem = cluster_prototypes(theta_seed, chain, k=k,
-                                 n_restarts=cfg.n_restarts, seed=cfg.seed)
-        candidates.append((round(mem.silhouette, 6), mem.restart_stability, -k, mem))
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]), reverse=True)
-    memory = candidates[0][3]
-    k_chosen = memory.K
+        n_seed = theta_seed.n_tasks
+        usable_k = [k for k in cfg.k_grid if k <= n_seed]
+        if len(usable_k) < len(cfg.k_grid):
+            notes.append(f"K grid values above the seed count {n_seed} skipped: "
+                         f"{[k for k in cfg.k_grid if k > n_seed]}")
+        require(len(usable_k) >= 1, "no usable K values in the grid")
+        # K selection: best cluster separation (silhouette), restart stability
+        # as the tie-breaker, then parsimony
+        candidates = []
+        for k in usable_k:
+            mem = cluster_prototypes(theta_seed, chain, k=k,
+                                     n_restarts=cfg.n_restarts, seed=cfg.seed)
+            candidates.append((round(mem.silhouette, 6), mem.restart_stability, -k, mem))
+        candidates.sort(key=lambda c: (c[0], c[1], c[2]), reverse=True)
+        memory = candidates[0][3]
+        k_chosen = memory.K
 
-    def fit_sparsity(k):
-        # the retrieval's operating sparsity, within what l0_fit accepts
-        return min(_r_keep(cfg, r_selected, k), r_selected, k)
+        def fit_sparsity(k):
+            # the retrieval's operating sparsity, within what l0_fit accepts
+            return min(_r_keep(cfg, r_selected, k), r_selected, k)
 
-    merge_log = []
-    if memory.mu > cfg.mu_threshold or memory.kappa > cfg.kappa_threshold:
-        memory, merge_log = merge_prototypes(memory, cfg.mu_threshold,
-                                             cfg.kappa_threshold,
-                                             theta_pre=theta_pre,
-                                             r_sparse=fit_sparsity(memory.K))
-        notes.append(f"prototype merging triggered: {len(merge_log)} merges, "
-                     f"K {k_chosen} -> {memory.K}")
+        merge_log = []
+        if memory.mu > cfg.mu_threshold or memory.kappa > cfg.kappa_threshold:
+            memory, merge_log = merge_prototypes(memory, cfg.mu_threshold,
+                                                 cfg.kappa_threshold,
+                                                 theta_pre=theta_pre,
+                                                 r_sparse=fit_sparsity(memory.K))
+            notes.append(f"prototype merging triggered: {len(merge_log)} merges, "
+                         f"K {k_chosen} -> {memory.K}")
 
-    memory.freeze()
-    certificate = coverage_certificate(memory, theta_pre,
-                                       r_sparse=fit_sparsity(memory.K),
-                                       n_boot=cfg.coverage_n_boot, seed=cfg.seed)
-    if certificate.r_sparse == r_selected:
-        notes.append(f"coverage certified at sparsity r={r_selected}: r prototypes "
-                     "span the r-dimensional projected space, so the fit is exact "
-                     "and eps_upper is zero up to rounding")
+        memory.freeze()
+        certificate = coverage_certificate(memory, theta_pre,
+                                           r_sparse=fit_sparsity(memory.K),
+                                           n_boot=cfg.coverage_n_boot, seed=cfg.seed)
+        if certificate.r_sparse == r_selected:
+            notes.append(f"coverage certified at sparsity r={r_selected}: r prototypes "
+                         "span the r-dimensional projected space, so the fit is exact "
+                         "and eps_upper is zero up to rounding")
 
-    probe = ProbeHead.create(cfg.generator.d_theta, seed=cfg.seed)
-    # standardization statistics must match the support sizes the retrieval
-    # stage will see; the fit set stays pretraining-only either way
-    std_size = _support_size(cfg)
-    if std_size is not None:
-        std_tasks = [resample_support(corpus, t, std_size, tag="standardizer")
-                     for t in pre_tasks]
-    else:
-        std_tasks = pre_tasks
-    standardizer = Standardizer().fit_from_tasks(std_tasks)
+        probe = ProbeHead.create(cfg.generator.d_theta, seed=cfg.seed)
+        # standardization statistics must match the support sizes the retrieval
+        # stage will see; the fit set stays pretraining-only either way
+        std_size = _support_size(cfg)
+        if std_size is not None:
+            std_tasks = [resample_support(corpus, t, std_size, tag="standardizer")
+                         for t in pre_tasks]
+        else:
+            std_tasks = pre_tasks
+        standardizer = Standardizer().fit_from_tasks(std_tasks)
 
     artifacts = Phase1Artifacts(
         cfg=cfg, corpus=corpus, partition=partition, theta_seed=theta_seed,
@@ -446,7 +449,7 @@ def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
         dim_report_tasks=dim_report_tasks, rank_curve=curve,
         jl_report=jl_report, memory=memory, certificate=certificate,
         probe=probe, standardizer=standardizer, merge_log=merge_log,
-        k_chosen=k_chosen, notes=notes,
+        k_chosen=k_chosen, notes=notes, runtime=timer.lines,
     )
     if outdir is not None:
         persist_phase1(artifacts, Path(outdir))
@@ -486,6 +489,7 @@ def persist_phase1(artifacts: Phase1Artifacts, outdir: Path) -> None:
         "eps_upper": artifacts.certificate.eps_upper,
         "notes": artifacts.notes,
     })
+    _append(outdir / "runtime.txt", artifacts.runtime)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +503,7 @@ class Phase2Result:
     history: list
     metrics: dict
     splits: dict            # "train", "val", "test" -> the split's Episodes
-    latency_ms: float
+    runtime: list           # stage lines of the fit and of each split's predictions
     stopped_epoch: int
     test_probs: np.ndarray
     test_labels: np.ndarray
@@ -542,17 +546,14 @@ def _append(path: Path, lines) -> None:
         fh.write("".join(f"{line}\n" for line in lines))
 
 
-def _split_metrics(cfg: RunConfig, artifacts, episodes, net, transform, pcfg, r_keep):
-    """Pooled metrics, per-task latency, probabilities, labels and the block's solution.
-
-    The latency is the block's time over its tasks; its query sets were mapped beforehand.
-    """
-    t0 = time.perf_counter()
-    probs, labels, solution = predict_tasks(episodes, artifacts.memory, net, pcfg, r_keep,
-                                            transform=transform,
-                                            hard_threshold=cfg.hard_threshold)
-    latency_ms = 1000.0 * (time.perf_counter() - t0) / max(len(episodes.task_ids), 1)
-    return compute_metrics(probs, labels), latency_ms, probs, labels, solution
+def _split_metrics(cfg: RunConfig, artifacts, episodes, net, transform, pcfg, r_keep,
+                   timer: StageTimer, stage: str):
+    """Pooled metrics, probabilities, labels and solution; ``stage`` times the predictions."""
+    with timer.stage(stage, len(episodes.task_ids)):
+        probs, labels, solution = predict_tasks(episodes, artifacts.memory, net, pcfg,
+                                                r_keep, transform=transform,
+                                                hard_threshold=cfg.hard_threshold)
+    return compute_metrics(probs, labels), probs, labels, solution
 
 
 def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
@@ -560,31 +561,32 @@ def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
     """Retrieval training on the anti-leakage splits plus test metrics."""
     seed = cfg.seed if seed is None else seed
     size = _support_size(cfg)
-    splits = {tag: _prepare_inputs(cfg, artifacts, tasks) for tag, tasks in (
-        ("train", _ret_train_tasks(artifacts, cfg.train_sizes)),
-        ("val", _ret_tasks_at_size(artifacts, "Ret-Val", size)),
-        ("test", _ret_tasks_at_size(artifacts, "Ret-Test", size)))}
-    transform = make_transform(splits["train"].z.shape[1], cfg.warp, seed=seed)
-
+    timer = StageTimer(cfg.hash())
     pcfg = _proximal_config(cfg)
     r_keep = _r_keep(cfg, artifacts.rank_selected, artifacts.memory.K)
-    tcfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-                       weight_decay=cfg.weight_decay, patience=cfg.patience,
-                       jaccard_min=cfg.jaccard_min, seed=seed, r_keep=r_keep,
-                       eta=cfg.eta)
-    result = train_retrieval(splits["train"], artifacts.memory, pcfg, tcfg,
-                             val=splits["val"], transform=transform,
-                             hard_threshold=cfg.hard_threshold)
+    with timer.stage("phase2.fit", None):
+        splits = {tag: _prepare_inputs(cfg, artifacts, tasks) for tag, tasks in (
+            ("train", _ret_train_tasks(artifacts, cfg.train_sizes)),
+            ("val", _ret_tasks_at_size(artifacts, "Ret-Val", size)),
+            ("test", _ret_tasks_at_size(artifacts, "Ret-Test", size)))}
+        transform = make_transform(splits["train"].z.shape[1], cfg.warp, seed=seed)
+        tcfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
+                           weight_decay=cfg.weight_decay, patience=cfg.patience,
+                           jaccard_min=cfg.jaccard_min, seed=seed, r_keep=r_keep,
+                           eta=cfg.eta)
+        result = train_retrieval(splits["train"], artifacts.memory, pcfg, tcfg,
+                                 val=splits["val"], transform=transform,
+                                 hard_threshold=cfg.hard_threshold)
 
     evaluated = {tag: _split_metrics(cfg, artifacts, episodes, result.net, transform,
-                                     pcfg, r_keep)
+                                     pcfg, r_keep, timer, f"phase2.predict.{tag}")
                  for tag, episodes in splits.items()}
-    _, latency_ms, test_probs, test_labels, test_solution = evaluated["test"]
+    _, test_probs, test_labels, test_solution = evaluated["test"]
     first_steps = test_solution.iterations[0] + 1
 
     out = Phase2Result(net=result.net, transform=transform, history=result.history,
                        metrics={tag: split[0] for tag, split in evaluated.items()},
-                       splits=splits, latency_ms=latency_ms,
+                       splits=splits, runtime=timer.lines,
                        stopped_epoch=result.stopped_epoch,
                        test_probs=test_probs, test_labels=test_labels,
                        solver_trace=test_solution.objective_trace[:first_steps, 0].tolist())
@@ -622,11 +624,7 @@ def persist_phase2(result: Phase2Result, outdir: Path) -> None:
               list(enumerate(result.solver_trace)))
 
     _append(outdir / "run.log", [f"phase2 stopped at epoch {result.stopped_epoch}"])
-    _append(outdir / "runtime.txt",
-            ["split latency accounting (warp, net, block solve and query probabilities; "
-             "query sets are mapped before timing, and each split runs as one block, so "
-             "per_task_ms is the block's time over its tasks)",
-             f"per_task_ms test {result.latency_ms:.3f}"])
+    _append(outdir / "runtime.txt", result.runtime)
 
 
 def run_penalty_sweep(cfg: RunConfig, artifacts: Phase1Artifacts, phase2: Phase2Result,
@@ -652,39 +650,12 @@ def run_penalty_sweep(cfg: RunConfig, artifacts: Phase1Artifacts, phase2: Phase2
 # Baselines
 # ---------------------------------------------------------------------------
 
-def _ridge_predictions(tasks, fmap, alpha, fit_on_query=False):
-    probs_all, labels_all = [], []
-    elapsed = 0.0
-    for task in tasks:
-        t0 = time.perf_counter()
-        donor = (replace(task, support_x=task.query_x, support_y=task.query_y)
-                 if fit_on_query else task)
-        theta = ridge_adapter(donor, fmap, alpha)
-        probs = sigmoid(fmap(task.query_x) @ theta)
-        elapsed += time.perf_counter() - t0
-        probs_all.append(probs)
-        labels_all.append(task.query_y)
-    return (np.concatenate(probs_all), np.concatenate(labels_all),
-            1000.0 * elapsed / max(len(tasks), 1))
-
-
-def _nearest_centroid_predictions(tasks):
-    probs_all, labels_all = [], []
-    elapsed = 0.0
-    for task in tasks:
-        t0 = time.perf_counter()
-        pos = task.support_x[task.support_y == 1]
-        neg = task.support_x[task.support_y == 0]
-        c_pos = pos.mean(axis=0)
-        c_neg = neg.mean(axis=0)
-        margin = (np.linalg.norm(task.query_x - c_neg, axis=1)
-                  - np.linalg.norm(task.query_x - c_pos, axis=1))
-        probs = sigmoid(margin)
-        elapsed += time.perf_counter() - t0
-        probs_all.append(probs)
-        labels_all.append(task.query_y)
-    return (np.concatenate(probs_all), np.concatenate(labels_all),
-            1000.0 * elapsed / max(len(tasks), 1))
+def _nearest_centroid_probs(task):
+    """Query probabilities from the distance margin to the support's class centroids."""
+    c_pos = task.support_x[task.support_y == 1].mean(axis=0)
+    c_neg = task.support_x[task.support_y == 0].mean(axis=0)
+    return sigmoid(np.linalg.norm(task.query_x - c_neg, axis=1)
+                   - np.linalg.norm(task.query_x - c_pos, axis=1))
 
 
 def run_baselines(cfg: RunConfig, artifacts: Phase1Artifacts,
@@ -692,36 +663,36 @@ def run_baselines(cfg: RunConfig, artifacts: Phase1Artifacts,
     """Support-side ridge, nearest-centroid, and the query-trained oracle ridge.
 
     Supports default to phase 2's evaluation size, so the baselines and the
-    retrieval report the same few-shot operating point.
+    retrieval report the same few-shot operating point. Returns each
+    baseline's test metrics by name; each baseline's predictions are one stage.
     """
     size = support_size if support_size is not None else _support_size(cfg)
     test_tasks = _ret_tasks_at_size(artifacts, "Ret-Test", size)
     fmap = artifacts.corpus.feature_map()
 
-    tracemalloc.start()
+    def ridge(donor, task):
+        return sigmoid(fmap(task.query_x) @ ridge_adapter(donor, fmap, cfg.ridge_alpha))
+
+    predictors = {
+        "ridge_support": lambda task: ridge(task, task),
+        "nearest_centroid": _nearest_centroid_probs,
+        "oracle_ridge": lambda task: ridge(replace(task, support_x=task.query_x,
+                                                   support_y=task.query_y), task),
+    }
+    labels = np.concatenate([task.query_y for task in test_tasks])
+    timer = StageTimer(cfg.hash())
     results = {}
-    probs, labels, lat = _ridge_predictions(test_tasks, fmap, cfg.ridge_alpha)
-    results["ridge_support"] = (compute_metrics(probs, labels), lat)
-    probs, labels, lat = _nearest_centroid_predictions(test_tasks)
-    results["nearest_centroid"] = (compute_metrics(probs, labels), lat)
-    probs, labels, lat = _ridge_predictions(test_tasks, fmap, cfg.ridge_alpha,
-                                            fit_on_query=True)
-    results["oracle_ridge"] = (compute_metrics(probs, labels), lat)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+    for name, predict in predictors.items():
+        with timer.stage(f"baseline.{name}", len(test_tasks)):
+            probs = [predict(task) for task in test_tasks]
+        results[name] = compute_metrics(np.concatenate(probs), labels)
 
     if outdir is not None:
         outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
         write_csv(outdir / "baselines.csv",
                   ["baseline"] + MetricsRecord.header(),
-                  [[name] + rec.row() for name, (rec, _) in results.items()])
-        lines = ["baseline runtime table (per-task ms, solve path only; "
-                 "peak memory is an allocator high-water estimate)"]
-        for name, (_, lat) in results.items():
-            lines.append(f"per_task_ms {name} {lat:.3f}")
-        lines.append(f"peak_memory_bytes approx {peak}")
-        _append(outdir / "runtime.txt", lines)
+                  [[name] + rec.row() for name, rec in results.items()])
+        _append(outdir / "runtime.txt", timer.lines)
     return results
 
 
@@ -735,21 +706,21 @@ def run_support_sweep(cfg: RunConfig, artifacts: Phase1Artifacts, phase2: Phase2
     sizes = tuple(sizes if sizes is not None else cfg.support_sizes_eval)
     pcfg = _proximal_config(cfg)
     r_keep = _r_keep(cfg, artifacts.rank_selected, artifacts.memory.K)
+    timer = StageTimer(cfg.hash())
     rows = []
     for size in sizes:
         episodes = _prepare_inputs(cfg, artifacts,
                                    _ret_tasks_at_size(artifacts, "Ret-Test", size))
-        record, lat, *_ = _split_metrics(cfg, artifacts, episodes, phase2.net,
-                                         phase2.transform, pcfg, r_keep)
+        record, *_ = _split_metrics(cfg, artifacts, episodes, phase2.net, phase2.transform,
+                                    pcfg, r_keep, timer, f"support.{size}")
         rows.append({"support_size": size, "auc": record.auc, "f1": record.f1,
-                     "ece": record.ece, "latency_ms": lat})
+                     "ece": record.ece})
     if outdir is not None:
         outdir = Path(outdir)
         write_csv(outdir / "support_curve.csv",
                   ["support_size", "auc", "f1", "ece"],
                   [[r["support_size"], r["auc"], r["f1"], r["ece"]] for r in rows])
-        _append(outdir / "runtime.txt",
-                [f"per_task_ms support{r['support_size']} {r['latency_ms']:.3f}" for r in rows])
+        _append(outdir / "runtime.txt", timer.lines)
     return rows
 
 
@@ -924,15 +895,18 @@ def run_ablations(cfg: RunConfig, variants, outdir: Path | None = None):
 
     run.log names each variant that turns off a top-r rule which keeps every
     activation anyway (r_keep >= K): that row equals ``full`` by construction.
+    runtime.txt gets each variant's phase-1 and phase-2 stage lines, their
+    names prefixed with ``ablation.<variant>.``.
     """
-    rows, notes = [], []
+    rows, notes, runtime = [], [], []
     for variant in variants:
         vcfg = ablation_config(cfg, variant)
         artifacts = run_phase1(vcfg)
         result = run_phase2(vcfg, artifacts)
+        runtime += [line.replace("stage=", f"stage=ablation.{variant}.", 1)
+                    for line in artifacts.runtime + result.runtime]
         rec = result.metrics["test"]
-        rows.append({"variant": variant, "auc": rec.auc, "f1": rec.f1,
-                     "ece": rec.ece, "latency_ms": result.latency_ms,
+        rows.append({"variant": variant, "auc": rec.auc, "f1": rec.f1, "ece": rec.ece,
                      "rank": artifacts.rank_selected, "k": artifacts.memory.K})
         k = artifacts.memory.K
         r_keep = _r_keep(vcfg, artifacts.rank_selected, k)
@@ -945,8 +919,7 @@ def run_ablations(cfg: RunConfig, variants, outdir: Path | None = None):
                   ["variant", "auc", "f1", "ece", "rank", "k"],
                   [[r["variant"], r["auc"], r["f1"], r["ece"], r["rank"], r["k"]]
                    for r in rows])
-        _append(outdir / "runtime.txt",
-                [f"per_task_ms ablation_{r['variant']} {r['latency_ms']:.3f}" for r in rows])
+        _append(outdir / "runtime.txt", runtime)
         if notes:
             _append(outdir / "run.log", notes)
     return rows

@@ -1,9 +1,12 @@
-"""Shared plumbing: seeded RNG derivation, validation, CSV emission."""
+"""Shared plumbing: seeded RNG derivation, validation, CSV emission, stage timing."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import resource
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +81,28 @@ def config_hash(obj) -> str:
     """Stable hash of a JSON-serialisable config mapping."""
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+class StageTimer:
+    """A run's ``runtime.txt`` lines, one per timed stage, in one format:
+    ``stage=<name> ms=<wall ms>[ tasks=<n>] rss_mb=<MB> run=<hash>``. Per-task
+    latency is ms / tasks; ``rss_mb`` is the process's peak resident set so far
+    (``ru_maxrss``, KiB on Linux), not the stage's own.
+    """
+
+    def __init__(self, run: str):
+        self.run = run
+        self.lines: list[str] = []
+
+    @contextmanager
+    def stage(self, name: str, tasks: int | None):
+        """Time the ``with`` body as stage ``name`` over ``tasks`` tasks (None: no count)."""
+        start = time.perf_counter()
+        yield
+        ms = 1000.0 * (time.perf_counter() - start)
+        count = "" if tasks is None else f" tasks={tasks}"
+        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        self.lines.append(f"stage={name} ms={ms:.3f}{count} rss_mb={rss_mb:.1f} run={self.run}")
 
 
 def sigmoid(x):

@@ -433,7 +433,7 @@ def test_fewshot_scaling_shape(fewshot_run):
     assert sizes == [5, 10, 20, 50]
     for lo, hi in zip(aucs, aucs[1:]):
         assert hi >= lo - 1e-9, f"support curve decreased: {aucs}"
-    oracle = baselines["oracle_ridge"][0].auc
+    oracle = baselines["oracle_ridge"].auc
     # phase2 reports the 5-shot operating point; it matches the sweep's head
     assert result.metrics["test"].auc == pytest.approx(aucs[0], abs=1e-12)
     ratio = aucs[0] / oracle

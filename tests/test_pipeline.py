@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -35,6 +36,10 @@ from protoadapt.pipeline import (
 )
 from protoadapt.synthdata import GeneratorConfig, generate_corpus
 from protoadapt.util import ValidationError
+
+# one runtime.txt line: stage, wall ms, the task count of per-task stages, peak RSS, run hash
+STAGE_LINE = re.compile(r"stage=([a-z0-9_.]+) ms=[0-9]+\.[0-9]{3}(?: tasks=([0-9]+))? "
+                        r"rss_mb=[0-9]+\.[0-9] run=([0-9a-f]{16})")
 
 
 def tiny_config(seed=42, **overrides):
@@ -383,15 +388,34 @@ class TestPhase2:
         assert (tmp_path / "retrieval_net.json").exists()
         assert not (tmp_path / "retrieval_warp.json").exists()
 
-    def test_every_stage_appends_to_runtime(self, tiny_artifacts, tmp_path):
+    def test_every_stage_appends_one_runtime_line_format(self, tiny_artifacts, tmp_path):
         cfg, art = tiny_artifacts
+        persist_phase1(art, tmp_path)
         result = run_phase2(cfg, art, outdir=tmp_path)
         run_support_sweep(cfg, art, result, outdir=tmp_path, sizes=(5, 10))
         run_baselines(cfg, art, outdir=tmp_path, support_size=5)
-        runtime = (tmp_path / "runtime.txt").read_text()
-        for line in ("per_task_ms test", "per_task_ms support5", "per_task_ms support10",
-                     "per_task_ms ridge_support", "peak_memory_bytes"):
-            assert line in runtime, line
+        variants = ("full", "no_transform")
+        pipeline.run_ablations(cfg, variants, outdir=tmp_path)
+        n_test = len(result.splits["test"].task_ids)
+        phase_stages = {"phase1": None, "phase2.fit": None,
+                        **{f"phase2.predict.{tag}": len(episodes.task_ids)
+                           for tag, episodes in result.splits.items()}}
+        expected = {name: (cfg.hash(), tasks) for name, tasks in phase_stages.items()}
+        expected.update({f"support.{size}": (cfg.hash(), n_test) for size in (5, 10)})
+        expected.update({f"baseline.{name}": (cfg.hash(), n_test)
+                         for name in ("ridge_support", "nearest_centroid", "oracle_ridge")})
+        for variant in variants:
+            run = ablation_config(cfg, variant).hash()
+            # the variants train on the same splits, so the task counts carry over
+            expected.update({f"ablation.{variant}.{name}": (run, tasks)
+                             for name, tasks in phase_stages.items()})
+        stages = []
+        for line in (tmp_path / "runtime.txt").read_text().splitlines():
+            match = STAGE_LINE.fullmatch(line)
+            assert match, line
+            name, tasks, run = match.groups()
+            stages.append((name, (run, None if tasks is None else int(tasks))))
+        assert sorted(stages) == sorted(expected.items())
 
     def test_determinism_across_runs(self, tmp_path):
         cfg = tiny_config()
@@ -445,9 +469,7 @@ class TestBaselinesAndSweeps:
     def test_baselines_ordering(self, tiny_artifacts, tmp_path):
         cfg, art = tiny_artifacts
         results = run_baselines(cfg, art, outdir=tmp_path, support_size=5)
-        assert results["oracle_ridge"][0].auc >= results["ridge_support"][0].auc
-        runtime = (tmp_path / "runtime.txt").read_text()
-        assert "per_task_ms" in runtime and "peak_memory_bytes" in runtime
+        assert results["oracle_ridge"].auc >= results["ridge_support"].auc
         assert (tmp_path / "baselines.csv").exists()
 
     def test_fewshot_baselines_use_the_phase2_support_size(self):
@@ -457,8 +479,8 @@ class TestBaselinesAndSweeps:
         default = run_baselines(cfg, art)
         at_five = run_baselines(cfg, art, support_size=5)
         assert set(default) == set(at_five)
-        for name, (rec, _) in default.items():
-            assert rec.row() == at_five[name][0].row(), name
+        for name, rec in default.items():
+            assert rec.row() == at_five[name].row(), name
 
     def test_one_cluster_corpus_centroid_near_chance(self):
         cfg = tiny_config()
@@ -468,7 +490,7 @@ class TestBaselinesAndSweeps:
         art = run_phase1(cfg)
         results = run_baselines(cfg, art, support_size=5)
         # labels are nearly coin flips, so no baseline finds real signal
-        assert abs(results["nearest_centroid"][0].auc - 0.5) < 0.1
+        assert abs(results["nearest_centroid"].auc - 0.5) < 0.1
 
     def test_support_sweep_rows(self, tiny_artifacts, tmp_path):
         cfg, art = tiny_artifacts
