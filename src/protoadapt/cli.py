@@ -119,18 +119,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override the run seed")
     parser.add_argument("--outdir", default=None, help="override the output directory")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("generate", help="write the corpus CSV and manifest").set_defaults(fn=cmd_generate)
-    sub.add_parser("phase1", help="memory construction and certificates").set_defaults(fn=cmd_phase1)
-    sub.add_parser("phase2", help="retrieval training plus metric sweeps").set_defaults(fn=cmd_phase2)
-    sub.add_parser("baselines", help="ridge, nearest-centroid, oracle runs").set_defaults(fn=cmd_baselines)
-    ablate = sub.add_parser("ablate", help="run ablation variants")
-    ablate.add_argument("variants", nargs="*", choices=list(ABLATION_VARIANTS) + [[]],
-                        help="variant names (default: all)")
-    ablate.set_defaults(fn=cmd_ablate)
-    sub.add_parser("motifs", help="motif statistics over synthetic cohorts").set_defaults(fn=cmd_motifs)
-    sub.add_parser("riskbound", help="empirical bound verification").set_defaults(fn=cmd_riskbound)
-    sub.add_parser("report", help="assemble the plain-text summary").set_defaults(fn=cmd_report)
+    rebuilds = "; rebuilds phase 1 from the config"
+    for name, fn, text in (
+            ("generate", cmd_generate, "write the corpus CSV and manifest"),
+            ("phase1", cmd_phase1, "memory construction and certificates"),
+            ("phase2", cmd_phase2, "retrieval training plus metric sweeps" + rebuilds
+             + ", rewrites phase 1's files and appends another stage=phase1 line to runtime.txt"),
+            ("baselines", cmd_baselines, "ridge, nearest-centroid, oracle runs" + rebuilds),
+            ("ablate", cmd_ablate, "run ablation variants" + rebuilds + " for each variant"),
+            ("motifs", cmd_motifs, "motif statistics over synthetic cohorts"),
+            ("riskbound", cmd_riskbound, "empirical bound verification" + rebuilds),
+            ("report", cmd_report, "assemble the plain-text summary")):
+        sub.add_parser(name, help=text, description=text).set_defaults(fn=fn)
+    sub.choices["ablate"].add_argument("variants", nargs="*",
+                                       choices=list(ABLATION_VARIANTS) + [[]],
+                                       help="variant names (default: all)")
     return parser
 
 

@@ -425,26 +425,18 @@ def calibrate_tau(activations, labels, cohort: str = "cohort",
                                    labels[test_idx])
         delta_auc = abs(calib_auc - test_auc)
 
-        if se == 0.0:
-            # degenerate: identical inner-fold optima; the test is undefined
-            # and calibration passes with the zero-variance flag
-            if delta_auc <= gap_bound:
-                return TauCalibration(cohort=cohort, tau_bar=tau_bar, se=0.0,
-                                      t_stat=float("nan"), t_abs=float("nan"),
-                                      p_value=float("nan"), delta_auc=delta_auc,
-                                      passed=True, zero_variance=True,
-                                      n_retries=retry, grid=grid,
-                                      calib_auc=calib_auc, test_auc=test_auc)
-        else:
+        # degenerate: identical inner-fold optima; the test is undefined
+        # and calibration passes with the zero-variance flag
+        zero_variance = se == 0.0
+        t_stat = p_two = float("nan")
+        if not zero_variance:
             t_stat = t_statistic_from_summary(tau_bar, se)
             p_two = float(2.0 * t_dist.sf(abs(t_stat), df=2))
-            if p_two >= alpha and delta_auc <= gap_bound:
-                return TauCalibration(cohort=cohort, tau_bar=tau_bar, se=se,
-                                      t_stat=t_stat, t_abs=abs(t_stat),
-                                      p_value=p_two, delta_auc=delta_auc,
-                                      passed=True, zero_variance=False,
-                                      n_retries=retry, grid=grid,
-                                      calib_auc=calib_auc, test_auc=test_auc)
+        if (zero_variance or p_two >= alpha) and delta_auc <= gap_bound:
+            return TauCalibration(cohort=cohort, tau_bar=tau_bar, se=se, t_stat=t_stat,
+                                  t_abs=abs(t_stat), p_value=p_two, delta_auc=delta_auc,
+                                  passed=True, zero_variance=zero_variance, n_retries=retry,
+                                  grid=grid, calib_auc=calib_auc, test_auc=test_auc)
 
         # narrow the search interval by 20 percent around tau_bar and retry
         span = (max(grid) - min(grid)) * 0.8

@@ -546,6 +546,11 @@ def _append(path: Path, lines) -> None:
         fh.write("".join(f"{line}\n" for line in lines))
 
 
+def _prefixed(prefix: str, lines) -> list:
+    """Stage lines whose names start with ``prefix.``: one run's stages inside another's."""
+    return [line.replace("stage=", f"stage={prefix}.", 1) for line in lines]
+
+
 def _split_metrics(cfg: RunConfig, artifacts, episodes, net, transform, pcfg, r_keep,
                    timer: StageTimer, stage: str):
     """Pooled metrics, probabilities, labels and solution; ``stage`` times the predictions."""
@@ -726,12 +731,16 @@ def run_support_sweep(cfg: RunConfig, artifacts: Phase1Artifacts, phase2: Phase2
 
 def run_seed_stability(cfg: RunConfig, artifacts: Phase1Artifacts,
                        outdir: Path | None = None, seeds=None):
-    """Phase-2 metric spread across training seeds on the fixed corpus."""
+    """Phase-2 metric spread across training seeds on the fixed corpus.
+
+    runtime.txt gets each seed's phase-2 stage lines, prefixed ``seed_stability.<seed>.``.
+    """
     seeds = tuple(seeds if seeds is not None else cfg.seeds)
-    per_seed = {}
+    per_seed, runtime = {}, []
     for seed in seeds:
-        result = run_phase2(cfg, artifacts, outdir=None, seed=seed)
+        result = run_phase2(cfg, artifacts, seed=seed)
         per_seed[seed] = result.metrics["test"]
+        runtime += _prefixed(f"seed_stability.{seed}", result.runtime)
     stats = {}
     for metric in ("auc", "f1", "ece"):
         vals = np.array([getattr(rec, metric) for rec in per_seed.values()])
@@ -743,6 +752,7 @@ def run_seed_stability(cfg: RunConfig, artifacts: Phase1Artifacts,
                   ["metric", "mean", "std", "range_lo", "range_hi"],
                   [[m, s["mean"], s["std"], s["lo"], s["hi"]]
                    for m, s in stats.items()])
+        _append(outdir / "runtime.txt", runtime)
     return per_seed, stats
 
 
@@ -903,8 +913,7 @@ def run_ablations(cfg: RunConfig, variants, outdir: Path | None = None):
         vcfg = ablation_config(cfg, variant)
         artifacts = run_phase1(vcfg)
         result = run_phase2(vcfg, artifacts)
-        runtime += [line.replace("stage=", f"stage=ablation.{variant}.", 1)
-                    for line in artifacts.runtime + result.runtime]
+        runtime += _prefixed(f"ablation.{variant}", artifacts.runtime + result.runtime)
         rec = result.metrics["test"]
         rows.append({"variant": variant, "auc": rec.auc, "f1": rec.f1, "ece": rec.ece,
                      "rank": artifacts.rank_selected, "k": artifacts.memory.K})

@@ -8,9 +8,10 @@ tape and treats the hard top-r mask straight-through.
 
 There are two paths. Training, validation, test prediction and the penalty
 sweep run blocks of ``Episodes`` (each task's descriptor, support adapter and
-query set in prototype coordinates, built once): one warp and network pass
-over T rows and ``solve_block`` in Gram form (``_episode_block``), the outer
-objective on the block (``outer_terms``) and, in training, ``backward_block``.
+query set in prototype coordinates, built once, one query size per block):
+one warp and network pass over T rows and ``solve_block`` in Gram form
+(``_episode_block``), the outer objective on the block (``outer_terms``) and,
+in training, ``backward_block``.
 ``solve_block`` takes one ``ProximalConfig`` (lam and gamma one value or one
 per row) and returns one ``BlockSolution`` of arrays. One-task calls
 (``predict_task``) run the warp, the network, ``solve_proximal`` and the
@@ -413,14 +414,17 @@ def backward_block(block: BlockSolution, memory, grad_w: np.ndarray) -> np.ndarr
 
 @dataclass
 class Episodes:
-    """Phase-2 inputs, one row per task; ``Episodes.of`` maps and checks each query set once."""
+    """Phase-2 inputs, one row per task; ``Episodes.of`` maps and checks each query set once.
+
+    Every task of a block has the same query size n_q, so its query sets are one array.
+    """
 
     task_ids: list
     z: np.ndarray           # (T, d_z) descriptor values
     theta_hats: np.ndarray  # (T, d_theta) support adapters
     n_support: np.ndarray   # (T,)
-    coords: list            # per task, P_i = feature_map(x_q) M^T (n_i x K)
-    labels: list            # per task, query_y
+    coords: np.ndarray      # (T, n_q, K): task i's P_i = feature_map(x_q) M^T
+    labels: np.ndarray      # (T, n_q) query_y
 
     @classmethod
     def of(cls, tasks, z, theta_hats, memory, feature_map) -> "Episodes":
@@ -429,44 +433,36 @@ class Episodes:
             if id(x) not in mapped:
                 mapped[id(x)] = check_finite(feature_map(x) @ memory.M.T, "query features")
         coords = [mapped[id(task.query_x)] for task in tasks]
-        require(all(len(rows) >= 1 for rows in coords), "query is empty")
+        sizes = sorted({len(rows) for rows in coords})
+        require(sizes[0] >= 1, "query is empty")
+        require(len(sizes) == 1, f"a block needs one query size for all its tasks, got {sizes}")
         return cls([task.task_id for task in tasks], z, theta_hats,
-                   np.array([task.n_support for task in tasks]), coords,
-                   [task.query_y for task in tasks])
+                   np.array([task.n_support for task in tasks]), np.stack(coords),
+                   np.array([task.query_y for task in tasks]))
 
     def take(self, rows) -> "Episodes":
         """The episodes at ``rows``, in that order (a minibatch)."""
         return Episodes([self.task_ids[i] for i in rows], self.z[rows], self.theta_hats[rows],
-                        self.n_support[rows], [self.coords[i] for i in rows],
-                        [self.labels[i] for i in rows])
-
-
-def _query_probs(episodes: Episodes, w_tilde):
-    """A block's stacked P_i, query sizes and probabilities; task i's logits are P_i w_tilde[i]."""
-    coords = np.concatenate(episodes.coords)
-    sizes = np.array([len(rows) for rows in episodes.coords])
-    return coords, sizes, sigmoid((coords * np.repeat(w_tilde, sizes, axis=0)).sum(axis=1))
+                        self.n_support[rows], self.coords[rows], self.labels[rows])
 
 
 def outer_terms(episodes: Episodes, w_tilde):
     """The outer objective's terms for a block of tasks, in prototype coordinates.
 
-    Segment sums take each task's mean over its own query rows, so query
-    sizes may differ between tasks.
+    Task i's query logits are P_i w_tilde[i]; its cross-entropy and gradient
+    are means over its n_q query rows.
 
     Returns the pooled query probabilities and, one entry or row per task, the
     query cross-entropy (probabilities clipped to [1e-12, 1 - 1e-12]),
     ||w_tilde||_1, the entropy of w_tilde / ||w_tilde||_1 (0 log 0 = 0), and
-    the gradients in w_tilde of the cross-entropy, P_i^T (p - y) / n_i, and of
+    the gradients in w_tilde of the cross-entropy, P_i^T (p - y) / n_q, and of
     the entropy.
     """
-    coords, sizes, probs = _query_probs(episodes, w_tilde)
-    starts = np.cumsum(sizes) - sizes
-    labels = np.concatenate(episodes.labels).astype(float)
+    coords, labels = episodes.coords, episodes.labels
+    probs = sigmoid(np.einsum("tnk,tk->tn", coords, w_tilde))
     p = np.clip(probs, 1e-12, 1.0 - 1e-12)
-    nll = -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
-    ce = np.add.reduceat(nll, starts) / sizes
-    grad_ce = np.add.reduceat((probs - labels)[:, None] * coords, starts) / sizes[:, None]
+    ce = -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)).mean(axis=1)
+    grad_ce = np.einsum("tn,tnk->tk", probs - labels, coords) / labels.shape[1]
     mass = w_tilde.sum(axis=1, keepdims=True)
     mass = np.where(mass > 0.0, mass, 1.0)
     u = w_tilde / mass
@@ -474,7 +470,7 @@ def outer_terms(episodes: Episodes, w_tilde):
     log_u = np.log(np.where(pos, u, 1.0))
     entropy = -(u * log_u).sum(axis=1)
     grad_entropy = np.where(pos, (-log_u - entropy[:, None]) / mass, 0.0)
-    return probs, ce, np.abs(w_tilde).sum(axis=1), entropy, grad_ce, grad_entropy
+    return probs.ravel(), ce, np.abs(w_tilde).sum(axis=1), entropy, grad_ce, grad_entropy
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +587,8 @@ def predict_tasks(episodes: Episodes, memory, net, pcfg, r_keep, transform=None,
     """
     solution, _ = _episode_block(episodes, memory, net, pcfg, r_keep, transform=transform,
                                  hard_threshold=hard_threshold)
-    probs = _query_probs(episodes, solution.w_tilde)[2]
-    return probs, np.concatenate(episodes.labels), solution
+    probs = sigmoid(np.einsum("tnk,tk->tn", episodes.coords, solution.w_tilde))
+    return probs.ravel(), episodes.labels.ravel(), solution
 
 
 def minibatch_gradients(episodes: Episodes, memory, net, pcfg, r_keep, eta, transform=None,
@@ -686,9 +682,8 @@ def train_retrieval(train: Episodes, memory, pcfg, tcfg: TrainConfig, val: Episo
             epoch=epoch, train_loss=float(np.mean(losses)), val_auc=float(val_auc),
             jaccard=jac, solver_iterations=int(sum(b.iterations.sum() for b in blocks)),
             solver_restarts=int(sum(b.restarts.sum() for b in blocks)),
-            converged_frac=float(np.mean(np.concatenate([b.converged for b in blocks]))),
-            mean_active_size=float(np.mean(np.concatenate(
-                [np.count_nonzero(b.w_tilde, axis=1) for b in blocks])))))
+            converged_frac=sum(int(b.converged.sum()) for b in blocks) / len(order),
+            mean_active_size=sum(np.count_nonzero(b.w_tilde) for b in blocks) / len(order)))
         if val is not None and since_best >= tcfg.patience and jac >= tcfg.jaccard_min:
             break
 
@@ -713,7 +708,7 @@ def sweep_lambda_eta(lam_grid, eta_grid, episodes: Episodes, memory, net, pcfg, 
     solutions.
     """
     require(len(lam_grid) >= 1 and len(eta_grid) >= 1, "grids must be nonempty")
-    labels = np.concatenate(episodes.labels)
+    labels = episodes.labels.ravel()
     rows = []
     for lam in lam_grid:
         solution, _ = _episode_block(episodes, memory, net, replace(pcfg, lam=lam), r_keep,

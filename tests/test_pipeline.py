@@ -32,6 +32,7 @@ from protoadapt.pipeline import (
     run_phase2,
     run_power_curve,
     run_riskbound,
+    run_seed_stability,
     run_support_sweep,
 )
 from protoadapt.synthdata import GeneratorConfig, generate_corpus
@@ -396,6 +397,7 @@ class TestPhase2:
         run_baselines(cfg, art, outdir=tmp_path, support_size=5)
         variants = ("full", "no_transform")
         pipeline.run_ablations(cfg, variants, outdir=tmp_path)
+        run_seed_stability(cfg, art, outdir=tmp_path, seeds=(1, 2))
         n_test = len(result.splits["test"].task_ids)
         phase_stages = {"phase1": None, "phase2.fit": None,
                         **{f"phase2.predict.{tag}": len(episodes.task_ids)
@@ -409,6 +411,9 @@ class TestPhase2:
             # the variants train on the same splits, so the task counts carry over
             expected.update({f"ablation.{variant}.{name}": (run, tasks)
                              for name, tasks in phase_stages.items()})
+        for seed in (1, 2):
+            expected.update({f"seed_stability.{seed}.{name}": (cfg.hash(), tasks)
+                             for name, tasks in phase_stages.items() if name != "phase1"})
         stages = []
         for line in (tmp_path / "runtime.txt").read_text().splitlines():
             match = STAGE_LINE.fullmatch(line)

@@ -580,17 +580,15 @@ class TestOuterObjective:
         assert entropy[0] == pytest.approx(ent)
 
     def test_loss_and_gradient_match_the_separate_pair(self):
-        # ragged query sizes, all-zero rows, K = 1 and eta = 0 all occur
+        # one query size per block, drawn per trial; all-zero rows, K = 1 and eta = 0 all occur
         rng = np.random.default_rng(100)
         seen = set()
         for trial in range(300):
-            k, d, n_tasks = (int(rng.integers(1, 7)), int(rng.integers(1, 5)),
-                             int(rng.integers(1, 6)))
+            k, d, n_tasks, n = (int(rng.integers(1, 7)), int(rng.integers(1, 5)),
+                                int(rng.integers(1, 6)), int(rng.integers(1, 12)))
             memory = make_memory(rng.normal(size=(k, d)))
-            tasks = []
-            for _ in range(n_tasks):
-                n = int(rng.integers(1, 12))
-                tasks.append(_Query(rng.normal(size=(n, d)), rng.integers(0, 2, size=n)))
+            tasks = [_Query(rng.normal(size=(n, d)), rng.integers(0, 2, size=n))
+                     for _ in range(n_tasks)]
             w = np.maximum(rng.normal(size=(n_tasks, k)), 0.0)
             w_tilde = (np.stack([hard_top_r(row, int(rng.integers(1, k + 1))) for row in w])
                        if trial % 3 else w)
@@ -612,16 +610,20 @@ class TestOuterObjective:
                                      (terms[3][i], parts["entropy"]),
                                      (grads[i], grad), (probs[i], ref_probs)):
                     assert np.all(np.abs(ours - theirs) <= 1e-12 * (1.0 + np.abs(theirs)))
-            seen.update({("ragged", len({len(t.query_y) for t in tasks}) > 1),
-                         ("zero row", bool((w_tilde.sum(axis=1) == 0.0).any())),
+            seen.update({("zero row", bool((w_tilde.sum(axis=1) == 0.0).any())),
                          ("K = 1", k == 1), ("eta = 0", eta == 0.0)})
-        assert {("ragged", True), ("zero row", True), ("K = 1", True),
-                ("eta = 0", True)} <= seen
+        assert {("zero row", True), ("K = 1", True), ("eta = 0", True)} <= seen
 
     def test_empty_query_is_rejected(self):
         memory = make_memory(np.eye(2))
         tasks = [_Query(np.ones((3, 2)), [0, 1, 1]), _Query(np.zeros((0, 2)), [])]
         with pytest.raises(ValidationError, match="query is empty"):
+            _query_block(tasks, memory)
+
+    def test_ragged_query_block_is_rejected(self):
+        memory = make_memory(np.eye(2))
+        tasks = [_Query(np.ones((3, 2)), [0, 1, 1]), _Query(np.ones((2, 2)), [0, 1])]
+        with pytest.raises(ValidationError, match=r"one query size .* got \[2, 3\]"):
             _query_block(tasks, memory)
 
     def test_non_finite_query_feature_is_rejected(self):
