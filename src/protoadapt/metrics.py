@@ -72,11 +72,15 @@ def _rank_auc(scores, labels, single_class_nan):
     return float(aucs[0]) if vector else aucs
 
 
-def binary_cross_entropy(probs, labels) -> float:
-    """Mean log loss with probabilities clipped to [1e-12, 1 - 1e-12]."""
+def binary_cross_entropy(probs, labels):
+    """Mean log loss with probabilities clipped to [1e-12, 1 - 1e-12].
+
+    One loss for a probability vector; one per row for an (m, n) block of m
+    predictors' probabilities on the same n labels.
+    """
     p = np.clip(probs, 1e-12, 1.0 - 1e-12)
     y = np.asarray(labels, dtype=float)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    return -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=-1)
 
 
 def expected_calibration_error(probs, labels, n_bins: int = 10) -> float:

@@ -638,16 +638,20 @@ def run_penalty_sweep(cfg: RunConfig, artifacts: Phase1Artifacts, phase2: Phase2
 
     Reuses phase 2's validation block, so no input is rebuilt.
     """
-    surface = sweep_lambda_eta(cfg.lam_grid, (0.0, cfg.eta), phase2.splits["val"],
-                               artifacts.memory, phase2.net, _proximal_config(cfg),
-                               _r_keep(cfg, artifacts.rank_selected, artifacts.memory.K),
-                               transform=phase2.transform,
-                               hard_threshold=cfg.hard_threshold)
+    timer = StageTimer(cfg.hash())
+    with timer.stage("penalty_sweep", None):
+        surface = sweep_lambda_eta(cfg.lam_grid, (0.0, cfg.eta), phase2.splits["val"],
+                                   artifacts.memory, phase2.net, _proximal_config(cfg),
+                                   _r_keep(cfg, artifacts.rank_selected, artifacts.memory.K),
+                                   transform=phase2.transform,
+                                   hard_threshold=cfg.hard_threshold)
     if outdir is not None:
-        write_csv(Path(outdir) / "sweep_lambda_eta.csv",
+        outdir = Path(outdir)
+        write_csv(outdir / "sweep_lambda_eta.csv",
                   ["lam", "eta", "auc", "mean_l0_pre", "mean_l0_post", "mean_objective"],
                   [[r["lam"], r["eta"], r["auc"], r["mean_l0_pre"], r["mean_l0_post"],
                     r["mean_objective"]] for r in surface])
+        _append(outdir / "runtime.txt", timer.lines)
     return surface
 
 
@@ -779,37 +783,40 @@ def _synthetic_repertoire(background, channels, n_seqs, plant, rng):
 def run_motifs(cfg: RunConfig, outdir: Path | None = None):
     """Synthetic-cohort motif statistics: screening, q-values, calibration."""
     mcfg = cfg.motifs
-    rng_base = child_rng(cfg.seed, "motif-corpus")
-    base_seqs = [rng_base.integers(0, mcfg.alphabet_size,
-                                   size=rng_base.integers(mcfg.seq_len_lo, mcfg.seq_len_hi + 1))
-                 for _ in range(200)]
-    background = fit_background(base_seqs, order=mcfg.order,
-                                pseudocount=mcfg.pseudocount,
-                                alphabet_size=mcfg.alphabet_size)
+    timer = StageTimer(cfg.hash())
+    with timer.stage("motifs", None):
+        rng_base = child_rng(cfg.seed, "motif-corpus")
+        base_seqs = [rng_base.integers(0, mcfg.alphabet_size,
+                                       size=rng_base.integers(mcfg.seq_len_lo,
+                                                              mcfg.seq_len_hi + 1))
+                     for _ in range(200)]
+        background = fit_background(base_seqs, order=mcfg.order,
+                                    pseudocount=mcfg.pseudocount,
+                                    alphabet_size=mcfg.alphabet_size)
 
-    calibrations = []
-    report = None
-    for c_i, cohort in enumerate(mcfg.cohorts):
-        channels = make_channels(mcfg.n_channels, k=mcfg.kmer,
-                                 alphabet_size=mcfg.alphabet_size,
-                                 seed=cfg.seed + 101 * c_i)
-        rngs = child_rng(cfg.seed, "motif-cohort", cohort)
-        planted = channels[: max(2, mcfg.n_channels // 10)]
-        pos_reps = [_synthetic_repertoire(background, planted, mcfg.seqs_per_repertoire,
-                                          True, rngs) for _ in range(mcfg.n_pos)]
-        neg_reps = [_synthetic_repertoire(background, planted, mcfg.seqs_per_repertoire,
-                                          False, rngs) for _ in range(mcfg.n_neg)]
-        repertoires = pos_reps + neg_reps
-        labels = np.array([1] * mcfg.n_pos + [0] * mcfg.n_neg)
-        activations = channel_activations(channels, repertoires)
-        calibrations.append(calibrate_tau(activations, labels, cohort=cohort,
-                                          seed=cfg.seed))
-        if c_i == 0:
-            report = motif_test_report(channels, repertoires, background,
-                                       top_frac=mcfg.top_frac, b_min=mcfg.b_min,
-                                       b_max=mcfg.b_max,
-                                       null_pool_size=mcfg.null_pool_size,
-                                       seed=cfg.seed)
+        calibrations = []
+        report = None
+        for c_i, cohort in enumerate(mcfg.cohorts):
+            channels = make_channels(mcfg.n_channels, k=mcfg.kmer,
+                                     alphabet_size=mcfg.alphabet_size,
+                                     seed=cfg.seed + 101 * c_i)
+            rngs = child_rng(cfg.seed, "motif-cohort", cohort)
+            planted = channels[: max(2, mcfg.n_channels // 10)]
+            pos_reps = [_synthetic_repertoire(background, planted, mcfg.seqs_per_repertoire,
+                                              True, rngs) for _ in range(mcfg.n_pos)]
+            neg_reps = [_synthetic_repertoire(background, planted, mcfg.seqs_per_repertoire,
+                                              False, rngs) for _ in range(mcfg.n_neg)]
+            repertoires = pos_reps + neg_reps
+            labels = np.array([1] * mcfg.n_pos + [0] * mcfg.n_neg)
+            activations = channel_activations(channels, repertoires)
+            calibrations.append(calibrate_tau(activations, labels, cohort=cohort,
+                                              seed=cfg.seed))
+            if c_i == 0:
+                report = motif_test_report(channels, repertoires, background,
+                                           top_frac=mcfg.top_frac, b_min=mcfg.b_min,
+                                           b_max=mcfg.b_max,
+                                           null_pool_size=mcfg.null_pool_size,
+                                           seed=cfg.seed)
 
     if outdir is not None:
         outdir = Path(outdir)
@@ -830,6 +837,7 @@ def run_motifs(cfg: RunConfig, outdir: Path | None = None):
             "screened": int(report.screened.size),
             "significant_at_q10": int(report.significant(0.1).size),
         })
+        _append(outdir / "runtime.txt", timer.lines)
     return calibrations, report
 
 
@@ -839,14 +847,17 @@ def run_power_curve(cfg: RunConfig, outdir: Path | None = None):
     Gaussian nulls, 30 channels and 60 trials per effect; rows of effect,
     raw-p rate and q-value rate.
     """
-    curve = power_curve((0.0, 0.5, 1.0, 2.0, 4.0), alpha=0.05,
-                        null_sampler=lambda rng, size: rng.normal(size=size),
-                        n_trials=60, m_channels=30, b_perm=300, seed=cfg.seed)
+    timer = StageTimer(cfg.hash())
+    with timer.stage("power_curve", None):
+        curve = power_curve((0.0, 0.5, 1.0, 2.0, 4.0), alpha=0.05,
+                            null_sampler=lambda rng, size: rng.normal(size=size),
+                            n_trials=60, m_channels=30, b_perm=300, seed=cfg.seed)
     if outdir is not None:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         write_csv(outdir / "power_curve.csv", ["effect", "rate_p", "rate_q"],
                   [[r["effect"], r["rate_p"], r["rate_q"]] for r in curve])
+        _append(outdir / "runtime.txt", timer.lines)
     return curve
 
 
@@ -856,10 +867,13 @@ def run_power_curve(cfg: RunConfig, outdir: Path | None = None):
 
 def run_riskbound(cfg: RunConfig, artifacts: Phase1Artifacts,
                   outdir: Path | None = None):
+    tasks = artifacts.corpus.tasks
     fmap = artifacts.corpus.feature_map()
-    summary = check_bounds_over_tasks(artifacts.corpus.tasks, artifacts.memory,
-                                      artifacts.certificate, fmap)
-    radius = feature_radius_of(artifacts.corpus.tasks, fmap)
+    timer = StageTimer(cfg.hash())
+    with timer.stage("riskbound", len(tasks)):
+        summary = check_bounds_over_tasks(tasks, artifacts.memory, artifacts.certificate,
+                                          fmap)
+    radius = feature_radius_of(tasks, fmap)
     lip = lipschitz_constant(radius)
     if outdir is not None:
         outdir = Path(outdir)
@@ -874,6 +888,7 @@ def run_riskbound(cfg: RunConfig, artifacts: Phase1Artifacts,
                    for r in summary.reports])
         _append(outdir / "run.log",
                 [summary.as_text() + f" | global lipschitz {lip.lipschitz:.4f}"])
+        _append(outdir / "runtime.txt", timer.lines)
     return summary
 
 

@@ -73,15 +73,17 @@ class ProjectionChain:
 
 @dataclass(frozen=True)
 class Atoms:
-    """Dictionary rows for sparse fits, validated and normed once.
+    """Dictionary rows for sparse fits, validated, normed and Gram-multiplied once.
 
     Build one with ``Atoms.of`` and pass it to every ``l0_fit`` on the same
-    rows, so the finiteness check, the row norms and the degeneracy check run
-    once per dictionary rather than once per fit.
+    rows, so the finiteness check, the row norms, the degeneracy check and
+    the Gram matrix G = rows rows^T (read-only) are computed once per
+    dictionary rather than once per fit.
     """
 
     rows: np.ndarray
     norms: np.ndarray
+    gram: np.ndarray
 
     @classmethod
     def of(cls, rows) -> "Atoms":
@@ -89,7 +91,9 @@ class Atoms:
         norms = np.linalg.norm(rows, axis=1)
         if np.any(norms < 1e-12):
             raise DegenerateAtomError("prototype rows with zero norm present")
-        return cls(rows, norms)
+        gram = rows @ rows.T
+        gram.setflags(write=False)
+        return cls(rows, norms, gram)
 
 
 @dataclass
@@ -148,7 +152,6 @@ class PrototypeMemory:
         self.certificate = None
         self.frozen = False
         self._operator_norm = None
-        self._gram = None
         self._row_atoms = None
 
     @property
@@ -170,12 +173,8 @@ class PrototypeMemory:
         return self._operator_norm
 
     def gram(self) -> np.ndarray:
-        """M M^T (K x K, read-only), cached on a frozen memory."""
-        self.require_frozen()
-        if self._gram is None:
-            self._gram = self.M @ self.M.T
-            self._gram.setflags(write=False)
-        return self._gram
+        """M M^T (K x K, read-only): the row dictionary's Gram matrix."""
+        return self.row_atoms().gram
 
     def row_atoms(self) -> Atoms:
         """The rows M as an ``l0_fit`` dictionary, cached on a frozen memory."""
@@ -365,8 +364,11 @@ def l0_fit(u, atoms, r_sparse: int, exact: bool = False):
     """Sparse nonzero-count-constrained fit of u in the prototype row basis.
 
     Orthogonal matching pursuit by default: greedily add the atom with the
-    largest normalized correlation to the residual, refitting least squares
-    on the active set each step. ``exact=True`` enumerates every support of
+    largest normalized correlation to the residual of the least-squares fit
+    on the active set. The atoms are chosen in Gram form (batch OMP): the
+    residual's correlations are b - G[:, A] c with b = atoms u and
+    G_AA c = b_A, so no residual vector is formed; only the final active set
+    is fitted by least squares. ``exact=True`` enumerates every support of
     size up to ``r_sparse`` (small K only) and returns the global optimum,
     breaking ties toward the lexicographically smallest support. ``atoms``
     is a (K x dim) array or an ``Atoms`` built from one.
@@ -375,7 +377,7 @@ def l0_fit(u, atoms, r_sparse: int, exact: bool = False):
     """
     u = check_finite(u, "target vector")
     dictionary = atoms if isinstance(atoms, Atoms) else Atoms.of(atoms)
-    atoms, norms = dictionary.rows, dictionary.norms
+    atoms, norms, gram = dictionary.rows, dictionary.norms, dictionary.gram
     k, dim = atoms.shape
     require(1 <= r_sparse <= min(k, dim), "need 1 <= r_sparse <= min(K, dim)")
 
@@ -392,21 +394,27 @@ def l0_fit(u, atoms, r_sparse: int, exact: bool = False):
                     best = (resid, support, w)
         return best[2], best[0]
 
-    # the last step's fit is the returned one: it is on the final active set
-    w = np.zeros(k)
-    residual = u
+    b = atoms @ u
+    resid_corr = b                  # the atoms' inner products with the residual
     active: list[int] = []
     u_norm = np.linalg.norm(u)
-    for _ in range(r_sparse):
-        corr = np.abs(atoms @ residual) / norms
+    for step in range(r_sparse):
+        corr = np.abs(resid_corr) / norms
         corr[active] = -np.inf
         best_atom = int(np.argmax(corr))
         if corr[best_atom] <= 1e-12 * max(u_norm, 1e-300):
             break
         active.append(best_atom)
-        coef, residual = _ls_on_support(u, atoms, active)
-    if active:
-        w[active] = coef
+        if step + 1 < r_sparse:
+            # the active set's fit c solves G_AA c = b_A
+            coef = (b[active] / gram[best_atom, best_atom] if step == 0
+                    else np.linalg.solve(gram[np.ix_(active, active)], b[active]))
+            resid_corr = b - gram[:, active] @ coef
+    w = np.zeros(k)
+    if not active:
+        return w, float(u_norm)
+    coef, residual = _ls_on_support(u, atoms, active)
+    w[active] = coef
     return w, float(np.linalg.norm(residual))
 
 

@@ -422,6 +422,27 @@ class TestPhase2:
             stages.append((name, (run, None if tasks is None else int(tasks))))
         assert sorted(stages) == sorted(expected.items())
 
+    def test_untimed_steps_append_one_stage_line_each(self, tiny_artifacts, tmp_path):
+        cfg, art = tiny_artifacts
+        mcfg = replace(cfg, motifs=replace(cfg.motifs, n_channels=24, n_pos=16, n_neg=16,
+                                           b_min=200, b_max=400, null_pool_size=48,
+                                           cohorts=("cohortA",)))
+        result = run_phase2(cfg, art)
+        run_penalty_sweep(cfg, art, result, outdir=tmp_path)
+        run_riskbound(cfg, art, outdir=tmp_path)
+        run_motifs(mcfg, outdir=tmp_path)
+        run_power_curve(mcfg, outdir=tmp_path)
+        stages = []
+        for line in (tmp_path / "runtime.txt").read_text().splitlines():
+            match = STAGE_LINE.fullmatch(line)
+            assert match, line
+            name, tasks, run = match.groups()
+            stages.append((name, run, None if tasks is None else int(tasks)))
+        assert stages == [("penalty_sweep", cfg.hash(), None),
+                          ("riskbound", cfg.hash(), len(art.corpus.tasks)),
+                          ("motifs", mcfg.hash(), None),
+                          ("power_curve", mcfg.hash(), None)]
+
     def test_determinism_across_runs(self, tmp_path):
         cfg = tiny_config()
         art1 = run_phase1(cfg)

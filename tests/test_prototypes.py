@@ -4,9 +4,10 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from protoadapt import prototypes
-from protoadapt.adapters import Canonicalizer, fit_canonicalizer
+from protoadapt import pipeline, prototypes
+from protoadapt.adapters import Canonicalizer, adapter_rows, fit_canonicalizer
 from protoadapt.prototypes import (
+    Atoms,
     DegenerateAtomError,
     FrozenMemoryError,
     PrototypeMemory,
@@ -270,7 +271,73 @@ def _l0_fit_loop(u, atoms, r_sparse):
     return w, resid
 
 
+def _conditioned_rows(rng, k, dim, kappa):
+    """k x dim rows whose singular values run geometrically from 1 to kappa."""
+    n = min(k, dim)
+    left, _ = np.linalg.qr(rng.normal(size=(k, n)))
+    right, _ = np.linalg.qr(rng.normal(size=(dim, n)))
+    return left * np.geomspace(1.0, kappa, n) @ right.T
+
+
+def _coherent_rows(rng, k, dim, mu):
+    """Gaussian rows, one pair of which is rebuilt at absolute cosine mu."""
+    rows = rng.normal(size=(k, dim))
+    i, j = rng.choice(k, size=2, replace=False)
+    unit = rows[i] / np.linalg.norm(rows[i])
+    other = rows[j] - (rows[j] @ unit) * unit
+    other /= np.linalg.norm(other)
+    rows[j] = rng.uniform(0.5, 2.0) * (mu * unit + np.sqrt(1.0 - mu * mu) * other)
+    return rows
+
+
+def _assert_fit_matches_loop(u, atoms, r_sparse, dictionary=None):
+    """The Gram-form fit returns the loop oracle's bytes; True when it stopped early."""
+    w, resid = l0_fit(u, atoms if dictionary is None else dictionary, r_sparse)
+    w_loop, resid_loop = _l0_fit_loop(u, atoms, r_sparse)
+    assert w.tobytes() == w_loop.tobytes()
+    assert resid == resid_loop
+    return np.count_nonzero(w) < r_sparse
+
+
 class TestL0Fit:
+    @pytest.mark.parametrize("kappa", [1.0, 1e1, 1e2, 1e3, 1e4])
+    def test_gram_selection_bit_equal_on_conditioned_rows(self, kappa):
+        # up to the merge rule's kappa_threshold; planted targets end in early stops
+        rng = np.random.default_rng(int(kappa))
+        breaks = 0
+        for trial in range(200):
+            k, dim = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+            atoms = _conditioned_rows(rng, k, dim, kappa)
+            assert kappa_of(atoms) == pytest.approx(kappa, rel=1e-6)
+            u = (rng.normal(size=dim) if trial % 2 else
+                 rng.random(k) * (rng.random(k) < 0.5) @ atoms)
+            breaks += _assert_fit_matches_loop(u, atoms, int(rng.integers(1, min(k, dim) + 1)))
+        assert breaks >= 10
+
+    @pytest.mark.parametrize("mu", [0.5, 0.8, 0.9, 0.95])
+    def test_gram_selection_bit_equal_on_coherent_pairs(self, mu):
+        # up to the merge rule's mu_threshold
+        rng = np.random.default_rng(int(100 * mu))
+        for trial in range(200):
+            k, dim = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+            atoms = _coherent_rows(rng, k, dim, mu)
+            assert mu_of(atoms) >= mu - 1e-12
+            u = (rng.normal(size=dim) if trial % 2 else
+                 rng.random(k) * (rng.random(k) < 0.5) @ atoms)
+            _assert_fit_matches_loop(u, atoms, int(rng.integers(1, min(k, dim) + 1)))
+
+    @pytest.mark.parametrize("profile", ["fewshot_benchmark_config", "desk_config"])
+    def test_gram_selection_bit_equal_on_phase1_memories(self, profile):
+        # the coverage fits of every pretraining adapter and every task's bound-check fit
+        art = pipeline.run_phase1(getattr(pipeline, profile)(seed=42))
+        memory, r_sparse = art.memory, art.certificate.r_sparse
+        centroids = Atoms.of(memory.centroids)
+        for u in memory.chain.project(adapter_rows(art.theta_pre)):
+            _assert_fit_matches_loop(u, memory.centroids, r_sparse, centroids)
+        for task in art.corpus.tasks:
+            u = memory.chain.subspace_project(task.theta_true)
+            _assert_fit_matches_loop(u, memory.M, min(r_sparse, memory.K), memory.row_atoms())
+
     def test_omp_bit_equal_to_refitting_loop(self):
         rng = np.random.default_rng(6)
         breaks = 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from protoadapt import prototypes
+from protoadapt import pipeline, prototypes
 from protoadapt.adapters import Canonicalizer, fit_canonicalizer, ridge_adapter, assemble_theta
 from protoadapt.prototypes import (
     PrototypeMemory,
@@ -17,6 +17,7 @@ from protoadapt.riskbound import (
     feature_radius_of,
     lipschitz_constant,
 )
+from protoadapt.metrics import binary_cross_entropy
 from protoadapt.synthdata import GeneratorConfig, generate_corpus, partition_tasks
 from protoadapt.util import ValidationError, sigmoid
 
@@ -45,7 +46,8 @@ class TestLipschitz:
             theta_a = rng.normal(size=3)
             theta_b = rng.normal(size=3)
             y = rng.integers(0, 2, size=40)
-            gap = abs(empirical_risk(theta_a, x, y) - empirical_risk(theta_b, x, y))
+            risk_a, risk_b = empirical_risk([theta_a, theta_b], x, y)
+            gap = abs(risk_a - risk_b)
             assert gap <= bound.lipschitz * np.linalg.norm(theta_a - theta_b) + 1e-12
 
 
@@ -151,6 +153,34 @@ class TestCheckBound:
         # the certified (median-based) bound holds for at least 9 in 10 tasks
         assert summary.certified_rate >= 0.9
 
+    @pytest.mark.parametrize("profile", ["fewshot_benchmark_config", "desk_config"])
+    def test_fused_risk_matches_separate_calls(self, profile):
+        art = pipeline.run_phase1(getattr(pipeline, profile)(seed=42))
+        memory, cert = art.memory, art.certificate
+        fmap = art.corpus.feature_map()
+        summary = check_bounds_over_tasks(art.corpus.tasks, memory, cert, fmap)
+        r_sparse = min(cert.r_sparse, memory.K)
+        for task, report in zip(art.corpus.tasks, summary.reports):
+            # oracle: one sigmoid and one log loss per adapter, row norms by norm()
+            theta = task.theta_true
+            u_star = memory.chain.subspace_project(theta)
+            w_star, eps_cov = prototypes.l0_fit(u_star, memory.M, r_sparse)
+            approx = w_star @ memory.M
+            feats = fmap(task.query_x)
+            risk_mem = binary_cross_entropy(sigmoid(feats @ approx), task.query_y)
+            risk_oracle = binary_cross_entropy(sigmoid(feats @ theta), task.query_y)
+            emp_gap = abs(risk_mem - risk_oracle)
+            lipschitz = float(np.max(np.linalg.norm(feats, axis=1)))
+            assert abs(report.emp_gap - emp_gap) <= 1e-12 * (1.0 + abs(emp_gap))
+            assert abs(report.lipschitz - lipschitz) <= 1e-12 * (1.0 + lipschitz)
+            assert report.eps_app == float(np.linalg.norm(theta - u_star))
+            assert report.eps_coverage == eps_cov
+            assert report.adapter_gap == float(np.linalg.norm(theta - approx))
+        for rate, flag in ((summary.triangle_rate, "triangle_holds"),
+                           (summary.per_task_rate, "per_task_bound_holds"),
+                           (summary.certified_rate, "certified_bound_holds")):
+            assert rate == np.mean([getattr(r, flag) for r in summary.reports])
+
 
 class TestCapacityTerm:
     """The sqrt(1/n) decay a sample-size capacity term assumes, on measured gaps."""
@@ -161,14 +191,15 @@ class TestCapacityTerm:
         theta = np.array([2.0, -1.0, 0.5])
         pop_x = rng.normal(size=(200_000, 3))
         pop_y = (rng.random(200_000) < sigmoid(pop_x @ theta)).astype(int)
-        pop_risk = empirical_risk(theta, pop_x, pop_y)
+        pop_risk = empirical_risk([theta], pop_x, pop_y)[0]
         sizes = (50, 100, 200, 400)
         gaps = []
         for n in sizes:
             trial_gaps = []
             for rep in range(60):
                 idx = rng.integers(0, pop_x.shape[0], size=n)
-                trial_gaps.append(abs(empirical_risk(theta, pop_x[idx], pop_y[idx]) - pop_risk))
+                trial_gaps.append(abs(empirical_risk([theta], pop_x[idx], pop_y[idx])[0]
+                                      - pop_risk))
             gaps.append(np.mean(trial_gaps))
         # anchor a sqrt(1/n) fit at the first point; measured decay must stay
         # within a factor two of the fit
