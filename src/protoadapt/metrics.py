@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .util import ValidationError, check_finite, require
 
@@ -44,7 +43,7 @@ def rank_auc(scores, labels):
 
     ``scores`` is a vector aligned with ``labels`` (a float back), or a 2-d
     matrix whose rows each align with them (one AUC per row, ranked in one
-    ``rankdata`` call).
+    ``average_ranks`` call).
     """
     return _rank_auc(scores, labels, single_class_nan=False)
 
@@ -67,9 +66,40 @@ def _rank_auc(scores, labels, single_class_nan):
             raise ValidationError("AUC undefined for a single-class label vector")
         aucs = np.full(rows.shape[0], np.nan)
     else:
-        ranks = rankdata(rows, method="average", axis=-1)
+        ranks = average_ranks(rows)
         aucs = (ranks[:, pos].sum(axis=1) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return float(aucs[0]) if vector else aucs
+
+
+def average_ranks(rows):
+    """1-based ranks along the last axis; tied values share their mean rank.
+
+    The same bytes as ``scipy.stats.rankdata(rows, method="average",
+    axis=-1)``, since average ranks are exact half-integers. A stable argsort
+    orders every row; a tie group starts wherever the sorted value changes,
+    and a group of c values at sorted positions f + 1 .. f + c ranks
+    f + (c + 1) / 2. Groups are found over the raveled rows at once (each
+    row's first value starts one), and the temporaries are dropped or reused
+    as soon as they are spent: at most four score-sized arrays are alive.
+    """
+    rows = np.asarray(rows, dtype=float)
+    order = np.argsort(rows, axis=-1, kind="stable")
+    ordered = np.take_along_axis(rows, order, axis=-1)
+    starts = np.ones(rows.shape, dtype=bool)
+    np.not_equal(ordered[..., 1:], ordered[..., :-1], out=starts[..., 1:])
+    del ordered
+    first = np.flatnonzero(starts)
+    del starts
+    counts = np.diff(first, append=rows.size)
+    mid = np.add(counts, 1.0)
+    mid *= 0.5
+    mid += np.remainder(first, rows.shape[-1], out=first)
+    del first
+    sorted_ranks = np.repeat(mid, counts).reshape(rows.shape)
+    del mid, counts
+    ranks = np.empty(rows.shape)
+    np.put_along_axis(ranks, order, sorted_ranks, axis=-1)
+    return ranks
 
 
 def binary_cross_entropy(probs, labels):

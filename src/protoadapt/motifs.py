@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import t as t_dist
+from scipy.special import stdtr
 
 from .metrics import rank_auc_or_nan
 from .resampling import bootstrap_indices, percentile_interval
@@ -431,7 +431,7 @@ def calibrate_tau(activations, labels, cohort: str = "cohort",
         t_stat = p_two = float("nan")
         if not zero_variance:
             t_stat = t_statistic_from_summary(tau_bar, se)
-            p_two = float(2.0 * t_dist.sf(abs(t_stat), df=2))
+            p_two = float(2.0 * stdtr(2, -abs(t_stat)))
         if (zero_variance or p_two >= alpha) and delta_auc <= gap_bound:
             return TauCalibration(cohort=cohort, tau_bar=tau_bar, se=se, t_stat=t_stat,
                                   t_abs=abs(t_stat), p_value=p_two, delta_auc=delta_auc,

@@ -873,7 +873,9 @@ def run_riskbound(cfg: RunConfig, artifacts: Phase1Artifacts,
     with timer.stage("riskbound", len(tasks)):
         summary = check_bounds_over_tasks(tasks, artifacts.memory, artifacts.certificate,
                                           fmap)
-    radius = feature_radius_of(tasks, fmap)
+    # each report's lipschitz is its query set's radius; only the supports are left to map
+    radius = max(feature_radius_of((task.support_x for task in tasks), fmap),
+                 *(r.lipschitz for r in summary.reports))
     lip = lipschitz_constant(radius)
     if outdir is not None:
         outdir = Path(outdir)
@@ -953,8 +955,27 @@ def run_ablations(cfg: RunConfig, variants, outdir: Path | None = None):
 # Report bundle
 # ---------------------------------------------------------------------------
 
+def _stage_table(runtime: Path) -> list:
+    """One row per ``runtime.txt`` stage line: stage, ms, tasks, ms per task, rss_mb."""
+    entries = [dict(field.split("=", 1) for field in line.split())
+               for line in runtime.read_text().splitlines()]
+    width = max([len("stage")] + [len(e["stage"]) for e in entries])
+    rows = [f"{'stage':<{width}} {'ms':>10} {'tasks':>6} {'ms/task':>9} {'rss_mb':>7}"]
+    for e in entries:
+        tasks = int(e.get("tasks", 0))
+        per_task = f"{float(e['ms']) / tasks:.3f}" if tasks else "-"
+        rows.append(f"{e['stage']:<{width}} {e['ms']:>10} {e.get('tasks', '-'):>6} "
+                    f"{per_task:>9} {e['rss_mb']:>7}")
+    return rows
+
+
 def emit_report(outdir: Path) -> Path:
-    """Assemble the plain-text summary over whatever artifacts exist."""
+    """Assemble the plain-text summary over whatever artifacts exist.
+
+    After the checklist of files come the stage table of ``runtime.txt`` (where
+    the time and the memory went) and the solver counters of the last
+    ``training_curve.csv`` row (where the work went), each when its file exists.
+    """
     outdir = Path(outdir)
     require(outdir.exists(), f"output directory {outdir} does not exist")
     lines = ["run report", "=" * 40]
@@ -975,6 +996,16 @@ def emit_report(outdir: Path) -> Path:
     phase2_present = (outdir / "metrics.csv").exists()
     if not phase2_present:
         lines.append("phase-1-only bundle: retrieval training has not run")
+    runtime, curve = outdir / "runtime.txt", outdir / "training_curve.csv"
+    if runtime.exists():
+        lines += ["", "stages (runtime.txt):"] + _stage_table(runtime)
+    if curve.exists():
+        header, *rows = (line.split(",") for line in curve.read_text().splitlines())
+        last = dict(zip(header, rows[-1]))
+        counters = ", ".join(f"{name} {last[name]}" for name in (
+            "solver_iterations", "solver_restarts", "converged_frac", "mean_active_size"))
+        lines += ["", f"solver counters at the last epoch ({last['epoch']}) of "
+                      f"training_curve.csv: {counters}"]
     summary = outdir / "summary.txt"
     summary.write_text("\n".join(lines) + "\n")
     return summary

@@ -10,7 +10,7 @@ exact percentiles check the code that Monte-Carlo runs use.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .util import require
 
@@ -70,7 +70,7 @@ def bca_interval(samples, theta_hat, jackknife_stats, level: float = 0.90):
     # Bias correction from the fraction of replicates below the estimate.
     frac_below = np.mean(samples < theta_hat)
     frac_below = min(max(frac_below, 1.0 / (n_boot + 1)), n_boot / (n_boot + 1))
-    z0 = norm.ppf(frac_below)
+    z0 = ndtri(frac_below)
 
     jack = np.asarray(jackknife_stats, dtype=float)
     jack_mean = jack.mean()
@@ -81,9 +81,9 @@ def bca_interval(samples, theta_hat, jackknife_stats, level: float = 0.90):
     alpha = (1.0 - level) / 2.0
     out = []
     for a in (alpha, 1.0 - alpha):
-        za = norm.ppf(a)
+        za = ndtri(a)
         adj = z0 + (z0 + za) / (1.0 - accel * (z0 + za))
-        out.append(np.percentile(samples, 100.0 * norm.cdf(adj)))
+        out.append(np.percentile(samples, 100.0 * ndtr(adj)))
     lo, hi = sorted(out)
     return float(lo), float(hi)
 

@@ -54,9 +54,9 @@ def _row_radius(feats) -> float:
     return float(np.sqrt(np.max(np.einsum("ij,ij->i", feats, feats))))
 
 
-def feature_radius_of(tasks, feature_map) -> float:
-    return max((_row_radius(feature_map(block))
-                for task in tasks for block in (task.support_x, task.query_x)), default=0.0)
+def feature_radius_of(blocks, feature_map) -> float:
+    """Largest feature-row norm over raw input blocks (0.0 for none)."""
+    return max((_row_radius(feature_map(block)) for block in blocks), default=0.0)
 
 
 def empirical_risk(adapters, x_feats, labels) -> np.ndarray:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from protoadapt.metrics import (
     MetricsRecord,
+    average_ranks,
     calibration_bins,
     compute_metrics,
     expected_calibration_error,
@@ -14,8 +16,8 @@ from protoadapt.util import ValidationError
 
 
 def _loop_average_ranks(values):
-    # the hand-written tie loop the library used before scipy's rankdata;
-    # kept as the oracle for the average-rank convention
+    # the hand-written tie loop the library used before scipy's rankdata and
+    # then average_ranks; kept as the oracle for the average-rank convention
     order = np.argsort(values, kind="stable")
     ranks = np.empty(len(values))
     sorted_vals = values[order]
@@ -44,6 +46,40 @@ def _tied_cases(n_cases=300, seed=11):
         scores = np.round(rng.random(n), int(rng.integers(1, 3)))
         labels = rng.integers(0, 2, size=n)
         yield scores, labels
+
+
+def _rank_cases(seed=17):
+    # (name, rows): heavy ties and no ties; vectors, one row and many rows; n = 1
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 3, 7, 50, 400):
+        yield f"distinct n={n}", rng.random(n)
+        yield f"tied n={n}", np.round(rng.random(n), 1)
+        yield f"small integers n={n}", rng.integers(0, 3, size=n).astype(float)
+        yield f"one row n={n}", np.round(rng.random((1, n)), 2)
+        yield f"distinct rows n={n}", rng.normal(size=(6, n))
+        yield f"tied rows n={n}", np.round(rng.random((9, n)), 1)
+    yield "constant rows", np.full((4, 30), 0.25)
+    yield "signed zeros", np.array([[0.0, -0.0, 1.0, -0.0], [-1.0, 0.0, -0.0, -1.0]])
+    yield "saturated scores", np.where(rng.random((5, 60)) < 0.9, 1.0, np.round(rng.random((5, 60)), 1))
+
+
+class TestAverageRanks:
+    """``average_ranks`` against scipy's ``rankdata`` and the tie loop, by bytes."""
+
+    @pytest.mark.parametrize("name,rows", list(_rank_cases()), ids=[c[0] for c in _rank_cases()])
+    def test_bytes_equal_rankdata_and_tie_loop(self, name, rows):
+        ranks = average_ranks(rows)
+        assert ranks.dtype == np.float64 and ranks.shape == rows.shape
+        assert ranks.tobytes() == rankdata(rows, method="average", axis=-1).tobytes()
+        loop = np.array([_loop_average_ranks(row) for row in np.atleast_2d(rows)])
+        assert ranks.tobytes() == loop.reshape(rows.shape).tobytes()
+
+    def test_train_pool_sized_scores(self):
+        # the fewshot profile's train pool: 115,200 scores in one vector
+        rng = np.random.default_rng(18)
+        for scores in (rng.random(115_200), np.round(rng.random(115_200), 3)):
+            assert (average_ranks(scores).tobytes()
+                    == rankdata(scores, method="average").tobytes())
 
 
 class TestAuc:

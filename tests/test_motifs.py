@@ -229,6 +229,23 @@ class TestTauCalibration:
         p = 2 * t_dist.sf(t, df=2)
         assert p == pytest.approx(0.245, abs=0.01)
 
+    def test_p_value_bytes_equal_scipy_t_sf(self):
+        # calibrate_tau takes stdtr(2, -|t|), the kernel t.sf(|t|, df=2) calls
+        tested = 0
+        for acts, labels, seed, gap_bound in _calibration_cases():
+            try:
+                cal = calibrate_tau(acts, labels, cohort="c", calib_frac=0.4,
+                                    gap_bound=gap_bound, seed=seed)
+            except CalibrationError:
+                continue
+            if cal.zero_variance:
+                assert np.isnan(cal.p_value)
+                continue
+            oracle = float(2.0 * t_dist.sf(abs(cal.t_stat), df=2))
+            assert np.float64(cal.p_value).tobytes() == np.float64(oracle).tobytes()
+            tested += 1
+        assert tested >= 20
+
     def _separable_activations(self, seed=9, n_rep=40, n_channels=12, noise=0.0):
         rng = np.random.default_rng(seed)
         labels = np.array([0, 1] * (n_rep // 2))

@@ -35,6 +35,7 @@ from protoadapt.pipeline import (
     run_seed_stability,
     run_support_sweep,
 )
+from protoadapt.riskbound import feature_radius_of
 from protoadapt.synthdata import GeneratorConfig, generate_corpus
 from protoadapt.util import ValidationError
 
@@ -550,6 +551,23 @@ class TestMotifAndRiskRuns:
         assert summary.per_task_rate == 1.0
         assert (tmp_path / "riskbound.csv").exists()
 
+    def test_riskbound_maps_each_task_block_once(self, tiny_artifacts, tmp_path, monkeypatch):
+        cfg, art = tiny_artifacts
+        fmap, calls = art.corpus.feature_map(), []
+
+        def counting_map(x):
+            calls.append(len(x))
+            return fmap(x)
+
+        monkeypatch.setattr(art.corpus, "feature_map", lambda: counting_map)
+        run_riskbound(cfg, art, outdir=tmp_path)
+        tasks = art.corpus.tasks
+        assert len(calls) == 2 * len(tasks)
+        # the global radius is still the largest over every support and query row
+        radius = feature_radius_of((b for t in tasks for b in (t.support_x, t.query_x)), fmap)
+        log = (tmp_path / "run.log").read_text().splitlines()
+        assert log[-1].endswith(f" | global lipschitz {radius:.4f}")
+
 
 class TestCommandLine:
     @staticmethod
@@ -638,6 +656,9 @@ class TestReportBundle:
         summary = emit_report(tmp_path)
         text = summary.read_text()
         assert "phase-1-only bundle" in text
+        # one stage row, no solver counters: the CI workflow greps this row
+        assert re.search(r"^phase1 +[0-9]+\.[0-9]{3} +- +- +[0-9]+\.[0-9]$", text, re.M)
+        assert "solver counters" not in text
 
     def test_full_bundle_lists_artifacts(self, tmp_path):
         cfg = tiny_config()
@@ -646,3 +667,34 @@ class TestReportBundle:
         text = emit_report(tmp_path).read_text()
         assert "[x] retrieval metrics" in text
         assert "phase-1-only" not in text
+
+    def test_stage_table_and_solver_counters(self, tmp_path):
+        cfg = tiny_config()
+        art = run_phase1(cfg, outdir=tmp_path)
+        run_phase2(cfg, art, outdir=tmp_path)
+        lines = emit_report(tmp_path).read_text().splitlines()
+        stage_lines = (tmp_path / "runtime.txt").read_text().splitlines()
+        head = lines.index("stages (runtime.txt):") + 1
+        assert lines[head].split() == ["stage", "ms", "tasks", "ms/task", "rss_mb"]
+        table = lines[head + 1:head + 1 + len(stage_lines)]
+        assert [row.split()[0] for row in table] == [
+            "phase1", "phase2.fit", "phase2.predict.train", "phase2.predict.val",
+            "phase2.predict.test"]
+        for row, stage_line in zip(table, stage_lines):
+            fields = dict(field.split("=", 1) for field in stage_line.split())
+            stage, ms, tasks, per_task, rss_mb = row.split()
+            assert (stage, ms, rss_mb) == (fields["stage"], fields["ms"], fields["rss_mb"])
+            if "tasks" in fields:
+                assert tasks == fields["tasks"]
+                assert per_task == f"{float(ms) / int(tasks):.3f}"
+            else:
+                assert tasks == per_task == "-"
+        header, *rows = (line.split(",")
+                         for line in (tmp_path / "training_curve.csv").read_text().splitlines())
+        last = dict(zip(header, rows[-1]))
+        assert lines[head + 1 + len(stage_lines):] == [
+            "", f"solver counters at the last epoch ({last['epoch']}) of training_curve.csv: "
+                f"solver_iterations {last['solver_iterations']}, "
+                f"solver_restarts {last['solver_restarts']}, "
+                f"converged_frac {last['converged_frac']}, "
+                f"mean_active_size {last['mean_active_size']}"]

@@ -215,7 +215,8 @@ def test_feature_radius_over_tasks():
     cfg = GeneratorConfig(d_theta=4, q=6, n_tasks=6, seed=11)
     corpus = generate_corpus(cfg)
     fmap = corpus.feature_map()
-    radius = feature_radius_of(corpus.tasks, fmap)
+    radius = feature_radius_of((block for t in corpus.tasks for block in (t.support_x, t.query_x)),
+                               fmap)
     direct = max(
         float(np.linalg.norm(fmap(block), axis=1).max())
         for t in corpus.tasks for block in (t.support_x, t.query_x)
