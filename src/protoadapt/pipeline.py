@@ -140,7 +140,7 @@ class RunConfig:
     r_keep: int | None = None           # None: min(selected rank, K); see _r_keep
     t_prox: int = 10
     solver_tol: float = 1e-9
-    hard_threshold: bool = True         # ablation C: soft-only when False, in every phase-2 step
+    hard_threshold: bool = True         # ablation C: False is r_keep = K (see _r_keep)
     epochs: int = 400
     batch_size: int = 100
     lr: float = 1e-3
@@ -159,7 +159,10 @@ class RunConfig:
     def validate(self) -> None:
         self.generator.validate()
         require(all(k >= 1 for k in self.k_grid), "K grid must be positive")
-        require(all(l >= 0 for l in self.lam_grid), "lambda grid must be nonnegative")
+        require(len(self.lam_grid) >= 1 and all(l >= 0 for l in self.lam_grid),
+                f"lam_grid must be nonempty and nonnegative, got {self.lam_grid}")
+        require(self.fixed_r is None or 1 <= self.fixed_r <= self.generator.d_theta,
+                f"fixed_r must be None or in [1, generator.d_theta], got {self.fixed_r}")
         require(len(self.seeds) >= 1, "need at least one seed")
         require(self.dim_n_boot >= 1, f"dim_n_boot must be at least 1, got {self.dim_n_boot}")
         require(self.coverage_n_boot >= 1,
@@ -170,6 +173,9 @@ class RunConfig:
             require(value >= 0.0, f"{name} must be nonnegative, got {value}")
         require(self.solver_tol > 0.0, f"solver_tol must be positive, got {self.solver_tol}")
         require(self.epochs >= 1, f"epochs must be at least 1, got {self.epochs}")
+        require(self.patience >= 0, f"patience must be nonnegative, got {self.patience}")
+        require(0.0 <= self.jaccard_min <= 1.0,
+                f"jaccard_min must lie in [0, 1], got {self.jaccard_min}")
         require(self.batch_size >= 1, f"batch_size must be at least 1, got {self.batch_size}")
         require(1 <= self.t_prox <= MAX_UNROLL,
                 f"t_prox must lie in [1, {MAX_UNROLL}], got {self.t_prox}")
@@ -296,11 +302,13 @@ def _support_size(cfg: RunConfig) -> int | None:
 
 
 def _r_keep(cfg: RunConfig, r: int, k: int) -> int:
-    """The operating sparsity: the configured ``r_keep``, else min(r, K).
+    """The operating sparsity: K when soft, else the configured ``r_keep``, else min(r, K).
 
-    The hard top-r rule keeps this many activations; phase 1 merges and
-    certifies coverage at it too.
+    The top-r rule keeps this many activations in every phase-2 step; phase 1
+    merges and certifies coverage at it too, capped at r.
     """
+    if not cfg.hard_threshold:
+        return k
     return cfg.r_keep if cfg.r_keep is not None else min(r, k)
 
 
@@ -551,13 +559,12 @@ def _prefixed(prefix: str, lines) -> list:
     return [line.replace("stage=", f"stage={prefix}.", 1) for line in lines]
 
 
-def _split_metrics(cfg: RunConfig, artifacts, episodes, net, transform, pcfg, r_keep,
-                   timer: StageTimer, stage: str):
+def _split_metrics(artifacts, episodes, net, transform, pcfg, r_keep, timer: StageTimer,
+                   stage: str):
     """Pooled metrics, probabilities, labels and solution; ``stage`` times the predictions."""
     with timer.stage(stage, len(episodes.task_ids)):
         probs, labels, solution = predict_tasks(episodes, artifacts.memory, net, pcfg,
-                                                r_keep, transform=transform,
-                                                hard_threshold=cfg.hard_threshold)
+                                                r_keep, transform=transform)
     return compute_metrics(probs, labels), probs, labels, solution
 
 
@@ -580,11 +587,10 @@ def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
                            jaccard_min=cfg.jaccard_min, seed=seed, r_keep=r_keep,
                            eta=cfg.eta)
         result = train_retrieval(splits["train"], artifacts.memory, pcfg, tcfg,
-                                 val=splits["val"], transform=transform,
-                                 hard_threshold=cfg.hard_threshold)
+                                 val=splits["val"], transform=transform)
 
-    evaluated = {tag: _split_metrics(cfg, artifacts, episodes, result.net, transform,
-                                     pcfg, r_keep, timer, f"phase2.predict.{tag}")
+    evaluated = {tag: _split_metrics(artifacts, episodes, result.net, transform, pcfg,
+                                     r_keep, timer, f"phase2.predict.{tag}")
                  for tag, episodes in splits.items()}
     _, test_probs, test_labels, test_solution = evaluated["test"]
     first_steps = test_solution.iterations[0] + 1
@@ -643,8 +649,7 @@ def run_penalty_sweep(cfg: RunConfig, artifacts: Phase1Artifacts, phase2: Phase2
         surface = sweep_lambda_eta(cfg.lam_grid, (0.0, cfg.eta), phase2.splits["val"],
                                    artifacts.memory, phase2.net, _proximal_config(cfg),
                                    _r_keep(cfg, artifacts.rank_selected, artifacts.memory.K),
-                                   transform=phase2.transform,
-                                   hard_threshold=cfg.hard_threshold)
+                                   transform=phase2.transform)
     if outdir is not None:
         outdir = Path(outdir)
         write_csv(outdir / "sweep_lambda_eta.csv",
@@ -720,8 +725,8 @@ def run_support_sweep(cfg: RunConfig, artifacts: Phase1Artifacts, phase2: Phase2
     for size in sizes:
         episodes = _prepare_inputs(cfg, artifacts,
                                    _ret_tasks_at_size(artifacts, "Ret-Test", size))
-        record, *_ = _split_metrics(cfg, artifacts, episodes, phase2.net, phase2.transform,
-                                    pcfg, r_keep, timer, f"support.{size}")
+        record, *_ = _split_metrics(artifacts, episodes, phase2.net, phase2.transform, pcfg,
+                                    r_keep, timer, f"support.{size}")
         rows.append({"support_size": size, "auc": record.auc, "f1": record.f1,
                      "ece": record.ece})
     if outdir is not None:
@@ -935,7 +940,7 @@ def run_ablations(cfg: RunConfig, variants, outdir: Path | None = None):
         rows.append({"variant": variant, "auc": rec.auc, "f1": rec.f1, "ece": rec.ece,
                      "rank": artifacts.rank_selected, "k": artifacts.memory.K})
         k = artifacts.memory.K
-        r_keep = _r_keep(vcfg, artifacts.rank_selected, k)
+        r_keep = _r_keep(cfg, artifacts.rank_selected, k)  # the base's: a soft vcfg's is K
         if cfg.hard_threshold and not vcfg.hard_threshold and r_keep >= k:
             notes.append(f"ablation {variant}: r_keep {r_keep} >= K {k}, so hard_top_r "
                          "keeps every activation and this row equals full by construction")

@@ -1,10 +1,11 @@
-"""Constrained proximal retrieval: solver, hard sparsity, outer objective, training.
+"""Constrained proximal retrieval: solver, top-r sparsity, outer objective, training.
 
 The solver runs accelerated proximal gradient with a monotone restart (any
 step that would increase the objective is replaced by a plain descent step
 from the previous iterate, so the recorded objective trace never increases).
 Training differentiates through the unrolled solver steps with a recorded
-tape and treats the hard top-r mask straight-through.
+tape and treats the top-r mask straight-through. ``r_keep`` alone sets the
+sparsity: the top-r rule keeps every activation at r_keep >= K.
 
 There are two paths. Training, validation, test prediction and the penalty
 sweep run blocks of ``Episodes`` (each task's descriptor, support adapter and
@@ -18,7 +19,8 @@ per row) and returns one ``BlockSolution`` of arrays. One-task calls
 top-r rule directly; ``solve_proximal`` works in Gram form too, on length-K
 vectors. The tests check it against the reconstruction-form loop kept there as
 its oracle, and the block code against it and ``backward_through_solve``. Both
-paths scale a config's gamma to each task's support size (``GAMMA_REF_SIZE``).
+paths share one row-wise softmax, softmax VJP, top-r rule and support-size
+gamma rule (``_at_support_size``).
 """
 
 from __future__ import annotations
@@ -39,14 +41,23 @@ GAMMA_REF_SIZE = 5
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis."""
     v = np.asarray(v, dtype=float)
-    shifted = v - v.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_vjp(p: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    return p * (grad - float(p @ grad))
+    """The gradient in the logits from ``grad`` in p = softmax(logits), along the last axis."""
+    return p * (grad - (p * grad).sum(axis=-1, keepdims=True))
+
+
+def _at_support_size(pcfg, n_support):
+    """``pcfg`` with gamma * GAMMA_REF_SIZE / max(n, 1): n one support size, or one per row.
+
+    For a count, n + (n < 1) is max(n, 1); one task's gamma stays a Python float.
+    """
+    return replace(pcfg, gamma=pcfg.gamma * GAMMA_REF_SIZE / (n_support + (n_support < 1)))
 
 
 @dataclass
@@ -207,15 +218,11 @@ def backward_through_solve(tape: _SolveTape, memory, grad_w_final: np.ndarray) -
 
 
 def hard_top_r(w: np.ndarray, r: int) -> np.ndarray:
-    """Keep the r largest activations (ties to the lowest index), zero the rest."""
+    """Zero all but the r largest activations of each row (last axis), ties to the lowest index."""
     require(r >= 1, "r must be at least 1")
-    w = np.asarray(w, dtype=float)
-    if r >= w.shape[0]:
-        return w.copy()
-    order = np.argsort(-w, kind="stable")
-    keep = order[:r]
-    out = np.zeros_like(w)
-    out[keep] = w[keep]
+    out = np.array(w, dtype=float)
+    place = np.argsort(-out, axis=-1, kind="stable").argsort(axis=-1)  # 0 for a row's largest
+    out[place >= r] = 0.0
     return out
 
 
@@ -253,8 +260,7 @@ class BlockSolution:
 
 
 def solve_block(theta_hats, memory, logits, cfg: ProximalConfig, r_keep: int,
-                budget: int | None = None, hard_threshold: bool = True,
-                record_tape: bool = False) -> BlockSolution:
+                budget: int | None = None, record_tape: bool = False) -> BlockSolution:
     """``solve_proximal`` and the top-r rule for T tasks at once, on a (T x K) block.
 
     Row i is task i's problem (theta_hats[i], logits[i]) with lam and gamma
@@ -267,8 +273,7 @@ def solve_block(theta_hats, memory, logits, cfg: ProximalConfig, r_keep: int,
     rounds differently from ``solve_proximal``, so a near-tie of the monotone
     test can go the other way there.
 
-    w_tilde is the stable top r_keep of each row (ties to the lowest index),
-    all of w when soft.
+    w_tilde is ``hard_top_r`` of each row: all of w at r_keep >= K.
     """
     memory.require_frozen()
     theta_hats = check_finite(theta_hats, "theta_hat")
@@ -278,8 +283,7 @@ def solve_block(theta_hats, memory, logits, cfg: ProximalConfig, r_keep: int,
     require(logits.shape == (n_rows, k), "logits must be one length-K row per task")
     require(theta_hats.shape == (n_rows, memory.d_theta),
             "theta_hats must be one length-d_theta row per task")
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    p = e / e.sum(axis=1, keepdims=True)
+    p = softmax(logits)
 
     gram = memory.gram()
     lam, gamma = (np.broadcast_to(np.asarray(value, dtype=float), (n_rows,))
@@ -356,14 +360,10 @@ def solve_block(theta_hats, memory, logits, cfg: ProximalConfig, r_keep: int,
         f_last = f_new
     w_final[live] = w[live]
 
-    w_tilde = w_final.copy()
-    if hard_threshold:
-        require(r_keep >= 1, "r must be at least 1")
-        drop = np.argsort(-w_final, axis=1, kind="stable")[:, r_keep:]
-        np.put_along_axis(w_tilde, drop, 0.0, axis=1)
-    solution = BlockSolution(w=w_final, w_tilde=w_tilde, iterations=iterations,
-                             restarts=restarts, converged=~live, kkt_residual=kkt,
-                             objective_trace=np.array(trace), p=p, tau=tau, gamma=gamma)
+    solution = BlockSolution(w=w_final, w_tilde=hard_top_r(w_final, r_keep),
+                             iterations=iterations, restarts=restarts, converged=~live,
+                             kkt_residual=kkt, objective_trace=np.array(trace), p=p, tau=tau,
+                             gamma=gamma)
     if record_tape:
         n_steps = len(trace) - 1
         solution.masks = np.array(masks).reshape(n_steps, n_rows, k)
@@ -404,8 +404,7 @@ def backward_block(block: BlockSolution, memory, grad_w: np.ndarray) -> np.ndarr
             grads[k - 1] += (1.0 + beta) * moved
             grads[k - 2] -= beta * moved
     gp += grads[0]
-    p = block.p
-    return p * (gp - (p * gp).sum(axis=1, keepdims=True))
+    return softmax_vjp(block.p, gp)
 
 
 # ---------------------------------------------------------------------------
@@ -548,51 +547,47 @@ def predict_task(task, memory, net, descriptor, theta_hat, pcfg, r_keep,
     """Query probabilities and the solution for one task.
 
     Warp of the descriptor vector (``build_descriptor``), net logits,
-    ``solve_proximal`` with ``pcfg``'s gamma scaled to the task's support size
-    (``GAMMA_REF_SIZE``), then w_tilde: the solution's top r_keep (all of w
-    when soft).
+    ``solve_proximal`` with ``pcfg`` at the task's support size
+    (``_at_support_size``), then w_tilde: the solution's top r_keep.
+    ``hard_threshold=False`` is r_keep = K: w_tilde keeps all of w.
     """
     z = descriptor if transform is None else transform.forward(descriptor)[0]
-    gamma = pcfg.gamma * GAMMA_REF_SIZE / max(task.n_support, 1)
-    solution = solve_proximal(theta_hat, memory, net.forward(z)[0], replace(pcfg, gamma=gamma))
-    solution.w_tilde = hard_top_r(solution.w, r_keep) if hard_threshold else solution.w.copy()
+    solution = solve_proximal(theta_hat, memory, net.forward(z)[0],
+                              _at_support_size(pcfg, task.n_support))
+    solution.w_tilde = hard_top_r(solution.w, r_keep if hard_threshold else memory.K)
     solution.active_set = list(np.nonzero(solution.w_tilde)[0])
     probs = sigmoid(feature_map(task.query_x) @ compose_adapter(memory, solution.w_tilde))
     return probs, solution
 
 
 def _episode_block(episodes: Episodes, memory, net, pcfg, r_keep, transform=None,
-                   hard_threshold=True, record_tape=False):
+                   record_tape=False):
     """The phase-2 step for a block of episodes: one warp, one net and one block solve.
 
-    Each task solves with ``pcfg``'s gamma scaled to its support size
-    (``GAMMA_REF_SIZE``). Returns the ``BlockSolution`` and the backward
-    pass's states (z_raw, warp hidden, z, net hidden), one row per task.
+    Each task solves with ``pcfg`` at its support size (``_at_support_size``).
+    Returns the ``BlockSolution`` and the backward pass's states (z_raw, warp
+    hidden, z, net hidden), one row per task.
     """
     z_raw = episodes.z
     z, warp_hidden = transform.forward(z_raw) if transform is not None else (z_raw, None)
     logits, net_hidden = net.forward(z)
-    n_support = np.maximum(episodes.n_support, 1)
     solution = solve_block(episodes.theta_hats, memory, logits,
-                           replace(pcfg, gamma=pcfg.gamma * GAMMA_REF_SIZE / n_support),
-                           r_keep, hard_threshold=hard_threshold, record_tape=record_tape)
+                           _at_support_size(pcfg, episodes.n_support), r_keep,
+                           record_tape=record_tape)
     return solution, (z_raw, warp_hidden, z, net_hidden)
 
 
-def predict_tasks(episodes: Episodes, memory, net, pcfg, r_keep, transform=None,
-                  hard_threshold=True):
+def predict_tasks(episodes: Episodes, memory, net, pcfg, r_keep, transform=None):
     """Pooled query probabilities and labels over a block, plus the block's solution.
 
     ``predict_task`` is the one-task path.
     """
-    solution, _ = _episode_block(episodes, memory, net, pcfg, r_keep, transform=transform,
-                                 hard_threshold=hard_threshold)
+    solution, _ = _episode_block(episodes, memory, net, pcfg, r_keep, transform=transform)
     probs = sigmoid(np.einsum("tnk,tk->tn", episodes.coords, solution.w_tilde))
     return probs.ravel(), episodes.labels.ravel(), solution
 
 
-def minibatch_gradients(episodes: Episodes, memory, net, pcfg, r_keep, eta, transform=None,
-                        hard_threshold=True):
+def minibatch_gradients(episodes: Episodes, memory, net, pcfg, r_keep, eta, transform=None):
     """The gradient one training step takes: of the mean outer loss over ``episodes``.
 
     One taped block episode, ``outer_terms`` on the block, ``backward_block``,
@@ -603,8 +598,7 @@ def minibatch_gradients(episodes: Episodes, memory, net, pcfg, r_keep, eta, tran
     gradients keyed ("net", key) and ("warp", key).
     """
     solution, (z_raw, warp_hidden, z, net_hidden) = _episode_block(
-        episodes, memory, net, pcfg, r_keep, transform=transform,
-        hard_threshold=hard_threshold, record_tape=True)
+        episodes, memory, net, pcfg, r_keep, transform=transform, record_tape=True)
     w_tilde, lam = solution.w_tilde, pcfg.lam
     _, ce, l1, entropy, grad_ce, grad_entropy = outer_terms(episodes, w_tilde)
     losses = ce + lam * l1 + eta * entropy
@@ -619,12 +613,12 @@ def minibatch_gradients(episodes: Episodes, memory, net, pcfg, r_keep, eta, tran
 
 
 def train_retrieval(train: Episodes, memory, pcfg, tcfg: TrainConfig, val: Episodes = None,
-                    transform=None, hard_threshold=True) -> TrainResult:
+                    transform=None) -> TrainResult:
     """Unrolled training of the retrieval network on the outer objective.
 
     Per minibatch of ``train``'s rows, ``minibatch_gradients``: one block
-    episode (descriptor warp, net, taped solve, top-r rule unless
-    ``hard_threshold`` is off), the outer objective on the block's query
+    episode (descriptor warp, net, taped solve, top ``tcfg.r_keep`` rule,
+    which keeps every activation at r_keep >= K), the outer objective on the block's query
     coordinates (``outer_terms``), and one backward pass through every solver
     iteration, the network and the warp; the top-r mask passes the gradient
     straight through. One Adam step per minibatch moves the network's and the
@@ -653,7 +647,7 @@ def train_retrieval(train: Episodes, memory, pcfg, tcfg: TrainConfig, val: Episo
         for start in range(0, len(order), tcfg.batch_size):
             batch_losses, solution, grads = minibatch_gradients(
                 train.take(order[start:start + tcfg.batch_size]), memory, net, pcfg,
-                tcfg.r_keep, tcfg.eta, transform=transform, hard_threshold=hard_threshold)
+                tcfg.r_keep, tcfg.eta, transform=transform)
             losses.extend(batch_losses)
             blocks.append(solution)
             if tcfg.weight_decay:
@@ -664,8 +658,7 @@ def train_retrieval(train: Episodes, memory, pcfg, tcfg: TrainConfig, val: Episo
         val_auc, jac = np.nan, 1.0
         if val is not None:
             probs, labels, solution = predict_tasks(val, memory, net, pcfg, tcfg.r_keep,
-                                                    transform=transform,
-                                                    hard_threshold=hard_threshold)
+                                                    transform=transform)
             val_auc = rank_auc_or_nan(probs, labels)
             active = solution.w_tilde != 0.0
             if prev_active is not None:
@@ -699,7 +692,7 @@ def train_retrieval(train: Episodes, memory, pcfg, tcfg: TrainConfig, val: Episo
 # ---------------------------------------------------------------------------
 
 def sweep_lambda_eta(lam_grid, eta_grid, episodes: Episodes, memory, net, pcfg, r_keep,
-                     transform=None, hard_threshold=True):
+                     transform=None):
     """Validation surface over (lam, eta): pooled AUC and sparsity averages.
 
     Each grid lam replaces ``pcfg``'s ``lam``. eta enters only the outer
@@ -712,7 +705,7 @@ def sweep_lambda_eta(lam_grid, eta_grid, episodes: Episodes, memory, net, pcfg, 
     rows = []
     for lam in lam_grid:
         solution, _ = _episode_block(episodes, memory, net, replace(pcfg, lam=lam), r_keep,
-                                     transform=transform, hard_threshold=hard_threshold)
+                                     transform=transform)
         probs, ce, l1, entropy, _, _ = outer_terms(episodes, solution.w_tilde)
         auc = rank_auc_or_nan(probs, labels)
         mean_l0_pre = float(np.mean(np.sum(solution.w > 1e-10, axis=1)))

@@ -150,6 +150,12 @@ class TestDefaults:
         ("rho", 0.0),
         ("rho", 1.0),
         ("rho", 1.5),
+        ("fixed_r", 0),
+        ("fixed_r", 9),  # above tiny_config's generator.d_theta = 8
+        ("lam_grid", ()),
+        ("jaccard_min", 2.0),
+        ("jaccard_min", -0.1),
+        ("patience", -1),
     ])
     def test_bad_field_is_rejected_naming_it(self, name, value):
         cfg = tiny_config()
@@ -380,7 +386,7 @@ class TestPhase2:
         probs, labels, _ = retrieval.predict_tasks(
             episodes, art_disk.memory, net, pipeline._proximal_config(cfg_disk),
             pipeline._r_keep(cfg_disk, art_disk.rank_selected, art_disk.memory.K),
-            transform=warp, hard_threshold=cfg_disk.hard_threshold)
+            transform=warp)
         assert probs.tobytes() == result.test_probs.tobytes()
         assert np.array_equal(labels, result.test_labels)
 
@@ -608,6 +614,15 @@ class TestAblations:
         assert set(ABLATION_VARIANTS) >= {"full", "fixed_r", "soft_l1_only",
                                           "gamma_zero", "no_canonicalization",
                                           "no_transform"}
+
+    def test_soft_rule_is_r_keep_equal_to_k(self):
+        for r_keep in (None, 1, 3, 100):
+            hard = tiny_config(r_keep=r_keep)
+            soft = replace(hard, hard_threshold=False)
+            for rank, k in ((2, 4), (4, 4), (6, 4)):
+                assert pipeline._r_keep(soft, rank, k) == k
+                expected = r_keep if r_keep is not None else min(rank, k)
+                assert pipeline._r_keep(hard, rank, k) == expected
 
     def test_no_op_soft_ablation_is_flagged(self, tmp_path):
         # desk seed 42 ends at r_keep = K = 4: the top-r rule keeps everything

@@ -371,7 +371,7 @@ class TestBlockMatchesSingleTask:
 
     def test_soft_rule_keeps_w(self):
         memory, theta_hats, logits, cfg, _ = _block_problem(6, 5, 6, 4, 10, 1e-9, 1.0)
-        block = solve_block(theta_hats, memory, logits, cfg, 1, hard_threshold=False)
+        block = solve_block(theta_hats, memory, logits, cfg, memory.K)
         assert np.array_equal(block.w_tilde, block.w)
 
 
@@ -490,6 +490,79 @@ class TestHardTopR:
         once = hard_top_r(w, 2)
         assert np.array_equal(hard_top_r(once, 2), once)
         assert np.allclose(hard_top_r(3.5 * w, 2), 3.5 * once)
+
+
+def _softmax_1d(v):
+    """The one-vector softmax as it was before it went row-wise: the oracle."""
+    v = np.asarray(v, dtype=float)
+    shifted = v - v.max()
+    e = np.exp(shifted)
+    return e / e.sum()
+
+
+def _softmax_vjp_1d(p, grad):
+    """The one-vector softmax VJP as it was before it went row-wise: the oracle."""
+    return p * (grad - float(p @ grad))
+
+
+def _hard_top_r_1d(w, r):
+    """The one-vector top-r rule as it was before it went row-wise: the oracle."""
+    w = np.asarray(w, dtype=float)
+    if r >= w.shape[0]:
+        return w.copy()
+    order = np.argsort(-w, kind="stable")
+    keep = order[:r]
+    out = np.zeros_like(w)
+    out[keep] = w[keep]
+    return out
+
+
+def _row_loop(fn, *arrays):
+    """``fn`` on each last-axis row of ``arrays``, stacked back into their shape."""
+    rows = zip(*(a.reshape(-1, a.shape[-1]) for a in arrays))
+    return np.stack([fn(*row) for row in rows]).reshape(arrays[0].shape)
+
+
+class TestRowWiseMatchesTheVectorLoop:
+    """``softmax``, ``softmax_vjp`` and ``hard_top_r`` along the last axis, row by row."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(31)
+        for shape in [(1,), (3,), (8,), (50,), (1, 1), (1, 4), (7, 3), (12, 8), (5, 9),
+                      (4, 200), (2, 3, 6)]:
+            k = shape[-1]
+            yield "normal", rng.normal(size=shape)
+            yield "ties", rng.integers(0, 3, size=shape).astype(float)  # many equal entries
+            yield "wide", 60.0 * rng.normal(size=shape)
+            rows = np.abs(rng.normal(size=shape)).reshape(-1, k)
+            rows[0] = 0.0                                                 # an all-zero row
+            rows[-1, : (k + 1) // 2] = 0.0
+            yield "zero rows", rows.reshape(shape)
+
+    def test_softmax_and_top_r_bytes_and_vjp_within_1e_12(self):
+        seen = set()
+        for case, x in self._cases():
+            k = x.shape[-1]
+            assert softmax(x).tobytes() == _row_loop(_softmax_1d, x).tobytes(), (case, x.shape)
+            p = softmax(x)
+            grad = np.random.default_rng(k).normal(size=x.shape)
+            ours, theirs = retrieval.softmax_vjp(p, grad), _row_loop(_softmax_vjp_1d, p, grad)
+            assert ours.shape == x.shape
+            assert np.all(np.abs(ours - theirs) <= 1e-12 * (1.0 + np.abs(theirs))), case
+            for r in sorted({1, 2, k - 1, k, k + 1, k + 5} - {0}):
+                top = hard_top_r(x, r)
+                expected = _row_loop(lambda row: _hard_top_r_1d(row, r), x)
+                assert top.tobytes() == expected.tobytes(), (case, x.shape, r)
+                assert not np.shares_memory(top, x)
+                seen.add((x.ndim, r >= k))
+        assert seen == {(1, False), (1, True), (2, False), (2, True), (3, False), (3, True)}
+
+    def test_list_input_and_bad_r(self):
+        assert np.array_equal(hard_top_r([3, 1, 2], 2), np.array([3.0, 0.0, 2.0]))
+        assert softmax([0.0, 0.0]).tolist() == [0.5, 0.5]
+        with pytest.raises(ValidationError, match="r must be at least 1"):
+            hard_top_r(np.ones((2, 3)), 0)
 
 
 class TestCompose:
@@ -774,7 +847,9 @@ class TestTraining:
     def test_soft_mode_trains_and_validates_on_the_unthresholded_solution(self, monkeypatch):
         memory, tasks, descriptors, theta_hats = self._toy_problem()
         pcfg = ProximalConfig(lam=1e-4, gamma=0.5, t_prox=5)
-        tcfg = TrainConfig(epochs=2, lr=0.0, r_keep=1, seed=0)
+        # the soft rule is r_keep = K; the hard rule it is compared with keeps one
+        tcfg = TrainConfig(epochs=2, lr=0.0, r_keep=memory.K, seed=0)
+        hard_r = 1
         net = RetrievalNet(d_z=3, k=3, seed=0)  # lr=0 keeps training at this net
 
         def mean_loss(threshold):
@@ -798,8 +873,8 @@ class TestTraining:
 
         monkeypatch.setattr(retrieval, "predict_tasks", spy)
         block = _block(tasks, memory, descriptors, theta_hats)
-        result = train_retrieval(block, memory, pcfg, tcfg, val=block, hard_threshold=False)
-        soft, hard = mean_loss(lambda w: w), mean_loss(lambda w: hard_top_r(w, 1))
+        result = train_retrieval(block, memory, pcfg, tcfg, val=block)
+        soft, hard = mean_loss(lambda w: w), mean_loss(lambda w: hard_top_r(w, hard_r))
         assert soft != pytest.approx(hard)
         assert [row.train_loss for row in result.history] == pytest.approx([soft] * 2,
                                                                            rel=1e-12)
@@ -808,7 +883,7 @@ class TestTraining:
             assert block.w.shape[0] == len(tasks)
             assert np.array_equal(block.w_tilde, block.w)
         assert max(np.count_nonzero(block.w_tilde, axis=1).max()
-                   for block in val_solutions) > tcfg.r_keep
+                   for block in val_solutions) > hard_r
 
     def test_one_adam_step_matches_the_two_optimizer_oracle(self):
         memory, tasks, descriptors, theta_hats = self._toy_problem()
@@ -834,7 +909,7 @@ class TestTraining:
 
     def test_jaccard_matches_the_set_loop(self, monkeypatch):
         memory, tasks, descriptors, theta_hats = self._toy_problem()
-        tcfg = TrainConfig(epochs=6, lr=0.05, r_keep=1, seed=0)
+        tcfg = TrainConfig(epochs=6, lr=0.05, r_keep=memory.K, seed=0)  # the soft rule
         for lam in (1e-4, 1e3):  # 1e3 empties every active set
             pcfg = ProximalConfig(lam=lam, gamma=0.5, t_prox=5)
             blocks = []
@@ -846,8 +921,7 @@ class TestTraining:
 
             monkeypatch.setattr(retrieval, "predict_tasks", spy)
             block = _block(tasks, memory, descriptors, theta_hats)
-            result = train_retrieval(block, memory, pcfg, tcfg, val=block,
-                                     hard_threshold=False)
+            result = train_retrieval(block, memory, pcfg, tcfg, val=block)
             monkeypatch.undo()
             actives = [[set(np.nonzero(w)[0]) for w in block.w_tilde] for block in blocks]
             expected = [1.0] + [float(np.mean([_set_jaccard(a, b) for a, b in zip(now, before)]))
@@ -1081,6 +1155,15 @@ class TestSweep:
 
 
 class TestOneTaskPath:
+    def test_one_gamma_rule_for_a_size_and_for_rows(self):
+        pcfg = ProximalConfig(gamma=0.4)
+        sizes = [0, 1, 2, 5, 20]
+        expected = [0.4 * GAMMA_REF_SIZE / max(n, 1) for n in sizes]
+        assert retrieval._at_support_size(pcfg, np.array(sizes)).gamma.tolist() == expected
+        for n, gamma in zip(sizes, expected):
+            one = retrieval._at_support_size(pcfg, n).gamma
+            assert type(one) is float and one == gamma  # the one-task solve's scalar arithmetic
+
     def test_scales_gamma_as_the_block_does(self):
         rng = np.random.default_rng(20)
         memory = make_memory(rng.normal(size=(4, 3)))
