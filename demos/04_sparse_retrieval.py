@@ -6,7 +6,7 @@ import numpy as np
 from protoadapt.adapters import Canonicalizer
 from protoadapt.prototypes import PrototypeMemory, ProjectionChain
 from protoadapt.retrieval import (
-    Episodes, ProximalConfig, compose_adapter, hard_top_r, outer_terms, softmax, solve_proximal,
+    Episodes, ProximalConfig, compose_adapter, hard_top_r, outer_terms, softmax, solve_block,
 )
 from protoadapt.synthdata import EpisodeTask
 
@@ -19,19 +19,21 @@ memory = PrototypeMemory(m_rows=m_rows, chain=chain,
 
 theta_hat = 0.8 * m_rows[2] + 0.4 * m_rows[4] + 0.05 * rng.normal(size=d)
 v = rng.normal(size=k)
-cfg = ProximalConfig(lam=1e-3, gamma=0.2, t_prox=20, tol=1e-12)
+cfg = ProximalConfig(lam=1e-3, gamma=0.2)
 
-solution = solve_proximal(theta_hat, memory, v, cfg, budget=2000)
-print("dense activations:", np.round(solution.w, 4))
-print(f"iterations {solution.iterations}, restarts {solution.restarts}, "
-      f"KKT residual {solution.kkt_residual:.2e}")
-trace = np.asarray(solution.objective_trace)
-print("objective trace monotone:", bool(np.all(np.diff(trace) <= 1e-12)),
-      f"(first {trace[0]:.5f} -> last {trace[-1]:.5f})")
+# one task as a one-row block: the exact active-set solve and its objective trace
+solution = solve_block(theta_hat[None], memory, v[None], cfg, r_keep=k)
+w = solution.w[0]
+print("dense activations:", np.round(w, 4))
+print(f"active-set iterations {solution.iterations[0]}, "
+      f"free set {np.nonzero(solution.free[0])[0].tolist()}")
+trace = solution.objective_trace[:, 0]
+print("objective at each iterate, clipped to w >= 0:", np.round(trace, 5),
+      f"(the last is the minimum: {bool(trace[-1] <= trace.min())})")
 
-w_tilde = hard_top_r(solution.w, 2)
-before, after = (np.linalg.norm(compose_adapter(memory, w) - theta_hat)
-                 for w in (solution.w, w_tilde))
+w_tilde = hard_top_r(w, 2)
+before, after = (np.linalg.norm(compose_adapter(memory, a) - theta_hat)
+                 for a in (w, w_tilde))
 print(f"hard top-2 keeps atoms {np.nonzero(w_tilde)[0].tolist()}; "
       f"reconstruction residual {before:.5f} -> {after:.5f}")
 

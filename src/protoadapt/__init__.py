@@ -3,9 +3,10 @@
 The library covers the full pipeline: synthetic corpus generation with
 planted low-rank adapter structure, spectral rank diagnostics with bootstrap
 tests, prototype memory construction with coverage certificates, sparse
-proximal retrieval with unrolled training behind a residual MLP descriptor
-warp, calibrated motif statistics, an adaptive ODE integrator with adjoint
-gradients, and an executable excess-risk bound checker.
+retrieval solved exactly by a batched active-set loop and trained through the
+solution's implicit gradient behind a residual MLP descriptor warp, calibrated
+motif statistics, an adaptive ODE integrator with adjoint gradients, and an
+executable excess-risk bound checker.
 """
 
 from .adapters import AdapterMatrix, Canonicalizer, assemble_theta, fit_canonicalizer, ridge_adapter

@@ -42,7 +42,6 @@ from .prototypes import (
     merge_prototypes,
 )
 from .retrieval import (
-    MAX_UNROLL,
     Episodes,
     ProximalConfig,
     TrainConfig,
@@ -138,8 +137,6 @@ class RunConfig:
     gamma: float = 0.1                  # at retrieval.GAMMA_REF_SIZE support examples
     eta: float = 0.01
     r_keep: int | None = None           # None: min(selected rank, K); see _r_keep
-    t_prox: int = 10
-    solver_tol: float = 1e-9
     hard_threshold: bool = True         # ablation C: False is r_keep = K (see _r_keep)
     epochs: int = 400
     batch_size: int = 100
@@ -158,12 +155,12 @@ class RunConfig:
 
     def validate(self) -> None:
         self.generator.validate()
-        require(all(k >= 1 for k in self.k_grid), "K grid must be positive")
+        require(all(k >= 1 for k in self.k_grid), f"k_grid must be positive, got {self.k_grid}")
         require(len(self.lam_grid) >= 1 and all(l >= 0 for l in self.lam_grid),
                 f"lam_grid must be nonempty and nonnegative, got {self.lam_grid}")
         require(self.fixed_r is None or 1 <= self.fixed_r <= self.generator.d_theta,
                 f"fixed_r must be None or in [1, generator.d_theta], got {self.fixed_r}")
-        require(len(self.seeds) >= 1, "need at least one seed")
+        require(len(self.seeds) >= 1, f"seeds must be nonempty, got {self.seeds}")
         require(self.dim_n_boot >= 1, f"dim_n_boot must be at least 1, got {self.dim_n_boot}")
         require(self.coverage_n_boot >= 1,
                 f"coverage_n_boot must be at least 1, got {self.coverage_n_boot}")
@@ -171,14 +168,11 @@ class RunConfig:
         for name in ("lam", "gamma", "lr", "weight_decay", "eta"):
             value = getattr(self, name)
             require(value >= 0.0, f"{name} must be nonnegative, got {value}")
-        require(self.solver_tol > 0.0, f"solver_tol must be positive, got {self.solver_tol}")
         require(self.epochs >= 1, f"epochs must be at least 1, got {self.epochs}")
         require(self.patience >= 0, f"patience must be nonnegative, got {self.patience}")
         require(0.0 <= self.jaccard_min <= 1.0,
                 f"jaccard_min must lie in [0, 1], got {self.jaccard_min}")
         require(self.batch_size >= 1, f"batch_size must be at least 1, got {self.batch_size}")
-        require(1 <= self.t_prox <= MAX_UNROLL,
-                f"t_prox must lie in [1, {MAX_UNROLL}], got {self.t_prox}")
         require(self.warp.kind in ("mlp", "none"),
                 f"warp.kind must be 'mlp' or 'none', got {self.warp.kind!r}")
         for name in ("train_sizes", "support_sizes_eval"):
@@ -515,7 +509,7 @@ class Phase2Result:
     stopped_epoch: int
     test_probs: np.ndarray
     test_labels: np.ndarray
-    solver_trace: list      # objective per iteration of one worked test solve
+    solver_trace: list      # objective per active-set iteration of one worked test solve
 
 
 def _ret_tasks_at_size(artifacts: Phase1Artifacts, tag: str, size: int | None):
@@ -545,8 +539,19 @@ def _prepare_inputs(cfg: RunConfig, artifacts: Phase1Artifacts, tasks) -> Episod
 
 def _proximal_config(cfg: RunConfig) -> ProximalConfig:
     """The solver settings; retrieval scales gamma to each task's support size."""
-    return ProximalConfig(lam=cfg.lam, gamma=cfg.gamma, t_prox=cfg.t_prox,
-                          tol=cfg.solver_tol)
+    return ProximalConfig(lam=cfg.lam, gamma=cfg.gamma)
+
+
+def _gamma_zero_problem(cfg: RunConfig, memory) -> str | None:
+    """Why ``cfg`` cannot solve on ``memory``, or None.
+
+    At gamma = 0, H = M M^T is singular when the memory's rank is below K,
+    and the inner problem has no unique minimizer.
+    """
+    if cfg.gamma == 0.0 and memory.rank() < memory.K:
+        return (f"gamma = 0 needs a memory of full rank, but its rank is {memory.rank()} "
+                f"< K = {memory.K}")
+    return None
 
 
 def _append(path: Path, lines) -> None:
@@ -574,6 +579,8 @@ def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
     seed = cfg.seed if seed is None else seed
     size = _support_size(cfg)
     timer = StageTimer(cfg.hash())
+    problem = _gamma_zero_problem(cfg, artifacts.memory)
+    require(problem is None, problem)
     pcfg = _proximal_config(cfg)
     r_keep = _r_keep(cfg, artifacts.rank_selected, artifacts.memory.K)
     with timer.stage("phase2.fit", None):
@@ -593,14 +600,14 @@ def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
                                      r_keep, timer, f"phase2.predict.{tag}")
                  for tag, episodes in splits.items()}
     _, test_probs, test_labels, test_solution = evaluated["test"]
-    first_steps = test_solution.iterations[0] + 1
 
     out = Phase2Result(net=result.net, transform=transform, history=result.history,
                        metrics={tag: split[0] for tag, split in evaluated.items()},
                        splits=splits, runtime=timer.lines,
                        stopped_epoch=result.stopped_epoch,
                        test_probs=test_probs, test_labels=test_labels,
-                       solver_trace=test_solution.objective_trace[:first_steps, 0].tolist())
+                       solver_trace=test_solution.objective_trace[
+                           :test_solution.iterations[0], 0].tolist())
     if outdir is not None:
         persist_phase2(out, Path(outdir))
     return out
@@ -927,15 +934,21 @@ def run_ablations(cfg: RunConfig, variants, outdir: Path | None = None):
 
     run.log names each variant that turns off a top-r rule which keeps every
     activation anyway (r_keep >= K): that row equals ``full`` by construction.
-    runtime.txt gets each variant's phase-1 and phase-2 stage lines, their
-    names prefixed with ``ablation.<variant>.``.
+    A variant whose memory cannot take its gamma (``_gamma_zero_problem``) has
+    no row, and run.log says why. runtime.txt gets each variant's phase-1 and
+    phase-2 stage lines, their names prefixed with ``ablation.<variant>.``.
     """
     rows, notes, runtime = [], [], []
     for variant in variants:
         vcfg = ablation_config(cfg, variant)
         artifacts = run_phase1(vcfg)
+        runtime += _prefixed(f"ablation.{variant}", artifacts.runtime)
+        problem = _gamma_zero_problem(vcfg, artifacts.memory)
+        if problem is not None:
+            notes.append(f"ablation {variant}: no row, {problem}")
+            continue
         result = run_phase2(vcfg, artifacts)
-        runtime += _prefixed(f"ablation.{variant}", artifacts.runtime + result.runtime)
+        runtime += _prefixed(f"ablation.{variant}", result.runtime)
         rec = result.metrics["test"]
         rows.append({"variant": variant, "auc": rec.auc, "f1": rec.f1, "ece": rec.ece,
                      "rank": artifacts.rank_selected, "k": artifacts.memory.K})

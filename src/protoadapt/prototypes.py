@@ -151,7 +151,7 @@ class PrototypeMemory:
         self.eps_M_upper = None
         self.certificate = None
         self.frozen = False
-        self._operator_norm = None
+        self._rank = None
         self._row_atoms = None
 
     @property
@@ -166,11 +166,11 @@ class PrototypeMemory:
     def r(self) -> int:
         return self.chain.r
 
-    def operator_norm(self) -> float:
-        """Largest singular value of M^T, cached (rows are fixed once frozen)."""
-        if self._operator_norm is None:
-            self._operator_norm = float(np.linalg.svd(self.M, compute_uv=False)[0]) if self.M.size else 0.0
-        return self._operator_norm
+    def rank(self) -> int:
+        """The numerical rank of M, cached (rows are fixed once frozen)."""
+        if self._rank is None:
+            self._rank = int(np.linalg.matrix_rank(self.M))
+        return self._rank
 
     def gram(self) -> np.ndarray:
         """M M^T (K x K, read-only): the row dictionary's Gram matrix."""

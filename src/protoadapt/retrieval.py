@@ -1,32 +1,33 @@
 """Constrained proximal retrieval: solver, top-r sparsity, outer objective, training.
 
-The solver runs accelerated proximal gradient with a monotone restart (any
-step that would increase the objective is replaced by a plain descent step
-from the previous iterate, so the recorded objective trace never increases).
-Training differentiates through the unrolled solver steps with a recorded
-tape and treats the top-r mask straight-through. ``r_keep`` alone sets the
+A task's inner problem is, over w >= 0,
+0.5 ||M^T w - theta_hat||^2 + lam ||w||_1 + gamma ||w - softmax(v)||^2. In Gram
+form it is 0.5 w H w^T + c w^T + const with H = G + 2 gamma I (G = M M^T,
+cached on the memory) and c = lam - M theta_hat - 2 gamma p.
+``active_set_solve`` solves it exactly for T tasks at once with a primal-dual
+active-set loop (Hintermueller, Ito & Kunisch 2002). Training differentiates the
+solution at its free set F, as OptNet (Amos & Kolter 2017) does: there
+w_F = -H_FF^{-1} c_F, so dL/dp is 2 gamma H_FF^{-1} g_F on F and 0 off it. The
+top-r mask passes the gradient straight through. ``r_keep`` alone sets the
 sparsity: the top-r rule keeps every activation at r_keep >= K.
 
-There are two paths. Training, validation, test prediction and the penalty
-sweep run blocks of ``Episodes`` (each task's descriptor, support adapter and
-query set in prototype coordinates, built once, one query size per block):
-one warp and network pass over T rows and ``solve_block`` in Gram form
+There are two paths onto the one kernel. Training, validation, test prediction
+and the penalty sweep run blocks of ``Episodes`` (each task's descriptor,
+support adapter and query set in prototype coordinates, built once, one query
+size per block): one warp and network pass over T rows and ``solve_block``
 (``_episode_block``), the outer objective on the block (``outer_terms``) and,
-in training, ``backward_block``.
-``solve_block`` takes one ``ProximalConfig`` (lam and gamma one value or one
-per row) and returns one ``BlockSolution`` of arrays. One-task calls
-(``predict_task``) run the warp, the network, ``solve_proximal`` and the
-top-r rule directly; ``solve_proximal`` works in Gram form too, on length-K
-vectors. The tests check it against the reconstruction-form loop kept there as
-its oracle, and the block code against it and ``backward_through_solve``. Both
-paths share one row-wise softmax, softmax VJP, top-r rule and support-size
-gamma rule (``_at_support_size``).
+in training, ``backward_block``. ``solve_block`` takes one ``ProximalConfig``
+(lam and gamma one value or one per row) and returns one ``BlockSolution`` of
+arrays. One-task calls (``predict_task``) run the warp, the network,
+``solve_proximal`` (the kernel at T = 1) and the top-r rule directly;
+``backward_through_solve`` is the one-task ``backward_block``. Both paths share
+one row-wise softmax, softmax VJP, top-r rule and support-size gamma rule
+(``_at_support_size``).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +35,13 @@ from .metrics import rank_auc_or_nan
 from .tanhmap import TanhMap
 from .util import ValidationError, check_finite, child_rng, require, sigmoid
 
-MAX_UNROLL = 20  # training-time unroll cap
+# The primal-dual active-set step exchanges every infeasible coordinate at once and
+# can cycle when H is not an M-matrix (gamma = 0 on desk seed 42 does). From iteration
+# FULL_EXCHANGE_ITERATIONS on, a row exchanges only its lowest-index infeasible
+# coordinate (Murty's rule), which cannot cycle on a positive definite H. A row still
+# unsettled after MAX_ACTIVE_SET_ITERATIONS raises.
+FULL_EXCHANGE_ITERATIONS = 10
+MAX_ACTIVE_SET_ITERATIONS = 50
 # a config's gamma is the prior's weight at GAMMA_REF_SIZE support examples; it shrinks
 # as evidence grows, so a task solves with gamma * GAMMA_REF_SIZE / n_support
 GAMMA_REF_SIZE = 5
@@ -64,57 +71,98 @@ def _at_support_size(pcfg, n_support):
 class ProximalConfig:
     lam: float | np.ndarray = 1e-4     # lam and gamma: one value, or one per solve_block row
     gamma: float | np.ndarray = 0.1
-    t_prox: int = 10
-    tol: float = 1e-9
 
     def validate(self) -> None:
         require(self.lam >= 0.0, "lam must be nonnegative")
         require(self.gamma >= 0.0, "gamma must be nonnegative")
-        require(1 <= self.t_prox <= MAX_UNROLL, f"t_prox must lie in [1, {MAX_UNROLL}]")
-        require(self.tol > 0.0, "tol must be positive")
+
+
+def _on_free_sets(hessians: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Each row's H with its rows and columns off the free set F those of the identity."""
+    return np.where(free[:, :, None] & free[:, None, :], hessians, np.eye(free.shape[1]))
+
+
+def _hessians(memory, gamma: np.ndarray) -> np.ndarray:
+    """H = G + 2 gamma I for each row's gamma: (T, K, K)."""
+    return memory.gram() + 2.0 * gamma[:, None, None] * np.eye(memory.K)
+
+
+def active_set_solve(memory, gamma: np.ndarray, linear: np.ndarray):
+    """The exact minimizer of 0.5 w H w^T + c w^T over w >= 0 for each row.
+
+    Row t has H = G + 2 gamma[t] I and c = linear[t]. The primal-dual
+    active-set loop starts from the free set F of every coordinate. Each
+    iteration solves H_FF w_F = -c_F with w = 0 off F, takes mu = H w + c off F
+    (0 on F) and sets F to {w - mu > 0}, after FULL_EXCHANGE_ITERATIONS moving
+    only the lowest-index coordinate where that set and F differ. Once a row's
+    F stops changing, w >= 0, mu >= 0 and w mu = 0 hold: the KKT conditions.
+    Every row is solved in every iteration until all have settled; a settled
+    row's F no longer moves, so it gets the same w again.
+
+    Returns w (T x K), the free sets, each row's iteration count and the
+    iterates, one (T x K) array per iteration. A row with gamma = 0 on a memory
+    of rank below K (H = G is singular, and the minimizer is not unique), or one
+    still unsettled after MAX_ACTIVE_SET_ITERATIONS, raises naming the row.
+    """
+    if not gamma.all() and memory.rank() < memory.K:
+        raise ValidationError(
+            f"rows {np.flatnonzero(gamma == 0.0).tolist()} have gamma = 0 on a memory of "
+            f"rank {memory.rank()} < K = {memory.K}: H = M M^T is singular")
+    hessians = _hessians(memory, gamma)
+    target = -linear
+    free = np.ones(linear.shape, dtype=bool)
+    system, rhs = hessians, target  # on F = every coordinate
+    iterations = np.ones(len(linear), dtype=int)
+    iterates = []
+    for step in range(MAX_ACTIVE_SET_ITERATIONS):
+        w = np.linalg.solve(system, rhs[..., None])[..., 0]
+        iterates.append(w)
+        # where w - mu > 0 disagrees with F, a coordinate is infeasible (off F, w - mu = -c - H w)
+        infeasible = (np.where(free, w, target - (hessians @ w[..., None])[..., 0]) > 0.0) != free
+        unsettled = infeasible.any(axis=1)
+        if not unsettled.any():
+            return w, free, iterations, iterates
+        iterations += unsettled
+        if step + 1 >= FULL_EXCHANGE_ITERATIONS:
+            infeasible &= np.arange(len(free[0])) == np.argmax(infeasible, axis=1)[:, None]
+        free = free ^ infeasible
+        system, rhs = _on_free_sets(hessians, free), np.where(free, target, 0.0)
+    raise ValidationError(f"rows {np.flatnonzero(unsettled).tolist()} did not settle their free "
+                          f"sets in {MAX_ACTIVE_SET_ITERATIONS} active-set iterations")
+
+
+def _solution_vjp(memory, free, gamma, p, grad_w) -> np.ndarray:
+    """dL/dv from dL/dw at exact solutions, one row per task.
+
+    With F fixed, w_F = -H_FF^{-1} c_F and c = lam - M theta_hat - 2 gamma p, so
+    dL/dp = 2 gamma H_FF^{-1} g_F on F and 0 off it: one batched solve, then the
+    softmax VJP. A weakly active coordinate (w_i = mu_i = 0) takes the solver's
+    final F.
+    """
+    rhs = np.where(free, grad_w, 0.0)[..., None]
+    grad_p = np.linalg.solve(_on_free_sets(_hessians(memory, gamma), free), rhs)[..., 0]
+    return softmax_vjp(p, 2.0 * gamma[:, None] * grad_p)
 
 
 @dataclass
 class RetrievalSolution:
+    """One task's ``solve_proximal``; ``backward_through_solve`` differentiates it."""
+
     w: np.ndarray
     w_tilde: np.ndarray | None
     active_set: list
-    objective_trace: list
-    kkt_residual: float
-    iterations: int
-    restarts: int
-    converged: bool
+    iterations: int          # active-set iterations
+    free: np.ndarray         # (K,) the free set the solve settled on
+    p: np.ndarray            # (K,) softmax of the logits
+    gamma: float
+    restarts: int = 0        # the solve is exact: it never restarts,
+    converged: bool = True   # and one that does not settle raises
 
 
-@dataclass
-class _SolveTape:
-    masks: list = field(default_factory=list)
-    betas: list = field(default_factory=list)
-    restarts: list = field(default_factory=list)
-    p: np.ndarray | None = None
-    tau: float = 0.0
-    gamma: float = 0.0
+def solve_proximal(theta_hat, memory, v, cfg: ProximalConfig) -> RetrievalSolution:
+    """One task's exact solve: ``active_set_solve`` at T = 1, without the block's trace.
 
-
-def solve_proximal(theta_hat, memory, v, cfg: ProximalConfig,
-                   budget: int | None = None, record_tape: bool = False):
-    """Accelerated proximal gradient for the nonnegative sparse retrieval fit.
-
-    Minimizes 0.5 ||M^T w - theta_hat||^2 + lam ||w||_1
-    + gamma ||w - softmax(v)||^2 over w >= 0. The proximal map is a soft
-    threshold by lam * step followed by a clamp to the nonnegative orthant.
-    Stops at the prox-gradient KKT residual or after ``budget`` iterations
-    (defaults to cfg.t_prox, the training unroll length; evaluation callers
-    may pass a larger budget to solve to tolerance).
-
-    Gram form, on length-K vectors: with H = G + 2 gamma I (G = M M^T, cached
-    on the memory) and c = lam - M theta_hat - 2 gamma p, the objective on
-    w >= 0 is 0.5 w H w^T + c w^T + 0.5 ||theta_hat||^2 + gamma ||p||^2 and the
-    prox step from x is max(x (I - tau H) - tau c, 0). The tests keep the
-    reconstruction-form loop as the oracle; the two round differently.
-
-    Returns the pre-threshold solution; with ``record_tape`` also returns
-    the iteration tape used for unrolled differentiation.
+    Returns the solution before the top-r rule.
     """
     cfg.validate()
     memory.require_frozen()
@@ -122,99 +170,16 @@ def solve_proximal(theta_hat, memory, v, cfg: ProximalConfig,
     v = check_finite(v, "retrieval logits")
     require(v.shape[0] == memory.K, "logit length must equal K")
     p = softmax(v)
-
-    gamma = cfg.gamma
-    lipschitz = memory.operator_norm() ** 2 + 2.0 * gamma
-    tau = 1.0 / lipschitz if lipschitz > 0 else 1.0
-    kkt_scale = max(tau, 1e-300)
-    steps = budget if budget is not None else cfg.t_prox
-    eye = np.eye(memory.K)
-    hessian = memory.gram() + 2.0 * gamma * eye
-    linear = cfg.lam - memory.M @ theta_hat - 2.0 * gamma * p
-    const = 0.5 * float(theta_hat @ theta_hat) + gamma * float(p @ p)
-    half_hessian, step_map, tau_linear = 0.5 * hessian, eye - tau * hessian, tau * linear
-
-    def objective(x):
-        return float((x @ half_hessian + linear) @ x) + const
-
-    def prox_step(x):
-        """Prox-gradient step from x and the objective at its result."""
-        w_next = np.maximum(x @ step_map - tau_linear, 0.0)
-        return w_next, objective(w_next)
-
-    w = p.copy()
-    y = w
-    t_mom = 1.0
-    f_last = objective(w)
-    trace = [f_last]
-    tape = _SolveTape(p=p, tau=tau, gamma=gamma)
-    restarts = 0
-    kkt = np.inf
-    converged = False
-
-    for it in range(steps):
-        w_new, f_new = prox_step(y)
-        restarted = f_new > f_last + 1e-15
-        if restarted:
-            # monotone restart: plain descent step from the last accepted point
-            restarts += 1
-            w_new, f_new = prox_step(w)
-            t_mom = 1.0
-        if not math.isfinite(f_new):
-            raise ValidationError(f"solver objective diverged at iteration {it}; trace={trace}")
-
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom**2))
-        beta = (t_mom - 1.0) / t_next
-        if record_tape:
-            tape.masks.append(w_new > 0.0)
-            tape.restarts.append(restarted)
-            tape.betas.append(beta)
-
-        step = w_new - w
-        kkt = math.sqrt(step @ step) / kkt_scale
-        w = w_new
-        y = w + beta * step
-        t_mom = t_next
-        f_last = f_new
-        trace.append(f_new)
-        if kkt <= cfg.tol:
-            converged = True
-            break
-
-    solution = RetrievalSolution(
-        w=w, w_tilde=None, active_set=[], objective_trace=trace, kkt_residual=kkt,
-        iterations=len(trace) - 1, restarts=restarts, converged=converged,
-    )
-    return (solution, tape) if record_tape else solution
+    linear = cfg.lam - memory.M @ theta_hat - 2.0 * cfg.gamma * p
+    w, free, iterations, _ = active_set_solve(memory, np.array([cfg.gamma]), linear[None])
+    return RetrievalSolution(w=w[0], w_tilde=None, active_set=[], iterations=int(iterations[0]),
+                             free=free[0], p=p, gamma=cfg.gamma)
 
 
-def backward_through_solve(tape: _SolveTape, memory, grad_w_final: np.ndarray) -> np.ndarray:
-    """Vector-Jacobian product of the unrolled solver, returning dL/dv.
-
-    Walks the recorded iterations in reverse. Branches taken in the forward
-    pass (momentum coefficients, restarts, prox masks) are treated as fixed.
-    """
-    m_rows = memory.M
-    tau, gamma, p = tape.tau, tape.gamma, tape.p
-    n_steps = len(tape.masks)
-    grads_w = [np.zeros_like(grad_w_final) for _ in range(n_steps + 1)]
-    grads_w[n_steps] = grad_w_final.copy()
-    gp = np.zeros_like(grad_w_final)
-
-    for k in range(n_steps, 0, -1):
-        gz = np.where(tape.masks[k - 1], grads_w[k], 0.0)
-        # z = y - tau * ((M M^T + 2 gamma I) y - M theta_hat - 2 gamma p)
-        gy = gz - tau * (m_rows @ (gz @ m_rows) + 2.0 * gamma * gz)
-        gp += tau * 2.0 * gamma * gz
-        if tape.restarts[k - 1] or k == 1:
-            grads_w[k - 1] += gy
-        else:
-            beta = tape.betas[k - 2]
-            grads_w[k - 1] += (1.0 + beta) * gy
-            if k >= 2:
-                grads_w[k - 2] -= beta * gy
-    gp += grads_w[0]
-    return softmax_vjp(p, gp)
+def backward_through_solve(solution: RetrievalSolution, memory, grad_w: np.ndarray) -> np.ndarray:
+    """``backward_block`` for one ``solve_proximal`` solution: dL/dv."""
+    return _solution_vjp(memory, solution.free[None], np.array([solution.gamma]),
+                         solution.p[None], grad_w[None])[0]
 
 
 def hard_top_r(w: np.ndarray, r: int) -> np.ndarray:
@@ -238,40 +203,28 @@ def compose_adapter(memory, w_tilde: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BlockSolution:
-    """A block solve, one row per task; ``record_tape`` keeps the step records.
+    """A block solve, one row per task.
 
-    Past a row's ``iterations``, its trace and step records are padding, which
-    ``backward_block`` treats as the identity.
+    Past a row's ``iterations``, its trace repeats the row's last entry.
     """
 
     w: np.ndarray                # (T, K) solutions before the top-r rule
     w_tilde: np.ndarray          # (T, K) as ``predict_task`` sets it
-    iterations: np.ndarray       # (T,) steps each row took
-    restarts: np.ndarray         # (T,)
-    converged: np.ndarray        # (T,) stopped at the KKT tolerance
-    kkt_residual: np.ndarray     # (T,)
-    objective_trace: np.ndarray  # (steps + 1, T)
+    free: np.ndarray             # (T, K) the free sets the solve settled on
+    iterations: np.ndarray       # (T,) active-set iterations each row took
+    objective_trace: np.ndarray  # (iterations.max(), T) the objective at each iterate, clipped
     p: np.ndarray                # (T, K) softmax of the logits
-    tau: np.ndarray              # (T,) step sizes
     gamma: np.ndarray            # (T,)
-    masks: np.ndarray | None = None      # (steps, T, K) prox masks
-    restarted: np.ndarray | None = None  # (steps, T)
-    betas: np.ndarray | None = None      # (steps, T) momentum coefficients
 
 
-def solve_block(theta_hats, memory, logits, cfg: ProximalConfig, r_keep: int,
-                budget: int | None = None, record_tape: bool = False) -> BlockSolution:
+def solve_block(theta_hats, memory, logits, cfg: ProximalConfig, r_keep: int) -> BlockSolution:
     """``solve_proximal`` and the top-r rule for T tasks at once, on a (T x K) block.
 
     Row i is task i's problem (theta_hats[i], logits[i]) with lam and gamma
-    ``cfg``'s, each one value or one per row, hence its own step size;
-    ``t_prox`` and ``tol`` are shared. The smooth term takes Gram form,
-    0.5 w G w^T - b_i w^T + 0.5 ||theta_hat_i||^2 with the memory's cached
-    G = M M^T and b_i = M theta_hat_i, so one product with G per step serves
-    every row. Each row has its own momentum, monotone restart and stop at the
-    KKT tolerance; a stopped row keeps the results of its last step. Gram form
-    rounds differently from ``solve_proximal``, so a near-tie of the monotone
-    test can go the other way there.
+    ``cfg``'s, each one value or one per row, solved exactly by one
+    ``active_set_solve``. The objective trace takes each iterate clipped to
+    w >= 0, a feasible point, so no entry lies below the row's last, the
+    minimum; the trace need not fall monotonely.
 
     w_tilde is ``hard_top_r`` of each row: all of w at r_keep >= K.
     """
@@ -284,127 +237,23 @@ def solve_block(theta_hats, memory, logits, cfg: ProximalConfig, r_keep: int,
     require(theta_hats.shape == (n_rows, memory.d_theta),
             "theta_hats must be one length-d_theta row per task")
     p = softmax(logits)
-
-    gram = memory.gram()
     lam, gamma = (np.broadcast_to(np.asarray(value, dtype=float), (n_rows,))
                   for value in (cfg.lam, cfg.gamma))
     replace(cfg, lam=float(lam.min()), gamma=float(gamma.min())).validate()  # checks every row
-    lipschitz = memory.operator_norm() ** 2 + 2.0 * gamma
-    tau = 1.0 / np.where(lipschitz > 0, lipschitz, 1.0)
-    kkt_scale = np.maximum(tau, 1e-300)
-    tau_col, two_gamma_col = tau[:, None], 2.0 * gamma[:, None]
-    linear = lam[:, None] - theta_hats @ memory.M.T     # lam - b: w >= 0, so lam ||w||_1 is linear
-    const = 0.5 * (theta_hats**2).sum(axis=1)
-    steps = budget if budget is not None else cfg.t_prox
+    linear = lam[:, None] - theta_hats @ memory.M.T - 2.0 * gamma[:, None] * p
+    w, free, iterations, iterates = active_set_solve(memory, gamma, linear)
 
-    def objective(x, gx):
-        return (((0.5 * gx + linear) * x).sum(axis=1) + const
-                + gamma * ((x - p) ** 2).sum(axis=1))
-
-    def prox_step(x, gx):
-        return np.maximum(x - tau_col * (gx + linear + two_gamma_col * (x - p)), 0.0)
-
-    w = p.copy()
-    gw = w @ gram
-    y, gy = w, gw
-    t_mom = np.ones(n_rows)
-    f_last = objective(w, gw)
-    trace = [f_last]
-    masks, restart_flags, betas = [], [], []
-    live = np.ones(n_rows, dtype=bool)      # rows still iterating
-    iterations = np.zeros(n_rows, dtype=int)
-    restarts = np.zeros(n_rows, dtype=int)
-    kkt = np.full(n_rows, np.inf)
-    w_final = np.empty_like(w)
-
-    for it in range(steps):
-        w_new = prox_step(y, gy)
-        gw_new = w_new @ gram
-        f_new = objective(w_new, gw_new)
-        restarted = live & (f_new > f_last + 1e-15)
-        if restarted.any():
-            # monotone restart of those rows: plain descent step from w
-            w_plain = prox_step(w, gw)
-            gw_plain = w_plain @ gram
-            rows = restarted[:, None]
-            w_new = np.where(rows, w_plain, w_new)
-            gw_new = np.where(rows, gw_plain, gw_new)
-            f_new = np.where(restarted, objective(w_plain, gw_plain), f_new)
-            t_mom = np.where(restarted, 1.0, t_mom)
-            restarts += restarted
-        if not np.isfinite(f_new).all():
-            raise ValidationError(f"solver objective diverged at iteration {it}")
-
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom**2))
-        beta = (t_mom - 1.0) / t_next
-        if record_tape:
-            masks.append(w_new > 0.0)
-            restart_flags.append(restarted)
-            betas.append(beta)
-
-        step = w_new - w
-        kkt_step = np.sqrt((step * step).sum(axis=1)) / kkt_scale
-        kkt = np.where(live, kkt_step, kkt)
-        iterations += live
-        trace.append(f_new)
-        stop = live & (kkt_step <= cfg.tol)
-        if stop.any():
-            w_final[stop] = w_new[stop]
-            live = live & ~stop
-            if not live.any():
-                break
-        w, gw = w_new, gw_new
-        y = w + beta[:, None] * step
-        gy = y @ gram
-        t_mom = t_next
-        f_last = f_new
-    w_final[live] = w[live]
-
-    solution = BlockSolution(w=w_final, w_tilde=hard_top_r(w_final, r_keep),
-                             iterations=iterations, restarts=restarts, converged=~live,
-                             kkt_residual=kkt, objective_trace=np.array(trace), p=p, tau=tau,
-                             gamma=gamma)
-    if record_tape:
-        n_steps = len(trace) - 1
-        solution.masks = np.array(masks).reshape(n_steps, n_rows, k)
-        solution.restarted = np.array(restart_flags).reshape(n_steps, n_rows)
-        solution.betas = np.array(betas).reshape(n_steps, n_rows)
-    return solution
+    x = np.maximum(np.stack(iterates), 0.0)  # (iterations, T, K)
+    const = 0.5 * (theta_hats**2).sum(axis=1) + gamma * (p**2).sum(axis=1)
+    half_hx = 0.5 * (x @ memory.gram() + 2.0 * gamma[:, None] * x)
+    trace = ((half_hx + linear) * x).sum(axis=2) + const
+    return BlockSolution(w=w, w_tilde=hard_top_r(w, r_keep), free=free, iterations=iterations,
+                         objective_trace=trace, p=p, gamma=gamma)
 
 
 def backward_block(block: BlockSolution, memory, grad_w: np.ndarray) -> np.ndarray:
-    """``backward_through_solve`` for a block: dL/dv, one row per task.
-
-    Walks the step records of a ``record_tape`` block solve in reverse with
-    every forward branch fixed. A row that stopped before the block's last
-    step treats its later steps as the identity, so its gradient reaches its
-    own last step unchanged.
-    """
-    require(block.masks is not None, "the block was solved without record_tape")
-    gram = memory.gram()
-    n_steps = block.masks.shape[0]
-    tau, gamma = block.tau[:, None], block.gamma[:, None]
-    grads = np.zeros((n_steps + 1,) + grad_w.shape)
-    grads[n_steps] = grad_w
-    gp = np.zeros_like(grad_w)
-
-    for k in range(n_steps, 0, -1):
-        live = k <= block.iterations
-        live_rows = live[:, None]
-        g = grads[k]
-        gz = np.where(block.masks[k - 1], g, 0.0)
-        # z = y - tau * ((G + 2 gamma I) y - b - 2 gamma p), per row
-        gy = gz - tau * (gz @ gram + 2.0 * gamma * gz)
-        gp += np.where(live_rows, tau * 2.0 * gamma * gz, 0.0)
-        moved = np.where(live_rows, gy, g)
-        if k == 1:
-            grads[0] += moved
-        else:
-            beta = np.where(live & ~block.restarted[k - 1], block.betas[k - 2], 0.0)[:, None]
-            grads[k - 1] += (1.0 + beta) * moved
-            grads[k - 2] -= beta * moved
-    gp += grads[0]
-    return softmax_vjp(block.p, gp)
+    """dL/dv from dL/dw at a block's solutions, one row per task (``_solution_vjp``)."""
+    return _solution_vjp(memory, block.free, block.gamma, block.p, grad_w)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +377,9 @@ class TrainHistoryRow:
     train_loss: float
     val_auc: float
     jaccard: float
-    # work counters over the epoch's training episodes
+    # work counters over the epoch's training episodes; the exact solve never
+    # restarts and raises where it does not settle, so restarts are 0 and the
+    # converged fraction 1
     solver_iterations: int
     solver_restarts: int
     converged_frac: float
@@ -560,8 +411,7 @@ def predict_task(task, memory, net, descriptor, theta_hat, pcfg, r_keep,
     return probs, solution
 
 
-def _episode_block(episodes: Episodes, memory, net, pcfg, r_keep, transform=None,
-                   record_tape=False):
+def _episode_block(episodes: Episodes, memory, net, pcfg, r_keep, transform=None):
     """The phase-2 step for a block of episodes: one warp, one net and one block solve.
 
     Each task solves with ``pcfg`` at its support size (``_at_support_size``).
@@ -572,8 +422,7 @@ def _episode_block(episodes: Episodes, memory, net, pcfg, r_keep, transform=None
     z, warp_hidden = transform.forward(z_raw) if transform is not None else (z_raw, None)
     logits, net_hidden = net.forward(z)
     solution = solve_block(episodes.theta_hats, memory, logits,
-                           _at_support_size(pcfg, episodes.n_support), r_keep,
-                           record_tape=record_tape)
+                           _at_support_size(pcfg, episodes.n_support), r_keep)
     return solution, (z_raw, warp_hidden, z, net_hidden)
 
 
@@ -590,7 +439,7 @@ def predict_tasks(episodes: Episodes, memory, net, pcfg, r_keep, transform=None)
 def minibatch_gradients(episodes: Episodes, memory, net, pcfg, r_keep, eta, transform=None):
     """The gradient one training step takes: of the mean outer loss over ``episodes``.
 
-    One taped block episode, ``outer_terms`` on the block, ``backward_block``,
+    One block episode, ``outer_terms`` on the block, ``backward_block``,
     then one VJP through the network and one through the warp; the top-r mask
     passes the gradient straight through, and the l1 term's gradient is taken
     on the active set. Returns the per-task losses (query cross-entropy plus
@@ -598,7 +447,7 @@ def minibatch_gradients(episodes: Episodes, memory, net, pcfg, r_keep, eta, tran
     gradients keyed ("net", key) and ("warp", key).
     """
     solution, (z_raw, warp_hidden, z, net_hidden) = _episode_block(
-        episodes, memory, net, pcfg, r_keep, transform=transform, record_tape=True)
+        episodes, memory, net, pcfg, r_keep, transform=transform)
     w_tilde, lam = solution.w_tilde, pcfg.lam
     _, ce, l1, entropy, grad_ce, grad_entropy = outer_terms(episodes, w_tilde)
     losses = ce + lam * l1 + eta * entropy
@@ -614,16 +463,16 @@ def minibatch_gradients(episodes: Episodes, memory, net, pcfg, r_keep, eta, tran
 
 def train_retrieval(train: Episodes, memory, pcfg, tcfg: TrainConfig, val: Episodes = None,
                     transform=None) -> TrainResult:
-    """Unrolled training of the retrieval network on the outer objective.
+    """Training of the retrieval network on the outer objective.
 
     Per minibatch of ``train``'s rows, ``minibatch_gradients``: one block
-    episode (descriptor warp, net, taped solve, top ``tcfg.r_keep`` rule,
+    episode (descriptor warp, net, exact solve, top ``tcfg.r_keep`` rule,
     which keeps every activation at r_keep >= K), the outer objective on the block's query
-    coordinates (``outer_terms``), and one backward pass through every solver
-    iteration, the network and the warp; the top-r mask passes the gradient
-    straight through. One Adam step per minibatch moves the network's and the
+    coordinates (``outer_terms``), and one backward pass through the solution
+    (``backward_block``), the network and the warp; the top-r mask passes the
+    gradient straight through. One Adam step per minibatch moves the network's and the
     warp's arrays together; weight decay applies to the network's only.
-    Validation takes the same block step untaped on ``val``. Early stopping
+    Validation takes the same block step without the backward pass on ``val``. Early stopping
     combines a validation-score plateau (patience epochs without an
     improvement above 1e-4) with an active-set stability requirement (Jaccard
     overlap between consecutive epochs).
@@ -674,8 +523,7 @@ def train_retrieval(train: Episodes, memory, pcfg, tcfg: TrainConfig, val: Episo
         history.append(TrainHistoryRow(
             epoch=epoch, train_loss=float(np.mean(losses)), val_auc=float(val_auc),
             jaccard=jac, solver_iterations=int(sum(b.iterations.sum() for b in blocks)),
-            solver_restarts=int(sum(b.restarts.sum() for b in blocks)),
-            converged_frac=sum(int(b.converged.sum()) for b in blocks) / len(order),
+            solver_restarts=0, converged_frac=1.0,
             mean_active_size=sum(np.count_nonzero(b.w_tilde) for b in blocks) / len(order)))
         if val is not None and since_best >= tcfg.patience and jac >= tcfg.jaccard_min:
             break

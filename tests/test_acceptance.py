@@ -52,6 +52,7 @@ from protoadapt.retrieval import (
     compose_adapter,
     minibatch_gradients,
     softmax,
+    solve_block,
     solve_proximal,
 )
 from protoadapt.spectral import (
@@ -172,12 +173,15 @@ def test_proximal_solver_vs_oracle():
         v = rng.normal(size=k)
         lam = float(rng.uniform(0.0, 0.5))
         gamma = float(rng.uniform(0.0, 1.0))
-        cfg = ProximalConfig(lam=lam, gamma=gamma, t_prox=20, tol=1e-13)
-        sol = solve_proximal(theta_hat, memory, v, cfg, budget=30_000)
-        trace = np.asarray(sol.objective_trace)
-        assert np.all(np.diff(trace) <= 1e-12), f"trace increased on trial {trial}"
+        cfg = ProximalConfig(lam=lam, gamma=gamma)
+        sol = solve_proximal(theta_hat, memory, v, cfg)
+        # the block trace takes each active-set iterate clipped to w >= 0: none lies below the last
+        trace = solve_block(theta_hat[None], memory, v[None], cfg, k).objective_trace[:, 0]
+        assert np.all(trace >= trace[-1] - 1e-12), f"trace ends above its minimum on trial {trial}"
         p = softmax(v)
-        ours = trace[-1]
+        recon = sol.w @ m_rows - theta_hat
+        ours = 0.5 * recon @ recon + lam * np.sum(sol.w) + gamma * np.sum((sol.w - p) ** 2)
+        assert abs(ours - trace[-1]) <= 1e-12 * (1.0 + abs(ours)), trial
         oracle = _proximal_oracle(m_rows, theta_hat, p, lam, gamma)
         worst = max(worst, abs(ours - oracle))
         assert abs(ours - oracle) <= 1e-6, f"trial {trial}: {ours} vs {oracle}"
@@ -293,8 +297,8 @@ def test_training_gradient_vs_finite_differences():
     ``minibatch_gradients`` takes the net and warp arrays through the block
     solve, the outer loss on the block, ``backward_block`` and the two VJPs.
     r_keep = K, so the top-r rule drops nothing and its straight-through
-    gradient is the true one; tol = 1e-300, so no row stops early (a stop at
-    the KKT tolerance is a jump in the loss).
+    gradient is the true one; the solve is exact, so ``backward_block``
+    differentiates the loss the central differences see.
     """
     started = time.time()
     rng = np.random.default_rng(2718)
@@ -313,7 +317,7 @@ def test_training_gradient_vs_finite_differences():
         episodes = Episodes.of(tasks, z, theta_hats, memory, _identity_map)
 
         # gamma at 5 support examples: each task solves with 0.5 * 5 / n_support
-        pcfg = ProximalConfig(lam=1e-3, gamma=0.5, t_prox=8, tol=1e-300)
+        pcfg = ProximalConfig(lam=1e-3, gamma=0.5)
 
         net = RetrievalNet(d_z, k, seed=trial)
         warp = make_transform(d_z, WarpConfig(hidden=4, init_scale=0.5), seed=trial)
