@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import stdtr
 
 from .metrics import rank_auc_or_nan
 from .resampling import bootstrap_indices, percentile_interval
@@ -430,6 +429,9 @@ def calibrate_tau(activations, labels, cohort: str = "cohort",
         zero_variance = se == 0.0
         t_stat = p_two = float("nan")
         if not zero_variance:
+            # here alone, so that no other path loads scipy.special (about 21 MB of import peak RSS)
+            from scipy.special import stdtr
+
             t_stat = t_statistic_from_summary(tau_bar, se)
             p_two = float(2.0 * stdtr(2, -abs(t_stat)))
         if (zero_variance or p_two >= alpha) and delta_auc <= gap_bound:

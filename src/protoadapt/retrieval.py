@@ -73,8 +73,11 @@ class ProximalConfig:
     gamma: float | np.ndarray = 0.1
 
     def validate(self) -> None:
-        require(self.lam >= 0.0, "lam must be nonnegative")
-        require(self.gamma >= 0.0, "gamma must be nonnegative")
+        for name, value in (("lam", self.lam), ("gamma", self.gamma)):
+            # every row of a per-row value, NaN failing; a float, as every one-task
+            # solve passes, skips numpy's few microseconds
+            ok = value >= 0.0 if isinstance(value, float) else np.all(np.asarray(value) >= 0.0)
+            require(ok, f"{name} must be nonnegative")
 
 
 def _on_free_sets(hessians: np.ndarray, free: np.ndarray) -> np.ndarray:
@@ -236,10 +239,10 @@ def solve_block(theta_hats, memory, logits, cfg: ProximalConfig, r_keep: int) ->
     require(logits.shape == (n_rows, k), "logits must be one length-K row per task")
     require(theta_hats.shape == (n_rows, memory.d_theta),
             "theta_hats must be one length-d_theta row per task")
+    cfg.validate()
     p = softmax(logits)
     lam, gamma = (np.broadcast_to(np.asarray(value, dtype=float), (n_rows,))
                   for value in (cfg.lam, cfg.gamma))
-    replace(cfg, lam=float(lam.min()), gamma=float(gamma.min())).validate()  # checks every row
     linear = lam[:, None] - theta_hats @ memory.M.T - 2.0 * gamma[:, None] * p
     w, free, iterations, iterates = active_set_solve(memory, gamma, linear)
 

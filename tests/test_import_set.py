@@ -1,9 +1,12 @@
-"""The library loads numpy and scipy.special, and no heavier scipy subpackage.
+"""The library loads numpy, and scipy.special only for the motif t-test.
 
-``scipy.stats`` alone costs tens of MB of resident memory and most of a
-second of start-up, and it pulls in ``scipy.optimize`` and ``scipy.linalg``.
-Tests and demos 01/06 still use those modules as oracles, so the check runs
-in a fresh interpreter.
+``scipy.special`` costs about 21 MB of import peak RSS, and ``scipy.stats``
+tens of MB more and most of a second of start-up. The BCa interval's normal
+quantile and CDF are Cephes ports in ``resampling``, so importing the library
+and running phases 1 and 2, one-task prediction and the risk-bound check load
+no scipy module; ``calibrate_tau`` imports ``stdtr`` where it computes its
+p-value. Tests and demos 01/06 still use scipy as an oracle, so every check
+runs in a fresh interpreter.
 """
 
 import os
@@ -14,14 +17,60 @@ from pathlib import Path
 import protoadapt
 
 HEAVY = ("scipy.stats", "scipy.optimize", "scipy.linalg")
+TESTS = Path(__file__).resolve().parent
+
+
+def _run(code: str) -> list:
+    """The output lines of ``code`` in a fresh interpreter that finds the library and the tests."""
+    src = str(Path(protoadapt.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, str(TESTS)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True).stdout.splitlines()
 
 
 def test_import_loads_no_heavy_scipy_subpackage():
-    src = str(Path(protoadapt.__file__).resolve().parents[1])
-    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-    code = ("import sys, protoadapt, protoadapt.cli\n"
-            f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))\n"
-            "print('scipy.special' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, check=True).stdout.splitlines()
-    assert out == ["", "True"]
+    out = _run("import sys, protoadapt, protoadapt.cli\n"
+               f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))\n"
+               "print('scipy.special' in sys.modules)")
+    assert out == ["", "False"]
+
+
+def test_phases_load_no_scipy_and_calibration_loads_scipy_special_alone():
+    code = f"""
+import sys
+import numpy as np
+from test_pipeline import tiny_config
+from protoadapt import adapters, descriptors, pipeline, retrieval
+from protoadapt.motifs import CalibrationError, calibrate_tau
+from protoadapt.riskbound import check_bounds_over_tasks
+
+cfg = tiny_config()
+art = pipeline.run_phase1(cfg)
+trained = pipeline.run_phase2(cfg, art)
+fmap = art.corpus.feature_map()
+task = art.corpus.tasks_in("Ret-Test")[0]
+descriptor = descriptors.build_descriptor(task, art.probe, art.memory.chain,
+                                          art.standardizer, fmap)
+theta_hat = adapters.ridge_adapter(task, fmap, cfg.ridge_alpha_retrieval * task.n_support)
+retrieval.predict_task(task, art.memory, trained.net, descriptor, theta_hat,
+                       pipeline._proximal_config(cfg), min(art.rank_selected, art.memory.K),
+                       fmap, transform=trained.transform)
+check_bounds_over_tasks(art.corpus.tasks[:3], art.memory, art.certificate, fmap)
+print(' '.join(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))
+
+# noisy separable activations, until a calibration reaches its t-test
+labels = np.array([0, 1] * 20)
+for seed in range(20):
+    rng = np.random.default_rng(seed)
+    acts = np.clip(np.where(labels == 1, 0.72, 0.28) + 0.3 * rng.normal(size=(12, 40)), 0.0, 1.0)
+    try:
+        cal = calibrate_tau(acts, labels, cohort="c", calib_frac=0.4, seed=seed)
+    except CalibrationError:
+        continue
+    if not cal.zero_variance:
+        break
+print(cal.zero_variance)
+print('scipy.special' in sys.modules)
+print(' '.join(m for m in {HEAVY!r} if m in sys.modules))
+"""
+    assert _run(code) == ["", "False", "True", ""]

@@ -1,8 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
-from protoadapt.resampling import bca_interval, bootstrap_indices, jackknife_statistics
+from protoadapt.resampling import (
+    _ndtr,
+    _ndtri,
+    bca_interval,
+    bootstrap_indices,
+    jackknife_statistics,
+)
 
 
 def _norm_bca_interval(samples, theta_hat, jackknife_stats, level=0.90):
@@ -68,3 +77,45 @@ def test_bca_interval_zero_or_skewed_acceleration(jack):
         assert (np.array(bca_interval(samples, theta_hat, jack)).tobytes()
                 == np.array(_norm_bca_interval(samples, theta_hat, jack)).tobytes())
     assert bca_interval(np.full(7, 0.25), 0.0, jack) == (0.25, 0.25)
+
+
+def _ulp_neighbourhood(centre, ulps=2000):
+    """centre and the ulps floats on either side of it (of -0.0 and 0.0 at 0)."""
+    steps = np.arange(-ulps, ulps + 1) if centre != 0.0 else np.arange(ulps + 1)
+    starts = [np.float64(centre)] if centre != 0.0 else [np.float64(0.0), np.float64(-0.0)]
+    return np.concatenate([(s.view(np.int64) + steps).view(np.float64) for s in starts])
+
+
+def _assert_bytes_equal(port, kernel, points):
+    ours, theirs = np.array([port(x) for x in points]), kernel(points)
+    bad = points[ours.view(np.int64) != theirs.view(np.int64)]
+    assert ours.tobytes() == theirs.tobytes(), f"{bad.size} points differ, first {bad[:5]}"
+
+
+SPECIAL = [np.inf, -np.inf, np.nan, -np.nan]
+
+
+def test_ndtri_bytes_equal_scipy_special():
+    # every branch: the central region, both tails below and above exp(-32),
+    # the region boundaries, subnormals and values outside [0, 1]
+    rng = np.random.default_rng(27)
+    grid = np.concatenate([rng.random(40_000), np.exp(-rng.uniform(0.0, 745.0, 40_000)),
+                           1.0 - np.exp(-rng.uniform(0.0, 37.0, 20_000)),
+                           rng.uniform(-1.0, 2.0, 1_000)])
+    edges = [math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0), 0.5, 1.0, 0.0]
+    points = np.concatenate([grid, *map(_ulp_neighbourhood, edges), SPECIAL])
+    assert points.size >= 120_000
+    _assert_bytes_equal(_ndtri, ndtri, points)
+
+
+def test_ndtr_bytes_equal_scipy_special():
+    # the erf/erfc split at |x| = 1, erfc's x < 1 and x < 8 branches (x = sqrt(2)
+    # and 8 sqrt(2)), its underflow at exp(-x^2 / 2) < exp(-MAXLOG) (37 to 38.5)
+    rng = np.random.default_rng(27)
+    grid = np.concatenate([rng.normal(0.0, 3.0, 40_000), rng.uniform(-40.0, 40.0, 40_000),
+                           rng.uniform(-1.5, 1.5, 20_000)])
+    edges = [s * c for c in (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), 37.0, 38.5)
+             for s in (1.0, -1.0)] + [0.0]
+    points = np.concatenate([grid, *map(_ulp_neighbourhood, edges), SPECIAL])
+    assert points.size >= 140_000
+    _assert_bytes_equal(_ndtr, ndtr, points)

@@ -267,6 +267,22 @@ class TestBlockMatchesSingleTask:
                                                   r"of rank 3 < K = 5"):
             solve_block(theta_hats, memory, logits, cfg, 2)
 
+    @pytest.mark.parametrize("field", ["lam", "gamma"])
+    def test_per_row_config_checks_every_row(self, field):
+        memory, theta_hats, logits, _, _ = _block_problem(8, 4, 5, 6, 1.0)
+        good = ProximalConfig(lam=np.array([0.0, 1e-3, 0.2, 1e-4]),
+                              gamma=np.array([0.1, 0.3, 0.2, 0.5]))
+        good.validate()
+        solve_block(theta_hats, memory, logits, good, 2)
+        for bad_value in (-1e-3, np.nan):
+            values = getattr(good, field).copy()
+            values[2] = bad_value
+            bad = dataclasses.replace(good, **{field: values})
+            with pytest.raises(ValidationError, match=f"{field} must be nonnegative"):
+                bad.validate()
+            with pytest.raises(ValidationError, match=f"{field} must be nonnegative"):
+                solve_block(theta_hats, memory, logits, bad, 2)
+
 
 # H and c of a problem on which the full-exchange steps cycle through the free sets
 # {0, 1, 2}, {2}, {1} (checked in exact arithmetic): H is not an M-matrix
