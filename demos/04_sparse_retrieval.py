@@ -6,7 +6,7 @@ import numpy as np
 from protoadapt.adapters import Canonicalizer
 from protoadapt.prototypes import PrototypeMemory, ProjectionChain
 from protoadapt.retrieval import (
-    Episodes, ProximalConfig, compose_adapter, hard_top_r, outer_terms, softmax, solve_block,
+    Episodes, ProximalConfig, hard_top_r, objective_trace, outer_terms, softmax, solve_block,
 )
 from protoadapt.synthdata import EpisodeTask
 
@@ -21,19 +21,18 @@ theta_hat = 0.8 * m_rows[2] + 0.4 * m_rows[4] + 0.05 * rng.normal(size=d)
 v = rng.normal(size=k)
 cfg = ProximalConfig(lam=1e-3, gamma=0.2)
 
-# one task as a one-row block: the exact active-set solve and its objective trace
+# one task as a one-row block: the exact active-set solve, then its objective trace
 solution = solve_block(theta_hat[None], memory, v[None], cfg, r_keep=k)
 w = solution.w[0]
 print("dense activations:", np.round(w, 4))
 print(f"active-set iterations {solution.iterations[0]}, "
       f"free set {np.nonzero(solution.free[0])[0].tolist()}")
-trace = solution.objective_trace[:, 0]
+trace = objective_trace(theta_hat, memory, solution.p[0], cfg.lam, solution.gamma[0])
 print("objective at each iterate, clipped to w >= 0:", np.round(trace, 5),
       f"(the last is the minimum: {bool(trace[-1] <= trace.min())})")
 
 w_tilde = hard_top_r(w, 2)
-before, after = (np.linalg.norm(compose_adapter(memory, a) - theta_hat)
-                 for a in (w, w_tilde))
+before, after = (np.linalg.norm(a @ memory.M - theta_hat) for a in (w, w_tilde))
 print(f"hard top-2 keeps atoms {np.nonzero(w_tilde)[0].tolist()}; "
       f"reconstruction residual {before:.5f} -> {after:.5f}")
 

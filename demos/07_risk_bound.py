@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 
 from protoadapt.pipeline import desk_config, run_phase1
-from protoadapt.riskbound import check_bound, check_bounds_over_tasks, lipschitz_constant
+from protoadapt.riskbound import check_bound, check_bounds_over_tasks, feature_radius_of
 
 cfg = desk_config(seed=42)
 cfg = replace(cfg, generator=replace(cfg.generator, n_tasks=60, n_support=200,
@@ -27,5 +27,7 @@ summary = check_bounds_over_tasks(artifacts.corpus.tasks, artifacts.memory,
                                   artifacts.certificate, fmap)
 print(summary.as_text())
 
-lip = lipschitz_constant(feature_radius=3.0, adapter_radius=5.0)
-print(f"logistic-loss constants: L = {lip.lipschitz}, loss bound B = {lip.loss_bound:.3f}")
+# the logistic loss is 1-Lipschitz in the margin, so its constant in the adapter
+# is the largest feature-row norm
+radius = feature_radius_of((t.query_x for t in artifacts.corpus.tasks), fmap)
+print(f"logistic-loss Lipschitz constant in the adapter: L = {radius:.4f}")

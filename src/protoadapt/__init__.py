@@ -56,15 +56,15 @@ from .retrieval import (
     RetrievalNet,
     RetrievalSolution,
     TrainConfig,
-    compose_adapter,
     hard_top_r,
+    objective_trace,
     outer_terms,
     solve_block,
     solve_proximal,
     sweep_lambda_eta,
     train_retrieval,
 )
-from .riskbound import check_bound, check_bounds_over_tasks, lipschitz_constant
+from .riskbound import check_bound, check_bounds_over_tasks
 from .spectral import (
     DimTestReport,
     FisherSpectrum,

@@ -93,9 +93,11 @@ def cmd_motifs(args):
     run_power_curve(cfg, outdir=Path(cfg.outdir))
     print(f"screened {report.screened.size} channels; "
           f"pi0 = {report.pi0.pi0:.3f} {report.pi0.ci90}")
-    for cal in calibrations:
-        print(f"{cal.cohort}: tau_bar {cal.tau_bar:.3f} |t| {cal.t_abs:.2f} "
-              f"pass {cal.passed}")
+    for cohort, cal in zip(cfg.motifs.cohorts, calibrations):
+        if cal is None:
+            print(f"{cohort}: calibration failed (see run.log)")
+        else:
+            print(f"{cohort}: tau_bar {cal.tau_bar:.3f} |t| {cal.t_abs:.2f} pass {cal.passed}")
 
 
 def cmd_riskbound(args):

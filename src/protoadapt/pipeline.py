@@ -28,6 +28,7 @@ from .descriptors import ProbeHead, Standardizer, build_descriptor, descriptors_
 from .metrics import MetricsRecord, calibration_bins, compute_metrics
 from .motifs import (
     DESK_PERMUTATION_FLOOR,
+    CalibrationError,
     calibrate_tau,
     channel_activations,
     fit_background,
@@ -45,11 +46,12 @@ from .retrieval import (
     Episodes,
     ProximalConfig,
     TrainConfig,
+    objective_trace,
     predict_tasks,
     sweep_lambda_eta,
     train_retrieval,
 )
-from .riskbound import check_bounds_over_tasks, feature_radius_of, lipschitz_constant
+from .riskbound import check_bounds_over_tasks, feature_radius_of
 from .spectral import (
     TaskGradientSummary,
     corpus_fisher_matrix,
@@ -180,6 +182,9 @@ class RunConfig:
             require(all(n >= 2 for n in sizes), f"{name} must all be at least 2, got {sizes}")
         require(self.r_keep is None or self.r_keep >= 1,
                 f"r_keep must be None or at least 1, got {self.r_keep}")
+        require(self.r_keep is None or self.hard_threshold,
+                f"r_keep must be None when hard_threshold is False (the soft rule keeps "
+                f"all K), got {self.r_keep}")
         fracs = self.ret_fracs
         require(len(fracs) == 3 and all(f > 0 for f in fracs)
                 and abs(sum(fracs) - 1.0) < 1e-9,
@@ -509,7 +514,8 @@ class Phase2Result:
     stopped_epoch: int
     test_probs: np.ndarray
     test_labels: np.ndarray
-    solver_trace: list      # objective per active-set iteration of one worked test solve
+    calibration: list       # calibration_bins of the test predictions
+    solver_trace: list      # objective per active-set iteration of the first test task
 
 
 def _ret_tasks_at_size(artifacts: Phase1Artifacts, tag: str, size: int | None):
@@ -606,8 +612,10 @@ def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
                        splits=splits, runtime=timer.lines,
                        stopped_epoch=result.stopped_epoch,
                        test_probs=test_probs, test_labels=test_labels,
-                       solver_trace=test_solution.objective_trace[
-                           :test_solution.iterations[0], 0].tolist())
+                       calibration=calibration_bins(test_probs, test_labels),
+                       solver_trace=objective_trace(
+                           splits["test"].theta_hats[0], artifacts.memory,
+                           test_solution.p[0], pcfg.lam, test_solution.gamma[0]).tolist())
     if outdir is not None:
         persist_phase2(out, Path(outdir))
     return out
@@ -628,7 +636,7 @@ def persist_phase2(result: Phase2Result, outdir: Path) -> None:
     write_csv(outdir / "calibration_bins.csv",
               ["bin", "lo", "hi", "count", "confidence", "frequency"],
               [[r["bin"], r["lo"], r["hi"], r["count"], r["confidence"], r["frequency"]]
-               for r in calibration_bins(result.test_probs, result.test_labels)])
+               for r in result.calibration])
     descriptors_to_csv(result.splits.values(), outdir / "descriptors.csv")
 
     # trained retrieval parameters into the run manifest: the network, and the
@@ -793,7 +801,7 @@ def _synthetic_repertoire(background, channels, n_seqs, plant, rng):
 
 
 def run_motifs(cfg: RunConfig, outdir: Path | None = None):
-    """Synthetic-cohort motif statistics: screening, q-values, calibration."""
+    """Synthetic-cohort motif statistics: screening, q-values, calibration (None if it failed)."""
     mcfg = cfg.motifs
     timer = StageTimer(cfg.hash())
     with timer.stage("motifs", None):
@@ -806,7 +814,7 @@ def run_motifs(cfg: RunConfig, outdir: Path | None = None):
                                     pseudocount=mcfg.pseudocount,
                                     alphabet_size=mcfg.alphabet_size)
 
-        calibrations = []
+        calibrations, failures = [], []  # a failure: None here, no CSV row, a run.log line
         report = None
         for c_i, cohort in enumerate(mcfg.cohorts):
             channels = make_channels(mcfg.n_channels, k=mcfg.kmer,
@@ -821,8 +829,12 @@ def run_motifs(cfg: RunConfig, outdir: Path | None = None):
             repertoires = pos_reps + neg_reps
             labels = np.array([1] * mcfg.n_pos + [0] * mcfg.n_neg)
             activations = channel_activations(channels, repertoires)
-            calibrations.append(calibrate_tau(activations, labels, cohort=cohort,
-                                              seed=cfg.seed))
+            try:
+                calibrations.append(calibrate_tau(activations, labels, cohort=cohort,
+                                                  seed=cfg.seed))
+            except CalibrationError as exc:
+                calibrations.append(None)
+                failures.append(f"motifs {cohort}: CalibrationError: {exc}")
             if c_i == 0:
                 report = motif_test_report(channels, repertoires, background,
                                            top_frac=mcfg.top_frac, b_min=mcfg.b_min,
@@ -838,7 +850,7 @@ def run_motifs(cfg: RunConfig, outdir: Path | None = None):
                    "pass", "zero_variance", "retries"],
                   [[c.cohort, c.tau_bar, c.se, c.t_abs, c.p_value, c.delta_auc,
                     c.passed, c.zero_variance, c.n_retries]
-                   for c in calibrations])
+                   for c in calibrations if c is not None])
         write_csv(outdir / "motif_tests.csv",
                   ["channel", "p_value", "q_value", "b_used"],
                   [[int(ch), p, q, int(b)] for ch, p, q, b in
@@ -850,6 +862,8 @@ def run_motifs(cfg: RunConfig, outdir: Path | None = None):
             "significant_at_q10": int(report.significant(0.1).size),
         })
         _append(outdir / "runtime.txt", timer.lines)
+        if failures:
+            _append(outdir / "run.log", failures)
     return calibrations, report
 
 
@@ -885,10 +899,11 @@ def run_riskbound(cfg: RunConfig, artifacts: Phase1Artifacts,
     with timer.stage("riskbound", len(tasks)):
         summary = check_bounds_over_tasks(tasks, artifacts.memory, artifacts.certificate,
                                           fmap)
-    # each report's lipschitz is its query set's radius; only the supports are left to map
+    # the logistic loss's Lipschitz constant in the adapter is the largest feature radius;
+    # each report's lipschitz is its query set's radius, so only the supports are left to map
     radius = max(feature_radius_of((task.support_x for task in tasks), fmap),
                  *(r.lipschitz for r in summary.reports))
-    lip = lipschitz_constant(radius)
+    require(np.isfinite(radius) and radius > 0, "feature radius must be finite and positive")
     if outdir is not None:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -901,7 +916,7 @@ def run_riskbound(cfg: RunConfig, artifacts: Phase1Artifacts,
                     r.triangle_holds, r.per_task_bound_holds, r.certified_bound_holds]
                    for r in summary.reports])
         _append(outdir / "run.log",
-                [summary.as_text() + f" | global lipschitz {lip.lipschitz:.4f}"])
+                [summary.as_text() + f" | global lipschitz {radius:.4f}"])
         _append(outdir / "runtime.txt", timer.lines)
     return summary
 
@@ -913,7 +928,7 @@ def run_riskbound(cfg: RunConfig, artifacts: Phase1Artifacts,
 ABLATION_VARIANTS = {
     "full": {},
     "fixed_r": {"fixed_r": 5},
-    "soft_l1_only": {"hard_threshold": False},
+    "soft_l1_only": {"hard_threshold": False, "r_keep": None},
     "gamma_zero": {"gamma": 0.0},
     "no_canonicalization": {"canonicalize": False},
     "no_transform": {"warp_kind": "none"},

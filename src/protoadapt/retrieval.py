@@ -11,18 +11,19 @@ w_F = -H_FF^{-1} c_F, so dL/dp is 2 gamma H_FF^{-1} g_F on F and 0 off it. The
 top-r mask passes the gradient straight through. ``r_keep`` alone sets the
 sparsity: the top-r rule keeps every activation at r_keep >= K.
 
-There are two paths onto the one kernel. Training, validation, test prediction
-and the penalty sweep run blocks of ``Episodes`` (each task's descriptor,
-support adapter and query set in prototype coordinates, built once, one query
-size per block): one warp and network pass over T rows and ``solve_block``
-(``_episode_block``), the outer objective on the block (``outer_terms``) and,
-in training, ``backward_block``. ``solve_block`` takes one ``ProximalConfig``
-(lam and gamma one value or one per row) and returns one ``BlockSolution`` of
-arrays. One-task calls (``predict_task``) run the warp, the network,
-``solve_proximal`` (the kernel at T = 1) and the top-r rule directly;
+``solve_block`` is the one way onto the kernel. Training, validation, test
+prediction and the penalty sweep run blocks of ``Episodes`` (each task's
+descriptor, support adapter and query set in prototype coordinates, built once,
+one query size per block): one warp and network pass over T rows and
+``solve_block`` (``_episode_block``), the outer objective on the block
+(``outer_terms``) and, in training, ``backward_block``. ``solve_block`` takes
+one ``ProximalConfig`` (lam and gamma one value or one per row) and returns one
+``BlockSolution`` of arrays. One-task calls (``predict_task``) run the warp, the
+network and ``solve_proximal``, row 0 of a one-row ``solve_block``;
 ``backward_through_solve`` is the one-task ``backward_block``. Both paths share
 one row-wise softmax, softmax VJP, top-r rule and support-size gamma rule
-(``_at_support_size``).
+(``_at_support_size``). ``objective_trace`` replays one task's solve for its
+objective at each iterate.
 """
 
 from __future__ import annotations
@@ -147,42 +148,9 @@ def _solution_vjp(memory, free, gamma, p, grad_w) -> np.ndarray:
     return softmax_vjp(p, 2.0 * gamma[:, None] * grad_p)
 
 
-@dataclass
-class RetrievalSolution:
-    """One task's ``solve_proximal``; ``backward_through_solve`` differentiates it."""
-
-    w: np.ndarray
-    w_tilde: np.ndarray | None
-    active_set: list
-    iterations: int          # active-set iterations
-    free: np.ndarray         # (K,) the free set the solve settled on
-    p: np.ndarray            # (K,) softmax of the logits
-    gamma: float
-    restarts: int = 0        # the solve is exact: it never restarts,
-    converged: bool = True   # and one that does not settle raises
-
-
-def solve_proximal(theta_hat, memory, v, cfg: ProximalConfig) -> RetrievalSolution:
-    """One task's exact solve: ``active_set_solve`` at T = 1, without the block's trace.
-
-    Returns the solution before the top-r rule.
-    """
-    cfg.validate()
-    memory.require_frozen()
-    theta_hat = check_finite(theta_hat, "theta_hat")
-    v = check_finite(v, "retrieval logits")
-    require(v.shape[0] == memory.K, "logit length must equal K")
-    p = softmax(v)
-    linear = cfg.lam - memory.M @ theta_hat - 2.0 * cfg.gamma * p
-    w, free, iterations, _ = active_set_solve(memory, np.array([cfg.gamma]), linear[None])
-    return RetrievalSolution(w=w[0], w_tilde=None, active_set=[], iterations=int(iterations[0]),
-                             free=free[0], p=p, gamma=cfg.gamma)
-
-
-def backward_through_solve(solution: RetrievalSolution, memory, grad_w: np.ndarray) -> np.ndarray:
-    """``backward_block`` for one ``solve_proximal`` solution: dL/dv."""
-    return _solution_vjp(memory, solution.free[None], np.array([solution.gamma]),
-                         solution.p[None], grad_w[None])[0]
+def _linear_terms(theta_hats, memory, p, lam, gamma) -> np.ndarray:
+    """c = lam - M theta_hat - 2 gamma p, one row per task: (T, K)."""
+    return lam[:, None] - theta_hats @ memory.M.T - 2.0 * gamma[:, None] * p
 
 
 def hard_top_r(w: np.ndarray, r: int) -> np.ndarray:
@@ -194,42 +162,29 @@ def hard_top_r(w: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
-def compose_adapter(memory, w_tilde: np.ndarray) -> np.ndarray:
-    w_tilde = check_finite(w_tilde, "activations")
-    require(w_tilde.shape[0] == memory.K, "activation length must equal K")
-    return w_tilde @ memory.M
-
-
 # ---------------------------------------------------------------------------
-# Block path: the solve and its backward pass on T tasks at once
+# The solve and its backward pass on T tasks at once
 # ---------------------------------------------------------------------------
 
 @dataclass
 class BlockSolution:
-    """A block solve, one row per task.
-
-    Past a row's ``iterations``, its trace repeats the row's last entry.
-    """
+    """A block solve, one row per task."""
 
     w: np.ndarray                # (T, K) solutions before the top-r rule
-    w_tilde: np.ndarray          # (T, K) as ``predict_task`` sets it
+    w_tilde: np.ndarray          # (T, K) after it
     free: np.ndarray             # (T, K) the free sets the solve settled on
     iterations: np.ndarray       # (T,) active-set iterations each row took
-    objective_trace: np.ndarray  # (iterations.max(), T) the objective at each iterate, clipped
     p: np.ndarray                # (T, K) softmax of the logits
     gamma: np.ndarray            # (T,)
 
 
 def solve_block(theta_hats, memory, logits, cfg: ProximalConfig, r_keep: int) -> BlockSolution:
-    """``solve_proximal`` and the top-r rule for T tasks at once, on a (T x K) block.
+    """The exact solve and the top-r rule for T tasks at once, on a (T x K) block.
 
     Row i is task i's problem (theta_hats[i], logits[i]) with lam and gamma
     ``cfg``'s, each one value or one per row, solved exactly by one
-    ``active_set_solve``. The objective trace takes each iterate clipped to
-    w >= 0, a feasible point, so no entry lies below the row's last, the
-    minimum; the trace need not fall monotonely.
-
-    w_tilde is ``hard_top_r`` of each row: all of w at r_keep >= K.
+    ``active_set_solve``. w_tilde is ``hard_top_r`` of each row: all of w at
+    r_keep >= K.
     """
     memory.require_frozen()
     theta_hats = check_finite(theta_hats, "theta_hat")
@@ -241,22 +196,62 @@ def solve_block(theta_hats, memory, logits, cfg: ProximalConfig, r_keep: int) ->
             "theta_hats must be one length-d_theta row per task")
     cfg.validate()
     p = softmax(logits)
-    lam, gamma = (np.broadcast_to(np.asarray(value, dtype=float), (n_rows,))
-                  for value in (cfg.lam, cfg.gamma))
-    linear = lam[:, None] - theta_hats @ memory.M.T - 2.0 * gamma[:, None] * p
-    w, free, iterations, iterates = active_set_solve(memory, gamma, linear)
-
-    x = np.maximum(np.stack(iterates), 0.0)  # (iterations, T, K)
-    const = 0.5 * (theta_hats**2).sum(axis=1) + gamma * (p**2).sum(axis=1)
-    half_hx = 0.5 * (x @ memory.gram() + 2.0 * gamma[:, None] * x)
-    trace = ((half_hx + linear) * x).sum(axis=2) + const
+    gamma = np.zeros(n_rows) + cfg.gamma  # one value per row, from one or from T
+    linear = _linear_terms(theta_hats, memory, p, np.zeros(n_rows) + cfg.lam, gamma)
+    w, free, iterations, _ = active_set_solve(memory, gamma, linear)
     return BlockSolution(w=w, w_tilde=hard_top_r(w, r_keep), free=free, iterations=iterations,
-                         objective_trace=trace, p=p, gamma=gamma)
+                         p=p, gamma=gamma)
 
 
 def backward_block(block: BlockSolution, memory, grad_w: np.ndarray) -> np.ndarray:
     """dL/dv from dL/dw at a block's solutions, one row per task (``_solution_vjp``)."""
     return _solution_vjp(memory, block.free, block.gamma, block.p, grad_w)
+
+
+def objective_trace(theta_hat, memory, p, lam: float, gamma: float) -> np.ndarray:
+    """One task's objective at each of its active-set iterates, one entry per iteration.
+
+    ``p`` and ``gamma`` are the task's row of a ``BlockSolution``. Each iterate
+    is clipped to w >= 0, a feasible point, so no entry lies below the last,
+    the minimum; the trace need not fall monotonely.
+    """
+    theta_hats, p = theta_hat[None], p[None]
+    gamma = np.zeros(1) + gamma
+    linear = _linear_terms(theta_hats, memory, p, np.zeros(1) + lam, gamma)
+    x = np.maximum(np.stack(active_set_solve(memory, gamma, linear)[3]), 0.0)  # (iterations, 1, K)
+    const = 0.5 * (theta_hats**2).sum(axis=1) + gamma * (p**2).sum(axis=1)
+    half_hx = 0.5 * (x @ memory.gram() + 2.0 * gamma[:, None] * x)
+    return ((half_hx + linear) * x).sum(axis=2)[:, 0] + const
+
+
+@dataclass
+class RetrievalSolution:
+    """One task's ``solve_proximal``; ``backward_through_solve`` differentiates it."""
+
+    w: np.ndarray
+    w_tilde: np.ndarray
+    active_set: list         # the indices where w_tilde is nonzero
+    iterations: int          # active-set iterations
+    free: np.ndarray         # (K,) the free set the solve settled on
+    p: np.ndarray            # (K,) softmax of the logits
+    gamma: float
+    restarts: int = 0        # the solve is exact: it never restarts,
+    converged: bool = True   # and one that does not settle raises
+
+
+def solve_proximal(theta_hat, memory, v, cfg: ProximalConfig, r_keep: int) -> RetrievalSolution:
+    """One task's solve and top-r rule: row 0 of ``solve_block`` on a one-row block."""
+    block = solve_block(theta_hat[None], memory, v[None], cfg, r_keep)
+    w_tilde = block.w_tilde[0]
+    return RetrievalSolution(w=block.w[0], w_tilde=w_tilde, active_set=list(np.nonzero(w_tilde)[0]),
+                             iterations=int(block.iterations[0]), free=block.free[0],
+                             p=block.p[0], gamma=float(block.gamma[0]))
+
+
+def backward_through_solve(solution: RetrievalSolution, memory, grad_w: np.ndarray) -> np.ndarray:
+    """``backward_block`` for one ``solve_proximal`` solution: dL/dv."""
+    return _solution_vjp(memory, solution.free[None], np.array([solution.gamma]),
+                         solution.p[None], grad_w[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -400,18 +395,17 @@ def predict_task(task, memory, net, descriptor, theta_hat, pcfg, r_keep,
                  feature_map, transform=None, hard_threshold=True):
     """Query probabilities and the solution for one task.
 
-    Warp of the descriptor vector (``build_descriptor``), net logits,
+    Warp of the descriptor vector (``build_descriptor``), net logits, then
     ``solve_proximal`` with ``pcfg`` at the task's support size
-    (``_at_support_size``), then w_tilde: the solution's top r_keep.
-    ``hard_threshold=False`` is r_keep = K: w_tilde keeps all of w.
+    (``_at_support_size``), keeping the top r_keep; the query is scored with
+    the adapter w_tilde M. ``hard_threshold=False`` is r_keep = K: w_tilde
+    keeps all of w.
     """
     z = descriptor if transform is None else transform.forward(descriptor)[0]
     solution = solve_proximal(theta_hat, memory, net.forward(z)[0],
-                              _at_support_size(pcfg, task.n_support))
-    solution.w_tilde = hard_top_r(solution.w, r_keep if hard_threshold else memory.K)
-    solution.active_set = list(np.nonzero(solution.w_tilde)[0])
-    probs = sigmoid(feature_map(task.query_x) @ compose_adapter(memory, solution.w_tilde))
-    return probs, solution
+                              _at_support_size(pcfg, task.n_support),
+                              r_keep if hard_threshold else memory.K)
+    return sigmoid(feature_map(task.query_x) @ (solution.w_tilde @ memory.M)), solution
 
 
 def _episode_block(episodes: Episodes, memory, net, pcfg, r_keep, transform=None):

@@ -21,34 +21,6 @@ from .prototypes import l0_fit
 from .util import ValidationError, check_finite, require, sigmoid
 
 
-@dataclass
-class LipschitzBound:
-    """Loss Lipschitz constant in the adapter and the uniform loss bound."""
-
-    lipschitz: float
-    loss_bound: float | None
-    feature_radius: float
-
-    @classmethod
-    def for_logistic(cls, feature_radius: float, adapter_radius: float | None = None):
-        require(np.isfinite(feature_radius) and feature_radius > 0,
-                "feature radius must be finite and positive")
-        loss_bound = None
-        if adapter_radius is not None:
-            require(np.isfinite(adapter_radius) and adapter_radius > 0,
-                    "adapter radius must be finite and positive")
-            # logistic loss at the worst margin inside the domain ball
-            loss_bound = float(np.log1p(np.exp(min(700.0, adapter_radius * feature_radius))))
-        # the per-sample logistic loss is 1-Lipschitz in the margin, and the
-        # margin moves at most ||features|| per unit adapter change
-        return cls(lipschitz=float(feature_radius), loss_bound=loss_bound,
-                   feature_radius=float(feature_radius))
-
-
-def lipschitz_constant(feature_radius: float, adapter_radius: float | None = None) -> LipschitzBound:
-    return LipschitzBound.for_logistic(feature_radius, adapter_radius)
-
-
 def _row_radius(feats) -> float:
     """Largest row norm of a feature block: the root of the largest row sum of squares."""
     return float(np.sqrt(np.max(np.einsum("ij,ij->i", feats, feats))))

@@ -49,10 +49,9 @@ from protoadapt.retrieval import (
     ProximalConfig,
     RetrievalNet,
     _episode_block,
-    compose_adapter,
     minibatch_gradients,
+    objective_trace,
     softmax,
-    solve_block,
     solve_proximal,
 )
 from protoadapt.spectral import (
@@ -174,9 +173,9 @@ def test_proximal_solver_vs_oracle():
         lam = float(rng.uniform(0.0, 0.5))
         gamma = float(rng.uniform(0.0, 1.0))
         cfg = ProximalConfig(lam=lam, gamma=gamma)
-        sol = solve_proximal(theta_hat, memory, v, cfg)
-        # the block trace takes each active-set iterate clipped to w >= 0: none lies below the last
-        trace = solve_block(theta_hat[None], memory, v[None], cfg, k).objective_trace[:, 0]
+        sol = solve_proximal(theta_hat, memory, v, cfg, k)
+        # the trace takes each active-set iterate clipped to w >= 0: none lies below the last
+        trace = objective_trace(theta_hat, memory, sol.p, lam, sol.gamma)
         assert np.all(trace >= trace[-1] - 1e-12), f"trace ends above its minimum on trial {trial}"
         p = softmax(v)
         recon = sol.w @ m_rows - theta_hat
@@ -325,7 +324,7 @@ def test_training_gradient_vs_finite_differences():
         def mean_loss():
             solution, _ = _episode_block(episodes, memory, net, pcfg, k, transform=warp)
             return float(np.mean([
-                _outer_loss(t.query_x, t.query_y, compose_adapter(memory, w_tilde),
+                _outer_loss(t.query_x, t.query_y, w_tilde @ memory.M,
                             w_tilde, pcfg.lam, eta)
                 for t, w_tilde in zip(tasks, solution.w_tilde)]))
 

@@ -167,6 +167,7 @@ class TestDefaults:
         ("coverage_n_boot", 0),
         ("k_grid", (0, 4)),
         ("seeds", ()),
+        ("hard_threshold", False),  # with r_keep set: the soft rule keeps all K
     ])
     def test_bad_field_is_rejected_naming_it(self, name, value):
         cfg = tiny_config()
@@ -180,6 +181,8 @@ class TestDefaults:
             with pytest.raises(TypeError, match=name):
                 RunConfig.from_dict(blob)
             return
+        if name == "hard_threshold":
+            cfg = replace(cfg, r_keep=2)
         if name == "warp.kind":
             cfg = replace(cfg, warp=replace(cfg.warp, kind=value))
         else:
@@ -368,7 +371,8 @@ class TestPhase2:
         for name in ("solve_proximal", "predict_task"):
             monkeypatch.setattr(retrieval, name, forbidden)
         for name in ("predict_tasks", "sweep_lambda_eta", "build_descriptor",
-                     "ridge_adapter", "resample_support"):
+                     "ridge_adapter", "resample_support", "objective_trace",
+                     "calibration_bins"):
             monkeypatch.setattr(pipeline, name, forbidden)
         persist_phase2(result, tmp_path)
         for name in ("training_curve.csv", "metrics.csv", "calibration_bins.csv",
@@ -567,6 +571,19 @@ class TestMotifAndRiskRuns:
         assert [row["effect"] for row in curve] == [0.0, 0.5, 1.0, 2.0, 4.0]
         assert (tmp_path / "power_curve.csv").exists()
 
+    def test_a_failed_calibration_keeps_the_other_cohorts(self, tmp_path):
+        # desk seed 2023: cohortC's calibration does not pass within its retries
+        calibrations, report = run_motifs(desk_config(seed=2023), outdir=tmp_path)
+        assert [c is None for c in calibrations] == [False, False, True, False, False]
+        assert report.screened.size >= 1  # cohort 0's screening still runs
+        rows = (tmp_path / "threshold_calibration.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["cohortA", "cohortB", "cohortD", "cohortE"]
+        assert (tmp_path / "motif_tests.csv").exists()
+        assert (tmp_path / "motif_summary.json").exists()
+        assert (tmp_path / "run.log").read_text().splitlines() == [
+            "motifs cohortC: CalibrationError: calibration for 'cohortC' did not pass "
+            "within 5 retries"]
+
     def test_riskbound_run(self, tiny_artifacts, tmp_path):
         cfg, art = tiny_artifacts
         summary = run_riskbound(cfg, art, outdir=tmp_path)
@@ -608,6 +625,13 @@ class TestCommandLine:
         assert set(json.loads(generated)["partition"].values()) == {
             "Pre-Seed", "Pre-Rest", "Ret-Train", "Ret-Val", "Ret-Test"}
 
+    def test_motifs_prints_a_failed_calibration(self, tmp_path, capsys):
+        # desk seed 2023's cohortC does not calibrate; the command still succeeds
+        assert main(["--seed", "2023", "--outdir", str(tmp_path), "motifs"]) == 0
+        assert "cohortC: calibration failed (see run.log)" in capsys.readouterr().out
+        assert (tmp_path / "motif_tests.csv").exists()
+        assert (tmp_path / "power_curve.csv").exists()
+
     def test_motifs_runs_the_power_curve_step(self, tmp_path, capsys):
         cfg = tiny_config()
         cfg = replace(cfg, motifs=replace(cfg.motifs, n_channels=24, n_pos=16, n_neg=16,
@@ -626,6 +650,10 @@ class TestAblations:
         cfg = tiny_config()
         assert ablation_config(cfg, "gamma_zero").gamma == 0.0
         assert ablation_config(cfg, "soft_l1_only").hard_threshold is False
+        # the soft rule keeps all K, so the ablation drops a base's r_keep
+        soft = ablation_config(tiny_config(r_keep=2), "soft_l1_only")
+        assert soft.r_keep is None
+        soft.validate()
         assert ablation_config(cfg, "no_canonicalization").canonicalize is False
         assert ablation_config(cfg, "no_transform").warp.kind == "none"
         assert set(ABLATION_VARIANTS) >= {"full", "fixed_r", "soft_l1_only",
@@ -659,9 +687,9 @@ class TestAblations:
 
     def test_soft_base_config_flags_no_variant(self, tmp_path):
         # every variant of a soft-threshold base is soft; none turns a rule off
-        rows = pipeline.run_ablations(tiny_config(hard_threshold=False, r_keep=100),
+        rows = pipeline.run_ablations(tiny_config(hard_threshold=False),
                                       ["full", "gamma_zero"], outdir=tmp_path)
-        assert all(row["k"] <= 100 for row in rows)
+        assert [row["variant"] for row in rows] == ["full", "gamma_zero"]
         assert not (tmp_path / "run.log").exists()
 
     def test_gamma_zero_on_a_rank_deficient_memory_fails_before_training(self, tmp_path,

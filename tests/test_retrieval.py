@@ -18,11 +18,13 @@ from protoadapt.retrieval import (
     Episodes,
     ProximalConfig,
     RetrievalNet,
+    RetrievalSolution,
     TrainConfig,
+    active_set_solve,
     backward_block,
     backward_through_solve,
-    compose_adapter,
     hard_top_r,
+    objective_trace,
     outer_terms,
     predict_task,
     predict_tasks,
@@ -35,7 +37,7 @@ from protoadapt.retrieval import (
 from protoadapt.metrics import rank_auc_or_nan
 from protoadapt.pipeline import WarpConfig, make_transform
 from protoadapt.tanhmap import KEYS, TanhMap, flatten
-from protoadapt.util import ValidationError, child_rng, sigmoid
+from protoadapt.util import ValidationError, check_finite, child_rng, require, sigmoid
 
 
 def make_memory(m_rows, r=None):
@@ -108,6 +110,24 @@ def _support_loop(hessian, linear):
     return best_w
 
 
+def _one_task_solve(theta_hat, memory, v, cfg):
+    """One task's exact solve, ``active_set_solve`` called at T = 1: the per-row oracle.
+
+    This was ``solve_proximal``'s body before ``solve_proximal`` became row 0 of
+    a one-row ``solve_block``. Returns the solution before the top-r rule.
+    """
+    cfg.validate()
+    memory.require_frozen()
+    theta_hat = check_finite(theta_hat, "theta_hat")
+    v = check_finite(v, "retrieval logits")
+    require(v.shape[0] == memory.K, "logit length must equal K")
+    p = softmax(v)
+    linear = cfg.lam - memory.M @ theta_hat - 2.0 * cfg.gamma * p
+    w, free, iterations, _ = active_set_solve(memory, np.array([cfg.gamma]), linear[None])
+    return RetrievalSolution(w=w[0], w_tilde=None, active_set=[], iterations=int(iterations[0]),
+                             free=free[0], p=p, gamma=cfg.gamma)
+
+
 def _problem(seed, k, d, lam, gamma, scale):
     rng = np.random.default_rng(seed)
     memory = make_memory(rng.normal(size=(k, d)))
@@ -118,15 +138,23 @@ def _assert_solver_matches_oracles(seed, k, d, lam, gamma, scale):
     """``solve_proximal`` against nnls on the Cholesky form and, at K <= 5, the support loop.
 
     Both within 1e-6 in w. A solve settles on F = {w > 0}, never restarts and
-    counts at most MAX_ACTIVE_SET_ITERATIONS iterations. gamma = 0 on a memory
-    of rank below K raises instead, naming the rank and K. Returns the solution.
+    counts at most MAX_ACTIVE_SET_ITERATIONS iterations; its free set and
+    iterations are the one-task kernel call's (``_one_task_solve``), and w lies
+    within 1e-12 (1 + ||w||_inf) of it. gamma = 0 on a memory of rank below K
+    raises instead on both, naming the rank and K. Returns the solution.
     """
     memory, theta_hat, v, cfg = _problem(seed, k, d, lam, gamma, scale)
     if gamma == 0.0 and np.linalg.matrix_rank(memory.M) < k:
-        with pytest.raises(ValidationError, match=rf"gamma = 0 on a memory of rank \d+ < K = {k}"):
-            solve_proximal(theta_hat, memory, v, cfg)
+        for solve in (lambda: solve_proximal(theta_hat, memory, v, cfg, k),
+                      lambda: _one_task_solve(theta_hat, memory, v, cfg)):
+            with pytest.raises(ValidationError,
+                               match=rf"gamma = 0 on a memory of rank \d+ < K = {k}"):
+                solve()
         return None
-    sol = solve_proximal(theta_hat, memory, v, cfg)
+    sol = solve_proximal(theta_hat, memory, v, cfg, k)
+    ref = _one_task_solve(theta_hat, memory, v, cfg)
+    assert (sol.iterations, sol.free.tolist()) == (ref.iterations, ref.free.tolist())
+    assert np.max(np.abs(sol.w - ref.w)) <= 1e-12 * (1.0 + np.max(np.abs(ref.w)))
     hessian, linear = _quadratic(memory, theta_hat, v, cfg)
     oracles = [_cholesky_nnls(hessian, linear)] + ([_support_loop(hessian, linear)] if k <= 5
                                                    else [])
@@ -195,11 +223,11 @@ def _row_config(cfg, i):
 def _assert_block_contract(seed, n_rows, k, d, scale, r_keep):
     """``solve_block`` and ``backward_block`` against a loop of one-task calls, row by row.
 
-    Every row: the same free set and iteration count as ``solve_proximal``, w
-    within 1e-12 (1 + ||w||_inf), w_tilde by the top-r rule, and dL/dv within
-    1e-10 (1 + ||g||_inf) of ``backward_through_solve``'s. Its trace has one
-    entry per iteration, repeats its last entry past the row's iterations,
-    ends at the objective of w and lies nowhere below that end.
+    Every row: the same free set and iteration count as the one-task kernel
+    call (``_one_task_solve``), w within 1e-12 (1 + ||w||_inf), w_tilde by the
+    top-r rule, and dL/dv within 1e-10 (1 + ||g||_inf) of
+    ``backward_through_solve``'s. Its ``objective_trace`` has one entry per
+    iteration, ends at the objective of w and lies nowhere below that end.
     Returns the block's solution.
     """
     memory, theta_hats, logits, cfg, grad_w = _block_problem(seed, n_rows, k, d, scale)
@@ -207,19 +235,18 @@ def _assert_block_contract(seed, n_rows, k, d, scale, r_keep):
     block = solve_block(theta_hats, memory, logits, cfg, r_keep)
     grad_v = backward_block(block, memory, grad_w)
     assert block.w.shape == block.w_tilde.shape == block.free.shape == grad_v.shape == (n_rows, k)
-    assert block.objective_trace.shape == (block.iterations.max(), n_rows)
     for i in range(n_rows):
         row_cfg, iterations, w = _row_config(cfg, i), block.iterations[i], block.w[i]
-        ref = solve_proximal(theta_hats[i], memory, logits[i], row_cfg)
+        ref = _one_task_solve(theta_hats[i], memory, logits[i], row_cfg)
         assert (iterations, block.free[i].tolist()) == (ref.iterations, ref.free.tolist()), i
         assert np.max(np.abs(w - ref.w)) <= 1e-12 * (1.0 + np.max(np.abs(ref.w))), i
         assert np.array_equal(block.w_tilde[i], hard_top_r(w, r_keep))
         ref_grad = backward_through_solve(ref, memory, grad_w[i])
         assert (np.max(np.abs(grad_v[i] - ref_grad))
                 <= 1e-10 * (1.0 + np.max(np.abs(ref_grad)))), i
-        trace = block.objective_trace[:, i]
+        trace = objective_trace(theta_hats[i], memory, block.p[i], row_cfg.lam, block.gamma[i])
         f = total_objective(w, memory, theta_hats[i], ref.p, row_cfg.lam, row_cfg.gamma)
-        assert np.all(trace[iterations - 1:] == trace[-1])
+        assert trace.shape == (iterations,), i
         assert abs(trace[-1] - f) <= 1e-12 * (1.0 + abs(f)), i
         assert np.all(trace >= trace[-1] - 1e-12 * (1.0 + abs(f))), i
     return block
@@ -296,7 +323,7 @@ class TestSolver:
         memory = make_memory(basis)
         theta_hat = basis[1].copy()
         cfg = ProximalConfig(lam=0.0, gamma=0.0)
-        sol = solve_proximal(theta_hat, memory, np.zeros(3), cfg)
+        sol = solve_proximal(theta_hat, memory, np.zeros(3), cfg, 3)
         assert np.allclose(sol.w, np.array([0.0, 1.0, 0.0]), atol=1e-8)
         assert np.linalg.norm(sol.w @ memory.M - theta_hat) < 1e-8
 
@@ -304,7 +331,7 @@ class TestSolver:
         rng = np.random.default_rng(0)
         memory = make_memory(rng.normal(size=(4, 3)))
         cfg = ProximalConfig(lam=1e9, gamma=0.1)
-        sol = solve_proximal(rng.normal(size=3), memory, rng.normal(size=4), cfg)
+        sol = solve_proximal(rng.normal(size=3), memory, rng.normal(size=4), cfg, 4)
         assert np.allclose(sol.w, 0.0)
 
     def test_matches_lbfgsb_oracle(self):
@@ -317,7 +344,7 @@ class TestSolver:
             v = rng.normal(size=k)
             lam = float(rng.uniform(0.0, 0.3))
             gamma = float(rng.uniform(0.0, 0.5))
-            sol = solve_proximal(theta_hat, memory, v, ProximalConfig(lam=lam, gamma=gamma))
+            sol = solve_proximal(theta_hat, memory, v, ProximalConfig(lam=lam, gamma=gamma), k)
             ours = total_objective(sol.w, memory, theta_hat, softmax(v), lam, gamma)
             oracle = lbfgsb_oracle(memory, theta_hat, softmax(v), lam, gamma)
             assert ours <= oracle + 1e-6
@@ -330,8 +357,8 @@ class TestSolver:
         for trial in range(200):
             memory = make_memory(rng.normal(size=(5, 3)))
             cfg = ProximalConfig(lam=float(rng.uniform(0, 0.2)), gamma=float(rng.uniform(0.01, 1.0)))
-            block = solve_block(rng.normal(size=(1, 3)), memory, rng.normal(size=(1, 5)), cfg, 5)
-            trace = block.objective_trace[:, 0]
+            theta_hat, v = rng.normal(size=3), rng.normal(size=5)
+            trace = objective_trace(theta_hat, memory, softmax(v), cfg.lam, cfg.gamma)
             assert np.all(trace >= trace[-1] - 1e-12 * (1.0 + abs(trace[-1])))
             rises += bool(np.any(np.diff(trace) > 1e-12))
         assert rises >= 1
@@ -341,7 +368,8 @@ class TestSolver:
         for trial in range(10):
             memory = make_memory(rng.normal(size=(3, 5)))  # full column rank M^T
             theta_hat = rng.normal(size=5)
-            sol = solve_proximal(theta_hat, memory, np.zeros(3), ProximalConfig(lam=0.0, gamma=0.0))
+            sol = solve_proximal(theta_hat, memory, np.zeros(3),
+                                 ProximalConfig(lam=0.0, gamma=0.0), 3)
             w_nnls, _ = scipy.optimize.nnls(memory.M.T, theta_hat)
             ours = total_objective(sol.w, memory, theta_hat, softmax(np.zeros(3)), 0, 0)
             ref = total_objective(w_nnls, memory, theta_hat, softmax(np.zeros(3)), 0, 0)
@@ -351,7 +379,7 @@ class TestSolver:
         rng = np.random.default_rng(4)
         memory = make_memory(rng.normal(size=(4, 3)))
         v = rng.normal(size=4)
-        sol = solve_proximal(rng.normal(size=3), memory, v, ProximalConfig(lam=0.0, gamma=1e6))
+        sol = solve_proximal(rng.normal(size=3), memory, v, ProximalConfig(lam=0.0, gamma=1e6), 4)
         assert np.max(np.abs(sol.w - softmax(v))) < 1e-3
 
     def test_unroll_cap_enforced(self, monkeypatch):
@@ -363,7 +391,7 @@ class TestSolver:
         cfg = ProximalConfig(lam=0.0, gamma=0.0)
         hessian, linear = _quadratic(memory, theta_hat, np.zeros(3), cfg)
         assert np.max(np.abs(linear - _CYCLE_C)) < 1e-12
-        sol = solve_proximal(theta_hat, memory, np.zeros(3), cfg)
+        sol = solve_proximal(theta_hat, memory, np.zeros(3), cfg, 3)
         assert np.max(np.abs(sol.w - _support_loop(hessian, linear))) <= 1e-12
         assert FULL_EXCHANGE_ITERATIONS < sol.iterations <= MAX_ACTIVE_SET_ITERATIONS
         thetas = np.stack([np.ones(3), theta_hat, np.ones(3)])
@@ -373,7 +401,7 @@ class TestSolver:
         monkeypatch.setattr(retrieval, "MAX_ACTIVE_SET_ITERATIONS", FULL_EXCHANGE_ITERATIONS)
         message = rf"did not settle their free sets in {FULL_EXCHANGE_ITERATIONS} active-set"
         with pytest.raises(ValidationError, match=r"rows \[0\] " + message):
-            solve_proximal(theta_hat, memory, np.zeros(3), cfg)
+            solve_proximal(theta_hat, memory, np.zeros(3), cfg, 3)
         with pytest.raises(ValidationError, match=r"rows \[1\] " + message):
             solve_block(thetas, memory, np.zeros((3, 3)), block_cfg, 3)
 
@@ -382,8 +410,8 @@ class TestSolver:
         # the same active-set iterations, all within the cap
         memory, theta_hats, logits, cfg, _ = _block_problem(8, 40, 8, 8, 1.0)
         block = solve_block(theta_hats, memory, logits, cfg, 8)
-        one_task = [solve_proximal(theta_hats[i], memory, logits[i], _row_config(cfg, i)).iterations
-                    for i in range(40)]
+        one_task = [solve_proximal(theta_hats[i], memory, logits[i], _row_config(cfg, i),
+                                   8).iterations for i in range(40)]
         assert block.iterations.tolist() == one_task
         assert 1 <= block.iterations.min() and block.iterations.max() <= MAX_ACTIVE_SET_ITERATIONS
         assert len(set(one_task)) >= 2
@@ -488,27 +516,51 @@ class TestRowWiseMatchesTheVectorLoop:
 
 
 class TestCompose:
+    """``predict_task`` scores its query with the adapter w_tilde M."""
+
+    @staticmethod
+    def _predict(memory, theta_hat, pcfg, r_keep, seed):
+        rng = np.random.default_rng(seed)
+        task = type("T", (), {})()
+        task.task_id, task.n_support = "c", GAMMA_REF_SIZE
+        task.query_x = rng.normal(size=(7, memory.d_theta))
+        task.query_y = np.zeros(7, dtype=int)
+        net = RetrievalNet(d_z=2, k=memory.K, seed=seed)
+        probs, sol = predict_task(task, memory, net, rng.normal(size=2), theta_hat, pcfg,
+                                  r_keep, identity_map)
+        return task.query_x, probs, sol
+
     def test_unit_vector_returns_row(self):
-        rng = np.random.default_rng(9)
-        memory = make_memory(rng.normal(size=(4, 3)))
-        e2 = np.array([0.0, 0.0, 1.0, 0.0])
-        assert np.allclose(compose_adapter(memory, e2), memory.M[2])
+        # lam = gamma = 0 on orthonormal rows: w_tilde is e_2 exactly, so the adapter is M[2]
+        memory = make_memory(np.eye(4)[:3])
+        x, probs, sol = self._predict(memory, memory.M[2].copy(),
+                                      ProximalConfig(lam=0.0, gamma=0.0), 3, seed=9)
+        assert sol.w_tilde.tolist() == [0.0, 0.0, 1.0] and sol.active_set == [2]
+        assert np.array_equal(probs, sigmoid(x @ memory.M[2]))
 
     def test_zero_vector(self):
+        # a lam past every correlation empties w_tilde: a zero adapter scores every query 1/2
         memory = make_memory(np.eye(3))
-        assert np.allclose(compose_adapter(memory, np.zeros(3)), 0.0)
+        _, probs, sol = self._predict(memory, np.ones(3), ProximalConfig(lam=1e9, gamma=0.1), 2,
+                                      seed=3)
+        assert not sol.w_tilde.any() and sol.active_set == []
+        assert np.all(probs == 0.5)
 
     def test_random_matches_matvec_oracle(self):
         rng = np.random.default_rng(10)
         memory = make_memory(rng.normal(size=(6, 4)))
-        w = rng.normal(size=6)
-        oracle = sum(w[i] * memory.M[i] for i in range(6))
-        assert np.max(np.abs(compose_adapter(memory, w) - oracle)) < 1e-12
+        x, probs, sol = self._predict(memory, rng.normal(size=4),
+                                      ProximalConfig(lam=1e-3, gamma=0.1), 3, seed=10)
+        oracle = sum(sol.w_tilde[i] * memory.M[i] for i in range(6))
+        assert 1 <= len(sol.active_set) <= 3
+        assert np.max(np.abs(probs - sigmoid(x @ oracle))) < 1e-12
 
     def test_dimension_mismatch(self):
         memory = make_memory(np.eye(3))
-        with pytest.raises(ValidationError):
-            compose_adapter(memory, np.ones(4))
+        with pytest.raises(ValidationError, match="one length-K row per task"):
+            solve_proximal(np.ones(3), memory, np.ones(4), ProximalConfig(), 3)
+        with pytest.raises(ValidationError, match="one length-d_theta row per task"):
+            solve_proximal(np.ones(4), memory, np.ones(3), ProximalConfig(), 3)
 
 
 class _Query:
@@ -567,7 +619,7 @@ class TestOuterObjective:
         _, ce, l1, entropy, _, _ = outer_terms(_query_block([_Query(x, y)], memory),
                                                w_tilde[None])
         total = ce[0] + lam * l1[0] + eta * entropy[0]
-        p = np.clip(sigmoid(x @ compose_adapter(memory, w_tilde)), 1e-12, 1 - 1e-12)
+        p = np.clip(sigmoid(x @ (w_tilde @ memory.M)), 1e-12, 1 - 1e-12)
         ce = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
         u = w_tilde / w_tilde.sum()
         ent = -np.sum(u * np.log(u))
@@ -594,7 +646,7 @@ class TestOuterObjective:
             probs = np.split(terms[0], np.cumsum([len(t.query_y) for t in tasks])[:-1])
             assert len(terms[0]) == sum(len(t.query_y) for t in tasks)
             for i, task in enumerate(tasks):
-                adapter = compose_adapter(memory, w_tilde[i])
+                adapter = w_tilde[i] @ memory.M
                 total, parts = _pair_outer_objective(task.query_x, task.query_y, adapter,
                                                      w_tilde[i], lam, eta, identity_map)
                 grad = _pair_outer_gradient_w(task.query_x, task.query_y, memory,
@@ -678,14 +730,14 @@ class TestImplicitBackward:
         cfg = ProximalConfig(lam=lam, gamma=0.5)
 
         def loss_of(v):
-            sol = solve_proximal(theta_hat, memory, v, cfg)
+            sol = solve_proximal(theta_hat, memory, v, cfg, 4)
             w_tilde = sol.w  # no mask: keep the loss smooth for the check
-            adapter = compose_adapter(memory, w_tilde)
+            adapter = w_tilde @ memory.M
             total, _ = _pair_outer_objective(query_x, query_y, adapter, w_tilde,
                                              lam, eta, identity_map)
             return total
 
-        sol = solve_proximal(theta_hat, memory, v0, cfg)
+        sol = solve_proximal(theta_hat, memory, v0, cfg, 4)
         terms = outer_terms(_query_block([_Query(query_x, query_y)], memory), sol.w[None])
         _, grad_w = _outer_totals(terms, sol.w[None], lam, eta)
         grad_v = backward_through_solve(sol, memory, grad_w[0])
@@ -779,9 +831,9 @@ class TestTraining:
             for t in tasks:
                 logits, _ = net.forward(descriptors[t.task_id])
                 w_tilde = threshold(solve_proximal(theta_hats[t.task_id], memory, logits,
-                                                   _at_support_size(pcfg, t)).w)
+                                                   _at_support_size(pcfg, t), memory.K).w)
                 losses.append(_pair_outer_objective(t.query_x, t.query_y,
-                                                    compose_adapter(memory, w_tilde),
+                                                    w_tilde @ memory.M,
                                                     w_tilde, pcfg.lam, tcfg.eta,
                                                     identity_map)[0])
             return np.mean(losses)
@@ -930,7 +982,7 @@ def _two_optimizer_epoch(tasks, memory, descriptors, theta_hats, pcfg, tcfg, war
             z, warp_hidden = warp.forward(z_raw)
             logits, net_hidden = net.forward(z)
             solution = solve_proximal(theta_hats[task.task_id], memory, logits,
-                                      _at_support_size(pcfg, task))
+                                      _at_support_size(pcfg, task), memory.K)
             grad_w = _pair_outer_gradient_w(task.query_x, task.query_y, memory,
                                             hard_top_r(solution.w, tcfg.r_keep), pcfg.lam,
                                             tcfg.eta, identity_map)
@@ -1058,10 +1110,10 @@ class TestSweep:
                 logits = net.forward(descs[t.task_id])[0]
                 gamma = pcfg.gamma * GAMMA_REF_SIZE / size_of(t)
                 w = solve_proximal(thetas[t.task_id], memory, logits,
-                                   dataclasses.replace(pcfg, lam=lam, gamma=gamma)).w
+                                   dataclasses.replace(pcfg, lam=lam, gamma=gamma), memory.K).w
                 w_tilde = hard_top_r(w, 2)
                 objective.append(_pair_outer_objective(t.query_x, t.query_y,
-                                                       compose_adapter(memory, w_tilde),
+                                                       w_tilde @ memory.M,
                                                        w_tilde, lam, 0.0, identity_map)[0])
             return float(np.mean(objective))
 
@@ -1110,7 +1162,7 @@ class TestOneTaskPath:
             assert np.max(np.abs(sol.w - block.w[i])) <= 1e-12 * (1.0 + np.max(np.abs(sol.w)))
             assert np.max(np.abs(one_probs - probs[rows[i]:rows[i + 1]])) <= 1e-12
             unscaled = solve_proximal(thetas[t.task_id], memory,
-                                      net.forward(descs[t.task_id])[0], pcfg).w
+                                      net.forward(descs[t.task_id])[0], pcfg, memory.K).w
             assert (t.n_support == GAMMA_REF_SIZE) == np.allclose(sol.w, unscaled, atol=1e-9)
 
     @pytest.mark.parametrize("hard_threshold", [True, False])
@@ -1155,7 +1207,7 @@ def _sweep_double_loop(lam_grid, eta_grid, tasks, memory, net, descriptors, thet
                 pcfg, r_keep)
             objective = []
             for task, w_tilde in zip(tasks, block.w_tilde):
-                adapter = compose_adapter(memory, w_tilde)
+                adapter = w_tilde @ memory.M
                 total, _ = _pair_outer_objective(task.query_x, task.query_y, adapter,
                                                  w_tilde, lam, eta, feature_map)
                 objective.append(total)

@@ -10,12 +10,10 @@ from protoadapt.prototypes import (
     coverage_certificate,
 )
 from protoadapt.riskbound import (
-    LipschitzBound,
     check_bound,
     check_bounds_over_tasks,
     empirical_risk,
     feature_radius_of,
-    lipschitz_constant,
 )
 from protoadapt.metrics import binary_cross_entropy
 from protoadapt.synthdata import GeneratorConfig, generate_corpus, partition_tasks
@@ -27,28 +25,34 @@ def identity_map(x):
 
 
 class TestLipschitz:
-    def test_unit_radius(self):
-        assert lipschitz_constant(1.0).lipschitz == 1.0
+    """The logistic loss's Lipschitz constant in the adapter is the feature radius."""
 
-    def test_homogeneous_in_radius(self):
-        assert lipschitz_constant(3.0).lipschitz == pytest.approx(3.0 * lipschitz_constant(1.0).lipschitz)
-
-    def test_unbounded_rejected(self):
-        with pytest.raises(ValidationError):
-            lipschitz_constant(np.inf)
+    def test_unbounded_rejected(self, monkeypatch):
+        # run_riskbound takes the largest feature radius, over the supports and each
+        # report's query set, as the global constant; it must be finite and positive
+        corpus = type("Corpus", (), {"tasks": [], "feature_map": lambda self: identity_map})()
+        artifacts = type("Artifacts", (), {"corpus": corpus, "memory": None,
+                                           "certificate": None})()
+        for radius in (np.inf, 0.0):
+            report = type("Report", (), {"lipschitz": radius})()
+            summary = type("Summary", (), {"reports": [report]})()
+            monkeypatch.setattr(pipeline, "check_bounds_over_tasks", lambda *args: summary)
+            monkeypatch.setattr(pipeline, "feature_radius_of", lambda *args: radius)
+            with pytest.raises(ValidationError, match="finite and positive"):
+                pipeline.run_riskbound(pipeline.desk_config(), artifacts)
 
     def test_monte_carlo_supremum_never_exceeded(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(40, 3))
         x /= np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1.0)  # radius <= 1
-        bound = lipschitz_constant(1.0)
+        lipschitz = 1.0  # the feature radius
         for _ in range(200):
             theta_a = rng.normal(size=3)
             theta_b = rng.normal(size=3)
             y = rng.integers(0, 2, size=40)
             risk_a, risk_b = empirical_risk([theta_a, theta_b], x, y)
             gap = abs(risk_a - risk_b)
-            assert gap <= bound.lipschitz * np.linalg.norm(theta_a - theta_b) + 1e-12
+            assert gap <= lipschitz * np.linalg.norm(theta_a - theta_b) + 1e-12
 
 
 class _FixedTask:
