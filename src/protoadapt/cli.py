@@ -11,6 +11,7 @@ import argparse
 import json
 from pathlib import Path
 
+from .motifs import CalibrationError
 from .pipeline import (
     RunConfig,
     build_corpus,
@@ -89,7 +90,10 @@ def cmd_ablate(args):
 
 def cmd_motifs(args):
     cfg = load_config(args)
-    calibrations, report = run_motifs(cfg, outdir=Path(cfg.outdir))
+    try:
+        calibrations, report = run_motifs(cfg, outdir=Path(cfg.outdir))
+    except CalibrationError as exc:  # the other cohorts' files are written
+        calibrations, report = exc.calibrations, exc.report
     run_power_curve(cfg, outdir=Path(cfg.outdir))
     print(f"screened {report.screened.size} channels; "
           f"pi0 = {report.pi0.pi0:.3f} {report.pi0.ci90}")

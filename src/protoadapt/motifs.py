@@ -29,7 +29,11 @@ GRID_CENTER = 0.5
 
 
 class CalibrationError(RuntimeError):
-    """Threshold calibration failed to converge within the retry cap."""
+    """Threshold calibration failed within the retry cap; from ``run_motifs``, with its results."""
+
+    def __init__(self, message, calibrations=None, report=None):
+        super().__init__(message)
+        self.calibrations, self.report = calibrations, report
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +341,7 @@ class TauCalibration:
     passed: bool
     zero_variance: bool
     n_retries: int
-    grid: tuple
     df: int = 2
-    calib_auc: float = float("nan")
     test_auc: float = float("nan")
 
 
@@ -438,7 +440,7 @@ def calibrate_tau(activations, labels, cohort: str = "cohort",
             return TauCalibration(cohort=cohort, tau_bar=tau_bar, se=se, t_stat=t_stat,
                                   t_abs=abs(t_stat), p_value=p_two, delta_auc=delta_auc,
                                   passed=True, zero_variance=zero_variance, n_retries=retry,
-                                  grid=grid, calib_auc=calib_auc, test_auc=test_auc)
+                                  test_auc=test_auc)
 
         # narrow the search interval by 20 percent around tau_bar and retry
         span = (max(grid) - min(grid)) * 0.8

@@ -801,7 +801,11 @@ def _synthetic_repertoire(background, channels, n_seqs, plant, rng):
 
 
 def run_motifs(cfg: RunConfig, outdir: Path | None = None):
-    """Synthetic-cohort motif statistics: screening, q-values, calibration (None if it failed)."""
+    """Synthetic-cohort motif statistics: screening, q-values, calibration.
+
+    A failed cohort gets a run.log line and no CSV row; after writing the files, one
+    ``CalibrationError`` names every failed cohort and carries the results (None at each).
+    """
     mcfg = cfg.motifs
     timer = StageTimer(cfg.hash())
     with timer.stage("motifs", None):
@@ -814,7 +818,7 @@ def run_motifs(cfg: RunConfig, outdir: Path | None = None):
                                     pseudocount=mcfg.pseudocount,
                                     alphabet_size=mcfg.alphabet_size)
 
-        calibrations, failures = [], []  # a failure: None here, no CSV row, a run.log line
+        calibrations, failures = [], {}  # failures: cohort -> the error's message
         report = None
         for c_i, cohort in enumerate(mcfg.cohorts):
             channels = make_channels(mcfg.n_channels, k=mcfg.kmer,
@@ -834,7 +838,7 @@ def run_motifs(cfg: RunConfig, outdir: Path | None = None):
                                                   seed=cfg.seed))
             except CalibrationError as exc:
                 calibrations.append(None)
-                failures.append(f"motifs {cohort}: CalibrationError: {exc}")
+                failures[cohort] = str(exc)
             if c_i == 0:
                 report = motif_test_report(channels, repertoires, background,
                                            top_frac=mcfg.top_frac, b_min=mcfg.b_min,
@@ -863,7 +867,10 @@ def run_motifs(cfg: RunConfig, outdir: Path | None = None):
         })
         _append(outdir / "runtime.txt", timer.lines)
         if failures:
-            _append(outdir / "run.log", failures)
+            _append(outdir / "run.log", [f"motifs {cohort}: CalibrationError: {message}"
+                                         for cohort, message in failures.items()])
+    if failures:
+        raise CalibrationError("; ".join(failures.values()), calibrations, report)
     return calibrations, report
 
 

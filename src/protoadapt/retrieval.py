@@ -241,7 +241,7 @@ class RetrievalSolution:
 
 def solve_proximal(theta_hat, memory, v, cfg: ProximalConfig, r_keep: int) -> RetrievalSolution:
     """One task's solve and top-r rule: row 0 of ``solve_block`` on a one-row block."""
-    block = solve_block(theta_hat[None], memory, v[None], cfg, r_keep)
+    block = solve_block(np.asarray(theta_hat)[None], memory, np.asarray(v)[None], cfg, r_keep)
     w_tilde = block.w_tilde[0]
     return RetrievalSolution(w=block.w[0], w_tilde=w_tilde, active_set=list(np.nonzero(w_tilde)[0]),
                              iterations=int(block.iterations[0]), free=block.free[0],

@@ -10,6 +10,7 @@ import pytest
 from protoadapt import pipeline, retrieval
 from protoadapt.cli import main
 from protoadapt.metrics import compute_metrics
+from protoadapt.motifs import CalibrationError
 from protoadapt.pipeline import (
     ABLATION_VARIANTS,
     DEFAULT_K_GRID,
@@ -572,8 +573,12 @@ class TestMotifAndRiskRuns:
         assert (tmp_path / "power_curve.csv").exists()
 
     def test_a_failed_calibration_keeps_the_other_cohorts(self, tmp_path):
-        # desk seed 2023: cohortC's calibration does not pass within its retries
-        calibrations, report = run_motifs(desk_config(seed=2023), outdir=tmp_path)
+        # desk seed 2023: cohortC's calibration does not pass within its retries, so
+        # run_motifs raises once, after writing the other cohorts' files
+        with pytest.raises(CalibrationError, match=r"^calibration for 'cohortC' did not pass "
+                                                   r"within 5 retries$") as caught:
+            run_motifs(desk_config(seed=2023), outdir=tmp_path)
+        calibrations, report = caught.value.calibrations, caught.value.report
         assert [c is None for c in calibrations] == [False, False, True, False, False]
         assert report.screened.size >= 1  # cohort 0's screening still runs
         rows = (tmp_path / "threshold_calibration.csv").read_text().splitlines()[1:]

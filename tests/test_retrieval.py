@@ -562,6 +562,17 @@ class TestCompose:
         with pytest.raises(ValidationError, match="one length-d_theta row per task"):
             solve_proximal(np.ones(4), memory, np.ones(3), ProximalConfig(), 3)
 
+    def test_sequences_are_checked_as_arrays(self):
+        # lists and tuples reach the block's finiteness and shape checks like arrays do
+        memory = make_memory(np.eye(3))
+        sol = solve_proximal([1.0, 0.0, 0.0], memory, (0.0, 0.0, 0.0), ProximalConfig(), 3)
+        ref = solve_proximal(np.array([1.0, 0.0, 0.0]), memory, np.zeros(3), ProximalConfig(), 3)
+        assert np.array_equal(sol.w, ref.w)
+        with pytest.raises(ValidationError, match="theta_hat"):
+            solve_proximal([1.0, float("nan"), 0.0], memory, [0.0] * 3, ProximalConfig(), 3)
+        with pytest.raises(ValidationError, match="one length-K row per task"):
+            solve_proximal([1.0, 0.0, 0.0], memory, [0.0] * 4, ProximalConfig(), 3)
+
 
 class _Query:
     task_id, n_support = "q", 5
