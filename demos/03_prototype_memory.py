@@ -39,7 +39,7 @@ theta_pre = assemble_theta([adapters[t.task_id] for t in pre_tasks])
 cert = coverage_certificate(memory, theta_pre, r_sparse=2, n_boot=1000, seed=0)
 print(f"coverage: median {cert.eps_hat:.4f}, percentile90 {cert.pct90}, "
       f"bca90 {cert.bca90}")
-print(f"certified upper bound stored on memory: {memory.eps_M_upper:.4f}")
+print(f"certified upper bound attached to memory: {memory.certificate.eps_upper:.4f}")
 
 u = chain.project(theta_pre.rows[0])
 w, resid = l0_fit(u, memory.centroids, r_sparse=2)

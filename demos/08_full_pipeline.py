@@ -8,8 +8,8 @@ from protoadapt.pipeline import (
     run_phase2, run_riskbound, run_support_sweep,
 )
 
-cfg = desk_config(seed=42, outdir="runs/demo_pipeline")
-outdir = Path(cfg.outdir)
+cfg = desk_config(seed=42)
+outdir = Path("runs/demo_pipeline")
 
 artifacts = run_phase1(cfg, outdir=outdir)
 print(f"phase 1: rank {artifacts.rank_selected}, K {artifacts.memory.K}, "

@@ -99,7 +99,6 @@ class Canonicalizer:
     basis: np.ndarray          # orthonormal, sign-fixed principal directions
     pc_scale: np.ndarray       # per-direction RMS after rotation
     zero_scale: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
-    degenerate_rank: bool = False
 
     @classmethod
     def identity(cls, d: int) -> "Canonicalizer":
@@ -161,7 +160,6 @@ def fit_canonicalizer(theta) -> Canonicalizer:
         pc_rms = np.zeros(d)
         pc_rms[: s.shape[0]] = s / np.sqrt(n)
 
-    degenerate = bool(np.any(pc_rms < 1e-12))
     pc_scale = np.where(pc_rms < 1e-12, 1.0, pc_rms)
     return Canonicalizer(
         scale=scale,
@@ -169,5 +167,4 @@ def fit_canonicalizer(theta) -> Canonicalizer:
         basis=basis,
         pc_scale=pc_scale,
         zero_scale=zero_scale,
-        degenerate_rank=degenerate,
     )

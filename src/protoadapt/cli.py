@@ -41,41 +41,38 @@ def load_config(args) -> RunConfig:
     if args.seed is not None:
         cfg.seed = args.seed
         cfg.generator = type(cfg.generator)(**{**vars(cfg.generator), "seed": args.seed})
-    if args.outdir is not None:
-        cfg.outdir = args.outdir
     return cfg
 
 
 def cmd_generate(args):
     cfg = load_config(args)
     corpus, _, _ = build_corpus(cfg)
-    outdir = Path(cfg.outdir)
-    save_corpus(corpus, outdir / "corpus.csv", outdir / "corpus_manifest.json")
-    print(f"wrote {outdir / 'corpus.csv'} ({len(corpus.tasks)} tasks)")
+    save_corpus(corpus, args.outdir / "corpus.csv", args.outdir / "corpus_manifest.json")
+    print(f"wrote {args.outdir / 'corpus.csv'} ({len(corpus.tasks)} tasks)")
 
 
 def cmd_phase1(args):
     cfg = load_config(args)
-    artifacts = run_phase1(cfg, outdir=Path(cfg.outdir))
+    artifacts = run_phase1(cfg, outdir=args.outdir)
     print(f"rank selected: {artifacts.rank_selected}; K = {artifacts.memory.K}; "
           f"coverage upper bound = {artifacts.certificate.eps_upper:.6f}")
 
 
 def cmd_phase2(args):
     cfg = load_config(args)
-    artifacts = run_phase1(cfg, outdir=Path(cfg.outdir))
-    result = run_phase2(cfg, artifacts, outdir=Path(cfg.outdir))
+    artifacts = run_phase1(cfg, outdir=args.outdir)
+    result = run_phase2(cfg, artifacts, outdir=args.outdir)
     rec = result.metrics["test"]
     print(f"test AUC {rec.auc:.4f}, F1 {rec.f1:.4f}, ECE {rec.ece:.4f}")
-    run_penalty_sweep(cfg, artifacts, result, outdir=Path(cfg.outdir))
-    run_support_sweep(cfg, artifacts, result, outdir=Path(cfg.outdir))
-    run_seed_stability(cfg, artifacts, outdir=Path(cfg.outdir))
+    run_penalty_sweep(cfg, artifacts, result, outdir=args.outdir)
+    run_support_sweep(cfg, artifacts, result, outdir=args.outdir)
+    run_seed_stability(cfg, artifacts, outdir=args.outdir)
 
 
 def cmd_baselines(args):
     cfg = load_config(args)
     artifacts = run_phase1(cfg)
-    results = run_baselines(cfg, artifacts, outdir=Path(cfg.outdir))
+    results = run_baselines(cfg, artifacts, outdir=args.outdir)
     for name, rec in results.items():
         print(f"{name}: AUC {rec.auc:.4f}")
 
@@ -83,7 +80,7 @@ def cmd_baselines(args):
 def cmd_ablate(args):
     cfg = load_config(args)
     variants = args.variants or list(ABLATION_VARIANTS)
-    rows = run_ablations(cfg, variants, outdir=Path(cfg.outdir))
+    rows = run_ablations(cfg, variants, outdir=args.outdir)
     for row in rows:
         print(f"{row['variant']}: AUC {row['auc']:.4f} F1 {row['f1']:.4f}")
 
@@ -91,10 +88,10 @@ def cmd_ablate(args):
 def cmd_motifs(args):
     cfg = load_config(args)
     try:
-        calibrations, report = run_motifs(cfg, outdir=Path(cfg.outdir))
+        calibrations, report = run_motifs(cfg, outdir=args.outdir)
     except CalibrationError as exc:  # the other cohorts' files are written
         calibrations, report = exc.calibrations, exc.report
-    run_power_curve(cfg, outdir=Path(cfg.outdir))
+    run_power_curve(cfg, outdir=args.outdir)
     print(f"screened {report.screened.size} channels; "
           f"pi0 = {report.pi0.pi0:.3f} {report.pi0.ci90}")
     for cohort, cal in zip(cfg.motifs.cohorts, calibrations):
@@ -107,13 +104,12 @@ def cmd_motifs(args):
 def cmd_riskbound(args):
     cfg = load_config(args)
     artifacts = run_phase1(cfg)
-    summary = run_riskbound(cfg, artifacts, outdir=Path(cfg.outdir))
+    summary = run_riskbound(cfg, artifacts, outdir=args.outdir)
     print(summary.as_text())
 
 
 def cmd_report(args):
-    cfg = load_config(args)
-    path = emit_report(Path(cfg.outdir))
+    path = emit_report(args.outdir)
     print(path.read_text())
 
 
@@ -123,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="prototype-conditioned fast-weight retrieval on synthetic episodic tasks")
     parser.add_argument("--config", help="JSON run configuration", default=None)
     parser.add_argument("--seed", type=int, default=None, help="override the run seed")
-    parser.add_argument("--outdir", default=None, help="override the output directory")
+    parser.add_argument("--outdir", type=Path, default="runs/desk", help="default: runs/desk")
     sub = parser.add_subparsers(dest="command", required=True)
     rebuilds = "; rebuilds phase 1 from the config"
     for name, fn, text in (

@@ -26,17 +26,6 @@ class MetricsRecord:
     tn: int
     fn: int
 
-    def row(self):
-        return [self.accuracy, self.sensitivity, self.specificity, self.f1,
-                self.auc, self.ece, self.health_mean, self.health_std,
-                self.high_risk_rate, self.n, self.tp, self.fp, self.tn, self.fn]
-
-    @staticmethod
-    def header():
-        return ["accuracy", "sensitivity", "specificity", "f1", "auc", "ece",
-                "health_mean", "health_std", "high_risk_rate", "n",
-                "tp", "fp", "tn", "fn"]
-
 
 def rank_auc(scores, labels):
     """AUC as the rank statistic over positive-negative pairs (ties count half).

@@ -18,14 +18,14 @@ run=<config hash>`` (``util.StageTimer``). Per-task latency is ms / tasks;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .adapters import Canonicalizer, assemble_theta, fit_canonicalizer, ridge_adapter
 from .descriptors import ProbeHead, Standardizer, build_descriptor, descriptors_to_csv
-from .metrics import MetricsRecord, calibration_bins, compute_metrics
+from .metrics import calibration_bins, compute_metrics
 from .motifs import (
     DESK_PERMUTATION_FLOOR,
     CalibrationError,
@@ -51,7 +51,7 @@ from .retrieval import (
     sweep_lambda_eta,
     train_retrieval,
 )
-from .riskbound import check_bounds_over_tasks, feature_radius_of
+from .riskbound import BoundReport, check_bounds_over_tasks, feature_radius_of
 from .spectral import (
     TaskGradientSummary,
     corpus_fisher_matrix,
@@ -68,7 +68,16 @@ from .synthdata import (
     save_corpus_manifest,
 )
 from .tanhmap import TanhMap
-from .util import StageTimer, child_rng, config_hash, require, sigmoid, write_csv, write_json
+from .util import (
+    StageTimer,
+    child_rng,
+    config_hash,
+    require,
+    sigmoid,
+    write_csv,
+    write_json,
+    write_records,
+)
 
 # Search-grid defaults from the experiment protocol; desk profiles override.
 DEFAULT_K_GRID = (50, 100, 200)
@@ -108,7 +117,6 @@ class RunConfig:
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     seed: int = 42
     seeds: tuple = DEFAULT_SEEDS
-    outdir: str = "runs/latest"
 
     # partitioning
     frac_pre: float = 0.5
@@ -223,14 +231,13 @@ class RunConfig:
         return config_hash(self.to_dict())
 
 
-def desk_config(seed: int = 42, outdir: str = "runs/desk") -> RunConfig:
+def desk_config(seed: int = 42) -> RunConfig:
     """Small-corpus profile that exercises every stage in seconds."""
     return RunConfig(
         generator=GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=120,
                                   n_support=300, n_query=60, noise_sigma=0.0,
                                   seed=seed, n_clusters=3, cluster_spread=0.10),
         seed=seed,
-        outdir=outdir,
         k_grid=(4, 6, 8),
         epochs=80,
         patience=30,
@@ -242,14 +249,13 @@ def desk_config(seed: int = 42, outdir: str = "runs/desk") -> RunConfig:
     )
 
 
-def fewshot_benchmark_config(seed: int = 42, outdir: str = "runs/fewshot") -> RunConfig:
+def fewshot_benchmark_config(seed: int = 42) -> RunConfig:
     """The planted-corpus profile used for few-shot scaling and seed stability."""
     return RunConfig(
         generator=GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=240,
                                   n_support=800, n_query=400, noise_sigma=0.0,
                                   seed=seed, n_clusters=3, cluster_spread=0.10),
         seed=seed,
-        outdir=outdir,
         k_grid=(4, 6, 8),
         epochs=300,
         patience=60,
@@ -471,8 +477,7 @@ def persist_phase1(artifacts: Phase1Artifacts, outdir: Path) -> None:
     save_corpus_manifest(artifacts.corpus, outdir / "corpus_manifest.json")
     artifacts.theta_seed.to_csv(outdir / "adapters_seed.csv")
     artifacts.dim_report_tasks.to_csv(outdir / "rank_test_tasks.csv")
-    write_csv(outdir / "rank_curve.csv", ["n_tasks", "rho", "r"],
-              [[row["n_tasks"], row["rho"], row["r"]] for row in artifacts.rank_curve])
+    write_records(outdir / "rank_curve.csv", artifacts.rank_curve)
     if artifacts.jl_report is not None:
         jl = artifacts.jl_report
         write_csv(outdir / "projection_energy.csv",
@@ -624,19 +629,10 @@ def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
 def persist_phase2(result: Phase2Result, outdir: Path) -> None:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_csv(outdir / "training_curve.csv",
-              ["epoch", "train_loss", "val_auc", "jaccard", "solver_iterations",
-               "solver_restarts", "converged_frac", "mean_active_size"],
-              [[row.epoch, row.train_loss, row.val_auc, row.jaccard, row.solver_iterations,
-                row.solver_restarts, row.converged_frac, row.mean_active_size]
-               for row in result.history])
-    write_csv(outdir / "metrics.csv",
-              ["split"] + MetricsRecord.header(),
-              [[tag] + rec.row() for tag, rec in result.metrics.items()])
-    write_csv(outdir / "calibration_bins.csv",
-              ["bin", "lo", "hi", "count", "confidence", "frequency"],
-              [[r["bin"], r["lo"], r["hi"], r["count"], r["confidence"], r["frequency"]]
-               for r in result.calibration])
+    write_records(outdir / "training_curve.csv", result.history)
+    write_records(outdir / "metrics.csv",
+                  [{"split": tag, **vars(rec)} for tag, rec in result.metrics.items()])
+    write_records(outdir / "calibration_bins.csv", result.calibration)
     descriptors_to_csv(result.splits.values(), outdir / "descriptors.csv")
 
     # trained retrieval parameters into the run manifest: the network, and the
@@ -667,10 +663,7 @@ def run_penalty_sweep(cfg: RunConfig, artifacts: Phase1Artifacts, phase2: Phase2
                                    transform=phase2.transform)
     if outdir is not None:
         outdir = Path(outdir)
-        write_csv(outdir / "sweep_lambda_eta.csv",
-                  ["lam", "eta", "auc", "mean_l0_pre", "mean_l0_post", "mean_objective"],
-                  [[r["lam"], r["eta"], r["auc"], r["mean_l0_pre"], r["mean_l0_post"],
-                    r["mean_objective"]] for r in surface])
+        write_records(outdir / "sweep_lambda_eta.csv", surface)
         _append(outdir / "runtime.txt", timer.lines)
     return surface
 
@@ -718,9 +711,8 @@ def run_baselines(cfg: RunConfig, artifacts: Phase1Artifacts,
 
     if outdir is not None:
         outdir = Path(outdir)
-        write_csv(outdir / "baselines.csv",
-                  ["baseline"] + MetricsRecord.header(),
-                  [[name] + rec.row() for name, rec in results.items()])
+        write_records(outdir / "baselines.csv",
+                      [{"baseline": name, **vars(rec)} for name, rec in results.items()])
         _append(outdir / "runtime.txt", timer.lines)
     return results
 
@@ -746,9 +738,7 @@ def run_support_sweep(cfg: RunConfig, artifacts: Phase1Artifacts, phase2: Phase2
                      "ece": record.ece})
     if outdir is not None:
         outdir = Path(outdir)
-        write_csv(outdir / "support_curve.csv",
-                  ["support_size", "auc", "f1", "ece"],
-                  [[r["support_size"], r["auc"], r["f1"], r["ece"]] for r in rows])
+        write_records(outdir / "support_curve.csv", rows)
         _append(outdir / "runtime.txt", timer.lines)
     return rows
 
@@ -769,13 +759,11 @@ def run_seed_stability(cfg: RunConfig, artifacts: Phase1Artifacts,
     for metric in ("auc", "f1", "ece"):
         vals = np.array([getattr(rec, metric) for rec in per_seed.values()])
         stats[metric] = {"mean": float(vals.mean()), "std": float(vals.std()),
-                         "lo": float(vals.min()), "hi": float(vals.max())}
+                         "range_lo": float(vals.min()), "range_hi": float(vals.max())}
     if outdir is not None:
         outdir = Path(outdir)
-        write_csv(outdir / "seed_stability.csv",
-                  ["metric", "mean", "std", "range_lo", "range_hi"],
-                  [[m, s["mean"], s["std"], s["lo"], s["hi"]]
-                   for m, s in stats.items()])
+        write_records(outdir / "seed_stability.csv",
+                      [{"metric": m, **s} for m, s in stats.items()])
         _append(outdir / "runtime.txt", runtime)
     return per_seed, stats
 
@@ -888,8 +876,7 @@ def run_power_curve(cfg: RunConfig, outdir: Path | None = None):
     if outdir is not None:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        write_csv(outdir / "power_curve.csv", ["effect", "rate_p", "rate_q"],
-                  [[r["effect"], r["rate_p"], r["rate_q"]] for r in curve])
+        write_records(outdir / "power_curve.csv", curve)
         _append(outdir / "runtime.txt", timer.lines)
     return curve
 
@@ -914,14 +901,8 @@ def run_riskbound(cfg: RunConfig, artifacts: Phase1Artifacts,
     if outdir is not None:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        write_csv(outdir / "riskbound.csv",
-                  ["task_id", "eps_app", "eps_coverage", "eps_certified", "lipschitz",
-                   "emp_gap", "adapter_gap", "deterministic_bound", "certified_bound",
-                   "triangle_holds", "per_task_bound_holds", "certified_bound_holds"],
-                  [[r.task_id, r.eps_app, r.eps_coverage, r.eps_certified, r.lipschitz,
-                    r.emp_gap, r.adapter_gap, r.deterministic_bound, r.certified_bound,
-                    r.triangle_holds, r.per_task_bound_holds, r.certified_bound_holds]
-                   for r in summary.reports])
+        write_records(outdir / "riskbound.csv", summary.reports,
+                      [f.name for f in fields(BoundReport) if f.name != "triangle_slack"])
         _append(outdir / "run.log",
                 [summary.as_text() + f" | global lipschitz {radius:.4f}"])
         _append(outdir / "runtime.txt", timer.lines)
@@ -938,17 +919,13 @@ ABLATION_VARIANTS = {
     "soft_l1_only": {"hard_threshold": False, "r_keep": None},
     "gamma_zero": {"gamma": 0.0},
     "no_canonicalization": {"canonicalize": False},
-    "no_transform": {"warp_kind": "none"},
+    "no_transform": {"warp": WarpConfig(kind="none")},
 }
 
 
 def ablation_config(cfg: RunConfig, variant: str) -> RunConfig:
     require(variant in ABLATION_VARIANTS, f"unknown ablation variant {variant!r}")
-    overrides = dict(ABLATION_VARIANTS[variant])
-    warp_kind = overrides.pop("warp_kind", None)
-    if warp_kind is not None:
-        overrides["warp"] = replace(cfg.warp, kind=warp_kind)
-    return replace(cfg, **overrides)
+    return replace(cfg, **ABLATION_VARIANTS[variant])
 
 
 def run_ablations(cfg: RunConfig, variants, outdir: Path | None = None):
@@ -981,10 +958,7 @@ def run_ablations(cfg: RunConfig, variants, outdir: Path | None = None):
                          "keeps every activation and this row equals full by construction")
     if outdir is not None:
         outdir = Path(outdir)
-        write_csv(outdir / "ablations.csv",
-                  ["variant", "auc", "f1", "ece", "rank", "k"],
-                  [[r["variant"], r["auc"], r["f1"], r["ece"], r["rank"], r["k"]]
-                   for r in rows])
+        write_records(outdir / "ablations.csv", rows, ["variant", "auc", "f1", "ece", "rank", "k"])
         _append(outdir / "runtime.txt", runtime)
         if notes:
             _append(outdir / "run.log", notes)

@@ -8,7 +8,7 @@ over pretraining tasks, with both percentile and BCa intervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -105,10 +105,8 @@ class CoverageCertificate:
     bca90: tuple
     n_boot: int
     r_sparse: int
-    per_task_residuals: np.ndarray = field(repr=False, default=None)
     raw_eps_hat: float = None
     raw_pct90: tuple = None
-    raw_per_task_residuals: np.ndarray = field(repr=False, default=None)
 
     @property
     def eps_upper(self) -> float:
@@ -147,8 +145,6 @@ class PrototypeMemory:
         # whenever K exceeds r), coherence on the raw parameter-space rows
         self.kappa = kappa_of(self.centroids)
         self.mu = mu_of(self.M)
-        self.eps_M_hat = None
-        self.eps_M_upper = None
         self.certificate = None
         self.frozen = False
         self._rank = None
@@ -202,8 +198,6 @@ class PrototypeMemory:
         if self.certificate is not None:
             raise FrozenMemoryError("certificate already attached")
         self.certificate = cert
-        self.eps_M_hat = cert.eps_hat
-        self.eps_M_upper = cert.eps_upper
 
     def save(self, csv_path, json_path) -> None:
         header = [f"m{j}" for j in range(self.d_theta)]
@@ -213,8 +207,8 @@ class PrototypeMemory:
             "r": self.r,
             "kappa": None if np.isinf(self.kappa) else self.kappa,
             "mu": self.mu,
-            "eps_M_hat": self.eps_M_hat,
-            "eps_M_upper": self.eps_M_upper,
+            "eps_M_hat": self.certificate.eps_hat if self.certificate else None,
+            "eps_M_upper": self.certificate.eps_upper if self.certificate else None,
             "restart_stability": self.restart_stability,
             "sse": self.sse,
             "canonicalizer": self.chain.canonicalizer.as_dict(),
@@ -422,19 +416,20 @@ def l0_fit(u, atoms, r_sparse: int, exact: bool = False):
 # Coverage certificate
 # ---------------------------------------------------------------------------
 
-def coverage_residuals(memory: PrototypeMemory, theta_pre, r_sparse: int):
-    """Per-task sparse-fit residuals in canonical coordinates and raw units."""
+def coverage_residuals(chain: ProjectionChain, centroids, theta_pre, r_sparse: int):
+    """Per-task residuals of the sparse fits in ``centroids`` (prototypes in the
+    chain's coordinates), in canonical coordinates and in raw units."""
     rows = adapter_rows(theta_pre)
     require(rows.shape[0] >= 1, "no pretraining adapters")
-    coords = memory.chain.project(rows)
+    coords = chain.project(rows)
     canon = np.empty(rows.shape[0])
     raw = np.empty(rows.shape[0])
-    lift = memory.chain.lift
-    atoms = Atoms.of(memory.centroids)
+    lift = chain.lift
+    atoms = Atoms.of(centroids)
     for i, u in enumerate(coords):
         w, resid = l0_fit(u, atoms, r_sparse)
         canon[i] = resid
-        recon = w @ memory.centroids
+        recon = w @ centroids
         raw[i] = float(np.linalg.norm(lift(u) - lift(recon)))
     return canon, raw
 
@@ -444,15 +439,16 @@ def coverage_certificate(memory: PrototypeMemory, theta_pre, r_sparse: int | Non
                          exhaustive: bool = False) -> CoverageCertificate:
     """Median-residual certificate with percentile and BCa 90 percent intervals.
 
-    Bootstraps pretraining tasks with replacement; the conservative upper
-    endpoint of the percentile interval is stored on the memory. Exhaustive
+    Bootstraps pretraining tasks with replacement; the certificate, whose
+    ``eps_upper`` is the conservative upper endpoint of the percentile
+    interval, is attached to the memory. Exhaustive
     mode enumerates every resample for small task counts, making percentile
     endpoints exact.
     """
     memory.require_frozen()
     if r_sparse is None:
         r_sparse = min(memory.r, memory.K)
-    canon, raw = coverage_residuals(memory, theta_pre, r_sparse)
+    canon, raw = coverage_residuals(memory.chain, memory.centroids, theta_pre, r_sparse)
     n = canon.shape[0]
     # one index matrix resamples both the canonical and the raw residuals
     idx = (exhaustive_index_tuples(n) if exhaustive
@@ -471,9 +467,7 @@ def coverage_certificate(memory: PrototypeMemory, theta_pre, r_sparse: int | Non
     cert = CoverageCertificate(
         eps_hat=eps_hat, pct90=pct, bca90=bca,
         n_boot=idx.shape[0], r_sparse=r_sparse,
-        per_task_residuals=canon,
         raw_eps_hat=raw_eps_hat, raw_pct90=raw_pct,
-        raw_per_task_residuals=raw,
     )
     memory.attach_certificate(cert)
     return cert
@@ -515,7 +509,6 @@ def mu_of(m_rows: np.ndarray) -> float:
 class MergeEvent:
     pair: tuple
     mu_before: float
-    kappa_before: float
     k_after: int
     coverage_before: float | None = None
     coverage_after: float | None = None
@@ -551,9 +544,7 @@ def merge_prototypes(memory: PrototypeMemory, mu_threshold: float = 0.95,
             return None
         rs = r_sparse if r_sparse is not None else min(chain.r, rows.shape[0])
         rs = min(rs, rows.shape[0])
-        probe = PrototypeMemory(rows, chain, chain.project(rows))
-        probe.freeze()
-        canon, _ = coverage_residuals(probe, theta_pre, rs)
+        canon, _ = coverage_residuals(chain, chain.project(rows), theta_pre, rs)
         return float(np.median(canon))
 
     def health(rows):
@@ -571,8 +562,7 @@ def merge_prototypes(memory: PrototypeMemory, mu_threshold: float = 0.95,
         merged = direction * 0.5 * (np.linalg.norm(a) + np.linalg.norm(b))
         m_rows = np.vstack([m_rows[:i], [merged], m_rows[i + 1:j], m_rows[j + 1:]])
         kappa_next, mu_next = health(m_rows)
-        log.append(MergeEvent(pair=(i, j), mu_before=mu, kappa_before=kappa,
-                              k_after=m_rows.shape[0],
+        log.append(MergeEvent(pair=(i, j), mu_before=mu, k_after=m_rows.shape[0],
                               coverage_before=cov_before,
                               coverage_after=coverage_of(m_rows)))
         kappa, mu = kappa_next, mu_next

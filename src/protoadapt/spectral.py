@@ -373,7 +373,6 @@ class ProjectionEnergyReport:
     threshold: float
     accept: bool
     r: int
-    s: int
 
 
 def jl_outside_energy(theta_holdout, fisher_matrix, r: int, s: int,
@@ -411,8 +410,7 @@ def jl_outside_energy(theta_holdout, fisher_matrix, r: int, s: int,
     means = fractions[idx].mean(axis=1)
     upper = float(np.percentile(means, 95.0))
     return ProjectionEnergyReport(fractions=fractions, upper95=upper,
-                                  threshold=threshold, accept=upper <= threshold,
-                                  r=r, s=s)
+                                  threshold=threshold, accept=upper <= threshold, r=r)
 
 
 # ---------------------------------------------------------------------------

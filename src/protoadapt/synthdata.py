@@ -89,7 +89,6 @@ class Corpus:
     tasks: list
     feature_w: np.ndarray   # d_theta x q frozen random linear map
     basis: np.ndarray       # d_theta x r_true planted orthonormal basis
-    cluster_dirs: np.ndarray
 
     def feature_map(self):
         w = self.feature_w
@@ -195,7 +194,7 @@ def generate_corpus(cfg: GeneratorConfig) -> Corpus:
                 index=t,
             )
         )
-    return Corpus(cfg=cfg, tasks=tasks, feature_w=feature_w, basis=basis, cluster_dirs=cluster_dirs)
+    return Corpus(cfg=cfg, tasks=tasks, feature_w=feature_w, basis=basis)
 
 
 def resample_support(corpus: Corpus, task: EpisodeTask, n_support: int, tag: str = "resupport") -> EpisodeTask:

@@ -71,6 +71,18 @@ def write_csv(path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def write_records(path, records, columns=None) -> None:
+    """One ``write_csv`` row per record, a dataclass instance or a dict.
+
+    The header is ``columns``, else the first record's field names; a table
+    that can be empty needs ``columns`` to keep its header.
+    """
+    rows = [rec if isinstance(rec, dict) else vars(rec) for rec in records]
+    require(columns is not None or rows, "write_records needs columns when there is no record")
+    columns = list(rows[0]) if columns is None else columns
+    write_csv(path, columns, [[row[c] for c in columns] for row in rows])
+
+
 def write_json(path, obj) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

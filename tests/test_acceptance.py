@@ -8,7 +8,6 @@ module-scoped fixtures.
 import time
 from dataclasses import replace
 from itertools import combinations, product
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -385,7 +384,7 @@ def test_bootstrap_exhaustive_exactness():
                              centroids=chain.project(atoms)).freeze()
     rows = rng.normal(size=(5, 3))
     cert = coverage_certificate(memory, rows, r_sparse=2, seed=0, exhaustive=True)
-    canon, _ = coverage_residuals(memory, rows, 2)
+    canon, _ = coverage_residuals(memory.chain, memory.centroids, rows, 2)
     med_oracle = [np.median(canon[list(idx)]) for idx in product(range(5), repeat=5)]
     lo, hi = np.percentile(med_oracle, [5.0, 95.0])
     assert cert.pct90 == (float(lo), float(hi))
@@ -464,21 +463,21 @@ def test_determinism_byte_identical(tmp_path):
     for run in ("a", "b"):
         cfg = desk_config(seed=42)
         gen = replace(cfg.generator, n_tasks=60, n_support=150, n_query=30)
-        cfg = replace(cfg, generator=gen, epochs=4, patience=4,
-                      coverage_n_boot=200, outdir=str(tmp_path / run))
-        outdir = Path(cfg.outdir)
+        cfg = replace(cfg, generator=gen, epochs=4, patience=4, coverage_n_boot=200)
+        outdir = tmp_path / run
         artifacts = run_phase1(cfg, outdir=outdir)
         result = run_phase2(cfg, artifacts, outdir=outdir)
         run_penalty_sweep(cfg, artifacts, result, outdir=outdir)
         run_support_sweep(cfg, artifacts, result, outdir=outdir, sizes=(5, 10))
         run_baselines(cfg, artifacts, outdir=outdir, support_size=5)
         run_riskbound(cfg, artifacts, outdir=outdir)
-        outputs.append(sorted(outdir.glob("*.csv")))
+        # the JSON files too: config.json holds the config, not the directory it went to
+        outputs.append(sorted([*outdir.glob("*.csv"), *outdir.glob("*.json")]))
     names_a = [p.name for p in outputs[0]]
     names_b = [p.name for p in outputs[1]]
     assert names_a == names_b and len(names_a) >= 8
-    assert "sweep_lambda_eta.csv" in names_a
+    assert {"sweep_lambda_eta.csv", "config.json"} <= set(names_a)
     for pa, pb in zip(outputs[0], outputs[1]):
         assert pa.read_bytes() == pb.read_bytes(), pa.name
     _announce("determinism", started,
-              f"{len(names_a)} CSV artifacts byte-identical across reruns")
+              f"{len(names_a)} CSV and JSON artifacts byte-identical across reruns")

@@ -123,6 +123,7 @@ class TestDefaults:
         ("use_storey", False),
         ("support_size_train", 5),
         ("warp.lr", 1e-3),
+        ("outdir", "runs/desk"),
     ])
     def test_removed_memory_and_motif_key_is_rejected(self, key, value):
         blob = desk_config().to_dict()
@@ -507,7 +508,7 @@ class TestPhase2:
         on_soft = run_phase2(soft_cfg, built_soft)
         assert on_hard.history == on_soft.history
         for split in ("train", "val", "test"):
-            assert on_hard.metrics[split].row() == on_soft.metrics[split].row(), split
+            assert vars(on_hard.metrics[split]) == vars(on_soft.metrics[split]), split
 
     def test_supports_below_five_train_and_sweep(self):
         cfg = replace(tiny_config(train_sizes=(3, 10)), epochs=2, patience=3)
@@ -535,7 +536,7 @@ class TestBaselinesAndSweeps:
         at_five = run_baselines(cfg, art, support_size=5)
         assert set(default) == set(at_five)
         for name, rec in default.items():
-            assert rec.row() == at_five[name].row(), name
+            assert vars(rec) == vars(at_five[name]), name
 
     def test_one_cluster_corpus_centroid_near_chance(self):
         cfg = tiny_config()

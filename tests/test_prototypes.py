@@ -83,7 +83,7 @@ def _loop_silhouette_score(points, labels):
 def _loop_coverage_intervals(memory, theta_pre, r_sparse, n_boot, seed, exhaustive):
     """The two bootstrap runs the shared index matrix replaced, kept as their oracle:
     the canonical and the raw residuals each from a fresh "coverage" stream."""
-    canon, raw = coverage_residuals(memory, theta_pre, r_sparse)
+    canon, raw = coverage_residuals(memory.chain, memory.centroids, theta_pre, r_sparse)
     n = canon.shape[0]
 
     def run_boot(values):
@@ -422,7 +422,7 @@ class TestCoverage:
         assert cert.eps_hat == pytest.approx(0.0, abs=1e-9)
         assert cert.pct90 == pytest.approx((0.0, 0.0), abs=1e-9)
         assert cert.bca90 == pytest.approx((0.0, 0.0), abs=1e-9)
-        assert memory.eps_M_upper == pytest.approx(0.0, abs=1e-9)
+        assert memory.certificate.eps_upper == pytest.approx(0.0, abs=1e-9)
 
     def test_single_task_zero_width(self):
         memory = make_memory(np.eye(3)[:2]).freeze()
@@ -438,7 +438,7 @@ class TestCoverage:
         memory = make_memory(atoms, r=3).freeze()
         cert = coverage_certificate(memory, _Rows(rows), r_sparse=2,
                                     seed=0, exhaustive=True)
-        canon, _ = coverage_residuals(memory, _Rows(rows), 2)
+        canon, _ = coverage_residuals(memory.chain, memory.centroids, _Rows(rows), 2)
         meds = [np.median(canon[list(idx)]) for idx in product(range(5), repeat=5)]
         lo, hi = np.percentile(meds, [5, 95])
         assert cert.pct90[0] == pytest.approx(float(lo))
@@ -549,9 +549,9 @@ class TestMerge:
         theta_pre = _Rows(rng.normal(size=(20, 4)))
         calls = []
 
-        def counted(memory, theta, r_sparse):
-            calls.append(memory.M.copy())
-            return coverage_residuals(memory, theta, r_sparse)
+        def counted(chain, centroids, theta, r_sparse):
+            calls.append(centroids.copy())  # the rows: make_memory's chain is the identity
+            return coverage_residuals(chain, centroids, theta, r_sparse)
 
         monkeypatch.setattr(prototypes, "coverage_residuals", counted)
         merged, log = merge_prototypes(make_memory(rows), mu_threshold=0.95,
@@ -564,7 +564,8 @@ class TestMerge:
         # each event's coverage is that of the rows it names
         monkeypatch.undo()
         for evt, m_rows in zip(log, calls[1:]):
-            canon, _ = coverage_residuals(make_memory(m_rows).freeze(), theta_pre, 2)
+            memory = make_memory(m_rows)
+            canon, _ = coverage_residuals(memory.chain, memory.centroids, theta_pre, 2)
             assert evt.coverage_after == float(np.median(canon))
 
     def test_frozen_memory_not_mergeable(self):

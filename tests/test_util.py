@@ -1,7 +1,9 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from protoadapt.util import ValidationError, check_finite, sigmoid
+from protoadapt.util import ValidationError, check_finite, sigmoid, write_csv, write_records
 
 
 def _masked_sigmoid(x):
@@ -61,3 +63,46 @@ class TestCheckFinite:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValidationError, match="x contains non-finite"):
             check_finite(np.array([[0.0, bad]]), "x")
+
+
+@dataclass
+class _Record:
+    name: str
+    value: float
+    count: int
+    flag: bool
+
+
+_RECORDS = [_Record("a", 0.1, 3, True), _Record("b", float("nan"), -1, False)]
+_HEADER = ["name", "value", "count", "flag"]
+_ROWS = [["a", 0.1, 3, True], ["b", float("nan"), -1, False]]
+
+
+class TestWriteRecords:
+    @staticmethod
+    def _both(tmp_path, records, columns, header, rows):
+        write_records(tmp_path / "records.csv", records, columns)
+        write_csv(tmp_path / "csv.csv", header, rows)
+        return (tmp_path / "records.csv").read_bytes(), (tmp_path / "csv.csv").read_bytes()
+
+    def test_dataclass_records(self, tmp_path):
+        got, want = self._both(tmp_path, _RECORDS, None, _HEADER, _ROWS)
+        assert got == want
+
+    def test_dict_records(self, tmp_path):
+        records = [dict(zip(_HEADER, row)) for row in _ROWS]
+        got, want = self._both(tmp_path, records, None, _HEADER, _ROWS)
+        assert got == want
+
+    def test_columns_subset_in_their_order(self, tmp_path):
+        got, want = self._both(tmp_path, _RECORDS, ["count", "name"], ["count", "name"],
+                               [[3, "a"], [-1, "b"]])
+        assert got == want
+
+    def test_no_records_writes_the_header(self, tmp_path):
+        got, want = self._both(tmp_path, [], _HEADER, _HEADER, [])
+        assert got == want == b"name,value,count,flag\n"
+
+    def test_no_records_without_columns_is_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="columns"):
+            write_records(tmp_path / "records.csv", [])
