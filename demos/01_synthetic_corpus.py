@@ -18,10 +18,8 @@ eigvals = np.linalg.eigvalsh(thetas.T @ thetas)[::-1]
 print("adapter spectrum (top 4):", np.round(eigvals[:4], 3),
       "-> top-2 energy", round(eigvals[:2].sum() / eigvals.sum(), 4))
 
-summary = partition_tasks(corpus.tasks, frac_pre=0.5, frac_seed=0.8,
-                          tau_sim=0.8, seed=0, vectors=thetas)
-print("partition counts:", summary.counts)
-print("seed clusters formed:", summary.n_seed_clusters)
+counts = partition_tasks(corpus.tasks, frac_pre=0.5, frac_seed=0.8, seed=0)
+print("partition counts:", counts)
 
 save_corpus(corpus, "runs/demo_corpus/corpus.csv", "runs/demo_corpus/manifest.json")
 print("corpus serialized under runs/demo_corpus/")

@@ -13,9 +13,9 @@ cfg = GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=160, n_support=400,
                       noise_sigma=0.0, seed=42, n_clusters=3)
 corpus = generate_corpus(cfg)
 fmap = corpus.feature_map()
-adapters = {t.task_id: ridge_adapter(t, fmap, 1e-2) for t in corpus.tasks}
-partition_tasks(corpus.tasks, seed=0,
-                vectors=np.stack([adapters[t.task_id] for t in corpus.tasks]))
+partition_tasks(corpus.tasks, seed=0)
+pre_tasks = corpus.tasks_in("Pre-Seed", "Pre-Rest")
+adapters = {t.task_id: ridge_adapter(t, fmap, 1e-2) for t in pre_tasks}
 
 seed_tasks = corpus.tasks_in("Pre-Seed")
 theta_seed = assemble_theta([adapters[t.task_id] for t in seed_tasks])
@@ -34,7 +34,6 @@ memory = cluster_prototypes(theta_seed, chain, k=3, n_restarts=6, seed=0)
 print(f"chosen K=3: condition number {memory.kappa:.3f}, coherence {memory.mu:.3f}")
 
 memory.freeze()
-pre_tasks = corpus.tasks_in("Pre-Seed", "Pre-Rest")
 theta_pre = assemble_theta([adapters[t.task_id] for t in pre_tasks])
 cert = coverage_certificate(memory, theta_pre, r_sparse=2, n_boot=1000, seed=0)
 print(f"coverage: median {cert.eps_hat:.4f}, percentile90 {cert.pct90}, "

@@ -15,7 +15,7 @@ background = fit_background(base, order=2, pseudocount=0.5, alphabet_size=alphab
 print(f"background: order {background.order}, lengths {background.lengths.tolist()}")
 
 channels = make_channels(40, k=3, alphabet_size=alphabet, seed=1)
-null_reps = [background.sample_repertoire(15, np.random.default_rng(100 + i))
+null_reps = [background.sample(15, np.random.default_rng(100 + i))
              for i in range(20)]
 acts = channel_activations(channels, null_reps)
 print("null activation range:", round(acts.min(), 3), "-", round(acts.max(), 3))

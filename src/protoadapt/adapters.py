@@ -15,7 +15,6 @@ class AdapterMatrix:
 
     rows: np.ndarray
     task_ids: list
-    ridge_alpha: float | None = None
 
     def __post_init__(self):
         self.rows = check_finite(self.rows, "adapter rows")
@@ -57,7 +56,7 @@ def ridge_adapter(task, feature_map, alpha: float = 1e-2) -> np.ndarray:
     return np.linalg.solve(gram, x.T @ y)
 
 
-def assemble_theta(adapters, task_ids=None, ridge_alpha=None) -> AdapterMatrix:
+def assemble_theta(adapters, task_ids=None) -> AdapterMatrix:
     """Stack adapter vectors row-wise, preserving input order."""
     require(len(adapters) >= 1, "no adapters to assemble")
     dims = {np.asarray(a).shape for a in adapters}
@@ -66,7 +65,7 @@ def assemble_theta(adapters, task_ids=None, ridge_alpha=None) -> AdapterMatrix:
     rows = np.stack([np.asarray(a, dtype=float) for a in adapters])
     if task_ids is None:
         task_ids = [f"row{i}" for i in range(rows.shape[0])]
-    return AdapterMatrix(rows=rows, task_ids=list(task_ids), ridge_alpha=ridge_alpha)
+    return AdapterMatrix(rows=rows, task_ids=list(task_ids))
 
 
 def _signed_right_vectors(z: np.ndarray):

@@ -46,7 +46,7 @@ def load_config(args) -> RunConfig:
 
 def cmd_generate(args):
     cfg = load_config(args)
-    corpus, _, _ = build_corpus(cfg)
+    corpus = build_corpus(cfg)
     save_corpus(corpus, args.outdir / "corpus.csv", args.outdir / "corpus_manifest.json")
     print(f"wrote {args.outdir / 'corpus.csv'} ({len(corpus.tasks)} tasks)")
 

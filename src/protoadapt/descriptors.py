@@ -121,13 +121,12 @@ def _percentiles(values, q):
 
 
 def build_descriptor(task, probe: ProbeHead, chain, standardizer: Standardizer,
-                     feature_map, percentiles=DEFAULT_PERCENTILES,
-                     clip: float = 10.0) -> np.ndarray:
+                     feature_map, clip: float = 10.0) -> np.ndarray:
     """Concatenate standardized moments, percentiles, and the projected gradient.
 
     Layout, the same at every support size: standardized mu_h and sigma_h
     (the first 2q entries), the percentile set of the pooled support
-    coordinates (the next len(percentiles)), and the rank-r projection of the
+    coordinates (the next len(DEFAULT_PERCENTILES)), and the rank-r projection of the
     probe gradient plus its bias partial (the last r + 1). Returns the vector
     with every entry clipped to [-clip, clip].
     """
@@ -137,7 +136,7 @@ def build_descriptor(task, probe: ProbeHead, chain, standardizer: Standardizer,
     mu, sigma = pooled_moments(task.support_x)
     std_block = standardizer.transform(np.concatenate([mu, sigma]))
 
-    order_block = _percentiles(task.support_x, percentiles)
+    order_block = _percentiles(task.support_x, DEFAULT_PERCENTILES)
 
     grad = _probe_fit(probe, task, feature_map)
     g_proj = chain.project(grad[:-1])

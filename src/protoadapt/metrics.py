@@ -94,23 +94,24 @@ def average_ranks(rows):
 def binary_cross_entropy(probs, labels):
     """Mean log loss with probabilities clipped to [1e-12, 1 - 1e-12].
 
-    One loss for a probability vector; one per row for an (m, n) block of m
-    predictors' probabilities on the same n labels.
+    One loss for a probability vector; one per row for an (m, n) block, on
+    one shared label vector or an (m, n) block of labels.
     """
     p = np.clip(probs, 1e-12, 1.0 - 1e-12)
     y = np.asarray(labels, dtype=float)
     return -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=-1)
 
 
-def expected_calibration_error(probs, labels, n_bins: int = 10) -> float:
+def expected_calibration_error(probs, labels) -> float:
     """Equal-width-bin gap between mean confidence and observed frequency."""
     n = np.size(probs)
     return float(sum(row["count"] / n * abs(row["frequency"] - row["confidence"])
-                     for row in calibration_bins(probs, labels, n_bins) if row["count"]))
+                     for row in calibration_bins(probs, labels) if row["count"]))
 
 
-def calibration_bins(probs, labels, n_bins: int = 10):
-    """Per-bin (confidence, frequency, count) rows for calibration plots."""
+def calibration_bins(probs, labels):
+    """Per-bin (confidence, frequency, count) rows over ten equal-width bins."""
+    n_bins = 10
     probs = np.asarray(probs, dtype=float)
     labels = np.asarray(labels, dtype=float)
     bins = np.minimum((probs * n_bins).astype(int), n_bins - 1)
@@ -133,8 +134,7 @@ def health_scores(probs) -> np.ndarray:
     return 1.0 - np.asarray(probs, dtype=float)
 
 
-def compute_metrics(probs, labels, n_bins: int = 10,
-                    risk_threshold: float = 0.5) -> MetricsRecord:
+def compute_metrics(probs, labels) -> MetricsRecord:
     """Threshold-0.5 confusion metrics, rank AUC, binned ECE, health stats.
 
     The decision rule is prob >= 0.5 -> positive (ties go to the positive
@@ -165,10 +165,10 @@ def compute_metrics(probs, labels, n_bins: int = 10,
         specificity=float(specificity),
         f1=float(f1),
         auc=rank_auc(probs, labels),
-        ece=expected_calibration_error(probs, labels, n_bins),
+        ece=expected_calibration_error(probs, labels),
         health_mean=float(health.mean()),
         health_std=float(health.std()),
-        high_risk_rate=float(np.mean(probs >= risk_threshold)),
+        high_risk_rate=float(preds.mean()),
         n=int(probs.size),
         tp=tp, fp=fp, tn=tn, fn=fn,
     )

@@ -69,9 +69,6 @@ class MarkovBackground:
             out.append(seq)
         return out
 
-    def sample_repertoire(self, n_sequences: int, rng: np.random.Generator) -> list:
-        return self.sample(n_sequences, rng)
-
 
 def fit_background(sequences, order: int, pseudocount: float,
                    alphabet_size: int) -> MarkovBackground:
@@ -139,12 +136,14 @@ def _windows(repertoire, k: int) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
-def channel_activations(channels: np.ndarray, repertoires, chunk: int = 64) -> np.ndarray:
+def channel_activations(channels: np.ndarray, repertoires) -> np.ndarray:
     """Max sliding-window match score per (channel, repertoire).
 
     The match score of a window is the fraction of agreeing symbols, so
-    activations live in [0, 1].
+    activations live in [0, 1]. Channels are scored 64 at a time, which bounds
+    the broadcast comparison's size.
     """
+    chunk = 64
     channels = np.asarray(channels, dtype=np.int8)
     n_channels, k = channels.shape
     out = np.zeros((n_channels, len(repertoires)))
@@ -233,25 +232,23 @@ def permutation_pvalue(observed: float, null_sampler, b_min: int = DESK_PERMUTAT
 class Pi0Estimate:
     pi0: float
     ci90: tuple
-    lam: float
 
 
-def _storey_estimate(p: np.ndarray, lam: float) -> float:
-    """Storey's null proportion min(1, #{p > lam} / ((1 - lam) m)) of m p-values."""
-    return min(1.0, float(np.sum(p > lam)) / ((1.0 - lam) * p.size))
+def _storey_estimate(p: np.ndarray) -> float:
+    """Storey's null proportion min(1, #{p > 1/2} / (m / 2)) of m p-values (lambda = 1/2)."""
+    return min(1.0, float(np.sum(p > 0.5)) / (0.5 * p.size))
 
 
-def storey_pi0(p_values, lam: float = 0.5, n_boot: int = 1000, seed: int = 0) -> Pi0Estimate:
+def storey_pi0(p_values, n_boot: int = 1000, seed: int = 0) -> Pi0Estimate:
     """Storey null-proportion estimate with a bootstrap 90 percent interval."""
     p = check_finite(p_values, "p-values").ravel()
     require(p.size >= 1, "empty p-value set")
     require(np.all((p > 0) & (p <= 1)), "p-values must lie in (0, 1]")
-    require(0.0 < lam < 1.0, "lambda must lie in (0, 1)")
-    pi0 = _storey_estimate(p, lam)
+    pi0 = _storey_estimate(p)
     rng = child_rng(seed, "storey")
     idx = bootstrap_indices(p.size, n_boot, rng)
-    reps = np.array([_storey_estimate(p[row], lam) for row in idx])
-    return Pi0Estimate(pi0=pi0, ci90=percentile_interval(reps, 0.90), lam=lam)
+    reps = np.array([_storey_estimate(p[row]) for row in idx])
+    return Pi0Estimate(pi0=pi0, ci90=percentile_interval(reps, 0.90))
 
 
 def q_values(p_values, pi0: float) -> np.ndarray:
@@ -283,8 +280,7 @@ class MotifTestReport:
 def motif_test_report(channels, repertoires, background: MarkovBackground,
                       top_frac: float = 0.05, b_min: int = DESK_PERMUTATION_FLOOR,
                       b_max: int = PRODUCTION_PERMUTATION_FLOOR,
-                      null_pool_size: int = 256, seed: int = 0,
-                      stability_window: float = 5e-4) -> MotifTestReport:
+                      null_pool_size: int = 256, seed: int = 0) -> MotifTestReport:
     """Two-stage screen-then-test report over a channel bank.
 
     Stage one keeps the top activation fraction of channels. Stage two
@@ -299,7 +295,7 @@ def motif_test_report(channels, repertoires, background: MarkovBackground,
     n_rep = activations.shape[1]
 
     rng_pool = child_rng(seed, "motif-null-pool")
-    pool = [background.sample_repertoire(len(repertoires[i % len(repertoires)]), rng_pool)
+    pool = [background.sample(len(repertoires[i % len(repertoires)]), rng_pool)
             for i in range(null_pool_size)]
     null_acts = channel_activations(channels[screened], pool)
 
@@ -314,8 +310,7 @@ def motif_test_report(channels, repertoires, background: MarkovBackground,
             return row[cols].mean(axis=1)
 
         res = permutation_pvalue(observed, sampler, b_min=b_min, b_max=b_max,
-                                 seed=0, rng=child_rng(seed, "motif-perm", int(channel_idx)),
-                                 stability_window=stability_window)
+                                 seed=0, rng=child_rng(seed, "motif-perm", int(channel_idx)))
         p_vals[i] = res.p_value
         b_used[i] = res.b_used
 
@@ -345,11 +340,10 @@ class TauCalibration:
     test_auc: float = float("nan")
 
 
-def t_statistic_from_summary(tau_bar: float, se: float,
-                             grid_center: float = GRID_CENTER) -> float:
-    """Stability statistic t = (tau_bar - grid_center) / (SE / sqrt(3))."""
+def t_statistic_from_summary(tau_bar: float, se: float) -> float:
+    """Stability statistic t = (tau_bar - GRID_CENTER) / (SE / sqrt(3))."""
     require(se > 0.0, "standard error must be positive for the t statistic")
-    return (tau_bar - grid_center) / (se / np.sqrt(3.0))
+    return (tau_bar - GRID_CENTER) / (se / np.sqrt(3.0))
 
 
 def _threshold_score(activations, tau):
@@ -372,20 +366,18 @@ def _stratified_split(labels, frac, rng):
 
 
 def calibrate_tau(activations, labels, cohort: str = "cohort",
-                  calib_frac: float = 0.2, grid=DEFAULT_TAU_GRID,
-                  n_folds: int = 3, gap_bound: float = 0.01,
-                  alpha: float = 0.05, max_retries: int = 5,
-                  seed: int = 0) -> TauCalibration:
+                  calib_frac: float = 0.2, gap_bound: float = 0.01,
+                  max_retries: int = 5, seed: int = 0) -> TauCalibration:
     """Nested-CV threshold calibration with the grid-centre stability t-test.
 
     The calibration fold (``calib_frac`` of repertoires, stratified) is split
-    into ``n_folds`` inner folds; each inner split picks the grid threshold
-    maximizing AUC on its training part. The fold optima give tau_bar, its
-    standard error, and the two-sided df=2 t-test against the grid centre;
-    on failure the grid is narrowed by 20 percent around tau_bar and the
-    procedure repeats. Calibration also repeats while the calibration-test
-    AUC gap exceeds ``gap_bound``. Identical fold optima (zero SE) pass by
-    definition and are flagged.
+    into three inner folds; each inner split picks the ``DEFAULT_TAU_GRID``
+    threshold maximizing AUC on its training part. The fold optima give
+    tau_bar, its standard error, and the two-sided df=2 t-test against the
+    grid centre at level 0.05; on failure the grid is narrowed by 20 percent
+    around tau_bar and the procedure repeats. Calibration also repeats while
+    the calibration-test AUC gap exceeds ``gap_bound``. Identical fold optima
+    (zero SE) pass by definition and are flagged.
     """
     activations = check_finite(activations, "activations")
     labels = np.asarray(labels, dtype=int)
@@ -394,9 +386,11 @@ def calibrate_tau(activations, labels, cohort: str = "cohort",
     require(0.0 < calib_frac < 1.0, "calib_frac must lie in (0, 1)")
     rng = child_rng(seed, "tau-split", cohort)
     calib_idx, test_idx = _stratified_split(labels, calib_frac, rng)
+    # the SE's divisor 6 = 3 * 2, the t statistic's sqrt(3) and df = 2 hold for three folds
+    n_folds = 3
     require(calib_idx.size >= 2 * n_folds, "calibration fold too small for nested CV")
 
-    grid = tuple(float(g) for g in grid)
+    grid = tuple(float(g) for g in DEFAULT_TAU_GRID)
     for retry in range(max_retries):
         fold_assign = np.arange(calib_idx.size) % n_folds
         fold_assign = fold_assign[child_rng(seed, "tau-folds", cohort, retry).permutation(calib_idx.size)]
@@ -436,7 +430,7 @@ def calibrate_tau(activations, labels, cohort: str = "cohort",
 
             t_stat = t_statistic_from_summary(tau_bar, se)
             p_two = float(2.0 * stdtr(2, -abs(t_stat)))
-        if (zero_variance or p_two >= alpha) and delta_auc <= gap_bound:
+        if (zero_variance or p_two >= 0.05) and delta_auc <= gap_bound:
             return TauCalibration(cohort=cohort, tau_bar=tau_bar, se=se, t_stat=t_stat,
                                   t_abs=abs(t_stat), p_value=p_two, delta_auc=delta_auc,
                                   passed=True, zero_variance=zero_variance, n_retries=retry,
@@ -478,7 +472,7 @@ def power_curve(effect_sizes, alpha: float, null_sampler, n_trials: int = 100,
             null_draws = np.asarray(null_sampler(rng, (b_perm, m_channels)), dtype=float)
             counts = (null_draws >= observed[None, :]).sum(axis=0)
             p_vals = (1 + counts) / (b_perm + 1)
-            pi0 = _storey_estimate(p_vals, 0.5)
+            pi0 = _storey_estimate(p_vals)
             q_vals = q_values(p_vals, pi0 if pi0 > 0 else 1.0)
             hits_p += int(np.sum(p_vals[:n_planted] <= alpha))
             hits_q += int(np.sum(q_vals[:n_planted] <= alpha))

@@ -121,7 +121,6 @@ class RunConfig:
     # partitioning
     frac_pre: float = 0.5
     frac_seed: float = 0.8
-    tau_sim: float = 0.8
     ret_fracs: tuple = (0.6, 0.2, 0.2)
 
     # rank selection and memory
@@ -321,7 +320,6 @@ def _r_keep(cfg: RunConfig, r: int, k: int) -> int:
 class Phase1Artifacts:
     cfg: RunConfig
     corpus: object
-    partition: object
     theta_seed: object
     theta_pre: object
     rank_selected: int
@@ -339,22 +337,16 @@ class Phase1Artifacts:
 
 
 def build_corpus(cfg: RunConfig):
-    """Phase 1's first steps, which ``protoadapt generate`` runs on its own.
+    """Phase 1's first step, which ``protoadapt generate`` runs on its own.
 
-    Generates the corpus, fits each task's ridge adapter and partitions the
-    tasks on those adapters. Returns the corpus, the adapters by task id and
-    the partition summary.
+    Validates the config, generates the corpus and tags every task with its
+    partition. Returns the tagged corpus.
     """
     cfg.validate()
     corpus = generate_corpus(cfg.generator)
-    fmap = corpus.feature_map()
-    adapters = {t.task_id: ridge_adapter(t, fmap, cfg.ridge_alpha) for t in corpus.tasks}
-    vectors = np.stack([adapters[t.task_id] for t in corpus.tasks])
-    partition = partition_tasks(corpus.tasks, frac_pre=cfg.frac_pre,
-                                frac_seed=cfg.frac_seed, tau_sim=cfg.tau_sim,
-                                seed=cfg.seed, vectors=vectors,
-                                ret_fracs=cfg.ret_fracs)
-    return corpus, adapters, partition
+    partition_tasks(corpus.tasks, frac_pre=cfg.frac_pre, frac_seed=cfg.frac_seed,
+                    seed=cfg.seed, ret_fracs=cfg.ret_fracs)
+    return corpus
 
 
 def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
@@ -365,18 +357,17 @@ def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
     """
     timer = StageTimer(cfg.hash())
     with timer.stage("phase1", None):
-        corpus, adapters, partition = build_corpus(cfg)
+        corpus = build_corpus(cfg)
         fmap = corpus.feature_map()
         notes: list[str] = []
 
         seed_tasks = corpus.tasks_in("Pre-Seed")
         pre_tasks = corpus.tasks_in("Pre-Seed", "Pre-Rest")
+        adapters = {t.task_id: ridge_adapter(t, fmap, cfg.ridge_alpha) for t in pre_tasks}
         theta_seed = assemble_theta([adapters[t.task_id] for t in seed_tasks],
-                                    task_ids=[t.task_id for t in seed_tasks],
-                                    ridge_alpha=cfg.ridge_alpha)
+                                    task_ids=[t.task_id for t in seed_tasks])
         theta_pre = assemble_theta([adapters[t.task_id] for t in pre_tasks],
-                                   task_ids=[t.task_id for t in pre_tasks],
-                                   ridge_alpha=cfg.ridge_alpha)
+                                   task_ids=[t.task_id for t in pre_tasks])
 
         if cfg.fixed_r is not None:
             r_selected = int(cfg.fixed_r)
@@ -457,7 +448,7 @@ def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
         standardizer = Standardizer().fit_from_tasks(std_tasks)
 
     artifacts = Phase1Artifacts(
-        cfg=cfg, corpus=corpus, partition=partition, theta_seed=theta_seed,
+        cfg=cfg, corpus=corpus, theta_seed=theta_seed,
         theta_pre=theta_pre, rank_selected=r_selected,
         dim_report_tasks=dim_report_tasks, rank_curve=curve,
         jl_report=jl_report, memory=memory, certificate=certificate,
@@ -1016,8 +1007,8 @@ def emit_report(outdir: Path) -> Path:
     if curve.exists():
         header, *rows = (line.split(",") for line in curve.read_text().splitlines())
         last = dict(zip(header, rows[-1]))
-        counters = ", ".join(f"{name} {last[name]}" for name in (
-            "solver_iterations", "solver_restarts", "converged_frac", "mean_active_size"))
+        counters = ", ".join(f"{name} {last[name]}"
+                             for name in ("solver_iterations", "mean_active_size"))
         lines += ["", f"solver counters at the last epoch ({last['epoch']}) of "
                       f"training_curve.csv: {counters}"]
     summary = outdir / "summary.txt"

@@ -237,10 +237,10 @@ def _kmeans_pp_init(points, k, rng):
     return centroids
 
 
-def _lloyd(points, centroids, max_iter=300):
+def _lloyd(points, centroids):
     k = centroids.shape[0]
     labels = None
-    for _ in range(max_iter):
+    for _ in range(300):
         d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
         for j in range(k):
@@ -487,16 +487,21 @@ def kappa_of(m_rows: np.ndarray) -> float:
     return np.inf if smin < 1e-300 else float(s.max() / smin)
 
 
+def _abs_cosines(m_rows: np.ndarray) -> np.ndarray:
+    """Absolute cosine between every two rows, the diagonal included."""
+    norms = np.linalg.norm(m_rows, axis=1)
+    if np.any(norms < 1e-12):
+        raise DegenerateAtomError("zero-norm prototype row")
+    unit = m_rows / norms[:, None]
+    return np.abs(unit @ unit.T)
+
+
 def mu_of(m_rows: np.ndarray) -> float:
     """Mutual coherence: largest absolute cosine between distinct rows."""
     m_rows = np.asarray(m_rows, dtype=float)
     if m_rows.shape[0] < 2:
         return 0.0
-    norms = np.linalg.norm(m_rows, axis=1)
-    if np.any(norms < 1e-12):
-        raise DegenerateAtomError("zero-norm prototype row")
-    unit = m_rows / norms[:, None]
-    gram = np.abs(unit @ unit.T)
+    gram = _abs_cosines(m_rows)
     np.fill_diagonal(gram, 0.0)
     return float(np.clip(gram.max(), 0.0, 1.0))
 
@@ -515,9 +520,7 @@ class MergeEvent:
 
 
 def _most_coherent_pair(m_rows):
-    norms = np.linalg.norm(m_rows, axis=1)
-    unit = m_rows / norms[:, None]
-    gram = np.abs(unit @ unit.T)
+    gram = _abs_cosines(m_rows)
     np.fill_diagonal(gram, -1.0)
     best = np.unravel_index(np.argmax(gram), gram.shape)
     i, j = int(min(best)), int(max(best))

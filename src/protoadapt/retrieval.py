@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .metrics import rank_auc_or_nan
+from .metrics import binary_cross_entropy, rank_auc_or_nan
 from .tanhmap import TanhMap
 from .util import ValidationError, check_finite, child_rng, require, sigmoid
 
@@ -306,8 +306,7 @@ def outer_terms(episodes: Episodes, w_tilde):
     """
     coords, labels = episodes.coords, episodes.labels
     probs = sigmoid(np.einsum("tnk,tk->tn", coords, w_tilde))
-    p = np.clip(probs, 1e-12, 1.0 - 1e-12)
-    ce = -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)).mean(axis=1)
+    ce = binary_cross_entropy(probs, labels)
     grad_ce = np.einsum("tn,tnk->tk", probs - labels, coords) / labels.shape[1]
     mass = w_tilde.sum(axis=1, keepdims=True)
     mass = np.where(mass > 0.0, mass, 1.0)
@@ -375,12 +374,8 @@ class TrainHistoryRow:
     train_loss: float
     val_auc: float
     jaccard: float
-    # work counters over the epoch's training episodes; the exact solve never
-    # restarts and raises where it does not settle, so restarts are 0 and the
-    # converged fraction 1
+    # work counters over the epoch's training episodes
     solver_iterations: int
-    solver_restarts: int
-    converged_frac: float
     mean_active_size: float
 
 
@@ -520,7 +515,6 @@ def train_retrieval(train: Episodes, memory, pcfg, tcfg: TrainConfig, val: Episo
         history.append(TrainHistoryRow(
             epoch=epoch, train_loss=float(np.mean(losses)), val_auc=float(val_auc),
             jaccard=jac, solver_iterations=int(sum(b.iterations.sum() for b in blocks)),
-            solver_restarts=0, converged_frac=1.0,
             mean_active_size=sum(np.count_nonzero(b.w_tilde) for b in blocks) / len(order)))
         if val is not None and since_best >= tcfg.patience and jac >= tcfg.jaccard_min:
             break

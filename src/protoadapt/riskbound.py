@@ -126,8 +126,8 @@ class BoundSummary:
 
 
 def check_bounds_over_tasks(tasks, memory, certificate, feature_map,
-                            r_sparse: int | None = None, tol: float = 1e-9) -> BoundSummary:
-    reports = [check_bound(t, memory, certificate, feature_map, r_sparse=r_sparse, tol=tol)
+                            tol: float = 1e-9) -> BoundSummary:
+    reports = [check_bound(t, memory, certificate, feature_map, tol=tol)
                for t in tasks]
     n = len(reports)
     require(n >= 1, "no tasks to check")

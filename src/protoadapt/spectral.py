@@ -47,12 +47,15 @@ def pca_rank(theta, rho: float) -> int:
     return int(np.searchsorted(cumulative, rho - 1e-12) + 1)
 
 
-def rank_curve(theta, rho_list, n_grid=None, seed: int = 0):
-    """r as a function of the number of tasks N, for several rho values."""
+def rank_curve(theta, rho_list, seed: int = 0):
+    """r as a function of the number of tasks N, for several rho values.
+
+    N runs over a quarter, a half, three quarters and all of the tasks, at
+    least two.
+    """
     rows = adapter_rows(theta)
     n = rows.shape[0]
-    if n_grid is None:
-        n_grid = sorted({max(2, n // 4), max(2, n // 2), max(2, (3 * n) // 4), n})
+    n_grid = sorted({max(2, n // 4), max(2, n // 2), max(2, (3 * n) // 4), n})
     order = child_rng(seed, "rank-curve").permutation(n)
     out = []
     for n_sub in n_grid:
@@ -203,7 +206,6 @@ class DimTestRecord:
 class DimTestReport:
     records: list
     selected_r: int | None
-    alpha: float
     n_boot: int
     mode: str = "eigenvalues"
     notes: list = field(default_factory=list)
@@ -242,8 +244,8 @@ def _decision_report(rows, alpha: float, n_boot: int, mode: str) -> DimTestRepor
     selected = min(rejecting) if rejecting else None
     notes = [f"r={rec.r_cand} fails the alpha={alpha} rule but lies below 0.05"
              for rec in records if rec.borderline]
-    return DimTestReport(records=records, selected_r=selected, alpha=alpha,
-                         n_boot=n_boot, mode=mode, notes=notes)
+    return DimTestReport(records=records, selected_r=selected, n_boot=n_boot,
+                         mode=mode, notes=notes)
 
 
 def decision_report_from_pvalues(rows, alpha: float = 0.01, n_boot: int = 1000) -> DimTestReport:
@@ -376,14 +378,14 @@ class ProjectionEnergyReport:
 
 
 def jl_outside_energy(theta_holdout, fisher_matrix, r: int, s: int,
-                      n_maps: int = 20, n_boot: int = 500,
-                      threshold: float = 0.05, seed: int = 0) -> ProjectionEnergyReport:
+                      n_maps: int = 20, threshold: float = 0.05,
+                      seed: int = 0) -> ProjectionEnergyReport:
     """Fisher energy outside the top-r subspace after random projection.
 
     Gaussian maps project the held-out adapters and the Fisher quadratic
     form to s dimensions; per map, the outside-subspace energy fraction is
-    recorded, and the bootstrap 95 percent upper bound of the mean fraction
-    is compared against the acceptance threshold.
+    recorded, and the 95 percent upper bound of the mean fraction over 500
+    bootstrap resamples is compared against the acceptance threshold.
     """
     rows = adapter_rows(theta_holdout)
     fisher = check_finite(fisher_matrix, "fisher matrix")
@@ -406,7 +408,7 @@ def jl_outside_energy(theta_holdout, fisher_matrix, r: int, s: int,
         fractions[m] = 0.0 if total <= 0 else max(0.0, 1.0 - inside / total)
 
     rng_b = child_rng(seed, "jl-boot")
-    idx = bootstrap_indices(n_maps, n_boot, rng_b)
+    idx = bootstrap_indices(n_maps, 500, rng_b)
     means = fractions[idx].mean(axis=1)
     upper = float(np.percentile(means, 95.0))
     return ProjectionEnergyReport(fractions=fractions, upper95=upper,

@@ -8,12 +8,12 @@ Pre-Seed, Pre-Rest, Ret-Train, Ret-Val, Ret-Test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .util import ValidationError, check_finite, child_rng, require, sigmoid, write_json
+from .util import ValidationError, child_rng, require, sigmoid, write_json
 
 PARTITIONS = ("Pre-Seed", "Pre-Rest", "Ret-Train", "Ret-Val", "Ret-Test")
 PRE_PARTITIONS = ("Pre-Seed", "Pre-Rest")
@@ -66,7 +66,6 @@ class EpisodeTask:
     query_y: np.ndarray
     theta_true: np.ndarray | None = None
     partition: str | None = None
-    cluster_id: int | None = None
     index: int = 0
 
     @property
@@ -190,7 +189,6 @@ def generate_corpus(cfg: GeneratorConfig) -> Corpus:
                 query_x=qx,
                 query_y=qy,
                 theta_true=theta,
-                cluster_id=None,
                 index=t,
             )
         )
@@ -211,54 +209,22 @@ def resample_support(corpus: Corpus, task: EpisodeTask, n_support: int, tag: str
     return replace(task, support_x=sx, support_y=sy)
 
 
-@dataclass
-class PartitionSummary:
-    counts: dict
-    n_seed_clusters: int
-    assignments: dict = field(repr=False)
-    cluster_ids: dict = field(repr=False)
+def partition_tasks(tasks, frac_pre: float = 0.5, frac_seed: float = 0.8, seed: int = 0,
+                    ret_fracs=(0.6, 0.2, 0.2)) -> dict:
+    """Assign every task to exactly one partition tag; return the count per tag.
 
-
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        return 0.0
-    return float(a @ b / (na * nb))
-
-
-def partition_tasks(
-    tasks,
-    frac_pre: float = 0.5,
-    frac_seed: float = 0.8,
-    tau_sim: float = 0.8,
-    seed: int = 0,
-    vectors=None,
-    ret_fracs=(0.6, 0.2, 0.2),
-) -> PartitionSummary:
-    """Assign every task to exactly one partition tag.
-
-    Pretraining tasks are split into a seed subset (fraction ``frac_seed``)
-    and a remainder. Seed tasks form cosine-similarity clusters at threshold
-    ``tau_sim`` (leader rule: join the first cluster whose centroid matches,
-    else start a new one); the remainder is mapped to its nearest seed
-    cluster, or left unclustered (-1) when no centroid reaches ``tau_sim``.
-    Retrieval tasks split into train/val/test by ``ret_fracs``.
-
-    ``vectors`` holds one similarity vector per task (typically estimated
-    adapters), aligned with ``tasks``.
+    One seeded permutation orders the tasks. Its first ``frac_pre`` share are
+    pretraining tasks, split into a seed subset (the first ``frac_seed`` of
+    them) and a remainder; the rest are retrieval tasks, split into
+    train/val/test by ``ret_fracs``.
     """
     require(0.0 < frac_pre < 1.0, "frac_pre must lie in (0, 1)")
     require(0.0 < frac_seed < 1.0, "frac_seed must lie in (0, 1)")
     require(len(ret_fracs) == 3 and abs(sum(ret_fracs) - 1.0) < 1e-9, "ret_fracs must sum to 1")
     n = len(tasks)
     require(n >= 5, "need at least five tasks to fill all partitions")
-    if vectors is None:
-        vectors = np.stack([t.support_x.mean(axis=0) for t in tasks])
-    vectors = check_finite(vectors, "vectors")
-    require(vectors.shape[0] == n, "one similarity vector per task required")
 
-    rng = child_rng(seed, "partition")
-    order = rng.permutation(n)
+    order = child_rng(seed, "partition").permutation(n)
     n_pre = int(round(frac_pre * n))
     n_pre = min(max(n_pre, 2), n - 3)
     pre_idx = list(order[:n_pre])
@@ -266,32 +232,6 @@ def partition_tasks(
 
     n_seed = int(round(frac_seed * n_pre))
     n_seed = min(max(n_seed, 1), n_pre - 1)
-    seed_idx = pre_idx[:n_seed]
-    rest_idx = pre_idx[n_seed:]
-
-    # leader clustering over seed tasks in draw order
-    centroids: list[np.ndarray] = []
-    members: list[list[int]] = []
-    cluster_ids: dict[str, int] = {}
-    for i in seed_idx:
-        v = vectors[i]
-        placed = False
-        for c, centroid in enumerate(centroids):
-            if _cosine(v, centroid) >= tau_sim:
-                members[c].append(i)
-                centroids[c] = vectors[members[c]].mean(axis=0)
-                cluster_ids[tasks[i].task_id] = c
-                placed = True
-                break
-        if not placed:
-            centroids.append(v.copy())
-            members.append([i])
-            cluster_ids[tasks[i].task_id] = len(centroids) - 1
-
-    for i in rest_idx:
-        sims = [_cosine(vectors[i], c) for c in centroids]
-        best = int(np.argmax(sims))
-        cluster_ids[tasks[i].task_id] = best if sims[best] >= tau_sim else -1
 
     n_ret = len(ret_idx)
     n_train = int(round(ret_fracs[0] * n_ret))
@@ -299,37 +239,22 @@ def partition_tasks(
     n_train = min(max(n_train, 1), n_ret - 2)
     n_val = min(max(n_val, 1), n_ret - n_train - 1)
     splits = {
+        "Pre-Seed": pre_idx[:n_seed],
+        "Pre-Rest": pre_idx[n_seed:],
         "Ret-Train": ret_idx[:n_train],
         "Ret-Val": ret_idx[n_train:n_train + n_val],
         "Ret-Test": ret_idx[n_train + n_val:],
     }
 
-    assignments: dict[str, str] = {}
-    for i in seed_idx:
-        assignments[tasks[i].task_id] = "Pre-Seed"
-    for i in rest_idx:
-        assignments[tasks[i].task_id] = "Pre-Rest"
-    for tag, idxs in splits.items():
-        for i in idxs:
-            assignments[tasks[i].task_id] = tag
-
-    counts = {tag: 0 for tag in PARTITIONS}
-    for tag in assignments.values():
-        counts[tag] += 1
+    counts = {tag: len(splits[tag]) for tag in PARTITIONS}
     empty = [tag for tag, c in counts.items() if c == 0]
     if empty:
         raise PartitionError(f"partitions would be empty: {empty}")
 
-    for t in tasks:
-        t.set_partition(assignments[t.task_id])
-        t.cluster_id = cluster_ids.get(t.task_id)
-
-    return PartitionSummary(
-        counts=counts,
-        n_seed_clusters=len(centroids),
-        assignments=assignments,
-        cluster_ids=cluster_ids,
-    )
+    for tag, idxs in splits.items():
+        for i in idxs:
+            tasks[i].set_partition(tag)
+    return counts
 
 
 def save_corpus(corpus: Corpus, csv_path, manifest_path=None) -> None:
@@ -352,7 +277,7 @@ def save_corpus(corpus: Corpus, csv_path, manifest_path=None) -> None:
 
 
 def save_corpus_manifest(corpus: Corpus, path) -> None:
-    """The generator config plus each task's partition and cluster tags.
+    """The generator config plus each task's partition tag.
 
     ``generate_corpus(GeneratorConfig(**manifest["config"]))`` rebuilds every
     task array bit for bit, so the manifest stands in for the sample CSV.
@@ -361,5 +286,4 @@ def save_corpus_manifest(corpus: Corpus, path) -> None:
         "config": {k: (list(v) if isinstance(v, tuple) else v)
                    for k, v in vars(corpus.cfg).items()},
         "partition": {t.task_id: t.partition for t in corpus.tasks},
-        "clusters": {t.task_id: t.cluster_id for t in corpus.tasks},
     })

@@ -397,7 +397,7 @@ def test_null_motif_calibration():
     base_seqs = [rng.integers(0, 4, size=rng.integers(9, 14)) for _ in range(200)]
     background = fit_background(base_seqs, order=2, pseudocount=0.5, alphabet_size=4)
     channels = make_channels(500, k=3, alphabet_size=4, seed=11)
-    repertoires = [background.sample_repertoire(20, np.random.default_rng(5000 + i))
+    repertoires = [background.sample(20, np.random.default_rng(5000 + i))
                    for i in range(24)]
     report = motif_test_report(channels, repertoires, background, top_frac=1.0,
                                b_min=2_000, b_max=4_000, null_pool_size=256,

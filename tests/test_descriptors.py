@@ -100,8 +100,7 @@ def _fitted_setup(seed=5, n_tasks=40, q=6, d=4, r=2):
     cfg = GeneratorConfig(d_theta=d, q=q, r_true=r, n_tasks=n_tasks,
                           n_support=8, n_query=6, seed=seed)
     corpus = generate_corpus(cfg)
-    partition_tasks(corpus.tasks, seed=0,
-                    vectors=np.stack([t.theta_true for t in corpus.tasks]))
+    partition_tasks(corpus.tasks, seed=0)
     chain = ProjectionChain(canonicalizer=Canonicalizer.identity(d), r=r)
     pre = corpus.tasks_in("Pre-Seed", "Pre-Rest")
     std = Standardizer().fit_from_tasks(pre)

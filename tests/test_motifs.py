@@ -207,7 +207,7 @@ class TestMotifReportPipeline:
         seqs = [rng.integers(0, 4, size=10) for _ in range(60)]
         bg = fit_background(seqs, order=1, pseudocount=0.5, alphabet_size=4)
         channels = make_channels(30, k=3, alphabet_size=4, seed=0)
-        repertoires = [bg.sample_repertoire(8, np.random.default_rng(100 + i))
+        repertoires = [bg.sample(8, np.random.default_rng(100 + i))
                        for i in range(6)]
         report = motif_test_report(channels, repertoires, bg, top_frac=0.2,
                                    b_min=200, b_max=400, null_pool_size=64, seed=1)

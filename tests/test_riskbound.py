@@ -140,8 +140,7 @@ class TestCheckBound:
                               seed=9, off_subspace_norm=0.05)
         corpus = generate_corpus(cfg)
         fmap = corpus.feature_map()
-        partition_tasks(corpus.tasks, seed=0,
-                        vectors=np.stack([t.theta_true for t in corpus.tasks]))
+        partition_tasks(corpus.tasks, seed=0)
         seed_tasks = corpus.tasks_in("Pre-Seed")
         theta = assemble_theta([ridge_adapter(t, fmap, 1e-2) for t in seed_tasks])
         chain = ProjectionChain(canonicalizer=fit_canonicalizer(theta), r=2)

@@ -228,7 +228,7 @@ def _loop_fisher_energy_test(spectrum, r_center, n_boot=1000, alpha=0.01,
         ))
     rejecting = [rec.r_cand for rec in records if rec.reject]
     return DimTestReport(records=records, selected_r=min(rejecting) if rejecting else None,
-                         alpha=alpha, n_boot=n_boot, mode="eigenvalues")
+                         n_boot=n_boot, mode="eigenvalues")
 
 
 def _assert_matches_oracle(spectrum, **kwargs):
