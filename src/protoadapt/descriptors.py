@@ -48,8 +48,9 @@ def pooled_moments(embeddings):
     """Pooled mean and elementwise population standard deviation."""
     h = check_finite(embeddings, "embeddings")
     require(h.ndim == 2 and h.shape[0] >= 1, "need a nonempty 2-d embedding block")
-    mu = h.mean(axis=0)
-    sigma = np.sqrt(np.mean((h - mu) ** 2, axis=0))
+    n = h.shape[0]
+    mu = h.sum(axis=0) / n
+    sigma = np.sqrt(((h - mu) ** 2).sum(axis=0) / n)
     return mu, sigma
 
 
@@ -59,7 +60,8 @@ def _probe_fit(probe: ProbeHead, task, feature_map):
     y = np.asarray(task.support_y, dtype=float)
     require(np.all((y == 0.0) | (y == 1.0)), "labels must be binary")
     err = sigmoid(x @ probe.weights + probe.bias) - y
-    return np.concatenate([(err[:, None] * x).mean(axis=0), [err.mean()]])
+    n = err.size
+    return np.concatenate([(err[:, None] * x).sum(axis=0) / n, [err.sum() / n]])
 
 
 class Standardizer:

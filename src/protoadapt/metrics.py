@@ -95,11 +95,16 @@ def binary_cross_entropy(probs, labels):
     """Mean log loss with probabilities clipped to [1e-12, 1 - 1e-12].
 
     One loss for a probability vector; one per row for an (m, n) block, on
-    one shared label vector or an (m, n) block of labels.
+    one shared label vector or an (m, n) block of labels. Every label must be
+    0 or 1, so each entry takes one log: log p where y = 1, log(1 - p) where
+    y = 0. After the clip both logs are finite and negative, so this has the
+    bytes of ``-mean(y log p + (1 - y) log(1 - p))``: the other term is -0.0.
     """
-    p = np.clip(probs, 1e-12, 1.0 - 1e-12)
+    p = np.minimum(np.maximum(probs, 1e-12), 1.0 - 1e-12)   # np.clip's bytes, no wrapper
     y = np.asarray(labels, dtype=float)
-    return -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=-1)
+    one = y == 1.0
+    require(np.count_nonzero(one | (y == 0.0)) == y.size, "labels must be 0 or 1")
+    return -(np.log(np.where(one, p, 1.0 - p)).sum(axis=-1) / p.shape[-1])
 
 
 def expected_calibration_error(probs, labels) -> float:

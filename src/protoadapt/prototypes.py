@@ -22,7 +22,15 @@ from .resampling import (
     jackknife_statistics,
     percentile_interval,
 )
-from .util import ValidationError, check_finite, child_rng, require, write_csv, write_json
+from .util import (
+    ValidationError,
+    check_finite,
+    child_rng,
+    require,
+    vector_norm,
+    write_csv,
+    write_json,
+)
 
 
 class FrozenMemoryError(RuntimeError):
@@ -391,11 +399,11 @@ def l0_fit(u, atoms, r_sparse: int, exact: bool = False):
     b = atoms @ u
     resid_corr = b                  # the atoms' inner products with the residual
     active: list[int] = []
-    u_norm = np.linalg.norm(u)
+    u_norm = vector_norm(u)
     for step in range(r_sparse):
         corr = np.abs(resid_corr) / norms
         corr[active] = -np.inf
-        best_atom = int(np.argmax(corr))
+        best_atom = int(corr.argmax())
         if corr[best_atom] <= 1e-12 * max(u_norm, 1e-300):
             break
         active.append(best_atom)
@@ -406,10 +414,10 @@ def l0_fit(u, atoms, r_sparse: int, exact: bool = False):
             resid_corr = b - gram[:, active] @ coef
     w = np.zeros(k)
     if not active:
-        return w, float(u_norm)
+        return w, u_norm
     coef, residual = _ls_on_support(u, atoms, active)
     w[active] = coef
-    return w, float(np.linalg.norm(residual))
+    return w, vector_norm(residual)
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,19 @@ population risk and no sample-size capacity term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .metrics import binary_cross_entropy
 from .prototypes import l0_fit
-from .util import ValidationError, check_finite, require, sigmoid
+from .util import ValidationError, check_finite, require, sigmoid, vector_norm
 
 
 def _row_radius(feats) -> float:
     """Largest row norm of a feature block: the root of the largest row sum of squares."""
-    return float(np.sqrt(np.max(np.einsum("ij,ij->i", feats, feats))))
+    return math.sqrt(np.einsum("ij,ij->i", feats, feats).max())
 
 
 def feature_radius_of(blocks, feature_map) -> float:
@@ -36,8 +37,8 @@ def empirical_risk(adapters, x_feats, labels) -> np.ndarray:
 
     Each adapter's logits are its own matrix-vector product, so an adapter's
     risk has the same bytes in any stack (one matrix product over the stack
-    would round the logits differently); the sigmoid, the clip and the logs
-    run once over the (m, n) logit block.
+    would round the logits differently); the sigmoid, the clip and the log
+    loss (one log per entry) run once over the (m, n) logit block.
     """
     logits = np.array([x_feats @ adapter for adapter in adapters])
     return binary_cross_entropy(sigmoid(logits), labels)
@@ -77,10 +78,10 @@ def check_bound(task, memory, certificate, feature_map, r_sparse: int | None = N
     r_fit = r_sparse if r_sparse is not None else certificate.r_sparse
 
     u_star = memory.chain.subspace_project(theta)
-    eps_app = float(np.linalg.norm(theta - u_star))
+    eps_app = vector_norm(theta - u_star)
     w_star, eps_cov = l0_fit(u_star, memory.row_atoms(), min(r_fit, memory.K))
     approx = w_star @ memory.M
-    adapter_gap = float(np.linalg.norm(theta - approx))
+    adapter_gap = vector_norm(theta - approx)
     triangle_slack = eps_app + eps_cov - adapter_gap
 
     feats = feature_map(task.query_x)

@@ -52,7 +52,7 @@ class GeneratorConfig:
 
 
 class PartitionError(ValidationError):
-    """A partition would be empty or a tag was assigned twice."""
+    """An unknown tag, or a second tag assigned to a task."""
 
 
 @dataclass
@@ -216,7 +216,8 @@ def partition_tasks(tasks, frac_pre: float = 0.5, frac_seed: float = 0.8, seed: 
     One seeded permutation orders the tasks. Its first ``frac_pre`` share are
     pretraining tasks, split into a seed subset (the first ``frac_seed`` of
     them) and a remainder; the rest are retrieval tasks, split into
-    train/val/test by ``ret_fracs``.
+    train/val/test by ``ret_fracs``. With at least five tasks, the clamps
+    leave every partition at least one.
     """
     require(0.0 < frac_pre < 1.0, "frac_pre must lie in (0, 1)")
     require(0.0 < frac_seed < 1.0, "frac_seed must lie in (0, 1)")
@@ -246,15 +247,10 @@ def partition_tasks(tasks, frac_pre: float = 0.5, frac_seed: float = 0.8, seed: 
         "Ret-Test": ret_idx[n_train + n_val:],
     }
 
-    counts = {tag: len(splits[tag]) for tag in PARTITIONS}
-    empty = [tag for tag, c in counts.items() if c == 0]
-    if empty:
-        raise PartitionError(f"partitions would be empty: {empty}")
-
     for tag, idxs in splits.items():
         for i in idxs:
             tasks[i].set_partition(tag)
-    return counts
+    return {tag: len(splits[tag]) for tag in PARTITIONS}
 
 
 def save_corpus(corpus: Corpus, csv_path, manifest_path=None) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import resource
 import time
 from contextlib import contextmanager
@@ -117,11 +118,25 @@ class StageTimer:
         self.lines.append(f"stage={name} ms={ms:.3f}{count} rss_mb={rss_mb:.1f} run={self.run}")
 
 
+def vector_norm(v) -> float:
+    """``float(np.linalg.norm(v))`` of a float array, bit for bit, without the wrapper.
+
+    numpy's own path for that norm is sqrt(v.dot(v)) on the K-order ravel,
+    and IEEE sqrt is correctly rounded, so ``math.sqrt`` gives the same float.
+    """
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 def sigmoid(x):
     """Logistic function in one pass; exp only sees -|x|, so it never overflows.
 
-    ``minimum(x, -x)`` is -|x| but keeps a NaN's sign bit.
+    ``minimum(x, -x)`` is -|x| but keeps a NaN's sign bit. One exp and one
+    divide: the numerator is 1 where x >= 0 and e elsewhere (a NaN too), over
+    1 + e.
     """
     x = np.asarray(x, dtype=float)
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    p = np.where(x >= 0, 1.0, e)
+    p /= 1.0 + e
+    return p

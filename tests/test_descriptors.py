@@ -52,6 +52,35 @@ class TestPooledMoments:
         assert np.max(np.abs(sigma - np.sqrt(var_direct))) < 1e-12
 
 
+def _mean_moments(h):
+    # pooled_moments as it was, kept as the oracle: np.mean over the support
+    mu = h.mean(axis=0)
+    return mu, np.sqrt(np.mean((h - mu) ** 2, axis=0))
+
+
+def _mean_probe_fit(probe, task, feature_map):
+    # _probe_fit as it was, kept as the oracle: np.mean over the support
+    x = feature_map(task.support_x)
+    err = sigmoid(x @ probe.weights + probe.bias) - np.asarray(task.support_y, dtype=float)
+    return np.concatenate([(err[:, None] * x).mean(axis=0), [err.mean()]])
+
+
+@pytest.mark.parametrize("kernel", ["pooled_moments", "_probe_fit"])
+def test_support_means_bytes_equal_np_mean(kernel):
+    rng = np.random.default_rng(29)
+    for n in range(1, 51):
+        for q in (1, 3, 8):
+            x = rng.normal(size=(n, q)) * rng.choice([1e-3, 1.0, 50.0])
+            if kernel == "pooled_moments":
+                out, ref = np.concatenate(pooled_moments(x)), np.concatenate(_mean_moments(x))
+            else:
+                probe = ProbeHead(weights=rng.normal(size=q), bias=float(rng.normal()), seed=0)
+                task = _Task(x, rng.integers(0, 2, size=n))
+                out, ref = (_probe_fit(probe, task, identity_map),
+                            _mean_probe_fit(probe, task, identity_map))
+            assert out.tobytes() == ref.tobytes(), (n, q)
+
+
 class TestProbeGradient:
     def test_saturated_correct_probe(self):
         probe = ProbeHead(weights=np.array([50.0, 0.0]), bias=0.0, seed=0)

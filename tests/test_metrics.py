@@ -5,6 +5,7 @@ from scipy.stats import rankdata
 from protoadapt.metrics import (
     MetricsRecord,
     average_ranks,
+    binary_cross_entropy,
     calibration_bins,
     compute_metrics,
     expected_calibration_error,
@@ -225,3 +226,51 @@ class TestHealthScore:
     def test_invalid_probability_rejected(self):
         with pytest.raises(ValidationError):
             compute_metrics(np.array([0.5, 1.2]), np.array([0, 1]))
+
+
+def _two_log_cross_entropy(probs, labels):
+    # the former implementation, kept as the oracle: two logs per entry, np.mean
+    p = np.clip(probs, 1e-12, 1.0 - 1e-12)
+    y = np.asarray(labels, dtype=float)
+    return -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=-1)
+
+
+def _cross_entropy_cases(seed=23):
+    rng = np.random.default_rng(seed)
+    edge = np.array([0.0, 1.0, 1e-13, 1.0 - 1e-13, 1e-12, 1.0 - 1e-12, 0.5, np.nan])
+    cases = []
+    for n in (1, 2, 3, 7, 8, 16, 33, 400, 1001):
+        probs = rng.random(n)
+        at_edge = rng.random(n) < 0.3
+        probs[at_edge] = rng.choice(edge[:-1], size=int(at_edge.sum()))
+        labels = rng.integers(0, 2, size=n)
+        cases.append(("vector", probs, labels))
+        block = rng.random((3, n))
+        block[0, : min(n, 7)] = edge[: min(n, 7)]
+        cases.append(("block, shared labels", block, labels))
+        cases.append(("block, row labels", block, rng.integers(0, 2, size=(3, n))))
+    # every edge value under both labels; NaN rows stay NaN
+    both = np.repeat(edge, 2)
+    cases.append(("edges", both, np.tile([0, 1], edge.size)))
+    cases.append(("edges without NaN", both[:-2], np.tile([0, 1], edge.size - 1)))
+    cases.append(("block with a NaN row", np.stack([both[:-2], np.full(both.size - 2, np.nan)]),
+                  np.tile([0, 1], edge.size - 1)))
+    cases.append(("float labels", rng.random(50), rng.integers(0, 2, size=50).astype(float)))
+    return cases
+
+
+class TestBinaryCrossEntropy:
+    @pytest.mark.parametrize("name, probs, labels", _cross_entropy_cases())
+    def test_bytes_equal_two_log_form(self, name, probs, labels):
+        out = binary_cross_entropy(probs, labels)
+        ref = _two_log_cross_entropy(probs, labels)
+        assert np.shape(out) == np.shape(ref) and type(out) is type(ref)
+        assert np.asarray(out).tobytes() == np.asarray(ref).tobytes()
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan])
+    def test_label_outside_zero_one_rejected(self, bad):
+        labels = np.array([0.0, 1.0, bad, 1.0])
+        with pytest.raises(ValidationError, match="0 or 1"):
+            binary_cross_entropy(np.full(4, 0.3), labels)
+        with pytest.raises(ValidationError, match="0 or 1"):
+            binary_cross_entropy(np.full((2, 4), 0.3), np.stack([labels, labels[::-1]]))

@@ -367,6 +367,26 @@ class TestL0Fit:
             breaks += np.count_nonzero(w) < r_sparse
         assert breaks >= 50
 
+    def test_greedy_residual_norm_bytes_equal_linalg_norm(self):
+        # the residual of the final least-squares fit, measured by np.linalg.norm; the
+        # active set's order is the order in which growing r_sparse adds atoms
+        rng = np.random.default_rng(37)
+        for trial in range(200):
+            k, dim = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+            atoms = rng.normal(size=(k, dim))
+            u = rng.normal(size=2 * dim)[::2] if trial % 2 else rng.normal(size=dim)
+            order = []
+            for r_sparse in range(1, min(k, dim) + 1):
+                w, resid = l0_fit(u, atoms, r_sparse)
+                order += [j for j in np.flatnonzero(w) if j not in order]
+                sub = atoms[order]
+                coef, _, _, _ = np.linalg.lstsq(sub.T, u, rcond=None)
+                assert resid == float(np.linalg.norm(u - coef @ sub)), (trial, r_sparse)
+        zero = np.zeros(3)
+        zero[-1] = 2.5
+        _, resid = l0_fit(zero, np.eye(3)[:2], r_sparse=2)
+        assert resid == float(np.linalg.norm(zero))
+
     def test_exact_prototype_row(self):
         atoms = np.array([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0], [1.0, 1.0, 1.0]])
         w, resid = l0_fit(atoms[1], atoms, r_sparse=1)

@@ -174,7 +174,8 @@ class TestCheckBound:
             risk_oracle = binary_cross_entropy(sigmoid(feats @ theta), task.query_y)
             emp_gap = abs(risk_mem - risk_oracle)
             lipschitz = float(np.max(np.linalg.norm(feats, axis=1)))
-            assert abs(report.emp_gap - emp_gap) <= 1e-12 * (1.0 + abs(emp_gap))
+            assert report.emp_gap == emp_gap
+            # einsum and norm() round the row norms differently in the last bit
             assert abs(report.lipschitz - lipschitz) <= 1e-12 * (1.0 + lipschitz)
             assert report.eps_app == float(np.linalg.norm(theta - u_star))
             assert report.eps_coverage == eps_cov

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -109,11 +111,29 @@ class TestPartition:
         with pytest.raises(PartitionError):
             corpus.tasks[0].set_partition("Ret-Test" if corpus.tasks[0].partition != "Ret-Test" else "Pre-Seed")
 
-    def test_empty_partition_fails(self):
+    def test_fewer_than_five_tasks_fails(self):
         cfg = GeneratorConfig(n_tasks=4, seed=37)
         corpus = generate_corpus(cfg)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="at least five tasks"):
             partition_tasks(corpus.tasks, seed=0)
+
+    def test_every_partition_nonempty_at_extreme_fractions(self):
+        # the clamps alone leave every partition a task: partition_tasks does not check it
+        cfg = GeneratorConfig(n_tasks=60, n_support=2, n_query=1, seed=43)
+        tasks = generate_corpus(cfg).tasks
+        for n in range(5, 61):
+            for frac_pre in (0.01, 0.5, 0.99):
+                for frac_seed in (0.01, 0.99):
+                    for ret_fracs in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+                                      (0.6, 0.2, 0.2)):
+                        fresh = [replace(t, partition=None) for t in tasks[:n]]
+                        counts = partition_tasks(fresh, frac_pre=frac_pre, frac_seed=frac_seed,
+                                                 seed=n, ret_fracs=ret_fracs)
+                        case = (n, frac_pre, frac_seed, ret_fracs)
+                        assert min(counts.values()) >= 1, case
+                        assert sum(counts.values()) == n, case
+                        assert counts == {tag: [t.partition for t in fresh].count(tag)
+                                          for tag in PARTITIONS}, case
 
 
 def test_save_corpus_roundtrip_shape(tmp_path):

@@ -3,7 +3,14 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from protoadapt.util import ValidationError, check_finite, sigmoid, write_csv, write_records
+from protoadapt.util import (
+    ValidationError,
+    check_finite,
+    sigmoid,
+    vector_norm,
+    write_csv,
+    write_records,
+)
 
 
 def _masked_sigmoid(x):
@@ -52,6 +59,23 @@ class TestSigmoid:
     def test_no_overflow_warning(self):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             sigmoid(np.array([-1e308, -800.0, 800.0, 1e308]))
+
+
+def _vector_norm_cases(seed=31):
+    rng = np.random.default_rng(seed)
+    cases = [rng.normal(size=n) * scale for n in (0, 1, 2, 3, 7, 8, 9, 16, 33, 400)
+             for scale in (1e-160, 1e-3, 1.0, 1e3, 1e150)]
+    base = rng.normal(size=300)
+    cases += [base[1::3], base[::-2], rng.normal(size=(4, 6)), rng.normal(size=(6, 4)).T,
+              np.array([np.inf, 1.0]), np.array([np.nan, 1.0]), np.array([-0.0])]
+    return cases
+
+
+@pytest.mark.parametrize("v", _vector_norm_cases())
+def test_vector_norm_bytes_equal_linalg_norm(v):
+    out = vector_norm(v)
+    assert type(out) is float
+    assert np.float64(out).tobytes() == np.float64(np.linalg.norm(v)).tobytes()
 
 
 class TestCheckFinite:
