@@ -19,7 +19,6 @@ class MetricsRecord:
     ece: float
     health_mean: float
     health_std: float
-    high_risk_rate: float
     n: int
     tp: int
     fp: int
@@ -173,7 +172,6 @@ def compute_metrics(probs, labels) -> MetricsRecord:
         ece=expected_calibration_error(probs, labels),
         health_mean=float(health.mean()),
         health_std=float(health.std()),
-        high_risk_rate=float(preds.mean()),
         n=int(probs.size),
         tp=tp, fp=fp, tn=tn, fn=fn,
     )

@@ -37,6 +37,8 @@ from .motifs import (
     power_curve,
 )
 from .prototypes import (
+    KAPPA_THRESHOLD,
+    MU_THRESHOLD,
     ProjectionChain,
     cluster_prototypes,
     coverage_certificate,
@@ -79,11 +81,16 @@ from .util import (
     write_records,
 )
 
-# Search-grid defaults from the experiment protocol; desk profiles override.
+# Grids from the experiment protocol: RunConfig.k_grid's default (the profiles
+# override it), the penalty sweep's lambdas, and the seed-stability and
+# support-sweep defaults.
 DEFAULT_K_GRID = (50, 100, 200)
 DEFAULT_LAMBDA_GRID = (1e-6, 1e-5, 1e-4, 1e-3)
 DEFAULT_SEEDS = (42, 2023, 777)
 DEFAULT_SUPPORT_SIZES = (5, 10, 20, 50)
+# the energy fraction that sets the PCA rank, and the fractions of the rank curve
+RHO = 0.99
+RHO_LIST = (0.9, 0.95, RHO)
 
 
 @dataclass
@@ -96,16 +103,8 @@ class WarpConfig:
 @dataclass
 class MotifRunConfig:
     n_channels: int = 60
-    kmer: int = 3
-    alphabet_size: int = 4
-    order: int = 2
-    pseudocount: float = 0.5
-    seq_len_lo: int = 8
-    seq_len_hi: int = 14
-    seqs_per_repertoire: int = 20
     n_pos: int = 20
     n_neg: int = 20
-    top_frac: float = 0.2
     b_min: int = DESK_PERMUTATION_FLOOR
     b_max: int = 20_000
     null_pool_size: int = 128
@@ -116,47 +115,28 @@ class MotifRunConfig:
 class RunConfig:
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     seed: int = 42
-    seeds: tuple = DEFAULT_SEEDS
-
-    # partitioning
-    frac_pre: float = 0.5
-    frac_seed: float = 0.8
-    ret_fracs: tuple = (0.6, 0.2, 0.2)
 
     # rank selection and memory
-    rho: float = 0.99
-    rho_list: tuple = (0.9, 0.95, 0.99)
     k_grid: tuple = DEFAULT_K_GRID
     n_restarts: int = 8
-    ridge_alpha: float = 1e-2
     # per-sample ridge coefficient for few-shot supports (the effective
     # penalty is alpha * n_support, keeping the shrinkage ratio constant
     # across support sizes); tuned on validation splits
     ridge_alpha_retrieval: float = 0.2
     coverage_n_boot: int = 1000
-    dim_n_boot: int = 1000
-    mu_threshold: float = 0.95
-    kappa_threshold: float = 1e4
     canonicalize: bool = True
     fixed_r: int | None = None          # ablation: skip rank selection
 
     # retrieval
-    lam: float = 1e-4
-    lam_grid: tuple = DEFAULT_LAMBDA_GRID
     gamma: float = 0.1                  # at retrieval.GAMMA_REF_SIZE support examples
-    eta: float = 0.01
     r_keep: int | None = None           # None: min(selected rank, K); see _r_keep
     hard_threshold: bool = True         # ablation C: False is r_keep = K (see _r_keep)
     epochs: int = 400
-    batch_size: int = 100
-    lr: float = 1e-3
     weight_decay: float = 0.0
     patience: int = 40
-    jaccard_min: float = 0.9
     # support sizes of the training episodes, one per task and size; the smallest
     # is also the validation, test and standardizer size. None: full supports
     train_sizes: tuple | None = None
-    support_sizes_eval: tuple = DEFAULT_SUPPORT_SIZES
 
     # descriptor warp and motifs
     warp: WarpConfig = field(default_factory=WarpConfig)
@@ -165,37 +145,24 @@ class RunConfig:
     def validate(self) -> None:
         self.generator.validate()
         require(all(k >= 1 for k in self.k_grid), f"k_grid must be positive, got {self.k_grid}")
-        require(len(self.lam_grid) >= 1 and all(l >= 0 for l in self.lam_grid),
-                f"lam_grid must be nonempty and nonnegative, got {self.lam_grid}")
         require(self.fixed_r is None or 1 <= self.fixed_r <= self.generator.d_theta,
                 f"fixed_r must be None or in [1, generator.d_theta], got {self.fixed_r}")
-        require(len(self.seeds) >= 1, f"seeds must be nonempty, got {self.seeds}")
-        require(self.dim_n_boot >= 1, f"dim_n_boot must be at least 1, got {self.dim_n_boot}")
         require(self.coverage_n_boot >= 1,
                 f"coverage_n_boot must be at least 1, got {self.coverage_n_boot}")
-        require(0.0 < self.rho < 1.0, f"rho must lie in (0, 1), got {self.rho}")
-        for name in ("lam", "gamma", "lr", "weight_decay", "eta"):
+        for name in ("gamma", "weight_decay"):
             value = getattr(self, name)
             require(value >= 0.0, f"{name} must be nonnegative, got {value}")
         require(self.epochs >= 1, f"epochs must be at least 1, got {self.epochs}")
         require(self.patience >= 0, f"patience must be nonnegative, got {self.patience}")
-        require(0.0 <= self.jaccard_min <= 1.0,
-                f"jaccard_min must lie in [0, 1], got {self.jaccard_min}")
-        require(self.batch_size >= 1, f"batch_size must be at least 1, got {self.batch_size}")
         require(self.warp.kind in ("mlp", "none"),
                 f"warp.kind must be 'mlp' or 'none', got {self.warp.kind!r}")
-        for name in ("train_sizes", "support_sizes_eval"):
-            sizes = getattr(self, name) or ()
-            require(all(n >= 2 for n in sizes), f"{name} must all be at least 2, got {sizes}")
+        sizes = self.train_sizes or ()
+        require(all(n >= 2 for n in sizes), f"train_sizes must all be at least 2, got {sizes}")
         require(self.r_keep is None or self.r_keep >= 1,
                 f"r_keep must be None or at least 1, got {self.r_keep}")
         require(self.r_keep is None or self.hard_threshold,
                 f"r_keep must be None when hard_threshold is False (the soft rule keeps "
                 f"all K), got {self.r_keep}")
-        fracs = self.ret_fracs
-        require(len(fracs) == 3 and all(f > 0 for f in fracs)
-                and abs(sum(fracs) - 1.0) < 1e-9,
-                f"ret_fracs must be three positive fractions summing to 1, got {fracs}")
 
     def to_dict(self) -> dict:
         def plain(obj):
@@ -218,8 +185,7 @@ class RunConfig:
             if "cohorts" in mot:
                 mot["cohorts"] = tuple(mot["cohorts"])
             data["motifs"] = MotifRunConfig(**mot)
-        for key in ("seeds", "ret_fracs", "rho_list", "k_grid", "lam_grid",
-                    "train_sizes", "support_sizes_eval"):
+        for key in ("k_grid", "train_sizes"):
             if key in data and data[key] is not None:
                 data[key] = tuple(data[key])
         cfg = cls(**data)
@@ -241,15 +207,15 @@ def desk_config(seed: int = 42) -> RunConfig:
         epochs=80,
         patience=30,
         train_sizes=(5,),
-        gamma=0.1,
-        eta=0.01,
-        lam=1e-4,
         weight_decay=2e-3,
     )
 
 
 def fewshot_benchmark_config(seed: int = 42) -> RunConfig:
-    """The planted-corpus profile used for few-shot scaling and seed stability."""
+    """The planted-corpus profile used for few-shot scaling and seed stability.
+
+    It trains at every support size the support sweep evaluates.
+    """
     return RunConfig(
         generator=GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=240,
                                   n_support=800, n_query=400, noise_sigma=0.0,
@@ -258,10 +224,7 @@ def fewshot_benchmark_config(seed: int = 42) -> RunConfig:
         k_grid=(4, 6, 8),
         epochs=300,
         patience=60,
-        train_sizes=(5, 10, 20, 50),
-        gamma=0.1,
-        eta=0.01,
-        lam=1e-4,
+        train_sizes=DEFAULT_SUPPORT_SIZES,
         weight_decay=2e-3,
     )
 
@@ -344,8 +307,7 @@ def build_corpus(cfg: RunConfig):
     """
     cfg.validate()
     corpus = generate_corpus(cfg.generator)
-    partition_tasks(corpus.tasks, frac_pre=cfg.frac_pre, frac_seed=cfg.frac_seed,
-                    seed=cfg.seed, ret_fracs=cfg.ret_fracs)
+    partition_tasks(corpus.tasks, seed=cfg.seed)
     return corpus
 
 
@@ -363,7 +325,7 @@ def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
 
         seed_tasks = corpus.tasks_in("Pre-Seed")
         pre_tasks = corpus.tasks_in("Pre-Seed", "Pre-Rest")
-        adapters = {t.task_id: ridge_adapter(t, fmap, cfg.ridge_alpha) for t in pre_tasks}
+        adapters = {t.task_id: ridge_adapter(t, fmap) for t in pre_tasks}
         theta_seed = assemble_theta([adapters[t.task_id] for t in seed_tasks],
                                     task_ids=[t.task_id for t in seed_tasks])
         theta_pre = assemble_theta([adapters[t.task_id] for t in pre_tasks],
@@ -373,12 +335,12 @@ def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
             r_selected = int(cfg.fixed_r)
             notes.append(f"rank selection disabled; fixed r={r_selected}")
         else:
-            r_selected = pca_rank(theta_seed, cfg.rho)
+            r_selected = pca_rank(theta_seed, RHO)
 
         summaries = [TaskGradientSummary.from_task(t, fmap) for t in seed_tasks]
         dim_report_tasks = fisher_energy_test_tasks(summaries, r_center=r_selected,
-                                                    n_boot=cfg.dim_n_boot, seed=cfg.seed)
-        curve = rank_curve(theta_seed, cfg.rho_list, seed=cfg.seed)
+                                                    seed=cfg.seed)
+        curve = rank_curve(theta_seed, RHO_LIST, seed=cfg.seed)
 
         canon = (fit_canonicalizer(theta_seed) if cfg.canonicalize
                  else Canonicalizer.identity(theta_seed.d_theta))
@@ -419,10 +381,8 @@ def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
             return min(_r_keep(cfg, r_selected, k), r_selected, k)
 
         merge_log = []
-        if memory.mu > cfg.mu_threshold or memory.kappa > cfg.kappa_threshold:
-            memory, merge_log = merge_prototypes(memory, cfg.mu_threshold,
-                                                 cfg.kappa_threshold,
-                                                 theta_pre=theta_pre,
+        if memory.mu > MU_THRESHOLD or memory.kappa > KAPPA_THRESHOLD:
+            memory, merge_log = merge_prototypes(memory, theta_pre=theta_pre,
                                                  r_sparse=fit_sparsity(memory.K))
             notes.append(f"prototype merging triggered: {len(merge_log)} merges, "
                          f"K {k_chosen} -> {memory.K}")
@@ -541,7 +501,7 @@ def _prepare_inputs(cfg: RunConfig, artifacts: Phase1Artifacts, tasks) -> Episod
 
 def _proximal_config(cfg: RunConfig) -> ProximalConfig:
     """The solver settings; retrieval scales gamma to each task's support size."""
-    return ProximalConfig(lam=cfg.lam, gamma=cfg.gamma)
+    return ProximalConfig(gamma=cfg.gamma)
 
 
 def _gamma_zero_problem(cfg: RunConfig, memory) -> str | None:
@@ -591,10 +551,8 @@ def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
             ("val", _ret_tasks_at_size(artifacts, "Ret-Val", size)),
             ("test", _ret_tasks_at_size(artifacts, "Ret-Test", size)))}
         transform = make_transform(splits["train"].z.shape[1], cfg.warp, seed=seed)
-        tcfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-                           weight_decay=cfg.weight_decay, patience=cfg.patience,
-                           jaccard_min=cfg.jaccard_min, seed=seed, r_keep=r_keep,
-                           eta=cfg.eta)
+        tcfg = TrainConfig(epochs=cfg.epochs, weight_decay=cfg.weight_decay,
+                           patience=cfg.patience, seed=seed, r_keep=r_keep)
         result = train_retrieval(splits["train"], artifacts.memory, pcfg, tcfg,
                                  val=splits["val"], transform=transform)
 
@@ -648,8 +606,9 @@ def run_penalty_sweep(cfg: RunConfig, artifacts: Phase1Artifacts, phase2: Phase2
     """
     timer = StageTimer(cfg.hash())
     with timer.stage("penalty_sweep", None):
-        surface = sweep_lambda_eta(cfg.lam_grid, (0.0, cfg.eta), phase2.splits["val"],
-                                   artifacts.memory, phase2.net, _proximal_config(cfg),
+        surface = sweep_lambda_eta(DEFAULT_LAMBDA_GRID, (0.0, TrainConfig.eta),
+                                   phase2.splits["val"], artifacts.memory, phase2.net,
+                                   _proximal_config(cfg),
                                    _r_keep(cfg, artifacts.rank_selected, artifacts.memory.K),
                                    transform=phase2.transform)
     if outdir is not None:
@@ -684,7 +643,7 @@ def run_baselines(cfg: RunConfig, artifacts: Phase1Artifacts,
     fmap = artifacts.corpus.feature_map()
 
     def ridge(donor, task):
-        return sigmoid(fmap(task.query_x) @ ridge_adapter(donor, fmap, cfg.ridge_alpha))
+        return sigmoid(fmap(task.query_x) @ ridge_adapter(donor, fmap))
 
     predictors = {
         "ridge_support": lambda task: ridge(task, task),
@@ -713,9 +672,8 @@ def run_baselines(cfg: RunConfig, artifacts: Phase1Artifacts,
 # ---------------------------------------------------------------------------
 
 def run_support_sweep(cfg: RunConfig, artifacts: Phase1Artifacts, phase2: Phase2Result,
-                      outdir: Path | None = None, sizes=None):
+                      outdir: Path | None = None, sizes=DEFAULT_SUPPORT_SIZES):
     """Test metrics across support sizes with the trained retrieval net."""
-    sizes = tuple(sizes if sizes is not None else cfg.support_sizes_eval)
     pcfg = _proximal_config(cfg)
     r_keep = _r_keep(cfg, artifacts.rank_selected, artifacts.memory.K)
     timer = StageTimer(cfg.hash())
@@ -735,12 +693,11 @@ def run_support_sweep(cfg: RunConfig, artifacts: Phase1Artifacts, phase2: Phase2
 
 
 def run_seed_stability(cfg: RunConfig, artifacts: Phase1Artifacts,
-                       outdir: Path | None = None, seeds=None):
+                       outdir: Path | None = None, seeds=DEFAULT_SEEDS):
     """Phase-2 metric spread across training seeds on the fixed corpus.
 
     runtime.txt gets each seed's phase-2 stage lines, prefixed ``seed_stability.<seed>.``.
     """
-    seeds = tuple(seeds if seeds is not None else cfg.seeds)
     per_seed, runtime = {}, []
     for seed in seeds:
         result = run_phase2(cfg, artifacts, seed=seed)
@@ -765,6 +722,16 @@ def run_seed_stability(cfg: RunConfig, artifacts: Phase1Artifacts,
 
 # chance that a sequence of a positive repertoire carries a planted motif
 PLANT_RATE = 0.9
+# the synthetic motif corpus: planted k-mer length, alphabet, the background's
+# Markov order and smoothing, sequence lengths and sequences per repertoire,
+# and the fraction of channels the screen keeps
+KMER = 3
+ALPHABET_SIZE = 4
+MARKOV_ORDER = 2
+PSEUDOCOUNT = 0.5
+SEQ_LEN_LO, SEQ_LEN_HI = 8, 14
+SEQS_PER_REPERTOIRE = 20
+TOP_FRAC = 0.2
 
 
 def _synthetic_repertoire(background, channels, n_seqs, plant, rng):
@@ -789,25 +756,22 @@ def run_motifs(cfg: RunConfig, outdir: Path | None = None):
     timer = StageTimer(cfg.hash())
     with timer.stage("motifs", None):
         rng_base = child_rng(cfg.seed, "motif-corpus")
-        base_seqs = [rng_base.integers(0, mcfg.alphabet_size,
-                                       size=rng_base.integers(mcfg.seq_len_lo,
-                                                              mcfg.seq_len_hi + 1))
+        base_seqs = [rng_base.integers(0, ALPHABET_SIZE,
+                                       size=rng_base.integers(SEQ_LEN_LO, SEQ_LEN_HI + 1))
                      for _ in range(200)]
-        background = fit_background(base_seqs, order=mcfg.order,
-                                    pseudocount=mcfg.pseudocount,
-                                    alphabet_size=mcfg.alphabet_size)
+        background = fit_background(base_seqs, order=MARKOV_ORDER, pseudocount=PSEUDOCOUNT,
+                                    alphabet_size=ALPHABET_SIZE)
 
         calibrations, failures = [], {}  # failures: cohort -> the error's message
         report = None
         for c_i, cohort in enumerate(mcfg.cohorts):
-            channels = make_channels(mcfg.n_channels, k=mcfg.kmer,
-                                     alphabet_size=mcfg.alphabet_size,
+            channels = make_channels(mcfg.n_channels, k=KMER, alphabet_size=ALPHABET_SIZE,
                                      seed=cfg.seed + 101 * c_i)
             rngs = child_rng(cfg.seed, "motif-cohort", cohort)
             planted = channels[: max(2, mcfg.n_channels // 10)]
-            pos_reps = [_synthetic_repertoire(background, planted, mcfg.seqs_per_repertoire,
+            pos_reps = [_synthetic_repertoire(background, planted, SEQS_PER_REPERTOIRE,
                                               True, rngs) for _ in range(mcfg.n_pos)]
-            neg_reps = [_synthetic_repertoire(background, planted, mcfg.seqs_per_repertoire,
+            neg_reps = [_synthetic_repertoire(background, planted, SEQS_PER_REPERTOIRE,
                                               False, rngs) for _ in range(mcfg.n_neg)]
             repertoires = pos_reps + neg_reps
             labels = np.array([1] * mcfg.n_pos + [0] * mcfg.n_neg)
@@ -820,7 +784,7 @@ def run_motifs(cfg: RunConfig, outdir: Path | None = None):
                 failures[cohort] = str(exc)
             if c_i == 0:
                 report = motif_test_report(channels, repertoires, background,
-                                           top_frac=mcfg.top_frac, b_min=mcfg.b_min,
+                                           top_frac=TOP_FRAC, b_min=mcfg.b_min,
                                            b_max=mcfg.b_max,
                                            null_pool_size=mcfg.null_pool_size,
                                            seed=cfg.seed)

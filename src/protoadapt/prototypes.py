@@ -535,8 +535,13 @@ def _most_coherent_pair(m_rows):
     return i, j
 
 
-def merge_prototypes(memory: PrototypeMemory, mu_threshold: float = 0.95,
-                     kappa_threshold: float = 1e4, theta_pre=None,
+# the coherence and condition number above which merge_prototypes merges
+MU_THRESHOLD = 0.95
+KAPPA_THRESHOLD = 1e4
+
+
+def merge_prototypes(memory: PrototypeMemory, mu_threshold: float = MU_THRESHOLD,
+                     kappa_threshold: float = KAPPA_THRESHOLD, theta_pre=None,
                      r_sparse: int | None = None):
     """Merge the most coherent pair until both diagnostics clear thresholds.
 

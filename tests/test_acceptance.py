@@ -23,6 +23,7 @@ from protoadapt.motifs import (
 )
 from protoadapt.node import SolveConfig, VectorField, adjoint_gradient, integrate
 from protoadapt.pipeline import (
+    DEFAULT_SEEDS,
     WarpConfig,
     desk_config,
     fewshot_benchmark_config,
@@ -454,7 +455,7 @@ def test_seed_stability(fewshot_run):
     std = float(np.std(aucs))
     assert std <= 0.02, f"AUC std across seeds {std:.4f}"
     _announce("seed stability", started,
-              f"5-shot AUC std {std:.4f} across seeds {cfg.seeds}")
+              f"5-shot AUC std {std:.4f} across seeds {DEFAULT_SEEDS}")
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -220,7 +220,7 @@ class TestHealthScore:
         probs = np.array([0.1, 0.5, 0.9, 0.49])
         labels = np.array([0, 1, 1, 0])
         rec = compute_metrics(probs, labels)
-        assert rec.high_risk_rate == pytest.approx(0.5)
+        assert (rec.tp + rec.fp) / rec.n == 0.5
         assert rec.health_mean == pytest.approx(np.mean(1 - probs))
 
     def test_invalid_probability_rejected(self):

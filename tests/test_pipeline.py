@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 from collections import Counter
@@ -16,6 +17,7 @@ from protoadapt.pipeline import (
     DEFAULT_K_GRID,
     DEFAULT_LAMBDA_GRID,
     DEFAULT_SEEDS,
+    DEFAULT_SUPPORT_SIZES,
     MlpTransform,
     RunConfig,
     WarpConfig,
@@ -45,11 +47,16 @@ STAGE_LINE = re.compile(r"stage=([a-z0-9_.]+) ms=[0-9]+\.[0-9]{3}(?: tasks=([0-9
                         r"rss_mb=[0-9]+\.[0-9] run=([0-9a-f]{16})")
 
 
+# RunConfig fields that are gone, and with them their validate() rules
+REMOVED_FIELDS = {"t_prox", "solver_tol", "seeds", "support_sizes_eval", "lam_grid", "ret_fracs",
+                  "rho", "dim_n_boot", "lam", "eta", "batch_size", "lr", "jaccard_min"}
+
+
 def tiny_config(seed=42, **overrides):
     cfg = desk_config(seed=seed)
     gen = replace(cfg.generator, n_tasks=60, n_support=120, n_query=30)
     cfg = replace(cfg, generator=gen, epochs=6, patience=5, coverage_n_boot=200,
-                  dim_n_boot=1000, n_restarts=3, **overrides)
+                  n_restarts=3, **overrides)
     return cfg
 
 
@@ -70,11 +77,12 @@ class TestDefaults:
     def test_protocol_grids(self):
         cfg = RunConfig()
         assert cfg.k_grid == DEFAULT_K_GRID == (50, 100, 200)
-        assert cfg.lam_grid == DEFAULT_LAMBDA_GRID == (1e-6, 1e-5, 1e-4, 1e-3)
-        assert cfg.seeds == DEFAULT_SEEDS == (42, 2023, 777)
+        assert DEFAULT_LAMBDA_GRID == (1e-6, 1e-5, 1e-4, 1e-3)
+        assert inspect.signature(run_seed_stability).parameters["seeds"].default \
+            == DEFAULT_SEEDS == (42, 2023, 777)
         assert cfg.patience == 40
         assert cfg.epochs <= 1000
-        assert cfg.batch_size == 100
+        assert retrieval.TrainConfig.batch_size == 100
 
     def test_config_roundtrip_and_hash(self):
         cfg = tiny_config()
@@ -89,7 +97,8 @@ class TestDefaults:
         assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_support_sizes_protocol(self):
-        assert RunConfig().support_sizes_eval == (5, 10, 20, 50)
+        assert inspect.signature(run_support_sweep).parameters["sizes"].default \
+            == DEFAULT_SUPPORT_SIZES == (5, 10, 20, 50)
 
     def test_removed_hidden_key_is_rejected(self):
         blob = desk_config().to_dict()
@@ -99,6 +108,10 @@ class TestDefaults:
 
     @pytest.mark.parametrize("name", ["dim_n_boot", "coverage_n_boot"])
     def test_resample_count_below_one_is_rejected(self, name):
+        if name in REMOVED_FIELDS:  # the energy test's resample count is its n_boot default
+            with pytest.raises(TypeError, match=name):
+                replace(tiny_config(), **{name: 0})
+            return
         cfg = replace(tiny_config(), **{name: 0})
         with pytest.raises(ValidationError, match=name):
             cfg.validate()
@@ -125,6 +138,32 @@ class TestDefaults:
         ("warp.lr", 1e-3),
         ("outdir", "runs/desk"),
         ("tau_sim", 0.8),
+        # fields that no profile, ablation, benchmark, demo or test set to a second value
+        ("seeds", [1, 2]),
+        ("support_sizes_eval", [5]),
+        ("lam_grid", [1e-4]),
+        ("frac_pre", 0.4),
+        ("frac_seed", 0.7),
+        ("ret_fracs", [0.5, 0.25, 0.25]),
+        ("rho", 0.95),
+        ("rho_list", [0.9]),
+        ("ridge_alpha", 0.1),
+        ("dim_n_boot", 500),
+        ("mu_threshold", 0.9),
+        ("kappa_threshold", 1e3),
+        ("lam", 1e-3),
+        ("eta", 0.1),
+        ("batch_size", 50),
+        ("lr", 1e-2),
+        ("jaccard_min", 0.8),
+        ("motifs.kmer", 4),
+        ("motifs.alphabet_size", 20),
+        ("motifs.order", 1),
+        ("motifs.pseudocount", 1.0),
+        ("motifs.seq_len_lo", 6),
+        ("motifs.seq_len_hi", 16),
+        ("motifs.seqs_per_repertoire", 30),
+        ("motifs.top_frac", 0.1),
     ])
     def test_removed_memory_and_motif_key_is_rejected(self, key, value):
         blob = desk_config().to_dict()
@@ -174,9 +213,10 @@ class TestDefaults:
     ])
     def test_bad_field_is_rejected_naming_it(self, name, value):
         cfg = tiny_config()
-        if name in ("t_prox", "solver_tol"):
-            # removed with the unrolled solver: the exact solve has neither an unroll
-            # length nor a tolerance, so a config carrying either key is refused by name
+        if name in REMOVED_FIELDS:
+            # t_prox and solver_tol went with the unrolled solver (the exact solve has
+            # neither an unroll length nor a tolerance), the others with the fields nothing
+            # set: a config carrying the key is refused by name
             with pytest.raises(TypeError, match=name):
                 replace(cfg, **{name: value})
             blob = cfg.to_dict()
@@ -196,8 +236,7 @@ class TestDefaults:
             RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
 
     def test_zero_rates_and_penalties_are_legal(self):
-        replace(tiny_config(), lr=0.0, weight_decay=0.0, eta=0.0, lam=0.0,
-                gamma=0.0).validate()
+        replace(tiny_config(), weight_decay=0.0, gamma=0.0).validate()
 
 
 class TestPhase1(object):
@@ -382,7 +421,7 @@ class TestPhase2:
         assert not (tmp_path / "sweep_lambda_eta.csv").exists()
         monkeypatch.undo()
         rows = run_penalty_sweep(cfg, art, result, outdir=tmp_path)
-        assert len(rows) == 2 * len(cfg.lam_grid)
+        assert len(rows) == 2 * len(DEFAULT_LAMBDA_GRID)
         assert (tmp_path / "sweep_lambda_eta.csv").exists()
 
     def test_run_files_rebuild_the_test_predictions_bit_for_bit(self, tiny_artifacts,
@@ -514,7 +553,7 @@ class TestPhase2:
         d_z = {episodes.z.shape[1] for episodes in result.splits.values()}
         assert len(d_z) == 1
         rows = run_support_sweep(cfg, art, result)
-        assert [r["support_size"] for r in rows] == list(cfg.support_sizes_eval)
+        assert [r["support_size"] for r in rows] == list(DEFAULT_SUPPORT_SIZES)
         assert all(0.0 <= r["auc"] <= 1.0 for r in rows)
 
 
