@@ -8,7 +8,7 @@ from protoadapt.synthdata import GeneratorConfig, generate_corpus, partition_tas
 from protoadapt.util import sigmoid
 
 cfg = GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=80, n_support=30,
-                      n_query=40, noise_sigma=0.0, seed=42)
+                      n_query=40, seed=42)
 corpus = generate_corpus(cfg)
 print(f"generated {len(corpus.tasks)} tasks, embeddings in R^{cfg.q}, "
       f"adapters in R^{cfg.d_theta} planted on a rank-{cfg.r_true} subspace")

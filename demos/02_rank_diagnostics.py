@@ -12,7 +12,7 @@ from protoadapt.spectral import (
 from protoadapt.synthdata import GeneratorConfig, generate_corpus
 
 cfg = GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=150, n_support=400,
-                      noise_sigma=0.0, seed=42)
+                      seed=42)
 corpus = generate_corpus(cfg)
 fmap = corpus.feature_map()
 theta = assemble_theta([ridge_adapter(t, fmap, 1e-2) for t in corpus.tasks])

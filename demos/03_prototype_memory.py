@@ -10,7 +10,7 @@ from protoadapt.prototypes import (
 from protoadapt.synthdata import GeneratorConfig, generate_corpus, partition_tasks
 
 cfg = GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=160, n_support=400,
-                      noise_sigma=0.0, seed=42, n_clusters=3)
+                      seed=42, n_clusters=3)
 corpus = generate_corpus(cfg)
 fmap = corpus.feature_map()
 partition_tasks(corpus.tasks, seed=0)

@@ -47,7 +47,7 @@ labels = np.array([1] * 20 + [0] * 20)
 act2 = channel_activations(channels, pos + neg)
 cal = calibrate_tau(act2, labels, cohort="demo", calib_frac=0.3, seed=0)
 print(f"calibration: tau_bar {cal.tau_bar:.3f}, |t| {cal.t_abs if not np.isnan(cal.t_abs) else float('nan')}, "
-      f"pass {cal.passed}, zero-variance {cal.zero_variance}, dAUC {cal.delta_auc:.4f}")
+      f"zero-variance {cal.zero_variance}, dAUC {cal.delta_auc:.4f}")
 
 rows = power_curve([0.0, 1.0, 2.0, 4.0], alpha=0.05,
                    null_sampler=lambda r, size: r.normal(size=size),

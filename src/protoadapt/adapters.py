@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,7 +97,6 @@ class Canonicalizer:
     signs: np.ndarray          # +-1 recorded per principal direction
     basis: np.ndarray          # orthonormal, sign-fixed principal directions
     pc_scale: np.ndarray       # per-direction RMS after rotation
-    zero_scale: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
     @classmethod
     def identity(cls, d: int) -> "Canonicalizer":
@@ -106,7 +105,6 @@ class Canonicalizer:
             signs=np.ones(d),
             basis=np.eye(d),
             pc_scale=np.ones(d),
-            zero_scale=np.zeros(d, dtype=bool),
         )
 
     def apply(self, rows: np.ndarray) -> np.ndarray:
@@ -133,8 +131,7 @@ class Canonicalizer:
 def fit_canonicalizer(theta) -> Canonicalizer:
     """Fit scale, sign-fixed principal basis, and per-direction scale.
 
-    Zero-variance coordinates get scale 1 instead of dividing by zero; the
-    affected indices are flagged on the returned object. When the scaled
+    Zero-variance coordinates get scale 1 instead of dividing by zero. When the scaled
     matrix's Gram is already diagonal (the canonical fixed point, where the
     principal frame is numerically arbitrary) the basis is pinned to the
     identity so canonicalization is idempotent on its own output.
@@ -144,8 +141,7 @@ def fit_canonicalizer(theta) -> Canonicalizer:
     n, d = rows.shape
 
     scale = np.sqrt(np.mean(rows**2, axis=0))
-    zero_scale = scale < 1e-12
-    scale = np.where(zero_scale, 1.0, scale)
+    scale = np.where(scale < 1e-12, 1.0, scale)
     z = rows / scale
 
     gram = z.T @ z / n
@@ -165,5 +161,4 @@ def fit_canonicalizer(theta) -> Canonicalizer:
         signs=signs,
         basis=basis,
         pc_scale=pc_scale,
-        zero_scale=zero_scale,
     )

@@ -98,7 +98,7 @@ def cmd_motifs(args):
         if cal is None:
             print(f"{cohort}: calibration failed (see run.log)")
         else:
-            print(f"{cohort}: tau_bar {cal.tau_bar:.3f} |t| {cal.t_abs:.2f} pass {cal.passed}")
+            print(f"{cohort}: tau_bar {cal.tau_bar:.3f} |t| {cal.t_abs:.2f}")
 
 
 def cmd_riskbound(args):

@@ -46,7 +46,6 @@ class MarkovBackground:
 
     order: int
     alphabet_size: int
-    pseudocount: float
     tables: list = field(repr=False)            # per position: dict context -> prob row
     lengths: np.ndarray = field(repr=False)
     length_probs: np.ndarray = field(repr=False)
@@ -99,17 +98,13 @@ def fit_background(sequences, order: int, pseudocount: float,
     for pos_counts in counts:
         table = {}
         for ctx, row in pos_counts.items():
+            # a context row holds at least one count, so the total is at least 1
             smoothed = row + pseudocount
-            total = smoothed.sum()
-            if total <= 0:
-                smoothed = np.full(alphabet_size, 1.0 / alphabet_size)
-                total = 1.0
-            table[ctx] = smoothed / total
+            table[ctx] = smoothed / smoothed.sum()
         tables.append(table)
 
     lengths, freq = np.unique([s.size for s in seqs], return_counts=True)
-    return MarkovBackground(order=order, alphabet_size=alphabet_size,
-                            pseudocount=pseudocount, tables=tables,
+    return MarkovBackground(order=order, alphabet_size=alphabet_size, tables=tables,
                             lengths=lengths.astype(int),
                             length_probs=freq / freq.sum())
 
@@ -183,13 +178,12 @@ def screen_channels(activations: np.ndarray, top_frac: float) -> np.ndarray:
 class PermutationResult:
     p_value: float
     b_used: int
-    stopped_early: bool
 
 
-def permutation_pvalue(observed: float, null_sampler, b_min: int = DESK_PERMUTATION_FLOOR,
+def permutation_pvalue(observed: float, null_sampler, rng: np.random.Generator,
+                       b_min: int = DESK_PERMUTATION_FLOOR,
                        b_max: int = PRODUCTION_PERMUTATION_FLOOR, block: int = 500,
-                       stability_window: float = 5e-4, seed: int = 0,
-                       rng: np.random.Generator | None = None) -> PermutationResult:
+                       stability_window: float = 5e-4) -> PermutationResult:
     """Adaptive one-sided permutation p-value with the plus-one estimator.
 
     ``null_sampler(rng, size)`` returns draws of the null statistic. Blocks
@@ -200,8 +194,6 @@ def permutation_pvalue(observed: float, null_sampler, b_min: int = DESK_PERMUTAT
     require(np.isfinite(observed), "non-finite statistic")
     require(b_min >= 1, "b_min must be positive")
     require(b_max >= b_min, "b_max must be at least b_min")
-    if rng is None:
-        rng = child_rng(seed, "permutation")
     count = 0
     b_used = 0
     prev_p = None
@@ -219,9 +211,8 @@ def permutation_pvalue(observed: float, null_sampler, b_min: int = DESK_PERMUTAT
             stable_blocks = 0
         prev_p = p
         if b_used >= b_min and stable_blocks >= 2:
-            return PermutationResult(p_value=p, b_used=b_used, stopped_early=True)
-    return PermutationResult(p_value=(1 + count) / (b_used + 1), b_used=b_used,
-                             stopped_early=False)
+            return PermutationResult(p_value=p, b_used=b_used)
+    return PermutationResult(p_value=(1 + count) / (b_used + 1), b_used=b_used)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +300,8 @@ def motif_test_report(channels, repertoires, background: MarkovBackground,
             cols = rng.integers(0, row.size, size=(size, n_rep))
             return row[cols].mean(axis=1)
 
-        res = permutation_pvalue(observed, sampler, b_min=b_min, b_max=b_max,
-                                 seed=0, rng=child_rng(seed, "motif-perm", int(channel_idx)))
+        rng = child_rng(seed, "motif-perm", int(channel_idx))
+        res = permutation_pvalue(observed, sampler, rng, b_min=b_min, b_max=b_max)
         p_vals[i] = res.p_value
         b_used[i] = res.b_used
 
@@ -329,15 +320,12 @@ class TauCalibration:
     cohort: str
     tau_bar: float
     se: float
-    t_stat: float
     t_abs: float
     p_value: float
     delta_auc: float
-    passed: bool
     zero_variance: bool
     n_retries: int
-    df: int = 2
-    test_auc: float = float("nan")
+    test_auc: float
 
 
 def t_statistic_from_summary(tau_bar: float, se: float) -> float:
@@ -423,17 +411,17 @@ def calibrate_tau(activations, labels, cohort: str = "cohort",
         # degenerate: identical inner-fold optima; the test is undefined
         # and calibration passes with the zero-variance flag
         zero_variance = se == 0.0
-        t_stat = p_two = float("nan")
+        t_abs = p_two = float("nan")
         if not zero_variance:
             # here alone, so that no other path loads scipy.special (about 21 MB of import peak RSS)
             from scipy.special import stdtr
 
-            t_stat = t_statistic_from_summary(tau_bar, se)
-            p_two = float(2.0 * stdtr(2, -abs(t_stat)))
+            t_abs = abs(t_statistic_from_summary(tau_bar, se))
+            p_two = float(2.0 * stdtr(2, -t_abs))
         if (zero_variance or p_two >= 0.05) and delta_auc <= gap_bound:
-            return TauCalibration(cohort=cohort, tau_bar=tau_bar, se=se, t_stat=t_stat,
-                                  t_abs=abs(t_stat), p_value=p_two, delta_auc=delta_auc,
-                                  passed=True, zero_variance=zero_variance, n_retries=retry,
+            return TauCalibration(cohort=cohort, tau_bar=tau_bar, se=se, t_abs=t_abs,
+                                  p_value=p_two, delta_auc=delta_auc,
+                                  zero_variance=zero_variance, n_retries=retry,
                                   test_auc=test_auc)
 
         # narrow the search interval by 20 percent around tau_bar and retry

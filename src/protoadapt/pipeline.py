@@ -135,8 +135,8 @@ class RunConfig:
     weight_decay: float = 0.0
     patience: int = 40
     # support sizes of the training episodes, one per task and size; the smallest
-    # is also the validation, test and standardizer size. None: full supports
-    train_sizes: tuple | None = None
+    # is also the validation, test and standardizer size
+    train_sizes: tuple = DEFAULT_SUPPORT_SIZES
 
     # descriptor warp and motifs
     warp: WarpConfig = field(default_factory=WarpConfig)
@@ -147,6 +147,9 @@ class RunConfig:
         require(all(k >= 1 for k in self.k_grid), f"k_grid must be positive, got {self.k_grid}")
         require(self.fixed_r is None or 1 <= self.fixed_r <= self.generator.d_theta,
                 f"fixed_r must be None or in [1, generator.d_theta], got {self.fixed_r}")
+        require(self.n_restarts >= 1, f"n_restarts must be at least 1, got {self.n_restarts}")
+        require(self.ridge_alpha_retrieval > 0.0,
+                f"ridge_alpha_retrieval must be positive, got {self.ridge_alpha_retrieval}")
         require(self.coverage_n_boot >= 1,
                 f"coverage_n_boot must be at least 1, got {self.coverage_n_boot}")
         for name in ("gamma", "weight_decay"):
@@ -156,13 +159,20 @@ class RunConfig:
         require(self.patience >= 0, f"patience must be nonnegative, got {self.patience}")
         require(self.warp.kind in ("mlp", "none"),
                 f"warp.kind must be 'mlp' or 'none', got {self.warp.kind!r}")
-        sizes = self.train_sizes or ()
-        require(all(n >= 2 for n in sizes), f"train_sizes must all be at least 2, got {sizes}")
+        sizes = self.train_sizes
+        require(bool(sizes) and all(n >= 2 for n in sizes),
+                f"train_sizes must be nonempty and all at least 2, got {sizes}")
         require(self.r_keep is None or self.r_keep >= 1,
                 f"r_keep must be None or at least 1, got {self.r_keep}")
         require(self.r_keep is None or self.hard_threshold,
                 f"r_keep must be None when hard_threshold is False (the soft rule keeps "
                 f"all K), got {self.r_keep}")
+        mot = self.motifs
+        for name in ("n_channels", "null_pool_size", "b_min"):
+            require(getattr(mot, name) >= 1,
+                    f"motifs.{name} must be at least 1, got {getattr(mot, name)}")
+        require(mot.b_max >= mot.b_min,
+                f"motifs.b_max must be at least motifs.b_min = {mot.b_min}, got {mot.b_max}")
 
     def to_dict(self) -> dict:
         def plain(obj):
@@ -186,7 +196,7 @@ class RunConfig:
                 mot["cohorts"] = tuple(mot["cohorts"])
             data["motifs"] = MotifRunConfig(**mot)
         for key in ("k_grid", "train_sizes"):
-            if key in data and data[key] is not None:
+            if isinstance(data.get(key), list):
                 data[key] = tuple(data[key])
         cfg = cls(**data)
         cfg.validate()
@@ -200,8 +210,8 @@ def desk_config(seed: int = 42) -> RunConfig:
     """Small-corpus profile that exercises every stage in seconds."""
     return RunConfig(
         generator=GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=120,
-                                  n_support=300, n_query=60, noise_sigma=0.0,
-                                  seed=seed, n_clusters=3, cluster_spread=0.10),
+                                  n_support=300, n_query=60, seed=seed, n_clusters=3,
+                                  cluster_spread=0.10),
         seed=seed,
         k_grid=(4, 6, 8),
         epochs=80,
@@ -218,13 +228,12 @@ def fewshot_benchmark_config(seed: int = 42) -> RunConfig:
     """
     return RunConfig(
         generator=GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=240,
-                                  n_support=800, n_query=400, noise_sigma=0.0,
-                                  seed=seed, n_clusters=3, cluster_spread=0.10),
+                                  n_support=800, n_query=400, seed=seed, n_clusters=3,
+                                  cluster_spread=0.10),
         seed=seed,
         k_grid=(4, 6, 8),
         epochs=300,
         patience=60,
-        train_sizes=DEFAULT_SUPPORT_SIZES,
         weight_decay=2e-3,
     )
 
@@ -258,14 +267,14 @@ def make_transform(d_z: int, cfg: WarpConfig, seed: int):
 # Phase 1
 # ---------------------------------------------------------------------------
 
-def _support_size(cfg: RunConfig) -> int | None:
-    """The smallest training size (None: full supports).
+def _support_size(cfg: RunConfig) -> int:
+    """The smallest training size.
 
     Validation and test episodes use it, so the hardest regime drives early
     stopping and is the reported few-shot operating point; so do the tasks
     the descriptor standardizer is fitted on.
     """
-    return min(cfg.train_sizes) if cfg.train_sizes else None
+    return min(cfg.train_sizes)
 
 
 def _r_keep(cfg: RunConfig, r: int, k: int) -> int:
@@ -398,14 +407,10 @@ def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
 
         probe = ProbeHead.create(cfg.generator.d_theta, seed=cfg.seed)
         # standardization statistics must match the support sizes the retrieval
-        # stage will see; the fit set stays pretraining-only either way
+        # stage will see; the fit set stays pretraining-only
         std_size = _support_size(cfg)
-        if std_size is not None:
-            std_tasks = [resample_support(corpus, t, std_size, tag="standardizer")
-                         for t in pre_tasks]
-        else:
-            std_tasks = pre_tasks
-        standardizer = Standardizer().fit_from_tasks(std_tasks)
+        standardizer = Standardizer().fit_from_tasks(
+            [resample_support(corpus, t, std_size, tag="standardizer") for t in pre_tasks])
 
     artifacts = Phase1Artifacts(
         cfg=cfg, corpus=corpus, theta_seed=theta_seed,
@@ -474,17 +479,13 @@ class Phase2Result:
     solver_trace: list      # objective per active-set iteration of the first test task
 
 
-def _ret_tasks_at_size(artifacts: Phase1Artifacts, tag: str, size: int | None):
-    tasks = artifacts.corpus.tasks_in(tag)
-    if size is None:
-        return tasks
-    return [resample_support(artifacts.corpus, t, size, tag="support-size") for t in tasks]
+def _ret_tasks_at_size(artifacts: Phase1Artifacts, tag: str, size: int):
+    return [resample_support(artifacts.corpus, t, size, tag="support-size")
+            for t in artifacts.corpus.tasks_in(tag)]
 
 
 def _ret_train_tasks(artifacts: Phase1Artifacts, sizes):
-    """One training episode per (task, size), its id suffixed "@size"; None: full supports."""
-    if not sizes:
-        return artifacts.corpus.tasks_in("Ret-Train")
+    """One training episode per (task, size), its id suffixed "@size"."""
     return [replace(task, task_id=f"{task.task_id}@{size}") for size in sizes
             for task in _ret_tasks_at_size(artifacts, "Ret-Train", size)]
 
@@ -794,9 +795,9 @@ def run_motifs(cfg: RunConfig, outdir: Path | None = None):
         outdir.mkdir(parents=True, exist_ok=True)
         write_csv(outdir / "threshold_calibration.csv",
                   ["cohort", "tau_bar", "se", "t_abs", "p_value", "delta_auc",
-                   "pass", "zero_variance", "retries"],
+                   "zero_variance", "retries"],
                   [[c.cohort, c.tau_bar, c.se, c.t_abs, c.p_value, c.delta_auc,
-                    c.passed, c.zero_variance, c.n_retries]
+                    c.zero_variance, c.n_retries]
                    for c in calibrations if c is not None])
         write_csv(outdir / "motif_tests.csv",
                   ["channel", "p_value", "q_value", "b_used"],

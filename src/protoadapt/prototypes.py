@@ -442,7 +442,7 @@ def coverage_residuals(chain: ProjectionChain, centroids, theta_pre, r_sparse: i
     return canon, raw
 
 
-def coverage_certificate(memory: PrototypeMemory, theta_pre, r_sparse: int | None = None,
+def coverage_certificate(memory: PrototypeMemory, theta_pre, r_sparse: int,
                          n_boot: int = 1000, seed: int = 0,
                          exhaustive: bool = False) -> CoverageCertificate:
     """Median-residual certificate with percentile and BCa 90 percent intervals.
@@ -454,8 +454,6 @@ def coverage_certificate(memory: PrototypeMemory, theta_pre, r_sparse: int | Non
     endpoints exact.
     """
     memory.require_frozen()
-    if r_sparse is None:
-        r_sparse = min(memory.r, memory.K)
     canon, raw = coverage_residuals(memory.chain, memory.centroids, theta_pre, r_sparse)
     n = canon.shape[0]
     # one index matrix resamples both the canonical and the raw residuals

@@ -357,14 +357,14 @@ class Adam:
 
 @dataclass
 class TrainConfig:
-    epochs: int = 300
+    epochs: int
+    weight_decay: float
+    patience: int
+    seed: int
+    r_keep: int
     batch_size: int = 100
     lr: float = 1e-3
-    weight_decay: float = 0.0
-    patience: int = 40
     jaccard_min: float = 0.9
-    seed: int = 0
-    r_keep: int = 2
     eta: float = 0.01
 
 

@@ -61,8 +61,7 @@ class BoundReport:
     certified_bound_holds: bool
 
 
-def check_bound(task, memory, certificate, feature_map, r_sparse: int | None = None,
-                tol: float = 1e-9) -> BoundReport:
+def check_bound(task, memory, certificate, feature_map, tol: float = 1e-9) -> BoundReport:
     """Triangle and Lipschitz gap checks for one task with a known adapter.
 
     The approximant is built exactly as the decomposition prescribes:
@@ -75,11 +74,10 @@ def check_bound(task, memory, certificate, feature_map, r_sparse: int | None = N
     memory.require_frozen()
     require(certificate is not None, "memory must carry a coverage certificate")
     theta = check_finite(task.theta_true, "theta_true")
-    r_fit = r_sparse if r_sparse is not None else certificate.r_sparse
 
     u_star = memory.chain.subspace_project(theta)
     eps_app = vector_norm(theta - u_star)
-    w_star, eps_cov = l0_fit(u_star, memory.row_atoms(), min(r_fit, memory.K))
+    w_star, eps_cov = l0_fit(u_star, memory.row_atoms(), min(certificate.r_sparse, memory.K))
     approx = w_star @ memory.M
     adapter_gap = vector_norm(theta - approx)
     triangle_slack = eps_app + eps_cov - adapter_gap

@@ -207,7 +207,6 @@ class DimTestReport:
     records: list
     selected_r: int | None
     n_boot: int
-    mode: str = "eigenvalues"
     notes: list = field(default_factory=list)
 
     def to_csv(self, path) -> None:
@@ -225,7 +224,7 @@ def adjusted_pvalue(p_raw: float) -> float:
     return min(1.0, BONFERRONI_FAMILY * p_raw)
 
 
-def _decision_report(rows, alpha: float, n_boot: int, mode: str) -> DimTestReport:
+def _decision_report(rows, alpha: float, n_boot: int) -> DimTestReport:
     """Bonferroni, alpha and borderline rule on (r_cand, zeta_emp, p_raw) triples.
 
     Rows that miss alpha but would pass 0.05 are flagged as borderline so
@@ -244,8 +243,7 @@ def _decision_report(rows, alpha: float, n_boot: int, mode: str) -> DimTestRepor
     selected = min(rejecting) if rejecting else None
     notes = [f"r={rec.r_cand} fails the alpha={alpha} rule but lies below 0.05"
              for rec in records if rec.borderline]
-    return DimTestReport(records=records, selected_r=selected, n_boot=n_boot,
-                         mode=mode, notes=notes)
+    return DimTestReport(records=records, selected_r=selected, n_boot=n_boot, notes=notes)
 
 
 def decision_report_from_pvalues(rows, alpha: float = 0.01, n_boot: int = 1000) -> DimTestReport:
@@ -254,7 +252,7 @@ def decision_report_from_pvalues(rows, alpha: float = 0.01, n_boot: int = 1000) 
     Applies the five-way Bonferroni correction and the familywise alpha rule;
     rows that miss alpha but would pass 0.05 are flagged as borderline.
     """
-    return _decision_report(rows, alpha, n_boot, mode="summary")
+    return _decision_report(rows, alpha, n_boot)
 
 
 def _candidate_set(r_center: int, d: int) -> list:
@@ -265,7 +263,7 @@ def _candidate_set(r_center: int, d: int) -> list:
 
 
 def _ratio_test(eig_full, r_center: int, replicate_spectra, alpha: float, h0_level: float,
-                n_boot: int, mode: str) -> DimTestReport:
+                n_boot: int) -> DimTestReport:
     """Energy ratio test of every candidate on its (B, d) replicate spectra.
 
     ``replicate_spectra(r_cand)`` gives one spectrum per row. A replicate's
@@ -282,7 +280,7 @@ def _ratio_test(eig_full, r_center: int, replicate_spectra, alpha: float, h0_lev
             zeta_b = np.where(totals <= 0, 1.0, top / totals)
         p_raw = (1 + int(np.sum(zeta_b <= h0_level))) / (spectra.shape[0] + 1)
         rows.append((r_cand, energy_ratio(eig_full, r_cand), p_raw))
-    return _decision_report(rows, alpha, n_boot, mode)
+    return _decision_report(rows, alpha, n_boot)
 
 
 def fisher_energy_test(spectrum: FisherSpectrum, r_center: int, n_boot: int = 1000,
@@ -313,8 +311,7 @@ def fisher_energy_test(spectrum: FisherSpectrum, r_center: int, n_boot: int = 10
                else bootstrap_indices(d, n_boot, child_rng(seed, "fisher-test", r_cand)))
         return eig[idx]
 
-    return _ratio_test(eig, r_center, replicate_spectra, alpha, h0_level, n_boot,
-                       mode="eigenvalues")
+    return _ratio_test(eig, r_center, replicate_spectra, alpha, h0_level, n_boot)
 
 
 def fisher_energy_test_tasks(summaries, r_center: int, n_boot: int = 1000,
@@ -360,8 +357,7 @@ def fisher_energy_test_tasks(summaries, r_center: int, n_boot: int = 1000,
         fishers = (counts @ task_terms).reshape(n_boot, d, d) / n_tasks
         return _regularized_spectra(0.5 * (fishers + fishers.transpose(0, 2, 1)), reg)[0]
 
-    return _ratio_test(eig_full, r_center, replicate_spectra, alpha, h0_level, n_boot,
-                       mode="tasks")
+    return _ratio_test(eig_full, r_center, replicate_spectra, alpha, h0_level, n_boot)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ class GeneratorConfig:
     n_tasks: int = 120
     n_support: int = 10
     n_query: int = 30
-    noise_sigma: float = 0.0
     seed: int = 42
     n_clusters: int = 4
     adapter_scale: float = 4.0
@@ -44,7 +43,6 @@ class GeneratorConfig:
         require(self.n_tasks >= 1, "n_tasks must be positive")
         require(self.n_support >= 2, "n_support must be at least 2 (both classes must fit)")
         require(self.n_query >= 1, "n_query must be positive")
-        require(self.noise_sigma >= 0.0, "noise_sigma must be nonnegative")
         require(self.n_clusters >= 1, "n_clusters must be positive")
         require(self.adapter_scale > 0.0, "adapter_scale must be positive")
         require(self.cluster_spread >= 0.0, "cluster_spread must be nonnegative")
@@ -130,14 +128,11 @@ def _cluster_directions(rng: np.random.Generator, r_true: int, n_clusters: int) 
     return dirs
 
 
-def _sample_labeled_set(rng, n, cfg, w_theta, noise_sigma):
+def _sample_labeled_set(rng, n, cfg, w_theta):
     """Draw embeddings and Bernoulli labels, forcing both classes to appear."""
     for _ in range(50):
         x = rng.normal(size=(n, cfg.q))
-        logits = x @ w_theta
-        if noise_sigma > 0:
-            logits = logits + noise_sigma * rng.normal(size=n)
-        probs = sigmoid(logits)
+        probs = sigmoid(x @ w_theta)
         y = (rng.random(n) < probs).astype(int)
         if 0 < y.sum() < n:
             return x, y
@@ -152,8 +147,7 @@ def generate_corpus(cfg: GeneratorConfig) -> Corpus:
 
     Every planted adapter sits at Euclidean distance exactly
     ``cfg.off_subspace_norm`` from the planted subspace (zero by default),
-    and labels follow a logistic model on the adapter/feature inner product
-    with ``noise_sigma`` logit perturbation.
+    and labels follow a logistic model on the adapter/feature inner product.
     """
     cfg.validate()
     rng_map = child_rng(cfg.seed, "feature-map")
@@ -179,8 +173,8 @@ def generate_corpus(cfg: GeneratorConfig) -> Corpus:
             theta = theta + cfg.off_subspace_norm * perp / np.linalg.norm(perp)
 
         w_theta = feature_w.T @ theta  # acts on raw embeddings
-        sx, sy = _sample_labeled_set(rng_t, cfg.n_support, cfg, w_theta, cfg.noise_sigma)
-        qx, qy = _sample_labeled_set(rng_t, cfg.n_query, cfg, w_theta, cfg.noise_sigma)
+        sx, sy = _sample_labeled_set(rng_t, cfg.n_support, cfg, w_theta)
+        qx, qy = _sample_labeled_set(rng_t, cfg.n_query, cfg, w_theta)
         tasks.append(
             EpisodeTask(
                 task_id=f"task{t:04d}",
@@ -205,7 +199,7 @@ def resample_support(corpus: Corpus, task: EpisodeTask, n_support: int, tag: str
     cfg = corpus.cfg
     rng = child_rng(cfg.seed, tag, task.index, n_support)
     w_theta = corpus.feature_w.T @ task.theta_true
-    sx, sy = _sample_labeled_set(rng, n_support, cfg, w_theta, cfg.noise_sigma)
+    sx, sy = _sample_labeled_set(rng, n_support, cfg, w_theta)
     return replace(task, support_x=sx, support_y=sy)
 
 

@@ -353,7 +353,7 @@ def test_planted_rank_recovery():
     started = time.time()
     for seed in (42, 2023, 777):
         cfg = GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=150,
-                              n_support=800, noise_sigma=0.0, seed=seed)
+                              n_support=800, seed=seed)
         corpus = generate_corpus(cfg)
         fmap = corpus.feature_map()
         theta = assemble_theta([ridge_adapter(t, fmap, 1e-2) for t in corpus.tasks])

@@ -42,10 +42,6 @@ SETTERS = {config.__name__ for config in CONFIGS} | PROFILES | {"replace"}
 # "Class.field" -> (the file that loads the field, why it stays unset)
 ALLOWED = {
     "RunConfig.ridge_alpha_retrieval": ("perfbench/run.py", "perfbench reads it"),
-    # every caller passes 0.0, the default: a candidate for deletion, which changes
-    # the generator config that every corpus_manifest.json records
-    "GeneratorConfig.noise_sigma": ("src/protoadapt/synthdata.py",
-                                    "corpus_manifest.json records it"),
 }
 
 _UNKNOWN = object()

@@ -2,7 +2,7 @@ import inspect
 import json
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +164,7 @@ class TestDefaults:
         ("motifs.seq_len_hi", 16),
         ("motifs.seqs_per_repertoire", 30),
         ("motifs.top_frac", 0.1),
+        ("generator.noise_sigma", 0.0),
     ])
     def test_removed_memory_and_motif_key_is_rejected(self, key, value):
         blob = desk_config().to_dict()
@@ -210,6 +211,14 @@ class TestDefaults:
         ("k_grid", (0, 4)),
         ("seeds", ()),
         ("hard_threshold", False),  # with r_keep set: the soft rule keeps all K
+        ("train_sizes", ()),
+        ("train_sizes", None),
+        ("n_restarts", 0),
+        ("ridge_alpha_retrieval", 0.0),
+        ("motifs.b_min", 0),
+        ("motifs.b_max", 100),  # below the default b_min
+        ("motifs.n_channels", 0),
+        ("motifs.null_pool_size", 0),
     ])
     def test_bad_field_is_rejected_naming_it(self, name, value):
         cfg = tiny_config()
@@ -226,8 +235,9 @@ class TestDefaults:
             return
         if name == "hard_threshold":
             cfg = replace(cfg, r_keep=2)
-        if name == "warp.kind":
-            cfg = replace(cfg, warp=replace(cfg.warp, kind=value))
+        *section, key = name.split(".")
+        if section:
+            cfg = replace(cfg, **{section[0]: replace(getattr(cfg, section[0]), **{key: value})})
         else:
             cfg = replace(cfg, **{name: value})
         with pytest.raises(ValidationError, match=name):
@@ -246,7 +256,6 @@ class TestPhase1(object):
         assert art.certificate is art.memory.certificate
         assert art.rank_selected >= 1
         assert art.memory.K <= max(cfg.k_grid)
-        assert art.dim_report_tasks.mode == "tasks"
 
     def test_k_grid_filtered_with_note(self):
         cfg = tiny_config(k_grid=(4, 5000))
@@ -268,6 +277,7 @@ class TestPhase1(object):
         persist_phase1(art, tmp_path)
         manifest = json.loads((tmp_path / "corpus_manifest.json").read_text())
         assert set(manifest) == {"config", "partition"}
+        assert set(manifest["config"]) == {f.name for f in fields(GeneratorConfig)}
         rebuilt = generate_corpus(GeneratorConfig(**manifest["config"]))
         assert [t.task_id for t in rebuilt.tasks] == [t.task_id for t in art.corpus.tasks]
         for again, task in zip(rebuilt.tasks, art.corpus.tasks):
@@ -599,9 +609,9 @@ class TestMotifAndRiskRuns:
                       b_max=400, null_pool_size=48, cohorts=("cohortA", "cohortB"))
         cfg = replace(cfg, motifs=mot)
         calibrations, report = run_motifs(cfg, outdir=tmp_path)
-        assert len(calibrations) == 2
-        assert all(c.passed for c in calibrations)
-        assert (tmp_path / "threshold_calibration.csv").exists()
+        assert [c.cohort for c in calibrations] == ["cohortA", "cohortB"]
+        header = (tmp_path / "threshold_calibration.csv").read_text().splitlines()[0]
+        assert header == "cohort,tau_bar,se,t_abs,p_value,delta_auc,zero_variance,retries"
         assert (tmp_path / "motif_tests.csv").exists()
         # the power curve is a step of its own
         assert not (tmp_path / "power_curve.csv").exists()

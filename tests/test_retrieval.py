@@ -792,7 +792,8 @@ class TestTraining:
     def test_zero_learning_rate_freezes_params(self):
         memory, tasks, descriptors, theta_hats = self._toy_problem()
         pcfg = ProximalConfig(lam=1e-4, gamma=0.5)
-        tcfg = TrainConfig(epochs=4, lr=0.0, r_keep=1, seed=0)
+        tcfg = TrainConfig(epochs=4, weight_decay=0.0, patience=40, seed=0, r_keep=1,
+                           lr=0.0)
         warp = make_transform(3, WarpConfig(hidden=4), seed=0)
         warp_before = {key: arr.copy() for key, arr in warp.params.items()}
         result = train_retrieval(_block(tasks, memory, descriptors, theta_hats), memory,
@@ -821,7 +822,8 @@ class TestTraining:
         # so training has to move the argmax onto the matching prototype
         z = np.array([0.5, -0.5])
         pcfg = ProximalConfig(lam=1e-4, gamma=1.0)
-        tcfg = TrainConfig(epochs=200, lr=5e-3, r_keep=1, seed=1)
+        tcfg = TrainConfig(epochs=200, weight_decay=0.0, patience=40, seed=1, r_keep=1,
+                           lr=5e-3)
         result = train_retrieval(_block([_T()], memory, {"only": z}, {"only": np.zeros(2)}),
                                  memory, pcfg, tcfg)
         logits, _ = result.net.forward(z)
@@ -833,7 +835,8 @@ class TestTraining:
         memory, tasks, descriptors, theta_hats = self._toy_problem()
         pcfg = ProximalConfig(lam=1e-4, gamma=0.5)
         # the soft rule is r_keep = K; the hard rule it is compared with keeps one
-        tcfg = TrainConfig(epochs=2, lr=0.0, r_keep=memory.K, seed=0)
+        tcfg = TrainConfig(epochs=2, weight_decay=0.0, patience=40, seed=0,
+                           r_keep=memory.K, lr=0.0)
         hard_r = 1
         net = RetrievalNet(d_z=3, k=3, seed=0)  # lr=0 keeps training at this net
 
@@ -874,8 +877,8 @@ class TestTraining:
         memory, tasks, descriptors, theta_hats = self._toy_problem()
         pcfg = ProximalConfig(lam=1e-4, gamma=0.5)
         # two minibatches (4 and 2 tasks), so the second step sees moved arrays
-        tcfg = TrainConfig(epochs=1, batch_size=4, lr=0.05, weight_decay=0.1,
-                           r_keep=1, seed=0)
+        tcfg = TrainConfig(epochs=1, weight_decay=0.1, patience=40, seed=0, r_keep=1,
+                           batch_size=4, lr=0.05)
         warp = make_transform(3, WarpConfig(hidden=4, init_scale=0.5), seed=7)
         result = train_retrieval(_block(tasks, memory, descriptors, theta_hats), memory,
                                  pcfg, tcfg, transform=warp)
@@ -894,7 +897,8 @@ class TestTraining:
 
     def test_jaccard_matches_the_set_loop(self, monkeypatch):
         memory, tasks, descriptors, theta_hats = self._toy_problem()
-        tcfg = TrainConfig(epochs=6, lr=0.05, r_keep=memory.K, seed=0)  # the soft rule
+        tcfg = TrainConfig(epochs=6, weight_decay=0.0, patience=40, seed=0,
+                           r_keep=memory.K, lr=0.05)  # the soft rule
         for lam in (1e-4, 1e3):  # 1e3 empties every active set
             pcfg = ProximalConfig(lam=lam, gamma=0.5)
             blocks = []

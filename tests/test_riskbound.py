@@ -120,7 +120,7 @@ class TestCheckBound:
                                     r_sparse=1, n_boot=100, seed=0)
         theta = np.array([0.8, 0.6, 0.0])  # spans both atoms, 1-sparse fit misses
         task = _FixedTask(theta, rng)
-        report = check_bound(task, memory, cert, identity_map, r_sparse=1)
+        report = check_bound(task, memory, cert, identity_map)
         assert report.eps_app == pytest.approx(0.0, abs=1e-12)
         assert report.eps_coverage > 0.1
         assert report.triangle_holds
@@ -136,8 +136,7 @@ class TestCheckBound:
 
     def test_planted_corpus_identities_hold_everywhere(self):
         cfg = GeneratorConfig(d_theta=6, q=10, r_true=2, n_tasks=50,
-                              n_support=40, n_query=25, noise_sigma=0.0,
-                              seed=9, off_subspace_norm=0.05)
+                              n_support=40, n_query=25, seed=9, off_subspace_norm=0.05)
         corpus = generate_corpus(cfg)
         fmap = corpus.feature_map()
         partition_tasks(corpus.tasks, seed=0)

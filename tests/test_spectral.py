@@ -59,7 +59,7 @@ class TestPcaRank:
 
     def test_planted_corpus(self):
         cfg = GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=150,
-                              noise_sigma=0.0, seed=51)
+                              seed=51)
         corpus = generate_corpus(cfg)
         theta = assemble_theta([t.theta_true for t in corpus.tasks])
         assert pca_rank(theta, 0.99) == 2
@@ -183,7 +183,7 @@ class TestEnergyTest:
 
     def test_task_mode_selects_planted_rank(self):
         cfg = GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=120,
-                              n_support=200, noise_sigma=0.0, seed=42)
+                              n_support=200, seed=42)
         corpus = generate_corpus(cfg)
         fmap = corpus.feature_map()
         summaries = [TaskGradientSummary.from_task(t, fmap) for t in corpus.tasks]
@@ -228,7 +228,7 @@ def _loop_fisher_energy_test(spectrum, r_center, n_boot=1000, alpha=0.01,
         ))
     rejecting = [rec.r_cand for rec in records if rec.reject]
     return DimTestReport(records=records, selected_r=min(rejecting) if rejecting else None,
-                         n_boot=n_boot, mode="eigenvalues")
+                         n_boot=n_boot)
 
 
 def _assert_matches_oracle(spectrum, **kwargs):
@@ -252,7 +252,7 @@ class TestEigenvalueResamplingOracle:
     @pytest.mark.parametrize("seed", [42, 2023, 777])
     def test_planted_spectra(self, seed):
         cfg = GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=120,
-                              n_support=200, noise_sigma=0.0, seed=seed)
+                              n_support=200, seed=seed)
         corpus = generate_corpus(cfg)
         spectrum = corpus_fisher_spectrum(corpus.tasks, corpus.feature_map())
         _assert_matches_oracle(spectrum, r_center=2, n_boot=1000, seed=seed)
@@ -315,7 +315,7 @@ def _loop_fisher_energy_test_tasks(summaries, r_center, n_boot, alpha, h0_level,
 
 def _planted_summaries(seed):
     cfg = GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=40, n_support=60,
-                          noise_sigma=0.0, seed=seed)
+                          seed=seed)
     corpus = generate_corpus(cfg)
     fmap = corpus.feature_map()
     return [TaskGradientSummary.from_task(t, fmap) for t in corpus.tasks]
@@ -372,7 +372,7 @@ class TestTaskResamplingOracle:
 class TestCorpusFisher:
     def test_negative_ridge_rejected_by_every_entry_point(self):
         cfg = GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=20, n_support=30,
-                              noise_sigma=0.0, seed=3)
+                              seed=3)
         corpus = generate_corpus(cfg)
         fmap = corpus.feature_map()
         summaries = [TaskGradientSummary.from_task(t, fmap) for t in corpus.tasks]
@@ -383,7 +383,7 @@ class TestCorpusFisher:
 
     def test_bias_correction_concentrates_planted_energy(self):
         cfg = GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=120,
-                              n_support=100, noise_sigma=0.0, seed=13)
+                              n_support=100, seed=13)
         corpus = generate_corpus(cfg)
         fmap = corpus.feature_map()
         spec = corpus_fisher_spectrum(corpus.tasks, fmap)

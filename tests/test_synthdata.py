@@ -16,7 +16,7 @@ from protoadapt.util import ValidationError
 
 
 def test_zero_noise_full_rank_theta_in_subspace():
-    cfg = GeneratorConfig(d_theta=4, q=8, r_true=4, n_tasks=10, noise_sigma=0.0, seed=3)
+    cfg = GeneratorConfig(d_theta=4, q=8, r_true=4, n_tasks=10, seed=3)
     corpus = generate_corpus(cfg)
     basis = corpus.basis
     for task in corpus.tasks:
@@ -38,7 +38,7 @@ def test_same_seed_bit_identical():
 
 def test_planted_rank_two_energy():
     # eigendecomposition oracle on the generated adapter set
-    cfg = GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=200, noise_sigma=0.0, seed=7)
+    cfg = GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=200, seed=7)
     corpus = generate_corpus(cfg)
     thetas = np.stack([t.theta_true for t in corpus.tasks])
     eigvals = np.linalg.eigvalsh(thetas.T @ thetas)[::-1]
