@@ -63,15 +63,17 @@ def average_ranks(rows):
     """1-based ranks along the last axis; tied values share their mean rank.
 
     The same bytes as ``scipy.stats.rankdata(rows, method="average",
-    axis=-1)``, since average ranks are exact half-integers. A stable argsort
-    orders every row; a tie group starts wherever the sorted value changes,
-    and a group of c values at sorted positions f + 1 .. f + c ranks
+    axis=-1)`` on finite rows, since average ranks are exact half-integers.
+    The default argsort orders every row: it need not be stable, because
+    every member of a tie group (-0.0 and 0.0 included) gets the group's one
+    mean rank. A tie group starts wherever the sorted value changes, and a
+    group of c values at sorted positions f + 1 .. f + c ranks
     f + (c + 1) / 2. Groups are found over the raveled rows at once (each
     row's first value starts one), and the temporaries are dropped or reused
     as soon as they are spent: at most four score-sized arrays are alive.
     """
     rows = np.asarray(rows, dtype=float)
-    order = np.argsort(rows, axis=-1, kind="stable")
+    order = np.argsort(rows, axis=-1)
     ordered = np.take_along_axis(rows, order, axis=-1)
     starts = np.ones(rows.shape, dtype=bool)
     np.not_equal(ordered[..., 1:], ordered[..., :-1], out=starts[..., 1:])

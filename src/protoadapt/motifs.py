@@ -10,6 +10,7 @@ against the grid centre.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,10 @@ DESK_PERMUTATION_FLOOR = 2_000
 
 DEFAULT_TAU_GRID = tuple(np.round(np.arange(0.1, 0.95, 0.1), 10))
 GRID_CENTER = 0.5
+# threshold calibration: the stratified share of repertoires in the calibration
+# fold, and the inner folds it is split into (each needs two repertoires)
+CALIB_FRAC = 0.2
+N_INNER_FOLDS = 3
 
 
 class CalibrationError(RuntimeError):
@@ -340,21 +345,53 @@ def _threshold_score(activations, tau):
     return (activations > np.asarray(tau)[..., None, None]).mean(axis=-2)
 
 
+def stratified_part_size(n, frac):
+    """How many of a class's n repertoires ``_stratified_split`` puts in its first part.
+
+    round(frac * n), at least 1 and, while the class has two or more, at most
+    n - 1. Summed over both classes at ``CALIB_FRAC``, the size of
+    ``calibrate_tau``'s calibration fold.
+    """
+    n_first = max(1, int(round(frac * n)))
+    return min(n_first, n - 1) if n > 1 else min(n_first, n)
+
+
 def _stratified_split(labels, frac, rng):
     labels = np.asarray(labels, dtype=int)
     first, second = [], []
     for cls in (0, 1):
         idx = np.flatnonzero(labels == cls)
         idx = idx[rng.permutation(idx.size)]
-        n_first = max(1, int(round(frac * idx.size)))
-        n_first = min(n_first, idx.size - 1) if idx.size > 1 else n_first
+        n_first = stratified_part_size(idx.size, frac)
         first.extend(idx[:n_first])
         second.extend(idx[n_first:])
     return np.sort(np.array(first, dtype=int)), np.sort(np.array(second, dtype=int))
 
 
+def _t2_lower_tail(t_abs):
+    """P(T <= -t_abs) for Student's t with 2 degrees of freedom.
+
+    Bit for bit ``scipy.special.stdtr(2, -t_abs)`` at every t_abs >= 0 (a NaN
+    gives a NaN): the path of Boost's ``students_t`` cdf, which scipy wraps.
+    Below t² = 1 the tail is ibetac(1/2, 1, z) / 2 = (1 - z^(1/2)) / 2 with
+    z = t² / (2 + t²), and 1/2 at z = 0; otherwise it is ibeta(1, 1/2, z) / 2
+    = (1 - (1 - z)^(1/2)) / 2 with z = 2 / (2 + t²). Each 1 - u^(1/2) is
+    -expm1(log(u) / 2), with log1p(-z) for log(1 - z) while z < 1/2.
+    """
+    x2 = t_abs * t_abs
+    if x2 < 1.0:
+        z = x2 / (2.0 + x2)
+        if z == 0.0:
+            return 0.5
+        p = -math.expm1(0.5 * math.log(z))
+    else:
+        z = 2.0 / (2.0 + x2)
+        p = -math.expm1(0.5 * (math.log1p(-z) if z < 0.5 else math.log(1.0 - z)))
+    return p / 2.0
+
+
 def calibrate_tau(activations, labels, cohort: str = "cohort",
-                  calib_frac: float = 0.2, gap_bound: float = 0.01,
+                  calib_frac: float = CALIB_FRAC, gap_bound: float = 0.01,
                   max_retries: int = 5, seed: int = 0) -> TauCalibration:
     """Nested-CV threshold calibration with the grid-centre stability t-test.
 
@@ -375,15 +412,14 @@ def calibrate_tau(activations, labels, cohort: str = "cohort",
     rng = child_rng(seed, "tau-split", cohort)
     calib_idx, test_idx = _stratified_split(labels, calib_frac, rng)
     # the SE's divisor 6 = 3 * 2, the t statistic's sqrt(3) and df = 2 hold for three folds
-    n_folds = 3
-    require(calib_idx.size >= 2 * n_folds, "calibration fold too small for nested CV")
+    require(calib_idx.size >= 2 * N_INNER_FOLDS, "calibration fold too small for nested CV")
 
     grid = tuple(float(g) for g in DEFAULT_TAU_GRID)
     for retry in range(max_retries):
-        fold_assign = np.arange(calib_idx.size) % n_folds
+        fold_assign = np.arange(calib_idx.size) % N_INNER_FOLDS
         fold_assign = fold_assign[child_rng(seed, "tau-folds", cohort, retry).permutation(calib_idx.size)]
         optima = []
-        for fold in range(n_folds):
+        for fold in range(N_INNER_FOLDS):
             train_local = calib_idx[fold_assign != fold]
             aucs = rank_auc_or_nan(_threshold_score(activations[:, train_local], grid),
                                    labels[train_local])
@@ -413,11 +449,8 @@ def calibrate_tau(activations, labels, cohort: str = "cohort",
         zero_variance = se == 0.0
         t_abs = p_two = float("nan")
         if not zero_variance:
-            # here alone, so that no other path loads scipy.special (about 21 MB of import peak RSS)
-            from scipy.special import stdtr
-
             t_abs = abs(t_statistic_from_summary(tau_bar, se))
-            p_two = float(2.0 * stdtr(2, -t_abs))
+            p_two = 2.0 * _t2_lower_tail(t_abs)
         if (zero_variance or p_two >= 0.05) and delta_auc <= gap_bound:
             return TauCalibration(cohort=cohort, tau_bar=tau_bar, se=se, t_abs=t_abs,
                                   p_value=p_two, delta_auc=delta_auc,

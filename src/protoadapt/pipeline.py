@@ -27,7 +27,9 @@ from .adapters import Canonicalizer, assemble_theta, fit_canonicalizer, ridge_ad
 from .descriptors import ProbeHead, Standardizer, build_descriptor, descriptors_to_csv
 from .metrics import calibration_bins, compute_metrics
 from .motifs import (
+    CALIB_FRAC,
     DESK_PERMUTATION_FLOOR,
+    N_INNER_FOLDS,
     CalibrationError,
     calibrate_tau,
     channel_activations,
@@ -35,6 +37,7 @@ from .motifs import (
     make_channels,
     motif_test_report,
     power_curve,
+    stratified_part_size,
 )
 from .prototypes import (
     KAPPA_THRESHOLD,
@@ -173,6 +176,13 @@ class RunConfig:
                     f"motifs.{name} must be at least 1, got {getattr(mot, name)}")
         require(mot.b_max >= mot.b_min,
                 f"motifs.b_max must be at least motifs.b_min = {mot.b_min}, got {mot.b_max}")
+        require(len(mot.cohorts) >= 1, f"motifs.cohorts must be nonempty, got {mot.cohorts}")
+        # calibrate_tau splits its stratified calibration fold into inner folds of two or more
+        fold = (stratified_part_size(mot.n_pos, CALIB_FRAC)
+                + stratified_part_size(mot.n_neg, CALIB_FRAC))
+        require(fold >= 2 * N_INNER_FOLDS,
+                f"motifs.n_pos = {mot.n_pos} and motifs.n_neg = {mot.n_neg} leave a calibration "
+                f"fold of {fold} repertoires, below {2 * N_INNER_FOLDS}")
 
     def to_dict(self) -> dict:
         def plain(obj):

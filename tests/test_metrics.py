@@ -83,6 +83,22 @@ class TestAverageRanks:
                     == rankdata(scores, method="average").tobytes())
 
 
+    def test_unstable_sort_keeps_the_bytes_on_heavy_ties(self):
+        # rows of a few values, half of each zero signed negative, at the sizes of the
+        # fewshot train pool and validation block: the default argsort reorders
+        # nearly every tie group, and each member of a group still takes its mean rank
+        rng = np.random.default_rng(19)
+        for shape in ((115_200,), (9_600,), (8, 1_200)):
+            levels = rng.integers(-3, 4, size=shape) * 0.25
+            rows = np.where(rng.random(shape) < 0.5, -levels, levels)
+            assert np.any(np.signbit(rows) & (rows == 0.0))
+            assert np.any(np.argsort(rows, axis=-1)
+                          != np.argsort(rows, axis=-1, kind="stable"))
+            ranks = average_ranks(rows)
+            assert ranks.tobytes() == rankdata(rows, method="average", axis=-1).tobytes()
+            loop = np.array([_loop_average_ranks(row) for row in np.atleast_2d(rows)])
+            assert ranks.tobytes() == loop.reshape(shape).tobytes()
+
 class TestAuc:
     def test_perfect_separation(self):
         probs = np.array([0.9, 0.8, 0.2, 0.1])

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import stdtr
 from scipy.stats import t as t_dist
 
 from protoadapt import motifs
@@ -18,6 +21,7 @@ from protoadapt.motifs import (
     q_values,
     screen_channels,
     storey_pi0,
+    stratified_part_size,
     t_statistic_from_summary,
 )
 from protoadapt.util import ValidationError, child_rng
@@ -248,6 +252,19 @@ class TestTauCalibration:
             tested += 1
         assert tested >= 20
 
+    def test_t2_tail_bytes_equal_scipy_stdtr(self):
+        # the port of Boost's students_t cdf against the kernel it replaces, on a
+        # dense grid over [0, 1e15] and the edges of each branch and of the float range
+        xs = np.concatenate([
+            np.linspace(0.0, 10.0, 200_001),
+            np.geomspace(1e-12, 1e15, 500_000),
+            [0.0, 5e-324, 1e-300, 1e-154, 1.0, np.nextafter(1.0, 0.0), math.sqrt(2.0),
+             1e154, 1e155, 1.8e308, np.inf],
+        ])
+        ours = np.array([motifs._t2_lower_tail(float(x)) for x in xs])
+        assert ours.tobytes() == stdtr(2, -xs).tobytes()
+        assert math.isnan(motifs._t2_lower_tail(math.nan))
+
     def _separable_activations(self, seed=9, n_rep=40, n_channels=12, noise=0.0):
         rng = np.random.default_rng(seed)
         labels = np.array([0, 1] * (n_rep // 2))
@@ -269,6 +286,19 @@ class TestTauCalibration:
         assert cal.delta_auc <= 0.01
         if not cal.zero_variance:
             assert cal.p_value >= 0.05
+
+    def test_fold_size_is_the_split_size(self):
+        # the size validate() checks is the calibration fold calibrate_tau splits
+        for frac in (0.2, 0.4):
+            for n_pos in range(0, 31):
+                for n_neg in range(0, 31):
+                    labels = np.array([1] * n_pos + [0] * n_neg)
+                    first, second = motifs._stratified_split(labels, frac,
+                                                             np.random.default_rng(0))
+                    assert first.size == (stratified_part_size(n_pos, frac)
+                                          + stratified_part_size(n_neg, frac))
+                    assert first.size + second.size == labels.size
+        assert stratified_part_size(20, 0.2) + stratified_part_size(20, 0.2) == 8
 
     def test_unseparable_data_raises_after_retries(self):
         rng = np.random.default_rng(10)

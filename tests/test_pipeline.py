@@ -219,6 +219,10 @@ class TestDefaults:
         ("motifs.b_max", 100),  # below the default b_min
         ("motifs.n_channels", 0),
         ("motifs.null_pool_size", 0),
+        ("motifs.cohorts", ()),
+        ("motifs.n_pos", 0),  # a calibration fold of 0 + 4 repertoires at the default n_neg
+        ("motifs.n_neg", 1),  # 4 + 1
+        ("motifs.n_pos", -3),
     ])
     def test_bad_field_is_rejected_naming_it(self, name, value):
         cfg = tiny_config()
