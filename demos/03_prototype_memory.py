@@ -36,8 +36,7 @@ print(f"chosen K=3: condition number {memory.kappa:.3f}, coherence {memory.mu:.3
 memory.freeze()
 theta_pre = assemble_theta([adapters[t.task_id] for t in pre_tasks])
 cert = coverage_certificate(memory, theta_pre, r_sparse=2, n_boot=1000, seed=0)
-print(f"coverage: median {cert.eps_hat:.4f}, percentile90 {cert.pct90}, "
-      f"bca90 {cert.bca90}")
+print(f"coverage: median {cert.eps_hat:.4f}, percentile90 {cert.pct90}")
 print(f"certified upper bound attached to memory: {memory.certificate.eps_upper:.4f}")
 
 u = chain.project(theta_pre.rows[0])

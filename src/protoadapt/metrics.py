@@ -31,7 +31,7 @@ def rank_auc(scores, labels):
 
     ``scores`` is a vector aligned with ``labels`` (a float back), or a 2-d
     matrix whose rows each align with them (one AUC per row, ranked in one
-    ``average_ranks`` call).
+    ``_average_ranks`` call).
     """
     return _rank_auc(scores, labels, single_class_nan=False)
 
@@ -54,16 +54,19 @@ def _rank_auc(scores, labels, single_class_nan):
             raise ValidationError("AUC undefined for a single-class label vector")
         aucs = np.full(rows.shape[0], np.nan)
     else:
-        ranks = average_ranks(rows)
+        ranks = _average_ranks(rows)
         aucs = (ranks[:, pos].sum(axis=1) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return float(aucs[0]) if vector else aucs
 
 
-def average_ranks(rows):
+def _average_ranks(rows):
     """1-based ranks along the last axis; tied values share their mean rank.
 
-    The same bytes as ``scipy.stats.rankdata(rows, method="average",
-    axis=-1)`` on finite rows, since average ranks are exact half-integers.
+    ``rows`` must be finite: the caller checks (``_rank_auc`` runs
+    ``check_finite`` first), so the hot path makes no second pass. A NaN
+    would get a distinct integer rank where ``scipy.stats.rankdata`` gives a
+    NaN row. On finite rows the bytes are ``rankdata(rows, method="average",
+    axis=-1)``'s, since average ranks are exact half-integers.
     The default argsort orders every row: it need not be stable, because
     every member of a tie group (-0.0 and 0.0 included) gets the group's one
     mean rank. A tie group starts wherever the sorted value changes, and a

@@ -244,7 +244,7 @@ def storey_pi0(p_values, n_boot: int = 1000, seed: int = 0) -> Pi0Estimate:
     rng = child_rng(seed, "storey")
     idx = bootstrap_indices(p.size, n_boot, rng)
     reps = np.array([_storey_estimate(p[row]) for row in idx])
-    return Pi0Estimate(pi0=pi0, ci90=percentile_interval(reps, 0.90))
+    return Pi0Estimate(pi0=pi0, ci90=percentile_interval(reps))
 
 
 def q_values(p_values, pi0: float) -> np.ndarray:

@@ -147,7 +147,10 @@ class RunConfig:
 
     def validate(self) -> None:
         self.generator.validate()
-        require(all(k >= 1 for k in self.k_grid), f"k_grid must be positive, got {self.k_grid}")
+        grid = self.k_grid
+        require(isinstance(grid, tuple) and bool(grid)
+                and all(isinstance(k, int) and k >= 1 for k in grid),
+                f"k_grid must be a nonempty tuple of positive ints, got {grid}")
         require(self.fixed_r is None or 1 <= self.fixed_r <= self.generator.d_theta,
                 f"fixed_r must be None or in [1, generator.d_theta], got {self.fixed_r}")
         require(self.n_restarts >= 1, f"n_restarts must be at least 1, got {self.n_restarts}")

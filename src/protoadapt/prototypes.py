@@ -3,7 +3,7 @@
 Prototypes are k-means centroids in the projected canonical coordinates,
 lifted back to parameter space through the exact inverse of the projection
 chain. Coverage is certified by bootstrapping the median sparse-fit residual
-over pretraining tasks, with both percentile and BCa intervals.
+over pretraining tasks, with 90 percent percentile intervals.
 """
 
 from __future__ import annotations
@@ -15,13 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .adapters import Canonicalizer, adapter_rows
-from .resampling import (
-    bca_interval,
-    bootstrap_indices,
-    exhaustive_index_tuples,
-    jackknife_statistics,
-    percentile_interval,
-)
+from .resampling import bootstrap_indices, exhaustive_index_tuples, percentile_interval
 from .util import (
     ValidationError,
     check_finite,
@@ -110,11 +104,10 @@ class CoverageCertificate:
 
     eps_hat: float
     pct90: tuple
-    bca90: tuple
     n_boot: int
     r_sparse: int
-    raw_eps_hat: float = None
-    raw_pct90: tuple = None
+    raw_eps_hat: float
+    raw_pct90: tuple
 
     @property
     def eps_upper(self) -> float:
@@ -128,7 +121,6 @@ class CoverageCertificate:
         return {
             "eps_hat": self.eps_hat,
             "pct90": list(self.pct90),
-            "bca90": list(self.bca90),
             "eps_upper": self.eps_upper,
             "raw_eps_hat": self.raw_eps_hat,
             "raw_pct90": list(self.raw_pct90),
@@ -215,8 +207,6 @@ class PrototypeMemory:
             "r": self.r,
             "kappa": None if np.isinf(self.kappa) else self.kappa,
             "mu": self.mu,
-            "eps_M_hat": self.certificate.eps_hat if self.certificate else None,
-            "eps_M_upper": self.certificate.eps_upper if self.certificate else None,
             "restart_stability": self.restart_stability,
             "sse": self.sse,
             "canonicalizer": self.chain.canonicalizer.as_dict(),
@@ -445,7 +435,7 @@ def coverage_residuals(chain: ProjectionChain, centroids, theta_pre, r_sparse: i
 def coverage_certificate(memory: PrototypeMemory, theta_pre, r_sparse: int,
                          n_boot: int = 1000, seed: int = 0,
                          exhaustive: bool = False) -> CoverageCertificate:
-    """Median-residual certificate with percentile and BCa 90 percent intervals.
+    """Median-residual certificate with 90 percent percentile intervals, canonical and raw.
 
     Bootstraps pretraining tasks with replacement; the certificate, whose
     ``eps_upper`` is the conservative upper endpoint of the percentile
@@ -462,16 +452,14 @@ def coverage_certificate(memory: PrototypeMemory, theta_pre, r_sparse: int,
 
     meds = np.median(canon[idx], axis=1)
     eps_hat = float(np.median(canon))
-    pct = percentile_interval(meds, 0.90)
-    jack = jackknife_statistics(canon, np.median)
-    bca = bca_interval(meds, eps_hat, jack, 0.90)
+    pct = percentile_interval(meds)
 
     meds_raw = np.median(raw[idx], axis=1)
     raw_eps_hat = float(np.median(raw))
-    raw_pct = percentile_interval(meds_raw, 0.90)
+    raw_pct = percentile_interval(meds_raw)
 
     cert = CoverageCertificate(
-        eps_hat=eps_hat, pct90=pct, bca90=bca,
+        eps_hat=eps_hat, pct90=pct,
         n_boot=idx.shape[0], r_sparse=r_sparse,
         raw_eps_hat=raw_eps_hat, raw_pct90=raw_pct,
     )

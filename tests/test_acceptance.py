@@ -374,7 +374,7 @@ def test_bootstrap_exhaustive_exactness():
     oracle = np.array([np.median(values[list(idx)])
                        for idx in product(range(5), repeat=5)])
     assert np.array_equal(meds, oracle)
-    assert percentile_interval(meds, 0.90) == percentile_interval(oracle, 0.90)
+    assert percentile_interval(meds) == percentile_interval(oracle)
 
     # coverage certificate on five tasks
     from protoadapt.adapters import Canonicalizer

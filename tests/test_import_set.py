@@ -1,9 +1,8 @@
 """The library loads numpy alone.
 
 ``scipy.special`` costs about 16 MB of peak RSS, and ``scipy.stats`` tens of
-MB more and most of a second of start-up. The BCa interval's normal quantile
-and CDF are Cephes ports in ``resampling``, and the motif t-test's df=2 tail
-is a port of Boost's ``students_t`` cdf in ``motifs``, so importing the
+MB more and most of a second of start-up. The motif t-test's df=2 tail is a
+port of Boost's ``students_t`` cdf in ``motifs``, so importing the
 library and running phases 1 and 2, one-task prediction, the risk-bound
 check, threshold calibration and the motif pipeline load no scipy module.
 Tests and demos 01/06 still use scipy as an oracle, so every check runs in a

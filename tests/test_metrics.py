@@ -4,7 +4,7 @@ from scipy.stats import rankdata
 
 from protoadapt.metrics import (
     MetricsRecord,
-    average_ranks,
+    _average_ranks,
     binary_cross_entropy,
     calibration_bins,
     compute_metrics,
@@ -18,7 +18,7 @@ from protoadapt.util import ValidationError
 
 def _loop_average_ranks(values):
     # the hand-written tie loop the library used before scipy's rankdata and
-    # then average_ranks; kept as the oracle for the average-rank convention
+    # then _average_ranks; kept as the oracle for the average-rank convention
     order = np.argsort(values, kind="stable")
     ranks = np.empty(len(values))
     sorted_vals = values[order]
@@ -65,11 +65,11 @@ def _rank_cases(seed=17):
 
 
 class TestAverageRanks:
-    """``average_ranks`` against scipy's ``rankdata`` and the tie loop, by bytes."""
+    """``_average_ranks`` against scipy's ``rankdata`` and the tie loop, by bytes."""
 
     @pytest.mark.parametrize("name,rows", list(_rank_cases()), ids=[c[0] for c in _rank_cases()])
     def test_bytes_equal_rankdata_and_tie_loop(self, name, rows):
-        ranks = average_ranks(rows)
+        ranks = _average_ranks(rows)
         assert ranks.dtype == np.float64 and ranks.shape == rows.shape
         assert ranks.tobytes() == rankdata(rows, method="average", axis=-1).tobytes()
         loop = np.array([_loop_average_ranks(row) for row in np.atleast_2d(rows)])
@@ -79,7 +79,7 @@ class TestAverageRanks:
         # the fewshot profile's train pool: 115,200 scores in one vector
         rng = np.random.default_rng(18)
         for scores in (rng.random(115_200), np.round(rng.random(115_200), 3)):
-            assert (average_ranks(scores).tobytes()
+            assert (_average_ranks(scores).tobytes()
                     == rankdata(scores, method="average").tobytes())
 
 
@@ -94,7 +94,7 @@ class TestAverageRanks:
             assert np.any(np.signbit(rows) & (rows == 0.0))
             assert np.any(np.argsort(rows, axis=-1)
                           != np.argsort(rows, axis=-1, kind="stable"))
-            ranks = average_ranks(rows)
+            ranks = _average_ranks(rows)
             assert ranks.tobytes() == rankdata(rows, method="average", axis=-1).tobytes()
             loop = np.array([_loop_average_ranks(row) for row in np.atleast_2d(rows)])
             assert ranks.tobytes() == loop.reshape(shape).tobytes()
@@ -128,6 +128,15 @@ class TestAuc:
     def test_single_class_is_nan_under_nan_policy(self):
         for labels in (np.array([1, 1, 1]), np.array([0, 0, 0]), np.array([], dtype=int)):
             assert np.isnan(rank_auc_or_nan(np.linspace(0, 1, labels.size), labels))
+
+    def test_nan_score_rejected(self):
+        # _average_ranks would rank a NaN; both entry points refuse the row first
+        scores, labels = np.array([np.nan, 0.3, np.nan, 0.1]), np.array([1, 0, 1, 0])
+        for auc in (rank_auc, rank_auc_or_nan):
+            with pytest.raises(ValidationError):
+                auc(scores, labels)
+            with pytest.raises(ValidationError):
+                auc(scores.reshape(1, -1), labels)
 
     def test_matches_tie_loop_oracle_exactly(self):
         checked = 0

@@ -223,6 +223,9 @@ class TestDefaults:
         ("motifs.n_pos", 0),  # a calibration fold of 0 + 4 repertoires at the default n_neg
         ("motifs.n_neg", 1),  # 4 + 1
         ("motifs.n_pos", -3),
+        ("k_grid", None),
+        ("k_grid", 5),
+        ("k_grid", ()),
     ])
     def test_bad_field_is_rejected_naming_it(self, name, value):
         cfg = tiny_config()
@@ -306,6 +309,17 @@ class TestPhase1(object):
             assert (tmp_path / name).exists(), name
         rows = (tmp_path / "rank_curve.csv").read_text().splitlines()
         assert len(rows) == 1 + len(art.rank_curve)
+
+    def test_memory_json_schema(self, tiny_artifacts, tmp_path):
+        # each value has one home: the certificate block, not a top-level copy of it
+        cfg, art = tiny_artifacts
+        persist_phase1(art, tmp_path)
+        meta = json.loads((tmp_path / "memory.json").read_text())
+        assert set(meta) == {"K", "r", "kappa", "mu", "restart_stability", "sse",
+                             "canonicalizer", "certificate"}
+        assert set(meta["certificate"]) == {"eps_hat", "pct90", "eps_upper", "raw_eps_hat",
+                                            "raw_pct90", "n_boot", "r_sparse"}
+        assert meta["certificate"] == art.certificate.as_dict()
 
     def test_one_rank_test_on_disk(self, tiny_artifacts, tmp_path):
         cfg, art = tiny_artifacts

@@ -22,12 +22,7 @@ from protoadapt.prototypes import (
     mu_of,
     silhouette_score,
 )
-from protoadapt.resampling import (
-    bca_interval,
-    bootstrap_indices,
-    jackknife_statistics,
-    percentile_interval,
-)
+from protoadapt.resampling import bootstrap_indices, percentile_interval
 from protoadapt.util import ValidationError, child_rng
 
 
@@ -96,12 +91,7 @@ def _loop_coverage_intervals(memory, theta_pre, r_sparse, n_boot, seed, exhausti
             meds = np.median(values[idx], axis=1)
         return meds
 
-    meds = run_boot(canon)
-    pct = percentile_interval(meds, 0.90)
-    bca = bca_interval(meds, float(np.median(canon)),
-                       jackknife_statistics(canon, np.median), 0.90)
-    raw_pct = percentile_interval(run_boot(raw), 0.90)
-    return pct, bca, raw_pct
+    return percentile_interval(run_boot(canon)), percentile_interval(run_boot(raw))
 
 
 class _Rows:
@@ -441,7 +431,6 @@ class TestCoverage:
         cert = coverage_certificate(memory, _Rows(rows), r_sparse=3, n_boot=200, seed=0)
         assert cert.eps_hat == pytest.approx(0.0, abs=1e-9)
         assert cert.pct90 == pytest.approx((0.0, 0.0), abs=1e-9)
-        assert cert.bca90 == pytest.approx((0.0, 0.0), abs=1e-9)
         assert memory.certificate.eps_upper == pytest.approx(0.0, abs=1e-9)
 
     def test_single_task_zero_width(self):
@@ -474,9 +463,8 @@ class TestCoverage:
         memory = make_memory(atoms, r=3).freeze()
         cert = coverage_certificate(memory, rows, r_sparse=2, n_boot=n_boot, seed=5,
                                     exhaustive=exhaustive)
-        pct, bca, raw_pct = _loop_coverage_intervals(memory, rows, 2, n_boot, 5, exhaustive)
+        pct, raw_pct = _loop_coverage_intervals(memory, rows, 2, n_boot, 5, exhaustive)
         assert cert.pct90 == pct
-        assert cert.bca90 == bca
         assert cert.raw_pct90 == raw_pct
         assert cert.n_boot == (n_tasks**n_tasks if exhaustive else n_boot)
 
@@ -494,7 +482,6 @@ class TestCoverage:
         c2 = coverage_certificate(make_memory(atoms).freeze(), _Rows(rows),
                                   r_sparse=2, n_boot=300, seed=11)
         assert c1.pct90 == c2.pct90
-        assert c1.bca90 == c2.bca90
 
 
 class TestDiagnostics:
