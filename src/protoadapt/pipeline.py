@@ -14,6 +14,9 @@ time and memory go to runtime.txt only, never into CSVs: each timed stage
 appends one line, ``stage=<name> ms=<wall ms>[ tasks=<n>] rss_mb=<MB>
 run=<config hash>`` (``util.StageTimer``). Per-task latency is ms / tasks;
 ``rss_mb`` is the process's peak resident set so far, not the stage's own.
+Phase 1's line is followed by one line per step inside it (``phase1.corpus``,
+``phase1.adapters``, ``phase1.rank``, ``phase1.memory``, ``phase1.merge``,
+``phase1.certificate``, ``phase1.standardizer``).
 """
 
 from __future__ import annotations
@@ -147,6 +150,9 @@ class RunConfig:
 
     def validate(self) -> None:
         self.generator.validate()
+        require(self.generator.n_tasks >= 5,
+                f"generator.n_tasks must be at least 5 to fill the five task partitions, "
+                f"got {self.generator.n_tasks}")
         grid = self.k_grid
         require(isinstance(grid, tuple) and bool(grid)
                 and all(isinstance(k, int) and k >= 1 for k in grid),
@@ -165,6 +171,8 @@ class RunConfig:
         require(self.patience >= 0, f"patience must be nonnegative, got {self.patience}")
         require(self.warp.kind in ("mlp", "none"),
                 f"warp.kind must be 'mlp' or 'none', got {self.warp.kind!r}")
+        require(isinstance(self.warp.hidden, int) and self.warp.hidden >= 1,
+                f"warp.hidden must be a positive int, got {self.warp.hidden!r}")
         sizes = self.train_sizes
         require(bool(sizes) and all(n >= 2 for n in sizes),
                 f"train_sizes must be nonempty and all at least 2, got {sizes}")
@@ -318,7 +326,7 @@ class Phase1Artifacts:
     merge_log: list
     k_chosen: int
     notes: list
-    runtime: list           # the phase1 stage line
+    runtime: list           # the phase1 stage line, then one per step inside it
 
 
 def build_corpus(cfg: RunConfig):
@@ -341,89 +349,97 @@ def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
     """
     timer = StageTimer(cfg.hash())
     with timer.stage("phase1", None):
-        corpus = build_corpus(cfg)
-        fmap = corpus.feature_map()
+        with timer.stage("phase1.corpus", None):
+            corpus = build_corpus(cfg)
+            fmap = corpus.feature_map()
         notes: list[str] = []
 
         seed_tasks = corpus.tasks_in("Pre-Seed")
         pre_tasks = corpus.tasks_in("Pre-Seed", "Pre-Rest")
-        adapters = {t.task_id: ridge_adapter(t, fmap) for t in pre_tasks}
-        theta_seed = assemble_theta([adapters[t.task_id] for t in seed_tasks],
-                                    task_ids=[t.task_id for t in seed_tasks])
-        theta_pre = assemble_theta([adapters[t.task_id] for t in pre_tasks],
-                                   task_ids=[t.task_id for t in pre_tasks])
+        with timer.stage("phase1.adapters", len(pre_tasks)):
+            adapters = {t.task_id: ridge_adapter(t, fmap) for t in pre_tasks}
+            theta_seed = assemble_theta([adapters[t.task_id] for t in seed_tasks],
+                                        task_ids=[t.task_id for t in seed_tasks])
+            theta_pre = assemble_theta([adapters[t.task_id] for t in pre_tasks],
+                                       task_ids=[t.task_id for t in pre_tasks])
 
-        if cfg.fixed_r is not None:
-            r_selected = int(cfg.fixed_r)
-            notes.append(f"rank selection disabled; fixed r={r_selected}")
-        else:
-            r_selected = pca_rank(theta_seed, RHO)
+        with timer.stage("phase1.rank", None):
+            if cfg.fixed_r is not None:
+                r_selected = int(cfg.fixed_r)
+                notes.append(f"rank selection disabled; fixed r={r_selected}")
+            else:
+                r_selected = pca_rank(theta_seed, RHO)
 
-        summaries = [TaskGradientSummary.from_task(t, fmap) for t in seed_tasks]
-        dim_report_tasks = fisher_energy_test_tasks(summaries, r_center=r_selected,
-                                                    seed=cfg.seed)
-        curve = rank_curve(theta_seed, RHO_LIST, seed=cfg.seed)
+            summaries = [TaskGradientSummary.from_task(t, fmap) for t in seed_tasks]
+            dim_report_tasks = fisher_energy_test_tasks(summaries, r_center=r_selected,
+                                                        seed=cfg.seed)
+            curve = rank_curve(theta_seed, RHO_LIST, seed=cfg.seed)
 
-        canon = (fit_canonicalizer(theta_seed) if cfg.canonicalize
-                 else Canonicalizer.identity(theta_seed.d_theta))
-        chain = ProjectionChain(canonicalizer=canon, r=r_selected)
+            canon = (fit_canonicalizer(theta_seed) if cfg.canonicalize
+                     else Canonicalizer.identity(theta_seed.d_theta))
+            chain = ProjectionChain(canonicalizer=canon, r=r_selected)
 
-        rest_tasks = corpus.tasks_in("Pre-Rest")
-        jl_report = None
-        d_theta = theta_seed.d_theta
-        s_dim = min(d_theta - 1, max(r_selected + 1, (r_selected + d_theta) // 2))
-        if len(rest_tasks) >= 3 and r_selected < s_dim < d_theta:
-            holdout = assemble_theta([adapters[t.task_id] for t in rest_tasks])
-            fisher_mat = corpus_fisher_matrix(summaries, bias_correct=False)
-            jl_report = jl_outside_energy(holdout, fisher_mat, r=r_selected, s=s_dim,
-                                          n_maps=16, seed=cfg.seed)
-        else:
-            notes.append("projection leakage check skipped: no holdout dimension "
-                         f"with r={r_selected} < s < d={d_theta} available")
+            rest_tasks = corpus.tasks_in("Pre-Rest")
+            jl_report = None
+            d_theta = theta_seed.d_theta
+            s_dim = min(d_theta - 1, max(r_selected + 1, (r_selected + d_theta) // 2))
+            if len(rest_tasks) >= 3 and r_selected < s_dim < d_theta:
+                holdout = assemble_theta([adapters[t.task_id] for t in rest_tasks])
+                fisher_mat = corpus_fisher_matrix(summaries, bias_correct=False)
+                jl_report = jl_outside_energy(holdout, fisher_mat, r=r_selected, s=s_dim,
+                                              n_maps=16, seed=cfg.seed)
+            else:
+                notes.append("projection leakage check skipped: no holdout dimension "
+                             f"with r={r_selected} < s < d={d_theta} available")
 
-        n_seed = theta_seed.n_tasks
-        usable_k = [k for k in cfg.k_grid if k <= n_seed]
-        if len(usable_k) < len(cfg.k_grid):
-            notes.append(f"K grid values above the seed count {n_seed} skipped: "
-                         f"{[k for k in cfg.k_grid if k > n_seed]}")
-        require(len(usable_k) >= 1, "no usable K values in the grid")
-        # K selection: best cluster separation (silhouette), restart stability
-        # as the tie-breaker, then parsimony
-        candidates = []
-        for k in usable_k:
-            mem = cluster_prototypes(theta_seed, chain, k=k,
-                                     n_restarts=cfg.n_restarts, seed=cfg.seed)
-            candidates.append((round(mem.silhouette, 6), mem.restart_stability, -k, mem))
-        candidates.sort(key=lambda c: (c[0], c[1], c[2]), reverse=True)
-        memory = candidates[0][3]
-        k_chosen = memory.K
+        with timer.stage("phase1.memory", None):
+            n_seed = theta_seed.n_tasks
+            usable_k = [k for k in cfg.k_grid if k <= n_seed]
+            if len(usable_k) < len(cfg.k_grid):
+                notes.append(f"K grid values above the seed count {n_seed} skipped: "
+                             f"{[k for k in cfg.k_grid if k > n_seed]}")
+            require(len(usable_k) >= 1, "no usable K values in the grid")
+            # K selection: best cluster separation (silhouette), restart stability
+            # as the tie-breaker, then parsimony
+            candidates = []
+            for k in usable_k:
+                mem = cluster_prototypes(theta_seed, chain, k=k,
+                                         n_restarts=cfg.n_restarts, seed=cfg.seed)
+                candidates.append((round(mem.silhouette, 6), mem.restart_stability, -k, mem))
+            candidates.sort(key=lambda c: (c[0], c[1], c[2]), reverse=True)
+            memory = candidates[0][3]
+            k_chosen = memory.K
 
         def fit_sparsity(k):
             # the retrieval's operating sparsity, within what l0_fit accepts
             return min(_r_keep(cfg, r_selected, k), r_selected, k)
 
         merge_log = []
-        if memory.mu > MU_THRESHOLD or memory.kappa > KAPPA_THRESHOLD:
-            memory, merge_log = merge_prototypes(memory, theta_pre=theta_pre,
-                                                 r_sparse=fit_sparsity(memory.K))
-            notes.append(f"prototype merging triggered: {len(merge_log)} merges, "
-                         f"K {k_chosen} -> {memory.K}")
+        with timer.stage("phase1.merge", None):
+            if memory.mu > MU_THRESHOLD or memory.kappa > KAPPA_THRESHOLD:
+                memory, merge_log = merge_prototypes(memory, theta_pre=theta_pre,
+                                                     r_sparse=fit_sparsity(memory.K))
+                notes.append(f"prototype merging triggered: {len(merge_log)} merges, "
+                             f"K {k_chosen} -> {memory.K}")
 
-        memory.freeze()
-        certificate = coverage_certificate(memory, theta_pre,
-                                           r_sparse=fit_sparsity(memory.K),
-                                           n_boot=cfg.coverage_n_boot, seed=cfg.seed)
+        with timer.stage("phase1.certificate", len(pre_tasks)):
+            memory.freeze()
+            # after a merge this reuses the final rows' sparse fits
+            certificate = coverage_certificate(memory, theta_pre,
+                                               r_sparse=fit_sparsity(memory.K),
+                                               n_boot=cfg.coverage_n_boot, seed=cfg.seed)
         if certificate.r_sparse == r_selected:
             notes.append(f"coverage certified at sparsity r={r_selected}: r prototypes "
                          "span the r-dimensional projected space, so the fit is exact "
                          "and eps_upper is zero up to rounding")
 
-        probe = ProbeHead.create(cfg.generator.d_theta, seed=cfg.seed)
-        # standardization statistics must match the support sizes the retrieval
-        # stage will see; the fit set stays pretraining-only
-        std_size = _support_size(cfg)
-        standardizer = Standardizer().fit_from_tasks(
-            [resample_support(corpus, t, std_size, tag="standardizer") for t in pre_tasks])
+        with timer.stage("phase1.standardizer", len(pre_tasks)):
+            probe = ProbeHead.create(cfg.generator.d_theta, seed=cfg.seed)
+            # standardization statistics must match the support sizes the retrieval
+            # stage will see; the fit set stays pretraining-only
+            std_size = _support_size(cfg)
+            standardizer = Standardizer().fit_from_tasks(
+                [resample_support(corpus, t, std_size, tag="standardizer") for t in pre_tasks])
 
     artifacts = Phase1Artifacts(
         cfg=cfg, corpus=corpus, theta_seed=theta_seed,

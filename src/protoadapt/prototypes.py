@@ -2,8 +2,10 @@
 
 Prototypes are k-means centroids in the projected canonical coordinates,
 lifted back to parameter space through the exact inverse of the projection
-chain. Coverage is certified by bootstrapping the median sparse-fit residual
-over pretraining tasks, with 90 percent percentile intervals.
+chain; the restarts of one K run as one block. Coverage is certified by
+bootstrapping the median sparse-fit residual over pretraining tasks, with 90
+percent percentile intervals. Each dictionary's sparse fits run once: the
+merge loop hands the final dictionary's fits to the certificate.
 """
 
 from __future__ import annotations
@@ -146,6 +148,9 @@ class PrototypeMemory:
         self.kappa = kappa_of(self.centroids)
         self.mu = mu_of(self.M)
         self.certificate = None
+        # the pretraining adapters' sparse fits in these rows, when
+        # merge_prototypes made them; coverage_certificate reuses them
+        self.fits = None
         self.frozen = False
         self._rank = None
         self._row_atoms = None
@@ -235,10 +240,17 @@ def _kmeans_pp_init(points, k, rng):
     return centroids
 
 
+LLOYD_ITERATIONS = 300   # the cap on Lloyd's iterations of one restart
+
+
 def _lloyd(points, centroids):
+    """One restart's Lloyd iterations, for the restarts ``_lloyd_restarts`` cannot run.
+
+    An empty cluster takes the point farthest from its centroid.
+    """
     k = centroids.shape[0]
     labels = None
-    for _ in range(300):
+    for _ in range(LLOYD_ITERATIONS):
         d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
         for j in range(k):
@@ -255,6 +267,49 @@ def _lloyd(points, centroids):
     d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     labels = d2.argmin(axis=1)
     sse = float(d2[np.arange(points.shape[0]), labels].sum())
+    return centroids, labels, sse
+
+
+def _lloyd_restarts(points, inits):
+    """Lloyd's iterations of every restart at once, from (R, k, dim) initial centroids.
+
+    Each iteration forms one (R, n, k) distance array and takes the centroid
+    sums from one weighted ``np.bincount`` per coordinate over the labels
+    offset by restart. The bincount adds a cluster's points in point order,
+    as the per-restart mean does, so every restart's centroids, labels and
+    SSE equal ``_lloyd``'s bit for bit. A converged restart is a fixed point,
+    so the block iterates until all have converged. A restart that leaves a
+    cluster empty reruns alone through ``_lloyd``, and so does every restart
+    on one-dimensional points, whose mean numpy sums pairwise.
+
+    Returns the centroids (R, k, dim), the labels (R, n) and the SSEs (R,).
+    """
+    n_runs, k, dim = inits.shape
+    cells = n_runs * k
+    offsets = (np.arange(n_runs) * k)[:, None]
+    columns = np.tile(points.T, (1, n_runs))    # coordinate rows, once per restart
+    centroids = inits.copy()
+    alone = np.full(n_runs, dim == 1)
+    labels = None
+    for _ in range(LLOYD_ITERATIONS):
+        if alone.all():
+            break
+        d2 = ((points[None, :, None, :] - centroids[:, None, :, :]) ** 2).sum(axis=3)
+        new_labels = d2.argmin(axis=2)
+        flat = (new_labels + offsets).ravel()
+        counts = np.bincount(flat, minlength=cells).reshape(n_runs, k)
+        alone |= (counts == 0).any(axis=1)
+        sums = np.stack([np.bincount(flat, weights=col, minlength=cells) for col in columns],
+                        axis=1)
+        centroids = sums.reshape(inits.shape) / np.maximum(counts, 1)[..., None]
+        if labels is not None and np.all(alone | (new_labels == labels).all(axis=1)):
+            break
+        labels = new_labels
+    d2 = ((points[None, :, None, :] - centroids[:, None, :, :]) ** 2).sum(axis=3)
+    labels = d2.argmin(axis=2)
+    sse = np.take_along_axis(d2, labels[..., None], axis=2)[..., 0].sum(axis=1)
+    for run in np.flatnonzero(alone):
+        centroids[run], labels[run], sse[run] = _lloyd(points, inits[run].copy())
     return centroids, labels, sse
 
 
@@ -281,35 +336,42 @@ def silhouette_score(points: np.ndarray, labels: np.ndarray) -> float:
     return float(scores.mean())
 
 
-def adjusted_rand_index(a, b) -> float:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    n = a.shape[0]
-    labels_a, index_a = np.unique(a, return_inverse=True)
-    labels_b, index_b = np.unique(b, return_inverse=True)
-    table = np.zeros((labels_a.size, labels_b.size))
-    np.add.at(table, (index_a, index_b), 1.0)
+def pairwise_ari(labels: np.ndarray, k: int) -> np.ndarray:
+    """Adjusted Rand index of every two rows of ``labels``, in ``combinations`` order.
+
+    ``labels`` is (R, n) with values in [0, k). One offset ``np.bincount``
+    builds every pair's k x k contingency table. Its pair counts are whole
+    numbers, so every sum below is exact, and a label absent from both rows
+    adds only zeros: each index is the one-pair formula's on the labels
+    present, bit for bit.
+    """
+    n_runs, n = labels.shape
+    first, second = np.triu_indices(n_runs, 1)
+    cells = (np.arange(first.size)[:, None] * k + labels[first]) * k + labels[second]
+    tables = np.bincount(cells.ravel(), minlength=first.size * k * k).reshape(-1, k, k)
 
     def comb2(x):
         return x * (x - 1) / 2.0
 
-    sum_cells = comb2(table).sum()
-    sum_rows = comb2(table.sum(axis=1)).sum()
-    sum_cols = comb2(table.sum(axis=0)).sum()
+    sum_cells = comb2(tables).sum(axis=(1, 2))
+    sum_rows = comb2(tables.sum(axis=2)).sum(axis=1)
+    sum_cols = comb2(tables.sum(axis=1)).sum(axis=1)
     total = comb2(n)
-    expected = sum_rows * sum_cols / total if total > 0 else 0.0
+    expected = sum_rows * sum_cols / total if total > 0 else np.zeros(first.size)
     max_index = 0.5 * (sum_rows + sum_cols)
-    if max_index == expected:
-        return 1.0
-    return float((sum_cells - expected) / (max_index - expected))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(max_index == expected, 1.0,
+                        (sum_cells - expected) / (max_index - expected))
 
 
 def cluster_prototypes(theta, chain: ProjectionChain, k: int, n_restarts: int = 8,
                        seed: int = 0) -> PrototypeMemory:
     """Best-of-restarts k-means in projected canonical coordinates.
 
-    Centroids are lifted back to raw parameter space; restart stability is
-    the mean pairwise adjusted Rand agreement of the restart assignments.
+    Each restart starts from its own k-means++ draw; the restarts then run
+    as one block (``_lloyd_restarts``). Centroids are lifted back to raw
+    parameter space; restart stability is the mean pairwise adjusted Rand
+    agreement of the restart assignments.
     """
     rows = adapter_rows(theta)
     n = rows.shape[0]
@@ -318,27 +380,19 @@ def cluster_prototypes(theta, chain: ProjectionChain, k: int, n_restarts: int = 
     require(n_restarts >= 1, "n_restarts must be positive")
 
     points = chain.project(rows)
-    best = None
-    assignments = []
-    for restart in range(n_restarts):
-        rng = child_rng(seed, "kmeans", restart)
-        centroids = _kmeans_pp_init(points.copy(), k, rng)
-        centroids, labels, sse = _lloyd(points, centroids)
-        assignments.append(labels)
-        if best is None or sse < best[2] - 1e-12:
-            best = (centroids, labels, sse, restart)
+    inits = np.stack([_kmeans_pp_init(points, k, child_rng(seed, "kmeans", restart))
+                      for restart in range(n_restarts)])
+    centroids, labels, sse = _lloyd_restarts(points, inits)
+    best = 0
+    for restart in range(1, n_restarts):
+        if sse[restart] < sse[best] - 1e-12:
+            best = restart
+    stability = float(np.mean(pairwise_ari(labels, k))) if n_restarts > 1 else 1.0
 
-    if len(assignments) > 1:
-        pairs = [adjusted_rand_index(x, y) for x, y in combinations(assignments, 2)]
-        stability = float(np.mean(pairs))
-    else:
-        stability = 1.0
-
-    centroids = best[0]
-    m_rows = chain.lift(centroids)
-    return PrototypeMemory(m_rows=m_rows, chain=chain, centroids=centroids,
-                           restart_stability=stability, sse=best[2],
-                           silhouette=silhouette_score(points, best[1]))
+    return PrototypeMemory(m_rows=chain.lift(centroids[best]), chain=chain,
+                           centroids=centroids[best], restart_stability=stability,
+                           sse=float(sse[best]),
+                           silhouette=silhouette_score(points, labels[best]))
 
 
 # ---------------------------------------------------------------------------
@@ -414,22 +468,42 @@ def l0_fit(u, atoms, r_sparse: int, exact: bool = False):
 # Coverage certificate
 # ---------------------------------------------------------------------------
 
-def coverage_residuals(chain: ProjectionChain, centroids, theta_pre, r_sparse: int):
-    """Per-task residuals of the sparse fits in ``centroids`` (prototypes in the
-    chain's coordinates), in canonical coordinates and in raw units."""
+@dataclass(frozen=True)
+class CoverageFits:
+    """The sparse fits of the pretraining adapters in one dictionary.
+
+    ``centroids`` is the dictionary (prototypes in ``chain``'s coordinates),
+    ``coords`` the adapters in those coordinates, ``weights`` their fit
+    coefficients and ``canon`` the residual norms in canonical coordinates.
+    """
+
+    chain: ProjectionChain
+    centroids: np.ndarray
+    theta_pre: object
+    r_sparse: int
+    coords: np.ndarray
+    weights: np.ndarray
+    canon: np.ndarray
+
+    def raw_residuals(self) -> np.ndarray:
+        """The residual norms in raw parameter units, one lift pair per adapter."""
+        lift = self.chain.lift
+        return np.array([float(np.linalg.norm(lift(u) - lift(w @ self.centroids)))
+                         for u, w in zip(self.coords, self.weights)])
+
+
+def coverage_fits(chain: ProjectionChain, centroids, theta_pre, r_sparse: int) -> CoverageFits:
+    """One ``l0_fit`` per pretraining adapter in ``centroids`` (prototypes in the
+    chain's coordinates), with the canonical residual norms."""
     rows = adapter_rows(theta_pre)
     require(rows.shape[0] >= 1, "no pretraining adapters")
     coords = chain.project(rows)
-    canon = np.empty(rows.shape[0])
-    raw = np.empty(rows.shape[0])
-    lift = chain.lift
     atoms = Atoms.of(centroids)
+    weights = np.empty((rows.shape[0], atoms.rows.shape[0]))
+    canon = np.empty(rows.shape[0])
     for i, u in enumerate(coords):
-        w, resid = l0_fit(u, atoms, r_sparse)
-        canon[i] = resid
-        recon = w @ centroids
-        raw[i] = float(np.linalg.norm(lift(u) - lift(recon)))
-    return canon, raw
+        weights[i], canon[i] = l0_fit(u, atoms, r_sparse)
+    return CoverageFits(chain, atoms.rows, theta_pre, r_sparse, coords, weights, canon)
 
 
 def coverage_certificate(memory: PrototypeMemory, theta_pre, r_sparse: int,
@@ -441,10 +515,15 @@ def coverage_certificate(memory: PrototypeMemory, theta_pre, r_sparse: int,
     ``eps_upper`` is the conservative upper endpoint of the percentile
     interval, is attached to the memory. Exhaustive
     mode enumerates every resample for small task counts, making percentile
-    endpoints exact.
+    endpoints exact. The sparse fits are the memory's own when merging left
+    them for these adapters and this sparsity, and are run here otherwise.
     """
     memory.require_frozen()
-    canon, raw = coverage_residuals(memory.chain, memory.centroids, theta_pre, r_sparse)
+    fits = memory.fits
+    if (fits is None or fits.chain is not memory.chain or fits.theta_pre is not theta_pre
+            or fits.r_sparse != r_sparse or not np.array_equal(fits.centroids, memory.centroids)):
+        fits = coverage_fits(memory.chain, memory.centroids, theta_pre, r_sparse)
+    canon, raw = fits.canon, fits.raw_residuals()
     n = canon.shape[0]
     # one index matrix resamples both the canonical and the raw residuals
     idx = (exhaustive_index_tuples(n) if exhaustive
@@ -534,20 +613,22 @@ def merge_prototypes(memory: PrototypeMemory, mu_threshold: float = MU_THRESHOLD
     The merged row is the sign-aligned normalized mean of the pair, rescaled
     to their average norm; ties break toward the lowest index pair. Returns
     a new unfrozen memory and the merge log. When pretraining adapters are
-    supplied, each event also records the induced coverage-error change.
+    supplied, each event also records the induced coverage-error change, and
+    the new memory keeps the sparse fits of its rows for the certificate.
     """
     memory.require_mutable()
     m_rows = memory.M.copy()
     chain = memory.chain
     log: list[MergeEvent] = []
+    fits = None
 
     def coverage_of(rows):
+        nonlocal fits
         if theta_pre is None:
             return None
         rs = r_sparse if r_sparse is not None else min(chain.r, rows.shape[0])
-        rs = min(rs, rows.shape[0])
-        canon, _ = coverage_residuals(chain, chain.project(rows), theta_pre, rs)
-        return float(np.median(canon))
+        fits = coverage_fits(chain, chain.project(rows), theta_pre, min(rs, rows.shape[0]))
+        return float(np.median(fits.canon))
 
     def health(rows):
         return kappa_of(chain.project(rows)), mu_of(rows)
@@ -573,4 +654,5 @@ def merge_prototypes(memory: PrototypeMemory, mu_threshold: float = MU_THRESHOLD
                                     centroids=chain.project(m_rows),
                                     restart_stability=memory.restart_stability,
                                     sse=memory.sse)
+    merged_memory.fits = fits
     return merged_memory, log

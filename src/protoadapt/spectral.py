@@ -7,7 +7,11 @@ resampling the eigenvalue vector itself, or by resampling tasks and taking
 the spectrum of each replicate's corpus Fisher matrix. The second exists
 because eigenvalue resampling is uninformative on strongly spiked spectra
 (see fisher_energy_test notes). Both feed their replicate spectra to one
-ratio test and one decision rule. The sequential selector compares
+ratio test and one decision rule. The task variant draws one replicate set
+and reads every candidate's ratio off its spectra: each candidate keeps its
+own null distribution, so the Bonferroni bound holds as before, and since a
+spectrum's top-r energy ratio cannot fall as r grows, its p-values are
+non-increasing in the candidate dimension. The sequential selector compares
 reconstruction errors of adjacent PCA dimensions with paired bootstrap tests.
 A random-projection check measures the Fisher energy a held-out set of
 adapters leaves outside the fitted subspace.
@@ -262,23 +266,35 @@ def _candidate_set(r_center: int, d: int) -> list:
     return cands
 
 
-def _ratio_test(eig_full, r_center: int, replicate_spectra, alpha: float, h0_level: float,
-                n_boot: int) -> DimTestReport:
-    """Energy ratio test of every candidate on its (B, d) replicate spectra.
+def _energy_ratios(spectra: np.ndarray):
+    """The replicate energy ratios of (B, d) spectra, one per row, as a function of r.
 
-    ``replicate_spectra(r_cand)`` gives one spectrum per row. A replicate's
-    ratio is its top-r_cand sum after a descending sort over its row total,
-    summed in the order given (1.0 for a total at or below zero); the
-    one-sided p-value counts replicates at or below ``h0_level``.
+    A replicate's ratio is its top-r sum after a descending sort over its row
+    total, summed in the order given (1.0 for a total at or below zero). The
+    sort and the totals are computed once, for every r asked for.
+    """
+    totals = spectra.sum(axis=1)
+    ordered = -np.sort(-spectra, axis=1)
+
+    def at(r: int) -> np.ndarray:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(totals <= 0, 1.0, ordered[:, :r].sum(axis=1) / totals)
+
+    return at
+
+
+def _ratio_test(eig_full, r_center: int, replicate_ratios, alpha: float, h0_level: float,
+                n_boot: int) -> DimTestReport:
+    """Energy ratio test of every candidate on its replicate ratios.
+
+    ``replicate_ratios(r_cand)`` gives one ratio per replicate (see
+    ``_energy_ratios``); the one-sided p-value counts replicates at or below
+    ``h0_level``.
     """
     rows = []
     for r_cand in _candidate_set(r_center, eig_full.shape[0]):
-        spectra = replicate_spectra(r_cand)
-        totals = spectra.sum(axis=1)
-        top = -np.sort(-spectra, axis=1)[:, :r_cand].sum(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            zeta_b = np.where(totals <= 0, 1.0, top / totals)
-        p_raw = (1 + int(np.sum(zeta_b <= h0_level))) / (spectra.shape[0] + 1)
+        zeta_b = replicate_ratios(r_cand)
+        p_raw = (1 + int(np.sum(zeta_b <= h0_level))) / (zeta_b.shape[0] + 1)
         rows.append((r_cand, energy_ratio(eig_full, r_cand), p_raw))
     return _decision_report(rows, alpha, n_boot)
 
@@ -306,12 +322,12 @@ def fisher_energy_test(spectrum: FisherSpectrum, r_center: int, n_boot: int = 10
     require(n_boot >= 1, "n_boot must be positive")
     d = spectrum.dim
 
-    def replicate_spectra(r_cand):
+    def replicate_ratios(r_cand):
         idx = (exhaustive_index_tuples(d) if exhaustive
                else bootstrap_indices(d, n_boot, child_rng(seed, "fisher-test", r_cand)))
-        return eig[idx]
+        return _energy_ratios(eig[idx])(r_cand)
 
-    return _ratio_test(eig, r_center, replicate_spectra, alpha, h0_level, n_boot)
+    return _ratio_test(eig, r_center, replicate_ratios, alpha, h0_level, n_boot)
 
 
 def fisher_energy_test_tasks(summaries, r_center: int, n_boot: int = 1000,
@@ -326,13 +342,18 @@ def fisher_energy_test_tasks(summaries, r_center: int, n_boot: int = 1000,
     replicate spectra are made. Informative on spiked spectra, where the
     eigenvalue-resampling procedure cannot reject.
 
-    A replicate's Fisher matrix is the count-weighted sum of the per-task
-    matrices ``m m^T - C / n`` (``m m^T`` alone without ``bias_correct`` or
-    for a single support sample), so every replicate of a candidate comes
-    from one (n_boot, n_tasks) count matrix product and one batched
-    eigendecomposition. The draws are one ``(n_boot, n_tasks)`` block from
-    the candidate's ``child_rng(seed, "fisher-test-tasks", r_cand)`` stream,
-    the same stream as drawing the replicates one row at a time.
+    Every candidate reads its ratio off one shared replicate set. The draws
+    are one ``(n_boot, n_tasks)`` block from the single stream
+    ``child_rng(seed, "fisher-test-tasks")``, the same stream as drawing the
+    replicates one row at a time. Sharing the set leaves each candidate's
+    p-value the tail of its own null distribution, so the Bonferroni bound
+    over the family holds unchanged; and since adding an eigenvalue (clipped
+    at zero) cannot lower a replicate's top-r ratio, ``p_raw`` is
+    non-increasing in ``r_cand``. A replicate's Fisher matrix is the
+    count-weighted sum of the per-task matrices ``m m^T - C / n`` (``m m^T``
+    alone without ``bias_correct`` or for a single support sample), so all
+    replicates come from one count matrix product and one batched
+    eigendecomposition of n_boot matrices.
     """
     require(len(summaries) >= 2, "need at least two task summaries")
     require(n_boot >= 1, "n_boot must be positive")
@@ -347,17 +368,13 @@ def fisher_energy_test_tasks(summaries, r_center: int, n_boot: int = 1000,
         - (s.within_cov / s.n_support if bias_correct and s.n_support > 1 else 0.0)
         for s in summaries
     ]).reshape(n_tasks, d * d)
+    picks = child_rng(seed, "fisher-test-tasks").integers(0, n_tasks, size=(n_boot, n_tasks))
     row_offsets = np.arange(n_boot)[:, None] * n_tasks
-
-    def replicate_spectra(r_cand):
-        rng = child_rng(seed, "fisher-test-tasks", r_cand)
-        picks = rng.integers(0, n_tasks, size=(n_boot, n_tasks))
-        counts = np.bincount((picks + row_offsets).ravel(),
-                             minlength=n_boot * n_tasks).reshape(n_boot, n_tasks)
-        fishers = (counts @ task_terms).reshape(n_boot, d, d) / n_tasks
-        return _regularized_spectra(0.5 * (fishers + fishers.transpose(0, 2, 1)), reg)[0]
-
-    return _ratio_test(eig_full, r_center, replicate_spectra, alpha, h0_level, n_boot)
+    counts = np.bincount((picks + row_offsets).ravel(),
+                         minlength=n_boot * n_tasks).reshape(n_boot, n_tasks)
+    fishers = (counts @ task_terms).reshape(n_boot, d, d) / n_tasks
+    spectra = _regularized_spectra(0.5 * (fishers + fishers.transpose(0, 2, 1)), reg)[0]
+    return _ratio_test(eig_full, r_center, _energy_ratios(spectra), alpha, h0_level, n_boot)
 
 
 # ---------------------------------------------------------------------------

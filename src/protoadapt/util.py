@@ -100,7 +100,8 @@ class StageTimer:
     """A run's ``runtime.txt`` lines, one per timed stage, in one format:
     ``stage=<name> ms=<wall ms>[ tasks=<n>] rss_mb=<MB> run=<hash>``. Per-task
     latency is ms / tasks; ``rss_mb`` is the process's peak resident set so far
-    (``ru_maxrss``, KiB on Linux), not the stage's own.
+    (``ru_maxrss``, KiB on Linux), not the stage's own. A stage timed inside
+    another follows it: the outer line goes ahead of the lines of its steps.
     """
 
     def __init__(self, run: str):
@@ -110,12 +111,14 @@ class StageTimer:
     @contextmanager
     def stage(self, name: str, tasks: int | None):
         """Time the ``with`` body as stage ``name`` over ``tasks`` tasks (None: no count)."""
+        at = len(self.lines)
         start = time.perf_counter()
         yield
         ms = 1000.0 * (time.perf_counter() - start)
         count = "" if tasks is None else f" tasks={tasks}"
         rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        self.lines.append(f"stage={name} ms={ms:.3f}{count} rss_mb={rss_mb:.1f} run={self.run}")
+        self.lines.insert(at, f"stage={name} ms={ms:.3f}{count} rss_mb={rss_mb:.1f} "
+                              f"run={self.run}")
 
 
 def vector_norm(v) -> float:

@@ -40,7 +40,7 @@ from protoadapt.prototypes import (
     PrototypeMemory,
     ProjectionChain,
     coverage_certificate,
-    coverage_residuals,
+    coverage_fits,
     l0_fit,
 )
 from protoadapt.resampling import bootstrap_statistics, percentile_interval
@@ -385,7 +385,7 @@ def test_bootstrap_exhaustive_exactness():
                              centroids=chain.project(atoms)).freeze()
     rows = rng.normal(size=(5, 3))
     cert = coverage_certificate(memory, rows, r_sparse=2, seed=0, exhaustive=True)
-    canon, _ = coverage_residuals(memory.chain, memory.centroids, rows, 2)
+    canon = coverage_fits(memory.chain, memory.centroids, rows, 2).canon
     med_oracle = [np.median(canon[list(idx)]) for idx in product(range(5), repeat=5)]
     lo, hi = np.percentile(med_oracle, [5.0, 95.0])
     assert cert.pct90 == (float(lo), float(hi))

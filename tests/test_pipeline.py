@@ -52,6 +52,11 @@ REMOVED_FIELDS = {"t_prox", "solver_tol", "seeds", "support_sizes_eval", "lam_gr
                   "rho", "dim_n_boot", "lam", "eta", "batch_size", "lr", "jaccard_min"}
 
 
+# the steps inside phase 1, each with its own runtime.txt line after the phase1 line
+PHASE1_STEPS = ("phase1.corpus", "phase1.adapters", "phase1.rank", "phase1.memory",
+                "phase1.merge", "phase1.certificate", "phase1.standardizer")
+
+
 def tiny_config(seed=42, **overrides):
     cfg = desk_config(seed=seed)
     gen = replace(cfg.generator, n_tasks=60, n_support=120, n_query=30)
@@ -226,6 +231,8 @@ class TestDefaults:
         ("k_grid", None),
         ("k_grid", 5),
         ("k_grid", ()),
+        ("generator.n_tasks", 3),  # partition_tasks needs five
+        ("warp.hidden", -1),
     ])
     def test_bad_field_is_rejected_naming_it(self, name, value):
         cfg = tiny_config()
@@ -263,6 +270,14 @@ class TestPhase1(object):
         assert art.certificate is art.memory.certificate
         assert art.rank_selected >= 1
         assert art.memory.K <= max(cfg.k_grid)
+
+    def test_stage_lines_name_every_step_inside_phase1(self, tiny_artifacts):
+        cfg, art = tiny_artifacts
+        entries = [dict(field.split("=", 1) for field in line.split()) for line in art.runtime]
+        assert [e["stage"] for e in entries] == ["phase1", *PHASE1_STEPS]
+        assert all(STAGE_LINE.fullmatch(line) for line in art.runtime)
+        # the steps are timed inside phase 1, one after another
+        assert sum(float(e["ms"]) for e in entries[1:]) <= float(entries[0]["ms"])
 
     def test_k_grid_filtered_with_note(self):
         cfg = tiny_config(k_grid=(4, 5000))
@@ -496,7 +511,11 @@ class TestPhase2:
         pipeline.run_ablations(cfg, variants, outdir=tmp_path)
         run_seed_stability(cfg, art, outdir=tmp_path, seeds=(1, 2))
         n_test = len(result.splits["test"].task_ids)
-        phase_stages = {"phase1": None, "phase2.fit": None,
+        n_pre = art.theta_pre.n_tasks
+        phase_stages = {"phase1": None, "phase1.corpus": None, "phase1.adapters": n_pre,
+                        "phase1.rank": None, "phase1.memory": None, "phase1.merge": None,
+                        "phase1.certificate": n_pre, "phase1.standardizer": n_pre,
+                        "phase2.fit": None,
                         **{f"phase2.predict.{tag}": len(episodes.task_ids)
                            for tag, episodes in result.splits.items()}}
         expected = {name: (cfg.hash(), tasks) for name, tasks in phase_stages.items()}
@@ -510,7 +529,8 @@ class TestPhase2:
                              for name, tasks in phase_stages.items()})
         for seed in (1, 2):
             expected.update({f"seed_stability.{seed}.{name}": (cfg.hash(), tasks)
-                             for name, tasks in phase_stages.items() if name != "phase1"})
+                             for name, tasks in phase_stages.items()
+                             if not name.startswith("phase1")})
         stages = []
         for line in (tmp_path / "runtime.txt").read_text().splitlines():
             match = STAGE_LINE.fullmatch(line)
@@ -812,8 +832,11 @@ class TestReportBundle:
         summary = emit_report(tmp_path)
         text = summary.read_text()
         assert "phase-1-only bundle" in text
-        # one stage row, no solver counters: the CI workflow greps this row
-        assert re.search(r"^phase1 +[0-9]+\.[0-9]{3} +- +- +[0-9]+\.[0-9]$", text, re.M)
+        # the phase1 row, then one row per step under it, and no solver counters: the
+        # CI workflow greps these rows
+        rows = text.split("stages (runtime.txt):\n")[1].splitlines()
+        assert re.fullmatch(r"phase1 +[0-9]+\.[0-9]{3} +- +- +[0-9]+\.[0-9]", rows[1])
+        assert [row.split()[0] for row in rows[2:]] == list(PHASE1_STEPS)
         assert "solver counters" not in text
 
     def test_full_bundle_lists_artifacts(self, tmp_path):
@@ -834,8 +857,8 @@ class TestReportBundle:
         assert lines[head].split() == ["stage", "ms", "tasks", "ms/task", "rss_mb"]
         table = lines[head + 1:head + 1 + len(stage_lines)]
         assert [row.split()[0] for row in table] == [
-            "phase1", "phase2.fit", "phase2.predict.train", "phase2.predict.val",
-            "phase2.predict.test"]
+            "phase1", *PHASE1_STEPS, "phase2.fit", "phase2.predict.train",
+            "phase2.predict.val", "phase2.predict.test"]
         for row, stage_line in zip(table, stage_lines):
             fields = dict(field.split("=", 1) for field in stage_line.split())
             stage, ms, tasks, per_task, rss_mb = row.split()

@@ -12,14 +12,16 @@ from protoadapt.prototypes import (
     FrozenMemoryError,
     PrototypeMemory,
     ProjectionChain,
-    adjusted_rand_index,
+    _kmeans_pp_init,
+    _lloyd_restarts,
     cluster_prototypes,
     coverage_certificate,
-    coverage_residuals,
+    coverage_fits,
     kappa_of,
     l0_fit,
     merge_prototypes,
     mu_of,
+    pairwise_ari,
     silhouette_score,
 )
 from protoadapt.resampling import bootstrap_indices, percentile_interval
@@ -47,6 +49,54 @@ def _loop_adjusted_rand_index(a, b):
     if max_index == expected:
         return 1.0
     return float((sum_cells - expected) / (max_index - expected))
+
+
+def _ari(a, b):
+    """``pairwise_ari`` of two label vectors with any label values."""
+    _, codes_a = np.unique(a, return_inverse=True)
+    _, codes_b = np.unique(b, return_inverse=True)
+    k = int(max(codes_a.max(), codes_b.max())) + 1
+    return float(pairwise_ari(np.stack([codes_a, codes_b]), k)[0])
+
+
+def _loop_lloyd(points, centroids):
+    """One restart's Lloyd loop with a per-cluster mean, which the restart block
+    replaced, kept as its oracle."""
+    k = centroids.shape[0]
+    labels = None
+    for _ in range(300):
+        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_labels = d2.argmin(axis=1)
+        for j in range(k):
+            mask = new_labels == j
+            if np.any(mask):
+                centroids[j] = points[mask].mean(axis=0)
+            else:
+                far = int(np.argmax(d2.min(axis=1)))
+                centroids[j] = points[far]
+                new_labels[far] = j
+        if labels is not None and np.array_equal(labels, new_labels):
+            break
+        labels = new_labels
+    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    labels = d2.argmin(axis=1)
+    sse = float(d2[np.arange(points.shape[0]), labels].sum())
+    return centroids, labels, sse
+
+
+def _loop_cluster(points, k, n_restarts, seed):
+    """cluster_prototypes' restart loop as it was: one ``_loop_lloyd`` per restart and
+    one ``_loop_adjusted_rand_index`` per restart pair. Returns the best restart's
+    centroids, labels and SSE, and the restart stability."""
+    best, assignments = None, []
+    for restart in range(n_restarts):
+        init = _kmeans_pp_init(points.copy(), k, child_rng(seed, "kmeans", restart))
+        centroids, labels, sse = _loop_lloyd(points, init)
+        assignments.append(labels)
+        if best is None or sse < best[2] - 1e-12:
+            best = (centroids, labels, sse)
+    pairs = [_loop_adjusted_rand_index(x, y) for x, y in combinations(assignments, 2)]
+    return best, float(np.mean(pairs)) if pairs else 1.0
 
 
 def _loop_silhouette_score(points, labels):
@@ -78,7 +128,8 @@ def _loop_silhouette_score(points, labels):
 def _loop_coverage_intervals(memory, theta_pre, r_sparse, n_boot, seed, exhaustive):
     """The two bootstrap runs the shared index matrix replaced, kept as their oracle:
     the canonical and the raw residuals each from a fresh "coverage" stream."""
-    canon, raw = coverage_residuals(memory.chain, memory.centroids, theta_pre, r_sparse)
+    fits = coverage_fits(memory.chain, memory.centroids, theta_pre, r_sparse)
+    canon, raw = fits.canon, fits.raw_residuals()
     n = canon.shape[0]
 
     def run_boot(values):
@@ -192,9 +243,9 @@ class TestClustering:
 
     def test_ari_bounds(self):
         a = np.array([0, 0, 1, 1])
-        assert adjusted_rand_index(a, a) == pytest.approx(1.0)
-        assert adjusted_rand_index(a, np.array([1, 1, 0, 0])) == pytest.approx(1.0)
-        scrambled = adjusted_rand_index(np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]))
+        assert _ari(a, a) == pytest.approx(1.0)
+        assert _ari(a, np.array([1, 1, 0, 0])) == pytest.approx(1.0)
+        scrambled = _ari(np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]))
         assert scrambled < 0.5
 
     def test_ari_matches_loop_oracle(self):
@@ -203,7 +254,63 @@ class TestClustering:
             n = int(rng.integers(1, 40))
             a = rng.integers(0, rng.integers(1, 6), size=n)
             b = rng.choice([-3, 2, 7, 11], size=n)
-            assert adjusted_rand_index(a, b) == _loop_adjusted_rand_index(a, b)
+            assert _ari(a, b) == _loop_adjusted_rand_index(a, b)
+
+    def test_block_ari_matches_per_pair_loop(self):
+        # labels absent from some rows, and from all of them, as the restarts leave them
+        rng = np.random.default_rng(17)
+        for trial in range(300):
+            n_runs, n = int(rng.integers(2, 9)), int(rng.integers(1, 40))
+            k = int(rng.integers(1, 9))
+            labels = rng.integers(0, rng.integers(1, k + 1), size=(n_runs, n))
+            got = pairwise_ari(labels, k)
+            want = [_loop_adjusted_rand_index(x, y) for x, y in combinations(labels, 2)]
+            assert got.tolist() == want
+            assert float(np.mean(got)) == float(np.mean(want))
+
+    @pytest.mark.parametrize("case", ["gaussian", "blobs", "ties", "empty", "line"])
+    def test_restart_block_matches_per_restart_loop(self, case, monkeypatch):
+        rng = np.random.default_rng(18)
+        sets = []
+        for _ in range(6):
+            n, dim = int(rng.integers(8, 80)), int(rng.integers(2, 6))
+            if case == "line":
+                points = rng.normal(size=(n, 1))
+            elif case == "gaussian":
+                points = rng.normal(size=(n, dim))
+            elif case == "blobs":
+                centres = 4.0 * rng.normal(size=(3, dim))
+                points = centres[rng.integers(0, 3, size=n)] + 0.3 * rng.normal(size=(n, dim))
+            elif case == "ties":
+                points = np.round(rng.normal(size=(n, dim)), 1)
+            else:
+                # three distinct points: a fourth centroid doubles one and is left empty
+                points = rng.normal(size=(3, dim))[np.arange(n) % 3]
+            sets.append((points, int(rng.integers(1, 9)) if case != "empty" else 4))
+        alone = []
+        monkeypatch.setattr(prototypes, "_lloyd",
+                            lambda p, c: alone.append(1) or _loop_lloyd(p, c))
+        for points, k in sets:
+            k = min(k, points.shape[0])
+            n_restarts = 8
+            inits = np.stack([_kmeans_pp_init(points, k, child_rng(3, "kmeans", restart))
+                              for restart in range(n_restarts)])
+            centroids, labels, sse = _lloyd_restarts(points, inits.copy())
+            for run in range(n_restarts):
+                c_loop, l_loop, sse_loop = _loop_lloyd(points, inits[run].copy())
+                assert centroids[run].tobytes() == c_loop.tobytes()
+                assert np.array_equal(labels[run], l_loop)
+                assert float(sse[run]) == sse_loop
+            chain = identity_chain(points.shape[1], points.shape[1])
+            memory = cluster_prototypes(_Rows(points), chain, k=k, n_restarts=n_restarts, seed=3)
+            (c_best, l_best, sse_best), stability = _loop_cluster(points, k, n_restarts, 3)
+            assert memory.centroids.tobytes() == c_best.tobytes()
+            assert memory.M.tobytes() == chain.lift(c_best).tobytes()
+            assert memory.sse == sse_best
+            assert memory.silhouette == silhouette_score(points, l_best)
+            assert memory.restart_stability == stability
+        # only the restarts that leave a cluster empty, or on one-dimensional points, run alone
+        assert bool(alone) == (case in ("empty", "line"))
 
     def test_silhouette_matches_loop_oracle(self):
         rng = np.random.default_rng(16)
@@ -447,7 +554,7 @@ class TestCoverage:
         memory = make_memory(atoms, r=3).freeze()
         cert = coverage_certificate(memory, _Rows(rows), r_sparse=2,
                                     seed=0, exhaustive=True)
-        canon, _ = coverage_residuals(memory.chain, memory.centroids, _Rows(rows), 2)
+        canon = coverage_fits(memory.chain, memory.centroids, _Rows(rows), 2).canon
         meds = [np.median(canon[list(idx)]) for idx in product(range(5), repeat=5)]
         lo, hi = np.percentile(meds, [5, 95])
         assert cert.pct90[0] == pytest.approx(float(lo))
@@ -558,9 +665,9 @@ class TestMerge:
 
         def counted(chain, centroids, theta, r_sparse):
             calls.append(centroids.copy())  # the rows: make_memory's chain is the identity
-            return coverage_residuals(chain, centroids, theta, r_sparse)
+            return coverage_fits(chain, centroids, theta, r_sparse)
 
-        monkeypatch.setattr(prototypes, "coverage_residuals", counted)
+        monkeypatch.setattr(prototypes, "coverage_fits", counted)
         merged, log = merge_prototypes(make_memory(rows), mu_threshold=0.95,
                                        kappa_threshold=np.inf, theta_pre=theta_pre,
                                        r_sparse=2)
@@ -568,12 +675,48 @@ class TestMerge:
         assert len(calls) == len(log) + 1
         for before, after in zip(log, log[1:]):
             assert after.coverage_before == before.coverage_after
+        # the certificate takes the final rows' fits from the merge and fits nothing
+        cert = coverage_certificate(merged.freeze(), theta_pre, r_sparse=2, n_boot=50, seed=1)
+        assert len(calls) == len(log) + 1
         # each event's coverage is that of the rows it names
         monkeypatch.undo()
         for evt, m_rows in zip(log, calls[1:]):
             memory = make_memory(m_rows)
-            canon, _ = coverage_residuals(memory.chain, memory.centroids, theta_pre, 2)
+            canon = coverage_fits(memory.chain, memory.centroids, theta_pre, 2).canon
             assert evt.coverage_after == float(np.median(canon))
+        refit = coverage_certificate(make_memory(merged.M).freeze(), theta_pre, r_sparse=2,
+                                     n_boot=50, seed=1)
+        assert cert.as_dict() == refit.as_dict()
+        # fits for other adapters or another sparsity are not reused
+        other = make_memory(rows)
+        merged, _ = merge_prototypes(other, mu_threshold=0.95, kappa_threshold=np.inf,
+                                     theta_pre=theta_pre, r_sparse=2)
+        monkeypatch.setattr(prototypes, "coverage_fits", counted)
+        calls.clear()
+        coverage_certificate(merged.freeze(), theta_pre, r_sparse=1, n_boot=50, seed=1)
+        assert len(calls) == 1
+
+        # a whole phase 1 with merges: each dictionary's sparse fits run once, the
+        # raw-unit residuals are lifted once per Pre task, and the rank test's
+        # replicate spectra come from one eigvalsh call over n_boot matrices
+        monkeypatch.undo()
+        fits, lifts, stacks = [], [], []
+        l0, lift, eigvalsh = prototypes.l0_fit, ProjectionChain.lift, np.linalg.eigvalsh
+        monkeypatch.setattr(prototypes, "l0_fit", lambda *a: fits.append(1) or l0(*a))
+        monkeypatch.setattr(ProjectionChain, "lift",
+                            lambda chain, c: (np.ndim(c) == 1 and lifts.append(1)) or lift(chain, c))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: (np.ndim(a) == 3 and stacks.append(a.shape)) or eigvalsh(a))
+        cfg = pipeline.desk_config()
+        cfg = dataclasses.replace(
+            cfg, coverage_n_boot=200, n_restarts=3,
+            generator=dataclasses.replace(cfg.generator, n_tasks=60, n_support=120, n_query=30))
+        art = pipeline.run_phase1(cfg)
+        n_pre = art.theta_pre.n_tasks
+        assert len(art.merge_log) >= 1
+        assert len(fits) == n_pre * (len(art.merge_log) + 1)
+        assert len(lifts) == 2 * n_pre
+        assert stacks == [(1000, cfg.generator.d_theta, cfg.generator.d_theta)]
 
     def test_frozen_memory_not_mergeable(self):
         memory = make_memory(np.eye(3)).freeze()

@@ -288,7 +288,8 @@ class TestEigenvalueResamplingOracle:
 
 def _loop_fisher_energy_test_tasks(summaries, r_center, n_boot, alpha, h0_level,
                                    seed, reg, bias_correct):
-    """The per-replicate loop the batched test replaced, kept as its oracle."""
+    """The per-replicate loop the batched test replaced, kept as its oracle: one
+    replicate set, drawn row by row from the shared stream, for every candidate."""
     d = summaries[0].mean.shape[0]
 
     def spectrum_of(subset):
@@ -299,13 +300,15 @@ def _loop_fisher_energy_test_tasks(summaries, r_center, n_boot, alpha, h0_level,
 
     eig_full = spectrum_of(summaries)
     n_tasks = len(summaries)
+    rng = child_rng(seed, "fisher-test-tasks")
+    replicates = []
+    for _ in range(n_boot):
+        pick = rng.integers(0, n_tasks, size=n_tasks)
+        replicates.append(spectrum_of([summaries[i] for i in pick]))
     rows = []
     for r_cand in range(max(1, r_center - 2), min(d, r_center + 2) + 1):
-        rng = child_rng(seed, "fisher-test-tasks", r_cand)
         count = 0
-        for _ in range(n_boot):
-            pick = rng.integers(0, n_tasks, size=n_tasks)
-            eig_b = spectrum_of([summaries[i] for i in pick])
+        for eig_b in replicates:
             total = eig_b.sum()
             zeta_b = 1.0 if total <= 0 else eig_b[:r_cand].sum() / total
             count += int(zeta_b <= h0_level)
@@ -362,6 +365,30 @@ class TestTaskResamplingOracle:
         assert [vars(rec) for rec in report.records] == [vars(rec) for rec in oracle.records]
         floor = 1.0 / (kwargs["n_boot"] + 1)
         assert any(floor < rec.p_raw < 1.0 for rec in report.records) == mixed_counts
+
+    @pytest.mark.parametrize("source,h0_level,reg,bias_correct", [
+        (("planted", 42), DEFAULT_H0_LEVEL, None, True),
+        (("planted", 2023), 0.99, None, True),
+        (("planted", 2023), 0.9, None, False),
+        (("mixed", 3), 0.8, None, True),
+        (("mixed", 5), 0.9, 0.2, False),
+    ])
+    def test_p_raw_nonincreasing_in_r_cand(self, source, h0_level, reg, bias_correct):
+        # one replicate set: a replicate's top-r ratio cannot fall as r grows
+        kind, seed = source
+        summaries = _planted_summaries(seed) if kind == "planted" else _mixed_support_summaries()
+        drops = 0
+        for r_center in (2, 3, 4):
+            report = fisher_energy_test_tasks(summaries, r_center=r_center, n_boot=200,
+                                              h0_level=h0_level, seed=seed, reg=reg,
+                                              bias_correct=bias_correct)
+            r_cands = [rec.r_cand for rec in report.records]
+            p_raw = [rec.p_raw for rec in report.records]
+            assert r_cands == sorted(r_cands)
+            assert all(a >= b for a, b in zip(p_raw, p_raw[1:])), p_raw
+            drops += sum(a > b for a, b in zip(p_raw, p_raw[1:]))
+        # the ordering is tested where it bites: some p-value falls as r grows
+        assert drops > 0
 
     def test_all_zero_summaries_rejected(self):
         zero = TaskGradientSummary(mean=np.zeros(4), within_cov=np.zeros((4, 4)), n_support=3)
