@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from .motifs import CalibrationError
@@ -40,7 +41,7 @@ def load_config(args) -> RunConfig:
         cfg = desk_config()
     if args.seed is not None:
         cfg.seed = args.seed
-        cfg.generator = type(cfg.generator)(**{**vars(cfg.generator), "seed": args.seed})
+        cfg.generator = replace(cfg.generator, seed=args.seed)
     return cfg
 
 

@@ -21,7 +21,7 @@ Phase 1's line is followed by one line per step inside it (``phase1.corpus``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,8 +69,12 @@ from .spectral import (
     rank_curve,
 )
 from .synthdata import (
+    FRAC_PRE,
+    FRAC_SEED,
+    RET_FRACS,
     GeneratorConfig,
     generate_corpus,
+    partition_sizes,
     partition_tasks,
     resample_support,
     save_corpus_manifest,
@@ -78,6 +82,7 @@ from .synthdata import (
 from .tanhmap import TanhMap
 from .util import (
     StageTimer,
+    check_fields,
     child_rng,
     config_hash,
     require,
@@ -105,6 +110,8 @@ class WarpConfig:
     hidden: int = 8
     init_scale: float = 0.1
 
+    BOUNDS = {"hidden": (">=", 1)}
+
 
 @dataclass
 class MotifRunConfig:
@@ -114,7 +121,9 @@ class MotifRunConfig:
     b_min: int = DESK_PERMUTATION_FLOOR
     b_max: int = 20_000
     null_pool_size: int = 128
-    cohorts: tuple = ("cohortA", "cohortB", "cohortC", "cohortD", "cohortE")
+    cohorts: tuple[str, ...] = ("cohortA", "cohortB", "cohortC", "cohortD", "cohortE")
+
+    BOUNDS = {"n_channels": (">=", 1), "b_min": (">=", 1), "null_pool_size": (">=", 1)}
 
 
 @dataclass
@@ -123,7 +132,7 @@ class RunConfig:
     seed: int = 42
 
     # rank selection and memory
-    k_grid: tuple = DEFAULT_K_GRID
+    k_grid: tuple[int, ...] = DEFAULT_K_GRID
     n_restarts: int = 8
     # per-sample ridge coefficient for few-shot supports (the effective
     # penalty is alpha * n_support, keeping the shrinkage ratio constant
@@ -142,84 +151,62 @@ class RunConfig:
     patience: int = 40
     # support sizes of the training episodes, one per task and size; the smallest
     # is also the validation, test and standardizer size
-    train_sizes: tuple = DEFAULT_SUPPORT_SIZES
+    train_sizes: tuple[int, ...] = DEFAULT_SUPPORT_SIZES
 
     # descriptor warp and motifs
     warp: WarpConfig = field(default_factory=WarpConfig)
     motifs: MotifRunConfig = field(default_factory=MotifRunConfig)
 
+    BOUNDS = {"k_grid": (">=", 1), "n_restarts": (">=", 1), "ridge_alpha_retrieval": (">", 0.0),
+              "coverage_n_boot": (">=", 1), "fixed_r": (">=", 1), "gamma": (">=", 0.0),
+              "r_keep": (">=", 1), "epochs": (">=", 1), "weight_decay": (">=", 0.0),
+              "patience": (">=", 0), "train_sizes": (">=", 2)}
+
     def validate(self) -> None:
-        self.generator.validate()
-        require(self.generator.n_tasks >= 5,
-                f"generator.n_tasks must be at least 5 to fill the five task partitions, "
-                f"got {self.generator.n_tasks}")
-        grid = self.k_grid
-        require(isinstance(grid, tuple) and bool(grid)
-                and all(isinstance(k, int) and k >= 1 for k in grid),
-                f"k_grid must be a nonempty tuple of positive ints, got {grid}")
-        require(self.fixed_r is None or 1 <= self.fixed_r <= self.generator.d_theta,
-                f"fixed_r must be None or in [1, generator.d_theta], got {self.fixed_r}")
-        require(self.n_restarts >= 1, f"n_restarts must be at least 1, got {self.n_restarts}")
-        require(self.ridge_alpha_retrieval > 0.0,
-                f"ridge_alpha_retrieval must be positive, got {self.ridge_alpha_retrieval}")
-        require(self.coverage_n_boot >= 1,
-                f"coverage_n_boot must be at least 1, got {self.coverage_n_boot}")
-        for name in ("gamma", "weight_decay"):
-            value = getattr(self, name)
-            require(value >= 0.0, f"{name} must be nonnegative, got {value}")
-        require(self.epochs >= 1, f"epochs must be at least 1, got {self.epochs}")
-        require(self.patience >= 0, f"patience must be nonnegative, got {self.patience}")
-        require(self.warp.kind in ("mlp", "none"),
-                f"warp.kind must be 'mlp' or 'none', got {self.warp.kind!r}")
-        require(isinstance(self.warp.hidden, int) and self.warp.hidden >= 1,
-                f"warp.hidden must be a positive int, got {self.warp.hidden!r}")
-        sizes = self.train_sizes
-        require(bool(sizes) and all(n >= 2 for n in sizes),
-                f"train_sizes must be nonempty and all at least 2, got {sizes}")
-        require(self.r_keep is None or self.r_keep >= 1,
-                f"r_keep must be None or at least 1, got {self.r_keep}")
-        require(self.r_keep is None or self.hard_threshold,
-                f"r_keep must be None when hard_threshold is False (the soft rule keeps "
-                f"all K), got {self.r_keep}")
-        mot = self.motifs
-        for name in ("n_channels", "null_pool_size", "b_min"):
-            require(getattr(mot, name) >= 1,
-                    f"motifs.{name} must be at least 1, got {getattr(mot, name)}")
+        """Refuse a bad value by name: ``section.field must be …, got …``.
+
+        ``util.check_fields`` checks each section's annotated types and ``BOUNDS``. The
+        cross-field rules: generator.r_true (in ``GeneratorConfig.validate``) and fixed_r
+        at most generator.d_theta; r_keep only with hard_threshold; motifs.b_max >=
+        motifs.b_min; warp.kind "mlp" or "none"; the motif calibration fold's minimum; and
+        at least max(2, min(k_grid)) Pre-Seed tasks from generator.n_tasks.
+        """
+        gen, warp, mot = self.generator, self.warp, self.motifs
+        check_fields(self, self.BOUNDS, "")
+        gen.validate()
+        check_fields(warp, warp.BOUNDS, "warp.")
+        check_fields(mot, mot.BOUNDS, "motifs.")
+        require(self.fixed_r is None or self.fixed_r <= gen.d_theta,
+                f"fixed_r must be at most generator.d_theta = {gen.d_theta}, got {self.fixed_r}")
+        require(self.r_keep is None or self.hard_threshold, f"r_keep must be None when "
+                f"hard_threshold is False (the soft rule keeps all K), got {self.r_keep}")
         require(mot.b_max >= mot.b_min,
                 f"motifs.b_max must be at least motifs.b_min = {mot.b_min}, got {mot.b_max}")
-        require(len(mot.cohorts) >= 1, f"motifs.cohorts must be nonempty, got {mot.cohorts}")
+        require(warp.kind in ("mlp", "none"),
+                f"warp.kind must be 'mlp' or 'none', got {warp.kind!r}")
         # calibrate_tau splits its stratified calibration fold into inner folds of two or more
         fold = (stratified_part_size(mot.n_pos, CALIB_FRAC)
                 + stratified_part_size(mot.n_neg, CALIB_FRAC))
         require(fold >= 2 * N_INNER_FOLDS,
                 f"motifs.n_pos = {mot.n_pos} and motifs.n_neg = {mot.n_neg} leave a calibration "
                 f"fold of {fold} repertoires, below {2 * N_INNER_FOLDS}")
+        need = max(2, min(self.k_grid))  # two for the rank test, min(k_grid) for the memory
+        require(partition_sizes(gen.n_tasks, FRAC_PRE, FRAC_SEED, RET_FRACS)["Pre-Seed"] >= need,
+                f"generator.n_tasks must leave at least max(2, min(k_grid)) = {need} "
+                f"Pre-Seed tasks, got {gen.n_tasks}")
 
     def to_dict(self) -> dict:
-        def plain(obj):
-            if isinstance(obj, tuple):
-                return list(obj)
-            if hasattr(obj, "__dict__"):
-                return {k: plain(v) for k, v in vars(obj).items()}
-            return obj
-        return plain(self)
+        # one level of sections; json writes the tuples as lists
+        return {k: dict(vars(v)) if is_dataclass(v) else v for k, v in vars(self).items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        data = dict(data)
-        if "generator" in data:
-            data["generator"] = GeneratorConfig(**data["generator"])
-        if "warp" in data:
-            data["warp"] = WarpConfig(**data["warp"])
-        if "motifs" in data:
-            mot = dict(data["motifs"])
-            if "cohorts" in mot:
-                mot["cohorts"] = tuple(mot["cohorts"])
-            data["motifs"] = MotifRunConfig(**mot)
-        for key in ("k_grid", "train_sizes"):
-            if isinstance(data.get(key), list):
-                data[key] = tuple(data[key])
-        cfg = cls(**data)
+        def tuples(section: dict) -> dict:  # JSON has lists where a config has tuples
+            return {k: tuple(v) if isinstance(v, list) else v for k, v in section.items()}
+
+        sections = {"generator": GeneratorConfig, "warp": WarpConfig, "motifs": MotifRunConfig}
+        cfg = cls(**{k: sections[k](**tuples(v)) if k in sections else v
+                     for k, v in tuples(data).items()})
         cfg.validate()
         return cfg
 
@@ -365,7 +352,7 @@ def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
 
         with timer.stage("phase1.rank", None):
             if cfg.fixed_r is not None:
-                r_selected = int(cfg.fixed_r)
+                r_selected = cfg.fixed_r
                 notes.append(f"rank selection disabled; fixed r={r_selected}")
             else:
                 r_selected = pca_rank(theta_seed, RHO)
@@ -398,7 +385,6 @@ def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
             if len(usable_k) < len(cfg.k_grid):
                 notes.append(f"K grid values above the seed count {n_seed} skipped: "
                              f"{[k for k in cfg.k_grid if k > n_seed]}")
-            require(len(usable_k) >= 1, "no usable K values in the grid")
             # K selection: best cluster separation (silhouette), restart stability
             # as the tie-breaker, then parsimony
             candidates = []

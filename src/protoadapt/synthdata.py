@@ -13,11 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import ValidationError, child_rng, require, sigmoid, write_json
+from .util import ValidationError, check_fields, child_rng, require, sigmoid, write_json
 
 PARTITIONS = ("Pre-Seed", "Pre-Rest", "Ret-Train", "Ret-Val", "Ret-Test")
 PRE_PARTITIONS = ("Pre-Seed", "Pre-Rest")
-RET_PARTITIONS = ("Ret-Train", "Ret-Val", "Ret-Test")
+# partition_tasks' shares: pretraining, the seed subset of it, and retrieval train/val/test
+FRAC_PRE, FRAC_SEED, RET_FRACS = 0.5, 0.8, (0.6, 0.2, 0.2)
 
 
 @dataclass(frozen=True)
@@ -36,17 +37,16 @@ class GeneratorConfig:
     cluster_spread: float = 0.15
     off_subspace_norm: float = 0.0  # exact distance of each adapter to the planted subspace
 
+    BOUNDS = {"d_theta": (">=", 1), "q": (">=", 1), "r_true": (">=", 1), "n_tasks": (">=", 1),
+              "n_query": (">=", 1), "n_clusters": (">=", 1), "adapter_scale": (">", 0.0),
+              "cluster_spread": (">=", 0.0), "off_subspace_norm": (">=", 0.0),
+              "n_support": (">=", 2)}  # both classes must fit
+
     def validate(self) -> None:
-        require(self.d_theta >= 1, "d_theta must be positive")
-        require(self.q >= 1, "q must be positive")
-        require(1 <= self.r_true <= self.d_theta, "need 1 <= r_true <= d_theta")
-        require(self.n_tasks >= 1, "n_tasks must be positive")
-        require(self.n_support >= 2, "n_support must be at least 2 (both classes must fit)")
-        require(self.n_query >= 1, "n_query must be positive")
-        require(self.n_clusters >= 1, "n_clusters must be positive")
-        require(self.adapter_scale > 0.0, "adapter_scale must be positive")
-        require(self.cluster_spread >= 0.0, "cluster_spread must be nonnegative")
-        require(self.off_subspace_norm >= 0.0, "off_subspace_norm must be nonnegative")
+        """Each field's type and ``BOUNDS``, then r_true <= d_theta."""
+        check_fields(self, self.BOUNDS, "generator.")
+        require(self.r_true <= self.d_theta, f"generator.r_true must be at most "
+                f"generator.d_theta = {self.d_theta}, got {self.r_true}")
 
 
 class PartitionError(ValidationError):
@@ -203,48 +203,32 @@ def resample_support(corpus: Corpus, task: EpisodeTask, n_support: int, tag: str
     return replace(task, support_x=sx, support_y=sy)
 
 
-def partition_tasks(tasks, frac_pre: float = 0.5, frac_seed: float = 0.8, seed: int = 0,
-                    ret_fracs=(0.6, 0.2, 0.2)) -> dict:
-    """Assign every task to exactly one partition tag; return the count per tag.
-
-    One seeded permutation orders the tasks. Its first ``frac_pre`` share are
-    pretraining tasks, split into a seed subset (the first ``frac_seed`` of
-    them) and a remainder; the rest are retrieval tasks, split into
-    train/val/test by ``ret_fracs``. With at least five tasks, the clamps
-    leave every partition at least one.
+def partition_sizes(n: int, frac_pre: float, frac_seed: float, ret_fracs) -> dict:
+    """Each tag's task count for n tasks: a ``frac_pre`` share of pretraining tasks, ``frac_seed``
+    of them Pre-Seed, the rest split by ``ret_fracs``. From five tasks on every count is
+    at least one; below five the Pre-Seed count is not.
     """
     require(0.0 < frac_pre < 1.0, "frac_pre must lie in (0, 1)")
     require(0.0 < frac_seed < 1.0, "frac_seed must lie in (0, 1)")
     require(len(ret_fracs) == 3 and abs(sum(ret_fracs) - 1.0) < 1e-9, "ret_fracs must sum to 1")
+    n_pre = min(max(int(round(frac_pre * n)), 2), n - 3)
+    n_seed = min(max(int(round(frac_seed * n_pre)), 1), n_pre - 1)
+    n_ret = n - n_pre
+    n_train = min(max(int(round(ret_fracs[0] * n_ret)), 1), n_ret - 2)
+    n_val = min(max(int(round(ret_fracs[1] * n_ret)), 1), n_ret - n_train - 1)
+    return dict(zip(PARTITIONS, (n_seed, n_pre - n_seed, n_train, n_val, n_ret - n_train - n_val)))
+
+
+def partition_tasks(tasks, frac_pre: float = FRAC_PRE, frac_seed: float = FRAC_SEED,
+                    seed: int = 0, ret_fracs=RET_FRACS) -> dict:
+    """Tag each task once, cutting a seeded permutation at ``partition_sizes``, which it returns."""
     n = len(tasks)
+    sizes = partition_sizes(n, frac_pre, frac_seed, ret_fracs)
     require(n >= 5, "need at least five tasks to fill all partitions")
-
     order = child_rng(seed, "partition").permutation(n)
-    n_pre = int(round(frac_pre * n))
-    n_pre = min(max(n_pre, 2), n - 3)
-    pre_idx = list(order[:n_pre])
-    ret_idx = list(order[n_pre:])
-
-    n_seed = int(round(frac_seed * n_pre))
-    n_seed = min(max(n_seed, 1), n_pre - 1)
-
-    n_ret = len(ret_idx)
-    n_train = int(round(ret_fracs[0] * n_ret))
-    n_val = int(round(ret_fracs[1] * n_ret))
-    n_train = min(max(n_train, 1), n_ret - 2)
-    n_val = min(max(n_val, 1), n_ret - n_train - 1)
-    splits = {
-        "Pre-Seed": pre_idx[:n_seed],
-        "Pre-Rest": pre_idx[n_seed:],
-        "Ret-Train": ret_idx[:n_train],
-        "Ret-Val": ret_idx[n_train:n_train + n_val],
-        "Ret-Test": ret_idx[n_train + n_val:],
-    }
-
-    for tag, idxs in splits.items():
-        for i in idxs:
-            tasks[i].set_partition(tag)
-    return {tag: len(splits[tag]) for tag in PARTITIONS}
+    for i, tag in zip(order, np.repeat(PARTITIONS, list(sizes.values()))):
+        tasks[i].set_partition(str(tag))
+    return sizes
 
 
 def save_corpus(corpus: Corpus, csv_path, manifest_path=None) -> None:
@@ -273,7 +257,6 @@ def save_corpus_manifest(corpus: Corpus, path) -> None:
     task array bit for bit, so the manifest stands in for the sample CSV.
     """
     write_json(path, {
-        "config": {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in vars(corpus.cfg).items()},
+        "config": vars(corpus.cfg),
         "partition": {t.task_id: t.partition for t in corpus.tasks},
     })

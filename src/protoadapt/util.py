@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 import resource
 import time
+import typing
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -38,6 +40,40 @@ def child_rng(seed: int, *tags) -> np.random.Generator:
 def require(condition: bool, message: str) -> None:
     if not condition:
         raise ValidationError(message)
+
+
+def _fits(value, kind, bound) -> bool:
+    """A bool is never a number, and an int passes for a float."""
+    return (isinstance(value, (int, float) if kind is float else kind)
+            and (kind is bool or not isinstance(value, bool))
+            and (bound is None or (value > bound[1] if bound[0] == ">" else value >= bound[1])))
+
+
+def check_fields(config, bounds: dict, prefix: str) -> None:
+    """Refuse the first field of a config dataclass whose value breaks its schema.
+
+    The type is the annotation: int, float, bool, str or a nonempty
+    ``tuple[T, ...]``, each maybe ``| None``. ``bounds`` maps a field to a
+    lower bound, ``(">=", 1)`` or ``(">", 0.0)``, that a tuple's every element
+    meets too. A dataclass field is left to that config's own ``validate``.
+    """
+    hints = typing.get_type_hints(type(config))
+    for f in dataclasses.fields(config):
+        kind, value, bound = hints[f.name], getattr(config, f.name), bounds.get(f.name)
+        optional = type(None) in typing.get_args(kind)  # annotated X | None
+        if dataclasses.is_dataclass(kind) or (optional and value is None):
+            continue
+        kind = typing.get_args(kind)[0] if optional else kind
+        if typing.get_origin(kind) is tuple:
+            kind, wanted = typing.get_args(kind)[0], "a nonempty tuple of "
+            ok = (isinstance(value, tuple) and bool(value)
+                  and all(_fits(v, kind, bound) for v in value))
+        else:
+            wanted, ok = "", _fits(value, kind, bound)
+        if not ok:
+            wanted += kind.__name__ + ("" if bound is None else " {} {}".format(*bound))
+            raise ValidationError(f"{prefix}{f.name} must be {wanted}"
+                                  f"{' or None' if optional else ''}, got {value!r}")
 
 
 def check_finite(arr, name: str) -> np.ndarray:

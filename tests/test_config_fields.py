@@ -159,8 +159,8 @@ def test_every_allowed_field_is_read_where_its_reason_says():
 RESTORED = {
     "src/protoadapt/pipeline.py": (
         ("    n_channels: int = 60\n", "    n_channels: int = 60\n    kmer: int = 3\n"),
-        ("    k_grid: tuple = DEFAULT_K_GRID\n",
-         "    k_grid: tuple = DEFAULT_K_GRID\n    lam_grid: tuple = DEFAULT_LAMBDA_GRID\n"),
+        ("    k_grid: tuple[int, ...] = DEFAULT_K_GRID\n",
+         "    k_grid: tuple[int, ...] = DEFAULT_K_GRID\n    lam_grid: tuple = DEFAULT_LAMBDA_GRID\n"),
     ),
 }
 

@@ -232,6 +232,8 @@ class TestDefaults:
         ("k_grid", 5),
         ("k_grid", ()),
         ("generator.n_tasks", 3),  # partition_tasks needs five
+        ("generator.n_tasks", 6),  # two Pre-Seed tasks, below the smallest K = 4
+        ("generator.n_tasks", 9),  # three
         ("warp.hidden", -1),
     ])
     def test_bad_field_is_rejected_naming_it(self, name, value):

@@ -1,10 +1,11 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
 
 from protoadapt.util import (
     ValidationError,
+    check_fields,
     check_finite,
     sigmoid,
     vector_norm,
@@ -87,6 +88,62 @@ class TestCheckFinite:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValidationError, match="x contains non-finite"):
             check_finite(np.array([[0.0, bad]]), "x")
+
+
+@dataclass
+class _Inner:
+    n: int = 1
+
+
+@dataclass
+class _Schema:
+    count: int = 1
+    rate: float = 0.5
+    flag: bool = True
+    name: str = "a"
+    sizes: tuple[int, ...] = (2,)
+    labels: tuple[str, ...] = ("a",)
+    limit: int | None = None
+    inner: _Inner = field(default_factory=_Inner)
+
+
+_BOUNDS = {"count": (">=", 1), "rate": (">", 0.0), "sizes": (">=", 2)}
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("count", 1, None),  # at its bound
+    ("count", True, "int >= 1, got True"),  # a bool is not an int
+    ("count", 2.0, "int >= 1, got 2.0"),
+    ("count", 0, "int >= 1, got 0"),
+    ("rate", 2, None),  # an int passes for a float
+    ("rate", False, "float > 0.0, got False"),  # a bool is not a float either
+    ("rate", 0.0, "float > 0.0, got 0.0"),
+    ("rate", None, "float > 0.0, got None"),
+    ("flag", False, None),
+    ("flag", 1, "bool, got 1"),
+    ("name", "b", None),
+    ("name", None, "str, got None"),
+    ("sizes", (2, 3), None),
+    ("sizes", (), "a nonempty tuple of int >= 2, got ()"),
+    ("sizes", (2, "3"), "a nonempty tuple of int >= 2, got (2, '3')"),
+    ("sizes", (2, 1), "a nonempty tuple of int >= 2, got (2, 1)"),  # an element below the bound
+    ("sizes", [2], "a nonempty tuple of int >= 2, got [2]"),
+    ("sizes", 2, "a nonempty tuple of int >= 2, got 2"),
+    ("labels", "ab", "a nonempty tuple of str, got 'ab'"),
+    ("labels", ("a", 1), "a nonempty tuple of str, got ('a', 1)"),
+    ("limit", None, None),
+    ("limit", 0, None),  # no bound
+    ("limit", "3", "int or None, got '3'"),
+    ("inner", _Inner(n="x"), None),  # left to the nested config's own validate
+])
+def test_check_fields_types_bounds_and_names(name, value, message):
+    config = replace(_Schema(), **{name: value})
+    if message is None:
+        check_fields(config, _BOUNDS, "section.")
+        return
+    with pytest.raises(ValidationError) as exc:
+        check_fields(config, _BOUNDS, "section.")
+    assert str(exc.value) == f"section.{name} must be {message}"
 
 
 @dataclass
