@@ -43,11 +43,10 @@ def rank_auc_or_nan(scores, labels):
 
 def _rank_auc(scores, labels, single_class_nan):
     scores = check_finite(scores, "scores")
-    labels = np.asarray(labels, dtype=int).ravel()
+    pos = np.asarray(labels).ravel() == 1  # compared as given: no int64 copy of int8 labels
     vector = scores.ndim != 2
     rows = scores.reshape(1, -1) if vector else scores
-    require(rows.shape[1] == labels.size, "scores and labels must align")
-    pos = labels == 1
+    require(rows.shape[1] == pos.size, "scores and labels must align")
     n_pos, n_neg = int(pos.sum()), int((~pos).sum())
     if n_pos == 0 or n_neg == 0:
         if not single_class_nan:
@@ -151,15 +150,15 @@ def compute_metrics(probs, labels) -> MetricsRecord:
     makes the AUC undefined and is rejected.
     """
     probs = check_finite(probs, "probabilities").ravel()
-    labels = np.asarray(labels, dtype=int).ravel()
+    labels = np.asarray(labels).ravel()  # compared as given: no int64 copy of int8 labels
     require(np.all((probs >= 0.0) & (probs <= 1.0)), "probabilities must lie in [0, 1]")
     require(probs.size == labels.size and probs.size >= 1, "inputs must align")
 
-    preds = (probs >= 0.5).astype(int)
-    tp = int(np.sum((preds == 1) & (labels == 1)))
-    fp = int(np.sum((preds == 1) & (labels == 0)))
-    tn = int(np.sum((preds == 0) & (labels == 0)))
-    fn = int(np.sum((preds == 0) & (labels == 1)))
+    preds, pos, neg = probs >= 0.5, labels == 1, labels == 0
+    tp = int(np.count_nonzero(preds & pos))
+    fp = int(np.count_nonzero(preds & neg))
+    tn = int(np.count_nonzero(~preds & neg))
+    fn = int(np.count_nonzero(~preds & pos))
     accuracy = (tp + tn) / probs.size
     sensitivity = tp / (tp + fn) if tp + fn else 0.0
     specificity = tn / (tn + fp) if tn + fp else 0.0

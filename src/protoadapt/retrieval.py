@@ -13,9 +13,9 @@ sparsity: the top-r rule keeps every activation at r_keep >= K.
 
 ``solve_block`` is the one way onto the kernel. Training, validation, test
 prediction and the penalty sweep run blocks of ``Episodes`` (each task's
-descriptor, support adapter and query set in prototype coordinates, built once,
-one query size per block): one warp and network pass over T rows and
-``solve_block`` (``_episode_block``), the outer objective on the block
+descriptor and support adapter, and each distinct query set in prototype
+coordinates, built once, one query size per block): one warp and network pass
+over T rows and ``solve_block`` (``_episode_block``), the outer objective on the block
 (``outer_terms``) and, in training, ``backward_block``. ``solve_block`` takes
 one ``ProximalConfig`` (lam and gamma one value or one per row) and returns one
 ``BlockSolution`` of arrays. One-task calls (``predict_task``) run the warp, the
@@ -262,34 +262,52 @@ def backward_through_solve(solution: RetrievalSolution, memory, grad_w: np.ndarr
 class Episodes:
     """Phase-2 inputs, one row per task; ``Episodes.of`` maps and checks each query set once.
 
-    Every task of a block has the same query size n_q, so its query sets are one array.
+    A task's episodes at several support sizes share its query set, so the block
+    holds each distinct query set once: U query blocks of one query size n_q,
+    and per row the index of its own. ``coords`` and ``labels`` gather the rows'.
     """
 
     task_ids: list
-    z: np.ndarray           # (T, d_z) descriptor values
-    theta_hats: np.ndarray  # (T, d_theta) support adapters
-    n_support: np.ndarray   # (T,)
-    coords: np.ndarray      # (T, n_q, K): task i's P_i = feature_map(x_q) M^T
-    labels: np.ndarray      # (T, n_q) query_y
+    z: np.ndarray             # (T, d_z) descriptor values
+    theta_hats: np.ndarray    # (T, d_theta) support adapters
+    n_support: np.ndarray     # (T,)
+    query: np.ndarray         # (T,) row i's index into the query blocks
+    query_coords: np.ndarray  # (U, n_q, K): query set u's P_u = feature_map(x_q) M^T
+    query_labels: np.ndarray  # (U, n_q) its query_y, in the tasks' dtype (int8 from a corpus)
 
     @classmethod
     def of(cls, tasks, z, theta_hats, memory, feature_map) -> "Episodes":
-        mapped = {}  # a task at several support sizes keeps one query array: map it once
-        for x in (task.query_x for task in tasks):
-            if id(x) not in mapped:
-                mapped[id(x)] = check_finite(feature_map(x) @ memory.M.T, "query features")
-        coords = [mapped[id(task.query_x)] for task in tasks]
+        index, distinct, query = {}, [], []  # one query block per distinct (query_x, query_y)
+        for task in tasks:
+            key = id(task.query_x), id(task.query_y)
+            if key not in index:
+                index[key] = len(distinct)
+                distinct.append(task)
+            query.append(index[key])
+        coords = [check_finite(feature_map(task.query_x) @ memory.M.T, "query features")
+                  for task in distinct]
         sizes = sorted({len(rows) for rows in coords})
         require(sizes[0] >= 1, "query is empty")
         require(len(sizes) == 1, f"a block needs one query size for all its tasks, got {sizes}")
         return cls([task.task_id for task in tasks], z, theta_hats,
-                   np.array([task.n_support for task in tasks]), np.stack(coords),
-                   np.array([task.query_y for task in tasks]))
+                   np.array([task.n_support for task in tasks]), np.array(query),
+                   np.stack(coords), np.array([task.query_y for task in distinct]))
+
+    @property
+    def coords(self) -> np.ndarray:
+        """(T, n_q, K): row i's query coordinates P_i."""
+        return self.query_coords[self.query]
+
+    @property
+    def labels(self) -> np.ndarray:
+        """(T, n_q): row i's query labels."""
+        return self.query_labels[self.query]
 
     def take(self, rows) -> "Episodes":
-        """The episodes at ``rows``, in that order (a minibatch)."""
+        """The episodes at ``rows``, in that order (a minibatch); the query blocks are shared."""
         return Episodes([self.task_ids[i] for i in rows], self.z[rows], self.theta_hats[rows],
-                        self.n_support[rows], self.coords[rows], self.labels[rows])
+                        self.n_support[rows], self.query[rows], self.query_coords,
+                        self.query_labels)
 
 
 def outer_terms(episodes: Episodes, w_tilde):

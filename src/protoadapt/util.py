@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -49,6 +50,25 @@ def _fits(value, kind, bound) -> bool:
             and (bound is None or (value > bound[1] if bound[0] == ">" else value >= bound[1])))
 
 
+@functools.cache
+def _schema(cls) -> tuple:
+    """(field, type, optional, tuple) for each field of a config class ``check_fields`` checks.
+
+    The annotations are read with ``typing.get_type_hints`` once per class. A
+    tuple field's type is its element type; a dataclass field is left out.
+    """
+    hints, schema = typing.get_type_hints(cls), []
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        if dataclasses.is_dataclass(kind):
+            continue
+        optional = type(None) in typing.get_args(kind)  # annotated X | None
+        kind = typing.get_args(kind)[0] if optional else kind
+        many = typing.get_origin(kind) is tuple
+        schema.append((f.name, typing.get_args(kind)[0] if many else kind, optional, many))
+    return tuple(schema)
+
+
 def check_fields(config, bounds: dict, prefix: str) -> None:
     """Refuse the first field of a config dataclass whose value breaks its schema.
 
@@ -57,22 +77,19 @@ def check_fields(config, bounds: dict, prefix: str) -> None:
     lower bound, ``(">=", 1)`` or ``(">", 0.0)``, that a tuple's every element
     meets too. A dataclass field is left to that config's own ``validate``.
     """
-    hints = typing.get_type_hints(type(config))
-    for f in dataclasses.fields(config):
-        kind, value, bound = hints[f.name], getattr(config, f.name), bounds.get(f.name)
-        optional = type(None) in typing.get_args(kind)  # annotated X | None
-        if dataclasses.is_dataclass(kind) or (optional and value is None):
+    for name, kind, optional, many in _schema(type(config)):
+        value, bound = getattr(config, name), bounds.get(name)
+        if optional and value is None:
             continue
-        kind = typing.get_args(kind)[0] if optional else kind
-        if typing.get_origin(kind) is tuple:
-            kind, wanted = typing.get_args(kind)[0], "a nonempty tuple of "
+        if many:
+            wanted = "a nonempty tuple of "
             ok = (isinstance(value, tuple) and bool(value)
                   and all(_fits(v, kind, bound) for v in value))
         else:
             wanted, ok = "", _fits(value, kind, bound)
         if not ok:
             wanted += kind.__name__ + ("" if bound is None else " {} {}".format(*bound))
-            raise ValidationError(f"{prefix}{f.name} must be {wanted}"
+            raise ValidationError(f"{prefix}{name} must be {wanted}"
                                   f"{' or None' if optional else ''}, got {value!r}")
 
 

@@ -76,8 +76,10 @@ def test_support_means_bytes_equal_np_mean(kernel):
             else:
                 probe = ProbeHead(weights=rng.normal(size=q), bias=float(rng.normal()), seed=0)
                 task = _Task(x, rng.integers(0, 2, size=n))
-                out, ref = (_probe_fit(probe, task, identity_map),
-                            _mean_probe_fit(probe, task, identity_map))
+                ref = _mean_probe_fit(probe, task, identity_map)
+                # a corpus's int8 labels on odd sizes, int64 on even
+                task.support_y = task.support_y.astype((np.int64, np.int8)[n % 2])
+                out = _probe_fit(probe, task, identity_map)
             assert out.tobytes() == ref.tobytes(), (n, q)
 
 

@@ -15,6 +15,8 @@ from protoadapt.metrics import (
 )
 from protoadapt.util import ValidationError
 
+LABEL_DTYPES = (np.int8, np.int64)  # a corpus's labels, and numpy's default integers
+
 
 def _loop_average_ranks(values):
     # the hand-written tie loop the library used before scipy's rankdata and
@@ -140,7 +142,8 @@ class TestAuc:
 
     def test_matches_tie_loop_oracle_exactly(self):
         checked = 0
-        for scores, labels in _tied_cases():
+        for case, (scores, labels) in enumerate(_tied_cases()):
+            labels = labels.astype(LABEL_DTYPES[case % 2])  # a corpus's int8, and int64
             if labels.min() == labels.max():
                 assert np.isnan(rank_auc_or_nan(scores, labels))
                 continue
@@ -208,13 +211,26 @@ class TestTieRuleAndEce:
             if trial % 4 == 0:  # probabilities on bin edges, 1.0 included
                 probs = rng.integers(0, 11, size=n) / 10.0
             labels = rng.integers(0, 2, size=n)
-            assert expected_calibration_error(probs, labels) == _loop_ece(probs, labels)
+            ece = expected_calibration_error(probs, labels.astype(LABEL_DTYPES[trial % 2]))
+            assert ece == _loop_ece(probs, labels)
+            if trial % 100 == 0:  # every bin's bytes, NaN entries too, for either label type
+                rows = [repr(calibration_bins(probs, labels.astype(dtype)))
+                        for dtype in LABEL_DTYPES]
+                assert rows[0] == rows[1] == repr(calibration_bins(probs, labels))
 
     def test_calibration_bins_counts(self):
         rows = calibration_bins(np.array([0.05, 0.06, 0.95]), np.array([0, 0, 1]))
         assert rows[0]["count"] == 2
         assert rows[9]["count"] == 1
         assert sum(r["count"] for r in rows) == 3
+
+
+def _widened_counts(probs, labels):
+    # compute_metrics' counts as they were, on int64 copies of the labels; kept as the oracle
+    labels = np.asarray(labels, dtype=int).ravel()
+    preds = (probs >= 0.5).astype(int)
+    return tuple(int(np.sum((preds == p) & (labels == y)))
+                 for p, y in ((1, 1), (1, 0), (0, 0), (0, 1)))
 
 
 class TestConfusionConsistency:
@@ -225,6 +241,10 @@ class TestConfusionConsistency:
         if labels.sum() in (0, 50):
             labels[0] = 1 - labels[0]
         rec = compute_metrics(probs, labels)
+        assert (rec.tp, rec.fp, rec.tn, rec.fn) == _widened_counts(probs, labels)
+        # the same record, bit for bit, for a corpus's int8 labels and for a list
+        for same in (labels.astype(LABEL_DTYPES[0]), labels.tolist()):
+            assert repr(compute_metrics(probs, same)) == repr(rec)
         assert rec.tp + rec.fp + rec.tn + rec.fn == rec.n
         sens = rec.tp / (rec.tp + rec.fn) if rec.tp + rec.fn else 0.0
         spec = rec.tn / (rec.tn + rec.fp) if rec.tn + rec.fp else 0.0
@@ -281,6 +301,9 @@ def _cross_entropy_cases(seed=23):
     cases.append(("block with a NaN row", np.stack([both[:-2], np.full(both.size - 2, np.nan)]),
                   np.tile([0, 1], edge.size - 1)))
     cases.append(("float labels", rng.random(50), rng.integers(0, 2, size=50).astype(float)))
+    for dtype in LABEL_DTYPES:  # a corpus's labels and numpy's default integers, in a block
+        cases.append((f"{np.dtype(dtype).name} labels", rng.random((3, 40)),
+                      rng.integers(0, 2, size=(3, 40)).astype(dtype)))
     return cases
 
 

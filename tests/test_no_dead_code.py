@@ -50,9 +50,11 @@ def _sources():
 
 
 def _scan(sources):
-    """Library definitions as {qualified name: (name, node id)} and every load.
+    """Library definitions as {qualified name: (name, node)} and every load.
 
-    A load maps a name to the ids of the definitions around each place it is loaded.
+    A load maps a name to the definition nodes around each place it is loaded.
+    The nodes themselves, not their ``id``s, are kept: a tree freed after its scan
+    could hand a node's id to a node of the next file.
     """
     definitions, loads = {}, defaultdict(list)
 
@@ -60,9 +62,9 @@ def _scan(sources):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if module is not None and (not owners or class_name is not None):
                 prefix = f"{module}.{class_name}." if class_name else f"{module}."
-                definitions[prefix + node.name] = (node.name, id(node))
+                definitions[prefix + node.name] = (node.name, node)
             top_class = isinstance(node, ast.ClassDef) and not owners
-            owners = owners | {id(node)}
+            owners = owners | {node}
             class_name = node.name if top_class else None
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             loads[node.id].append(owners)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1250,3 +1251,120 @@ def _assert_rows_match(rows, oracle):
             key: value for key, value in ref.items() if key != "mean_objective"}
         f = ref["mean_objective"]
         assert abs(row["mean_objective"] - f) <= 1e-12 * (1.0 + abs(f))
+
+
+# ---------------------------------------------------------------------------
+# Episodes holds each distinct query set once
+# ---------------------------------------------------------------------------
+
+def _stacked(tasks, z, theta_hats, memory, feature_map=identity_map):
+    """A block as it was, one stacked query set per row, kept as the oracle of ``Episodes``.
+
+    Each query array was mapped once and stacked once per row that uses it.
+    """
+    mapped = {}
+    for x in (task.query_x for task in tasks):
+        if id(x) not in mapped:
+            mapped[id(x)] = check_finite(feature_map(x) @ memory.M.T, "query features")
+    return SimpleNamespace(task_ids=[task.task_id for task in tasks], z=z, theta_hats=theta_hats,
+                           n_support=np.array([task.n_support for task in tasks]),
+                           coords=np.stack([mapped[id(task.query_x)] for task in tasks]),
+                           labels=np.array([task.query_y for task in tasks]))
+
+
+def _stacked_take(block, rows):
+    """``take`` on the stacked layout: every array indexed by ``rows``."""
+    return SimpleNamespace(task_ids=[block.task_ids[i] for i in rows], z=block.z[rows],
+                           theta_hats=block.theta_hats[rows], n_support=block.n_support[rows],
+                           coords=block.coords[rows], labels=block.labels[rows])
+
+
+def _same_bytes(ours, theirs):
+    ours, theirs = np.asarray(ours), np.asarray(theirs)
+    return (ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            and ours.tobytes() == theirs.tobytes())
+
+
+def _assert_layouts_agree(episodes, stacked, memory, net, transform, rng):
+    """Every read of the block has the stacked layout's bytes, on the block and on minibatches."""
+    pcfg, r_keep = ProximalConfig(lam=1e-3, gamma=0.3), min(2, memory.K)
+    n_rows = len(stacked.task_ids)
+    batches = [np.arange(n_rows), rng.permutation(n_rows)[: max(1, n_rows // 2)],
+               rng.integers(0, n_rows, size=n_rows + 3)]  # rows repeated
+    for rows in batches:
+        ours, theirs = episodes.take(rows), _stacked_take(stacked, rows)
+        assert ours.task_ids == theirs.task_ids
+        for name in ("z", "theta_hats", "n_support", "coords", "labels"):
+            assert _same_bytes(getattr(ours, name), getattr(theirs, name)), name
+        w_tilde = np.maximum(rng.normal(size=(len(rows), memory.K)), 0.0)
+        for a, b in zip(outer_terms(ours, w_tilde), outer_terms(theirs, w_tilde)):
+            assert _same_bytes(a, b)
+        ours_out = predict_tasks(ours, memory, net, pcfg, r_keep, transform=transform)
+        theirs_out = predict_tasks(theirs, memory, net, pcfg, r_keep, transform=transform)
+        for a, b in zip(ours_out[:2], theirs_out[:2]):
+            assert _same_bytes(a, b)
+        assert _same_bytes(ours_out[2].w_tilde, theirs_out[2].w_tilde)
+        grads = [retrieval.minibatch_gradients(block, memory, net, pcfg, r_keep, 0.01,
+                                               transform=transform) for block in (ours, theirs)]
+        assert _same_bytes(grads[0][0], grads[1][0])
+        assert grads[0][2].keys() == grads[1][2].keys()
+        assert all(_same_bytes(grads[0][2][key], grads[1][2][key]) for key in grads[0][2])
+    surfaces = [sweep_lambda_eta([1e-4, 0.1], [0.0, 0.5], block, memory, net, pcfg, r_keep,
+                                 transform=transform) for block in (episodes, stacked)]
+    assert repr(surfaces[0]) == repr(surfaces[1])  # a NaN AUC compares as its repr
+
+
+class TestQueryBlocks:
+    def test_random_blocks_match_the_stacked_layout(self):
+        # rows share query sets as a task's episodes at several support sizes do
+        rng = np.random.default_rng(40)
+        for trial in range(25):
+            k, d, n_q = int(rng.integers(1, 6)), int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            memory = make_memory(rng.normal(size=(k, d)))
+            dtype = (np.int8, np.int64)[trial % 2]  # a corpus's labels, and numpy's default
+            queries = [_Query(rng.normal(size=(n_q, d)),
+                              rng.integers(0, 2, size=n_q).astype(dtype))
+                       for _ in range(int(rng.integers(1, 5)))]
+            uses = rng.integers(0, len(queries), size=int(rng.integers(1, 12)))
+            tasks = [SimpleNamespace(task_id=f"r{i}", n_support=int(rng.choice([0, 2, 5, 20])),
+                                     query_x=queries[u].query_x, query_y=queries[u].query_y)
+                     for i, u in enumerate(uses)]
+            z = rng.normal(size=(len(tasks), 3))
+            theta_hats = rng.normal(size=(len(tasks), d))
+            episodes = Episodes.of(tasks, z, theta_hats, memory, identity_map)
+            assert episodes.query_coords.shape == (len(set(uses.tolist())), n_q, k)
+            assert episodes.query_labels.dtype == dtype
+            net = RetrievalNet(d_z=3, k=k, seed=trial)
+            transform = make_transform(3, WarpConfig(hidden=4), seed=trial) if trial % 3 else None
+            _assert_layouts_agree(episodes, _stacked(tasks, z, theta_hats, memory), memory, net,
+                                  transform, rng)
+
+    def test_tiny_fixture_train_split_matches_the_stacked_layout(self):
+        from test_pipeline import tiny_config
+
+        from protoadapt import pipeline
+
+        cfg = tiny_config(train_sizes=(5, 20))
+        artifacts = pipeline.run_phase1(cfg)
+        tasks = pipeline._ret_train_tasks(artifacts, cfg.train_sizes)
+        episodes = pipeline._prepare_inputs(cfg, artifacts, tasks)
+        n_tasks = len(artifacts.corpus.tasks_in("Ret-Train"))
+        assert len(tasks) == 2 * n_tasks and len(episodes.query_coords) == n_tasks
+        assert episodes.query_labels.dtype == np.int8
+        stacked = _stacked(tasks, episodes.z, episodes.theta_hats, artifacts.memory,
+                           artifacts.corpus.feature_map())
+        net = RetrievalNet(d_z=episodes.z.shape[1], k=artifacts.memory.K, seed=1)
+        transform = make_transform(episodes.z.shape[1], cfg.warp, seed=1)
+        _assert_layouts_agree(episodes, stacked, artifacts.memory, net, transform,
+                              np.random.default_rng(41))
+
+    def test_fewshot_train_split_holds_one_block_per_task(self):
+        from protoadapt import pipeline
+
+        cfg = pipeline.fewshot_benchmark_config(seed=42)
+        artifacts = pipeline.run_phase1(cfg)
+        train = pipeline._prepare_inputs(cfg, artifacts,
+                                         pipeline._ret_train_tasks(artifacts, cfg.train_sizes))
+        assert len(train.task_ids) == 288 and train.query_coords.shape == (72, 400, 3)
+        assert train.query_labels.shape == (72, 400) and train.query_labels.dtype == np.int8
+        assert np.bincount(train.query).tolist() == [4] * 72

@@ -7,12 +7,13 @@ from protoadapt.synthdata import (
     PARTITIONS,
     GeneratorConfig,
     PartitionError,
+    _sample_labeled_set,
     generate_corpus,
     partition_tasks,
     resample_support,
     save_corpus,
 )
-from protoadapt.util import ValidationError
+from protoadapt.util import ValidationError, child_rng
 
 
 def test_zero_noise_full_rank_theta_in_subspace():
@@ -82,6 +83,20 @@ def test_resample_support_deterministic_and_query_fixed():
     assert np.array_equal(a.support_x, b.support_x)
     assert a.support_x.shape[0] == 20
     assert np.array_equal(a.query_x, task.query_x)
+
+
+def test_labels_are_int8_zeros_and_ones():
+    cfg = GeneratorConfig(n_tasks=12, n_support=5, n_query=8, seed=3)
+    corpus = generate_corpus(cfg)
+    resampled = [resample_support(corpus, task, 7) for task in corpus.tasks]
+    for task in corpus.tasks + resampled:
+        for y in (task.support_y, task.query_y):
+            assert y.dtype == np.int8 and set(y.tolist()) == {0, 1}
+    # a resampled support shares its task's query labels
+    assert all(new.query_y is old.query_y for new, old in zip(resampled, corpus.tasks))
+    # one sample cannot hold both classes: the forced flip keeps the type
+    _, y = _sample_labeled_set(child_rng(0, "flip"), 1, cfg, np.ones(cfg.q))
+    assert y.dtype == np.int8 and y.tolist() in ([0], [1])
 
 
 class TestPartition:
