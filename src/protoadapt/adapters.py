@@ -40,20 +40,27 @@ def adapter_rows(theta) -> np.ndarray:
     return theta.rows if hasattr(theta, "rows") else np.asarray(theta, dtype=float)
 
 
-def ridge_adapter(task, feature_map, alpha: float = 1e-2) -> np.ndarray:
-    """Closed-form ridge fit of a linear head on the task support set.
+RIDGE_ALPHA = 1e-2  # the ridge penalty of phase 1's adapters and of the ridge baselines
+
+
+def ridge_fit(x: np.ndarray, y, alpha: float) -> np.ndarray:
+    """Closed-form ridge fit of a linear head on features ``x`` and 0/1 labels ``y``.
 
     Labels are encoded as +-1 regression targets. For alpha > 0 the normal
     equations are strictly positive definite, so the minimizer is unique and
     the fit is deterministic.
     """
     require(alpha > 0.0, "alpha must be positive")
-    require(task.support_x.shape[0] >= 1, "support is empty")
-    x = check_finite(feature_map(task.support_x), "support features")
-    y = 2.0 * np.asarray(task.support_y, dtype=float) - 1.0
-    d = x.shape[1]
-    gram = x.T @ x + alpha * np.eye(d)
-    return np.linalg.solve(gram, x.T @ y)
+    require(x.shape[0] >= 1, "support is empty")
+    gram = x.T @ x
+    gram.ravel()[:: gram.shape[0] + 1] += alpha  # x^T x + alpha I; matmul's output is contiguous
+    return np.linalg.solve(gram, x.T @ (2.0 * np.asarray(y, dtype=float) - 1.0))
+
+
+def ridge_adapter(task, feature_map, alpha: float = RIDGE_ALPHA) -> np.ndarray:
+    """``ridge_fit`` on the task's mapped support set."""
+    return ridge_fit(check_finite(feature_map(task.support_x), "support features"),
+                     task.support_y, alpha)
 
 
 def assemble_theta(adapters, task_ids=None) -> AdapterMatrix:

@@ -8,6 +8,7 @@ construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +59,7 @@ def _probe_fit(probe: ProbeHead, task, feature_map):
     """The probe's mean cross-entropy gradient on the support, bias partial last."""
     x = check_finite(feature_map(task.support_x), "support features")
     y = np.asarray(task.support_y, dtype=float)
-    require(np.all((y == 0.0) | (y == 1.0)), "labels must be binary")
+    require(np.count_nonzero((y == 0.0) | (y == 1.0)) == y.size, "labels must be binary")
     err = sigmoid(x @ probe.weights + probe.bias) - y
     n = err.size
     return np.concatenate([(err[:, None] * x).sum(axis=0) / n, [err.sum() / n]])
@@ -99,17 +100,15 @@ class Standardizer:
         return (moments_vec - self.mean) / self.std
 
 
-def _percentiles(values, q):
-    """``np.percentile(values, q)`` (linear method) from one sort, bit for bit.
+@functools.lru_cache(maxsize=256)
+def _percentile_steps(n: int, q: tuple):
+    """numpy's linear-method steps for ``q`` over n sorted values, read-only.
 
-    numpy's own steps: virtual index (n - 1) * q / 100; its floor and the
-    next index, both moved to the last element at or past it; the weight
-    taken from the moved floor; and numpy's two-sided lerp. Only the sign of
-    a zero can differ, where -0.0 and 0.0 tie and sort and partition order
-    them differently.
+    The virtual index (n - 1) * q / 100; its floor lo and the next index hi,
+    both moved to the last element at or past it; the weight t taken from the
+    moved floor; which side of numpy's two-sided lerp each q takes (t >= 0.5);
+    and 1 - t. They depend on n and q alone, so each (n, q) computes them once.
     """
-    s = np.sort(values, axis=None)
-    n = s.size
     index = (n - 1) * (np.asarray(q, dtype=float) / 100)
     lo = np.floor(index)
     hi = lo + 1
@@ -117,9 +116,24 @@ def _percentiles(values, q):
     lo[past_end] = hi[past_end] = -1
     lo, hi = lo.astype(np.intp), hi.astype(np.intp)
     t = index - lo
+    steps = lo, hi, t, t >= 0.5, 1 - t
+    for arr in steps:
+        arr.setflags(write=False)
+    return steps
+
+
+def _percentiles(values, q: tuple):
+    """``np.percentile(values, q)`` (linear method) from one sort, bit for bit.
+
+    The steps that depend only on the count and on ``q`` (a tuple) come from
+    ``_percentile_steps``. Only the sign of a zero can differ, where -0.0 and
+    0.0 tie and sort and partition order them differently.
+    """
+    s = np.sort(values, axis=None)
+    lo, hi, t, upper, rest = _percentile_steps(s.size, q)
     a, b = s[lo], s[hi]
     diff = b - a
-    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+    return np.where(upper, b - diff * rest, a + diff * t)
 
 
 def build_descriptor(task, probe: ProbeHead, chain, standardizer: Standardizer,
@@ -141,10 +155,8 @@ def build_descriptor(task, probe: ProbeHead, chain, standardizer: Standardizer,
     order_block = _percentiles(task.support_x, DEFAULT_PERCENTILES)
 
     grad = _probe_fit(probe, task, feature_map)
-    g_proj = chain.project(grad[:-1])
-    g_block = np.concatenate([g_proj, grad[-1:]])
-
-    return np.clip(np.concatenate([std_block, order_block, g_block]), -clip, clip)
+    desc = np.concatenate([std_block, order_block, chain.project(grad[:-1]), grad[-1:]])
+    return np.minimum(np.maximum(desc, -clip), clip)  # np.clip's bytes for clip > 0, no wrapper
 
 
 def descriptors_to_csv(blocks, path) -> None:

@@ -16,7 +16,9 @@ run=<config hash>`` (``util.StageTimer``). Per-task latency is ms / tasks;
 ``rss_mb`` is the process's peak resident set so far, not the stage's own.
 Phase 1's line is followed by one line per step inside it (``phase1.corpus``,
 ``phase1.adapters``, ``phase1.rank``, ``phase1.memory``, ``phase1.merge``,
-``phase1.certificate``, ``phase1.standardizer``).
+``phase1.certificate``, ``phase1.standardizer``), and phase 2's fit line by
+``phase2.fit.inputs`` (the splits' descriptors, adapters and query blocks)
+and ``phase2.fit.train``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapters import Canonicalizer, assemble_theta, fit_canonicalizer, ridge_adapter
+from .adapters import (
+    RIDGE_ALPHA,
+    Canonicalizer,
+    assemble_theta,
+    fit_canonicalizer,
+    ridge_adapter,
+    ridge_fit,
+)
 from .descriptors import ProbeHead, Standardizer, build_descriptor, descriptors_to_csv
 from .metrics import calibration_bins, compute_metrics
 from .motifs import (
@@ -63,6 +72,7 @@ from .riskbound import BoundReport, check_bounds_over_tasks, feature_radius_of
 from .spectral import (
     TaskGradientSummary,
     corpus_fisher_matrix,
+    feature_gradients,
     fisher_energy_test_tasks,
     jl_outside_energy,
     pca_rank,
@@ -83,6 +93,7 @@ from .tanhmap import TanhMap
 from .util import (
     StageTimer,
     check_fields,
+    check_finite,
     child_rng,
     config_hash,
     require,
@@ -343,8 +354,17 @@ def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
 
         seed_tasks = corpus.tasks_in("Pre-Seed")
         pre_tasks = corpus.tasks_in("Pre-Seed", "Pre-Rest")
+        adapters, summaries = {}, []
         with timer.stage("phase1.adapters", len(pre_tasks)):
-            adapters = {t.task_id: ridge_adapter(t, fmap) for t in pre_tasks}
+            # each Pre support is mapped once, for its adapter and, on a Pre-Seed task, the
+            # rank test's gradient summary; one task's features at a time, since holding all
+            # 120 fewshot supports' (800 x 8 floats each) raised peak RSS by 6 MB
+            for t in pre_tasks:
+                x = check_finite(fmap(t.support_x), "support features")
+                adapters[t.task_id] = ridge_fit(x, t.support_y, RIDGE_ALPHA)
+                if t.partition == "Pre-Seed":
+                    summaries.append(TaskGradientSummary.from_gradients(
+                        feature_gradients(x, t.support_y)))
             theta_seed = assemble_theta([adapters[t.task_id] for t in seed_tasks],
                                         task_ids=[t.task_id for t in seed_tasks])
             theta_pre = assemble_theta([adapters[t.task_id] for t in pre_tasks],
@@ -357,7 +377,6 @@ def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
             else:
                 r_selected = pca_rank(theta_seed, RHO)
 
-            summaries = [TaskGradientSummary.from_task(t, fmap) for t in seed_tasks]
             dim_report_tasks = fisher_energy_test_tasks(summaries, r_center=r_selected,
                                                         seed=cfg.seed)
             curve = rank_curve(theta_seed, RHO_LIST, seed=cfg.seed)
@@ -562,15 +581,17 @@ def run_phase2(cfg: RunConfig, artifacts: Phase1Artifacts,
     pcfg = _proximal_config(cfg)
     r_keep = _r_keep(cfg, artifacts.rank_selected, artifacts.memory.K)
     with timer.stage("phase2.fit", None):
-        splits = {tag: _prepare_inputs(cfg, artifacts, tasks) for tag, tasks in (
-            ("train", _ret_train_tasks(artifacts, cfg.train_sizes)),
-            ("val", _ret_tasks_at_size(artifacts, "Ret-Val", size)),
-            ("test", _ret_tasks_at_size(artifacts, "Ret-Test", size)))}
-        transform = make_transform(splits["train"].z.shape[1], cfg.warp, seed=seed)
-        tcfg = TrainConfig(epochs=cfg.epochs, weight_decay=cfg.weight_decay,
-                           patience=cfg.patience, seed=seed, r_keep=r_keep)
-        result = train_retrieval(splits["train"], artifacts.memory, pcfg, tcfg,
-                                 val=splits["val"], transform=transform)
+        with timer.stage("phase2.fit.inputs", None):
+            splits = {tag: _prepare_inputs(cfg, artifacts, tasks) for tag, tasks in (
+                ("train", _ret_train_tasks(artifacts, cfg.train_sizes)),
+                ("val", _ret_tasks_at_size(artifacts, "Ret-Val", size)),
+                ("test", _ret_tasks_at_size(artifacts, "Ret-Test", size)))}
+        with timer.stage("phase2.fit.train", None):
+            transform = make_transform(splits["train"].z.shape[1], cfg.warp, seed=seed)
+            tcfg = TrainConfig(epochs=cfg.epochs, weight_decay=cfg.weight_decay,
+                               patience=cfg.patience, seed=seed, r_keep=r_keep)
+            result = train_retrieval(splits["train"], artifacts.memory, pcfg, tcfg,
+                                     val=splits["val"], transform=transform)
 
     evaluated = {tag: _split_metrics(artifacts, episodes, result.net, transform, pcfg,
                                      r_keep, timer, f"phase2.predict.{tag}")

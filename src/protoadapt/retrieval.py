@@ -28,6 +28,7 @@ objective at each iterate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,8 +52,9 @@ GAMMA_REF_SIZE = 5
 def softmax(v: np.ndarray) -> np.ndarray:
     """Softmax along the last axis."""
     v = np.asarray(v, dtype=float)
-    e = np.exp(v - v.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    # the ufunc reductions that ndarray.max and ndarray.sum call, without their wrappers
+    e = np.exp(v - np.maximum.reduce(v, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def softmax_vjp(p: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -65,7 +67,8 @@ def _at_support_size(pcfg, n_support):
 
     For a count, n + (n < 1) is max(n, 1); one task's gamma stays a Python float.
     """
-    return replace(pcfg, gamma=pcfg.gamma * GAMMA_REF_SIZE / (n_support + (n_support < 1)))
+    return ProximalConfig(lam=pcfg.lam,
+                          gamma=pcfg.gamma * GAMMA_REF_SIZE / (n_support + (n_support < 1)))
 
 
 @dataclass
@@ -81,14 +84,22 @@ class ProximalConfig:
             require(ok, f"{name} must be nonnegative")
 
 
+@functools.lru_cache(maxsize=16)
+def _eye(k: int) -> np.ndarray:
+    """The K x K identity, one read-only array per K."""
+    eye = np.eye(k)
+    eye.setflags(write=False)
+    return eye
+
+
 def _on_free_sets(hessians: np.ndarray, free: np.ndarray) -> np.ndarray:
     """Each row's H with its rows and columns off the free set F those of the identity."""
-    return np.where(free[:, :, None] & free[:, None, :], hessians, np.eye(free.shape[1]))
+    return np.where(free[:, :, None] & free[:, None, :], hessians, _eye(free.shape[1]))
 
 
 def _hessians(memory, gamma: np.ndarray) -> np.ndarray:
     """H = G + 2 gamma I for each row's gamma: (T, K, K)."""
-    return memory.gram() + 2.0 * gamma[:, None, None] * np.eye(memory.K)
+    return memory.gram() + 2.0 * gamma[:, None, None] * _eye(memory.K)
 
 
 def active_set_solve(memory, gamma: np.ndarray, linear: np.ndarray):
@@ -123,9 +134,9 @@ def active_set_solve(memory, gamma: np.ndarray, linear: np.ndarray):
         iterates.append(w)
         # where w - mu > 0 disagrees with F, a coordinate is infeasible (off F, w - mu = -c - H w)
         infeasible = (np.where(free, w, target - (hessians @ w[..., None])[..., 0]) > 0.0) != free
-        unsettled = infeasible.any(axis=1)
-        if not unsettled.any():
+        if not infeasible.any():
             return w, free, iterations, iterates
+        unsettled = infeasible.any(axis=1)
         iterations += unsettled
         if step + 1 >= FULL_EXCHANGE_ITERATIONS:
             infeasible &= np.arange(len(free[0])) == np.argmax(infeasible, axis=1)[:, None]

@@ -121,8 +121,13 @@ def task_gradients(task, feature_map, at=None) -> np.ndarray:
     classifier; gradients are taken at the reference adapter ``at``
     (zero by default), giving (p - y) * features per sample.
     """
-    x = check_finite(feature_map(task.support_x), "support features")
-    y = np.asarray(task.support_y, dtype=float)
+    return feature_gradients(check_finite(feature_map(task.support_x), "support features"),
+                             task.support_y, at=at)
+
+
+def feature_gradients(x: np.ndarray, y, at=None) -> np.ndarray:
+    """``task_gradients`` of a support already mapped to features ``x``, labels ``y``."""
+    y = np.asarray(y, dtype=float)
     theta0 = np.zeros(x.shape[1]) if at is None else np.asarray(at, dtype=float)
     p = sigmoid(x @ theta0)
     return (p - y)[:, None] * x
@@ -138,7 +143,11 @@ class TaskGradientSummary:
 
     @classmethod
     def from_task(cls, task, feature_map, at=None) -> "TaskGradientSummary":
-        g = task_gradients(task, feature_map, at=at)
+        return cls.from_gradients(task_gradients(task, feature_map, at=at))
+
+    @classmethod
+    def from_gradients(cls, g: np.ndarray) -> "TaskGradientSummary":
+        """The summary of one task's per-sample gradients (``feature_gradients``), n x d."""
         n = g.shape[0]
         mean = g.mean(axis=0)
         if n > 1:

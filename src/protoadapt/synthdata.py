@@ -97,10 +97,12 @@ class Corpus:
     basis: np.ndarray       # d_theta x r_true planted orthonormal basis
 
     def feature_map(self):
-        w = self.feature_w
+        """x -> x W^T, a row or a 2-d block of rows of any numeric dtype (as float)."""
+        w_t = self.feature_w.T
 
         def _map(x):
-            return np.atleast_2d(np.asarray(x, dtype=float)) @ w.T
+            x = np.asarray(x, dtype=float)
+            return (x if x.ndim == 2 else np.atleast_2d(x)) @ w_t
 
         return _map
 

@@ -6,6 +6,7 @@ from protoadapt.adapters import (
     assemble_theta,
     fit_canonicalizer,
     ridge_adapter,
+    ridge_fit,
 )
 from protoadapt.synthdata import GeneratorConfig, generate_corpus
 from protoadapt.util import ValidationError
@@ -57,7 +58,23 @@ class TestRidge:
             rhs = x.T @ y
             assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
+    def test_bit_equal_to_the_eye_form(self):
+        """``ridge_fit`` adds alpha to the Gram diagonal in place; the oracle adds alpha I."""
+        rng = np.random.default_rng(2)
+        for n in (1, 2, 5, 10, 50, 800):
+            for d in (1, 3, 8, 16):
+                for alpha in (1e-2, 0.05 * n, 1e-9, 1e3):
+                    x = rng.normal(size=(n, d)) * rng.choice([1e-3, 1.0, 1e3])
+                    y = rng.integers(0, 2, size=n).astype(np.int8)
+                    oracle = np.linalg.solve(x.T @ x + alpha * np.eye(d),
+                                             x.T @ (2.0 * np.asarray(y, dtype=float) - 1.0))
+                    assert ridge_fit(x, y, alpha).tobytes() == oracle.tobytes(), (n, d, alpha)
+                    got = ridge_adapter(_Task(x, y), identity_map, alpha)
+                    assert got.tobytes() == oracle.tobytes(), (n, d, alpha)
+
     def test_rejects_bad_inputs(self):
+        with pytest.raises(ValidationError, match="empty"):
+            ridge_fit(np.zeros((0, 2)), np.zeros(0), 0.1)
         task = _Task([[1.0, np.nan]], [1])
         with pytest.raises(ValidationError):
             ridge_adapter(task, identity_map, alpha=0.1)

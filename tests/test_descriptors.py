@@ -7,6 +7,7 @@ from protoadapt.descriptors import (
     LeakageError,
     ProbeHead,
     Standardizer,
+    _percentile_steps,
     _percentiles,
     _probe_fit,
     build_descriptor,
@@ -14,7 +15,7 @@ from protoadapt.descriptors import (
 )
 from protoadapt.prototypes import ProjectionChain
 from protoadapt.synthdata import GeneratorConfig, generate_corpus, partition_tasks
-from protoadapt.util import sigmoid
+from protoadapt.util import ValidationError, sigmoid
 
 
 class _Task:
@@ -121,6 +122,16 @@ class TestProbeGradient:
                  - loss_at(probe.weights, probe.bias - eps)) / (2 * eps)
         assert np.max(np.abs(grad - fd)) / max(np.linalg.norm(fd), 1e-12) < 1e-6
 
+    def test_non_binary_labels_rejected(self):
+        probe = ProbeHead(weights=np.zeros(2), bias=0.0, seed=0)
+        for labels in ([0, 2], [-1, 1]):
+            with pytest.raises(ValidationError, match="binary"):
+                _probe_fit(probe, _Task(np.eye(2), labels), identity_map)
+        with pytest.raises(ValidationError, match="binary"):
+            task = _Task(np.eye(2), [0, 1])
+            task.support_y = np.array([0.0, np.nan])
+            _probe_fit(probe, task, identity_map)
+
     def test_probe_deterministic_from_seed(self):
         a = ProbeHead.create(6, seed=9)
         b = ProbeHead.create(6, seed=9)
@@ -209,6 +220,33 @@ class TestBuildDescriptor:
             # invariant up to float summation order
             assert np.allclose(d1, d2, atol=1e-12)
 
+    def test_bit_equal_to_the_clip_assembly(self):
+        """One concatenate and minimum(maximum(...)) against the blocks' concatenates and np.clip."""
+
+        def clipped(task, probe, chain, std, fmap, clip):
+            mu, sigma = pooled_moments(task.support_x)
+            std_block = std.transform(np.concatenate([mu, sigma]))
+            order_block = _percentiles(task.support_x, DEFAULT_PERCENTILES)
+            grad = _probe_fit(probe, task, fmap)
+            g_block = np.concatenate([chain.project(grad[:-1]), grad[-1:]])
+            return np.clip(np.concatenate([std_block, order_block, g_block]), -clip, clip)
+
+        corpus, chain, std, probe = _fitted_setup()
+        fmap = corpus.feature_map()
+        rng = np.random.default_rng(11)
+        checked = 0
+        for task in corpus.tasks:
+            for scale in (1.0, 30.0, 1e6):
+                n = int(rng.integers(1, 9))
+                shown = _Task(task.support_x[:n] * scale, task.support_y[:n],
+                              task_id=task.task_id, partition=task.partition)
+                for clip in (10.0, 1.0, 1e-3):  # at clip 0 only a zero's sign could differ
+                    got = build_descriptor(shown, probe, chain, std, fmap, clip=clip)
+                    oracle = clipped(shown, probe, chain, std, fmap, clip)
+                    assert got.tobytes() == oracle.tobytes(), (task.task_id, scale, clip)
+                    checked += 1
+        assert checked == len(corpus.tasks) * 9
+
     def test_values_clipped(self):
         corpus, chain, std, probe = _fitted_setup()
         task = corpus.tasks_in("Ret-Train")[0]
@@ -240,6 +278,13 @@ class TestPercentiles:
                     assert _percentiles(values, q).tobytes() == oracle.tobytes(), (n, q)
                     checked += 1
         assert checked == 1001 * 4 * len(self.QS)
+
+    def test_steps_are_cached_read_only(self):
+        steps = _percentile_steps(50, DEFAULT_PERCENTILES)
+        assert _percentile_steps(50, DEFAULT_PERCENTILES) is steps
+        for arr in steps:
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
 
     def test_two_dimensional_support_pools_every_entry(self):
         x = np.random.default_rng(1).normal(size=(50, 16))

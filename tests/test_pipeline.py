@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from protoadapt import pipeline, retrieval
+from protoadapt import pipeline, retrieval, synthdata
+from protoadapt.adapters import ridge_adapter
 from protoadapt.cli import main
 from protoadapt.metrics import compute_metrics
 from protoadapt.motifs import CalibrationError
@@ -39,6 +40,7 @@ from protoadapt.pipeline import (
     run_support_sweep,
 )
 from protoadapt.riskbound import feature_radius_of
+from protoadapt.spectral import TaskGradientSummary, fisher_energy_test_tasks
 from protoadapt.synthdata import GeneratorConfig, generate_corpus
 from protoadapt.util import ValidationError
 
@@ -55,6 +57,8 @@ REMOVED_FIELDS = {"t_prox", "solver_tol", "seeds", "support_sizes_eval", "lam_gr
 # the steps inside phase 1, each with its own runtime.txt line after the phase1 line
 PHASE1_STEPS = ("phase1.corpus", "phase1.adapters", "phase1.rank", "phase1.memory",
                 "phase1.merge", "phase1.certificate", "phase1.standardizer")
+# the steps inside phase 2's fit, each with its own line after the phase2.fit line
+PHASE2_FIT_STEPS = ("phase2.fit.inputs", "phase2.fit.train")
 
 
 def tiny_config(seed=42, **overrides):
@@ -281,6 +285,35 @@ class TestPhase1(object):
         # the steps are timed inside phase 1, one after another
         assert sum(float(e["ms"]) for e in entries[1:]) <= float(entries[0]["ms"])
 
+    def test_each_pre_support_is_mapped_once(self, monkeypatch, tmp_path):
+        cfg = tiny_config()
+        feature_map, shapes = synthdata.Corpus.feature_map, []
+
+        def counting(corpus):
+            fmap = feature_map(corpus)
+
+            def _map(x):
+                shapes.append(np.shape(x))
+                return fmap(x)
+
+            return _map
+
+        monkeypatch.setattr(synthdata.Corpus, "feature_map", counting)
+        art = run_phase1(cfg)
+        pre = art.corpus.tasks_in("Pre-Seed", "Pre-Rest")
+        assert shapes == [task.support_x.shape for task in pre]
+        monkeypatch.undo()
+        # the one mapped block gives the bytes that mapping it for each use gave
+        fmap = art.corpus.feature_map()
+        assert art.theta_pre.rows.tobytes() == np.stack(
+            [ridge_adapter(task, fmap) for task in pre]).tobytes()
+        summaries = [TaskGradientSummary.from_task(task, fmap)
+                     for task in art.corpus.tasks_in("Pre-Seed")]
+        fisher_energy_test_tasks(summaries, r_center=art.rank_selected,
+                                 seed=cfg.seed).to_csv(tmp_path / "oracle.csv")
+        art.dim_report_tasks.to_csv(tmp_path / "run.csv")
+        assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
     def test_k_grid_filtered_with_note(self):
         cfg = tiny_config(k_grid=(4, 5000))
         art = run_phase1(cfg)
@@ -377,6 +410,17 @@ class TestPhase1(object):
 
 
 class TestPhase2:
+    def test_stage_lines_name_every_step_inside_the_fit(self, tiny_artifacts):
+        cfg, art = tiny_artifacts
+        result = run_phase2(cfg, art)
+        entries = [dict(field.split("=", 1) for field in line.split()) for line in result.runtime]
+        assert [e["stage"] for e in entries] == [
+            "phase2.fit", *PHASE2_FIT_STEPS,
+            *(f"phase2.predict.{tag}" for tag in ("train", "val", "test"))]
+        assert all(STAGE_LINE.fullmatch(line) for line in result.runtime)
+        # the steps are timed inside the fit, one after another
+        assert sum(float(e["ms"]) for e in entries[1:3]) <= float(entries[0]["ms"])
+
     def test_metrics_and_outputs(self, tiny_artifacts, tmp_path):
         cfg, art = tiny_artifacts
         result = run_phase2(cfg, art, outdir=tmp_path)
@@ -517,7 +561,7 @@ class TestPhase2:
         phase_stages = {"phase1": None, "phase1.corpus": None, "phase1.adapters": n_pre,
                         "phase1.rank": None, "phase1.memory": None, "phase1.merge": None,
                         "phase1.certificate": n_pre, "phase1.standardizer": n_pre,
-                        "phase2.fit": None,
+                        "phase2.fit": None, **dict.fromkeys(PHASE2_FIT_STEPS),
                         **{f"phase2.predict.{tag}": len(episodes.task_ids)
                            for tag, episodes in result.splits.items()}}
         expected = {name: (cfg.hash(), tasks) for name, tasks in phase_stages.items()}
@@ -605,6 +649,64 @@ class TestPhase2:
         rows = run_support_sweep(cfg, art, result)
         assert [r["support_size"] for r in rows] == list(DEFAULT_SUPPORT_SIZES)
         assert all(0.0 <= r["auc"] <= 1.0 for r in rows)
+
+
+class TestLeakage:
+    """Phase 1 reads no retrieval task, and training reads no Ret-Test task.
+
+    Every task of one retrieval partition is overwritten after partitioning:
+    theta_true negated and shifted, x redrawn and y flipped. The files that
+    must not see that partition stay byte-identical.
+    """
+
+    PHASE2_TRAINED = ("retrieval_net.json", "retrieval_warp.json", "training_curve.csv")
+
+    @staticmethod
+    def _run(cfg, outdir, monkeypatch=None, tag=None):
+        if tag is not None:
+            build_corpus = pipeline.build_corpus
+
+            def overwritten(config):
+                corpus = build_corpus(config)
+                rng = np.random.default_rng(7)
+                for task in corpus.tasks_in(tag):
+                    task.theta_true = 1.0 - task.theta_true
+                    task.support_x = rng.normal(size=task.support_x.shape)
+                    task.query_x = rng.normal(size=task.query_x.shape)
+                    task.support_y = (1 - task.support_y).astype(task.support_y.dtype)
+                    task.query_y = (1 - task.query_y).astype(task.query_y.dtype)
+                return corpus
+
+            monkeypatch.setattr(pipeline, "build_corpus", overwritten)
+        art = run_phase1(cfg, outdir=outdir / "phase1")
+        phase2 = run_phase2(cfg, art, outdir=outdir / "phase2")
+        return art, phase2
+
+    @staticmethod
+    def _files(directory, names=None):
+        names = names or sorted(p.name for p in directory.iterdir() if p.name != "runtime.txt")
+        return {name: (directory / name).read_bytes() for name in names}
+
+    def test_ret_test_reaches_neither_phase1_nor_training(self, monkeypatch, tmp_path):
+        cfg = tiny_config()
+        clean_art, clean = self._run(cfg, tmp_path / "clean")
+        probed_art, probed = self._run(cfg, tmp_path / "probed", monkeypatch, "Ret-Test")
+        # the overwrite reached the run: the test split scores differently
+        assert probed.metrics["test"].auc != clean.metrics["test"].auc
+        assert [t.theta_true.tobytes() for t in probed_art.corpus.tasks_in("Ret-Test")] != [
+            t.theta_true.tobytes() for t in clean_art.corpus.tasks_in("Ret-Test")]
+        assert (self._files(tmp_path / "probed" / "phase1")
+                == self._files(tmp_path / "clean" / "phase1"))
+        assert (self._files(tmp_path / "probed" / "phase2", self.PHASE2_TRAINED)
+                == self._files(tmp_path / "clean" / "phase2", self.PHASE2_TRAINED))
+
+    def test_ret_val_does_not_reach_phase1(self, monkeypatch, tmp_path):
+        cfg = tiny_config()
+        self._run(cfg, tmp_path / "clean")
+        _, probed = self._run(cfg, tmp_path / "probed", monkeypatch, "Ret-Val")
+        assert probed.metrics["val"].auc < 0.5  # flipped labels under the trained network
+        assert (self._files(tmp_path / "probed" / "phase1")
+                == self._files(tmp_path / "clean" / "phase1"))
 
 
 class TestBaselinesAndSweeps:
@@ -859,7 +961,7 @@ class TestReportBundle:
         assert lines[head].split() == ["stage", "ms", "tasks", "ms/task", "rss_mb"]
         table = lines[head + 1:head + 1 + len(stage_lines)]
         assert [row.split()[0] for row in table] == [
-            "phase1", *PHASE1_STEPS, "phase2.fit", "phase2.predict.train",
+            "phase1", *PHASE1_STEPS, "phase2.fit", *PHASE2_FIT_STEPS, "phase2.predict.train",
             "phase2.predict.val", "phase2.predict.test"]
         for row, stage_line in zip(table, stage_lines):
             fields = dict(field.split("=", 1) for field in stage_line.split())

@@ -474,6 +474,66 @@ def _row_loop(fn, *arrays):
     return np.stack([fn(*row) for row in rows]).reshape(arrays[0].shape)
 
 
+def _active_set_solve_eye(memory, gamma, linear):
+    """``active_set_solve`` as it was, kept as the oracle: a new np.eye(K) per use, and
+    each row's settled flag reduced before the block's."""
+    eye = np.eye(memory.K)
+    if not gamma.all() and memory.rank() < memory.K:
+        raise ValidationError("singular")
+    hessians = memory.gram() + 2.0 * gamma[:, None, None] * eye
+    target = -linear
+    free = np.ones(linear.shape, dtype=bool)
+    system, rhs = hessians, target
+    iterations = np.ones(len(linear), dtype=int)
+    iterates = []
+    for step in range(MAX_ACTIVE_SET_ITERATIONS):
+        w = np.linalg.solve(system, rhs[..., None])[..., 0]
+        iterates.append(w)
+        infeasible = (np.where(free, w, target - (hessians @ w[..., None])[..., 0]) > 0.0) != free
+        unsettled = infeasible.any(axis=1)
+        if not unsettled.any():
+            return w, free, iterations, iterates
+        iterations += unsettled
+        if step + 1 >= FULL_EXCHANGE_ITERATIONS:
+            infeasible &= np.arange(len(free[0])) == np.argmax(infeasible, axis=1)[:, None]
+        free = free ^ infeasible
+        system = np.where(free[:, :, None] & free[:, None, :], hessians, np.eye(free.shape[1]))
+        rhs = np.where(free, target, 0.0)
+    raise ValidationError("unsettled")
+
+
+class TestActiveSetSolveMatchesTheEyeLoop:
+    def test_every_output_bit_for_bit(self):
+        checked = gamma_zero = longest = 0
+        rng = np.random.default_rng(41)
+        for seed in range(400):
+            n_rows, k, d = (int(v) for v in rng.integers(1, [13, 9, 9]))
+            scale = float(rng.choice([0.1, 1.0, 10.0]))
+            memory, theta_hats, logits, cfg, _ = _block_problem(seed, n_rows, k, d, scale)
+            gamma = np.zeros(n_rows) + cfg.gamma
+            linear = retrieval._linear_terms(theta_hats, memory, softmax(logits),
+                                             np.zeros(n_rows) + cfg.lam, gamma)
+            w, free, iterations, iterates = active_set_solve(memory, gamma, linear)
+            ref_w, ref_free, ref_iterations, ref_iterates = _active_set_solve_eye(
+                memory, gamma, linear)
+            assert w.tobytes() == ref_w.tobytes(), seed
+            assert free.tobytes() == ref_free.tobytes(), seed
+            assert iterations.tobytes() == ref_iterations.tobytes(), seed
+            assert len(iterates) == len(ref_iterates), seed
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(iterates, ref_iterates)), seed
+            checked += 1
+            gamma_zero += int((gamma == 0.0).sum())
+            longest = max(longest, int(iterations.max()))
+        # gamma = 0 rows, and rows that reach the one-coordinate exchanges
+        assert checked == 400 and gamma_zero > 0 and longest > FULL_EXCHANGE_ITERATIONS
+
+    def test_identity_is_shared_and_read_only(self):
+        eye = retrieval._eye(4)
+        assert retrieval._eye(4) is eye and np.array_equal(eye, np.eye(4))
+        with pytest.raises(ValueError):
+            eye[0, 0] = 2.0
+
+
 class TestRowWiseMatchesTheVectorLoop:
     """``softmax``, ``softmax_vjp`` and ``hard_top_r`` along the last axis, row by row."""
 
@@ -496,6 +556,9 @@ class TestRowWiseMatchesTheVectorLoop:
         for case, x in self._cases():
             k = x.shape[-1]
             assert softmax(x).tobytes() == _row_loop(_softmax_1d, x).tobytes(), (case, x.shape)
+            # the ndarray.max and ndarray.sum form that the ufunc reductions replaced
+            e = np.exp(x - x.max(axis=-1, keepdims=True))
+            assert softmax(x).tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes(), case
             p = softmax(x)
             grad = np.random.default_rng(k).normal(size=x.shape)
             ours, theirs = retrieval.softmax_vjp(p, grad), _row_loop(_softmax_vjp_1d, p, grad)
@@ -1152,6 +1215,20 @@ class TestOneTaskPath:
         for n, gamma in zip(sizes, expected):
             one = retrieval._at_support_size(pcfg, n).gamma
             assert type(one) is float and one == gamma  # the one-task solve's scalar arithmetic
+
+    def test_gamma_rule_bit_equal_to_dataclasses_replace(self):
+        rng = np.random.default_rng(21)
+        for lam in (1e-4, rng.uniform(0.0, 1.0, size=6)):
+            for gamma in (0.0, 0.1, 0.37, 2.5):
+                pcfg = ProximalConfig(lam=lam, gamma=gamma)
+                for n in (0, 1, 3, 5, 50, np.array([0, 1, 5, 10, 20, 50]),
+                          rng.integers(0, 60, size=6)):
+                    got = retrieval._at_support_size(pcfg, n)
+                    oracle = dataclasses.replace(
+                        pcfg, gamma=pcfg.gamma * GAMMA_REF_SIZE / (n + (n < 1)))
+                    assert got.lam is oracle.lam
+                    assert type(got.gamma) is type(oracle.gamma)
+                    assert np.asarray(got.gamma).tobytes() == np.asarray(oracle.gamma).tobytes()
 
     def test_scales_gamma_as_the_block_does(self):
         rng = np.random.default_rng(20)

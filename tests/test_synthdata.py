@@ -151,6 +151,22 @@ class TestPartition:
                                           for tag in PARTITIONS}, case
 
 
+def test_feature_map_bit_equal_to_the_atleast_2d_form():
+    """The map binds W^T once and skips ``atleast_2d`` on a 2-d block; the oracle does not."""
+    corpus = generate_corpus(GeneratorConfig(n_tasks=6, n_support=4, n_query=4, seed=3))
+    fmap, w = corpus.feature_map(), corpus.feature_w
+    rng = np.random.default_rng(4)
+    row = rng.normal(size=corpus.cfg.q)
+    block = rng.normal(size=(7, corpus.cfg.q))
+    inputs = [row, block, block[:0], np.asfortranarray(block), block[::2],
+              rng.integers(-3, 4, size=(5, corpus.cfg.q)), rng.integers(-3, 4, size=corpus.cfg.q),
+              block.astype(np.float32), row.tolist(), block.tolist(), [row.tolist()]]
+    for x in inputs:
+        oracle = np.atleast_2d(np.asarray(x, dtype=float)) @ w.T
+        got = fmap(x)
+        assert got.shape == oracle.shape and got.tobytes() == oracle.tobytes()
+
+
 def test_save_corpus_roundtrip_shape(tmp_path):
     cfg = GeneratorConfig(n_tasks=5, n_support=4, n_query=6, q=3, seed=41)
     corpus = generate_corpus(cfg)
