@@ -4,12 +4,15 @@
 import numpy as np
 from scipy.stats import spearmanr
 
-from protoadapt.synthdata import GeneratorConfig, generate_corpus, partition_tasks, save_corpus
+from protoadapt.synthdata import (
+    PARTITIONS, GeneratorConfig, generate_corpus, partition_tags, save_corpus,
+)
 from protoadapt.util import sigmoid
 
 cfg = GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=80, n_support=30,
                       n_query=40, seed=42)
-corpus = generate_corpus(cfg)
+tags = partition_tags(cfg.n_tasks, 0, frac_pre=0.5, frac_seed=0.8)
+corpus = generate_corpus(cfg, tags)
 print(f"generated {len(corpus.tasks)} tasks, embeddings in R^{cfg.q}, "
       f"adapters in R^{cfg.d_theta} planted on a rank-{cfg.r_true} subspace")
 
@@ -18,8 +21,7 @@ eigvals = np.linalg.eigvalsh(thetas.T @ thetas)[::-1]
 print("adapter spectrum (top 4):", np.round(eigvals[:4], 3),
       "-> top-2 energy", round(eigvals[:2].sum() / eigvals.sum(), 4))
 
-counts = partition_tasks(corpus.tasks, frac_pre=0.5, frac_seed=0.8, seed=0)
-print("partition counts:", counts)
+print("partition counts:", {tag: tags.count(tag) for tag in PARTITIONS})
 
 save_corpus(corpus, "runs/demo_corpus/corpus.csv", "runs/demo_corpus/manifest.json")
 print("corpus serialized under runs/demo_corpus/")

@@ -7,13 +7,12 @@ from protoadapt.adapters import assemble_theta, fit_canonicalizer, ridge_adapter
 from protoadapt.prototypes import (
     ProjectionChain, cluster_prototypes, coverage_certificate, l0_fit, merge_prototypes,
 )
-from protoadapt.synthdata import GeneratorConfig, generate_corpus, partition_tasks
+from protoadapt.synthdata import GeneratorConfig, generate_corpus, partition_tags
 
 cfg = GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=160, n_support=400,
                       seed=42, n_clusters=3)
-corpus = generate_corpus(cfg)
+corpus = generate_corpus(cfg, partition_tags(cfg.n_tasks, 0))
 fmap = corpus.feature_map()
-partition_tasks(corpus.tasks, seed=0)
 pre_tasks = corpus.tasks_in("Pre-Seed", "Pre-Rest")
 adapters = {t.task_id: ridge_adapter(t, fmap, 1e-2) for t in pre_tasks}
 

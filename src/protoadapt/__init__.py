@@ -75,6 +75,6 @@ from .spectral import (
     pca_rank,
     sequential_r_selection,
 )
-from .synthdata import Corpus, EpisodeTask, GeneratorConfig, generate_corpus, partition_tasks
+from .synthdata import Corpus, EpisodeTask, GeneratorConfig, generate_corpus, partition_tags
 
 __version__ = "0.1.0"

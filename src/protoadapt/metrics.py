@@ -118,11 +118,17 @@ def expected_calibration_error(probs, labels) -> float:
 
 
 def calibration_bins(probs, labels):
-    """Per-bin (confidence, frequency, count) rows over ten equal-width bins."""
+    """Per-bin (confidence, frequency, count) rows over ten equal-width bins.
+
+    The labels are read as given, with no float64 copy: a bin's frequency is
+    the float64 mean of its labels, exact for 0/1 labels of any dtype. The bin
+    indices are int8, cut from one scaled copy of the probabilities.
+    """
     n_bins = 10
     probs = np.asarray(probs, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    bins = np.minimum((probs * n_bins).astype(int), n_bins - 1)
+    labels = np.asarray(labels)
+    scaled = probs * n_bins
+    bins = np.minimum(scaled, n_bins - 1, out=scaled).astype(np.int8)
     rows = []
     for b in range(n_bins):
         mask = bins == b

@@ -85,7 +85,7 @@ from .synthdata import (
     GeneratorConfig,
     generate_corpus,
     partition_sizes,
-    partition_tasks,
+    partition_tags,
     resample_support,
     save_corpus_manifest,
 )
@@ -330,13 +330,12 @@ class Phase1Artifacts:
 def build_corpus(cfg: RunConfig):
     """Phase 1's first step, which ``protoadapt generate`` runs on its own.
 
-    Validates the config, generates the corpus and tags every task with its
-    partition. Returns the tagged corpus.
+    Validates the config, then generates the corpus with every task tagged by
+    its partition. The tags come first, so only the pretraining tasks keep
+    their full supports. Returns the tagged corpus.
     """
     cfg.validate()
-    corpus = generate_corpus(cfg.generator)
-    partition_tasks(corpus.tasks, seed=cfg.seed)
-    return corpus
+    return generate_corpus(cfg.generator, partition_tags(cfg.generator.n_tasks, cfg.seed))
 
 
 def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
@@ -879,16 +878,18 @@ def run_power_curve(cfg: RunConfig, outdir: Path | None = None):
 
 def run_riskbound(cfg: RunConfig, artifacts: Phase1Artifacts,
                   outdir: Path | None = None):
-    tasks = artifacts.corpus.tasks
-    fmap = artifacts.corpus.feature_map()
+    corpus = artifacts.corpus
+    tasks = corpus.tasks
+    fmap = corpus.feature_map()
     timer = StageTimer(cfg.hash())
     with timer.stage("riskbound", len(tasks)):
         summary = check_bounds_over_tasks(tasks, artifacts.memory, artifacts.certificate,
                                           fmap)
-    # the logistic loss's Lipschitz constant in the adapter is the largest feature radius;
-    # each report's lipschitz is its query set's radius, so only the supports are left to map
-    radius = max(feature_radius_of((task.support_x for task in tasks), fmap),
-                 *(r.lipschitz for r in summary.reports))
+        # the logistic loss's Lipschitz constant in the adapter is the largest feature radius;
+        # each report's lipschitz is its query set's radius, so only the full supports are left
+        # to map, a retrieval task's drawn again one at a time
+        radius = max(feature_radius_of((corpus.full_support(task)[0] for task in tasks), fmap),
+                     *(r.lipschitz for r in summary.reports))
     require(np.isfinite(radius) and radius > 0, "feature radius must be finite and positive")
     if outdir is not None:
         outdir = Path(outdir)

@@ -17,7 +17,7 @@ from .util import ValidationError, check_fields, child_rng, require, sigmoid, wr
 
 PARTITIONS = ("Pre-Seed", "Pre-Rest", "Ret-Train", "Ret-Val", "Ret-Test")
 PRE_PARTITIONS = ("Pre-Seed", "Pre-Rest")
-# partition_tasks' shares: pretraining, the seed subset of it, and retrieval train/val/test
+# partition_tags' shares: pretraining, the seed subset of it, and retrieval train/val/test
 FRAC_PRE, FRAC_SEED, RET_FRACS = 0.5, 0.8, (0.6, 0.2, 0.2)
 
 
@@ -53,6 +53,28 @@ class PartitionError(ValidationError):
     """An unknown tag, or a second tag assigned to a task."""
 
 
+class DroppedSupportError(LookupError):
+    """A read of a support that generation drew but did not keep."""
+
+
+class _DroppedSupport:
+    """The class-level value of ``EpisodeTask``'s support fields.
+
+    Reading a support the task does not hold raises ``DroppedSupportError``,
+    where a 0-row array would pass silently. A held support is an instance
+    attribute, so reading it never reaches this class.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, task, owner):
+        if task is None:  # no class-level value, so the dataclass field has no default
+            raise AttributeError(self.name)
+        raise DroppedSupportError(f"task {task.task_id} ({task.partition}) holds no full "
+                                  "support; Corpus.full_support draws it again")
+
+
 @dataclass
 class EpisodeTask:
     """One binary episodic task: disjoint support and query draws.
@@ -60,16 +82,24 @@ class EpisodeTask:
     A generated task's labels are int8 arrays of 0 and 1. ``resample_support``
     replaces the support arrays and shares the query arrays, so the tasks of
     one identity at several support sizes hold one query_x and one query_y.
+    A retrieval task of a tagged corpus is built with ``None`` for both
+    support arrays and holds neither: reading one raises, and
+    ``Corpus.full_support`` draws it again.
     """
 
     task_id: str
-    support_x: np.ndarray   # (n_support, q) embeddings
-    support_y: np.ndarray   # (n_support,) int8 labels
+    support_x: np.ndarray | None = _DroppedSupport()   # (n_support, q) embeddings
+    support_y: np.ndarray | None = _DroppedSupport()   # (n_support,) int8 labels
     query_x: np.ndarray     # (n_query, q)
     query_y: np.ndarray     # (n_query,) int8 labels
     theta_true: np.ndarray | None = None
     partition: str | None = None
     index: int = 0
+
+    def __post_init__(self):
+        # a dropped support is no instance attribute, so reading it reaches _DroppedSupport
+        if self.support_x is None:
+            del self.support_x, self.support_y
 
     @property
     def n_support(self) -> int:
@@ -87,14 +117,19 @@ class EpisodeTask:
 class Corpus:
     """Generated tasks plus the frozen encoder surrogate and planted geometry.
 
-    The float64 embeddings are nearly all of a corpus's bytes (35.2 MiB on the
-    fewshot profile); its int8 labels take 0.27 MiB.
+    The float64 embeddings are nearly all of a corpus's bytes; its int8 labels
+    take 0.27 MiB on the fewshot profile. Untagged, every task keeps its full
+    support, and the fewshot corpus holds 35.2 MiB of embeddings. Tagged by
+    ``partition_tags``, as a run builds it, only the pretraining tasks keep
+    one, and it holds 23.4 MiB: no step of a run reads a retrieval task's
+    full support except through ``full_support``.
     """
 
     cfg: GeneratorConfig
     tasks: list
-    feature_w: np.ndarray   # d_theta x q frozen random linear map
-    basis: np.ndarray       # d_theta x r_true planted orthonormal basis
+    feature_w: np.ndarray      # d_theta x q frozen random linear map
+    basis: np.ndarray          # d_theta x r_true planted orthonormal basis
+    cluster_dirs: np.ndarray   # n_clusters x r_true planted cluster directions
 
     def feature_map(self):
         """x -> x W^T, a row or a 2-d block of rows of any numeric dtype (as float)."""
@@ -108,6 +143,16 @@ class Corpus:
 
     def tasks_in(self, *tags) -> list:
         return [t for t in self.tasks if t.partition in tags]
+
+    def full_support(self, task: EpisodeTask):
+        """The (x, y) support that generation drew for ``task``, one of this corpus's tasks:
+        the arrays it holds, or, where generation dropped them, the same draw again.
+        """
+        try:
+            return task.support_x, task.support_y
+        except DroppedSupportError:
+            theta, rng = _task_stream(self.cfg, self.basis, self.cluster_dirs, task.index)
+            return _sample_labeled_set(rng, self.cfg.n_support, self.cfg, self.feature_w.T @ theta)
 
 
 def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -157,14 +202,35 @@ def _sample_labeled_set(rng, n, cfg, w_theta):
     return x, y
 
 
-def generate_corpus(cfg: GeneratorConfig) -> Corpus:
+def _task_stream(cfg, basis, cluster_dirs, t):
+    """Task t's planted adapter and its stream, positioned at the support draw.
+
+    The query is drawn after the support, so the support is drawn whether
+    or not it is kept.
+    """
+    rng_t = child_rng(cfg.seed, "task", t)
+    coord = cluster_dirs[t % cfg.n_clusters] + cfg.cluster_spread * rng_t.normal(size=cfg.r_true)
+    coord = coord / np.linalg.norm(coord) * cfg.adapter_scale
+    theta = basis @ coord
+    if cfg.off_subspace_norm > 0 and cfg.r_true < cfg.d_theta:
+        raw = rng_t.normal(size=cfg.d_theta)
+        perp = raw - basis @ (basis.T @ raw)
+        theta = theta + cfg.off_subspace_norm * perp / np.linalg.norm(perp)
+    return theta, rng_t
+
+
+def generate_corpus(cfg: GeneratorConfig, tags=None) -> Corpus:
     """Build the full task corpus deterministically from cfg.seed.
 
     Every planted adapter sits at Euclidean distance exactly
     ``cfg.off_subspace_norm`` from the planted subspace (zero by default),
     and labels follow a logistic model on the adapter/feature inner product.
+    ``tags``, one partition tag per task (``partition_tags``), tags the tasks
+    and keeps the full support of the pretraining tasks alone; every other
+    array has the bytes it has untagged.
     """
     cfg.validate()
+    require(tags is None or len(tags) == cfg.n_tasks, "tags must name one partition per task")
     rng_map = child_rng(cfg.seed, "feature-map")
     if cfg.q >= cfg.d_theta:
         feature_w = _orthonormal_columns(rng_map, cfg.q, cfg.d_theta).T
@@ -177,31 +243,19 @@ def generate_corpus(cfg: GeneratorConfig) -> Corpus:
 
     tasks = []
     for t in range(cfg.n_tasks):
-        rng_t = child_rng(cfg.seed, "task", t)
-        k = t % cfg.n_clusters
-        coord = cluster_dirs[k] + cfg.cluster_spread * rng_t.normal(size=cfg.r_true)
-        coord = coord / np.linalg.norm(coord) * cfg.adapter_scale
-        theta = basis @ coord
-        if cfg.off_subspace_norm > 0 and cfg.r_true < cfg.d_theta:
-            raw = rng_t.normal(size=cfg.d_theta)
-            perp = raw - basis @ (basis.T @ raw)
-            theta = theta + cfg.off_subspace_norm * perp / np.linalg.norm(perp)
-
+        theta, rng_t = _task_stream(cfg, basis, cluster_dirs, t)
         w_theta = feature_w.T @ theta  # acts on raw embeddings
         sx, sy = _sample_labeled_set(rng_t, cfg.n_support, cfg, w_theta)
         qx, qy = _sample_labeled_set(rng_t, cfg.n_query, cfg, w_theta)
-        tasks.append(
-            EpisodeTask(
-                task_id=f"task{t:04d}",
-                support_x=sx,
-                support_y=sy,
-                query_x=qx,
-                query_y=qy,
-                theta_true=theta,
-                index=t,
-            )
-        )
-    return Corpus(cfg=cfg, tasks=tasks, feature_w=feature_w, basis=basis)
+        if tags is not None and tags[t] not in PRE_PARTITIONS:
+            sx = sy = None  # dropped here, not after generation: the next task reuses its bytes
+        task = EpisodeTask(task_id=f"task{t:04d}", support_x=sx, support_y=sy,
+                           query_x=qx, query_y=qy, theta_true=theta, index=t)
+        if tags is not None:
+            task.set_partition(tags[t])
+        tasks.append(task)
+    return Corpus(cfg=cfg, tasks=tasks, feature_w=feature_w, basis=basis,
+                  cluster_dirs=cluster_dirs)
 
 
 def resample_support(corpus: Corpus, task: EpisodeTask, n_support: int, tag: str = "resupport") -> EpisodeTask:
@@ -234,16 +288,19 @@ def partition_sizes(n: int, frac_pre: float, frac_seed: float, ret_fracs) -> dic
     return dict(zip(PARTITIONS, (n_seed, n_pre - n_seed, n_train, n_val, n_ret - n_train - n_val)))
 
 
-def partition_tasks(tasks, frac_pre: float = FRAC_PRE, frac_seed: float = FRAC_SEED,
-                    seed: int = 0, ret_fracs=RET_FRACS) -> dict:
-    """Tag each task once, cutting a seeded permutation at ``partition_sizes``, which it returns."""
-    n = len(tasks)
+def partition_tags(n: int, seed: int, frac_pre: float = FRAC_PRE, frac_seed: float = FRAC_SEED,
+                   ret_fracs=RET_FRACS) -> list:
+    """Task i's partition tag at index i: a seeded permutation cut at ``partition_sizes``.
+
+    It reads no task, so a run tags its corpus before generating it.
+    """
     sizes = partition_sizes(n, frac_pre, frac_seed, ret_fracs)
     require(n >= 5, "need at least five tasks to fill all partitions")
+    tags = [None] * n
     order = child_rng(seed, "partition").permutation(n)
     for i, tag in zip(order, np.repeat(PARTITIONS, list(sizes.values()))):
-        tasks[i].set_partition(str(tag))
-    return sizes
+        tags[i] = str(tag)
+    return tags
 
 
 def save_corpus(corpus: Corpus, csv_path, manifest_path=None) -> None:
@@ -254,7 +311,7 @@ def save_corpus(corpus: Corpus, csv_path, manifest_path=None) -> None:
     header = ["task_id", "split", "label"] + [f"x{j}" for j in range(q)]
     lines = [",".join(header)]
     for task in corpus.tasks:
-        for split, xs, ys in (("support", task.support_x, task.support_y),
+        for split, xs, ys in (("support", *corpus.full_support(task)),
                               ("query", task.query_x, task.query_y)):
             for row, label in zip(xs, ys):
                 cells = [task.task_id, split, str(int(label))]

@@ -14,7 +14,7 @@ from protoadapt.descriptors import (
     pooled_moments,
 )
 from protoadapt.prototypes import ProjectionChain
-from protoadapt.synthdata import GeneratorConfig, generate_corpus, partition_tasks
+from protoadapt.synthdata import GeneratorConfig, generate_corpus, partition_tags
 from protoadapt.util import ValidationError, sigmoid
 
 
@@ -141,8 +141,9 @@ class TestProbeGradient:
 def _fitted_setup(seed=5, n_tasks=40, q=6, d=4, r=2):
     cfg = GeneratorConfig(d_theta=d, q=q, r_true=r, n_tasks=n_tasks,
                           n_support=8, n_query=6, seed=seed)
-    corpus = generate_corpus(cfg)
-    partition_tasks(corpus.tasks, seed=0)
+    corpus = generate_corpus(cfg)  # untagged, so the retrieval tasks keep their full supports
+    for task, tag in zip(corpus.tasks, partition_tags(n_tasks, 0)):
+        task.set_partition(tag)
     chain = ProjectionChain(canonicalizer=Canonicalizer.identity(d), r=r)
     pre = corpus.tasks_in("Pre-Seed", "Pre-Rest")
     std = Standardizer().fit_from_tasks(pre)

@@ -36,6 +36,7 @@ def test_import_loads_no_heavy_scipy_subpackage():
 def test_phases_calibration_and_motifs_load_no_scipy():
     code = """
 import sys
+from dataclasses import replace
 import numpy as np
 from test_pipeline import tiny_config
 from protoadapt import adapters, descriptors, pipeline, retrieval
@@ -50,6 +51,8 @@ art = pipeline.run_phase1(cfg)
 trained = pipeline.run_phase2(cfg, art)
 fmap = art.corpus.feature_map()
 task = art.corpus.tasks_in("Ret-Test")[0]
+support_x, support_y = art.corpus.full_support(task)
+task = replace(task, support_x=support_x, support_y=support_y)
 descriptor = descriptors.build_descriptor(task, art.probe, art.memory.chain,
                                           art.standardizer, fmap)
 theta_hat = adapters.ridge_adapter(task, fmap, cfg.ridge_alpha_retrieval * task.n_support)

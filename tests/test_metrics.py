@@ -218,6 +218,46 @@ class TestTieRuleAndEce:
                         for dtype in LABEL_DTYPES]
                 assert rows[0] == rows[1] == repr(calibration_bins(probs, labels))
 
+    def test_calibration_bins_match_the_widening_expressions(self):
+        def widening_bins(probs, labels):
+            # calibration_bins as it was, on float64 labels and int64 bins; kept as the oracle
+            n_bins = 10
+            probs = np.asarray(probs, dtype=float)
+            labels = np.asarray(labels, dtype=float)
+            bins = np.minimum((probs * n_bins).astype(int), n_bins - 1)
+            rows = []
+            for b in range(n_bins):
+                mask = bins == b
+                rows.append({
+                    "bin": b,
+                    "lo": b / n_bins,
+                    "hi": (b + 1) / n_bins,
+                    "count": int(mask.sum()),
+                    "confidence": float(probs[mask].mean()) if np.any(mask) else float("nan"),
+                    "frequency": float(labels[mask].mean()) if np.any(mask) else float("nan"),
+                })
+            return rows
+
+        rng = np.random.default_rng(29)
+        empty_bins = 0
+        for trial in range(600):
+            n = int(rng.integers(1, 400))
+            probs = rng.random(n)
+            if trial % 3 == 1:  # probabilities on bin edges, 1.0 included
+                probs = rng.integers(0, 11, size=n) / 10.0
+            elif trial % 3 == 2:  # a few bins only, so most are empty
+                probs = rng.choice(rng.random(3), size=n)
+            labels = rng.integers(0, 2, size=n)
+            want = widening_bins(probs, labels)
+            empty_bins += sum(row["count"] == 0 for row in want)
+            for dtype in (np.int8, np.int64, float, bool):
+                got = calibration_bins(probs, labels.astype(dtype))
+                assert [list(r) for r in got] == [list(r) for r in want]
+                # float64 bytes per value, so a NaN row compares equal to a NaN row
+                assert (np.array([list(r.values()) for r in got], dtype=float).tobytes()
+                        == np.array([list(r.values()) for r in want], dtype=float).tobytes())
+        assert empty_bins > 600
+
     def test_calibration_bins_counts(self):
         rows = calibration_bins(np.array([0.05, 0.06, 0.95]), np.array([0, 0, 1]))
         assert rows[0]["count"] == 2

@@ -41,8 +41,9 @@ from protoadapt.pipeline import (
 )
 from protoadapt.riskbound import feature_radius_of
 from protoadapt.spectral import TaskGradientSummary, fisher_energy_test_tasks
-from protoadapt.synthdata import GeneratorConfig, generate_corpus
+from protoadapt.synthdata import PRE_PARTITIONS, DroppedSupportError, GeneratorConfig, generate_corpus
 from protoadapt.util import ValidationError
+from test_synthdata import generate_then_partition
 
 # one runtime.txt line: stage, wall ms, the task count of per-task stages, peak RSS, run hash
 STAGE_LINE = re.compile(r"stage=([a-z0-9_.]+) ms=[0-9]+\.[0-9]{3}(?: tasks=([0-9]+))? "
@@ -235,7 +236,7 @@ class TestDefaults:
         ("k_grid", None),
         ("k_grid", 5),
         ("k_grid", ()),
-        ("generator.n_tasks", 3),  # partition_tasks needs five
+        ("generator.n_tasks", 3),  # partition_tags needs five
         ("generator.n_tasks", 6),  # two Pre-Seed tasks, below the smallest K = 4
         ("generator.n_tasks", 9),  # three
         ("warp.hidden", -1),
@@ -338,11 +339,57 @@ class TestPhase1(object):
         rebuilt = generate_corpus(GeneratorConfig(**manifest["config"]))
         assert [t.task_id for t in rebuilt.tasks] == [t.task_id for t in art.corpus.tasks]
         for again, task in zip(rebuilt.tasks, art.corpus.tasks):
-            for name in ("support_x", "support_y", "query_x", "query_y", "theta_true"):
-                a, b = getattr(again, name), getattr(task, name)
+            support_x, support_y = art.corpus.full_support(task)
+            for name, b in (("support_x", support_x), ("support_y", support_y),
+                            ("query_x", task.query_x), ("query_y", task.query_y),
+                            ("theta_true", task.theta_true)):
+                a = getattr(again, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (task.task_id, name)
         assert manifest["partition"] == {t.task_id: t.partition for t in art.corpus.tasks}
         assert set(manifest["partition"].values()) >= {"Pre-Seed", "Ret-Train", "Ret-Test"}
+
+    @pytest.mark.parametrize("make_cfg", [
+        tiny_config, small_fewshot_config,
+        lambda: replace(tiny_config(), seed=7),   # the run's seed apart from the generator's
+    ], ids=["tiny", "small_fewshot", "tiny_run_seed_7"])
+    def test_corpus_is_the_generate_then_partition_corpus(self, make_cfg):
+        """A run tags its tasks before generating them: the oracle generates, then tags."""
+        cfg = make_cfg()
+        corpus = pipeline.build_corpus(cfg)
+        oracle = generate_corpus(cfg.generator)
+        generate_then_partition(oracle.tasks, seed=cfg.seed)
+        assert corpus.feature_w.tobytes() == oracle.feature_w.tobytes()
+        assert corpus.basis.tobytes() == oracle.basis.tobytes()
+        assert [t.task_id for t in corpus.tasks] == [t.task_id for t in oracle.tasks]
+        for task, want in zip(corpus.tasks, oracle.tasks):
+            assert task.partition == want.partition
+            for name in ("query_x", "query_y", "theta_true"):
+                a, b = getattr(task, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (task.task_id, name)
+            if task.partition in PRE_PARTITIONS:
+                stored = (task.support_x, task.support_y)
+            else:
+                for name in ("support_x", "support_y"):
+                    with pytest.raises(DroppedSupportError, match=task.task_id):
+                        getattr(task, name)
+                stored = corpus.full_support(task)
+            for a, b in zip(stored, (want.support_x, want.support_y)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), task.task_id
+
+    def test_corpus_bytes_are_the_pretraining_supports_and_every_query(self):
+        """The memory model of a run's corpus: a change that keeps retrieval supports fails here."""
+        cfg = small_fewshot_config()
+        gen = cfg.generator
+        corpus = pipeline.build_corpus(cfg)
+        n_pre = len(corpus.tasks_in(*PRE_PARTITIONS))
+        assert 0 < n_pre < gen.n_tasks
+        arrays = [v for task in corpus.tasks for v in vars(task).values()
+                  if isinstance(v, np.ndarray)]
+        assert all(a.base is None for a in arrays)  # each array owns its bytes
+        samples = n_pre * gen.n_support + gen.n_tasks * gen.n_query
+        embeddings, labels = samples * gen.q * 8, samples  # float64 rows, int8 labels
+        theta = gen.n_tasks * gen.d_theta * 8
+        assert sum(a.nbytes for a in arrays) == embeddings + labels + theta
 
     def test_persist_only_writes(self, tiny_artifacts, tmp_path, monkeypatch):
         cfg, art = tiny_artifacts
@@ -670,10 +717,12 @@ class TestLeakage:
                 corpus = build_corpus(config)
                 rng = np.random.default_rng(7)
                 for task in corpus.tasks_in(tag):
+                    # a retrieval task holds no full support: it gets one at the generator's shape
+                    support_x, support_y = corpus.full_support(task)
                     task.theta_true = 1.0 - task.theta_true
-                    task.support_x = rng.normal(size=task.support_x.shape)
+                    task.support_x = rng.normal(size=support_x.shape)
                     task.query_x = rng.normal(size=task.query_x.shape)
-                    task.support_y = (1 - task.support_y).astype(task.support_y.dtype)
+                    task.support_y = (1 - support_y).astype(support_y.dtype)
                     task.query_y = (1 - task.query_y).astype(task.query_y.dtype)
                 return corpus
 
@@ -797,8 +846,9 @@ class TestMotifAndRiskRuns:
         run_riskbound(cfg, art, outdir=tmp_path)
         tasks = art.corpus.tasks
         assert len(calls) == 2 * len(tasks)
-        # the global radius is still the largest over every support and query row
-        radius = feature_radius_of((b for t in tasks for b in (t.support_x, t.query_x)), fmap)
+        # the global radius is still the largest over every full support and query row
+        radius = feature_radius_of((b for t in tasks
+                                    for b in (art.corpus.full_support(t)[0], t.query_x)), fmap)
         log = (tmp_path / "run.log").read_text().splitlines()
         assert log[-1].endswith(f" | global lipschitz {radius:.4f}")
 

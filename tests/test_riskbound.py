@@ -16,7 +16,7 @@ from protoadapt.riskbound import (
     feature_radius_of,
 )
 from protoadapt.metrics import binary_cross_entropy
-from protoadapt.synthdata import GeneratorConfig, generate_corpus, partition_tasks
+from protoadapt.synthdata import GeneratorConfig, generate_corpus, partition_tags
 from protoadapt.util import ValidationError, sigmoid
 
 
@@ -137,9 +137,8 @@ class TestCheckBound:
     def test_planted_corpus_identities_hold_everywhere(self):
         cfg = GeneratorConfig(d_theta=6, q=10, r_true=2, n_tasks=50,
                               n_support=40, n_query=25, seed=9, off_subspace_norm=0.05)
-        corpus = generate_corpus(cfg)
+        corpus = generate_corpus(cfg, partition_tags(cfg.n_tasks, 0))
         fmap = corpus.feature_map()
-        partition_tasks(corpus.tasks, seed=0)
         seed_tasks = corpus.tasks_in("Pre-Seed")
         theta = assemble_theta([ridge_adapter(t, fmap, 1e-2) for t in seed_tasks])
         chain = ProjectionChain(canonicalizer=fit_canonicalizer(theta), r=2)

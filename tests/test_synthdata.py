@@ -4,16 +4,42 @@ import numpy as np
 import pytest
 
 from protoadapt.synthdata import (
+    FRAC_PRE,
+    FRAC_SEED,
     PARTITIONS,
+    PRE_PARTITIONS,
+    RET_FRACS,
+    DroppedSupportError,
     GeneratorConfig,
     PartitionError,
     _sample_labeled_set,
     generate_corpus,
-    partition_tasks,
+    partition_sizes,
+    partition_tags,
     resample_support,
     save_corpus,
 )
-from protoadapt.util import ValidationError, child_rng
+from protoadapt.util import ValidationError, child_rng, require
+
+
+def generate_then_partition(tasks, frac_pre=FRAC_PRE, frac_seed=FRAC_SEED, seed=0,
+                            ret_fracs=RET_FRACS):
+    """The oracle for ``partition_tags``: the tagging of generated tasks that it replaced.
+
+    One ``set_partition`` per task, in the seeded permutation's order; returns
+    each tag's count.
+    """
+    n = len(tasks)
+    sizes = partition_sizes(n, frac_pre, frac_seed, ret_fracs)
+    require(n >= 5, "need at least five tasks to fill all partitions")
+    order = child_rng(seed, "partition").permutation(n)
+    for i, tag in zip(order, np.repeat(PARTITIONS, list(sizes.values()))):
+        tasks[i].set_partition(str(tag))
+    return sizes
+
+
+def _counts(tags):
+    return {tag: tags.count(tag) for tag in PARTITIONS}
 
 
 def test_zero_noise_full_rank_theta_in_subspace():
@@ -101,39 +127,39 @@ def test_labels_are_int8_zeros_and_ones():
 
 class TestPartition:
     def test_seed_fraction_80_of_100(self):
-        cfg = GeneratorConfig(n_tasks=220, seed=21)
-        corpus = generate_corpus(cfg)
         # force exactly 100 pre tasks
-        counts = partition_tasks(corpus.tasks, frac_pre=100 / 220, frac_seed=0.8, seed=1)
+        counts = _counts(partition_tags(220, 1, frac_pre=100 / 220, frac_seed=0.8))
         assert counts["Pre-Seed"] == 80
         assert counts["Pre-Rest"] == 20
 
     def test_disjoint_and_reproducible(self):
         cfg = GeneratorConfig(n_tasks=60, seed=13)
-        c1 = generate_corpus(cfg)
+        tags = partition_tags(60, 4)
+        assert partition_tags(60, 4) == tags
+        assert set(tags) <= set(PARTITIONS)
+        c1 = generate_corpus(cfg, tags)
         c2 = generate_corpus(cfg)
-        counts = partition_tasks(c1.tasks, seed=4)
-        assert partition_tasks(c2.tasks, seed=4) == counts
-        tags = [t.partition for t in c1.tasks]
-        assert tags == [t.partition for t in c2.tasks]
-        assert counts == {tag: tags.count(tag) for tag in PARTITIONS}
+        counts = generate_then_partition(c2.tasks, seed=4)
+        assert [t.partition for t in c1.tasks] == [t.partition for t in c2.tasks] == tags
+        assert counts == _counts(tags)
         assert sum(counts.values()) == 60
 
     def test_partition_assigned_once(self):
         cfg = GeneratorConfig(n_tasks=20, seed=31)
-        corpus = generate_corpus(cfg)
-        partition_tasks(corpus.tasks, seed=0)
+        corpus = generate_corpus(cfg, partition_tags(20, 0))
         with pytest.raises(PartitionError):
             corpus.tasks[0].set_partition("Ret-Test" if corpus.tasks[0].partition != "Ret-Test" else "Pre-Seed")
+        with pytest.raises(PartitionError, match="unknown partition tag"):
+            generate_corpus(cfg, ["Pre-Seed"] * 19 + ["Ret-Holdout"])
+        with pytest.raises(ValidationError, match="one partition per task"):
+            generate_corpus(cfg, partition_tags(21, 0))
 
     def test_fewer_than_five_tasks_fails(self):
-        cfg = GeneratorConfig(n_tasks=4, seed=37)
-        corpus = generate_corpus(cfg)
         with pytest.raises(ValidationError, match="at least five tasks"):
-            partition_tasks(corpus.tasks, seed=0)
+            partition_tags(4, 0)
 
     def test_every_partition_nonempty_at_extreme_fractions(self):
-        # the clamps alone leave every partition a task: partition_tasks does not check it
+        # the clamps alone leave every partition a task: partition_tags does not check it
         cfg = GeneratorConfig(n_tasks=60, n_support=2, n_query=1, seed=43)
         tasks = generate_corpus(cfg).tasks
         for n in range(5, 61):
@@ -141,14 +167,16 @@ class TestPartition:
                 for frac_seed in (0.01, 0.99):
                     for ret_fracs in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
                                       (0.6, 0.2, 0.2)):
-                        fresh = [replace(t, partition=None) for t in tasks[:n]]
-                        counts = partition_tasks(fresh, frac_pre=frac_pre, frac_seed=frac_seed,
-                                                 seed=n, ret_fracs=ret_fracs)
+                        tags = partition_tags(n, n, frac_pre=frac_pre, frac_seed=frac_seed,
+                                              ret_fracs=ret_fracs)
+                        counts = _counts(tags)
                         case = (n, frac_pre, frac_seed, ret_fracs)
                         assert min(counts.values()) >= 1, case
                         assert sum(counts.values()) == n, case
-                        assert counts == {tag: [t.partition for t in fresh].count(tag)
-                                          for tag in PARTITIONS}, case
+                        fresh = [replace(t, partition=None) for t in tasks[:n]]
+                        assert generate_then_partition(fresh, frac_pre, frac_seed, n,
+                                                       ret_fracs) == counts, case
+                        assert [t.partition for t in fresh] == tags, case
 
 
 def test_feature_map_bit_equal_to_the_atleast_2d_form():
@@ -167,13 +195,36 @@ def test_feature_map_bit_equal_to_the_atleast_2d_form():
         assert got.shape == oracle.shape and got.tobytes() == oracle.tobytes()
 
 
+def test_tagged_corpus_keeps_only_the_pretraining_supports():
+    # off the subspace, so a task's stream holds the extra draw before its support
+    cfg = GeneratorConfig(d_theta=6, q=8, n_tasks=30, n_support=12, n_query=5,
+                          off_subspace_norm=0.3, seed=5)
+    tags = partition_tags(cfg.n_tasks, 3)
+    tagged, untagged = generate_corpus(cfg, tags), generate_corpus(cfg)
+    assert [t.partition for t in tagged.tasks] == tags
+    for task, full in zip(tagged.tasks, untagged.tasks):
+        if task.partition in PRE_PARTITIONS:
+            assert task.n_support == cfg.n_support
+        else:
+            for name in ("support_x", "support_y", "n_support"):
+                with pytest.raises(DroppedSupportError, match=task.task_id):
+                    getattr(task, name)
+        for got, want in zip(tagged.full_support(task), (full.support_x, full.support_y)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # a resampled support needs no full support
+        again = resample_support(tagged, task, 7)
+        assert again.support_x.tobytes() == resample_support(untagged, full, 7).support_x.tobytes()
+
+
 def test_save_corpus_roundtrip_shape(tmp_path):
     cfg = GeneratorConfig(n_tasks=5, n_support=4, n_query=6, q=3, seed=41)
-    corpus = generate_corpus(cfg)
-    partition_tasks(corpus.tasks, seed=0)
+    corpus = generate_corpus(cfg, partition_tags(5, 0))
     csv_path = tmp_path / "corpus.csv"
     save_corpus(corpus, csv_path, tmp_path / "manifest.json")
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0].split(",")[:3] == ["task_id", "split", "label"]
     assert len(lines) == 1 + 5 * (4 + 6)
     assert (tmp_path / "manifest.json").exists()
+    # the retrieval tasks' rows are their full supports drawn again
+    save_corpus(generate_corpus(cfg), tmp_path / "untagged.csv")
+    assert csv_path.read_bytes() == (tmp_path / "untagged.csv").read_bytes()
