@@ -5,7 +5,8 @@ import numpy as np
 
 from protoadapt.adapters import assemble_theta, fit_canonicalizer, ridge_adapter
 from protoadapt.prototypes import (
-    ProjectionChain, cluster_prototypes, coverage_certificate, l0_fit, merge_prototypes,
+    ProjectionChain, cluster_prototypes, coverage_certificate, coverage_fits, l0_fit,
+    merge_prototypes,
 )
 from protoadapt.synthdata import GeneratorConfig, generate_corpus, partition_tags
 
@@ -32,11 +33,12 @@ for k in (2, 3, 4, 6):
 memory = cluster_prototypes(theta_seed, chain, k=3, n_restarts=6, seed=0)
 print(f"chosen K=3: condition number {memory.kappa:.3f}, coherence {memory.mu:.3f}")
 
-memory.freeze()
+# the memory is read-only; the certificate is a value computed from its sparse fits
 theta_pre = assemble_theta([adapters[t.task_id] for t in pre_tasks])
-cert = coverage_certificate(memory, theta_pre, r_sparse=2, n_boot=1000, seed=0)
+fits = coverage_fits(chain, memory.centroids, theta_pre, r_sparse=2)
+cert = coverage_certificate(fits, n_boot=1000, seed=0)
 print(f"coverage: median {cert.eps_hat:.4f}, percentile90 {cert.pct90}")
-print(f"certified upper bound attached to memory: {memory.certificate.eps_upper:.4f}")
+print(f"certified upper bound: {cert.eps_upper:.4f}")
 
 u = chain.project(theta_pre.rows[0])
 w, resid = l0_fit(u, memory.centroids, r_sparse=2)
@@ -46,7 +48,10 @@ print(f"sample sparse fit: active atoms {np.nonzero(w)[0].tolist()}, residual {r
 crowded = np.vstack([memory.M, memory.M[0] * 1.01])
 from protoadapt.prototypes import PrototypeMemory
 crowded_mem = PrototypeMemory(crowded, chain, chain.project(crowded))
-merged, log = merge_prototypes(crowded_mem, mu_threshold=0.95, theta_pre=theta_pre,
-                               r_sparse=2)
+merged, log, merged_fits = merge_prototypes(crowded_mem, mu_threshold=0.95,
+                                            theta_pre=theta_pre, r_sparse=2)
 print(f"merge log: {len(log)} events, K {crowded.shape[0]} -> {merged.K}, "
       f"final coherence {merged.mu:.3f}")
+# merging returns the final rows' sparse fits, so certifying them fits nothing again
+merged_cert = coverage_certificate(merged_fits, n_boot=1000, seed=0)
+print(f"merged memory's certified upper bound: {merged_cert.eps_upper:.4f}")

@@ -15,7 +15,7 @@ d, k = 4, 6
 m_rows = rng.normal(size=(k, d))
 chain = ProjectionChain(canonicalizer=Canonicalizer.identity(d), r=d)
 memory = PrototypeMemory(m_rows=m_rows, chain=chain,
-                         centroids=chain.project(m_rows)).freeze()
+                         centroids=chain.project(m_rows))
 
 theta_hat = 0.8 * m_rows[2] + 0.4 * m_rows[4] + 0.05 * rng.normal(size=d)
 v = rng.normal(size=k)

@@ -42,11 +42,11 @@ from .pipeline import (
 )
 from .prototypes import (
     CoverageCertificate,
-    FrozenMemoryError,
     PrototypeMemory,
     ProjectionChain,
     cluster_prototypes,
     coverage_certificate,
+    coverage_fits,
     l0_fit,
     merge_prototypes,
 )

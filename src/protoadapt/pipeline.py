@@ -57,6 +57,7 @@ from .prototypes import (
     ProjectionChain,
     cluster_prototypes,
     coverage_certificate,
+    coverage_fits,
     merge_prototypes,
 )
 from .retrieval import (
@@ -418,20 +419,21 @@ def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
             # the retrieval's operating sparsity, within what l0_fit accepts
             return min(_r_keep(cfg, r_selected, k), r_selected, k)
 
-        merge_log = []
+        merge_log, fits = [], None
         with timer.stage("phase1.merge", None):
             if memory.mu > MU_THRESHOLD or memory.kappa > KAPPA_THRESHOLD:
-                memory, merge_log = merge_prototypes(memory, theta_pre=theta_pre,
-                                                     r_sparse=fit_sparsity(memory.K))
+                # fit_sparsity(k) is min(c, k) for a c that k does not set, so the fits
+                # merging returns for its final rows are at fit_sparsity(memory.K)
+                memory, merge_log, fits = merge_prototypes(memory, theta_pre=theta_pre,
+                                                           r_sparse=fit_sparsity(memory.K))
                 notes.append(f"prototype merging triggered: {len(merge_log)} merges, "
                              f"K {k_chosen} -> {memory.K}")
 
         with timer.stage("phase1.certificate", len(pre_tasks)):
-            memory.freeze()
-            # after a merge this reuses the final rows' sparse fits
-            certificate = coverage_certificate(memory, theta_pre,
-                                               r_sparse=fit_sparsity(memory.K),
-                                               n_boot=cfg.coverage_n_boot, seed=cfg.seed)
+            if fits is None:
+                fits = coverage_fits(memory.chain, memory.centroids, theta_pre,
+                                     fit_sparsity(memory.K))
+            certificate = coverage_certificate(fits, n_boot=cfg.coverage_n_boot, seed=cfg.seed)
         if certificate.r_sparse == r_selected:
             notes.append(f"coverage certified at sparsity r={r_selected}: r prototypes "
                          "span the r-dimensional projected space, so the fit is exact "
@@ -473,7 +475,7 @@ def persist_phase1(artifacts: Phase1Artifacts, outdir: Path) -> None:
                   ["map_index", "outside_fraction", "upper95", "threshold", "accept"],
                   [[i, f, jl.upper95, jl.threshold, jl.accept]
                    for i, f in enumerate(jl.fractions)])
-    artifacts.memory.save(outdir / "memory.csv", outdir / "memory.json")
+    artifacts.memory.save(outdir / "memory.csv", outdir / "memory.json", artifacts.certificate)
     if artifacts.merge_log:
         lines = [f"merge pair={evt.pair} mu_before={evt.mu_before:.6f} "
                  f"K_after={evt.k_after} coverage {evt.coverage_before} -> {evt.coverage_after}"
@@ -544,8 +546,8 @@ def _gamma_zero_problem(cfg: RunConfig, memory) -> str | None:
     At gamma = 0, H = M M^T is singular when the memory's rank is below K,
     and the inner problem has no unique minimizer.
     """
-    if cfg.gamma == 0.0 and memory.rank() < memory.K:
-        return (f"gamma = 0 needs a memory of full rank, but its rank is {memory.rank()} "
+    if cfg.gamma == 0.0 and memory.rank < memory.K:
+        return (f"gamma = 0 needs a memory of full rank, but its rank is {memory.rank} "
                 f"< K = {memory.K}")
     return None
 

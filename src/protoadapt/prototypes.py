@@ -5,7 +5,9 @@ lifted back to parameter space through the exact inverse of the projection
 chain; the restarts of one K run as one block. Coverage is certified by
 bootstrapping the median sparse-fit residual over pretraining tasks, with 90
 percent percentile intervals. Each dictionary's sparse fits run once: the
-merge loop hands the final dictionary's fits to the certificate.
+merge loop returns the final dictionary's fits for the certificate. A memory
+is read-only from construction: its rows and centroids are fixed, so merging
+builds a new memory and its rank and row dictionary are cached properties.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ from .util import (
     write_csv,
     write_json,
 )
-
-
-class FrozenMemoryError(RuntimeError):
-    """Mutation attempted on a frozen prototype memory."""
 
 
 class DegenerateAtomError(ValidationError):
@@ -131,14 +129,21 @@ class CoverageCertificate:
         }
 
 
+def _read_only(arr, name: str) -> np.ndarray:
+    """A checked read-only copy, so no array the caller holds turns read-only."""
+    out = check_finite(arr, name).copy()
+    out.setflags(write=False)
+    return out
+
+
 class PrototypeMemory:
-    """K prototype rows plus the frozen projection and health diagnostics."""
+    """K prototype rows plus the projection chain and health diagnostics, read-only."""
 
     def __init__(self, m_rows, chain, centroids, restart_stability=None, sse=None,
                  silhouette=None):
-        self.M = check_finite(m_rows, "prototype rows")
+        self.M = _read_only(m_rows, "prototype rows")
         self.chain = chain
-        self.centroids = check_finite(centroids, "centroids")
+        self.centroids = _read_only(centroids, "centroids")
         self.restart_stability = restart_stability
         self.sse = sse
         self.silhouette = silhouette
@@ -147,13 +152,6 @@ class PrototypeMemory:
         # whenever K exceeds r), coherence on the raw parameter-space rows
         self.kappa = kappa_of(self.centroids)
         self.mu = mu_of(self.M)
-        self.certificate = None
-        # the pretraining adapters' sparse fits in these rows, when
-        # merge_prototypes made them; coverage_certificate reuses them
-        self.fits = None
-        self.frozen = False
-        self._rank = None
-        self._row_atoms = None
 
     @property
     def K(self) -> int:
@@ -167,44 +165,17 @@ class PrototypeMemory:
     def r(self) -> int:
         return self.chain.r
 
+    @cached_property
     def rank(self) -> int:
-        """The numerical rank of M, cached (rows are fixed once frozen)."""
-        if self._rank is None:
-            self._rank = int(np.linalg.matrix_rank(self.M))
-        return self._rank
+        """The numerical rank of M."""
+        return int(np.linalg.matrix_rank(self.M))
 
-    def gram(self) -> np.ndarray:
-        """M M^T (K x K, read-only): the row dictionary's Gram matrix."""
-        return self.row_atoms().gram
-
+    @cached_property
     def row_atoms(self) -> Atoms:
-        """The rows M as an ``l0_fit`` dictionary, cached on a frozen memory."""
-        self.require_frozen()
-        if self._row_atoms is None:
-            self._row_atoms = Atoms.of(self.M)
-        return self._row_atoms
+        """The rows M as an ``l0_fit`` dictionary; its ``gram`` is M M^T (K x K, read-only)."""
+        return Atoms.of(self.M)
 
-    def freeze(self) -> "PrototypeMemory":
-        self.M.setflags(write=False)
-        self.centroids.setflags(write=False)
-        self.frozen = True
-        return self
-
-    def require_frozen(self) -> None:
-        if not self.frozen:
-            raise FrozenMemoryError("memory must be frozen first")
-
-    def require_mutable(self) -> None:
-        if self.frozen:
-            raise FrozenMemoryError("memory is frozen; prototype rows are immutable")
-
-    def attach_certificate(self, cert: CoverageCertificate) -> None:
-        self.require_frozen()
-        if self.certificate is not None:
-            raise FrozenMemoryError("certificate already attached")
-        self.certificate = cert
-
-    def save(self, csv_path, json_path) -> None:
+    def save(self, csv_path, json_path, certificate: CoverageCertificate) -> None:
         header = [f"m{j}" for j in range(self.d_theta)]
         write_csv(csv_path, header, self.M.tolist())
         meta = {
@@ -215,7 +186,7 @@ class PrototypeMemory:
             "restart_stability": self.restart_stability,
             "sse": self.sse,
             "canonicalizer": self.chain.canonicalizer.as_dict(),
-            "certificate": self.certificate.as_dict() if self.certificate else None,
+            "certificate": certificate.as_dict(),
         }
         write_json(json_path, meta)
 
@@ -479,7 +450,6 @@ class CoverageFits:
 
     chain: ProjectionChain
     centroids: np.ndarray
-    theta_pre: object
     r_sparse: int
     coords: np.ndarray
     weights: np.ndarray
@@ -503,26 +473,19 @@ def coverage_fits(chain: ProjectionChain, centroids, theta_pre, r_sparse: int) -
     canon = np.empty(rows.shape[0])
     for i, u in enumerate(coords):
         weights[i], canon[i] = l0_fit(u, atoms, r_sparse)
-    return CoverageFits(chain, atoms.rows, theta_pre, r_sparse, coords, weights, canon)
+    return CoverageFits(chain, atoms.rows, r_sparse, coords, weights, canon)
 
 
-def coverage_certificate(memory: PrototypeMemory, theta_pre, r_sparse: int,
-                         n_boot: int = 1000, seed: int = 0,
+def coverage_certificate(fits: CoverageFits, n_boot: int = 1000, seed: int = 0,
                          exhaustive: bool = False) -> CoverageCertificate:
     """Median-residual certificate with 90 percent percentile intervals, canonical and raw.
 
-    Bootstraps pretraining tasks with replacement; the certificate, whose
-    ``eps_upper`` is the conservative upper endpoint of the percentile
-    interval, is attached to the memory. Exhaustive
-    mode enumerates every resample for small task counts, making percentile
-    endpoints exact. The sparse fits are the memory's own when merging left
-    them for these adapters and this sparsity, and are run here otherwise.
+    Certifies the given sparse fits (``coverage_fits`` of the pretraining
+    adapters in one dictionary) at their sparsity. Bootstraps pretraining
+    tasks with replacement; ``eps_upper`` is the conservative upper endpoint
+    of the percentile interval. Exhaustive mode enumerates every resample
+    for small task counts, making percentile endpoints exact.
     """
-    memory.require_frozen()
-    fits = memory.fits
-    if (fits is None or fits.chain is not memory.chain or fits.theta_pre is not theta_pre
-            or fits.r_sparse != r_sparse or not np.array_equal(fits.centroids, memory.centroids)):
-        fits = coverage_fits(memory.chain, memory.centroids, theta_pre, r_sparse)
     canon, raw = fits.canon, fits.raw_residuals()
     n = canon.shape[0]
     # one index matrix resamples both the canonical and the raw residuals
@@ -537,13 +500,11 @@ def coverage_certificate(memory: PrototypeMemory, theta_pre, r_sparse: int,
     raw_eps_hat = float(np.median(raw))
     raw_pct = percentile_interval(meds_raw)
 
-    cert = CoverageCertificate(
+    return CoverageCertificate(
         eps_hat=eps_hat, pct90=pct,
-        n_boot=idx.shape[0], r_sparse=r_sparse,
+        n_boot=idx.shape[0], r_sparse=fits.r_sparse,
         raw_eps_hat=raw_eps_hat, raw_pct90=raw_pct,
     )
-    memory.attach_certificate(cert)
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -612,12 +573,13 @@ def merge_prototypes(memory: PrototypeMemory, mu_threshold: float = MU_THRESHOLD
 
     The merged row is the sign-aligned normalized mean of the pair, rescaled
     to their average norm; ties break toward the lowest index pair. Returns
-    a new unfrozen memory and the merge log. When pretraining adapters are
-    supplied, each event also records the induced coverage-error change, and
-    the new memory keeps the sparse fits of its rows for the certificate.
+    a new memory, the merge log and the final rows' sparse fits. When
+    pretraining adapters are supplied, each event also records the induced
+    coverage-error change, and the fits are those of the last event's rows,
+    ready for ``coverage_certificate``; otherwise, or when nothing merges,
+    the fits are None.
     """
-    memory.require_mutable()
-    m_rows = memory.M.copy()
+    m_rows = memory.M
     chain = memory.chain
     log: list[MergeEvent] = []
     fits = None
@@ -654,5 +616,4 @@ def merge_prototypes(memory: PrototypeMemory, mu_threshold: float = MU_THRESHOLD
                                     centroids=chain.project(m_rows),
                                     restart_stability=memory.restart_stability,
                                     sse=memory.sse)
-    merged_memory.fits = fits
-    return merged_memory, log
+    return merged_memory, log, fits

@@ -99,7 +99,7 @@ def _on_free_sets(hessians: np.ndarray, free: np.ndarray) -> np.ndarray:
 
 def _hessians(memory, gamma: np.ndarray) -> np.ndarray:
     """H = G + 2 gamma I for each row's gamma: (T, K, K)."""
-    return memory.gram() + 2.0 * gamma[:, None, None] * _eye(memory.K)
+    return memory.row_atoms.gram + 2.0 * gamma[:, None, None] * _eye(memory.K)
 
 
 def active_set_solve(memory, gamma: np.ndarray, linear: np.ndarray):
@@ -119,10 +119,10 @@ def active_set_solve(memory, gamma: np.ndarray, linear: np.ndarray):
     of rank below K (H = G is singular, and the minimizer is not unique), or one
     still unsettled after MAX_ACTIVE_SET_ITERATIONS, raises naming the row.
     """
-    if not gamma.all() and memory.rank() < memory.K:
+    if not gamma.all() and memory.rank < memory.K:
         raise ValidationError(
             f"rows {np.flatnonzero(gamma == 0.0).tolist()} have gamma = 0 on a memory of "
-            f"rank {memory.rank()} < K = {memory.K}: H = M M^T is singular")
+            f"rank {memory.rank} < K = {memory.K}: H = M M^T is singular")
     hessians = _hessians(memory, gamma)
     target = -linear
     free = np.ones(linear.shape, dtype=bool)
@@ -197,7 +197,6 @@ def solve_block(theta_hats, memory, logits, cfg: ProximalConfig, r_keep: int) ->
     ``active_set_solve``. w_tilde is ``hard_top_r`` of each row: all of w at
     r_keep >= K.
     """
-    memory.require_frozen()
     theta_hats = check_finite(theta_hats, "theta_hat")
     logits = check_finite(logits, "retrieval logits")
     n_rows, k = len(logits), memory.K
@@ -231,7 +230,7 @@ def objective_trace(theta_hat, memory, p, lam: float, gamma: float) -> np.ndarra
     linear = _linear_terms(theta_hats, memory, p, np.zeros(1) + lam, gamma)
     x = np.maximum(np.stack(active_set_solve(memory, gamma, linear)[3]), 0.0)  # (iterations, 1, K)
     const = 0.5 * (theta_hats**2).sum(axis=1) + gamma * (p**2).sum(axis=1)
-    half_hx = 0.5 * (x @ memory.gram() + 2.0 * gamma[:, None] * x)
+    half_hx = 0.5 * (x @ memory.row_atoms.gram + 2.0 * gamma[:, None] * x)
     return ((half_hx + linear) * x).sum(axis=2)[:, 0] + const
 
 
@@ -498,7 +497,6 @@ def train_retrieval(train: Episodes, memory, pcfg, tcfg: TrainConfig, val: Episo
     improvement above 1e-4) with an active-set stability requirement (Jaccard
     overlap between consecutive epochs).
     """
-    memory.require_frozen()
     require(len(train.task_ids) >= 1, "no training tasks")
     net = RetrievalNet(d_z=train.z.shape[1], k=memory.K, seed=tcfg.seed)
     maps = {"net": net} if transform is None else {"net": net, "warp": transform}

@@ -237,11 +237,12 @@ def adjusted_pvalue(p_raw: float) -> float:
     return min(1.0, BONFERRONI_FAMILY * p_raw)
 
 
-def _decision_report(rows, alpha: float, n_boot: int) -> DimTestReport:
-    """Bonferroni, alpha and borderline rule on (r_cand, zeta_emp, p_raw) triples.
+def decision_report_from_pvalues(rows, alpha: float = 0.01, n_boot: int = 1000) -> DimTestReport:
+    """Pure arithmetic on (r_cand, zeta_emp, p_raw) triples.
 
-    Rows that miss alpha but would pass 0.05 are flagged as borderline so
-    threshold disagreements are visible in the output; the selected dimension
+    Applies the five-way Bonferroni correction and the familywise alpha rule;
+    rows that miss alpha but would pass 0.05 are flagged as borderline so
+    threshold disagreements are visible in the output. The selected dimension
     is the smallest rejecting candidate.
     """
     records = []
@@ -257,15 +258,6 @@ def _decision_report(rows, alpha: float, n_boot: int) -> DimTestReport:
     notes = [f"r={rec.r_cand} fails the alpha={alpha} rule but lies below 0.05"
              for rec in records if rec.borderline]
     return DimTestReport(records=records, selected_r=selected, n_boot=n_boot, notes=notes)
-
-
-def decision_report_from_pvalues(rows, alpha: float = 0.01, n_boot: int = 1000) -> DimTestReport:
-    """Pure arithmetic on (r_cand, zeta_emp, p_raw) triples.
-
-    Applies the five-way Bonferroni correction and the familywise alpha rule;
-    rows that miss alpha but would pass 0.05 are flagged as borderline.
-    """
-    return _decision_report(rows, alpha, n_boot)
 
 
 def _candidate_set(r_center: int, d: int) -> list:
@@ -305,7 +297,7 @@ def _ratio_test(eig_full, r_center: int, replicate_ratios, alpha: float, h0_leve
         zeta_b = replicate_ratios(r_cand)
         p_raw = (1 + int(np.sum(zeta_b <= h0_level))) / (zeta_b.shape[0] + 1)
         rows.append((r_cand, energy_ratio(eig_full, r_cand), p_raw))
-    return _decision_report(rows, alpha, n_boot)
+    return decision_report_from_pvalues(rows, alpha, n_boot)
 
 
 def fisher_energy_test(spectrum: FisherSpectrum, r_center: int, n_boot: int = 1000,

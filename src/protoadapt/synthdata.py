@@ -304,20 +304,26 @@ def partition_tags(n: int, seed: int, frac_pre: float = FRAC_PRE, frac_seed: flo
 
 
 def save_corpus(corpus: Corpus, csv_path, manifest_path=None) -> None:
-    """Serialize the corpus: one CSV row per sample plus a JSON manifest."""
+    """Serialize the corpus: one CSV row per sample plus a JSON manifest.
+
+    The CSV is written through one open file, one task's lines at a time, so
+    no more than one task's rows are held as text.
+    """
     csv_path = Path(csv_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     q = corpus.cfg.q
     header = ["task_id", "split", "label"] + [f"x{j}" for j in range(q)]
-    lines = [",".join(header)]
-    for task in corpus.tasks:
-        for split, xs, ys in (("support", *corpus.full_support(task)),
-                              ("query", task.query_x, task.query_y)):
-            for row, label in zip(xs, ys):
-                cells = [task.task_id, split, str(int(label))]
-                cells += [f"{v:.12g}" for v in row]
-                lines.append(",".join(cells))
-    csv_path.write_text("\n".join(lines) + "\n")
+    with csv_path.open("w") as out:
+        out.write(",".join(header) + "\n")
+        for task in corpus.tasks:
+            lines = []
+            for split, xs, ys in (("support", *corpus.full_support(task)),
+                                  ("query", task.query_x, task.query_y)):
+                for row, label in zip(xs, ys):
+                    cells = [task.task_id, split, str(int(label))]
+                    cells += [f"{v:.12g}" for v in row]
+                    lines.append(",".join(cells) + "\n")
+            out.write("".join(lines))
     if manifest_path is not None:
         save_corpus_manifest(corpus, manifest_path)
 

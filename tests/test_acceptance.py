@@ -167,7 +167,7 @@ def test_proximal_solver_vs_oracle():
         m_rows = rng.normal(size=(k, d))
         chain = ProjectionChain(canonicalizer=Canonicalizer.identity(d), r=d)
         memory = PrototypeMemory(m_rows=m_rows, chain=chain,
-                                 centroids=chain.project(m_rows)).freeze()
+                                 centroids=chain.project(m_rows))
         theta_hat = rng.normal(size=d)
         v = rng.normal(size=k)
         lam = float(rng.uniform(0.0, 0.5))
@@ -308,7 +308,7 @@ def test_training_gradient_vs_finite_differences():
         atoms = rng.normal(size=(k, d))
         chain = ProjectionChain(canonicalizer=Canonicalizer.identity(d), r=d)
         memory = PrototypeMemory(m_rows=atoms, chain=chain,
-                                 centroids=chain.project(atoms)).freeze()
+                                 centroids=chain.project(atoms))
         tasks = [_Task(f"t{i}", rng.normal(size=(8, d)), rng.integers(0, 2, size=8),
                        int(rng.choice([5, 10, 20]))) for i in range(int(rng.integers(2, 6)))]
         z = np.stack([rng.normal(size=d_z) for _ in tasks])
@@ -382,10 +382,11 @@ def test_bootstrap_exhaustive_exactness():
     atoms = rng.normal(size=(4, 3))
     chain = ProjectionChain(canonicalizer=Canonicalizer.identity(3), r=3)
     memory = PrototypeMemory(m_rows=atoms, chain=chain,
-                             centroids=chain.project(atoms)).freeze()
+                             centroids=chain.project(atoms))
     rows = rng.normal(size=(5, 3))
-    cert = coverage_certificate(memory, rows, r_sparse=2, seed=0, exhaustive=True)
-    canon = coverage_fits(memory.chain, memory.centroids, rows, 2).canon
+    fits = coverage_fits(memory.chain, memory.centroids, rows, 2)
+    cert = coverage_certificate(fits, seed=0, exhaustive=True)
+    canon = fits.canon
     med_oracle = [np.median(canon[list(idx)]) for idx in product(range(5), repeat=5)]
     lo, hi = np.percentile(med_oracle, [5.0, 95.0])
     assert cert.pct90 == (float(lo), float(hi))

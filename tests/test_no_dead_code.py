@@ -35,8 +35,6 @@ ALLOWED = {
     "node.SolveConfig.as_log_dict": ("node.integrate",
                                      "part of the ODE layer, which stays whole while "
                                      "the tracer binds it"),
-    "spectral.decision_report_from_pvalues": (ACCEPTANCE,
-                                              "test_fisher_test_arithmetic pins it"),
     "resampling.bootstrap_statistics": (ACCEPTANCE,
                                         "test_bootstrap_exhaustive_exactness pins it"),
 }

@@ -13,6 +13,7 @@ from protoadapt.adapters import ridge_adapter
 from protoadapt.cli import main
 from protoadapt.metrics import compute_metrics
 from protoadapt.motifs import CalibrationError
+from protoadapt.prototypes import coverage_certificate, coverage_fits
 from protoadapt.pipeline import (
     ABLATION_VARIANTS,
     DEFAULT_K_GRID,
@@ -273,8 +274,6 @@ class TestDefaults:
 class TestPhase1(object):
     def test_artifacts_complete(self, tiny_artifacts):
         cfg, art = tiny_artifacts
-        assert art.memory.frozen
-        assert art.certificate is art.memory.certificate
         assert art.rank_selected >= 1
         assert art.memory.K <= max(cfg.k_grid)
 
@@ -448,6 +447,25 @@ class TestPhase1(object):
         assert art.certificate.r_sparse == 1
         assert art.certificate.eps_upper > 0.5
         assert not any("certified at sparsity" in n for n in art.notes)
+
+    @pytest.mark.parametrize("overrides", [{}, {"r_keep": 1}, {"hard_threshold": False}])
+    def test_merge_fits_are_at_the_certificate_sparsity(self, overrides, monkeypatch):
+        # the certificate takes merging's final fits as they are, with no check that they
+        # belong to the merged memory: they must be at fit_sparsity(final K)
+        returned, merge = [], pipeline.merge_prototypes
+        monkeypatch.setattr(pipeline, "merge_prototypes",
+                            lambda *a, **kw: returned.append(merge(*a, **kw)) or returned[-1])
+        cfg = replace(desk_config(seed=42), **overrides)
+        art = run_phase1(cfg)
+        [(memory, log, fits)] = returned
+        assert log and memory is art.memory
+        k, r = memory.K, art.rank_selected
+        assert fits.r_sparse == min(pipeline._r_keep(cfg, r, k), r, k) == art.certificate.r_sparse
+        assert fits.chain is memory.chain
+        assert fits.centroids.tobytes() == memory.centroids.tobytes()
+        refit = coverage_fits(memory.chain, memory.centroids, art.theta_pre, fits.r_sparse)
+        assert coverage_certificate(refit, n_boot=cfg.coverage_n_boot,
+                                    seed=cfg.seed).as_dict() == art.certificate.as_dict()
 
     def test_fixed_r_ablation(self):
         cfg = tiny_config(fixed_r=3)
@@ -941,7 +959,7 @@ class TestAblations:
         # at gamma = 0, H = M M^T is singular when rank(M) < K: the solve has no unique minimizer
         cfg = replace(small_fewshot_config(), gamma=0.0)
         art = run_phase1(cfg)
-        rank, k = art.memory.rank(), art.memory.K
+        rank, k = art.memory.rank, art.memory.K
         assert rank < k
 
         def forbidden(*args, **kwargs):

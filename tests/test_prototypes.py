@@ -9,7 +9,6 @@ from protoadapt.adapters import Canonicalizer, adapter_rows, fit_canonicalizer
 from protoadapt.prototypes import (
     Atoms,
     DegenerateAtomError,
-    FrozenMemoryError,
     PrototypeMemory,
     ProjectionChain,
     _kmeans_pp_init,
@@ -160,6 +159,12 @@ def make_memory(m_rows, r=None):
     chain = identity_chain(d, r or d)
     return PrototypeMemory(m_rows=m_rows, chain=chain,
                            centroids=chain.project(m_rows))
+
+
+def certify(memory, theta_pre, r_sparse, **kwargs):
+    """The certificate of the pretraining adapters' sparse fits in the memory's centroids."""
+    return coverage_certificate(coverage_fits(memory.chain, memory.centroids, theta_pre,
+                                              r_sparse), **kwargs)
 
 
 class TestProjectionChain:
@@ -433,7 +438,7 @@ class TestL0Fit:
             _assert_fit_matches_loop(u, memory.centroids, r_sparse, centroids)
         for task in art.corpus.tasks:
             u = memory.chain.subspace_project(task.theta_true)
-            _assert_fit_matches_loop(u, memory.M, min(r_sparse, memory.K), memory.row_atoms())
+            _assert_fit_matches_loop(u, memory.M, min(r_sparse, memory.K), memory.row_atoms)
 
     def test_omp_bit_equal_to_refitting_loop(self):
         rng = np.random.default_rng(6)
@@ -534,16 +539,14 @@ class TestCoverage:
         atoms = np.vstack([np.eye(3), rng.normal(size=(2, 3))])
         coeffs = rng.normal(size=(12, 3))
         rows = coeffs @ atoms[:3]
-        memory = make_memory(atoms).freeze()
-        cert = coverage_certificate(memory, _Rows(rows), r_sparse=3, n_boot=200, seed=0)
+        cert = certify(make_memory(atoms), _Rows(rows), 3, n_boot=200, seed=0)
         assert cert.eps_hat == pytest.approx(0.0, abs=1e-9)
         assert cert.pct90 == pytest.approx((0.0, 0.0), abs=1e-9)
-        assert memory.certificate.eps_upper == pytest.approx(0.0, abs=1e-9)
+        assert cert.eps_upper == pytest.approx(0.0, abs=1e-9)
 
     def test_single_task_zero_width(self):
-        memory = make_memory(np.eye(3)[:2]).freeze()
         rows = np.array([[0.3, 0.4, 1.2]])
-        cert = coverage_certificate(memory, _Rows(rows), r_sparse=2, n_boot=64, seed=1)
+        cert = certify(make_memory(np.eye(3)[:2]), _Rows(rows), 2, n_boot=64, seed=1)
         assert cert.pct90[0] == pytest.approx(cert.pct90[1])
         assert cert.eps_hat == pytest.approx(1.2)
 
@@ -551,9 +554,8 @@ class TestCoverage:
         rng = np.random.default_rng(7)
         atoms = rng.normal(size=(4, 3))
         rows = rng.normal(size=(5, 3))
-        memory = make_memory(atoms, r=3).freeze()
-        cert = coverage_certificate(memory, _Rows(rows), r_sparse=2,
-                                    seed=0, exhaustive=True)
+        memory = make_memory(atoms, r=3)
+        cert = certify(memory, _Rows(rows), 2, seed=0, exhaustive=True)
         canon = coverage_fits(memory.chain, memory.centroids, _Rows(rows), 2).canon
         meds = [np.median(canon[list(idx)]) for idx in product(range(5), repeat=5)]
         lo, hi = np.percentile(meds, [5, 95])
@@ -567,27 +569,19 @@ class TestCoverage:
         rng = np.random.default_rng(n_tasks)
         atoms = rng.normal(size=(4, 3))
         rows = _Rows(rng.normal(size=(n_tasks, 3)))
-        memory = make_memory(atoms, r=3).freeze()
-        cert = coverage_certificate(memory, rows, r_sparse=2, n_boot=n_boot, seed=5,
-                                    exhaustive=exhaustive)
+        memory = make_memory(atoms, r=3)
+        cert = certify(memory, rows, 2, n_boot=n_boot, seed=5, exhaustive=exhaustive)
         pct, raw_pct = _loop_coverage_intervals(memory, rows, 2, n_boot, 5, exhaustive)
         assert cert.pct90 == pct
         assert cert.raw_pct90 == raw_pct
         assert cert.n_boot == (n_tasks**n_tasks if exhaustive else n_boot)
 
-    def test_requires_frozen_memory(self):
-        memory = make_memory(np.eye(2))
-        with pytest.raises(FrozenMemoryError):
-            coverage_certificate(memory, _Rows(np.eye(2)), r_sparse=1)
-
     def test_certificate_deterministic(self):
         rng = np.random.default_rng(8)
         atoms = rng.normal(size=(5, 4))
         rows = rng.normal(size=(9, 4))
-        c1 = coverage_certificate(make_memory(atoms).freeze(), _Rows(rows),
-                                  r_sparse=2, n_boot=300, seed=11)
-        c2 = coverage_certificate(make_memory(atoms).freeze(), _Rows(rows),
-                                  r_sparse=2, n_boot=300, seed=11)
+        c1 = certify(make_memory(atoms), _Rows(rows), 2, n_boot=300, seed=11)
+        c2 = certify(make_memory(atoms), _Rows(rows), 2, n_boot=300, seed=11)
         assert c1.pct90 == c2.pct90
 
 
@@ -634,14 +628,15 @@ class TestMerge:
     def test_threshold_one_no_merges(self):
         rng = np.random.default_rng(11)
         memory = make_memory(rng.normal(size=(5, 3)))
-        merged, log = merge_prototypes(memory, mu_threshold=1.0, kappa_threshold=np.inf)
+        merged, log, fits = merge_prototypes(memory, mu_threshold=1.0, kappa_threshold=np.inf)
         assert merged.K == 5
         assert log == []
+        assert fits is None
 
     def test_identical_rows_merge_to_duplicate(self):
         rows = np.array([[1.0, 2.0, 2.0], [1.0, 2.0, 2.0], [0.0, 0.0, 3.0]])
         memory = make_memory(rows)
-        merged, log = merge_prototypes(memory, mu_threshold=0.99, kappa_threshold=np.inf)
+        merged, log, _ = merge_prototypes(memory, mu_threshold=0.99, kappa_threshold=np.inf)
         assert merged.K == 2
         assert len(log) == 1
         dists = np.linalg.norm(merged.M - rows[0], axis=1)
@@ -652,7 +647,7 @@ class TestMerge:
         mk = lambda ang: np.array([np.cos(ang), np.sin(ang), 0.0])
         rows = np.stack([base, mk(0.14), mk(0.28)]) * 2.0
         memory = make_memory(rows)
-        merged, log = merge_prototypes(memory, mu_threshold=0.95, kappa_threshold=np.inf)
+        merged, log, _ = merge_prototypes(memory, mu_threshold=0.95, kappa_threshold=np.inf)
         assert mu_of(merged.M) <= 0.95
         assert len(log) >= 1
 
@@ -668,15 +663,15 @@ class TestMerge:
             return coverage_fits(chain, centroids, theta, r_sparse)
 
         monkeypatch.setattr(prototypes, "coverage_fits", counted)
-        merged, log = merge_prototypes(make_memory(rows), mu_threshold=0.95,
-                                       kappa_threshold=np.inf, theta_pre=theta_pre,
-                                       r_sparse=2)
+        merged, log, fits = merge_prototypes(make_memory(rows), mu_threshold=0.95,
+                                             kappa_threshold=np.inf, theta_pre=theta_pre,
+                                             r_sparse=2)
         assert len(log) >= 2
         assert len(calls) == len(log) + 1
         for before, after in zip(log, log[1:]):
             assert after.coverage_before == before.coverage_after
         # the certificate takes the final rows' fits from the merge and fits nothing
-        cert = coverage_certificate(merged.freeze(), theta_pre, r_sparse=2, n_boot=50, seed=1)
+        cert = coverage_certificate(fits, n_boot=50, seed=1)
         assert len(calls) == len(log) + 1
         # each event's coverage is that of the rows it names
         monkeypatch.undo()
@@ -684,17 +679,8 @@ class TestMerge:
             memory = make_memory(m_rows)
             canon = coverage_fits(memory.chain, memory.centroids, theta_pre, 2).canon
             assert evt.coverage_after == float(np.median(canon))
-        refit = coverage_certificate(make_memory(merged.M).freeze(), theta_pre, r_sparse=2,
-                                     n_boot=50, seed=1)
+        refit = certify(make_memory(merged.M), theta_pre, 2, n_boot=50, seed=1)
         assert cert.as_dict() == refit.as_dict()
-        # fits for other adapters or another sparsity are not reused
-        other = make_memory(rows)
-        merged, _ = merge_prototypes(other, mu_threshold=0.95, kappa_threshold=np.inf,
-                                     theta_pre=theta_pre, r_sparse=2)
-        monkeypatch.setattr(prototypes, "coverage_fits", counted)
-        calls.clear()
-        coverage_certificate(merged.freeze(), theta_pre, r_sparse=1, n_boot=50, seed=1)
-        assert len(calls) == 1
 
         # a whole phase 1 with merges: each dictionary's sparse fits run once, the
         # raw-unit residuals are lifted once per Pre task, and the rank test's
@@ -718,14 +704,25 @@ class TestMerge:
         assert len(lifts) == 2 * n_pre
         assert stacks == [(1000, cfg.generator.d_theta, cfg.generator.d_theta)]
 
-    def test_frozen_memory_not_mergeable(self):
-        memory = make_memory(np.eye(3)).freeze()
-        with pytest.raises(FrozenMemoryError):
-            merge_prototypes(memory)
-
-    def test_freeze_is_one_way(self):
-        memory = make_memory(np.eye(3)).freeze()
-        with pytest.raises((ValueError, RuntimeError)):
-            memory.M[0, 0] = 5.0
-        with pytest.raises(FrozenMemoryError):
-            memory.attach_certificate.__self__.require_mutable()
+    def test_memories_are_read_only_from_construction(self):
+        rng = np.random.default_rng(13)
+        rows, centroids = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        built = PrototypeMemory(m_rows=rows, chain=identity_chain(3, 3), centroids=centroids)
+        clustered = cluster_prototypes(_Rows(rng.normal(size=(12, 3))), identity_chain(3, 2),
+                                       k=3, n_restarts=2, seed=0)
+        base = rng.normal(size=(3, 3))
+        merged, log, _ = merge_prototypes(make_memory(np.vstack([base, base + 1e-3])),
+                                          mu_threshold=0.95, kappa_threshold=np.inf)
+        assert log
+        for memory in (built, clustered, merged):
+            for arr in (memory.M, memory.centroids):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0, 0] = 5.0
+        # the arrays the caller passed stay writable and apart from the memory's
+        rows[0, 0] = centroids[0, 0] = 5.0
+        assert built.M[0, 0] != 5.0 and built.centroids[0, 0] != 5.0
+        # a read-only memory merges into a new one and is left as it was
+        k, m_rows = merged.K, merged.M.copy()
+        again, _, _ = merge_prototypes(merged, mu_threshold=0.0, kappa_threshold=np.inf)
+        assert again.K == 1 < k == merged.K
+        assert merged.M.tobytes() == m_rows.tobytes()

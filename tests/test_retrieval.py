@@ -46,7 +46,7 @@ def make_memory(m_rows, r=None):
     d = m_rows.shape[1]
     chain = ProjectionChain(canonicalizer=Canonicalizer.identity(d), r=r or d)
     return PrototypeMemory(m_rows=m_rows, chain=chain,
-                           centroids=chain.project(m_rows)).freeze()
+                           centroids=chain.project(m_rows))
 
 
 def identity_map(x):
@@ -118,7 +118,6 @@ def _one_task_solve(theta_hat, memory, v, cfg):
     a one-row ``solve_block``. Returns the solution before the top-r rule.
     """
     cfg.validate()
-    memory.require_frozen()
     theta_hat = check_finite(theta_hat, "theta_hat")
     v = check_finite(v, "retrieval logits")
     require(v.shape[0] == memory.K, "logit length must equal K")
@@ -478,9 +477,9 @@ def _active_set_solve_eye(memory, gamma, linear):
     """``active_set_solve`` as it was, kept as the oracle: a new np.eye(K) per use, and
     each row's settled flag reduced before the block's."""
     eye = np.eye(memory.K)
-    if not gamma.all() and memory.rank() < memory.K:
+    if not gamma.all() and memory.rank < memory.K:
         raise ValidationError("singular")
-    hessians = memory.gram() + 2.0 * gamma[:, None, None] * eye
+    hessians = memory.row_atoms.gram + 2.0 * gamma[:, None, None] * eye
     target = -linear
     free = np.ones(linear.shape, dtype=bool)
     system, rhs = hessians, target

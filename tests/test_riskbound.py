@@ -8,6 +8,7 @@ from protoadapt.prototypes import (
     ProjectionChain,
     cluster_prototypes,
     coverage_certificate,
+    coverage_fits,
 )
 from protoadapt.riskbound import (
     check_bound,
@@ -66,21 +67,24 @@ class _FixedTask:
         self.support_y = self.query_y[:2]
 
 
-def _frozen_memory(atoms, r=None):
+def _memory(atoms, r=None):
     atoms = np.asarray(atoms, dtype=float)
     d = atoms.shape[1]
     chain = ProjectionChain(canonicalizer=Canonicalizer.identity(d), r=r or d)
-    mem = PrototypeMemory(m_rows=atoms, chain=chain, centroids=chain.project(atoms))
-    return mem.freeze()
+    return PrototypeMemory(m_rows=atoms, chain=chain, centroids=chain.project(atoms))
+
+
+def _certify(memory, theta_pre, r_sparse, **kwargs):
+    return coverage_certificate(coverage_fits(memory.chain, memory.centroids, theta_pre,
+                                              r_sparse), **kwargs)
 
 
 class TestCheckBound:
     def test_row_norms_computed_once_per_memory(self, monkeypatch):
         rng = np.random.default_rng(11)
         atoms = rng.normal(size=(5, 4))
-        memory = _frozen_memory(atoms)
-        cert = coverage_certificate(memory, rng.normal(size=(8, 4)), r_sparse=2,
-                                    n_boot=50, seed=0)
+        memory = _memory(atoms)
+        cert = _certify(memory, rng.normal(size=(8, 4)), 2, n_boot=50, seed=0)
         calls = []
         build = prototypes.Atoms.of.__func__
 
@@ -102,9 +106,8 @@ class TestCheckBound:
     def test_prototype_row_exact_zero(self):
         rng = np.random.default_rng(1)
         atoms = np.vstack([np.eye(3) * 2.0])
-        memory = _frozen_memory(atoms)
-        cert = coverage_certificate(memory, np.vstack([atoms, atoms]),
-                                    r_sparse=2, n_boot=100, seed=0)
+        memory = _memory(atoms)
+        cert = _certify(memory, np.vstack([atoms, atoms]), 2, n_boot=100, seed=0)
         task = _FixedTask(atoms[1].copy(), rng)
         report = check_bound(task, memory, cert, identity_map)
         assert report.eps_app == pytest.approx(0.0, abs=1e-12)
@@ -115,9 +118,8 @@ class TestCheckBound:
     def test_in_subspace_off_dictionary_split(self):
         rng = np.random.default_rng(2)
         atoms = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        memory = _frozen_memory(atoms, r=3)
-        cert = coverage_certificate(memory, np.vstack([atoms, atoms]),
-                                    r_sparse=1, n_boot=100, seed=0)
+        memory = _memory(atoms, r=3)
+        cert = _certify(memory, np.vstack([atoms, atoms]), 1, n_boot=100, seed=0)
         theta = np.array([0.8, 0.6, 0.0])  # spans both atoms, 1-sparse fit misses
         task = _FixedTask(theta, rng)
         report = check_bound(task, memory, cert, identity_map)
@@ -127,8 +129,8 @@ class TestCheckBound:
         assert report.per_task_bound_holds
 
     def test_missing_ground_truth_rejected(self):
-        memory = _frozen_memory(np.eye(2))
-        cert = coverage_certificate(memory, np.eye(2), r_sparse=1, n_boot=50, seed=0)
+        memory = _memory(np.eye(2))
+        cert = _certify(memory, np.eye(2), 1, n_boot=50, seed=0)
         task = _FixedTask(np.ones(2), np.random.default_rng(3))
         task.theta_true = None
         with pytest.raises(ValidationError):
@@ -142,10 +144,10 @@ class TestCheckBound:
         seed_tasks = corpus.tasks_in("Pre-Seed")
         theta = assemble_theta([ridge_adapter(t, fmap, 1e-2) for t in seed_tasks])
         chain = ProjectionChain(canonicalizer=fit_canonicalizer(theta), r=2)
-        memory = cluster_prototypes(theta, chain, k=4, n_restarts=4, seed=1).freeze()
+        memory = cluster_prototypes(theta, chain, k=4, n_restarts=4, seed=1)
         pre = corpus.tasks_in("Pre-Seed", "Pre-Rest")
         theta_pre = assemble_theta([ridge_adapter(t, fmap, 1e-2) for t in pre])
-        cert = coverage_certificate(memory, theta_pre, r_sparse=2, n_boot=300, seed=2)
+        cert = _certify(memory, theta_pre, 2, n_boot=300, seed=2)
 
         summary = check_bounds_over_tasks(corpus.tasks, memory, cert, fmap, tol=1e-9)
         assert summary.triangle_rate == 1.0

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -228,3 +229,35 @@ def test_save_corpus_roundtrip_shape(tmp_path):
     # the retrieval tasks' rows are their full supports drawn again
     save_corpus(generate_corpus(cfg), tmp_path / "untagged.csv")
     assert csv_path.read_bytes() == (tmp_path / "untagged.csv").read_bytes()
+
+
+def _joined_csv(corpus) -> str:
+    """The corpus CSV as one joined string: the form ``save_corpus`` wrote before streaming."""
+    header = ["task_id", "split", "label"] + [f"x{j}" for j in range(corpus.cfg.q)]
+    lines = [",".join(header)]
+    for task in corpus.tasks:
+        for split, xs, ys in (("support", *corpus.full_support(task)),
+                              ("query", task.query_x, task.query_y)):
+            for row, label in zip(xs, ys):
+                cells = [task.task_id, split, str(int(label))]
+                cells += [f"{v:.12g}" for v in row]
+                lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_save_corpus_streams_the_joined_bytes(tmp_path):
+    tiny = GeneratorConfig(n_tasks=5, n_support=4, n_query=6, q=3, seed=41)
+    larger = GeneratorConfig(n_tasks=40, n_support=200, n_query=50, q=8, seed=41)
+    for cfg in (tiny, larger):
+        corpus = generate_corpus(cfg, partition_tags(cfg.n_tasks, 0))
+        csv_path = tmp_path / f"corpus-{cfg.n_tasks}.csv"
+        tracemalloc.start()
+        try:
+            save_corpus(corpus, csv_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert csv_path.read_bytes() == _joined_csv(corpus).encode()
+    # one task's lines at a time: the peak is a fraction of the 40-task CSV
+    size = csv_path.stat().st_size
+    assert peak < size / 4, (peak, size)
