@@ -15,7 +15,8 @@ appends one line, ``stage=<name> ms=<wall ms>[ tasks=<n>] rss_mb=<MB>
 run=<config hash>`` (``util.StageTimer``). Per-task latency is ms / tasks;
 ``rss_mb`` is the process's peak resident set so far, not the stage's own.
 Phase 1's line is followed by one line per step inside it (``phase1.corpus``,
-``phase1.adapters``, ``phase1.rank``, ``phase1.memory``, ``phase1.merge``,
+which draws the corpus and fits the pretraining adapters as it draws their
+supports, ``phase1.rank``, ``phase1.memory``, ``phase1.merge``,
 ``phase1.certificate``, ``phase1.standardizer``), and phase 2's fit line by
 ``phase2.fit.inputs`` (the splits' descriptors, adapters and query blocks)
 and ``phase2.fit.train``.
@@ -328,15 +329,17 @@ class Phase1Artifacts:
     runtime: list           # the phase1 stage line, then one per step inside it
 
 
-def build_corpus(cfg: RunConfig):
+def build_corpus(cfg: RunConfig, read_pre=None):
     """Phase 1's first step, which ``protoadapt generate`` runs on its own.
 
     Validates the config, then generates the corpus with every task tagged by
-    its partition. The tags come first, so only the pretraining tasks keep
-    their full supports. Returns the tagged corpus.
+    its partition, so the corpus keeps no full support: ``read_pre`` (see
+    ``generate_corpus``) reads each pretraining support as it is drawn.
+    Returns the tagged corpus.
     """
     cfg.validate()
-    return generate_corpus(cfg.generator, partition_tags(cfg.generator.n_tasks, cfg.seed))
+    return generate_corpus(cfg.generator, partition_tags(cfg.generator.n_tasks, cfg.seed),
+                           read_pre)
 
 
 def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
@@ -346,29 +349,28 @@ def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
     the check against it.
     """
     timer = StageTimer(cfg.hash())
+    adapters, summaries = {}, []
+
+    def fit_pre(t, support_x, support_y, fmap):
+        # each Pre support is mapped once, as generation draws it, for its adapter and, on a
+        # Pre-Seed task, the rank test's gradient summary; the corpus keeps no support, so
+        # the fits hold one task's draw and features at a time
+        x = check_finite(fmap(support_x), "support features")
+        adapters[t.task_id] = ridge_fit(x, support_y, RIDGE_ALPHA)
+        if t.partition == "Pre-Seed":
+            summaries.append(TaskGradientSummary.from_gradients(
+                feature_gradients(x, support_y)))
+
     with timer.stage("phase1", None):
         with timer.stage("phase1.corpus", None):
-            corpus = build_corpus(cfg)
-            fmap = corpus.feature_map()
-        notes: list[str] = []
-
-        seed_tasks = corpus.tasks_in("Pre-Seed")
-        pre_tasks = corpus.tasks_in("Pre-Seed", "Pre-Rest")
-        adapters, summaries = {}, []
-        with timer.stage("phase1.adapters", len(pre_tasks)):
-            # each Pre support is mapped once, for its adapter and, on a Pre-Seed task, the
-            # rank test's gradient summary; one task's features at a time, since holding all
-            # 120 fewshot supports' (800 x 8 floats each) raised peak RSS by 6 MB
-            for t in pre_tasks:
-                x = check_finite(fmap(t.support_x), "support features")
-                adapters[t.task_id] = ridge_fit(x, t.support_y, RIDGE_ALPHA)
-                if t.partition == "Pre-Seed":
-                    summaries.append(TaskGradientSummary.from_gradients(
-                        feature_gradients(x, t.support_y)))
+            corpus = build_corpus(cfg, fit_pre)
+            seed_tasks = corpus.tasks_in("Pre-Seed")
+            pre_tasks = corpus.tasks_in("Pre-Seed", "Pre-Rest")
             theta_seed = assemble_theta([adapters[t.task_id] for t in seed_tasks],
                                         task_ids=[t.task_id for t in seed_tasks])
             theta_pre = assemble_theta([adapters[t.task_id] for t in pre_tasks],
                                        task_ids=[t.task_id for t in pre_tasks])
+        notes: list[str] = []
 
         with timer.stage("phase1.rank", None):
             if cfg.fixed_r is not None:
@@ -889,7 +891,7 @@ def run_riskbound(cfg: RunConfig, artifacts: Phase1Artifacts,
                                           fmap)
         # the logistic loss's Lipschitz constant in the adapter is the largest feature radius;
         # each report's lipschitz is its query set's radius, so only the full supports are left
-        # to map, a retrieval task's drawn again one at a time
+        # to map, each drawn again one at a time
         radius = max(feature_radius_of((corpus.full_support(task)[0] for task in tasks), fmap),
                      *(r.lipschitz for r in summary.reports))
     require(np.isfinite(radius) and radius > 0, "feature radius must be finite and positive")

@@ -60,9 +60,10 @@ class DroppedSupportError(LookupError):
 class _DroppedSupport:
     """The class-level value of ``EpisodeTask``'s support fields.
 
-    Reading a support the task does not hold raises ``DroppedSupportError``,
-    where a 0-row array would pass silently. A held support is an instance
-    attribute, so reading it never reaches this class.
+    Reading a support the task does not hold, as no task of a tagged corpus
+    does, raises ``DroppedSupportError``, where a 0-row array would pass
+    silently. A held support is an instance attribute, so reading it never
+    reaches this class.
     """
 
     def __set_name__(self, owner, name):
@@ -82,9 +83,9 @@ class EpisodeTask:
     A generated task's labels are int8 arrays of 0 and 1. ``resample_support``
     replaces the support arrays and shares the query arrays, so the tasks of
     one identity at several support sizes hold one query_x and one query_y.
-    A retrieval task of a tagged corpus is built with ``None`` for both
-    support arrays and holds neither: reading one raises, and
-    ``Corpus.full_support`` draws it again.
+    Every task of a tagged corpus is built with ``None`` for both support
+    arrays and holds neither: reading one raises, and ``Corpus.full_support``
+    draws it again.
     """
 
     task_id: str
@@ -117,12 +118,13 @@ class EpisodeTask:
 class Corpus:
     """Generated tasks plus the frozen encoder surrogate and planted geometry.
 
-    The float64 embeddings are nearly all of a corpus's bytes; its int8 labels
-    take 0.27 MiB on the fewshot profile. Untagged, every task keeps its full
-    support, and the fewshot corpus holds 35.2 MiB of embeddings. Tagged by
-    ``partition_tags``, as a run builds it, only the pretraining tasks keep
-    one, and it holds 23.4 MiB: no step of a run reads a retrieval task's
-    full support except through ``full_support``.
+    The float64 embeddings are nearly all of a corpus's bytes. Untagged,
+    every task keeps its full support, and the fewshot corpus holds 35.2 MiB
+    of embeddings and 0.27 MiB of int8 labels. Tagged by ``partition_tags``,
+    as a run builds it, no task keeps one, and it holds its query sets alone:
+    11.7 MiB of embeddings and 0.09 MiB of labels. Phase 1 reads each
+    pretraining support as generation draws it, and no later step of a run
+    reads a full support except through ``full_support``.
     """
 
     cfg: GeneratorConfig
@@ -219,18 +221,23 @@ def _task_stream(cfg, basis, cluster_dirs, t):
     return theta, rng_t
 
 
-def generate_corpus(cfg: GeneratorConfig, tags=None) -> Corpus:
+def generate_corpus(cfg: GeneratorConfig, tags=None, read_pre=None) -> Corpus:
     """Build the full task corpus deterministically from cfg.seed.
 
     Every planted adapter sits at Euclidean distance exactly
     ``cfg.off_subspace_norm`` from the planted subspace (zero by default),
     and labels follow a logistic model on the adapter/feature inner product.
-    ``tags``, one partition tag per task (``partition_tags``), tags the tasks
-    and keeps the full support of the pretraining tasks alone; every other
-    array has the bytes it has untagged.
+    ``tags``, one partition tag per task (``partition_tags``), tags the tasks,
+    and a tagged corpus keeps no full support; every other array has the
+    bytes it has untagged. ``read_pre``, given with ``tags``, is called as
+    ``read_pre(task, x, y, fmap)`` once per pretraining task, with the support
+    just drawn for it and the corpus's feature map: the one read of that
+    support before it is dropped.
     """
     cfg.validate()
     require(tags is None or len(tags) == cfg.n_tasks, "tags must name one partition per task")
+    require(read_pre is None or tags is not None,
+            "read_pre needs tags to find the pretraining tasks")
     rng_map = child_rng(cfg.seed, "feature-map")
     if cfg.q >= cfg.d_theta:
         feature_w = _orthonormal_columns(rng_map, cfg.q, cfg.d_theta).T
@@ -240,22 +247,26 @@ def generate_corpus(cfg: GeneratorConfig, tags=None) -> Corpus:
     rng_basis = child_rng(cfg.seed, "subspace")
     basis = _orthonormal_columns(rng_basis, cfg.d_theta, cfg.r_true)
     cluster_dirs = _cluster_directions(child_rng(cfg.seed, "clusters"), cfg.r_true, cfg.n_clusters)
+    corpus = Corpus(cfg=cfg, tasks=[], feature_w=feature_w, basis=basis,
+                    cluster_dirs=cluster_dirs)
+    fmap = corpus.feature_map()
 
-    tasks = []
+    keep = tags is None
     for t in range(cfg.n_tasks):
         theta, rng_t = _task_stream(cfg, basis, cluster_dirs, t)
         w_theta = feature_w.T @ theta  # acts on raw embeddings
         sx, sy = _sample_labeled_set(rng_t, cfg.n_support, cfg, w_theta)
         qx, qy = _sample_labeled_set(rng_t, cfg.n_query, cfg, w_theta)
-        if tags is not None and tags[t] not in PRE_PARTITIONS:
-            sx = sy = None  # dropped here, not after generation: the next task reuses its bytes
-        task = EpisodeTask(task_id=f"task{t:04d}", support_x=sx, support_y=sy,
-                           query_x=qx, query_y=qy, theta_true=theta, index=t)
-        if tags is not None:
+        task = EpisodeTask(task_id=f"task{t:04d}", support_x=sx if keep else None,
+                           support_y=sy if keep else None, query_x=qx, query_y=qy,
+                           theta_true=theta, index=t)
+        if not keep:
             task.set_partition(tags[t])
-        tasks.append(task)
-    return Corpus(cfg=cfg, tasks=tasks, feature_w=feature_w, basis=basis,
-                  cluster_dirs=cluster_dirs)
+        if read_pre is not None and task.partition in PRE_PARTITIONS:
+            read_pre(task, sx, sy, fmap)
+        corpus.tasks.append(task)
+        del sx, sy  # dropped before the next draw, which reuses their bytes
+    return corpus
 
 
 def resample_support(corpus: Corpus, task: EpisodeTask, n_support: int, tag: str = "resupport") -> EpisodeTask:

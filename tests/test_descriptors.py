@@ -141,7 +141,7 @@ class TestProbeGradient:
 def _fitted_setup(seed=5, n_tasks=40, q=6, d=4, r=2):
     cfg = GeneratorConfig(d_theta=d, q=q, r_true=r, n_tasks=n_tasks,
                           n_support=8, n_query=6, seed=seed)
-    corpus = generate_corpus(cfg)  # untagged, so the retrieval tasks keep their full supports
+    corpus = generate_corpus(cfg)  # untagged, so every task keeps its full support
     for task, tag in zip(corpus.tasks, partition_tags(n_tasks, 0)):
         task.set_partition(tag)
     chain = ProjectionChain(canonicalizer=Canonicalizer.identity(d), r=r)

@@ -1,6 +1,7 @@
 import inspect
 import json
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -57,8 +58,8 @@ REMOVED_FIELDS = {"t_prox", "solver_tol", "seeds", "support_sizes_eval", "lam_gr
 
 
 # the steps inside phase 1, each with its own runtime.txt line after the phase1 line
-PHASE1_STEPS = ("phase1.corpus", "phase1.adapters", "phase1.rank", "phase1.memory",
-                "phase1.merge", "phase1.certificate", "phase1.standardizer")
+PHASE1_STEPS = ("phase1.corpus", "phase1.rank", "phase1.memory", "phase1.merge",
+                "phase1.certificate", "phase1.standardizer")
 # the steps inside phase 2's fit, each with its own line after the phase2.fit line
 PHASE2_FIT_STEPS = ("phase2.fit.inputs", "phase2.fit.train")
 
@@ -76,6 +77,12 @@ def small_fewshot_config():
     cfg = fewshot_benchmark_config()
     gen = replace(cfg.generator, n_tasks=90, n_support=400, n_query=30)
     return replace(cfg, generator=gen, epochs=3, patience=4, coverage_n_boot=200, n_restarts=3)
+
+
+def _with_full_support(corpus, task):
+    """``task`` holding the full support generation drew for it, as an untagged task does."""
+    support_x, support_y = corpus.full_support(task)
+    return replace(task, support_x=support_x, support_y=support_y)
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +294,7 @@ class TestPhase1(object):
 
     def test_each_pre_support_is_mapped_once(self, monkeypatch, tmp_path):
         cfg = tiny_config()
+        gen = cfg.generator
         feature_map, shapes = synthdata.Corpus.feature_map, []
 
         def counting(corpus):
@@ -301,18 +309,70 @@ class TestPhase1(object):
         monkeypatch.setattr(synthdata.Corpus, "feature_map", counting)
         art = run_phase1(cfg)
         pre = art.corpus.tasks_in("Pre-Seed", "Pre-Rest")
-        assert shapes == [task.support_x.shape for task in pre]
+        assert shapes == [(gen.n_support, gen.q)] * len(pre)
         monkeypatch.undo()
-        # the one mapped block gives the bytes that mapping it for each use gave
+        # the one mapped block gives the bytes that mapping each held support for each use gave
         fmap = art.corpus.feature_map()
+        held = {t.task_id: _with_full_support(art.corpus, t) for t in pre}
         assert art.theta_pre.rows.tobytes() == np.stack(
-            [ridge_adapter(task, fmap) for task in pre]).tobytes()
-        summaries = [TaskGradientSummary.from_task(task, fmap)
+            [ridge_adapter(held[task.task_id], fmap) for task in pre]).tobytes()
+        summaries = [TaskGradientSummary.from_task(held[task.task_id], fmap)
                      for task in art.corpus.tasks_in("Pre-Seed")]
         fisher_energy_test_tasks(summaries, r_center=art.rank_selected,
                                  seed=cfg.seed).to_csv(tmp_path / "oracle.csv")
         art.dim_report_tasks.to_csv(tmp_path / "run.csv")
         assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_each_full_support_is_drawn_once(self, monkeypatch):
+        """Phase 1 fits the pretraining supports as generation draws them, replaying none."""
+        cfg = tiny_config()
+        gen = cfg.generator
+        sample, sizes = synthdata._sample_labeled_set, []
+
+        def counting(rng, n, *args):
+            sizes.append(n)
+            return sample(rng, n, *args)
+
+        def replay(corpus, task):
+            raise AssertionError(f"phase 1 drew {task.task_id}'s support again")
+
+        monkeypatch.setattr(synthdata, "_sample_labeled_set", counting)
+        monkeypatch.setattr(synthdata.Corpus, "full_support", replay)
+        run_phase1(cfg)
+        assert gen.n_support not in (gen.n_query, *cfg.train_sizes)
+        assert sizes.count(gen.n_support) == gen.n_tasks
+
+    def test_corpus_and_pretraining_fits_hold_a_few_supports(self, monkeypatch):
+        """tracemalloc's peak from the config to the last pretraining fit is what the corpus
+        stores and a few supports: a corpus that keeps the pretraining supports fails here."""
+        cfg = small_fewshot_config()
+        gen = cfg.generator
+        peaks = []
+
+        class FitsDone(Exception):
+            pass
+
+        def peak_then_stop(*args, **kwargs):
+            # phase 1 assembles the adapters once every pretraining support is fitted
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            raise FitsDone
+
+        pipeline.build_corpus(cfg)  # the imports generation makes on first use are not traced
+        monkeypatch.setattr(pipeline, "assemble_theta", peak_then_stop)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FitsDone):
+                run_phase1(cfg)
+        finally:
+            tracemalloc.stop()
+        stored = gen.n_tasks * (gen.n_query * (gen.q * 8 + 1) + gen.d_theta * 8)
+        support, few = gen.n_support * gen.q * 8, 8
+        # the task objects and one task's draw, features and fits take about 5 supports'
+        # bytes; keeping the pretraining supports would add 45
+        tags = synthdata.partition_tags(gen.n_tasks, cfg.seed)
+        n_pre = sum(tag in PRE_PARTITIONS for tag in tags)
+        assert 5 * few <= n_pre
+        assert peaks[0] < stored + few * support, (peaks[0], stored, support)
 
     def test_k_grid_filtered_with_note(self):
         cfg = tiny_config(k_grid=(4, 5000))
@@ -365,27 +425,27 @@ class TestPhase1(object):
             for name in ("query_x", "query_y", "theta_true"):
                 a, b = getattr(task, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (task.task_id, name)
-            if task.partition in PRE_PARTITIONS:
-                stored = (task.support_x, task.support_y)
-            else:
-                for name in ("support_x", "support_y"):
-                    with pytest.raises(DroppedSupportError, match=task.task_id):
-                        getattr(task, name)
-                stored = corpus.full_support(task)
+            for name in ("support_x", "support_y"):
+                with pytest.raises(DroppedSupportError, match=task.task_id):
+                    getattr(task, name)
+            stored = corpus.full_support(task)
             for a, b in zip(stored, (want.support_x, want.support_y)):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), task.task_id
 
-    def test_corpus_bytes_are_the_pretraining_supports_and_every_query(self):
-        """The memory model of a run's corpus: a change that keeps retrieval supports fails here."""
+    def test_corpus_bytes_are_the_query_sets_labels_and_theta(self):
+        """The memory model of a run's corpus: a change that keeps a full support fails here."""
         cfg = small_fewshot_config()
         gen = cfg.generator
         corpus = pipeline.build_corpus(cfg)
-        n_pre = len(corpus.tasks_in(*PRE_PARTITIONS))
-        assert 0 < n_pre < gen.n_tasks
+        assert 0 < len(corpus.tasks_in(*PRE_PARTITIONS)) < gen.n_tasks
+        for task in corpus.tasks:
+            for name in ("support_x", "support_y"):
+                with pytest.raises(DroppedSupportError, match=task.task_id):
+                    getattr(task, name)
         arrays = [v for task in corpus.tasks for v in vars(task).values()
                   if isinstance(v, np.ndarray)]
         assert all(a.base is None for a in arrays)  # each array owns its bytes
-        samples = n_pre * gen.n_support + gen.n_tasks * gen.n_query
+        samples = gen.n_tasks * gen.n_query
         embeddings, labels = samples * gen.q * 8, samples  # float64 rows, int8 labels
         theta = gen.n_tasks * gen.d_theta * 8
         assert sum(a.nbytes for a in arrays) == embeddings + labels + theta
@@ -623,8 +683,8 @@ class TestPhase2:
         run_seed_stability(cfg, art, outdir=tmp_path, seeds=(1, 2))
         n_test = len(result.splits["test"].task_ids)
         n_pre = art.theta_pre.n_tasks
-        phase_stages = {"phase1": None, "phase1.corpus": None, "phase1.adapters": n_pre,
-                        "phase1.rank": None, "phase1.memory": None, "phase1.merge": None,
+        phase_stages = {"phase1": None, "phase1.corpus": None, "phase1.rank": None,
+                        "phase1.memory": None, "phase1.merge": None,
                         "phase1.certificate": n_pre, "phase1.standardizer": n_pre,
                         "phase2.fit": None, **dict.fromkeys(PHASE2_FIT_STEPS),
                         **{f"phase2.predict.{tag}": len(episodes.task_ids)
@@ -731,8 +791,8 @@ class TestLeakage:
         if tag is not None:
             build_corpus = pipeline.build_corpus
 
-            def overwritten(config):
-                corpus = build_corpus(config)
+            def overwritten(config, read_pre=None):
+                corpus = build_corpus(config, read_pre)
                 rng = np.random.default_rng(7)
                 for task in corpus.tasks_in(tag):
                     # a retrieval task holds no full support: it gets one at the generator's shape

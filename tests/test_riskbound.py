@@ -139,7 +139,9 @@ class TestCheckBound:
     def test_planted_corpus_identities_hold_everywhere(self):
         cfg = GeneratorConfig(d_theta=6, q=10, r_true=2, n_tasks=50,
                               n_support=40, n_query=25, seed=9, off_subspace_norm=0.05)
-        corpus = generate_corpus(cfg, partition_tags(cfg.n_tasks, 0))
+        corpus = generate_corpus(cfg)  # untagged, so the pretraining tasks keep their supports
+        for task, tag in zip(corpus.tasks, partition_tags(cfg.n_tasks, 0)):
+            task.set_partition(tag)
         fmap = corpus.feature_map()
         seed_tasks = corpus.tasks_in("Pre-Seed")
         theta = assemble_theta([ridge_adapter(t, fmap, 1e-2) for t in seed_tasks])

@@ -196,25 +196,38 @@ def test_feature_map_bit_equal_to_the_atleast_2d_form():
         assert got.shape == oracle.shape and got.tobytes() == oracle.tobytes()
 
 
-def test_tagged_corpus_keeps_only_the_pretraining_supports():
+def test_tagged_corpus_keeps_no_full_support():
     # off the subspace, so a task's stream holds the extra draw before its support
     cfg = GeneratorConfig(d_theta=6, q=8, n_tasks=30, n_support=12, n_query=5,
                           off_subspace_norm=0.3, seed=5)
     tags = partition_tags(cfg.n_tasks, 3)
-    tagged, untagged = generate_corpus(cfg, tags), generate_corpus(cfg)
+    read = []
+
+    def read_pre(task, x, y, fmap):
+        read.append((task.index, x, y, fmap(x)))
+
+    tagged, untagged = generate_corpus(cfg, tags, read_pre), generate_corpus(cfg)
     assert [t.partition for t in tagged.tasks] == tags
     for task, full in zip(tagged.tasks, untagged.tasks):
-        if task.partition in PRE_PARTITIONS:
-            assert task.n_support == cfg.n_support
-        else:
-            for name in ("support_x", "support_y", "n_support"):
-                with pytest.raises(DroppedSupportError, match=task.task_id):
-                    getattr(task, name)
+        for name in ("support_x", "support_y", "n_support"):
+            with pytest.raises(DroppedSupportError, match=task.task_id):
+                getattr(task, name)
         for got, want in zip(tagged.full_support(task), (full.support_x, full.support_y)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         # a resampled support needs no full support
         again = resample_support(tagged, task, 7)
         assert again.support_x.tobytes() == resample_support(untagged, full, 7).support_x.tobytes()
+    # each pretraining support is read once, in task order, as drawn, with the corpus's map
+    assert [index for index, *_ in read] == [i for i, tag in enumerate(tags)
+                                            if tag in PRE_PARTITIONS]
+    fmap = untagged.feature_map()
+    for index, x, y, features in read:
+        full = untagged.tasks[index]
+        for got, want in ((x, full.support_x), (y, full.support_y),
+                          (features, fmap(full.support_x))):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    with pytest.raises(ValidationError, match="read_pre needs tags"):
+        generate_corpus(cfg, read_pre=read_pre)
 
 
 def test_save_corpus_roundtrip_shape(tmp_path):
