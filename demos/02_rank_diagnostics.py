@@ -15,14 +15,16 @@ cfg = GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=150, n_support=400,
                       seed=42)
 corpus = generate_corpus(cfg)
 fmap = corpus.feature_map()
-theta = assemble_theta([ridge_adapter(t, fmap, 1e-2) for t in corpus.tasks])
+# a generated task holds no support: each episode is its task on the support drawn again
+episodes = [corpus.full_support(t) for t in corpus.tasks]
+theta = assemble_theta([ridge_adapter(t, fmap, 1e-2) for t in episodes])
 
 for rho in (0.9, 0.95, 0.99):
     print(f"energy rank at rho={rho}: r = {pca_rank(theta, rho)}")
 print("rank vs task count:", [(row['n_tasks'], row['rho'], row['r'])
                               for row in rank_curve(theta, (0.99,), seed=0)])
 
-spectrum = corpus_fisher_spectrum(corpus.tasks, fmap)
+spectrum = corpus_fisher_spectrum(episodes, fmap)
 print("corpus spectrum head:", np.round(spectrum.eigenvalues[:4], 5))
 print("top-2 energy ratio:", round(energy_ratio(spectrum.eigenvalues, 2), 4))
 
@@ -30,7 +32,7 @@ print("top-2 energy ratio:", round(energy_ratio(spectrum.eigenvalues, 2), 4))
 # recipe but powerless on spiked spectra; the task-resampling variant of the
 # same decision rule stays informative
 eig_report = fisher_energy_test(spectrum, r_center=2, n_boot=1000, seed=0)
-summaries = [TaskGradientSummary.from_task(t, fmap) for t in corpus.tasks]
+summaries = [TaskGradientSummary.from_task(t, fmap) for t in episodes]
 task_report = fisher_energy_test_tasks(summaries, r_center=2, n_boot=1000, seed=0)
 print("eigenvalue-mode selection:", eig_report.selected_r)
 print("task-mode selection:", task_report.selected_r)

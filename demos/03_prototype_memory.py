@@ -12,13 +12,11 @@ from protoadapt.synthdata import GeneratorConfig, generate_corpus, partition_tag
 
 cfg = GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=160, n_support=400,
                       seed=42, n_clusters=3)
-# untagged, so every task keeps its full support; tagged, as a run builds it, none does
-corpus = generate_corpus(cfg)
-for task, tag in zip(corpus.tasks, partition_tags(cfg.n_tasks, 0)):
-    task.set_partition(tag)
+corpus = generate_corpus(cfg, partition_tags(cfg.n_tasks, 0))
 fmap = corpus.feature_map()
 pre_tasks = corpus.tasks_in("Pre-Seed", "Pre-Rest")
-adapters = {t.task_id: ridge_adapter(t, fmap, 1e-2) for t in pre_tasks}
+# a generated task holds no support: each adapter is fitted on its support drawn again
+adapters = {t.task_id: ridge_adapter(corpus.full_support(t), fmap, 1e-2) for t in pre_tasks}
 
 seed_tasks = corpus.tasks_in("Pre-Seed")
 theta_seed = assemble_theta([adapters[t.task_id] for t in seed_tasks])

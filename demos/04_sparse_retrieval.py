@@ -38,7 +38,7 @@ print(f"hard top-2 keeps atoms {np.nonzero(w_tilde)[0].tolist()}; "
 
 query_x = rng.normal(size=(30, d))
 query_y = (query_x @ theta_hat > 0).astype(int)
-task = EpisodeTask("demo", query_x[:0], query_y[:0], query_x, query_y)
+task = EpisodeTask("demo", query_x, query_y, support_x=query_x[:0], support_y=query_y[:0])
 # a block of one task: Episodes.of maps its query set once to prototype
 # coordinates, query_x M^T, and the query logits are those times w_tilde
 # (this demo has no descriptor, so its row is a zero placeholder)

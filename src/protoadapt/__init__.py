@@ -75,6 +75,13 @@ from .spectral import (
     pca_rank,
     sequential_r_selection,
 )
-from .synthdata import Corpus, EpisodeTask, GeneratorConfig, generate_corpus, partition_tags
+from .synthdata import (
+    Corpus,
+    CorpusTask,
+    EpisodeTask,
+    GeneratorConfig,
+    generate_corpus,
+    partition_tags,
+)
 
 __version__ = "0.1.0"

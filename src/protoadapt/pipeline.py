@@ -83,6 +83,7 @@ from .spectral import (
 from .synthdata import (
     FRAC_PRE,
     FRAC_SEED,
+    PRE_PARTITIONS,
     RET_FRACS,
     GeneratorConfig,
     generate_corpus,
@@ -329,17 +330,17 @@ class Phase1Artifacts:
     runtime: list           # the phase1 stage line, then one per step inside it
 
 
-def build_corpus(cfg: RunConfig, read_pre=None):
+def build_corpus(cfg: RunConfig, read_support=None):
     """Phase 1's first step, which ``protoadapt generate`` runs on its own.
 
     Validates the config, then generates the corpus with every task tagged by
-    its partition, so the corpus keeps no full support: ``read_pre`` (see
-    ``generate_corpus``) reads each pretraining support as it is drawn.
-    Returns the tagged corpus.
+    its partition. The corpus keeps no support: ``read_support`` (see
+    ``generate_corpus``) reads each one as it is drawn. Returns the tagged
+    corpus.
     """
     cfg.validate()
     return generate_corpus(cfg.generator, partition_tags(cfg.generator.n_tasks, cfg.seed),
-                           read_pre)
+                           read_support)
 
 
 def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
@@ -352,9 +353,11 @@ def run_phase1(cfg: RunConfig, outdir: Path | None = None) -> Phase1Artifacts:
     adapters, summaries = {}, []
 
     def fit_pre(t, support_x, support_y, fmap):
-        # each Pre support is mapped once, as generation draws it, for its adapter and, on a
-        # Pre-Seed task, the rank test's gradient summary; the corpus keeps no support, so
-        # the fits hold one task's draw and features at a time
+        # generation hands over every support as it draws it; each Pre one is mapped once, for
+        # its adapter and, on a Pre-Seed task, the rank test's gradient summary, and the corpus
+        # keeps none, so the fits hold one task's draw and features at a time
+        if t.partition not in PRE_PARTITIONS:
+            return
         x = check_finite(fmap(support_x), "support features")
         adapters[t.task_id] = ridge_fit(x, support_y, RIDGE_ALPHA)
         if t.partition == "Pre-Seed":
@@ -892,8 +895,8 @@ def run_riskbound(cfg: RunConfig, artifacts: Phase1Artifacts,
         # the logistic loss's Lipschitz constant in the adapter is the largest feature radius;
         # each report's lipschitz is its query set's radius, so only the full supports are left
         # to map, each drawn again one at a time
-        radius = max(feature_radius_of((corpus.full_support(task)[0] for task in tasks), fmap),
-                     *(r.lipschitz for r in summary.reports))
+        supports = (corpus.full_support(task).support_x for task in tasks)
+        radius = max(feature_radius_of(supports, fmap), *(r.lipschitz for r in summary.reports))
     require(np.isfinite(radius) and radius > 0, "feature radius must be finite and positive")
     if outdir is not None:
         outdir = Path(outdir)

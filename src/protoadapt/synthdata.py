@@ -8,7 +8,7 @@ Pre-Seed, Pre-Rest, Ret-Train, Ret-Val, Ret-Test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -50,81 +50,56 @@ class GeneratorConfig:
 
 
 class PartitionError(ValidationError):
-    """An unknown tag, or a second tag assigned to a task."""
-
-
-class DroppedSupportError(LookupError):
-    """A read of a support that generation drew but did not keep."""
-
-
-class _DroppedSupport:
-    """The class-level value of ``EpisodeTask``'s support fields.
-
-    Reading a support the task does not hold, as no task of a tagged corpus
-    does, raises ``DroppedSupportError``, where a 0-row array would pass
-    silently. A held support is an instance attribute, so reading it never
-    reaches this class.
-    """
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, task, owner):
-        if task is None:  # no class-level value, so the dataclass field has no default
-            raise AttributeError(self.name)
-        raise DroppedSupportError(f"task {task.task_id} ({task.partition}) holds no full "
-                                  "support; Corpus.full_support draws it again")
+    """A partition tag that is not one of ``PARTITIONS``."""
 
 
 @dataclass
-class EpisodeTask:
-    """One binary episodic task: disjoint support and query draws.
+class CorpusTask:
+    """One generated binary task: its query set and planted adapter, and no support.
 
-    A generated task's labels are int8 arrays of 0 and 1. ``resample_support``
-    replaces the support arrays and shares the query arrays, so the tasks of
-    one identity at several support sizes hold one query_x and one query_y.
-    Every task of a tagged corpus is built with ``None`` for both support
-    arrays and holds neither: reading one raises, and ``Corpus.full_support``
-    draws it again.
+    Generation draws a support for every task, hands it to its reader and
+    keeps none. ``Corpus.full_support`` draws it again and ``resample_support``
+    draws a new one, each as an ``EpisodeTask``. A generated task's labels are
+    int8 arrays of 0 and 1.
     """
 
     task_id: str
-    support_x: np.ndarray | None = _DroppedSupport()   # (n_support, q) embeddings
-    support_y: np.ndarray | None = _DroppedSupport()   # (n_support,) int8 labels
     query_x: np.ndarray     # (n_query, q)
     query_y: np.ndarray     # (n_query,) int8 labels
     theta_true: np.ndarray | None = None
     partition: str | None = None
     index: int = 0
 
-    def __post_init__(self):
-        # a dropped support is no instance attribute, so reading it reaches _DroppedSupport
-        if self.support_x is None:
-            del self.support_x, self.support_y
+    def with_support(self, support_x, support_y) -> EpisodeTask:
+        """This task's episode on the given support; it shares this task's query arrays, so
+        the episodes of one task at several support sizes hold one query_x and one query_y."""
+        # each field by name: a copy through dataclasses.fields on every call raised the
+        # fewshot-adapt workload's peak RSS by about 0.2 MB (CPython 3.11)
+        return EpisodeTask(self.task_id, self.query_x, self.query_y, self.theta_true,
+                           self.partition, self.index, support_x=support_x, support_y=support_y)
+
+
+@dataclass
+class EpisodeTask(CorpusTask):
+    """A task with a support: disjoint support and query draws."""
+
+    support_x: np.ndarray = field(kw_only=True)   # (n_support, q) embeddings
+    support_y: np.ndarray = field(kw_only=True)   # (n_support,) int8 labels
 
     @property
     def n_support(self) -> int:
         return self.support_x.shape[0]
-
-    def set_partition(self, tag: str) -> None:
-        if tag not in PARTITIONS:
-            raise PartitionError(f"unknown partition tag {tag!r}")
-        if self.partition is not None and self.partition != tag:
-            raise PartitionError(f"task {self.task_id} already assigned to {self.partition}")
-        self.partition = tag
 
 
 @dataclass
 class Corpus:
     """Generated tasks plus the frozen encoder surrogate and planted geometry.
 
-    The float64 embeddings are nearly all of a corpus's bytes. Untagged,
-    every task keeps its full support, and the fewshot corpus holds 35.2 MiB
-    of embeddings and 0.27 MiB of int8 labels. Tagged by ``partition_tags``,
-    as a run builds it, no task keeps one, and it holds its query sets alone:
-    11.7 MiB of embeddings and 0.09 MiB of labels. Phase 1 reads each
-    pretraining support as generation draws it, and no later step of a run
-    reads a full support except through ``full_support``.
+    The float64 embeddings are nearly all of a corpus's bytes. Its tasks are
+    ``CorpusTask``s, which hold no support, so the fewshot corpus holds its
+    query sets alone: 11.7 MiB of embeddings and 0.09 MiB of int8 labels.
+    Phase 1 reads each pretraining support as generation draws it, and no
+    later step of a run reads a full support except through ``full_support``.
     """
 
     cfg: GeneratorConfig
@@ -146,15 +121,13 @@ class Corpus:
     def tasks_in(self, *tags) -> list:
         return [t for t in self.tasks if t.partition in tags]
 
-    def full_support(self, task: EpisodeTask):
-        """The (x, y) support that generation drew for ``task``, one of this corpus's tasks:
-        the arrays it holds, or, where generation dropped them, the same draw again.
+    def full_support(self, task: CorpusTask) -> EpisodeTask:
+        """``task``, one of this corpus's tasks, on the support that generation drew for it:
+        the same draw again, replayed from the task's stream.
         """
-        try:
-            return task.support_x, task.support_y
-        except DroppedSupportError:
-            theta, rng = _task_stream(self.cfg, self.basis, self.cluster_dirs, task.index)
-            return _sample_labeled_set(rng, self.cfg.n_support, self.cfg, self.feature_w.T @ theta)
+        theta, rng = _task_stream(self.cfg, self.basis, self.cluster_dirs, task.index)
+        return task.with_support(*_sample_labeled_set(rng, self.cfg.n_support, self.cfg,
+                                                      self.feature_w.T @ theta))
 
 
 def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -207,8 +180,8 @@ def _sample_labeled_set(rng, n, cfg, w_theta):
 def _task_stream(cfg, basis, cluster_dirs, t):
     """Task t's planted adapter and its stream, positioned at the support draw.
 
-    The query is drawn after the support, so the support is drawn whether
-    or not it is kept.
+    The query is drawn after the support, so the support is drawn although
+    it is not kept.
     """
     rng_t = child_rng(cfg.seed, "task", t)
     coord = cluster_dirs[t % cfg.n_clusters] + cfg.cluster_spread * rng_t.normal(size=cfg.r_true)
@@ -221,23 +194,24 @@ def _task_stream(cfg, basis, cluster_dirs, t):
     return theta, rng_t
 
 
-def generate_corpus(cfg: GeneratorConfig, tags=None, read_pre=None) -> Corpus:
+def generate_corpus(cfg: GeneratorConfig, tags=None, read_support=None) -> Corpus:
     """Build the full task corpus deterministically from cfg.seed.
 
     Every planted adapter sits at Euclidean distance exactly
     ``cfg.off_subspace_norm`` from the planted subspace (zero by default),
     and labels follow a logistic model on the adapter/feature inner product.
-    ``tags``, one partition tag per task (``partition_tags``), tags the tasks,
-    and a tagged corpus keeps no full support; every other array has the
-    bytes it has untagged. ``read_pre``, given with ``tags``, is called as
-    ``read_pre(task, x, y, fmap)`` once per pretraining task, with the support
-    just drawn for it and the corpus's feature map: the one read of that
-    support before it is dropped.
+    ``tags``, one partition tag per task (``partition_tags``), is checked
+    before any draw and tags the tasks; untagged, every partition is None.
+    The tag changes no array. No task keeps its support: ``read_support`` is
+    called as ``read_support(task, x, y, fmap)`` once per task, in index
+    order, with the support just drawn for it and the corpus's feature map,
+    the one read of that draw before it is dropped.
     """
     cfg.validate()
     require(tags is None or len(tags) == cfg.n_tasks, "tags must name one partition per task")
-    require(read_pre is None or tags is not None,
-            "read_pre needs tags to find the pretraining tasks")
+    for tag in tags or ():
+        if tag not in PARTITIONS:
+            raise PartitionError(f"unknown partition tag {tag!r}")
     rng_map = child_rng(cfg.seed, "feature-map")
     if cfg.q >= cfg.d_theta:
         feature_w = _orthonormal_columns(rng_map, cfg.q, cfg.d_theta).T
@@ -251,25 +225,21 @@ def generate_corpus(cfg: GeneratorConfig, tags=None, read_pre=None) -> Corpus:
                     cluster_dirs=cluster_dirs)
     fmap = corpus.feature_map()
 
-    keep = tags is None
-    for t in range(cfg.n_tasks):
+    for t, tag in enumerate(tags or [None] * cfg.n_tasks):
         theta, rng_t = _task_stream(cfg, basis, cluster_dirs, t)
         w_theta = feature_w.T @ theta  # acts on raw embeddings
         sx, sy = _sample_labeled_set(rng_t, cfg.n_support, cfg, w_theta)
         qx, qy = _sample_labeled_set(rng_t, cfg.n_query, cfg, w_theta)
-        task = EpisodeTask(task_id=f"task{t:04d}", support_x=sx if keep else None,
-                           support_y=sy if keep else None, query_x=qx, query_y=qy,
-                           theta_true=theta, index=t)
-        if not keep:
-            task.set_partition(tags[t])
-        if read_pre is not None and task.partition in PRE_PARTITIONS:
-            read_pre(task, sx, sy, fmap)
+        task = CorpusTask(task_id=f"task{t:04d}", query_x=qx, query_y=qy, theta_true=theta,
+                          partition=tag, index=t)
+        if read_support is not None:
+            read_support(task, sx, sy, fmap)
         corpus.tasks.append(task)
         del sx, sy  # dropped before the next draw, which reuses their bytes
     return corpus
 
 
-def resample_support(corpus: Corpus, task: EpisodeTask, n_support: int, tag: str = "resupport") -> EpisodeTask:
+def resample_support(corpus: Corpus, task: CorpusTask, n_support: int, tag: str = "resupport") -> EpisodeTask:
     """New support set of a different size for the same task identity.
 
     The query set is left untouched so metric sweeps over support size stay
@@ -279,8 +249,7 @@ def resample_support(corpus: Corpus, task: EpisodeTask, n_support: int, tag: str
     cfg = corpus.cfg
     rng = child_rng(cfg.seed, tag, task.index, n_support)
     w_theta = corpus.feature_w.T @ task.theta_true
-    sx, sy = _sample_labeled_set(rng, n_support, cfg, w_theta)
-    return replace(task, support_x=sx, support_y=sy)
+    return task.with_support(*_sample_labeled_set(rng, n_support, cfg, w_theta))
 
 
 def partition_sizes(n: int, frac_pre: float, frac_seed: float, ret_fracs) -> dict:
@@ -327,8 +296,8 @@ def save_corpus(corpus: Corpus, csv_path, manifest_path=None) -> None:
     with csv_path.open("w") as out:
         out.write(",".join(header) + "\n")
         for task in corpus.tasks:
-            lines = []
-            for split, xs, ys in (("support", *corpus.full_support(task)),
+            lines, episode = [], corpus.full_support(task)
+            for split, xs, ys in (("support", episode.support_x, episode.support_y),
                                   ("query", task.query_x, task.query_y)):
                 for row, label in zip(xs, ys):
                     cells = [task.task_id, split, str(int(label))]

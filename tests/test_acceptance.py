@@ -356,9 +356,10 @@ def test_planted_rank_recovery():
                               n_support=800, seed=seed)
         corpus = generate_corpus(cfg)
         fmap = corpus.feature_map()
-        theta = assemble_theta([ridge_adapter(t, fmap, 1e-2) for t in corpus.tasks])
+        episodes = [corpus.full_support(t) for t in corpus.tasks]
+        theta = assemble_theta([ridge_adapter(t, fmap, 1e-2) for t in episodes])
         assert pca_rank(theta, 0.99) == 2, f"seed {seed}"
-        summaries = [TaskGradientSummary.from_task(t, fmap) for t in corpus.tasks]
+        summaries = [TaskGradientSummary.from_task(t, fmap) for t in episodes]
         report = fisher_energy_test_tasks(summaries, r_center=2, n_boot=1000, seed=seed)
         assert report.selected_r == 2, f"seed {seed}"
     assert time.time() - started < 60.0

@@ -141,9 +141,9 @@ class TestProbeGradient:
 def _fitted_setup(seed=5, n_tasks=40, q=6, d=4, r=2):
     cfg = GeneratorConfig(d_theta=d, q=q, r_true=r, n_tasks=n_tasks,
                           n_support=8, n_query=6, seed=seed)
-    corpus = generate_corpus(cfg)  # untagged, so every task keeps its full support
-    for task, tag in zip(corpus.tasks, partition_tags(n_tasks, 0)):
-        task.set_partition(tag)
+    corpus = generate_corpus(cfg, partition_tags(n_tasks, 0))
+    # a generated task holds no support: each task here is its episode on the support drawn again
+    corpus.tasks = [corpus.full_support(task) for task in corpus.tasks]
     chain = ProjectionChain(canonicalizer=Canonicalizer.identity(d), r=r)
     pre = corpus.tasks_in("Pre-Seed", "Pre-Rest")
     std = Standardizer().fit_from_tasks(pre)

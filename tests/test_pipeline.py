@@ -43,9 +43,9 @@ from protoadapt.pipeline import (
 )
 from protoadapt.riskbound import feature_radius_of
 from protoadapt.spectral import TaskGradientSummary, fisher_energy_test_tasks
-from protoadapt.synthdata import PRE_PARTITIONS, DroppedSupportError, GeneratorConfig, generate_corpus
+from protoadapt.synthdata import PRE_PARTITIONS, GeneratorConfig, generate_corpus
 from protoadapt.util import ValidationError
-from test_synthdata import generate_then_partition
+from test_synthdata import generate_reading, generate_then_partition
 
 # one runtime.txt line: stage, wall ms, the task count of per-task stages, peak RSS, run hash
 STAGE_LINE = re.compile(r"stage=([a-z0-9_.]+) ms=[0-9]+\.[0-9]{3}(?: tasks=([0-9]+))? "
@@ -77,12 +77,6 @@ def small_fewshot_config():
     cfg = fewshot_benchmark_config()
     gen = replace(cfg.generator, n_tasks=90, n_support=400, n_query=30)
     return replace(cfg, generator=gen, epochs=3, patience=4, coverage_n_boot=200, n_restarts=3)
-
-
-def _with_full_support(corpus, task):
-    """``task`` holding the full support generation drew for it, as an untagged task does."""
-    support_x, support_y = corpus.full_support(task)
-    return replace(task, support_x=support_x, support_y=support_y)
 
 
 @pytest.fixture(scope="module")
@@ -313,7 +307,7 @@ class TestPhase1(object):
         monkeypatch.undo()
         # the one mapped block gives the bytes that mapping each held support for each use gave
         fmap = art.corpus.feature_map()
-        held = {t.task_id: _with_full_support(art.corpus, t) for t in pre}
+        held = {t.task_id: art.corpus.full_support(t) for t in pre}
         assert art.theta_pre.rows.tobytes() == np.stack(
             [ridge_adapter(held[task.task_id], fmap) for task in pre]).tobytes()
         summaries = [TaskGradientSummary.from_task(held[task.task_id], fmap)
@@ -398,11 +392,9 @@ class TestPhase1(object):
         rebuilt = generate_corpus(GeneratorConfig(**manifest["config"]))
         assert [t.task_id for t in rebuilt.tasks] == [t.task_id for t in art.corpus.tasks]
         for again, task in zip(rebuilt.tasks, art.corpus.tasks):
-            support_x, support_y = art.corpus.full_support(task)
-            for name, b in (("support_x", support_x), ("support_y", support_y),
-                            ("query_x", task.query_x), ("query_y", task.query_y),
-                            ("theta_true", task.theta_true)):
-                a = getattr(again, name)
+            again, task = rebuilt.full_support(again), art.corpus.full_support(task)
+            for name in ("support_x", "support_y", "query_x", "query_y", "theta_true"):
+                a, b = getattr(again, name), getattr(task, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (task.task_id, name)
         assert manifest["partition"] == {t.task_id: t.partition for t in art.corpus.tasks}
         assert set(manifest["partition"].values()) >= {"Pre-Seed", "Ret-Train", "Ret-Test"}
@@ -415,21 +407,20 @@ class TestPhase1(object):
         """A run tags its tasks before generating them: the oracle generates, then tags."""
         cfg = make_cfg()
         corpus = pipeline.build_corpus(cfg)
-        oracle = generate_corpus(cfg.generator)
+        oracle, drawn = generate_reading(cfg.generator)
         generate_then_partition(oracle.tasks, seed=cfg.seed)
         assert corpus.feature_w.tobytes() == oracle.feature_w.tobytes()
         assert corpus.basis.tobytes() == oracle.basis.tobytes()
         assert [t.task_id for t in corpus.tasks] == [t.task_id for t in oracle.tasks]
-        for task, want in zip(corpus.tasks, oracle.tasks):
+        for task, want, (_, support_x, support_y, _) in zip(corpus.tasks, oracle.tasks, drawn):
             assert task.partition == want.partition
             for name in ("query_x", "query_y", "theta_true"):
                 a, b = getattr(task, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (task.task_id, name)
-            for name in ("support_x", "support_y"):
-                with pytest.raises(DroppedSupportError, match=task.task_id):
-                    getattr(task, name)
-            stored = corpus.full_support(task)
-            for a, b in zip(stored, (want.support_x, want.support_y)):
+            assert not hasattr(task, "support_x") and not hasattr(task, "support_y")
+            # the replay is the support the oracle's generation drew
+            episode = corpus.full_support(task)
+            for a, b in ((episode.support_x, support_x), (episode.support_y, support_y)):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), task.task_id
 
     def test_corpus_bytes_are_the_query_sets_labels_and_theta(self):
@@ -438,10 +429,7 @@ class TestPhase1(object):
         gen = cfg.generator
         corpus = pipeline.build_corpus(cfg)
         assert 0 < len(corpus.tasks_in(*PRE_PARTITIONS)) < gen.n_tasks
-        for task in corpus.tasks:
-            for name in ("support_x", "support_y"):
-                with pytest.raises(DroppedSupportError, match=task.task_id):
-                    getattr(task, name)
+        assert not any(hasattr(task, "support_x") for task in corpus.tasks)
         arrays = [v for task in corpus.tasks for v in vars(task).values()
                   if isinstance(v, np.ndarray)]
         assert all(a.base is None for a in arrays)  # each array owns its bytes
@@ -780,8 +768,8 @@ class TestLeakage:
     """Phase 1 reads no retrieval task, and training reads no Ret-Test task.
 
     Every task of one retrieval partition is overwritten after partitioning:
-    theta_true negated and shifted, x redrawn and y flipped. The files that
-    must not see that partition stay byte-identical.
+    theta_true negated and shifted, query_x redrawn and query_y flipped. The
+    files that must not see that partition stay byte-identical.
     """
 
     PHASE2_TRAINED = ("retrieval_net.json", "retrieval_warp.json", "training_curve.csv")
@@ -791,16 +779,13 @@ class TestLeakage:
         if tag is not None:
             build_corpus = pipeline.build_corpus
 
-            def overwritten(config, read_pre=None):
-                corpus = build_corpus(config, read_pre)
+            def overwritten(config, read_support=None):
+                corpus = build_corpus(config, read_support)
                 rng = np.random.default_rng(7)
                 for task in corpus.tasks_in(tag):
-                    # a retrieval task holds no full support: it gets one at the generator's shape
-                    support_x, support_y = corpus.full_support(task)
+                    # a task holds no support: phase 2 draws each episode from theta_true
                     task.theta_true = 1.0 - task.theta_true
-                    task.support_x = rng.normal(size=support_x.shape)
                     task.query_x = rng.normal(size=task.query_x.shape)
-                    task.support_y = (1 - support_y).astype(support_y.dtype)
                     task.query_y = (1 - task.query_y).astype(task.query_y.dtype)
                 return corpus
 
@@ -925,8 +910,8 @@ class TestMotifAndRiskRuns:
         tasks = art.corpus.tasks
         assert len(calls) == 2 * len(tasks)
         # the global radius is still the largest over every full support and query row
-        radius = feature_radius_of((b for t in tasks
-                                    for b in (art.corpus.full_support(t)[0], t.query_x)), fmap)
+        blocks = (b for t in tasks for b in (art.corpus.full_support(t).support_x, t.query_x))
+        radius = feature_radius_of(blocks, fmap)
         log = (tmp_path / "run.log").read_text().splitlines()
         assert log[-1].endswith(f" | global lipschitz {radius:.4f}")
 

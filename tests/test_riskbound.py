@@ -139,15 +139,13 @@ class TestCheckBound:
     def test_planted_corpus_identities_hold_everywhere(self):
         cfg = GeneratorConfig(d_theta=6, q=10, r_true=2, n_tasks=50,
                               n_support=40, n_query=25, seed=9, off_subspace_norm=0.05)
-        corpus = generate_corpus(cfg)  # untagged, so the pretraining tasks keep their supports
-        for task, tag in zip(corpus.tasks, partition_tags(cfg.n_tasks, 0)):
-            task.set_partition(tag)
+        corpus = generate_corpus(cfg, partition_tags(cfg.n_tasks, 0))
         fmap = corpus.feature_map()
-        seed_tasks = corpus.tasks_in("Pre-Seed")
+        seed_tasks = [corpus.full_support(t) for t in corpus.tasks_in("Pre-Seed")]
         theta = assemble_theta([ridge_adapter(t, fmap, 1e-2) for t in seed_tasks])
         chain = ProjectionChain(canonicalizer=fit_canonicalizer(theta), r=2)
         memory = cluster_prototypes(theta, chain, k=4, n_restarts=4, seed=1)
-        pre = corpus.tasks_in("Pre-Seed", "Pre-Rest")
+        pre = [corpus.full_support(t) for t in corpus.tasks_in("Pre-Seed", "Pre-Rest")]
         theta_pre = assemble_theta([ridge_adapter(t, fmap, 1e-2) for t in pre])
         cert = _certify(memory, theta_pre, 2, n_boot=300, seed=2)
 
@@ -221,10 +219,11 @@ def test_feature_radius_over_tasks():
     cfg = GeneratorConfig(d_theta=4, q=6, n_tasks=6, seed=11)
     corpus = generate_corpus(cfg)
     fmap = corpus.feature_map()
-    radius = feature_radius_of((block for t in corpus.tasks for block in (t.support_x, t.query_x)),
+    episodes = [corpus.full_support(t) for t in corpus.tasks]
+    radius = feature_radius_of((block for t in episodes for block in (t.support_x, t.query_x)),
                                fmap)
     direct = max(
         float(np.linalg.norm(fmap(block), axis=1).max())
-        for t in corpus.tasks for block in (t.support_x, t.query_x)
+        for t in episodes for block in (t.support_x, t.query_x)
     )
     assert radius == pytest.approx(direct)

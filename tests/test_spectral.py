@@ -186,7 +186,8 @@ class TestEnergyTest:
                               n_support=200, seed=42)
         corpus = generate_corpus(cfg)
         fmap = corpus.feature_map()
-        summaries = [TaskGradientSummary.from_task(t, fmap) for t in corpus.tasks]
+        summaries = [TaskGradientSummary.from_task(corpus.full_support(t), fmap)
+                     for t in corpus.tasks]
         # rejection at alpha = 0.01 needs p_adj = 5 p_raw <= 0.01, so the
         # resample count must be at least 1000 for the floor 5/(B+1) to fit
         report = fisher_energy_test_tasks(summaries, r_center=2, n_boot=1000, seed=0)
@@ -254,7 +255,8 @@ class TestEigenvalueResamplingOracle:
         cfg = GeneratorConfig(d_theta=8, q=16, r_true=2, n_tasks=120,
                               n_support=200, seed=seed)
         corpus = generate_corpus(cfg)
-        spectrum = corpus_fisher_spectrum(corpus.tasks, corpus.feature_map())
+        spectrum = corpus_fisher_spectrum([corpus.full_support(t) for t in corpus.tasks],
+                                          corpus.feature_map())
         _assert_matches_oracle(spectrum, r_center=2, n_boot=1000, seed=seed)
 
     def test_random_spiked_spectra(self):
@@ -321,7 +323,7 @@ def _planted_summaries(seed):
                           seed=seed)
     corpus = generate_corpus(cfg)
     fmap = corpus.feature_map()
-    return [TaskGradientSummary.from_task(t, fmap) for t in corpus.tasks]
+    return [TaskGradientSummary.from_task(corpus.full_support(t), fmap) for t in corpus.tasks]
 
 
 def _mixed_support_summaries():
@@ -402,9 +404,10 @@ class TestCorpusFisher:
                               seed=3)
         corpus = generate_corpus(cfg)
         fmap = corpus.feature_map()
-        summaries = [TaskGradientSummary.from_task(t, fmap) for t in corpus.tasks]
+        episodes = [corpus.full_support(t) for t in corpus.tasks]
+        summaries = [TaskGradientSummary.from_task(t, fmap) for t in episodes]
         with pytest.raises(ValidationError, match="reg"):
-            corpus_fisher_spectrum(corpus.tasks, fmap, reg=-1e-3)
+            corpus_fisher_spectrum(episodes, fmap, reg=-1e-3)
         with pytest.raises(ValidationError, match="reg"):
             fisher_energy_test_tasks(summaries, r_center=2, n_boot=10, reg=-1e-3)
 
@@ -413,7 +416,7 @@ class TestCorpusFisher:
                               n_support=100, seed=13)
         corpus = generate_corpus(cfg)
         fmap = corpus.feature_map()
-        spec = corpus_fisher_spectrum(corpus.tasks, fmap)
+        spec = corpus_fisher_spectrum([corpus.full_support(t) for t in corpus.tasks], fmap)
         assert energy_ratio(spec.eigenvalues, 2) >= 0.95
         assert energy_ratio(spec.eigenvalues, 1) <= 0.8
 

@@ -1,16 +1,17 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from protoadapt import synthdata
 from protoadapt.synthdata import (
     FRAC_PRE,
     FRAC_SEED,
     PARTITIONS,
-    PRE_PARTITIONS,
     RET_FRACS,
-    DroppedSupportError,
+    CorpusTask,
+    EpisodeTask,
     GeneratorConfig,
     PartitionError,
     _sample_labeled_set,
@@ -27,7 +28,7 @@ def generate_then_partition(tasks, frac_pre=FRAC_PRE, frac_seed=FRAC_SEED, seed=
                             ret_fracs=RET_FRACS):
     """The oracle for ``partition_tags``: the tagging of generated tasks that it replaced.
 
-    One ``set_partition`` per task, in the seeded permutation's order; returns
+    One tag assigned to each task, in the seeded permutation's order; returns
     each tag's count.
     """
     n = len(tasks)
@@ -35,12 +36,23 @@ def generate_then_partition(tasks, frac_pre=FRAC_PRE, frac_seed=FRAC_SEED, seed=
     require(n >= 5, "need at least five tasks to fill all partitions")
     order = child_rng(seed, "partition").permutation(n)
     for i, tag in zip(order, np.repeat(PARTITIONS, list(sizes.values()))):
-        tasks[i].set_partition(str(tag))
+        tasks[i].partition = str(tag)
     return sizes
 
 
 def _counts(tags):
     return {tag: tags.count(tag) for tag in PARTITIONS}
+
+
+def generate_reading(cfg, tags=None):
+    """The corpus and, for each task in the order read, what ``read_support`` received:
+    (task, x, y, fmap(x)). The captured draw is the oracle for every support replay."""
+    read = []
+
+    def read_support(task, x, y, fmap):
+        read.append((task, x, y, fmap(x)))
+
+    return generate_corpus(cfg, tags, read_support), read
 
 
 def test_zero_noise_full_rank_theta_in_subspace():
@@ -54,14 +66,14 @@ def test_zero_noise_full_rank_theta_in_subspace():
 
 def test_same_seed_bit_identical():
     cfg = GeneratorConfig(n_tasks=12, seed=99)
-    c1 = generate_corpus(cfg)
-    c2 = generate_corpus(cfg)
+    (c1, read1), (c2, read2) = generate_reading(cfg), generate_reading(cfg)
     assert np.array_equal(c1.feature_w, c2.feature_w)
     for t1, t2 in zip(c1.tasks, c2.tasks):
-        assert np.array_equal(t1.support_x, t2.support_x)
-        assert np.array_equal(t1.support_y, t2.support_y)
         assert np.array_equal(t1.query_x, t2.query_x)
         assert np.array_equal(t1.theta_true, t2.theta_true)
+    for (_, x1, y1, _), (_, x2, y2, _) in zip(read1, read2):
+        assert np.array_equal(x1, x2)
+        assert np.array_equal(y1, y2)
 
 
 def test_planted_rank_two_energy():
@@ -84,11 +96,11 @@ def test_off_subspace_norm_exact():
 
 def test_both_classes_present_and_disjoint_draws():
     cfg = GeneratorConfig(n_tasks=40, n_support=5, n_query=8, seed=11)
-    corpus = generate_corpus(cfg)
-    for task in corpus.tasks:
-        assert 0 < task.support_y.sum() < task.n_support
+    _, read = generate_reading(cfg)
+    for task, support_x, support_y, _ in read:
+        assert 0 < support_y.sum() < cfg.n_support
         # continuous draws: no support row reappears among queries
-        for row in task.support_x:
+        for row in support_x:
             assert not np.any(np.all(np.isclose(task.query_x, row), axis=1))
 
 
@@ -116,7 +128,7 @@ def test_labels_are_int8_zeros_and_ones():
     cfg = GeneratorConfig(n_tasks=12, n_support=5, n_query=8, seed=3)
     corpus = generate_corpus(cfg)
     resampled = [resample_support(corpus, task, 7) for task in corpus.tasks]
-    for task in corpus.tasks + resampled:
+    for task in [corpus.full_support(task) for task in corpus.tasks] + resampled:
         for y in (task.support_y, task.query_y):
             assert y.dtype == np.int8 and set(y.tolist()) == {0, 1}
     # a resampled support shares its task's query labels
@@ -147,9 +159,6 @@ class TestPartition:
 
     def test_partition_assigned_once(self):
         cfg = GeneratorConfig(n_tasks=20, seed=31)
-        corpus = generate_corpus(cfg, partition_tags(20, 0))
-        with pytest.raises(PartitionError):
-            corpus.tasks[0].set_partition("Ret-Test" if corpus.tasks[0].partition != "Ret-Test" else "Pre-Seed")
         with pytest.raises(PartitionError, match="unknown partition tag"):
             generate_corpus(cfg, ["Pre-Seed"] * 19 + ["Ret-Holdout"])
         with pytest.raises(ValidationError, match="one partition per task"):
@@ -196,38 +205,71 @@ def test_feature_map_bit_equal_to_the_atleast_2d_form():
         assert got.shape == oracle.shape and got.tobytes() == oracle.tobytes()
 
 
-def test_tagged_corpus_keeps_no_full_support():
+def test_generated_tasks_hold_no_support():
+    cfg = GeneratorConfig(n_tasks=10, n_support=6, n_query=5, seed=5)
+    for tags in (None, partition_tags(cfg.n_tasks, 3)):
+        corpus = generate_corpus(cfg, tags)
+        assert [t.partition for t in corpus.tasks] == (tags or [None] * cfg.n_tasks)
+        for task in corpus.tasks:
+            assert type(task) is CorpusTask
+            for name in ("support_x", "support_y", "n_support"):
+                assert not hasattr(task, name), (task.task_id, name)
+
+
+def test_episodes_share_their_task_query_arrays():
+    cfg = GeneratorConfig(n_tasks=8, n_support=6, n_query=5, seed=5)
+    corpus = generate_corpus(cfg, partition_tags(cfg.n_tasks, 3))
+    for task in corpus.tasks:
+        for episode, n in ((corpus.full_support(task), cfg.n_support),
+                           (resample_support(corpus, task, 7), 7)):
+            assert type(episode) is EpisodeTask and episode.n_support == n
+            # every task field is the task's own object: the query arrays are shared
+            for f in fields(CorpusTask):
+                assert getattr(episode, f.name) is getattr(task, f.name), f.name
+
+
+def test_full_support_replays_the_drawn_support():
     # off the subspace, so a task's stream holds the extra draw before its support
     cfg = GeneratorConfig(d_theta=6, q=8, n_tasks=30, n_support=12, n_query=5,
                           off_subspace_norm=0.3, seed=5)
     tags = partition_tags(cfg.n_tasks, 3)
-    read = []
+    tagged, read = generate_reading(cfg, tags)
+    untagged = generate_corpus(cfg)
+    for task, plain, (_, x, y, _) in zip(tagged.tasks, untagged.tasks, read):
+        episode = tagged.full_support(task)
+        for got, want in ((episode.support_x, x), (episode.support_y, y)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), task.task_id
+        # the tag changes no array
+        for name in ("query_x", "query_y", "theta_true"):
+            assert getattr(task, name).tobytes() == getattr(plain, name).tobytes()
+        assert (untagged.full_support(plain).support_x.tobytes()
+                == episode.support_x.tobytes())
+        assert (resample_support(tagged, task, 7).support_x.tobytes()
+                == resample_support(untagged, plain, 7).support_x.tobytes())
 
-    def read_pre(task, x, y, fmap):
-        read.append((task.index, x, y, fmap(x)))
 
-    tagged, untagged = generate_corpus(cfg, tags, read_pre), generate_corpus(cfg)
-    assert [t.partition for t in tagged.tasks] == tags
-    for task, full in zip(tagged.tasks, untagged.tasks):
-        for name in ("support_x", "support_y", "n_support"):
-            with pytest.raises(DroppedSupportError, match=task.task_id):
-                getattr(task, name)
-        for got, want in zip(tagged.full_support(task), (full.support_x, full.support_y)):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        # a resampled support needs no full support
-        again = resample_support(tagged, task, 7)
-        assert again.support_x.tobytes() == resample_support(untagged, full, 7).support_x.tobytes()
-    # each pretraining support is read once, in task order, as drawn, with the corpus's map
-    assert [index for index, *_ in read] == [i for i, tag in enumerate(tags)
-                                            if tag in PRE_PARTITIONS]
-    fmap = untagged.feature_map()
-    for index, x, y, features in read:
-        full = untagged.tasks[index]
-        for got, want in ((x, full.support_x), (y, full.support_y),
-                          (features, fmap(full.support_x))):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    with pytest.raises(ValidationError, match="read_pre needs tags"):
-        generate_corpus(cfg, read_pre=read_pre)
+def test_read_support_sees_every_task_once_in_order_with_the_corpus_map():
+    cfg = GeneratorConfig(d_theta=6, q=8, n_tasks=20, n_support=12, n_query=5, seed=5)
+    for tags in (None, partition_tags(cfg.n_tasks, 3)):
+        corpus, read = generate_reading(cfg, tags)
+        assert [task.index for task, *_ in read] == list(range(cfg.n_tasks))
+        assert all(got is task for (got, *_), task in zip(read, corpus.tasks))
+        fmap = corpus.feature_map()
+        for _, x, y, features in read:
+            assert x.shape == (cfg.n_support, cfg.q) and y.shape == (cfg.n_support,)
+            assert features.tobytes() == fmap(x).tobytes()
+
+
+def test_unknown_tag_refused_before_any_draw(monkeypatch):
+    cfg = GeneratorConfig(n_tasks=20, seed=31)
+
+    def draw(*args):
+        raise AssertionError("a support or query set was drawn before the tags were checked")
+
+    monkeypatch.setattr(synthdata, "_sample_labeled_set", draw)
+    for tags in (["Pre-Seed"] * 19 + ["Ret-Holdout"], ["Pre-Seed"] * 19 + [None]):
+        with pytest.raises(PartitionError, match="unknown partition tag"):
+            generate_corpus(cfg, tags)
 
 
 def test_save_corpus_roundtrip_shape(tmp_path):
@@ -239,7 +281,7 @@ def test_save_corpus_roundtrip_shape(tmp_path):
     assert lines[0].split(",")[:3] == ["task_id", "split", "label"]
     assert len(lines) == 1 + 5 * (4 + 6)
     assert (tmp_path / "manifest.json").exists()
-    # the retrieval tasks' rows are their full supports drawn again
+    # the tags change no row
     save_corpus(generate_corpus(cfg), tmp_path / "untagged.csv")
     assert csv_path.read_bytes() == (tmp_path / "untagged.csv").read_bytes()
 
@@ -249,7 +291,8 @@ def _joined_csv(corpus) -> str:
     header = ["task_id", "split", "label"] + [f"x{j}" for j in range(corpus.cfg.q)]
     lines = [",".join(header)]
     for task in corpus.tasks:
-        for split, xs, ys in (("support", *corpus.full_support(task)),
+        episode = corpus.full_support(task)
+        for split, xs, ys in (("support", episode.support_x, episode.support_y),
                               ("query", task.query_x, task.query_y)):
             for row, label in zip(xs, ys):
                 cells = [task.task_id, split, str(int(label))]
