@@ -36,14 +36,15 @@ before, after = (np.linalg.norm(a @ memory.M - theta_hat) for a in (w, w_tilde))
 print(f"hard top-2 keeps atoms {np.nonzero(w_tilde)[0].tolist()}; "
       f"reconstruction residual {before:.5f} -> {after:.5f}")
 
-query_x = rng.normal(size=(30, d))
-query_y = (query_x @ theta_hat > 0).astype(int)
-task = EpisodeTask("demo", query_x, query_y, support_x=query_x[:0], support_y=query_y[:0])
-# a block of one task: Episodes.of maps its query set once to prototype
-# coordinates, query_x M^T, and the query logits are those times w_tilde
+# a task holds its query set as frozen-feature rows (here the features are the draw itself)
+query_feats = rng.normal(size=(30, d))
+query_y = (query_feats @ theta_hat > 0).astype(int)
+task = EpisodeTask("demo", query_feats, query_y, support_x=query_feats[:0],
+                   support_y=query_y[:0])
+# a block of one task: Episodes.of projects its query features once to prototype
+# coordinates, query_feats M^T, and the query logits are those times w_tilde
 # (this demo has no descriptor, so its row is a zero placeholder)
-episodes = Episodes.of([task], np.zeros((1, 1)), theta_hat[None], memory,
-                       feature_map=lambda x: np.atleast_2d(x))
+episodes = Episodes.of([task], np.zeros((1, 1)), theta_hat[None], memory)
 lam, eta = 1e-3, 0.05
 _, ce, l1, entropy, _, _ = outer_terms(episodes, w_tilde[None])
 total = ce[0] + lam * l1[0] + eta * entropy[0]

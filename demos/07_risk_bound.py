@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 
 from protoadapt.pipeline import desk_config, run_phase1
-from protoadapt.riskbound import check_bound, check_bounds_over_tasks, feature_radius_of
+from protoadapt.riskbound import check_bound, check_bounds_over_tasks
 
 cfg = desk_config(seed=42)
 cfg = replace(cfg, generator=replace(cfg.generator, n_tasks=60, n_support=200,
@@ -14,8 +14,7 @@ cfg = replace(cfg, generator=replace(cfg.generator, n_tasks=60, n_support=200,
 artifacts = run_phase1(cfg)
 fmap = artifacts.corpus.feature_map()
 
-one = check_bound(artifacts.corpus.tasks[0], artifacts.memory,
-                  artifacts.certificate, fmap)
+one = check_bound(artifacts.corpus.tasks[0], artifacts.memory, artifacts.certificate)
 print(f"task {one.task_id}: distance to fitted subspace {one.eps_app:.4f}, "
       f"sparse-fit residual {one.eps_coverage:.4f}")
 print(f"  adapter gap {one.adapter_gap:.4f} <= "
@@ -28,6 +27,6 @@ summary = check_bounds_over_tasks(artifacts.corpus.tasks, artifacts.memory,
 print(summary.as_text())
 
 # the logistic loss is 1-Lipschitz in the margin, so its constant in the adapter
-# is the largest feature-row norm
-radius = feature_radius_of((t.query_x for t in artifacts.corpus.tasks), fmap)
+# is the largest feature-row norm, here over the tasks' query features
+radius = max(float(np.linalg.norm(t.query_feats, axis=1).max()) for t in artifacts.corpus.tasks)
 print(f"logistic-loss Lipschitz constant in the adapter: L = {radius:.4f}")

@@ -537,7 +537,7 @@ def _prepare_inputs(cfg: RunConfig, artifacts: Phase1Artifacts, tasks) -> Episod
                           artifacts.standardizer, fmap) for task in tasks]
     theta_hats = [ridge_adapter(task, fmap, cfg.ridge_alpha_retrieval * task.n_support)
                   for task in tasks]
-    return Episodes.of(tasks, np.stack(z), np.stack(theta_hats), artifacts.memory, fmap)
+    return Episodes.of(tasks, np.stack(z), np.stack(theta_hats), artifacts.memory)
 
 
 def _proximal_config(cfg: RunConfig) -> ProximalConfig:
@@ -665,12 +665,13 @@ def run_penalty_sweep(cfg: RunConfig, artifacts: Phase1Artifacts, phase2: Phase2
 # Baselines
 # ---------------------------------------------------------------------------
 
-def _nearest_centroid_probs(task):
-    """Query probabilities from the distance margin to the support's class centroids."""
+def _nearest_centroid_probs(task, query_x):
+    """Query probabilities from the distance margin to the support's class centroids, in raw
+    embedding space: ``query_x`` is the task's raw query set."""
     c_pos = task.support_x[task.support_y == 1].mean(axis=0)
     c_neg = task.support_x[task.support_y == 0].mean(axis=0)
-    return sigmoid(np.linalg.norm(task.query_x - c_neg, axis=1)
-                   - np.linalg.norm(task.query_x - c_pos, axis=1))
+    return sigmoid(np.linalg.norm(query_x - c_neg, axis=1)
+                   - np.linalg.norm(query_x - c_pos, axis=1))
 
 
 def run_baselines(cfg: RunConfig, artifacts: Phase1Artifacts,
@@ -680,19 +681,18 @@ def run_baselines(cfg: RunConfig, artifacts: Phase1Artifacts,
     Supports default to phase 2's evaluation size, so the baselines and the
     retrieval report the same few-shot operating point. Returns each
     baseline's test metrics by name; each baseline's predictions are one stage.
+    The ridge baselines score the query features; nearest-centroid measures
+    raw distances, so it draws each raw query set again (``Corpus.replay``).
     """
     size = support_size if support_size is not None else _support_size(cfg)
     test_tasks = _ret_tasks_at_size(artifacts, "Ret-Test", size)
-    fmap = artifacts.corpus.feature_map()
-
-    def ridge(donor, task):
-        return sigmoid(fmap(task.query_x) @ ridge_adapter(donor, fmap))
-
+    corpus = artifacts.corpus
+    fmap = corpus.feature_map()
     predictors = {
-        "ridge_support": lambda task: ridge(task, task),
-        "nearest_centroid": _nearest_centroid_probs,
-        "oracle_ridge": lambda task: ridge(replace(task, support_x=task.query_x,
-                                                   support_y=task.query_y), task),
+        "ridge_support": lambda task: sigmoid(task.query_feats @ ridge_adapter(task, fmap)),
+        "nearest_centroid": lambda task: _nearest_centroid_probs(task, corpus.replay(task)[2]),
+        "oracle_ridge": lambda task: sigmoid(
+            task.query_feats @ ridge_fit(task.query_feats, task.query_y, RIDGE_ALPHA)),
     }
     labels = np.concatenate([task.query_y for task in test_tasks])
     timer = StageTimer(cfg.hash())
@@ -893,8 +893,8 @@ def run_riskbound(cfg: RunConfig, artifacts: Phase1Artifacts,
         summary = check_bounds_over_tasks(tasks, artifacts.memory, artifacts.certificate,
                                           fmap)
         # the logistic loss's Lipschitz constant in the adapter is the largest feature radius;
-        # each report's lipschitz is its query set's radius, so only the full supports are left
-        # to map, each drawn again one at a time
+        # each report's lipschitz is its query features' radius, so only the full supports are
+        # left to map, each drawn again one at a time
         supports = (corpus.full_support(task).support_x for task in tasks)
         radius = max(feature_radius_of(supports, fmap), *(r.lipschitz for r in summary.reports))
     require(np.isfinite(radius) and radius > 0, "feature radius must be finite and positive")

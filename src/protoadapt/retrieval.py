@@ -270,11 +270,13 @@ def backward_through_solve(solution: RetrievalSolution, memory, grad_w: np.ndarr
 
 @dataclass
 class Episodes:
-    """Phase-2 inputs, one row per task; ``Episodes.of`` maps and checks each query set once.
+    """Phase-2 inputs, one row per task; ``Episodes.of`` projects and checks each query set once.
 
     A task's episodes at several support sizes share its query set, so the block
     holds each distinct query set once: U query blocks of one query size n_q,
     and per row the index of its own. ``coords`` and ``labels`` gather the rows'.
+    A minibatch from ``take(rows, coords_out)`` gathers its coordinates into
+    the caller's buffer ``coords_out`` instead of a fresh array.
     """
 
     task_ids: list
@@ -282,19 +284,20 @@ class Episodes:
     theta_hats: np.ndarray    # (T, d_theta) support adapters
     n_support: np.ndarray     # (T,)
     query: np.ndarray         # (T,) row i's index into the query blocks
-    query_coords: np.ndarray  # (U, n_q, K): query set u's P_u = feature_map(x_q) M^T
+    query_coords: np.ndarray  # (U, n_q, K): query set u's P_u = query_feats M^T
     query_labels: np.ndarray  # (U, n_q) its query_y, in the tasks' dtype (int8 from a corpus)
+    coords_out: np.ndarray | None = None  # (>= T, n_q, K) buffer ``coords`` gathers into
 
     @classmethod
-    def of(cls, tasks, z, theta_hats, memory, feature_map) -> "Episodes":
-        index, distinct, query = {}, [], []  # one query block per distinct (query_x, query_y)
+    def of(cls, tasks, z, theta_hats, memory) -> "Episodes":
+        index, distinct, query = {}, [], []  # one query block per distinct (query_feats, query_y)
         for task in tasks:
-            key = id(task.query_x), id(task.query_y)
+            key = id(task.query_feats), id(task.query_y)
             if key not in index:
                 index[key] = len(distinct)
                 distinct.append(task)
             query.append(index[key])
-        coords = [check_finite(feature_map(task.query_x) @ memory.M.T, "query features")
+        coords = [check_finite(task.query_feats @ memory.M.T, "query features")
                   for task in distinct]
         sizes = sorted({len(rows) for rows in coords})
         require(sizes[0] >= 1, "query is empty")
@@ -305,19 +308,23 @@ class Episodes:
 
     @property
     def coords(self) -> np.ndarray:
-        """(T, n_q, K): row i's query coordinates P_i."""
-        return self.query_coords[self.query]
+        """(T, n_q, K): row i's query coordinates P_i; with ``coords_out``, its first T rows,
+        which the next read overwrites."""
+        if self.coords_out is None:
+            return self.query_coords[self.query]
+        return np.take(self.query_coords, self.query, axis=0,
+                       out=self.coords_out[:len(self.query)])
 
     @property
     def labels(self) -> np.ndarray:
         """(T, n_q): row i's query labels."""
         return self.query_labels[self.query]
 
-    def take(self, rows) -> "Episodes":
+    def take(self, rows, coords_out=None) -> "Episodes":
         """The episodes at ``rows``, in that order (a minibatch); the query blocks are shared."""
         return Episodes([self.task_ids[i] for i in rows], self.z[rows], self.theta_hats[rows],
                         self.n_support[rows], self.query[rows], self.query_coords,
-                        self.query_labels)
+                        self.query_labels, coords_out)
 
 
 def outer_terms(episodes: Episodes, w_tilde):
@@ -420,15 +427,18 @@ def predict_task(task, memory, net, descriptor, theta_hat, pcfg, r_keep,
 
     Warp of the descriptor vector (``build_descriptor``), net logits, then
     ``solve_proximal`` with ``pcfg`` at the task's support size
-    (``_at_support_size``), keeping the top r_keep; the query is scored with
-    the adapter w_tilde M. ``hard_threshold=False`` is r_keep = K: w_tilde
-    keeps all of w.
+    (``_at_support_size``), keeping the top r_keep; the query features
+    ``task.query_feats`` are scored with the adapter w_tilde M.
+    ``hard_threshold=False`` is r_keep = K: w_tilde keeps all of w.
+    ``feature_map`` is unread, since the task holds its query features; it
+    stays in the signature because the benchmark's fewshot-adapt workload
+    passes it by position.
     """
     z = descriptor if transform is None else transform.forward(descriptor)[0]
     solution = solve_proximal(theta_hat, memory, net.forward(z)[0],
                               _at_support_size(pcfg, task.n_support),
                               r_keep if hard_threshold else memory.K)
-    return sigmoid(feature_map(task.query_x) @ (solution.w_tilde @ memory.M)), solution
+    return sigmoid(task.query_feats @ (solution.w_tilde @ memory.M)), solution
 
 
 def _episode_block(episodes: Episodes, memory, net, pcfg, r_keep, transform=None):
@@ -508,14 +518,18 @@ def train_retrieval(train: Episodes, memory, pcfg, tcfg: TrainConfig, val: Episo
     best_auc, best_params, since_best = -np.inf, net.snapshot(), 0
     prev_active = None
 
+    # every minibatch gathers its query coordinates into this one buffer: a fresh gather per
+    # minibatch, freed at its end, made the heap top shrink and fault back in at each step
+    coords_out = np.empty((min(tcfg.batch_size, len(train.task_ids)),
+                           *train.query_coords.shape[1:]))
     for epoch in range(tcfg.epochs):
         rng = child_rng(tcfg.seed, "epochs", epoch)
         order = rng.permutation(len(train.task_ids))
         losses, blocks = [], []
         for start in range(0, len(order), tcfg.batch_size):
             batch_losses, solution, grads = minibatch_gradients(
-                train.take(order[start:start + tcfg.batch_size]), memory, net, pcfg,
-                tcfg.r_keep, tcfg.eta, transform=transform)
+                train.take(order[start:start + tcfg.batch_size], coords_out), memory, net,
+                pcfg, tcfg.r_keep, tcfg.eta, transform=transform)
             losses.extend(batch_losses)
             blocks.append(solution)
             if tcfg.weight_decay:

@@ -61,13 +61,14 @@ class BoundReport:
     certified_bound_holds: bool
 
 
-def check_bound(task, memory, certificate, feature_map, tol: float = 1e-9) -> BoundReport:
+def check_bound(task, memory, certificate, tol: float = 1e-9) -> BoundReport:
     """Triangle and Lipschitz gap checks for one task with a known adapter.
 
     The approximant is built exactly as the decomposition prescribes:
     project the true adapter onto the fitted subspace, sparse-fit the
     projection in the prototype rows (raw space), and compare the empirical
-    risks of the composed and oracle predictors on the task's query set.
+    risks of the composed and oracle predictors on the task's query set,
+    read as its frozen features ``task.query_feats``.
     """
     if task.theta_true is None:
         raise ValidationError(f"task {task.task_id} has no ground-truth adapter")
@@ -81,7 +82,7 @@ def check_bound(task, memory, certificate, feature_map, tol: float = 1e-9) -> Bo
     adapter_gap = vector_norm(theta - approx)
     triangle_slack = eps_app + eps_cov - adapter_gap
 
-    feats = feature_map(task.query_x)
+    feats = task.query_feats
     lipschitz = _row_radius(feats)
     # one logit block serves the composed and the oracle adapter
     risk_mem, risk_oracle = empirical_risk([approx, theta], feats, task.query_y)
@@ -125,8 +126,13 @@ class BoundSummary:
 
 def check_bounds_over_tasks(tasks, memory, certificate, feature_map,
                             tol: float = 1e-9) -> BoundSummary:
-    reports = [check_bound(t, memory, certificate, feature_map, tol=tol)
-               for t in tasks]
+    """``check_bound`` on each task, and the rates at which each check holds.
+
+    ``feature_map`` is unread: each task holds its query set's features. It
+    stays in the signature because the benchmark's phase1-verify workload
+    passes it by position.
+    """
+    reports = [check_bound(t, memory, certificate, tol=tol) for t in tasks]
     n = len(reports)
     require(n >= 1, "no tasks to check")
     return BoundSummary(

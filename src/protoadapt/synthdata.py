@@ -55,27 +55,31 @@ class PartitionError(ValidationError):
 
 @dataclass
 class CorpusTask:
-    """One generated binary task: its query set and planted adapter, and no support.
+    """One generated binary task: its query set's features and planted adapter, and no support.
 
-    Generation draws a support for every task, hands it to its reader and
-    keeps none. ``Corpus.full_support`` draws it again and ``resample_support``
-    draws a new one, each as an ``EpisodeTask``. A generated task's labels are
-    int8 arrays of 0 and 1.
+    The backbone is frozen, so a query set's features x_q W^T never change:
+    generation maps each query set once and keeps the features alone, as this
+    task's row of its corpus's feature block. ``Corpus.replay`` draws the raw
+    embeddings again for the two readers that need them. Generation draws a
+    support for every task, hands it to its reader and keeps none.
+    ``Corpus.full_support`` draws it again and ``resample_support`` draws a new
+    one, each as an ``EpisodeTask``. A generated task's labels are int8 arrays
+    of 0 and 1.
     """
 
     task_id: str
-    query_x: np.ndarray     # (n_query, q)
-    query_y: np.ndarray     # (n_query,) int8 labels
+    query_feats: np.ndarray  # (n_query, d_theta) features x_q W^T, C-contiguous
+    query_y: np.ndarray      # (n_query,) int8 labels
     theta_true: np.ndarray | None = None
     partition: str | None = None
     index: int = 0
 
     def with_support(self, support_x, support_y) -> EpisodeTask:
         """This task's episode on the given support; it shares this task's query arrays, so
-        the episodes of one task at several support sizes hold one query_x and one query_y."""
+        the episodes of one task at several support sizes hold one query_feats and one query_y."""
         # each field by name: a copy through dataclasses.fields on every call raised the
         # fewshot-adapt workload's peak RSS by about 0.2 MB (CPython 3.11)
-        return EpisodeTask(self.task_id, self.query_x, self.query_y, self.theta_true,
+        return EpisodeTask(self.task_id, self.query_feats, self.query_y, self.theta_true,
                            self.partition, self.index, support_x=support_x, support_y=support_y)
 
 
@@ -95,11 +99,15 @@ class EpisodeTask(CorpusTask):
 class Corpus:
     """Generated tasks plus the frozen encoder surrogate and planted geometry.
 
-    The float64 embeddings are nearly all of a corpus's bytes. Its tasks are
-    ``CorpusTask``s, which hold no support, so the fewshot corpus holds its
-    query sets alone: 11.7 MiB of embeddings and 0.09 MiB of int8 labels.
-    Phase 1 reads each pretraining support as generation draws it, and no
-    later step of a run reads a full support except through ``full_support``.
+    The float64 query features are nearly all of a corpus's bytes. They sit in
+    one (n_tasks, n_query, d_theta) block, and each ``CorpusTask`` holds its
+    row as a view, so a task or episode kept past its corpus keeps the whole
+    block alive. Every profile has q > d_theta, so the features are the
+    smaller form of a query set: the fewshot corpus holds 5.9 MiB of them
+    (its raw query embeddings were 11.7 MiB) and 0.09 MiB of int8 labels. Its
+    tasks hold no support. Phase 1 reads each pretraining support as
+    generation draws it, and no later step of a run reads a full support or a
+    raw query set except through ``replay``.
     """
 
     cfg: GeneratorConfig
@@ -121,13 +129,18 @@ class Corpus:
     def tasks_in(self, *tags) -> list:
         return [t for t in self.tasks if t.partition in tags]
 
-    def full_support(self, task: CorpusTask) -> EpisodeTask:
-        """``task``, one of this corpus's tasks, on the support that generation drew for it:
-        the same draw again, replayed from the task's stream.
+    def replay(self, task: CorpusTask) -> tuple:
+        """(support_x, support_y, query_x): the support and the raw query embeddings that
+        generation drew for ``task``, one of this corpus's tasks (or an episode of one),
+        drawn again from the task's stream.
         """
-        theta, rng = _task_stream(self.cfg, self.basis, self.cluster_dirs, task.index)
-        return task.with_support(*_sample_labeled_set(rng, self.cfg.n_support, self.cfg,
-                                                      self.feature_w.T @ theta))
+        _, (support_x, support_y), (query_x, _) = _draw_task(
+            self.cfg, self.feature_w, self.basis, self.cluster_dirs, task.index)
+        return support_x, support_y, query_x
+
+    def full_support(self, task: CorpusTask) -> EpisodeTask:
+        """``task`` on the support that generation drew for it (``replay``)."""
+        return task.with_support(*self.replay(task)[:2])
 
 
 def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -177,11 +190,12 @@ def _sample_labeled_set(rng, n, cfg, w_theta):
     return x, y
 
 
-def _task_stream(cfg, basis, cluster_dirs, t):
-    """Task t's planted adapter and its stream, positioned at the support draw.
+def _draw_task(cfg, feature_w, basis, cluster_dirs, t):
+    """Task t's planted adapter, then its support and its query, each an (x, y) pair.
 
-    The query is drawn after the support, so the support is drawn although
-    it is not kept.
+    The one draw of a task, from its own stream, for generation and for
+    ``Corpus.replay``. The query is drawn after the support, so the support
+    is drawn although no task keeps it.
     """
     rng_t = child_rng(cfg.seed, "task", t)
     coord = cluster_dirs[t % cfg.n_clusters] + cfg.cluster_spread * rng_t.normal(size=cfg.r_true)
@@ -191,7 +205,9 @@ def _task_stream(cfg, basis, cluster_dirs, t):
         raw = rng_t.normal(size=cfg.d_theta)
         perp = raw - basis @ (basis.T @ raw)
         theta = theta + cfg.off_subspace_norm * perp / np.linalg.norm(perp)
-    return theta, rng_t
+    w_theta = feature_w.T @ theta  # acts on raw embeddings
+    support = _sample_labeled_set(rng_t, cfg.n_support, cfg, w_theta)
+    return theta, support, _sample_labeled_set(rng_t, cfg.n_query, cfg, w_theta)
 
 
 def generate_corpus(cfg: GeneratorConfig, tags=None, read_support=None) -> Corpus:
@@ -205,7 +221,10 @@ def generate_corpus(cfg: GeneratorConfig, tags=None, read_support=None) -> Corpu
     The tag changes no array. No task keeps its support: ``read_support`` is
     called as ``read_support(task, x, y, fmap)`` once per task, in index
     order, with the support just drawn for it and the corpus's feature map,
-    the one read of that draw before it is dropped.
+    the one read of that draw before it is dropped. No task keeps its raw
+    query either: each query set is mapped as it is drawn, into its task's
+    row of one (n_tasks, n_query, d_theta) block allocated up front; one
+    block, not one array per task, leaves no freed raw draw between kept rows.
     """
     cfg.validate()
     require(tags is None or len(tags) == cfg.n_tasks, "tags must name one partition per task")
@@ -224,14 +243,14 @@ def generate_corpus(cfg: GeneratorConfig, tags=None, read_support=None) -> Corpu
     corpus = Corpus(cfg=cfg, tasks=[], feature_w=feature_w, basis=basis,
                     cluster_dirs=cluster_dirs)
     fmap = corpus.feature_map()
+    feats = np.empty((cfg.n_tasks, cfg.n_query, cfg.d_theta))
 
     for t, tag in enumerate(tags or [None] * cfg.n_tasks):
-        theta, rng_t = _task_stream(cfg, basis, cluster_dirs, t)
-        w_theta = feature_w.T @ theta  # acts on raw embeddings
-        sx, sy = _sample_labeled_set(rng_t, cfg.n_support, cfg, w_theta)
-        qx, qy = _sample_labeled_set(rng_t, cfg.n_query, cfg, w_theta)
-        task = CorpusTask(task_id=f"task{t:04d}", query_x=qx, query_y=qy, theta_true=theta,
-                          partition=tag, index=t)
+        theta, (sx, sy), (qx, qy) = _draw_task(cfg, feature_w, basis, cluster_dirs, t)
+        feats[t] = fmap(qx)
+        task = CorpusTask(task_id=f"task{t:04d}", query_feats=feats[t], query_y=qy,
+                          theta_true=theta, partition=tag, index=t)
+        del qx  # freed before the support is read and the next task drawn
         if read_support is not None:
             read_support(task, sx, sy, fmap)
         corpus.tasks.append(task)
@@ -287,7 +306,8 @@ def save_corpus(corpus: Corpus, csv_path, manifest_path=None) -> None:
     """Serialize the corpus: one CSV row per sample plus a JSON manifest.
 
     The CSV is written through one open file, one task's lines at a time, so
-    no more than one task's rows are held as text.
+    no more than one task's rows are held as text. Each task's support and raw
+    query are drawn again (``Corpus.replay``).
     """
     csv_path = Path(csv_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
@@ -296,9 +316,9 @@ def save_corpus(corpus: Corpus, csv_path, manifest_path=None) -> None:
     with csv_path.open("w") as out:
         out.write(",".join(header) + "\n")
         for task in corpus.tasks:
-            lines, episode = [], corpus.full_support(task)
-            for split, xs, ys in (("support", episode.support_x, episode.support_y),
-                                  ("query", task.query_x, task.query_y)):
+            lines, (support_x, support_y, query_x) = [], corpus.replay(task)
+            for split, xs, ys in (("support", support_x, support_y),
+                                  ("query", query_x, task.query_y)):
                 for row, label in zip(xs, ys):
                     cells = [task.task_id, split, str(int(label))]
                     cells += [f"{v:.12g}" for v in row]

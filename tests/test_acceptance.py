@@ -265,13 +265,9 @@ def test_adjoint_gradients():
 
 
 class _Task:
-    def __init__(self, task_id, query_x, query_y, n_support):
-        self.task_id, self.query_x, self.query_y = task_id, query_x, query_y
+    def __init__(self, task_id, query_feats, query_y, n_support):
+        self.task_id, self.query_feats, self.query_y = task_id, query_feats, query_y
         self.n_support = n_support
-
-
-def _identity_map(x):
-    return x
 
 
 def _outer_loss(query_x, query_y, adapter, w_tilde, lam, eta):
@@ -313,7 +309,7 @@ def test_training_gradient_vs_finite_differences():
                        int(rng.choice([5, 10, 20]))) for i in range(int(rng.integers(2, 6)))]
         z = np.stack([rng.normal(size=d_z) for _ in tasks])
         theta_hats = np.stack([rng.normal(size=d) for _ in tasks])
-        episodes = Episodes.of(tasks, z, theta_hats, memory, _identity_map)
+        episodes = Episodes.of(tasks, z, theta_hats, memory)
 
         # gamma at 5 support examples: each task solves with 0.5 * 5 / n_support
         pcfg = ProximalConfig(lam=1e-3, gamma=0.5)
@@ -324,7 +320,7 @@ def test_training_gradient_vs_finite_differences():
         def mean_loss():
             solution, _ = _episode_block(episodes, memory, net, pcfg, k, transform=warp)
             return float(np.mean([
-                _outer_loss(t.query_x, t.query_y, w_tilde @ memory.M,
+                _outer_loss(t.query_feats, t.query_y, w_tilde @ memory.M,
                             w_tilde, pcfg.lam, eta)
                 for t, w_tilde in zip(tasks, solution.w_tilde)]))
 

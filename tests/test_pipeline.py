@@ -44,8 +44,8 @@ from protoadapt.pipeline import (
 from protoadapt.riskbound import feature_radius_of
 from protoadapt.spectral import TaskGradientSummary, fisher_energy_test_tasks
 from protoadapt.synthdata import PRE_PARTITIONS, GeneratorConfig, generate_corpus
-from protoadapt.util import ValidationError
-from test_synthdata import generate_reading, generate_then_partition
+from protoadapt.util import ValidationError, sigmoid
+from test_synthdata import generate_capturing_queries, generate_reading, generate_then_partition
 
 # one runtime.txt line: stage, wall ms, the task count of per-task stages, peak RSS, run hash
 STAGE_LINE = re.compile(r"stage=([a-z0-9_.]+) ms=[0-9]+\.[0-9]{3}(?: tasks=([0-9]+))? "
@@ -303,7 +303,11 @@ class TestPhase1(object):
         monkeypatch.setattr(synthdata.Corpus, "feature_map", counting)
         art = run_phase1(cfg)
         pre = art.corpus.tasks_in("Pre-Seed", "Pre-Rest")
-        assert shapes == [(gen.n_support, gen.q)] * len(pre)
+        # generation maps every query set once as it is drawn, then hands the support over
+        assert shapes == [shape for task in art.corpus.tasks for shape in
+                          [(gen.n_query, gen.q)]
+                          + [(gen.n_support, gen.q)] * (task.partition in PRE_PARTITIONS)]
+        assert shapes.count((gen.n_support, gen.q)) == len(pre)
         monkeypatch.undo()
         # the one mapped block gives the bytes that mapping each held support for each use gave
         fmap = art.corpus.feature_map()
@@ -359,7 +363,7 @@ class TestPhase1(object):
                 run_phase1(cfg)
         finally:
             tracemalloc.stop()
-        stored = gen.n_tasks * (gen.n_query * (gen.q * 8 + 1) + gen.d_theta * 8)
+        stored = gen.n_tasks * (gen.n_query * (gen.d_theta * 8 + 1) + gen.d_theta * 8)
         support, few = gen.n_support * gen.q * 8, 8
         # the task objects and one task's draw, features and fits take about 5 supports'
         # bytes; keeping the pretraining supports would add 45
@@ -392,8 +396,10 @@ class TestPhase1(object):
         rebuilt = generate_corpus(GeneratorConfig(**manifest["config"]))
         assert [t.task_id for t in rebuilt.tasks] == [t.task_id for t in art.corpus.tasks]
         for again, task in zip(rebuilt.tasks, art.corpus.tasks):
+            raw = rebuilt.replay(again)[2], art.corpus.replay(task)[2]
+            assert raw[0].tobytes() == raw[1].tobytes(), task.task_id
             again, task = rebuilt.full_support(again), art.corpus.full_support(task)
-            for name in ("support_x", "support_y", "query_x", "query_y", "theta_true"):
+            for name in ("support_x", "support_y", "query_feats", "query_y", "theta_true"):
                 a, b = getattr(again, name), getattr(task, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (task.task_id, name)
         assert manifest["partition"] == {t.task_id: t.partition for t in art.corpus.tasks}
@@ -414,7 +420,7 @@ class TestPhase1(object):
         assert [t.task_id for t in corpus.tasks] == [t.task_id for t in oracle.tasks]
         for task, want, (_, support_x, support_y, _) in zip(corpus.tasks, oracle.tasks, drawn):
             assert task.partition == want.partition
-            for name in ("query_x", "query_y", "theta_true"):
+            for name in ("query_feats", "query_y", "theta_true"):
                 a, b = getattr(task, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (task.task_id, name)
             assert not hasattr(task, "support_x") and not hasattr(task, "support_y")
@@ -430,13 +436,17 @@ class TestPhase1(object):
         corpus = pipeline.build_corpus(cfg)
         assert 0 < len(corpus.tasks_in(*PRE_PARTITIONS)) < gen.n_tasks
         assert not any(hasattr(task, "support_x") for task in corpus.tasks)
-        arrays = [v for task in corpus.tasks for v in vars(task).values()
-                  if isinstance(v, np.ndarray)]
-        assert all(a.base is None for a in arrays)  # each array owns its bytes
+        # the query features are rows of one block, which owns its bytes
+        block = corpus.tasks[0].query_feats.base
+        assert block.base is None
+        assert all(task.query_feats.base is block for task in corpus.tasks)
+        arrays = [v for task in corpus.tasks for name, v in vars(task).items()
+                  if isinstance(v, np.ndarray) and name != "query_feats"]
+        assert all(a.base is None for a in arrays)  # each other array owns its bytes
         samples = gen.n_tasks * gen.n_query
-        embeddings, labels = samples * gen.q * 8, samples  # float64 rows, int8 labels
+        features, labels = samples * gen.d_theta * 8, samples  # float64 rows, int8 labels
         theta = gen.n_tasks * gen.d_theta * 8
-        assert sum(a.nbytes for a in arrays) == embeddings + labels + theta
+        assert block.nbytes + sum(a.nbytes for a in arrays) == features + labels + theta
 
     def test_persist_only_writes(self, tiny_artifacts, tmp_path, monkeypatch):
         cfg, art = tiny_artifacts
@@ -581,24 +591,37 @@ class TestPhase2:
             assert 1.0 <= row.mean_active_size <= r_keep
 
     @pytest.mark.parametrize("epochs", [1, 3])
-    def test_each_query_set_is_mapped_once(self, tiny_artifacts, monkeypatch, epochs):
-        cfg, art = tiny_artifacts
-        # resampled supports keep the task's query array, so identity names the set;
-        # at two training sizes each Ret-Train query set serves two episodes
-        queries = {id(task.query_x): task.task_id
-                   for task in art.corpus.tasks_in("Ret-Train", "Ret-Val", "Ret-Test")}
-        fmap, calls = art.corpus.feature_map(), Counter()
+    def test_each_query_set_is_mapped_once(self, monkeypatch, epochs):
+        cfg = replace(tiny_config(), epochs=epochs, patience=epochs + 1, train_sizes=(5, 10))
+        gen = cfg.generator
+        feature_map, rows = synthdata.Corpus.feature_map, []
 
-        def counting_map(x):
-            if id(x) in queries:
-                calls[queries[id(x)]] += 1
-            return fmap(x)
+        def counting(corpus):
+            fmap = feature_map(corpus)
 
-        monkeypatch.setattr(art.corpus, "feature_map", lambda: counting_map)
-        result = run_phase2(replace(cfg, epochs=epochs, patience=epochs + 1,
-                                    train_sizes=(5, 10)), art)
+            def _map(x):
+                rows.append(len(x))
+                return fmap(x)
+
+            return _map
+
+        def replay(corpus, task):
+            raise AssertionError(f"phase 2 drew {task.task_id}'s raw query again")
+
+        monkeypatch.setattr(synthdata.Corpus, "feature_map", counting)
+        art = run_phase1(cfg)
+        # generation maps each query set as it draws it, and phase 1 each Pre support
+        assert rows.count(gen.n_query) == gen.n_tasks
+        assert gen.n_query not in (gen.n_support, 5, 10)
+        rows.clear()
+        monkeypatch.setattr(synthdata.Corpus, "replay", replay)
+        result = run_phase2(cfg, art)
         assert len(result.history) == epochs
-        assert calls == Counter(queries.values())
+        # phase 2 maps each episode's support twice (its descriptor and its adapter), at two
+        # training sizes for Ret-Train, and no query set
+        n_train, n_val, n_test = (len(art.corpus.tasks_in(tag))
+                                  for tag in ("Ret-Train", "Ret-Val", "Ret-Test"))
+        assert Counter(rows) == Counter({5: 2 * (n_train + n_val + n_test), 10: 2 * n_train})
 
     def test_persist_only_writes_and_sweep_is_separate(self, tiny_artifacts, tmp_path,
                                                        monkeypatch):
@@ -768,8 +791,9 @@ class TestLeakage:
     """Phase 1 reads no retrieval task, and training reads no Ret-Test task.
 
     Every task of one retrieval partition is overwritten after partitioning:
-    theta_true negated and shifted, query_x redrawn and query_y flipped. The
-    files that must not see that partition stay byte-identical.
+    theta_true negated and shifted, the query feature rows overwritten in place
+    by the features of a redrawn query set, and query_y flipped. The files
+    that must not see that partition stay byte-identical.
     """
 
     PHASE2_TRAINED = ("retrieval_net.json", "retrieval_warp.json", "training_curve.csv")
@@ -781,11 +805,12 @@ class TestLeakage:
 
             def overwritten(config, read_support=None):
                 corpus = build_corpus(config, read_support)
-                rng = np.random.default_rng(7)
+                rng, fmap, gen = np.random.default_rng(7), corpus.feature_map(), config.generator
                 for task in corpus.tasks_in(tag):
                     # a task holds no support: phase 2 draws each episode from theta_true
                     task.theta_true = 1.0 - task.theta_true
-                    task.query_x = rng.normal(size=task.query_x.shape)
+                    # the features of a redrawn raw query set, written over the task's row
+                    task.query_feats[:] = fmap(rng.normal(size=(gen.n_query, gen.q)))
                     task.query_y = (1 - task.query_y).astype(task.query_y.dtype)
                 return corpus
 
@@ -827,6 +852,27 @@ class TestBaselinesAndSweeps:
         results = run_baselines(cfg, art, outdir=tmp_path, support_size=5)
         assert results["oracle_ridge"].auc >= results["ridge_support"].auc
         assert (tmp_path / "baselines.csv").exists()
+
+    def test_baselines_equal_the_raw_query_forms(self, tiny_artifacts):
+        """Each baseline's metrics equal those of its form on the raw query sets generation
+        drew: the ridge baselines map them, nearest-centroid measures raw distances."""
+        cfg, art = tiny_artifacts
+        _, queries = generate_capturing_queries(cfg.generator)  # the tags change no array
+        fmap, tasks = art.corpus.feature_map(), pipeline._ret_tasks_at_size(art, "Ret-Test", 5)
+        probs = {"ridge_support": [], "nearest_centroid": [], "oracle_ridge": []}
+        for task in tasks:
+            query_x = queries[task.index]
+            oracle_task = replace(task, support_x=query_x, support_y=task.query_y)
+            c_pos = task.support_x[task.support_y == 1].mean(axis=0)
+            c_neg = task.support_x[task.support_y == 0].mean(axis=0)
+            probs["ridge_support"].append(sigmoid(fmap(query_x) @ ridge_adapter(task, fmap)))
+            probs["nearest_centroid"].append(sigmoid(np.linalg.norm(query_x - c_neg, axis=1)
+                                                     - np.linalg.norm(query_x - c_pos, axis=1)))
+            probs["oracle_ridge"].append(sigmoid(fmap(query_x) @ ridge_adapter(oracle_task, fmap)))
+        labels = np.concatenate([task.query_y for task in tasks])
+        results = run_baselines(cfg, art, support_size=5)
+        for name, got in probs.items():
+            assert results[name] == compute_metrics(np.concatenate(got), labels), name
 
     def test_fewshot_baselines_use_the_phase2_support_size(self):
         cfg = fewshot_benchmark_config()
@@ -907,10 +953,13 @@ class TestMotifAndRiskRuns:
 
         monkeypatch.setattr(art.corpus, "feature_map", lambda: counting_map)
         run_riskbound(cfg, art, outdir=tmp_path)
+        monkeypatch.undo()
         tasks = art.corpus.tasks
-        assert len(calls) == 2 * len(tasks)
-        # the global radius is still the largest over every full support and query row
-        blocks = (b for t in tasks for b in (art.corpus.full_support(t).support_x, t.query_x))
+        # the query sets are read as their features: only the full supports are mapped
+        assert calls == [cfg.generator.n_support] * len(tasks)
+        # the global radius is still the largest over every full support and query row, each
+        # raw block drawn again and mapped
+        blocks = (b for t in tasks for b in art.corpus.replay(t)[::2])
         radius = feature_radius_of(blocks, fmap)
         log = (tmp_path / "run.log").read_text().splitlines()
         assert log[-1].endswith(f" | global lipschitz {radius:.4f}")
@@ -1032,11 +1081,10 @@ class TestAblations:
         result = run_phase2(cfg, art)
         # single-prototype retrieval equals that prototype's direct classifier
         from protoadapt.util import sigmoid
-        fmap = art.corpus.feature_map()
         probs, labels = [], []
         from protoadapt.pipeline import _ret_tasks_at_size
         for t in _ret_tasks_at_size(art, "Ret-Test", min(cfg.train_sizes)):
-            probs.append(sigmoid(fmap(t.query_x) @ art.memory.M[0]))
+            probs.append(sigmoid(t.query_feats @ art.memory.M[0]))
             labels.append(t.query_y)
         direct = compute_metrics(np.concatenate(probs), np.concatenate(labels))
         assert abs(result.metrics["test"].auc - direct.auc) < 0.05

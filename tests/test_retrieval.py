@@ -586,12 +586,12 @@ class TestCompose:
         rng = np.random.default_rng(seed)
         task = type("T", (), {})()
         task.task_id, task.n_support = "c", GAMMA_REF_SIZE
-        task.query_x = rng.normal(size=(7, memory.d_theta))
+        task.query_feats = rng.normal(size=(7, memory.d_theta))
         task.query_y = np.zeros(7, dtype=int)
         net = RetrievalNet(d_z=2, k=memory.K, seed=seed)
         probs, sol = predict_task(task, memory, net, rng.normal(size=2), theta_hat, pcfg,
                                   r_keep, identity_map)
-        return task.query_x, probs, sol
+        return task.query_feats, probs, sol
 
     def test_unit_vector_returns_row(self):
         # lam = gamma = 0 on orthonormal rows: w_tilde is e_2 exactly, so the adapter is M[2]
@@ -640,20 +640,20 @@ class TestCompose:
 class _Query:
     task_id, n_support = "q", 5
 
-    def __init__(self, query_x, query_y):
-        self.query_x, self.query_y = query_x, query_y
+    def __init__(self, query_feats, query_y):
+        self.query_feats, self.query_y = query_feats, query_y
 
 
-def _query_block(tasks, memory, feature_map=identity_map):
+def _query_block(tasks, memory):
     """``Episodes`` of query sets alone; the descriptor and adapter rows are zeros."""
     return Episodes.of(tasks, np.zeros((len(tasks), 1)), np.zeros((len(tasks), memory.d_theta)),
-                       memory, feature_map)
+                       memory)
 
 
-def _block(tasks, memory, descriptors, theta_hats, feature_map=identity_map):
+def _block(tasks, memory, descriptors, theta_hats):
     """The toy tasks as one ``Episodes`` block, read from their by-id dicts, in task order."""
     return Episodes.of(tasks, np.stack([descriptors[t.task_id] for t in tasks]),
-                       np.stack([theta_hats[t.task_id] for t in tasks]), memory, feature_map)
+                       np.stack([theta_hats[t.task_id] for t in tasks]), memory)
 
 
 def _entropy(w):
@@ -721,11 +721,11 @@ class TestOuterObjective:
             assert len(terms[0]) == sum(len(t.query_y) for t in tasks)
             for i, task in enumerate(tasks):
                 adapter = w_tilde[i] @ memory.M
-                total, parts = _pair_outer_objective(task.query_x, task.query_y, adapter,
+                total, parts = _pair_outer_objective(task.query_feats, task.query_y, adapter,
                                                      w_tilde[i], lam, eta, identity_map)
-                grad = _pair_outer_gradient_w(task.query_x, task.query_y, memory,
+                grad = _pair_outer_gradient_w(task.query_feats, task.query_y, memory,
                                               w_tilde[i], lam, eta, identity_map)
-                ref_probs = sigmoid(task.query_x @ adapter)
+                ref_probs = sigmoid(task.query_feats @ adapter)
                 for ours, theirs in ((totals[i], total), (terms[1][i], parts["ce"]),
                                      (terms[2][i], parts["l1"]),
                                      (terms[3][i], parts["entropy"]),
@@ -837,7 +837,7 @@ class TestTraining:
         class _T:
             def __init__(self, tid, qx, qy, n_support):
                 self.task_id = tid
-                self.query_x = qx
+                self.query_feats = qx
                 self.query_y = qy
                 self.n_support = n_support
 
@@ -878,7 +878,7 @@ class TestTraining:
         class _T:
             task_id = "only"
             n_support = 5
-            query_x = qx
+            query_feats = qx
             query_y = qy
 
         # zero support-side estimate: retrieval must rely on the logits alone,
@@ -909,7 +909,7 @@ class TestTraining:
                 logits, _ = net.forward(descriptors[t.task_id])
                 w_tilde = threshold(solve_proximal(theta_hats[t.task_id], memory, logits,
                                                    _at_support_size(pcfg, t), memory.K).w)
-                losses.append(_pair_outer_objective(t.query_x, t.query_y,
+                losses.append(_pair_outer_objective(t.query_feats, t.query_y,
                                                     w_tilde @ memory.M,
                                                     w_tilde, pcfg.lam, tcfg.eta,
                                                     identity_map)[0])
@@ -1061,7 +1061,7 @@ def _two_optimizer_epoch(tasks, memory, descriptors, theta_hats, pcfg, tcfg, war
             logits, net_hidden = net.forward(z)
             solution = solve_proximal(theta_hats[task.task_id], memory, logits,
                                       _at_support_size(pcfg, task), memory.K)
-            grad_w = _pair_outer_gradient_w(task.query_x, task.query_y, memory,
+            grad_w = _pair_outer_gradient_w(task.query_feats, task.query_y, memory,
                                             hard_top_r(solution.w, tcfg.r_keep), pcfg.lam,
                                             tcfg.eta, identity_map)
             task_grads, grad_z = net.vjp(z, net_hidden,
@@ -1082,7 +1082,7 @@ class TestSweep:
         class _T:
             task_id = "a"
             n_support = 10
-            query_x = rng.normal(size=(8, 2))
+            query_feats = rng.normal(size=(8, 2))
             query_y = np.array([0, 1, 0, 1, 1, 0, 1, 0])
 
         net = RetrievalNet(d_z=4, k=3, seed=2)
@@ -1108,7 +1108,7 @@ class TestSweep:
                 pass
             t = _T()
             t.task_id, t.n_support = f"s{i}", 5 + 3 * i
-            t.query_x = rng.normal(size=(6, 4))
+            t.query_feats = rng.normal(size=(6, 4))
             t.query_y = np.array([0, 1] * 3)
             tasks.append(t)
             descs[t.task_id] = rng.normal(size=5)
@@ -1149,7 +1149,7 @@ class TestSweep:
         for i in range(6):
             t = _T()
             t.task_id, t.n_support = f"e{i}", 5 * (i + 1)
-            t.query_x = rng.normal(size=(7, 4))
+            t.query_feats = rng.normal(size=(7, 4))
             t.query_y = np.array([0, 1, 1, 0, 1, 0, 0])
             tasks.append(t)
             descs[t.task_id] = rng.normal(size=3)
@@ -1172,7 +1172,7 @@ class TestSweep:
         for i in range(4):
             t = type("T", (), {})()
             t.task_id, t.n_support = f"f{i}", 5 * (i + 1)
-            t.query_x = rng.normal(size=(6, 3))
+            t.query_feats = rng.normal(size=(6, 3))
             t.query_y = np.array([0, 1] * 3)
             tasks.append(t)
             descs[t.task_id] = rng.normal(size=2)
@@ -1190,7 +1190,7 @@ class TestSweep:
                 w = solve_proximal(thetas[t.task_id], memory, logits,
                                    dataclasses.replace(pcfg, lam=lam, gamma=gamma), memory.K).w
                 w_tilde = hard_top_r(w, 2)
-                objective.append(_pair_outer_objective(t.query_x, t.query_y,
+                objective.append(_pair_outer_objective(t.query_feats, t.query_y,
                                                        w_tilde @ memory.M,
                                                        w_tilde, lam, 0.0, identity_map)[0])
             return float(np.mean(objective))
@@ -1236,7 +1236,7 @@ class TestOneTaskPath:
         for i in range(3):
             t = type("T", (), {})()
             t.task_id, t.n_support = f"p{i}", 5 * (i + 1)
-            t.query_x = rng.normal(size=(6, 3))
+            t.query_feats = rng.normal(size=(6, 3))
             t.query_y = np.array([0, 1] * 3)
             tasks.append(t)
             descs[t.task_id] = rng.normal(size=2)
@@ -1269,7 +1269,7 @@ class TestOneTaskPath:
             for i in range(n_tasks):
                 t = type("T", (), {})()
                 t.task_id, t.n_support = f"r{i}", int(rng.choice([5, 10, 20, 50]))
-                t.query_x, t.query_y = rng.normal(size=(4, d)), np.array([0, 1, 1, 0])
+                t.query_feats, t.query_y = rng.normal(size=(4, d)), np.array([0, 1, 1, 0])
                 tasks.append(t)
                 descs[t.task_id] = rng.normal(size=3)
                 thetas[t.task_id] = float(rng.choice([0.1, 1.0, 10.0])) * rng.normal(size=d)
@@ -1295,12 +1295,12 @@ def _sweep_double_loop(lam_grid, eta_grid, tasks, memory, net, descriptors, thet
         for eta in eta_grid:
             pcfg = dataclasses.replace(pcfg_base, lam=lam)
             probs, labels, block = predict_tasks(
-                _block(tasks, memory, descriptors, theta_hats, feature_map), memory, net,
+                _block(tasks, memory, descriptors, theta_hats), memory, net,
                 pcfg, r_keep)
             objective = []
             for task, w_tilde in zip(tasks, block.w_tilde):
                 adapter = w_tilde @ memory.M
-                total, _ = _pair_outer_objective(task.query_x, task.query_y, adapter,
+                total, _ = _pair_outer_objective(task.query_feats, task.query_y, adapter,
                                                  w_tilde, lam, eta, feature_map)
                 objective.append(total)
             rows.append({
@@ -1333,18 +1333,21 @@ def _assert_rows_match(rows, oracle):
 # Episodes holds each distinct query set once
 # ---------------------------------------------------------------------------
 
-def _stacked(tasks, z, theta_hats, memory, feature_map=identity_map):
+def _stacked(tasks, z, theta_hats, memory, query_features=lambda task: task.query_feats):
     """A block as it was, one stacked query set per row, kept as the oracle of ``Episodes``.
 
-    Each query array was mapped once and stacked once per row that uses it.
+    Each query set was mapped once (``query_features``: a corpus task's raw query, drawn
+    again and mapped, is the map-per-call oracle of its stored features) and stacked once
+    per row that uses it.
     """
     mapped = {}
-    for x in (task.query_x for task in tasks):
-        if id(x) not in mapped:
-            mapped[id(x)] = check_finite(feature_map(x) @ memory.M.T, "query features")
+    for task in tasks:
+        if id(task.query_feats) not in mapped:
+            mapped[id(task.query_feats)] = check_finite(query_features(task) @ memory.M.T,
+                                                        "query features")
     return SimpleNamespace(task_ids=[task.task_id for task in tasks], z=z, theta_hats=theta_hats,
                            n_support=np.array([task.n_support for task in tasks]),
-                           coords=np.stack([mapped[id(task.query_x)] for task in tasks]),
+                           coords=np.stack([mapped[id(task.query_feats)] for task in tasks]),
                            labels=np.array([task.query_y for task in tasks]))
 
 
@@ -1403,11 +1406,11 @@ class TestQueryBlocks:
                        for _ in range(int(rng.integers(1, 5)))]
             uses = rng.integers(0, len(queries), size=int(rng.integers(1, 12)))
             tasks = [SimpleNamespace(task_id=f"r{i}", n_support=int(rng.choice([0, 2, 5, 20])),
-                                     query_x=queries[u].query_x, query_y=queries[u].query_y)
+                                     query_feats=queries[u].query_feats, query_y=queries[u].query_y)
                      for i, u in enumerate(uses)]
             z = rng.normal(size=(len(tasks), 3))
             theta_hats = rng.normal(size=(len(tasks), d))
-            episodes = Episodes.of(tasks, z, theta_hats, memory, identity_map)
+            episodes = Episodes.of(tasks, z, theta_hats, memory)
             assert episodes.query_coords.shape == (len(set(uses.tolist())), n_q, k)
             assert episodes.query_labels.dtype == dtype
             net = RetrievalNet(d_z=3, k=k, seed=trial)
@@ -1427,8 +1430,10 @@ class TestQueryBlocks:
         n_tasks = len(artifacts.corpus.tasks_in("Ret-Train"))
         assert len(tasks) == 2 * n_tasks and len(episodes.query_coords) == n_tasks
         assert episodes.query_labels.dtype == np.int8
+        corpus = artifacts.corpus
+        fmap = corpus.feature_map()
         stacked = _stacked(tasks, episodes.z, episodes.theta_hats, artifacts.memory,
-                           artifacts.corpus.feature_map())
+                           lambda task: fmap(corpus.replay(task)[2]))
         net = RetrievalNet(d_z=episodes.z.shape[1], k=artifacts.memory.K, seed=1)
         transform = make_transform(episodes.z.shape[1], cfg.warp, seed=1)
         _assert_layouts_agree(episodes, stacked, artifacts.memory, net, transform,
@@ -1444,3 +1449,44 @@ class TestQueryBlocks:
         assert len(train.task_ids) == 288 and train.query_coords.shape == (72, 400, 3)
         assert train.query_labels.shape == (72, 400) and train.query_labels.dtype == np.int8
         assert np.bincount(train.query).tolist() == [4] * 72
+
+    def test_minibatches_gather_into_one_buffer_with_the_gathering_bytes(self, monkeypatch):
+        # the gathering form, query_coords[query] into a fresh array, is the byte oracle
+        rng = np.random.default_rng(43)
+        memory = make_memory(rng.normal(size=(3, 2)))
+        queries = [_Query(rng.normal(size=(6, 2)), rng.integers(0, 2, size=6)) for _ in range(4)]
+        tasks = [SimpleNamespace(task_id=f"r{i}", n_support=int(rng.choice([5, 10])),
+                                 query_feats=q.query_feats, query_y=q.query_y)
+                 for i, q in enumerate(queries * 3)]
+        episodes = Episodes.of(tasks, rng.normal(size=(12, 3)), rng.normal(size=(12, 2)), memory)
+        coords_out = np.empty((5, 6, 3))
+        for rows in (rng.permutation(12)[:5], rng.permutation(12)[:2], np.array([3, 3, 0])):
+            batch = episodes.take(rows, coords_out)
+            coords = batch.coords
+            assert coords.shape == (len(rows), 6, 3) and np.shares_memory(coords, coords_out)
+            assert _same_bytes(coords, episodes.query_coords[episodes.query[rows]])
+            w_tilde = np.maximum(rng.normal(size=(len(rows), 3)), 0.0)
+            for ours, theirs in zip(outer_terms(batch, w_tilde),
+                                    outer_terms(episodes.take(rows), w_tilde)):
+                assert _same_bytes(ours, theirs)
+
+        pcfg = ProximalConfig(lam=1e-3, gamma=0.5)
+        tcfg = TrainConfig(epochs=3, weight_decay=1e-3, patience=5, seed=0, r_keep=2,
+                           batch_size=5, lr=1e-2)
+        buffers, gradients = [], retrieval.minibatch_gradients
+
+        def spy(batch, *args, **kwargs):
+            buffers.append(batch.coords_out)
+            return gradients(batch, *args, **kwargs)
+
+        monkeypatch.setattr(retrieval, "minibatch_gradients", spy)
+        ours = train_retrieval(episodes, memory, pcfg, tcfg, val=episodes)
+        # three minibatches per epoch (5, 5, 2 rows), all gathered into one (5, n_q, K) buffer
+        assert len(buffers) == 9 and all(buf is buffers[0] for buf in buffers)
+        assert buffers[0].shape == (5, 6, 3)
+        take = Episodes.take
+        monkeypatch.setattr(Episodes, "take", lambda self, rows, coords_out=None: take(self, rows))
+        oracle = train_retrieval(episodes, memory, pcfg, tcfg, val=episodes)
+        assert repr(ours.history) == repr(oracle.history)
+        for key, arr in oracle.net.params.items():
+            assert _same_bytes(ours.net.params[key], arr), key

@@ -60,10 +60,10 @@ class _FixedTask:
     def __init__(self, theta, rng, n_query=20, task_id="t"):
         self.task_id = task_id
         self.theta_true = theta
-        self.query_x = rng.normal(size=(n_query, theta.shape[0]))
-        logits = self.query_x @ theta
+        self.query_feats = rng.normal(size=(n_query, theta.shape[0]))
+        logits = self.query_feats @ theta
         self.query_y = (rng.random(n_query) < sigmoid(logits)).astype(int)
-        self.support_x = self.query_x[:2]
+        self.support_x = self.query_feats[:2]
         self.support_y = self.query_y[:2]
 
 
@@ -94,7 +94,7 @@ class TestCheckBound:
 
         monkeypatch.setattr(prototypes.Atoms, "of", classmethod(counting))
         tasks = [_FixedTask(rng.normal(size=4), rng, task_id=f"t{i}") for i in range(100)]
-        reports = [check_bound(task, memory, cert, identity_map) for task in tasks]
+        reports = [check_bound(task, memory, cert) for task in tasks]
         assert calls == [(5, 4)]
         monkeypatch.undo()
         # the cached dictionary fits exactly as the array does
@@ -109,7 +109,7 @@ class TestCheckBound:
         memory = _memory(atoms)
         cert = _certify(memory, np.vstack([atoms, atoms]), 2, n_boot=100, seed=0)
         task = _FixedTask(atoms[1].copy(), rng)
-        report = check_bound(task, memory, cert, identity_map)
+        report = check_bound(task, memory, cert)
         assert report.eps_app == pytest.approx(0.0, abs=1e-12)
         assert report.eps_coverage == pytest.approx(0.0, abs=1e-12)
         assert report.emp_gap == pytest.approx(0.0, abs=1e-12)
@@ -122,7 +122,7 @@ class TestCheckBound:
         cert = _certify(memory, np.vstack([atoms, atoms]), 1, n_boot=100, seed=0)
         theta = np.array([0.8, 0.6, 0.0])  # spans both atoms, 1-sparse fit misses
         task = _FixedTask(theta, rng)
-        report = check_bound(task, memory, cert, identity_map)
+        report = check_bound(task, memory, cert)
         assert report.eps_app == pytest.approx(0.0, abs=1e-12)
         assert report.eps_coverage > 0.1
         assert report.triangle_holds
@@ -134,7 +134,7 @@ class TestCheckBound:
         task = _FixedTask(np.ones(2), np.random.default_rng(3))
         task.theta_true = None
         with pytest.raises(ValidationError):
-            check_bound(task, memory, cert, identity_map)
+            check_bound(task, memory, cert)
 
     def test_planted_corpus_identities_hold_everywhere(self):
         cfg = GeneratorConfig(d_theta=6, q=10, r_true=2, n_tasks=50,
@@ -164,12 +164,13 @@ class TestCheckBound:
         summary = check_bounds_over_tasks(art.corpus.tasks, memory, cert, fmap)
         r_sparse = min(cert.r_sparse, memory.K)
         for task, report in zip(art.corpus.tasks, summary.reports):
-            # oracle: one sigmoid and one log loss per adapter, row norms by norm()
+            # oracle: the raw query drawn again and mapped, one sigmoid and one log loss per
+            # adapter, row norms by norm()
             theta = task.theta_true
             u_star = memory.chain.subspace_project(theta)
             w_star, eps_cov = prototypes.l0_fit(u_star, memory.M, r_sparse)
             approx = w_star @ memory.M
-            feats = fmap(task.query_x)
+            feats = fmap(art.corpus.replay(task)[2])
             risk_mem = binary_cross_entropy(sigmoid(feats @ approx), task.query_y)
             risk_oracle = binary_cross_entropy(sigmoid(feats @ theta), task.query_y)
             emp_gap = abs(risk_mem - risk_oracle)
@@ -219,11 +220,7 @@ def test_feature_radius_over_tasks():
     cfg = GeneratorConfig(d_theta=4, q=6, n_tasks=6, seed=11)
     corpus = generate_corpus(cfg)
     fmap = corpus.feature_map()
-    episodes = [corpus.full_support(t) for t in corpus.tasks]
-    radius = feature_radius_of((block for t in episodes for block in (t.support_x, t.query_x)),
-                               fmap)
-    direct = max(
-        float(np.linalg.norm(fmap(block), axis=1).max())
-        for t in episodes for block in (t.support_x, t.query_x)
-    )
+    blocks = [block for t in corpus.tasks for block in corpus.replay(t)[::2]]  # raw rows
+    radius = feature_radius_of(blocks, fmap)
+    direct = max(float(np.linalg.norm(fmap(block), axis=1).max()) for block in blocks)
     assert radius == pytest.approx(direct)

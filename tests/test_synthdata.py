@@ -55,6 +55,22 @@ def generate_reading(cfg, tags=None):
     return generate_corpus(cfg, tags, read_support), read
 
 
+def generate_capturing_queries(cfg, tags=None):
+    """The corpus and each task's raw query set as generation drew it, in task order: the
+    oracle of the stored feature rows and of every raw-query replay."""
+    draws = []
+
+    def recording(rng, n, cfg, w_theta):
+        x, y = _sample_labeled_set(rng, n, cfg, w_theta)
+        draws.append(x)
+        return x, y
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synthdata, "_sample_labeled_set", recording)
+        corpus = generate_corpus(cfg, tags)
+    return corpus, draws[1::2]  # each task draws its support, then its query
+
+
 def test_zero_noise_full_rank_theta_in_subspace():
     cfg = GeneratorConfig(d_theta=4, q=8, r_true=4, n_tasks=10, seed=3)
     corpus = generate_corpus(cfg)
@@ -69,7 +85,7 @@ def test_same_seed_bit_identical():
     (c1, read1), (c2, read2) = generate_reading(cfg), generate_reading(cfg)
     assert np.array_equal(c1.feature_w, c2.feature_w)
     for t1, t2 in zip(c1.tasks, c2.tasks):
-        assert np.array_equal(t1.query_x, t2.query_x)
+        assert np.array_equal(t1.query_feats, t2.query_feats)
         assert np.array_equal(t1.theta_true, t2.theta_true)
     for (_, x1, y1, _), (_, x2, y2, _) in zip(read1, read2):
         assert np.array_equal(x1, x2)
@@ -96,12 +112,13 @@ def test_off_subspace_norm_exact():
 
 def test_both_classes_present_and_disjoint_draws():
     cfg = GeneratorConfig(n_tasks=40, n_support=5, n_query=8, seed=11)
-    _, read = generate_reading(cfg)
+    corpus, read = generate_reading(cfg)
     for task, support_x, support_y, _ in read:
         assert 0 < support_y.sum() < cfg.n_support
         # continuous draws: no support row reappears among queries
+        query_x = corpus.replay(task)[2]
         for row in support_x:
-            assert not np.any(np.all(np.isclose(task.query_x, row), axis=1))
+            assert not np.any(np.all(np.isclose(query_x, row), axis=1))
 
 
 def test_invalid_configs_rejected():
@@ -121,7 +138,7 @@ def test_resample_support_deterministic_and_query_fixed():
     b = resample_support(corpus, task, 20)
     assert np.array_equal(a.support_x, b.support_x)
     assert a.support_x.shape[0] == 20
-    assert np.array_equal(a.query_x, task.query_x)
+    assert np.array_equal(a.query_feats, task.query_feats)
 
 
 def test_labels_are_int8_zeros_and_ones():
@@ -205,6 +222,28 @@ def test_feature_map_bit_equal_to_the_atleast_2d_form():
         assert got.shape == oracle.shape and got.tobytes() == oracle.tobytes()
 
 
+def test_feature_rows_are_the_mapped_query_draws():
+    # q > d_theta as on every profile, and q < d_theta, whose map is not orthonormal
+    for cfg in (GeneratorConfig(n_tasks=12, n_support=5, n_query=7, seed=9),
+                GeneratorConfig(d_theta=6, q=4, r_true=2, n_tasks=9, n_support=3, n_query=4,
+                                off_subspace_norm=0.2, seed=10)):
+        for tags in (None, partition_tags(cfg.n_tasks, 3)):
+            corpus, queries = generate_capturing_queries(cfg, tags)
+            fmap = corpus.feature_map()
+            block = corpus.tasks[0].query_feats.base
+            assert block.shape == (cfg.n_tasks, cfg.n_query, cfg.d_theta)
+            assert len(queries) == cfg.n_tasks
+            for task, query_x in zip(corpus.tasks, queries):
+                feats = task.query_feats
+                assert feats.base is block and feats.flags.c_contiguous
+                assert feats.shape == (cfg.n_query, cfg.d_theta) and feats.dtype == np.float64
+                # the stored row is the map of the drawn query, bit for bit
+                assert feats.tobytes() == fmap(query_x).tobytes(), task.task_id
+                # and the replay draws that raw query again
+                assert corpus.replay(task)[2].tobytes() == query_x.tobytes(), task.task_id
+                assert not hasattr(task, "query_x")
+
+
 def test_generated_tasks_hold_no_support():
     cfg = GeneratorConfig(n_tasks=10, n_support=6, n_query=5, seed=5)
     for tags in (None, partition_tags(cfg.n_tasks, 3)):
@@ -240,7 +279,7 @@ def test_full_support_replays_the_drawn_support():
         for got, want in ((episode.support_x, x), (episode.support_y, y)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), task.task_id
         # the tag changes no array
-        for name in ("query_x", "query_y", "theta_true"):
+        for name in ("query_feats", "query_y", "theta_true"):
             assert getattr(task, name).tobytes() == getattr(plain, name).tobytes()
         assert (untagged.full_support(plain).support_x.tobytes()
                 == episode.support_x.tobytes())
@@ -286,14 +325,15 @@ def test_save_corpus_roundtrip_shape(tmp_path):
     assert csv_path.read_bytes() == (tmp_path / "untagged.csv").read_bytes()
 
 
-def _joined_csv(corpus) -> str:
-    """The corpus CSV as one joined string: the form ``save_corpus`` wrote before streaming."""
+def _joined_csv(corpus, queries) -> str:
+    """The corpus CSV as one joined string: the form ``save_corpus`` wrote before streaming,
+    its query rows the raw query sets generation drew (``generate_capturing_queries``)."""
     header = ["task_id", "split", "label"] + [f"x{j}" for j in range(corpus.cfg.q)]
     lines = [",".join(header)]
-    for task in corpus.tasks:
+    for task, query_x in zip(corpus.tasks, queries):
         episode = corpus.full_support(task)
         for split, xs, ys in (("support", episode.support_x, episode.support_y),
-                              ("query", task.query_x, task.query_y)):
+                              ("query", query_x, task.query_y)):
             for row, label in zip(xs, ys):
                 cells = [task.task_id, split, str(int(label))]
                 cells += [f"{v:.12g}" for v in row]
@@ -305,7 +345,7 @@ def test_save_corpus_streams_the_joined_bytes(tmp_path):
     tiny = GeneratorConfig(n_tasks=5, n_support=4, n_query=6, q=3, seed=41)
     larger = GeneratorConfig(n_tasks=40, n_support=200, n_query=50, q=8, seed=41)
     for cfg in (tiny, larger):
-        corpus = generate_corpus(cfg, partition_tags(cfg.n_tasks, 0))
+        corpus, queries = generate_capturing_queries(cfg, partition_tags(cfg.n_tasks, 0))
         csv_path = tmp_path / f"corpus-{cfg.n_tasks}.csv"
         tracemalloc.start()
         try:
@@ -313,7 +353,7 @@ def test_save_corpus_streams_the_joined_bytes(tmp_path):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert csv_path.read_bytes() == _joined_csv(corpus).encode()
+        assert csv_path.read_bytes() == _joined_csv(corpus, queries).encode()
     # one task's lines at a time: the peak is a fraction of the 40-task CSV
     size = csv_path.stat().st_size
     assert peak < size / 4, (peak, size)
